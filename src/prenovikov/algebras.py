@@ -23,16 +23,11 @@ from .core import (
     Scalar,
     StructureConstants,
     Vector,
-    apply_op,
-    basis_vec,
+    evaluate,
     exact_det,
     mat_inverse,
-    mat_neg,
     mat_transpose,
-    mat_vec,
-    mult_matrix,
-    vec_add,
-    vec_sub,
+    sum_terms,
 )
 from .report import Report, ReportBuilder, default_labels
 
@@ -86,16 +81,8 @@ def sum_table(lhd: StructureConstants, rhd: StructureConstants) -> StructureCons
 def check_novikov(op: StructureConstants, basis=None) -> Report:
     """Evaluate both Novikov identities on every basis triple."""
     t0 = time.perf_counter()
-    n = op.dim
-    rb = ReportBuilder("novikov", labels.NOVIKOV, basis or default_labels(n))
-    e = [basis_vec(n, i) for i in range(n)]
-    prod = [[apply_op(op, e[i], e[j]) for j in range(n)] for i in range(n)]
-    for i, j, k in itertools.product(range(n), repeat=3):
-        lhs = vec_sub(apply_op(op, prod[i][j], e[k]), apply_op(op, e[i], prod[j][k]))
-        rhs = vec_sub(apply_op(op, prod[j][i], e[k]), apply_op(op, e[j], prod[i][k]))
-        rb.residual("2.1", (i, j, k), vec_sub(lhs, rhs))
-        rb.residual("2.2", (i, j, k), vec_sub(apply_op(op, prod[i][j], e[k]),
-                                              apply_op(op, prod[i][k], e[j])))
+    rb = ReportBuilder("novikov", labels.NOVIKOV, basis or default_labels(op.dim))
+    rb.check({"o": op.c})
     return rb.build(time.perf_counter() - t0)
 
 
@@ -104,38 +91,8 @@ def check_pre_novikov(lhd: StructureConstants, rhd: StructureConstants, basis=No
     if lhd.dim != rhd.dim:
         raise InputError("dimension mismatch between < and > tables")
     t0 = time.perf_counter()
-    n = lhd.dim
-    rb = ReportBuilder("pre_novikov", labels.PRE_NOVIKOV, basis or default_labels(n))
-    e = [basis_vec(n, i) for i in range(n)]
-    circ = sum_table(lhd, rhd)
-    L = [[apply_op(lhd, e[i], e[j]) for j in range(n)] for i in range(n)]
-    R = [[apply_op(rhd, e[i], e[j]) for j in range(n)] for i in range(n)]
-    O = [[vec_add(L[i][j], R[i][j]) for j in range(n)] for i in range(n)]
-    for i, j, k in itertools.product(range(n), repeat=3):
-        # a>(b>c) = (a o b)>c + b>(a>c) - (b o a)>c
-        res = vec_sub(
-            apply_op(rhd, e[i], R[j][k]),
-            vec_sub(
-                vec_add(apply_op(rhd, O[i][j], e[k]), apply_op(rhd, e[j], R[i][k])),
-                apply_op(rhd, O[j][i], e[k]),
-            ),
-        )
-        rb.residual("2.8", (i, j, k), res)
-        # a>(b<c) = (a>b)<c + b<(a o c) - (b<a)<c
-        res = vec_sub(
-            apply_op(rhd, e[i], L[j][k]),
-            vec_sub(
-                vec_add(apply_op(lhd, R[i][j], e[k]), apply_op(lhd, e[j], O[i][k])),
-                apply_op(lhd, L[j][i], e[k]),
-            ),
-        )
-        rb.residual("2.9", (i, j, k), res)
-        # (a o b)>c = (a>c)<b
-        rb.residual("2.10", (i, j, k),
-                    vec_sub(apply_op(rhd, O[i][j], e[k]), apply_op(lhd, R[i][k], e[j])))
-        # (a<b)<c = (a<c)<b
-        rb.residual("2.11", (i, j, k),
-                    vec_sub(apply_op(lhd, L[i][j], e[k]), apply_op(lhd, L[i][k], e[j])))
+    rb = ReportBuilder("pre_novikov", labels.PRE_NOVIKOV, basis or default_labels(lhd.dim))
+    rb.check({"<": lhd.c, ">": rhd.c})
     return rb.build(time.perf_counter() - t0)
 
 
@@ -175,13 +132,7 @@ def check_quasi_frobenius(op: StructureConstants, w: FormMatrix, basis=None) -> 
                 rb.residual(labels.QF_SKEW, (i, j), (w.w[i][j] + w.w[j][i],))
     if exact_det(w.w) == 0:
         rb.flag(labels.QF_NONDEGENERATE, "determinant is zero")
-    e = [basis_vec(n, i) for i in range(n)]
-    for i, j, k in itertools.product(range(n), repeat=3):
-        ab = apply_op(op, e[i], e[j])
-        ac_ca = vec_add(apply_op(op, e[i], e[k]), apply_op(op, e[k], e[i]))
-        cb = apply_op(op, e[k], e[j])
-        val = w.pair(ab, e[k]) - w.pair(ac_ca, e[j]) + w.pair(cb, e[i])
-        rb.residual(labels.QF_COCYCLE, (i, j, k), (val,))
+    rb.check({"o": op.c, "w": w.w})
     return rb.build(time.perf_counter() - t0)
 
 
@@ -207,40 +158,19 @@ def pre_novikov_from_qf(op: StructureConstants, w: FormMatrix) -> PreNovikovAlge
     if not report.passed:
         raise RefusalError("form is not quasi-Frobenius for this product", report)
     n = op.dim
-    T = form_iso(w)
-    Tinv = mat_transpose(w.w)
-    e = [basis_vec(n, i) for i in range(n)]
+    tables = {"o": op.c, "w": w.w, "T": form_iso(w)}
 
-    def solve_against_form(rhs_vals: Vector) -> Vector:
-        # z with w(z, e_k) = rhs_vals[k] for all k, i.e. W^T z = rhs.
-        return mat_vec(T, rhs_vals)
+    def solve(terms) -> StructureConstants:
+        return StructureConstants(n, evaluate(terms, tables))
 
-    rhd_rows, lhd_rows = [], []
-    for i in range(n):
-        rhd_plane, lhd_plane = [], []
-        for j in range(n):
-            d_rhd = tuple(
-                w.pair(vec_add(apply_op(op, e[i], e[k]), apply_op(op, e[k], e[i])), e[j])
-                for k in range(n)
-            )
-            d_lhd = tuple(w.pair(e[i], apply_op(op, e[k], e[j])) for k in range(n))
-            rhd_plane.append(solve_against_form(d_rhd))
-            lhd_plane.append(solve_against_form(d_lhd))
-        rhd_rows.append(tuple(rhd_plane))
-        lhd_rows.append(tuple(lhd_plane))
-    rhd = StructureConstants(n, tuple(rhd_rows))
-    lhd = StructureConstants(n, tuple(lhd_rows))
+    # w(z, e_k) = d_k is solved by z = T d
+    rhd = solve([(1, "tk,ikm,mj->ijt", ("T", "(*)", "w"))])
+    lhd = solve([(1, "tk,im,kjm->ijt", ("T", "w", "o"))])
 
-    # Independent dual-transport route.
-    Lo = [mult_matrix(op, e[i], "left") for i in range(n)]
-    Ro = [mult_matrix(op, e[i], "right") for i in range(n)]
-    for i, j in itertools.product(range(n), repeat=2):
-        lsum = mat_neg(mat_transpose(tuple(
-            tuple(Lo[i][a][b] + Ro[i][a][b] for b in range(n)) for a in range(n))))
-        rhd_ij = mat_vec(T, mat_vec(lsum, mat_vec(Tinv, e[j])))
-        lhd_ij = mat_vec(T, mat_vec(mat_transpose(Ro[j]), mat_vec(Tinv, e[i])))
-        if rhd_ij != rhd.c[i][j] or lhd_ij != lhd.c[i][j]:
-            raise InternalCheckError("direct and dual-transport constructions disagree")
+    # Independent dual-transport route, through W^T = T^{-1}.
+    if (solve([(-1, "ty,ixy,jx->ijt", ("T", "Lo+Ro", "w"))]) != rhd
+            or solve([(1, "ty,jxy,ix->ijt", ("T", "Ro", "w"))]) != lhd):
+        raise InternalCheckError("direct and dual-transport constructions disagree")
 
     if sum_table(lhd, rhd).c != op.c:
         raise InternalCheckError("recovered products do not sum to the input product")
@@ -255,9 +185,11 @@ def pre_novikov_from_qf(op: StructureConstants, w: FormMatrix) -> PreNovikovAlge
 # exhaustive enumeration of small pre-Novikov algebras
 # ---------------------------------------------------------------------------
 
+ENUM_TABLE_LIMIT = 4**8  # tables per product; the sweep builds them all up front
+
+
 def _int_tables(values) -> np.ndarray:
-    vals = [frac_int(v) for v in values]
-    grids = np.array(list(itertools.product(vals, repeat=8)), dtype=np.int64)
+    grids = np.array(list(itertools.product(values, repeat=8)), dtype=np.int64)
     return grids.reshape(-1, 2, 2, 2)
 
 
@@ -268,6 +200,12 @@ def frac_int(v) -> int:
     return int(f)
 
 
+def _batch_zero(code: str, ops: dict) -> np.ndarray:
+    """Which members of a batch of integer tables satisfy identity ``code``."""
+    res = sum_terms(labels.SPECS[code][1], ops, batch=frozenset(ops))
+    return np.all(res.reshape(len(res), -1) == 0, axis=1)
+
+
 def enumerate_dim2_pre_novikov(values=(-1, 0, 1), chunk: int = 200_000):
     """All dimension-2 pre-Novikov table pairs with entries in ``values``.
 
@@ -276,14 +214,19 @@ def enumerate_dim2_pre_novikov(values=(-1, 0, 1), chunk: int = 200_000):
     then the remaining identities run vectorized over the surviving (<, >)
     pairs in integer arithmetic.  Every survivor is re-verified through the
     exact checker before being returned; a disagreement between the fast path
-    and the checker raises.
+    and the checker raises.  Values are deduplicated and sorted, and more than
+    ``ENUM_TABLE_LIMIT`` tables per product are refused.
     """
-    tables = _int_tables(values)  # (m, 2, 2, 2)
+    vals = [frac_int(v) for v in sorted({Fraction(v) for v in values})]
+    if len(vals) ** 8 > ENUM_TABLE_LIMIT:
+        raise InputError(
+            f"{len(vals)} values give {len(vals) ** 8} tables per product, "
+            f"beyond the limit of {ENUM_TABLE_LIMIT}"
+        )
+    tables = _int_tables(vals)  # (m, 2, 2, 2)
 
     # Stage 1: (a<b)<c = (a<c)<b, pure in <.
-    lhs = np.einsum("nijm,nmkt->nijkt", tables, tables)
-    res = lhs - lhs.transpose(0, 1, 3, 2, 4)
-    lhd_ok = tables[np.all(res.reshape(len(tables), -1) == 0, axis=1)]
+    lhd_ok = tables[_batch_zero("2.11", {"<": tables})]
 
     # Stage 2: remaining identities over all (lhd, rhd) pairs, chunked, with
     # the cheapest identity filtering candidates before the costlier ones.
@@ -295,29 +238,11 @@ def enumerate_dim2_pre_novikov(values=(-1, 0, 1), chunk: int = 200_000):
         L = np.repeat(lblock, m, axis=0)  # (len(lblock)*m, 2,2,2)
         R = np.tile(tables, (len(lblock), 1, 1, 1))
         O = L + R
-        keep = np.arange(len(L))
-        # (a o b)>c - (a>c)<b
-        r3 = np.einsum("nijm,nmkt->nijkt", O, R) - np.einsum("nikm,nmjt->nijkt", R, L)
-        keep = keep[np.all(r3.reshape(len(keep), -1) == 0, axis=1)]
+        keep = np.flatnonzero(_batch_zero("2.10", {"<": L, ">": R, "o": O}))
         if not len(keep):
             continue
-        L, R, O = L[keep], R[keep], O[keep]
-        # a>(b>c) - (a o b)>c - b>(a>c) + (b o a)>c
-        r1 = (
-            np.einsum("njkm,nimt->nijkt", R, R)
-            - np.einsum("nijm,nmkt->nijkt", O, R)
-            - np.einsum("nikm,njmt->nijkt", R, R)
-            + np.einsum("njim,nmkt->nijkt", O, R)
-        )
-        ok = np.all(r1.reshape(len(keep), -1) == 0, axis=1)
-        # a>(b<c) - (a>b)<c - b<(a o c) + (b<a)<c
-        r2 = (
-            np.einsum("njkm,nimt->nijkt", L, R)
-            - np.einsum("nijm,nmkt->nijkt", R, L)
-            - np.einsum("nikm,njmt->nijkt", O, L)
-            + np.einsum("njim,nmkt->nijkt", L, L)
-        )
-        ok &= np.all(r2.reshape(len(keep), -1) == 0, axis=1)
+        ops = {"<": L[keep], ">": R[keep], "o": O[keep]}
+        ok = _batch_zero("2.8", ops) & _batch_zero("2.9", ops)
         for idx in keep[np.nonzero(ok)[0]]:
             survivors.append((lblock[idx // m], tables[idx % m]))
 

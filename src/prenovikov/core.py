@@ -1,4 +1,5 @@
-"""Exact scalars, based vector spaces, and dense multilinear data.
+"""Exact scalars, based vector spaces, dense multilinear data, and the one
+exact contraction kernel every identity is evaluated with.
 
 Everything downstream works over the rationals with dense tuples indexed by
 basis position.  All values are immutable; every operation is a pure function,
@@ -17,20 +18,25 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
+
+import numpy as np
+
+from . import labels
 
 Scalar = Fraction
 Vector = tuple[Scalar, ...]
 Matrix = tuple[Vector, ...]
 Tensor2 = tuple[tuple[Scalar, ...], ...]
 Tensor3 = tuple[tuple[tuple[Scalar, ...], ...], ...]
+Terms = Sequence[tuple[int, str, tuple[str, ...]]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class InputError(ValueError):
@@ -53,6 +59,8 @@ def frac(x) -> Scalar:
     """Coerce an int, string ("p/q" or "n"), or Fraction to an exact Scalar."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise InputError(f"not an exact scalar: {x!r}")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
@@ -62,6 +70,143 @@ def frac(x) -> Scalar:
 
 def scalar_str(x: Scalar) -> str:
     return str(x)
+
+
+# ---------------------------------------------------------------------------
+# the exact contraction kernel
+# ---------------------------------------------------------------------------
+
+def overflow_bound(terms: Terms, shapes: dict, maxabs: dict) -> int:
+    """A bound on every partial sum an integer evaluation of ``terms`` forms.
+
+    Each term contributes |coefficient| times the product of its operands'
+    largest entries (at least 1, so partial products stay under it too) times
+    the number of index values it sums over.
+    """
+    total = 0
+    for coef, subs, names in terms:
+        inputs, out = subs.split("->")
+        sizes = {}
+        for letters, name in zip(inputs.split(","), names):
+            sizes.update(zip(letters, shapes[name]))
+        term = abs(coef)
+        for name in names:
+            term *= max(maxabs[name], 1)
+        for letter, size in sizes.items():
+            if letter not in out:
+                term *= size
+        total += term
+    return total
+
+
+def sum_terms(terms: Terms, arrays: dict, batch=frozenset()) -> np.ndarray:
+    """sum(coef * einsum(subscripts, operands)) in the arrays' own dtype.
+
+    Operands named in ``batch`` carry an extra leading axis ``N``, which the
+    result carries too.  The caller certifies that the dtype cannot overflow.
+    """
+    acc = None
+    for coef, subs, names in terms:
+        if batch:
+            inputs, out = subs.split("->")
+            inputs = ",".join(
+                "N" + letters if name in batch else letters
+                for letters, name in zip(inputs.split(","), names)
+            )
+            subs = f"{inputs}->N{out}"
+        # accumulate in place, so that one einsum temporary at most is alive
+        operands = [arrays[name] for name in names]
+        if acc is None:
+            acc = np.einsum(subs, *operands)
+            if coef != 1 or len(names) == 1:  # a one-operand einsum may be a view
+                acc = acc * coef
+        elif coef == 1:
+            acc += np.einsum(subs, *operands)
+        elif coef == -1:
+            acc -= np.einsum(subs, *operands)
+        else:
+            acc += coef * np.einsum(subs, *operands)
+    return acc
+
+
+def _lift(tables: dict) -> tuple[dict, int]:
+    """Integer object arrays over one common denominator of all entries."""
+    raw = {name: np.array(t, dtype=object) for name, t in tables.items()}
+    den = lcm(*{x.denominator for a in raw.values() for x in a.flat})
+    lifted = {
+        name: np.array([x.numerator * (den // x.denominator) for x in a.flat],
+                       dtype=object).reshape(a.shape)
+        for name, a in raw.items()
+    }
+    return lifted, den
+
+
+def _sum_lifted(terms: Terms, arrays: dict, degree: dict, den: int) -> tuple[np.ndarray, int]:
+    """Evaluate terms on lifted operands; returns (integers, scale exponent).
+
+    An operand of degree d holds its values times den**d, so each term is
+    brought to the largest degree among the terms before they are summed.
+    """
+    degrees = [sum(degree[name] for name in names) for _, _, names in terms]
+    top = max(degrees)
+    terms = [(coef * den ** (top - d), subs, names)
+             for (coef, subs, names), d in zip(terms, degrees)]
+    used = {name for _, _, names in terms for name in names}
+    shapes = {name: arrays[name].shape for name in used}
+    maxabs = {name: int(np.abs(arrays[name]).max()) for name in used}
+    dtype = np.int64 if overflow_bound(terms, shapes, maxabs) <= INT64_MAX else object
+    value = sum_terms(terms, {name: arrays[name].astype(dtype) for name in used})
+    return np.asarray(value, dtype=dtype), top
+
+
+def _resolve(name: str, arrays: dict, degree: dict, den: int) -> None:
+    """Make ``arrays[name]`` available, deriving it from ``labels.OPERANDS``."""
+    if name in arrays:
+        return
+    terms = labels.OPERANDS[name]
+    for _, _, names in terms:
+        for sub in names:
+            _resolve(sub, arrays, degree, den)
+    arrays[name], degree[name] = _sum_lifted(terms, arrays, degree, den)
+
+
+def contract(terms: Terms, tables: dict) -> tuple[np.ndarray, int]:
+    """Exact value of a signed sum of einsum terms over rational tables.
+
+    ``terms`` holds ``(integer coefficient, einsum subscripts, operand
+    names)``; ``tables`` maps names to nested sequences of rationals.  Names
+    missing from ``tables`` are derived through ``labels.OPERANDS``.  All
+    tables are lifted to integers over one common denominator; each sum runs
+    in int64 when ``overflow_bound`` certifies that it cannot overflow, and on
+    Python-int object arrays otherwise.  Returns ``(numerators, denominator)``:
+    the value is ``numerators / denominator``, entry by entry.
+    """
+    arrays, den = _lift(tables)
+    degree = dict.fromkeys(arrays, 1)
+    for _, _, names in terms:
+        for name in names:
+            _resolve(name, arrays, degree, den)
+    num, top = _sum_lifted(terms, arrays, degree, den)
+    return num, den**top
+
+
+def evaluate(terms: Terms, tables: dict):
+    """``contract`` as nested tuples of Fractions."""
+    num, den = contract(terms, tables)
+    flat = [Fraction(int(x), den) for x in num.flat]
+    for size in reversed(num.shape[1:]):
+        flat = [tuple(flat[k : k + size]) for k in range(0, len(flat), size)]
+    return tuple(flat)
+
+
+def derive(name: str, tables: dict):
+    """The named operand ``labels.OPERANDS[name]`` as nested Fractions."""
+    return evaluate(labels.OPERANDS[name], tables)
+
+
+def _contract1(subs: str, **tables):
+    """One-term contraction of keyword tables, as nested Fractions."""
+    return evaluate([(1, subs, tuple(tables))], tables)
 
 
 # ---------------------------------------------------------------------------
@@ -80,29 +225,6 @@ def basis_vec(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c: Scalar, v: Vector) -> Vector:
-    return tuple(c * a for a in v)
-
-
-def vec_is_zero(v: Vector) -> bool:
-    return all(a == 0 for a in v)
-
-
-def mat(rows: Iterable[Iterable]) -> Matrix:
-    m = tuple(vec(row) for row in rows)
-    if m and any(len(row) != len(m[0]) for row in m):
-        raise InputError("ragged matrix")
-    return m
-
-
 def mat_zero(rows: int, cols: int) -> Matrix:
     return tuple(vec_zero(cols) for _ in range(rows))
 
@@ -116,11 +238,7 @@ def mat_shape(m: Matrix) -> tuple[int, int]:
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vec_add(x, y) for x, y in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(vec_sub(x, y) for x, y in zip(a, b))
+    return tuple(tuple(x + y for x, y in zip(u, v)) for u, v in zip(a, b))
 
 
 def mat_neg(a: Matrix) -> Matrix:
@@ -128,7 +246,7 @@ def mat_neg(a: Matrix) -> Matrix:
 
 
 def mat_scale(c: Scalar, a: Matrix) -> Matrix:
-    return tuple(vec_scale(c, row) for row in a)
+    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def mat_transpose(a: Matrix) -> Matrix:
@@ -138,23 +256,13 @@ def mat_transpose(a: Matrix) -> Matrix:
 def mat_vec(m: Matrix, v: Vector) -> Vector:
     if m and len(m[0]) != len(v):
         raise InputError(f"matrix/vector shape mismatch: {mat_shape(m)} vs {len(v)}")
-    return tuple(sum((row[j] * v[j] for j in range(len(v)) if v[j]), ZERO) for row in m)
+    return _contract1("ij,j->i", m=m, v=v)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = mat_shape(a)
-    rb, cb = mat_shape(b)
-    if ca != rb:
-        raise InputError(f"matrix shape mismatch: {ca} vs {rb}")
-    bt = mat_transpose(b)
-    return tuple(
-        tuple(sum((a[i][k] * bt[j][k] for k in range(ca) if a[i][k]), ZERO) for j in range(cb))
-        for i in range(ra)
-    )
-
-
-def mat_is_zero(a: Matrix) -> bool:
-    return all(vec_is_zero(row) for row in a)
+    if mat_shape(a)[1] != mat_shape(b)[0]:
+        raise InputError(f"matrix shape mismatch: {mat_shape(a)[1]} vs {mat_shape(b)[0]}")
+    return _contract1("ik,kj->ij", a=a, b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +367,7 @@ class StructureConstants:
     def add(self, other: "StructureConstants") -> "StructureConstants":
         if self.dim != other.dim:
             raise InputError("dimension mismatch")
-        return StructureConstants(
-            self.dim,
-            tuple(
-                tuple(vec_add(self.c[i][j], other.c[i][j]) for j in range(self.dim))
-                for i in range(self.dim)
-            ),
-        )
+        return StructureConstants(self.dim, tuple(mat_add(a, b) for a, b in zip(self.c, other.c)))
 
     def flip_args(self) -> "StructureConstants":
         """Table of the opposite product (a, b) -> b * a."""
@@ -275,47 +377,23 @@ class StructureConstants:
         )
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(row) for plane in self.c for row in plane)
+        return t3_is_zero(self.c)
 
 
 def apply_op(op: StructureConstants, a: Vector, b: Vector) -> Vector:
     """Evaluate the bilinear product on coordinate vectors."""
-    n = op.dim
-    if len(a) != n or len(b) != n:
-        raise InputError(f"apply_op: expected vectors of length {n}")
-    out = [ZERO] * n
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        ci = op.c[i]
-        for j, bj in enumerate(b):
-            if not bj:
-                continue
-            w = ai * bj
-            row = ci[j]
-            for k, ck in enumerate(row):
-                if ck:
-                    out[k] += w * ck
-    return tuple(out)
+    if len(a) != op.dim or len(b) != op.dim:
+        raise InputError(f"apply_op: expected vectors of length {op.dim}")
+    return _contract1("i,j,ijk->k", a=a, b=b, c=op.c)
 
 
 def mult_matrix(op: StructureConstants, a: Vector, side: str) -> Matrix:
     """Matrix of left (b -> a*b) or right (b -> b*a) multiplication by a."""
-    n = op.dim
-    if len(a) != n:
-        raise InputError(f"mult_matrix: expected vector of length {n}")
+    if len(a) != op.dim:
+        raise InputError(f"mult_matrix: expected vector of length {op.dim}")
     if side not in ("left", "right"):
         raise InputError(f"side must be 'left' or 'right', got {side!r}")
-    out = [[ZERO] * n for _ in range(n)]
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j in range(n):
-            row = op.c[i][j] if side == "left" else op.c[j][i]
-            for k, ck in enumerate(row):
-                if ck:
-                    out[k][j] += ai * ck
-    return tuple(tuple(row) for row in out)
+    return _contract1("i,ijk->kj" if side == "left" else "i,jik->kj", a=a, c=op.c)
 
 
 # ---------------------------------------------------------------------------
@@ -327,23 +405,19 @@ def t2(entries: Iterable[Iterable]) -> Tensor2:
 
 
 def t2_zero(n: int, m: int | None = None) -> Tensor2:
-    return tuple(vec_zero(m if m is not None else n) for _ in range(n))
+    return mat_zero(n, m if m is not None else n)
 
 
 def t2_add(a: Tensor2, b: Tensor2) -> Tensor2:
-    return tuple(vec_add(x, y) for x, y in zip(a, b))
+    return mat_add(a, b)
 
 
 def t2_sub(a: Tensor2, b: Tensor2) -> Tensor2:
-    return tuple(vec_sub(x, y) for x, y in zip(a, b))
+    return mat_add(a, mat_neg(b))
 
 
 def t2_scale(c: Scalar, a: Tensor2) -> Tensor2:
-    return tuple(vec_scale(c, row) for row in a)
-
-
-def t2_is_zero(a: Tensor2) -> bool:
-    return all(vec_is_zero(row) for row in a)
+    return mat_scale(c, a)
 
 
 def flip(t: Tensor2) -> Tensor2:
@@ -356,52 +430,20 @@ def flip(t: Tensor2) -> Tensor2:
 
 def t2_apply_left(m: Matrix, t: Tensor2) -> Tensor2:
     """(M (x) id) t."""
-    n = len(t)
-    out = [[ZERO] * len(t[0]) for _ in range(len(m))]
-    for p in range(n):
-        row = t[p]
-        for i in range(len(m)):
-            mp = m[i][p]
-            if not mp:
-                continue
-            for j, tv in enumerate(row):
-                if tv:
-                    out[i][j] += mp * tv
-    return tuple(tuple(r) for r in out)
+    return _contract1("ap,pb->ab", m=m, t=t)
 
 
 def t2_apply_right(m: Matrix, t: Tensor2) -> Tensor2:
     """(id (x) M) t."""
-    out = [[ZERO] * len(m) for _ in range(len(t))]
-    for i, row in enumerate(t):
-        for q, tv in enumerate(row):
-            if not tv:
-                continue
-            for j in range(len(m)):
-                mq = m[j][q]
-                if mq:
-                    out[i][j] += tv * mq
-    return tuple(tuple(r) for r in out)
-
-
-def t2_from_vecs(u: Vector, v: Vector) -> Tensor2:
-    return tuple(tuple(a * b for b in v) for a in u)
-
-
-def t3_zero(n: int) -> Tensor3:
-    return tuple(t2_zero(n) for _ in range(n))
+    return _contract1("aq,bq->ab", t=t, m=m)
 
 
 def t3_add(a: Tensor3, b: Tensor3) -> Tensor3:
-    return tuple(t2_add(x, y) for x, y in zip(a, b))
-
-
-def t3_sub(a: Tensor3, b: Tensor3) -> Tensor3:
-    return tuple(t2_sub(x, y) for x, y in zip(a, b))
+    return tuple(mat_add(x, y) for x, y in zip(a, b))
 
 
 def t3_is_zero(a: Tensor3) -> bool:
-    return all(t2_is_zero(plane) for plane in a)
+    return all(x == 0 for plane in a for row in plane for x in row)
 
 
 def permute3(t: Tensor3, perm: Sequence[int]) -> Tensor3:
@@ -412,50 +454,13 @@ def permute3(t: Tensor3, perm: Sequence[int]) -> Tensor3:
     """
     if sorted(perm) != [1, 2, 3]:
         raise InputError(f"not a permutation of (1,2,3): {perm!r}")
-    n = len(t)
     # out[j1][j2][j3] = t[j_{perm(1)}][j_{perm(2)}][j_{perm(3)}]
-    p = tuple(x - 1 for x in perm)
-    out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for j in itertools.product(range(n), repeat=3):
-        out[j[0]][j[1]][j[2]] = t[j[p[0]]][j[p[1]]][j[p[2]]]
-    return tuple(tuple(tuple(row) for row in plane) for plane in out)
+    return _contract1("".join("abc"[k - 1] for k in perm) + "->abc", t=t)
 
 
 def compose_perm(r: Sequence[int], s: Sequence[int]) -> tuple[int, ...]:
     """(r s)(k) = r(s(k)) on {1,2,3}."""
     return tuple(r[s[k] - 1] for k in range(3))
-
-
-def t3_apply(m: Matrix, t: Tensor3, slot: int) -> Tensor3:
-    """Apply a matrix to one tensor leg (slot in {1,2,3})."""
-    n = len(t)
-    if slot not in (1, 2, 3):
-        raise InputError(f"slot must be 1, 2, or 3, got {slot}")
-    out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i, plane in enumerate(t):
-        for j, row in enumerate(plane):
-            for k, tv in enumerate(row):
-                if not tv:
-                    continue
-                old = (i, j, k)[slot - 1]
-                for newidx in range(n):
-                    mv = m[newidx][old]
-                    if not mv:
-                        continue
-                    idx = [i, j, k]
-                    idx[slot - 1] = newidx
-                    out[idx[0]][idx[1]][idx[2]] += mv * tv
-    return tuple(tuple(tuple(row) for row in plane) for plane in out)
-
-
-def t3_from_vec_t2(v: Vector, t: Tensor2) -> Tensor3:
-    """v (x) t in slots (1; 2,3)."""
-    return tuple(t2_scale(a, t) for a in v)
-
-
-def t3_from_t2_vec(t: Tensor2, v: Vector) -> Tensor3:
-    """t (x) v in slots (1,2; 3)."""
-    return tuple(tuple(tuple(tv * a for a in v) for tv in row) for row in t)
 
 
 _VALID_SLOT_PAIRS = {(p, q) for p in (1, 2, 3) for q in (1, 2, 3) if p != q}
@@ -483,35 +488,10 @@ def placed_product(
     n = op.dim
     if len(r) != n or len(r2) != n or any(len(row) != n for row in r + r2):
         raise InputError("placed_product: dimension mismatch")
-    shared_slot = shared.pop()
-    free_r = q if p == shared_slot else p
-    free_r2 = t if s == shared_slot else s
-
-    out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            w1 = r[a][b]
-            if not w1:
-                continue
-            prod_r, other_r = (a, b) if p == shared_slot else (b, a)
-            for c in range(n):
-                for d in range(n):
-                    w2 = r2[c][d]
-                    if not w2:
-                        continue
-                    prod_r2, other_r2 = (c, d) if s == shared_slot else (d, c)
-                    w = w1 * w2
-                    row = op.c[prod_r][prod_r2]
-                    for k in range(n):
-                        ck = row[k]
-                        if not ck:
-                            continue
-                        idx = [0, 0, 0]
-                        idx[shared_slot - 1] = k
-                        idx[free_r - 1] = other_r
-                        idx[free_r2 - 1] = other_r2
-                        out[idx[0]][idx[1]][idx[2]] += w * ck
-    return tuple(tuple(tuple(row) for row in plane) for plane in out)
+    (k,) = shared
+    first = "".join("u" if x == k else "abc"[x - 1] for x in (p, q))
+    second = "".join("v" if x == k else "abc"[x - 1] for x in (s, t))
+    return _contract1(f"{first},{second},uv{'abc'[k - 1]}->abc", r=r, r2=r2, c=op.c)
 
 
 def dual_map(m: Matrix, mode: str) -> Matrix:

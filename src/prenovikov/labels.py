@@ -1,12 +1,32 @@
-"""The frozen identity-label table.
+"""The frozen identity-label table, with an executable spec beside each formula.
 
 Every identity a verifier can evaluate has a short numeric code used in
 reports ("Eq (2.2) violated at (e1, e2, e1): ...").  The codes are fixed here,
-in one place, together with the formula each one stands for; nothing else in
-the package hardcodes them.  Products: ``o`` is the Novikov product, ``<`` and
-``>`` the two pre-Novikov products (with a o b = a<b + a>b), ``.`` a second
-algebra's product, ``(.)`` and ``(*)`` the derived products a(.)b = a>b + b<a
-and a(*)b = a o b + b o a.
+in one place, together with the formula each one stands for and the spec that
+evaluates it; nothing else in the package hardcodes them.  Products: ``o`` is
+the Novikov product, ``<`` and ``>`` the two pre-Novikov products (with
+a o b = a<b + a>b), ``.`` a second algebra's product, ``(.)`` and ``(*)`` the
+derived products a(.)b = a>b + b<a and a(*)b = a o b + b o a.
+
+A spec is ``(witness, terms)``.  Each term is ``(integer coefficient, einsum
+subscripts, operand names)``, and the residual of the identity is the sum of
+the terms (left side minus right side).  The output axes of every term start
+with the ``witness`` letters: one violation is reported per witness index
+whose remaining axes, the residual, are not all zero.  ``core.contract``
+evaluates a term list exactly.
+
+Operand layouts (entries are the coefficients of basis vectors):
+
+* a product table ``c[i][j][k]``: e_i * e_j = sum_k c[i][j][k] e_k;
+* an operator family ``M[a][k][j]``: the matrix of M(e_a), column j the image
+  of e_j (``Lo``, ``R<``, ``L>+R<``, ..., and representation maps such as
+  ``l``, ``r>``, ``lA``);
+* a co-operation ``al[i][j][k]``: the coefficient of e_j (x) e_k in al(e_i);
+* a rank-2 tensor ``r[i][j]``, a form ``w[i][j]``, a linear map ``T[i][p]``.
+
+Operands not passed in by the caller are looked up in ``OPERANDS``, where the
+named sums (``o``, ``(.)``, ``L>+2R<``, ``tau.al+be``, ...) and the seven
+R-tensors of the coboundary analysis are defined by term lists of their own.
 """
 
 from __future__ import annotations
@@ -18,7 +38,6 @@ O_OPERATOR_NOVIKOV = "2.13"
 QF_SKEW = "skew"
 QF_NONDEGENERATE = "nondegenerate"
 QF_COCYCLE = "2.14"
-FORM_ISO = "2.15"
 MATCHED_PAIR = ("3.1", "3.2", "3.3", "3.4", "3.5", "3.6", "3.7", "3.8")
 COALGEBRA = ("3.11", "3.12", "3.13", "3.14")
 COMPATIBILITY = ("3.16", "3.17", "3.18", "3.19", "3.20", "3.21", "3.22", "3.23")
@@ -27,68 +46,430 @@ COBOUNDARY_EQUATIONS = ("4.7", "4.8", "4.9", "4.10")
 YBE = "4.13"
 PRE_NOVIKOV_REP = tuple(f"4.{k}" for k in range(18, 28))
 O_OPERATOR_PRE_NOVIKOV = ("4.29", "4.30")
-OPERATOR_FORM = ("4.31", "4.32")
 
-FORMULAS = {
-    "2.1": "(a o b) o c - a o (b o c) = (b o a) o c - b o (a o c)",
-    "2.2": "(a o b) o c = (a o c) o b",
-    "2.3": "l(a o b - b o a) v = l(a) l(b) v - l(b) l(a) v",
-    "2.4": "l(a) r(b) v - r(b) l(a) v = r(a o b) v - r(b) r(a) v",
-    "2.5": "l(a o b) v = r(b) l(a) v",
-    "2.6": "r(a) r(b) v = r(b) r(a) v",
-    "2.8": "a>(b>c) = (a o b)>c + b>(a>c) - (b o a)>c",
-    "2.9": "a>(b<c) = (a>b)<c + b<(a o c) - (b<a)<c",
-    "2.10": "(a o b)>c = (a>c)<b",
-    "2.11": "(a<b)<c = (a<c)<b",
-    "2.13": "T(u) o T(v) = T(l(T(u)) v) + T(r(T(v)) u)",
-    "skew": "w(a, b) = -w(b, a)",
-    "nondegenerate": "det w != 0",
-    "2.14": "w(a o b, c) - w(a o c + c o a, b) + w(c o b, a) = 0",
-    "2.15": "w(T(f), a) = <f, a>",
-    "3.1": "lB(x)(a o b) = -lB(lA(a)x - rA(a)x)b + (lB(x)a - rB(x)a) o b + rB(rA(b)x)a + a o (lB(x)b)",
-    "3.2": "rB(x)(a o b - b o a) = rB(lA(b)x)a - rB(lA(a)x)b + a o (rB(x)b) - b o (rB(x)a)",
-    "3.3": "lA(a)(x . y) = -lA(lB(x)a - rB(x)a)y + (lA(a)x - rA(a)x) . y + rA(rB(y)a)x + x . (lA(a)y)",
-    "3.4": "rA(a)(x . y - y . x) = rA(lB(y)a)x - rA(lB(x)a)y + x . (rA(a)y) - y . (rA(a)x)",
-    "3.5": "(lB(x)a) o b + lB(rA(a)x)b = (lB(x)b) o a + lB(rA(b)x)a",
-    "3.6": "(rB(x)a) o b + lB(lA(a)x)b = rB(x)(a o b)",
-    "3.7": "lA(rB(x)a)y + (lA(a)x) . y = lA(rB(y)a)x + (lA(a)y) . x",
-    "3.8": "lA(lB(x)a)y + (rA(a)x) . y = rA(a)(x . y)",
-    "3.11": "(al(x)id)al + (tau(x)id)(id(x)al)be - (id(x)(al+be))al - (tau(x)id)(be(x)id)al = 0",
-    "3.12": "(id(x)be)be + (tau(x)id)((al+be)(x)id)be - ((al+be)(x)id)be - (tau(x)id)(id(x)be)be = 0",
-    "3.13": "(id(x)tau)(be(x)id)al - ((al+be)(x)id)be = 0",
-    "3.14": "(id(x)tau)(al(x)id)al - (al(x)id)al = 0",
-    "3.16": "(tau.al+be)(a o b) = ((L> + 2R<)(a)(x)id + id(x)Lo(a))(tau.al+be)(b) + (id(x)Ro(b))(2tau.al+be)(a) - (R<(b)(x)id)tau.al(a)",
-    "3.17": "tau.al(a o b - b o a) = ((L>+R<)(a)(x)id + id(x)Lo(a))tau.al(b) - ((L>+R<)(b)(x)id + id(x)Lo(b))tau.al(a)",
-    "3.18": "(al+be)(a(.)b) = (id(x)(R>+L<)(b))(2tau.al+be)(a) - (L<(b)(x)id)al(a) + ((L>+2R<)(a)(x)id + id(x)(L>+R<)(a))(al+be)(b)",
-    "3.19": "(al+be-tau.al-tau.be)(b<a) = (id(x)L<(b))(tau.al+be)(a) - (L<(b)(x)id)(al+tau.be)(a) + (id(x)R<(a))(al+be)(b) - (R<(a)(x)id)(tau.al+tau.be)(b)",
-    "3.20": "(id(x)Ro(b) - R<(b)(x)id)(tau.al+be)(a) = (id(x)Ro(a) - R<(a)(x)id)(tau.al+be)(b)",
-    "3.21": "tau.al(a o b) = (id(x)Ro(b))tau.al(a) + ((L>+R<)(a)(x)id)(tau.al+be)(b)",
-    "3.22": "(id(x)(R>+L<)(b))tau.al(a) = ((R>+L<)(b)(x)id)al(a) + (id(x)(L>+R<)(a))(tau.al+tau.be)(b) - ((L>+R<)(a)(x)id)(al+be)(b)",
-    "3.23": "(al+be)(b<a) = (id(x)(R>+L<)(b))(tau.al+be)(a) + (R<(a)(x)id)(al+be)(b)",
-    "4.3": "coboundary condition 1 applied to (tau r - r)",
-    "4.4": "coboundary condition 2 applied to (tau r - r)",
-    "4.5": "coboundary condition 3 applied to (tau r - r)",
-    "4.6": "coboundary condition 4 applied to (tau r - r)",
-    "4.7": "(Lo(a)(x)id(x)id)R11 + (id(x)L>(a)(x)id)R12 + (id(x)id(x)L(.)(a))R13 - corrections = 0",
-    "4.8": "(L>(a)(x)id(x)id - id(x)L>(a)(x)id)R21 + (id(x)id(x)L(*)(a))R22 + corrections = 0",
-    "4.9": "-(id(x)L(.)(a)(x)id)R21 + (id(x)id(x)L(*)(a))R31 + corrections = 0",
-    "4.10": "-(id(x)L(.)(a)(x)id)R12 + (id(x)id(x)L(.)(a))R41 = 0",
-    "4.13": "r12 o r13 + r23 (.) r13 - r12 < r23 = 0",
-    "4.18": "l>(a)l>(b)v - l>(b)l>(a)v = l>(a o b - b o a)v",
-    "4.19": "l>(a)l<(b)v - l<(b)l>(a)v = l<(a>b - b<a)v + l<(b)l<(a)v",
-    "4.20": "r>(a>b)v = r>(b)(r> + r<)(a)v + l>(a)r>(b)v - r>(b)(l< + l>)(a)v",
-    "4.21": "r>(a<b)v = r<(b)r>(a)v + l<(a)(r> + r<)(b)v - r<(b)l<(a)v",
-    "4.22": "l>(a)r<(b)v - r<(b)l>(a)v = r<(a o b)v - r<(b)r<(a)v",
-    "4.23": "r>(a)(r> + r<)(b)v = r<(b)r>(a)v",
-    "4.24": "l<(a>b)v = r>(b)(l> + l<)(a)v",
-    "4.25": "l>(a o b)v = r<(b)l>(a)v",
-    "4.26": "r<(a)r<(b)v = r<(b)r<(a)v",
-    "4.27": "l<(a<b)v = r<(b)l<(a)v",
-    "4.29": "T(u)>T(v) = T(l>(T(u))v) + T(r>(T(v))u)",
-    "4.30": "T(u)<T(v) = T(l<(T(u))v) + T(r<(T(v))u)",
-    "4.31": "r12 > r13 + r23 (*) r13 + r12 > r23 = 0",
-    "4.32": "r12 < r13 - r13 (.) r23 - r12 o r23 = 0",
+
+def _transpose(layout: str, *parts):
+    """Term list of sum(coef * name) with the axes of each name permuted."""
+    return [(coef, f"{src}->{layout}", (name,)) for coef, src, name in parts]
+
+
+# An operator family M[a][k][j] is the table read as "ijk->ikj" (left
+# multiplication, M(a)b = a*b) or "jik->ikj" (right multiplication, b*a).
+_L, _R = "ijk", "jik"
+
+
+OPERANDS = {
+    # products
+    "o": _transpose("ijk", (1, "ijk", "<"), (1, "ijk", ">")),
+    "(.)": _transpose("ijk", (1, "ijk", ">"), (1, "jik", "<")),
+    "(*)": _transpose("ijk", (1, "ijk", "o"), (1, "jik", "o")),
+    # left / right multiplication operators
+    "Lo": _transpose("ikj", (1, _L, "o")),
+    "Ro": _transpose("ikj", (1, _R, "o")),
+    "L>": _transpose("ikj", (1, _L, ">")),
+    "R>": _transpose("ikj", (1, _R, ">")),
+    "L<": _transpose("ikj", (1, _L, "<")),
+    "R<": _transpose("ikj", (1, _R, "<")),
+    "L(.)": _transpose("ikj", (1, _L, "(.)")),
+    "L(*)": _transpose("ikj", (1, _L, "(*)")),
+    "L>+R<": _transpose("ikj", (1, _L, ">"), (1, _R, "<")),
+    "L>+2R<": _transpose("ikj", (1, _L, ">"), (2, _R, "<")),
+    "2L>+R<": _transpose("ikj", (2, _L, ">"), (1, _R, "<")),
+    "R>+L<": _transpose("ikj", (1, _R, ">"), (1, _L, "<")),
+    "Lo+Ro": _transpose("ikj", (1, _L, "o"), (1, _R, "o")),
+    "2Lo+Ro": _transpose("ikj", (2, _L, "o"), (1, _R, "o")),
+    # sums of representation maps
+    "l>+l<": _transpose("auv", (1, "auv", "l>"), (1, "auv", "l<")),
+    "r>+r<": _transpose("auv", (1, "auv", "r>"), (1, "auv", "r<")),
+    "lA-rA": _transpose("auv", (1, "auv", "lA"), (-1, "auv", "rA")),
+    "lB-rB": _transpose("auv", (1, "auv", "lB"), (-1, "auv", "rB")),
+    # co-operations and their flips (tau.al = tau composed with al)
+    "tau.al": _transpose("iab", (1, "iba", "al")),
+    "al+be": _transpose("iab", (1, "iab", "al"), (1, "iab", "be")),
+    "tau.al+be": _transpose("iab", (1, "iba", "al"), (1, "iab", "be")),
+    "2tau.al+be": _transpose("iab", (2, "iba", "al"), (1, "iab", "be")),
+    "al+tau.be": _transpose("iab", (1, "iab", "al"), (1, "iba", "be")),
+    "tau.al+tau.be": _transpose("iab", (1, "iba", "al"), (1, "iba", "be")),
+    "al+be-tau.al-tau.be": _transpose(
+        "iab", (1, "iab", "al"), (1, "iab", "be"), (-1, "iba", "al"), (-1, "iba", "be")),
+    # s = tau(r) - r
+    "s": _transpose("ab", (1, "ba", "r"), (-1, "ab", "r")),
+    # the seven R-tensors: signed placed products r_pq * r_st in three slots
+    "R11": [
+        (1, "bp,cq,pqa->abc", ("r", "r", "o")),
+        (-1, "pa,cq,pqb->abc", ("r", "r", "o")),
+        (-1, "pa,qb,pqc->abc", ("r", "r", "(.)")),
+        (1, "pa,qc,pqb->abc", ("r", "r", ">")),
+        (1, "pa,bq,pqc->abc", ("r", "r", "(*)")),
+    ],
+    "R12": [
+        (-1, "bp,cq,pqa->abc", ("r", "r", "o")),
+        (-1, "bp,qa,pqc->abc", ("r", "r", "(.)")),
+        (1, "pa,cq,pqb->abc", ("r", "r", "<")),
+    ],
+    "R13": [
+        (1, "cp,bq,pqa->abc", ("r", "r", "o")),
+        (1, "cp,qa,pqb->abc", ("r", "r", "(.)")),
+        (1, "bp,qa,pqc->abc", ("r", "r", ">")),
+        (-1, "pa,bq,pqc->abc", ("r", "r", "<")),
+        (1, "cp,qa,pqb->abc", ("r", "r", ">")),
+        (1, "cp,bq,pqa->abc", ("r", "r", "(*)")),
+    ],
+    "R21": [
+        (1, "bp,qc,pqa->abc", ("r", "r", ">")),
+        (1, "ap,qc,pqb->abc", ("r", "r", ">")),
+        (1, "ap,bq,pqc->abc", ("r", "r", "(*)")),
+    ],
+    "R22": [
+        (1, "pc,bq,pqa->abc", ("r", "r", "o")),
+        (1, "pc,qa,pqb->abc", ("r", "r", "(.)")),
+        (-1, "pc,qb,pqa->abc", ("r", "r", ">")),
+        (-1, "pc,aq,pqb->abc", ("r", "r", "(*)")),
+        (-1, "pc,aq,pqb->abc", ("r", "r", "o")),
+        (-1, "pc,qb,pqa->abc", ("r", "r", "(.)")),
+        (1, "pc,qa,pqb->abc", ("r", "r", ">")),
+        (1, "pc,bq,pqa->abc", ("r", "r", "(*)")),
+        (1, "bp,aq,pqc->abc", ("r", "r", "o")),
+        (-1, "ap,bq,pqc->abc", ("r", "r", "o")),
+    ],
+    "R31": [
+        (-1, "ap,bq,pqc->abc", ("r", "r", "o")),
+        (1, "pc,bq,pqa->abc", ("r", "r", "o")),
+        (1, "pc,qa,pqb->abc", ("r", "r", "(.)")),
+        (-1, "pc,qb,pqa->abc", ("r", "r", ">")),
+        (-1, "pc,aq,pqb->abc", ("r", "r", "(*)")),
+    ],
+    "R41": [
+        (-1, "cp,bq,pqa->abc", ("r", "r", "o")),
+        (-1, "cp,qa,pqb->abc", ("r", "r", "(.)")),
+        (1, "pa,bq,pqc->abc", ("r", "r", "<")),
+    ],
 }
+R_TENSORS = ("R11", "R12", "R13", "R21", "R22", "R31", "R41")
+
+# code -> (formula, witness letters, terms); the two non-residual flags carry
+# only their formula.
+IDENTITIES = {
+    "2.1": ("(a o b) o c - a o (b o c) = (b o a) o c - b o (a o c)", "ijk", [
+        (1, "ijm,mkt->ijkt", ("o", "o")),
+        (-1, "jkm,imt->ijkt", ("o", "o")),
+        (-1, "jim,mkt->ijkt", ("o", "o")),
+        (1, "ikm,jmt->ijkt", ("o", "o")),
+    ]),
+    "2.2": ("(a o b) o c = (a o c) o b", "ijk", [
+        (1, "ijm,mkt->ijkt", ("o", "o")),
+        (-1, "ikm,mjt->ijkt", ("o", "o")),
+    ]),
+    "2.3": ("l(a o b - b o a) v = l(a) l(b) v - l(b) l(a) v", "ijv", [
+        (1, "ijm,mtv->ijvt", ("o", "l")),
+        (-1, "jim,mtv->ijvt", ("o", "l")),
+        (-1, "itu,juv->ijvt", ("l", "l")),
+        (1, "jtu,iuv->ijvt", ("l", "l")),
+    ]),
+    "2.4": ("l(a) r(b) v - r(b) l(a) v = r(a o b) v - r(b) r(a) v", "ijv", [
+        (1, "itu,juv->ijvt", ("l", "r")),
+        (-1, "jtu,iuv->ijvt", ("r", "l")),
+        (-1, "ijm,mtv->ijvt", ("o", "r")),
+        (1, "jtu,iuv->ijvt", ("r", "r")),
+    ]),
+    "2.5": ("l(a o b) v = r(b) l(a) v", "ijv", [
+        (1, "ijm,mtv->ijvt", ("o", "l")),
+        (-1, "jtu,iuv->ijvt", ("r", "l")),
+    ]),
+    "2.6": ("r(a) r(b) v = r(b) r(a) v", "ijv", [
+        (1, "itu,juv->ijvt", ("r", "r")),
+        (-1, "jtu,iuv->ijvt", ("r", "r")),
+    ]),
+    "2.8": ("a>(b>c) = (a o b)>c + b>(a>c) - (b o a)>c", "ijk", [
+        (1, "jkm,imt->ijkt", (">", ">")),
+        (-1, "ijm,mkt->ijkt", ("o", ">")),
+        (-1, "ikm,jmt->ijkt", (">", ">")),
+        (1, "jim,mkt->ijkt", ("o", ">")),
+    ]),
+    "2.9": ("a>(b<c) = (a>b)<c + b<(a o c) - (b<a)<c", "ijk", [
+        (1, "jkm,imt->ijkt", ("<", ">")),
+        (-1, "ijm,mkt->ijkt", (">", "<")),
+        (-1, "ikm,jmt->ijkt", ("o", "<")),
+        (1, "jim,mkt->ijkt", ("<", "<")),
+    ]),
+    "2.10": ("(a o b)>c = (a>c)<b", "ijk", [
+        (1, "ijm,mkt->ijkt", ("o", ">")),
+        (-1, "ikm,mjt->ijkt", (">", "<")),
+    ]),
+    "2.11": ("(a<b)<c = (a<c)<b", "ijk", [
+        (1, "ijm,mkt->ijkt", ("<", "<")),
+        (-1, "ikm,mjt->ijkt", ("<", "<")),
+    ]),
+    "2.13": ("T(u) o T(v) = T(l(T(u)) v) + T(r(T(v)) u)", "pq", [
+        (1, "ap,bq,abk->pqk", ("T", "T", "o")),
+        (-1, "ap,atq,kt->pqk", ("T", "l", "T")),
+        (-1, "aq,atp,kt->pqk", ("T", "r", "T")),
+    ]),
+    "skew": ("w(a, b) = -w(b, a)",),
+    "nondegenerate": ("det w != 0",),
+    "2.14": ("w(a o b, c) - w(a o c + c o a, b) + w(c o b, a) = 0", "ijk", [
+        (1, "ijm,mk->ijk", ("o", "w")),
+        (-1, "ikm,mj->ijk", ("(*)", "w")),
+        (1, "kjm,mi->ijk", ("o", "w")),
+    ]),
+    # matched pair: a, b = e_i, e_j in A (product o); x, y in B (product .)
+    "3.1": ("lB(x)(a o b) = -lB(lA(a)x - rA(a)x)b + (lB(x)a - rB(x)a) o b + rB(rA(b)x)a + a o (lB(x)b)", "xij", [
+        (1, "ijm,xkm->xijk", ("o", "lB")),
+        (1, "iyx,ykj->xijk", ("lA-rA", "lB")),
+        (-1, "xmi,mjk->xijk", ("lB-rB", "o")),
+        (-1, "jyx,yki->xijk", ("rA", "rB")),
+        (-1, "xmj,imk->xijk", ("lB", "o")),
+    ]),
+    "3.2": ("rB(x)(a o b - b o a) = rB(lA(b)x)a - rB(lA(a)x)b + a o (rB(x)b) - b o (rB(x)a)", "xij", [
+        (1, "ijm,xkm->xijk", ("o", "rB")),
+        (-1, "jim,xkm->xijk", ("o", "rB")),
+        (-1, "jyx,yki->xijk", ("lA", "rB")),
+        (1, "iyx,ykj->xijk", ("lA", "rB")),
+        (-1, "xmj,imk->xijk", ("rB", "o")),
+        (1, "xmi,jmk->xijk", ("rB", "o")),
+    ]),
+    "3.3": ("lA(a)(x . y) = -lA(lB(x)a - rB(x)a)y + (lA(a)x - rA(a)x) . y + rA(rB(y)a)x + x . (lA(a)y)", "ixy", [
+        (1, "xyw,izw->ixyz", (".", "lA")),
+        (1, "xmi,mzy->ixyz", ("lB-rB", "lA")),
+        (-1, "iwx,wyz->ixyz", ("lA-rA", ".")),
+        (-1, "ymi,mzx->ixyz", ("rB", "rA")),
+        (-1, "iwy,xwz->ixyz", ("lA", ".")),
+    ]),
+    "3.4": ("rA(a)(x . y - y . x) = rA(lB(y)a)x - rA(lB(x)a)y + x . (rA(a)y) - y . (rA(a)x)", "ixy", [
+        (1, "xyw,izw->ixyz", (".", "rA")),
+        (-1, "yxw,izw->ixyz", (".", "rA")),
+        (-1, "ymi,mzx->ixyz", ("lB", "rA")),
+        (1, "xmi,mzy->ixyz", ("lB", "rA")),
+        (-1, "iwy,xwz->ixyz", ("rA", ".")),
+        (1, "iwx,ywz->ixyz", ("rA", ".")),
+    ]),
+    "3.5": ("(lB(x)a) o b + lB(rA(a)x)b = (lB(x)b) o a + lB(rA(b)x)a", "xij", [
+        (1, "xmi,mjk->xijk", ("lB", "o")),
+        (1, "iyx,ykj->xijk", ("rA", "lB")),
+        (-1, "xmj,mik->xijk", ("lB", "o")),
+        (-1, "jyx,yki->xijk", ("rA", "lB")),
+    ]),
+    "3.6": ("(rB(x)a) o b + lB(lA(a)x)b = rB(x)(a o b)", "xij", [
+        (1, "xmi,mjk->xijk", ("rB", "o")),
+        (1, "iyx,ykj->xijk", ("lA", "lB")),
+        (-1, "ijm,xkm->xijk", ("o", "rB")),
+    ]),
+    "3.7": ("lA(rB(x)a)y + (lA(a)x) . y = lA(rB(y)a)x + (lA(a)y) . x", "ixy", [
+        (1, "xmi,mzy->ixyz", ("rB", "lA")),
+        (1, "iwx,wyz->ixyz", ("lA", ".")),
+        (-1, "ymi,mzx->ixyz", ("rB", "lA")),
+        (-1, "iwy,wxz->ixyz", ("lA", ".")),
+    ]),
+    "3.8": ("lA(lB(x)a)y + (rA(a)x) . y = rA(a)(x . y)", "ixy", [
+        (1, "xmi,mzy->ixyz", ("lB", "lA")),
+        (1, "iwx,wyz->ixyz", ("rA", ".")),
+        (-1, "xyw,izw->ixyz", (".", "rA")),
+    ]),
+    # coalgebra: the witness is the basis element e_i the co-operations act on
+    "3.11": ("(al(x)id)al + (tau(x)id)(id(x)al)be - (id(x)(al+be))al - (tau(x)id)(be(x)id)al = 0", "i", [
+        (1, "iuc,uab->iabc", ("al", "al")),
+        (1, "ibv,vac->iabc", ("be", "al")),
+        (-1, "iav,vbc->iabc", ("al", "al+be")),
+        (-1, "iuc,uba->iabc", ("al", "be")),
+    ]),
+    "3.12": ("(id(x)be)be + (tau(x)id)((al+be)(x)id)be - ((al+be)(x)id)be - (tau(x)id)(id(x)be)be = 0", "i", [
+        (1, "iav,vbc->iabc", ("be", "be")),
+        (1, "iuc,uba->iabc", ("be", "al+be")),
+        (-1, "iuc,uab->iabc", ("be", "al+be")),
+        (-1, "ibv,vac->iabc", ("be", "be")),
+    ]),
+    "3.13": ("(id(x)tau)(be(x)id)al - ((al+be)(x)id)be = 0", "i", [
+        (1, "iub,uac->iabc", ("al", "be")),
+        (-1, "iuc,uab->iabc", ("be", "al+be")),
+    ]),
+    "3.14": ("(id(x)tau)(al(x)id)al - (al(x)id)al = 0", "i", [
+        (1, "iub,uac->iabc", ("al", "al")),
+        (-1, "iuc,uab->iabc", ("al", "al")),
+    ]),
+    # compatibility: (M(a)(x)id)t is "iap,jpb", (id(x)M(b))t is "iaq,jbq"
+    "3.16": ("(tau.al+be)(a o b) = ((L> + 2R<)(a)(x)id + id(x)Lo(a))(tau.al+be)(b) + (id(x)Ro(b))(2tau.al+be)(a) - (R<(b)(x)id)tau.al(a)", "ij", [
+        (1, "ijm,mab->ijab", ("o", "tau.al+be")),
+        (-1, "iap,jpb->ijab", ("L>+2R<", "tau.al+be")),
+        (-1, "jaq,ibq->ijab", ("tau.al+be", "Lo")),
+        (-1, "iaq,jbq->ijab", ("2tau.al+be", "Ro")),
+        (1, "jap,ipb->ijab", ("R<", "tau.al")),
+    ]),
+    "3.17": ("tau.al(a o b - b o a) = ((L>+R<)(a)(x)id + id(x)Lo(a))tau.al(b) - ((L>+R<)(b)(x)id + id(x)Lo(b))tau.al(a)", "ij", [
+        (1, "ijm,mab->ijab", ("o", "tau.al")),
+        (-1, "jim,mab->ijab", ("o", "tau.al")),
+        (-1, "iap,jpb->ijab", ("L>+R<", "tau.al")),
+        (-1, "jaq,ibq->ijab", ("tau.al", "Lo")),
+        (1, "jap,ipb->ijab", ("L>+R<", "tau.al")),
+        (1, "iaq,jbq->ijab", ("tau.al", "Lo")),
+    ]),
+    "3.18": ("(al+be)(a(.)b) = (id(x)(R>+L<)(b))(2tau.al+be)(a) - (L<(b)(x)id)al(a) + ((L>+2R<)(a)(x)id + id(x)(L>+R<)(a))(al+be)(b)", "ij", [
+        (1, "ijm,mab->ijab", ("(.)", "al+be")),
+        (-1, "iaq,jbq->ijab", ("2tau.al+be", "R>+L<")),
+        (1, "jap,ipb->ijab", ("L<", "al")),
+        (-1, "iap,jpb->ijab", ("L>+2R<", "al+be")),
+        (-1, "jaq,ibq->ijab", ("al+be", "L>+R<")),
+    ]),
+    "3.19": ("(al+be-tau.al-tau.be)(b<a) = (id(x)L<(b))(tau.al+be)(a) - (L<(b)(x)id)(al+tau.be)(a) + (id(x)R<(a))(al+be)(b) - (R<(a)(x)id)(tau.al+tau.be)(b)", "ij", [
+        (1, "jim,mab->ijab", ("<", "al+be-tau.al-tau.be")),
+        (-1, "iaq,jbq->ijab", ("tau.al+be", "L<")),
+        (1, "jap,ipb->ijab", ("L<", "al+tau.be")),
+        (-1, "jaq,ibq->ijab", ("al+be", "R<")),
+        (1, "iap,jpb->ijab", ("R<", "tau.al+tau.be")),
+    ]),
+    "3.20": ("(id(x)Ro(b) - R<(b)(x)id)(tau.al+be)(a) = (id(x)Ro(a) - R<(a)(x)id)(tau.al+be)(b)", "ij", [
+        (1, "iaq,jbq->ijab", ("tau.al+be", "Ro")),
+        (-1, "jap,ipb->ijab", ("R<", "tau.al+be")),
+        (-1, "jaq,ibq->ijab", ("tau.al+be", "Ro")),
+        (1, "iap,jpb->ijab", ("R<", "tau.al+be")),
+    ]),
+    "3.21": ("tau.al(a o b) = (id(x)Ro(b))tau.al(a) + ((L>+R<)(a)(x)id)(tau.al+be)(b)", "ij", [
+        (1, "ijm,mab->ijab", ("o", "tau.al")),
+        (-1, "iaq,jbq->ijab", ("tau.al", "Ro")),
+        (-1, "iap,jpb->ijab", ("L>+R<", "tau.al+be")),
+    ]),
+    "3.22": ("(id(x)(R>+L<)(b))tau.al(a) = ((R>+L<)(b)(x)id)al(a) + (id(x)(L>+R<)(a))(tau.al+tau.be)(b) - ((L>+R<)(a)(x)id)(al+be)(b)", "ij", [
+        (1, "iaq,jbq->ijab", ("tau.al", "R>+L<")),
+        (-1, "jap,ipb->ijab", ("R>+L<", "al")),
+        (-1, "jaq,ibq->ijab", ("tau.al+tau.be", "L>+R<")),
+        (1, "iap,jpb->ijab", ("L>+R<", "al+be")),
+    ]),
+    "3.23": ("(al+be)(b<a) = (id(x)(R>+L<)(b))(tau.al+be)(a) + (R<(a)(x)id)(al+be)(b)", "ij", [
+        (1, "jim,mab->ijab", ("<", "al+be")),
+        (-1, "iaq,jbq->ijab", ("tau.al+be", "R>+L<")),
+        (-1, "iap,jpb->ijab", ("R<", "al+be")),
+    ]),
+    # coboundary conditions on s = tau(r) - r, per basis pair (a, b) = (e_i, e_j);
+    # P(c)s abbreviates (Lo(c)(x)id + id(x)(L>+R<)(c))s
+    "4.3": ("((L>+2R<)(a)(x)id + id(x)(L>+R<)(a))P(b)s - (L<(b)(x)id)P(a)s - P(a(.)b)s = 0", "ij", [
+        (1, "iap,jpq,qb->ijab", ("L>+2R<", "Lo", "s")),
+        (1, "iap,pq,jbq->ijab", ("L>+2R<", "s", "L>+R<")),
+        (1, "jap,pq,ibq->ijab", ("Lo", "s", "L>+R<")),
+        (1, "ap,jqp,ibq->ijab", ("s", "L>+R<", "L>+R<")),
+        (-1, "jap,ipq,qb->ijab", ("L<", "Lo", "s")),
+        (-1, "jap,pq,ibq->ijab", ("L<", "s", "L>+R<")),
+        (-1, "ijm,map,pb->ijab", ("(.)", "Lo", "s")),
+        (-1, "ijm,aq,mbq->ijab", ("(.)", "s", "L>+R<")),
+    ]),
+    "4.4": ("(id(x)R<(a))P(b)s + (R<(a)(x)id)((Lo+Ro)(b)(x)id + id(x)L>(b))s - (L<(b)(x)id)(id(x)R<(a) - Ro(a)(x)id)s - ((2Lo+Ro)(b<a)(x)id + id(x)(2L>+R<)(b<a))s = 0", "ij", [
+        (1, "jap,pq,ibq->ijab", ("Lo", "s", "R<")),
+        (1, "ap,jqp,ibq->ijab", ("s", "L>+R<", "R<")),
+        (1, "iap,jpq,qb->ijab", ("R<", "Lo+Ro", "s")),
+        (1, "iap,pq,jbq->ijab", ("R<", "s", "L>")),
+        (-1, "jap,pq,ibq->ijab", ("L<", "s", "R<")),
+        (1, "jap,ipq,qb->ijab", ("L<", "Ro", "s")),
+        (-1, "jim,aq,mbq->ijab", ("<", "s", "2L>+R<")),
+        (-1, "jim,map,pb->ijab", ("<", "2Lo+Ro", "s")),
+    ]),
+    "4.5": ("((R>+L<)(b)(x)id)P(a)s - (id(x)(L>+R<)(a))(id(x)L>(b) + (Lo+Ro)(b)(x)id)s - ((L>+R<)(a)(x)id)P(b)s = 0", "ij", [
+        (1, "jap,ipq,qb->ijab", ("R>+L<", "Lo", "s")),
+        (1, "jap,pq,ibq->ijab", ("R>+L<", "s", "L>+R<")),
+        (-1, "ap,jqp,ibq->ijab", ("s", "L>", "L>+R<")),
+        (-1, "jap,pq,ibq->ijab", ("Lo+Ro", "s", "L>+R<")),
+        (-1, "iap,jpq,qb->ijab", ("L>+R<", "Lo", "s")),
+        (-1, "iap,pq,jbq->ijab", ("L>+R<", "s", "L>+R<")),
+    ]),
+    "4.6": ("(R<(a)(x)id)P(b)s - P(b<a)s = 0", "ij", [
+        (1, "iap,jpq,qb->ijab", ("R<", "Lo", "s")),
+        (1, "iap,pq,jbq->ijab", ("R<", "s", "L>+R<")),
+        (-1, "jim,map,pb->ijab", ("<", "Lo", "s")),
+        (-1, "jim,aq,mbq->ijab", ("<", "s", "L>+R<")),
+    ]),
+    # equations the R-tensors satisfy, per basis element a = e_i
+    "4.7": ("(Lo(a)(x)id(x)id)R11 + (id(x)L>(a)(x)id)R12 + (id(x)id(x)L(.)(a))R13 - corrections = 0", "i", [
+        (1, "iap,pbc->iabc", ("Lo", "R11")),
+        (1, "ibp,apc->iabc", ("L>", "R12")),
+        (1, "icp,abp->iabc", ("L(.)", "R13")),
+        (-1, "pa,ipm,mbx,xc->iabc", ("r", "(.)", "L>", "s")),
+        (-1, "pa,ipm,by,mcy->iabc", ("r", "(.)", "s", "L(.)")),
+    ]),
+    "4.8": ("(L>(a)(x)id(x)id - id(x)L>(a)(x)id)R21 + (id(x)id(x)L(*)(a))R22 + corrections = 0", "i", [
+        (1, "iap,pbc->iabc", ("L>", "R21")),
+        (-1, "ibp,apc->iabc", ("L>", "R21")),
+        (1, "icp,abp->iabc", ("L(*)", "R22")),
+        (1, "pc,ipm,max,xb->iabc", ("r", ">", "2L>+R<", "s")),
+        (1, "pc,ipm,ay,mby->iabc", ("r", ">", "s", "2L>+R<")),
+    ]),
+    "4.9": ("-(id(x)L(.)(a)(x)id)R21 + (id(x)id(x)L(*)(a))R31 + corrections = 0", "i", [
+        (-1, "ibp,apc->iabc", ("L(.)", "R21")),
+        (1, "icp,abp->iabc", ("L(*)", "R31")),
+        (1, "pc,ipm,max,xb->iabc", ("r", ">", "L>", "s")),
+        (1, "pc,ipm,ay,mby->iabc", ("r", ">", "s", "L(.)")),
+    ]),
+    "4.10": ("-(id(x)L(.)(a)(x)id)R12 + (id(x)id(x)L(.)(a))R41 = 0", "i", [
+        (1, "icp,abp->iabc", ("L(.)", "R41")),
+        (-1, "ibp,apc->iabc", ("L(.)", "R12")),
+    ]),
+    "4.13": ("r12 o r13 + r23 (.) r13 - r12 < r23 = 0", "", [
+        (1, "pb,sc,psa->abc", ("r", "r", "o")),
+        (1, "bq,au,quc->abc", ("r", "r", "(.)")),
+        (-1, "aq,sc,qsb->abc", ("r", "r", "<")),
+    ]),
+    # pre-Novikov representations: matrix products X(a)Y(b) are "itu,juv"
+    "4.18": ("l>(a)l>(b)v - l>(b)l>(a)v = l>(a o b - b o a)v", "ijv", [
+        (1, "itu,juv->ijvt", ("l>", "l>")),
+        (-1, "jtu,iuv->ijvt", ("l>", "l>")),
+        (-1, "ijm,mtv->ijvt", ("o", "l>")),
+        (1, "jim,mtv->ijvt", ("o", "l>")),
+    ]),
+    "4.19": ("l>(a)l<(b)v - l<(b)l>(a)v = l<(a>b - b<a)v + l<(b)l<(a)v", "ijv", [
+        (1, "itu,juv->ijvt", ("l>", "l<")),
+        (-1, "jtu,iuv->ijvt", ("l<", "l>")),
+        (-1, "ijm,mtv->ijvt", (">", "l<")),
+        (1, "jim,mtv->ijvt", ("<", "l<")),
+        (-1, "jtu,iuv->ijvt", ("l<", "l<")),
+    ]),
+    "4.20": ("r>(a>b)v = r>(b)(r> + r<)(a)v + l>(a)r>(b)v - r>(b)(l< + l>)(a)v", "ijv", [
+        (1, "ijm,mtv->ijvt", (">", "r>")),
+        (-1, "jtu,iuv->ijvt", ("r>", "r>+r<")),
+        (-1, "itu,juv->ijvt", ("l>", "r>")),
+        (1, "jtu,iuv->ijvt", ("r>", "l>+l<")),
+    ]),
+    "4.21": ("r>(a<b)v = r<(b)r>(a)v + l<(a)(r> + r<)(b)v - r<(b)l<(a)v", "ijv", [
+        (1, "ijm,mtv->ijvt", ("<", "r>")),
+        (-1, "jtu,iuv->ijvt", ("r<", "r>")),
+        (-1, "itu,juv->ijvt", ("l<", "r>+r<")),
+        (1, "jtu,iuv->ijvt", ("r<", "l<")),
+    ]),
+    "4.22": ("l>(a)r<(b)v - r<(b)l>(a)v = r<(a o b)v - r<(b)r<(a)v", "ijv", [
+        (1, "itu,juv->ijvt", ("l>", "r<")),
+        (-1, "jtu,iuv->ijvt", ("r<", "l>")),
+        (-1, "ijm,mtv->ijvt", ("o", "r<")),
+        (1, "jtu,iuv->ijvt", ("r<", "r<")),
+    ]),
+    "4.23": ("r>(a)(r> + r<)(b)v = r<(b)r>(a)v", "ijv", [
+        (1, "itu,juv->ijvt", ("r>", "r>+r<")),
+        (-1, "jtu,iuv->ijvt", ("r<", "r>")),
+    ]),
+    "4.24": ("l<(a>b)v = r>(b)(l> + l<)(a)v", "ijv", [
+        (1, "ijm,mtv->ijvt", (">", "l<")),
+        (-1, "jtu,iuv->ijvt", ("r>", "l>+l<")),
+    ]),
+    "4.25": ("l>(a o b)v = r<(b)l>(a)v", "ijv", [
+        (1, "ijm,mtv->ijvt", ("o", "l>")),
+        (-1, "jtu,iuv->ijvt", ("r<", "l>")),
+    ]),
+    "4.26": ("r<(a)r<(b)v = r<(b)r<(a)v", "ijv", [
+        (1, "itu,juv->ijvt", ("r<", "r<")),
+        (-1, "jtu,iuv->ijvt", ("r<", "r<")),
+    ]),
+    "4.27": ("l<(a<b)v = r<(b)l<(a)v", "ijv", [
+        (1, "ijm,mtv->ijvt", ("<", "l<")),
+        (-1, "jtu,iuv->ijvt", ("r<", "l<")),
+    ]),
+    "4.29": ("T(u)>T(v) = T(l>(T(u))v) + T(r>(T(v))u)", "pq", [
+        (1, "ap,bq,abk->pqk", ("T", "T", ">")),
+        (-1, "ap,atq,kt->pqk", ("T", "l>", "T")),
+        (-1, "aq,atp,kt->pqk", ("T", "r>", "T")),
+    ]),
+    "4.30": ("T(u)<T(v) = T(l<(T(u))v) + T(r<(T(v))u)", "pq", [
+        (1, "ap,bq,abk->pqk", ("T", "T", "<")),
+        (-1, "ap,atq,kt->pqk", ("T", "l<", "T")),
+        (-1, "aq,atp,kt->pqk", ("T", "r<", "T")),
+    ]),
+}
+
+FORMULAS = {code: row[0] for code, row in IDENTITIES.items()}
+SPECS = {code: row[1:] for code, row in IDENTITIES.items() if len(row) > 1}
 
 
 def render_identity(identity: str) -> str:

@@ -9,7 +9,6 @@ computed verdicts for property testing.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -29,22 +28,11 @@ from .core import (
     ZERO,
     InputError,
     InternalCheckError,
-    Matrix,
     RefusalError,
     StructureConstants,
-    apply_op,
-    basis_vec,
-    mat_add,
-    mat_neg,
-    mat_transpose,
-    mat_vec,
-    mult_matrix,
-    vec_add,
-    vec_sub,
-    vec_zero,
 )
 from .report import Report, ReportBuilder, default_labels, split_labels
-from .representations import NovikovRep, RepMaps, check_novikov_rep, rep_apply
+from .representations import NovikovRep, RepMaps, check_novikov_rep, dual_adjoint_maps
 
 
 @dataclass(frozen=True)
@@ -105,78 +93,10 @@ def check_matched_pair(mp: MatchedPair, basis_a=None, basis_b=None) -> Report:
         )
     )
 
-    ea = [basis_vec(n, i) for i in range(n)]
-    eb = [basis_vec(m, i) for i in range(m)]
-    la = lambda a_vec: rep_apply(mp.l_a, a_vec)
-    ra = lambda a_vec: rep_apply(mp.r_a, a_vec)
-    lb = lambda x_vec: rep_apply(mp.l_b, x_vec)
-    rb_ = lambda x_vec: rep_apply(mp.r_b, x_vec)
-    circ = lambda u, v: apply_op(mp.a_op, u, v)
-    bullet = lambda u, v: apply_op(mp.b_op, u, v)
-
-    # Mixed identities; x ranges over B, a, b over A (and the mirrored forms).
-    for xi, i, j in itertools.product(range(m), range(n), range(n)):
-        x, a, b = eb[xi], ea[i], ea[j]
-        witness = (n + xi, i, j)
-        lhs = mat_vec(lb(x), circ(a, b))
-        rhs = vec_add(
-            vec_add(
-                vec_sub(
-                    circ(vec_sub(mat_vec(lb(x), a), mat_vec(rb_(x), a)), b),
-                    mat_vec(lb(vec_sub(mat_vec(la(a), x), mat_vec(ra(a), x))), b),
-                ),
-                mat_vec(rb_(mat_vec(ra(b), x)), a),
-            ),
-            circ(a, mat_vec(lb(x), b)),
-        )
-        rb.residual("3.1", witness, vec_sub(lhs, rhs))
-
-        lhs = mat_vec(rb_(x), vec_sub(circ(a, b), circ(b, a)))
-        rhs = vec_add(
-            vec_sub(mat_vec(rb_(mat_vec(la(b), x)), a), mat_vec(rb_(mat_vec(la(a), x)), b)),
-            vec_sub(circ(a, mat_vec(rb_(x), b)), circ(b, mat_vec(rb_(x), a))),
-        )
-        rb.residual("3.2", witness, vec_sub(lhs, rhs))
-
-        lhs = vec_add(circ(mat_vec(lb(x), a), b), mat_vec(lb(mat_vec(ra(a), x)), b))
-        rhs = vec_add(circ(mat_vec(lb(x), b), a), mat_vec(lb(mat_vec(ra(b), x)), a))
-        rb.residual("3.5", witness, vec_sub(lhs, rhs))
-
-        lhs = vec_add(circ(mat_vec(rb_(x), a), b), mat_vec(lb(mat_vec(la(a), x)), b))
-        rhs = mat_vec(rb_(x), circ(a, b))
-        rb.residual("3.6", witness, vec_sub(lhs, rhs))
-
-    for i, xi, yi in itertools.product(range(n), range(m), range(m)):
-        a, x, y = ea[i], eb[xi], eb[yi]
-        witness = (i, n + xi, n + yi)
-        lhs = mat_vec(la(a), bullet(x, y))
-        rhs = vec_add(
-            vec_add(
-                vec_sub(
-                    bullet(vec_sub(mat_vec(la(a), x), mat_vec(ra(a), x)), y),
-                    mat_vec(la(vec_sub(mat_vec(lb(x), a), mat_vec(rb_(x), a))), y),
-                ),
-                mat_vec(ra(mat_vec(rb_(y), a)), x),
-            ),
-            bullet(x, mat_vec(la(a), y)),
-        )
-        rb.residual("3.3", witness, vec_sub(lhs, rhs))
-
-        lhs = mat_vec(ra(a), vec_sub(bullet(x, y), bullet(y, x)))
-        rhs = vec_add(
-            vec_sub(mat_vec(ra(mat_vec(lb(y), a)), x), mat_vec(ra(mat_vec(lb(x), a)), y)),
-            vec_sub(bullet(x, mat_vec(ra(a), y)), bullet(y, mat_vec(ra(a), x))),
-        )
-        rb.residual("3.4", witness, vec_sub(lhs, rhs))
-
-        lhs = vec_add(mat_vec(la(mat_vec(rb_(x), a)), y), bullet(mat_vec(la(a), x), y))
-        rhs = vec_add(mat_vec(la(mat_vec(rb_(y), a)), x), bullet(mat_vec(la(a), y), x))
-        rb.residual("3.7", witness, vec_sub(lhs, rhs))
-
-        lhs = vec_add(mat_vec(la(mat_vec(lb(x), a)), y), bullet(mat_vec(ra(a), x), y))
-        rhs = mat_vec(ra(a), bullet(x, y))
-        rb.residual("3.8", witness, vec_sub(lhs, rhs))
-
+    rb.check(
+        {"o": mp.a_op.c, ".": mp.b_op.c, "lA": mp.l_a, "rA": mp.r_a, "lB": mp.l_b, "rB": mp.r_b},
+        shift={"x": n, "y": n},
+    )
     return rb.build(time.perf_counter() - t0)
 
 
@@ -187,34 +107,24 @@ def direct_sum_product(mp: MatchedPair) -> StructureConstants:
     """
     n, m = mp.a_op.dim, mp.b_op.dim
     N = n + m
-    ea = [basis_vec(n, i) for i in range(n)]
-    eb = [basis_vec(m, i) for i in range(m)]
     c = [[[ZERO] * N for _ in range(N)] for _ in range(N)]
-    for i in range(N):
-        a = ea[i] if i < n else None
-        x = eb[i - n] if i >= n else None
-        for j in range(N):
-            b = ea[j] if j < n else None
-            y = eb[j - n] if j >= n else None
-            a_part = vec_zero(n)
-            b_part = vec_zero(m)
-            if a is not None and b is not None:
-                a_part = vec_add(a_part, apply_op(mp.a_op, a, b))
-            if x is not None and b is not None:
-                a_part = vec_add(a_part, mat_vec(rep_apply(mp.l_b, x), b))
-            if y is not None and a is not None:
-                a_part = vec_add(a_part, mat_vec(rep_apply(mp.r_b, y), a))
-            if x is not None and y is not None:
-                b_part = vec_add(b_part, apply_op(mp.b_op, x, y))
-            if a is not None and y is not None:
-                b_part = vec_add(b_part, mat_vec(rep_apply(mp.l_a, a), y))
-            if b is not None and x is not None:
-                b_part = vec_add(b_part, mat_vec(rep_apply(mp.r_a, b), x))
+    for i in range(n):
+        for j in range(n):
             for k in range(n):
-                c[i][j][k] = a_part[k]
-            for k in range(m):
-                c[i][j][n + k] = b_part[k]
-    return StructureConstants.from_rows(c)
+                c[i][j][k] += mp.a_op.c[i][j][k]
+    for x in range(m):
+        for y in range(m):
+            for z in range(m):
+                c[n + x][n + y][n + z] += mp.b_op.c[x][y][z]
+    for i in range(n):
+        for x in range(m):
+            for k in range(n):
+                c[n + x][i][k] += mp.l_b[x][k][i]  # lB(x)b
+                c[i][n + x][k] += mp.r_b[x][k][i]  # rB(y)a
+            for z in range(m):
+                c[i][n + x][n + z] += mp.l_a[i][z][x]  # lA(a)y
+                c[n + x][i][n + z] += mp.r_a[i][z][x]  # rA(b)x
+    return StructureConstants(N, tuple(tuple(tuple(row) for row in plane) for plane in c))
 
 
 def direct_sum_algebra(mp: MatchedPair) -> NovikovAlgebra:
@@ -249,23 +159,9 @@ def induced_matched_pair(bialg: PreNovikovBialgebra) -> MatchedPair:
     find out whether it actually is one.
     """
     alg = bialg.algebra
-    n = alg.dim
-    e = [basis_vec(n, i) for i in range(n)]
     lhd_star, rhd_star = coalgebra_to_dual_algebra(bialg.coalgebra)
-
-    def dual(mx: Matrix) -> Matrix:
-        return mat_neg(mat_transpose(mx))
-
-    l_a = tuple(
-        dual(mat_add(mult_matrix(alg.rhd, e[i], "left"), mult_matrix(alg.lhd, e[i], "right")))
-        for i in range(n)
-    )
-    r_a = tuple(mat_transpose(mult_matrix(alg.lhd, e[i], "right")) for i in range(n))
-    l_b = tuple(
-        dual(mat_add(mult_matrix(rhd_star, e[i], "left"), mult_matrix(lhd_star, e[i], "right")))
-        for i in range(n)
-    )
-    r_b = tuple(mat_transpose(mult_matrix(lhd_star, e[i], "right")) for i in range(n))
+    l_a, r_a = dual_adjoint_maps(alg.lhd, alg.rhd)
+    l_b, r_b = dual_adjoint_maps(lhd_star, rhd_star)
     return MatchedPair(
         sum_table(alg.lhd, alg.rhd),
         sum_table(lhd_star, rhd_star),

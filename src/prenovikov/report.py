@@ -9,8 +9,12 @@ matter how the underlying loops were scheduled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .core import scalar_str
+import numpy as np
+
+from .core import contract, scalar_str
+from .labels import SPECS
 
 
 def default_labels(n: int, prefix: str = "e") -> tuple[str, ...]:
@@ -79,6 +83,29 @@ class ReportBuilder:
                 residual=tuple(scalar_str(x) for x in value),
             )
         )
+
+    def check(self, tables: dict, shift: dict | None = None) -> None:
+        """Evaluate the spec of every identity this report names that has one.
+
+        One violation is recorded per witness index whose residual is
+        nonzero; ``shift`` offsets witness letters into ``labels`` (for a
+        second basis appended after the first).
+        """
+        shift = shift or {}
+        for code in self.identities:
+            if code not in SPECS:
+                continue
+            witness, terms = SPECS[code]
+            num, den = contract(terms, tables)
+            k = len(witness)
+            flat = num.reshape(num.shape[:k] + (-1,))
+            offsets = [shift.get(letter, 0) for letter in witness]
+            for idx in zip(*np.nonzero((flat != 0).any(axis=-1))):
+                self.residual(
+                    code,
+                    tuple(int(i) + o for i, o in zip(idx, offsets)),
+                    tuple(Fraction(int(x), den) for x in flat[idx]),
+                )
 
     def flag(self, identity: str, message: str) -> None:
         """Record a non-residual failure (e.g. a degenerate form)."""

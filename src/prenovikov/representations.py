@@ -9,7 +9,6 @@ module's factories after actually running the checker, never trusted input.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, replace
 
@@ -21,16 +20,12 @@ from .core import (
     Matrix,
     RefusalError,
     StructureConstants,
-    Vector,
-    apply_op,
-    basis_vec,
+    derive,
     dual_map,
+    evaluate,
     mat_add,
-    mat_mul,
+    mat_neg,
     mat_shape,
-    mat_sub,
-    mat_zero,
-    mult_matrix,
 )
 from .report import Report, ReportBuilder, default_labels
 
@@ -87,23 +82,6 @@ class PreNovikovRep:
         return len(self.l_rhd[0])
 
 
-def rep_apply(maps: RepMaps, a: Vector) -> Matrix:
-    """The action matrix of a general algebra element (linear combination)."""
-    out = mat_zero(len(maps[0]), len(maps[0]))
-    for i, ai in enumerate(a):
-        if ai:
-            out = mat_add(out, tuple(tuple(ai * x for x in row) for row in maps[i]))
-    return out
-
-
-def _residual_columns(rb: ReportBuilder, identity: str, pair: tuple[int, int], diff: Matrix):
-    """One violation per module basis vector whose image differs."""
-    m = len(diff)
-    for v in range(m):
-        col = tuple(diff[t][v] for t in range(m))
-        rb.residual(identity, (*pair, v), col)
-
-
 def check_novikov_rep(alg: NovikovAlgebra, rep: NovikovRep, basis=None, module_basis=None) -> Report:
     """The four module identities, evaluated on all basis triples."""
     if rep.algebra.dim != alg.dim:
@@ -112,22 +90,7 @@ def check_novikov_rep(alg: NovikovAlgebra, rep: NovikovRep, basis=None, module_b
     n, m = alg.dim, rep.module_dim
     lab = tuple(basis or default_labels(n)) + tuple(module_basis or default_labels(m, "v"))
     rb = ReportBuilder("novikov_rep", labels.NOVIKOV_REP, lab)
-    e = [basis_vec(n, i) for i in range(n)]
-    prod = [[apply_op(alg.op, e[i], e[j]) for j in range(n)] for i in range(n)]
-    l, r = rep.l, rep.r
-    for i, j in itertools.product(range(n), repeat=2):
-        lc = rep_apply(l, tuple(prod[i][j][t] - prod[j][i][t] for t in range(n)))
-        d = mat_sub(lc, mat_sub(mat_mul(l[i], l[j]), mat_mul(l[j], l[i])))
-        _residual_columns(rb, "2.3", (i, j), d)
-        d = mat_sub(
-            mat_sub(mat_mul(l[i], r[j]), mat_mul(r[j], l[i])),
-            mat_sub(rep_apply(r, prod[i][j]), mat_mul(r[j], r[i])),
-        )
-        _residual_columns(rb, "2.4", (i, j), d)
-        d = mat_sub(rep_apply(l, prod[i][j]), mat_mul(r[j], l[i]))
-        _residual_columns(rb, "2.5", (i, j), d)
-        d = mat_sub(mat_mul(r[i], r[j]), mat_mul(r[j], r[i]))
-        _residual_columns(rb, "2.6", (i, j), d)
+    rb.check({"o": alg.op.c, "l": rep.l, "r": rep.r})
     return rb.build(time.perf_counter() - t0)
 
 
@@ -140,53 +103,8 @@ def check_pre_novikov_rep(alg: PreNovikovAlgebra, rep: PreNovikovRep,
     n, m = alg.dim, rep.module_dim
     lab = tuple(basis or default_labels(n)) + tuple(module_basis or default_labels(m, "v"))
     rb = ReportBuilder("pre_novikov_rep", labels.PRE_NOVIKOV_REP, lab)
-    e = [basis_vec(n, i) for i in range(n)]
-    circ = sum_table(alg.lhd, alg.rhd)
-    P_lhd = [[apply_op(alg.lhd, e[i], e[j]) for j in range(n)] for i in range(n)]
-    P_rhd = [[apply_op(alg.rhd, e[i], e[j]) for j in range(n)] for i in range(n)]
-    P_circ = [[apply_op(circ, e[i], e[j]) for j in range(n)] for i in range(n)]
-    lr, rr, ll, rl = rep.l_rhd, rep.r_rhd, rep.l_lhd, rep.r_lhd
-    for i, j in itertools.product(range(n), repeat=2):
-        comm = tuple(P_circ[i][j][t] - P_circ[j][i][t] for t in range(n))
-        checks = {
-            "4.18": mat_sub(mat_sub(mat_mul(lr[i], lr[j]), mat_mul(lr[j], lr[i])),
-                            rep_apply(lr, comm)),
-            "4.19": mat_sub(
-                mat_sub(mat_mul(lr[i], ll[j]), mat_mul(ll[j], lr[i])),
-                mat_add(
-                    rep_apply(ll, tuple(P_rhd[i][j][t] - P_lhd[j][i][t] for t in range(n))),
-                    mat_mul(ll[j], ll[i]),
-                ),
-            ),
-            "4.20": mat_sub(
-                rep_apply(rr, P_rhd[i][j]),
-                mat_add(
-                    mat_sub(mat_mul(rr[j], mat_add(rr[i], rl[i])),
-                            mat_mul(rr[j], mat_add(ll[i], lr[i]))),
-                    mat_mul(lr[i], rr[j]),
-                ),
-            ),
-            "4.21": mat_sub(
-                rep_apply(rr, P_lhd[i][j]),
-                mat_sub(
-                    mat_add(mat_mul(rl[j], rr[i]),
-                            mat_mul(ll[i], mat_add(rr[j], rl[j]))),
-                    mat_mul(rl[j], ll[i]),
-                ),
-            ),
-            "4.22": mat_sub(
-                mat_sub(mat_mul(lr[i], rl[j]), mat_mul(rl[j], lr[i])),
-                mat_sub(rep_apply(rl, P_circ[i][j]), mat_mul(rl[j], rl[i])),
-            ),
-            "4.23": mat_sub(mat_mul(rr[i], mat_add(rr[j], rl[j])), mat_mul(rl[j], rr[i])),
-            "4.24": mat_sub(rep_apply(ll, P_rhd[i][j]),
-                            mat_mul(rr[j], mat_add(lr[i], ll[i]))),
-            "4.25": mat_sub(rep_apply(lr, P_circ[i][j]), mat_mul(rl[j], lr[i])),
-            "4.26": mat_sub(mat_mul(rl[i], rl[j]), mat_mul(rl[j], rl[i])),
-            "4.27": mat_sub(rep_apply(ll, P_lhd[i][j]), mat_mul(rl[j], ll[i])),
-        }
-        for identity, diff in checks.items():
-            _residual_columns(rb, identity, (i, j), diff)
+    rb.check({"<": alg.lhd.c, ">": alg.rhd.c, "l>": rep.l_rhd, "r>": rep.r_rhd,
+              "l<": rep.l_lhd, "r<": rep.r_lhd})
     return rb.build(time.perf_counter() - t0)
 
 
@@ -209,9 +127,8 @@ def dual_novikov_rep(rep: NovikovRep) -> NovikovRep:
     if not rep.verified:
         raise RefusalError("refusing to dualize an unverified representation")
     n = rep.algebra.dim
-    m = rep.module_dim
     l = tuple(mat_add(dual_map(rep.l[i], "rep"), dual_map(rep.r[i], "rep")) for i in range(n))
-    r = tuple(mat_sub(mat_zero(m, m), dual_map(rep.r[i], "rep")) for i in range(n))
+    r = tuple(mat_neg(dual_map(rep.r[i], "rep")) for i in range(n))
     out = NovikovRep(rep.algebra, l, r)
     report = check_novikov_rep(rep.algebra, out)
     if not report.passed:
@@ -228,17 +145,14 @@ def dual_pre_novikov_rep(rep: PreNovikovRep) -> PreNovikovRep:
     def d(maps, i):
         return dual_map(maps[i], "rep")
 
-    def neg(m):
-        return mat_sub(mat_zero(len(m), len(m)), m)
-
     l_rhd = tuple(
         mat_add(mat_add(d(rep.l_rhd, i), d(rep.l_lhd, i)),
                 mat_add(d(rep.r_rhd, i), d(rep.r_lhd, i)))
         for i in range(n)
     )
     r_rhd = tuple(d(rep.r_rhd, i) for i in range(n))
-    l_lhd = tuple(neg(mat_add(d(rep.r_rhd, i), d(rep.l_lhd, i))) for i in range(n))
-    r_lhd = tuple(neg(mat_add(d(rep.r_rhd, i), d(rep.r_lhd, i))) for i in range(n))
+    l_lhd = tuple(mat_neg(mat_add(d(rep.r_rhd, i), d(rep.l_lhd, i))) for i in range(n))
+    r_lhd = tuple(mat_neg(mat_add(d(rep.r_rhd, i), d(rep.r_lhd, i))) for i in range(n))
     out = PreNovikovRep(rep.algebra, l_rhd, r_rhd, l_lhd, r_lhd)
     report = check_pre_novikov_rep(rep.algebra, out)
     if not report.passed:
@@ -248,31 +162,32 @@ def dual_pre_novikov_rep(rep: PreNovikovRep) -> PreNovikovRep:
 
 def novikov_adjoint_rep(alg: NovikovAlgebra) -> NovikovRep:
     """The adjoint representation (Lo, Ro) of a Novikov algebra on itself."""
-    n = alg.dim
-    e = [basis_vec(n, i) for i in range(n)]
-    rep = NovikovRep(
-        alg,
-        tuple(mult_matrix(alg.op, e[i], "left") for i in range(n)),
-        tuple(mult_matrix(alg.op, e[i], "right") for i in range(n)),
-    )
+    tables = {"o": alg.op.c}
+    rep = NovikovRep(alg, derive("Lo", tables), derive("Ro", tables))
     return replace(rep, verified=check_novikov_rep(alg, rep).passed)
 
 
 def adjoint_reps(alg: PreNovikovAlgebra) -> tuple[NovikovRep, PreNovikovRep]:
     """The (L>, R<) representation of the associated Novikov algebra and the
     adjoint quadruple (L>, R>, L<, R<) of the pre-Novikov algebra itself."""
-    n = alg.dim
-    e = [basis_vec(n, i) for i in range(n)]
-    L_rhd = tuple(mult_matrix(alg.rhd, e[i], "left") for i in range(n))
-    R_rhd = tuple(mult_matrix(alg.rhd, e[i], "right") for i in range(n))
-    L_lhd = tuple(mult_matrix(alg.lhd, e[i], "left") for i in range(n))
-    R_lhd = tuple(mult_matrix(alg.lhd, e[i], "right") for i in range(n))
+    tables = {"<": alg.lhd.c, ">": alg.rhd.c}
+    L_rhd, R_rhd, L_lhd, R_lhd = (derive(name, tables) for name in ("L>", "R>", "L<", "R<"))
     nov = NovikovAlgebra(sum_table(alg.lhd, alg.rhd))
     nov_rep = NovikovRep(nov, L_rhd, R_lhd)
     pre_rep = PreNovikovRep(alg, L_rhd, R_rhd, L_lhd, R_lhd)
     nov_rep = replace(nov_rep, verified=check_novikov_rep(nov, nov_rep).passed)
     pre_rep = replace(pre_rep, verified=check_pre_novikov_rep(alg, pre_rep).passed)
     return nov_rep, pre_rep
+
+
+def dual_adjoint_maps(lhd: StructureConstants, rhd: StructureConstants) -> tuple[RepMaps, RepMaps]:
+    """The maps (L>* + R<*, -R<*) dual to the (L>, R<) action, built from the
+    tables with no validity requirement."""
+    tables = {"<": lhd.c, ">": rhd.c}
+    return (
+        evaluate([(-1, "akj->ajk", ("L>+R<",))], tables),
+        evaluate([(1, "akj->ajk", ("R<",))], tables),
+    )
 
 
 def semidirect_pre_novikov(alg: PreNovikovAlgebra, rep: PreNovikovRep) -> PreNovikovAlgebra:

@@ -15,16 +15,22 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
+from math import lcm
 from typing import Optional, Union
 
 import numpy as np
 
 from . import labels
-from .algebras import NovikovAlgebra, PreNovikovAlgebra, check_pre_novikov, sum_table
+from .algebras import (
+    NovikovAlgebra,
+    PreNovikovAlgebra,
+    check_pre_novikov,
+    derived_ops,
+    sum_table,
+)
 from .bialgebra import PreNovikovBialgebra, PreNovikovCoalgebra, check_bialgebra
 from .core import (
+    INT64_MAX,
     InputError,
     InternalCheckError,
     Matrix,
@@ -32,65 +38,24 @@ from .core import (
     StructureConstants,
     Tensor2,
     Tensor3,
-    apply_op,
-    basis_vec,
+    contract,
+    derive,
+    evaluate,
     flip,
-    mat_add,
-    mat_scale,
-    mat_transpose,
-    mat_vec,
-    mult_matrix,
-    placed_product,
+    overflow_bound,
+    sum_terms,
     t2_add,
-    t2_apply_left,
-    t2_apply_right,
-    t2_is_zero,
-    t2_scale,
-    t2_sub,
-    t3_add,
-    t3_apply,
-    t3_from_t2_vec,
-    t3_from_vec_t2,
     t3_is_zero,
-    t3_sub,
-    t3_zero,
-    vec_add,
 )
 from .report import Report, ReportBuilder, default_labels
 from .representations import (
     NovikovRep,
     PreNovikovRep,
+    dual_adjoint_maps,
     dual_pre_novikov_rep,
     semidirect_pre_novikov,
     verify_pre_novikov_rep,
 )
-
-
-@lru_cache(maxsize=128)
-def _tables(alg: PreNovikovAlgebra):
-    """(o, (.), (*)) product tables of a pre-Novikov algebra, cached."""
-    circ = sum_table(alg.lhd, alg.rhd)
-    odot = alg.rhd.add(alg.lhd.flip_args())
-    star = circ.add(circ.flip_args())
-    return circ, odot, star
-
-
-@lru_cache(maxsize=128)
-def _mults(alg: PreNovikovAlgebra):
-    """Per-basis multiplication matrices for every product in play, cached."""
-    circ, odot, star = _tables(alg)
-    n = alg.dim
-    e = [basis_vec(n, i) for i in range(n)]
-    return {
-        "Lo": tuple(mult_matrix(circ, e[i], "left") for i in range(n)),
-        "Ro": tuple(mult_matrix(circ, e[i], "right") for i in range(n)),
-        "Lr": tuple(mult_matrix(alg.rhd, e[i], "left") for i in range(n)),
-        "Rr": tuple(mult_matrix(alg.rhd, e[i], "right") for i in range(n)),
-        "Ll": tuple(mult_matrix(alg.lhd, e[i], "left") for i in range(n)),
-        "Rl": tuple(mult_matrix(alg.lhd, e[i], "right") for i in range(n)),
-        "Lod": tuple(mult_matrix(odot, e[i], "left") for i in range(n)),
-        "Lst": tuple(mult_matrix(star, e[i], "left") for i in range(n)),
-    }
 
 
 def _check_square(r: Tensor2, n: int, what: str = "tensor") -> None:
@@ -98,15 +63,15 @@ def _check_square(r: Tensor2, n: int, what: str = "tensor") -> None:
         raise InputError(f"{what} must be {n}x{n}")
 
 
+def _operands(alg: PreNovikovAlgebra, r: Tensor2) -> dict:
+    """The kernel tables of an algebra and a rank-2 tensor r."""
+    _check_square(r, alg.dim, "r")
+    return {"<": alg.lhd.c, ">": alg.rhd.c, "r": r}
+
+
 def ybe_residual(alg: PreNovikovAlgebra, r: Tensor2) -> Tensor3:
     """Left-hand side of r12 o r13 + r23 (.) r13 - r12 < r23 as a rank-3 tensor."""
-    n = alg.dim
-    _check_square(r, n, "r")
-    circ, odot, _ = _tables(alg)
-    t1 = placed_product(r, r, circ, ((1, 2), (1, 3)))
-    t2 = placed_product(r, r, odot, ((2, 3), (1, 3)))
-    t3 = placed_product(r, r, alg.lhd, ((1, 2), (2, 3)))
-    return t3_sub(t3_add(t1, t2), t3)
+    return evaluate(labels.SPECS[labels.YBE][1], _operands(alg, r))
 
 
 def coboundary_maps(alg: PreNovikovAlgebra, r: Tensor2) -> PreNovikovCoalgebra:
@@ -117,28 +82,10 @@ def coboundary_maps(alg: PreNovikovAlgebra, r: Tensor2) -> PreNovikovCoalgebra:
 
     No validity claim is attached; run check_coalgebra / check_bialgebra.
     """
-    n = alg.dim
-    _check_square(r, n, "r")
-    m = _mults(alg)
-    tr = flip(r)
-    alpha, beta = [], []
-    for i in range(n):
-        alpha.append(
-            t2_add(
-                t2_apply_left(m["Lo"][i], tr),
-                t2_apply_right(mat_add(m["Lr"][i], m["Rl"][i]), tr),
-            )
-        )
-        beta.append(
-            t2_scale(
-                Fraction(-1),
-                t2_add(
-                    t2_apply_left(m["Lr"][i], r),
-                    t2_apply_right(mat_add(m["Lo"][i], m["Ro"][i]), r),
-                ),
-            )
-        )
-    return PreNovikovCoalgebra(n, tuple(alpha), tuple(beta))
+    tables = _operands(alg, r)
+    alpha = evaluate([(1, "iap,bp->iab", ("Lo", "r")), (1, "qa,ibq->iab", ("r", "L>+R<"))], tables)
+    beta = evaluate([(-1, "iap,pb->iab", ("L>", "r")), (-1, "aq,ibq->iab", ("r", "Lo+Ro"))], tables)
+    return PreNovikovCoalgebra(alg.dim, alpha, beta)
 
 
 def bialgebra_from_r(alg: PreNovikovAlgebra, r: Tensor2) -> PreNovikovBialgebra:
@@ -162,60 +109,6 @@ def bialgebra_from_r(alg: PreNovikovAlgebra, r: Tensor2) -> PreNovikovBialgebra:
 # coboundary diagnostics
 # ---------------------------------------------------------------------------
 
-R_TENSOR_TERMS = {
-    # name -> list of (sign, slots_first, slots_second, op key)
-    "R11": [
-        (1, (2, 1), (3, 1), "circ"),
-        (-1, (2, 1), (3, 2), "circ"),
-        (-1, (3, 1), (3, 2), "odot"),
-        (1, (2, 1), (2, 3), "rhd"),
-        (1, (3, 1), (2, 3), "star"),
-    ],
-    "R12": [
-        (-1, (2, 1), (3, 1), "circ"),
-        (-1, (2, 3), (3, 1), "odot"),
-        (1, (2, 1), (3, 2), "lhd"),
-    ],
-    "R13": [
-        (1, (3, 1), (2, 1), "circ"),
-        (1, (3, 2), (2, 1), "odot"),
-        (1, (2, 3), (3, 1), "rhd"),
-        (-1, (3, 1), (2, 3), "lhd"),
-        (1, (3, 2), (2, 1), "rhd"),
-        (1, (3, 1), (2, 1), "star"),
-    ],
-    "R21": [
-        (1, (2, 1), (1, 3), "rhd"),
-        (1, (1, 2), (2, 3), "rhd"),
-        (1, (1, 3), (2, 3), "star"),
-    ],
-    "R22": [
-        (1, (1, 3), (2, 1), "circ"),
-        (1, (2, 3), (2, 1), "odot"),
-        (-1, (1, 3), (1, 2), "rhd"),
-        (-1, (2, 3), (1, 2), "star"),
-        (-1, (2, 3), (1, 2), "circ"),
-        (-1, (1, 3), (1, 2), "odot"),
-        (1, (2, 3), (2, 1), "rhd"),
-        (1, (1, 3), (2, 1), "star"),
-        (1, (2, 3), (1, 3), "circ"),
-        (-1, (1, 3), (2, 3), "circ"),
-    ],
-    "R31": [
-        (-1, (1, 3), (2, 3), "circ"),
-        (1, (1, 3), (2, 1), "circ"),
-        (1, (2, 3), (2, 1), "odot"),
-        (-1, (1, 3), (1, 2), "rhd"),
-        (-1, (2, 3), (1, 2), "star"),
-    ],
-    "R41": [
-        (-1, (3, 1), (2, 1), "circ"),
-        (-1, (3, 2), (2, 1), "odot"),
-        (1, (3, 1), (2, 3), "lhd"),
-    ],
-}
-
-
 @dataclass(frozen=True)
 class DiagnosticsReport:
     """Everything the coboundary analysis names, fully labeled.
@@ -233,10 +126,7 @@ class DiagnosticsReport:
 
     def conditions_zero(self) -> bool:
         return all(
-            t2_is_zero(t)
-            for grid in self.condition_residuals.values()
-            for line in grid
-            for t in line
+            t3_is_zero(line) for grid in self.condition_residuals.values() for line in grid
         )
 
     def equations_zero(self) -> bool:
@@ -250,179 +140,22 @@ class DiagnosticsReport:
 
 def r_tensors(alg: PreNovikovAlgebra, r: Tensor2) -> dict:
     """The seven named rank-3 tensors of the coboundary analysis."""
-    n = alg.dim
-    _check_square(r, n, "r")
-    circ, odot, star = _tables(alg)
-    ops = {"circ": circ, "odot": odot, "star": star, "lhd": alg.lhd, "rhd": alg.rhd}
-    out = {}
-    for name, terms in R_TENSOR_TERMS.items():
-        acc = t3_zero(n)
-        for sign, s1, s2, opkey in terms:
-            term = placed_product(r, r, ops[opkey], (s1, s2))
-            acc = t3_add(acc, term) if sign > 0 else t3_sub(acc, term)
-        out[name] = acc
-    return out
+    tables = _operands(alg, r)
+    return {name: derive(name, tables) for name in labels.R_TENSORS}
 
 
 def lemma_condition_residuals(alg: PreNovikovAlgebra, r: Tensor2) -> dict:
     """Residuals of the four operator conditions applied to (tau(r) - r),
     one rank-2 tensor per basis pair (a, b), keyed by codes 4.3-4.6."""
-    n = alg.dim
-    _check_square(r, n, "r")
-    m = _mults(alg)
-    circ, odot, _ = _tables(alg)
-    s = t2_sub(flip(r), r)
-    e = [basis_vec(n, i) for i in range(n)]
-    LrRl = [mat_add(m["Lr"][i], m["Rl"][i]) for i in range(n)]
-
-    def lo_plus_right(j: int, t: Tensor2) -> Tensor2:
-        # (Lo(b) (x) id + id (x) (L> + R<)(b)) t
-        return t2_add(t2_apply_left(m["Lo"][j], t), t2_apply_right(LrRl[j], t))
-
-    def pair_ops(w) -> tuple[Matrix, Matrix]:
-        # Lo(w) for the left leg and (L> + R<)(w) for the right leg.
-        return (
-            mult_matrix(circ, w, "left"),
-            mat_add(mult_matrix(alg.rhd, w, "left"), mult_matrix(alg.lhd, w, "right")),
-        )
-
-    out = {code: [[None] * n for _ in range(n)] for code in labels.COBOUNDARY_CONDITIONS}
-    for i, j in itertools.product(range(n), repeat=2):
-        # 4.3
-        inner = lo_plus_right(j, s)
-        term1 = t2_add(
-            t2_apply_left(mat_add(m["Lr"][i], mat_scale(2, m["Rl"][i])), inner),
-            t2_apply_right(LrRl[i], inner),
-        )
-        term2 = t2_apply_left(m["Ll"][j], lo_plus_right(i, s))
-        w = apply_op(odot, e[i], e[j])
-        lo_w, lrrl_w = pair_ops(w)
-        term3 = t2_add(t2_apply_left(lo_w, s), t2_apply_right(lrrl_w, s))
-        out["4.3"][i][j] = t2_sub(t2_sub(term1, term2), term3)
-        # 4.4
-        term1 = t2_apply_right(m["Rl"][i], lo_plus_right(j, s))
-        term2 = t2_apply_left(
-            m["Rl"][i],
-            t2_add(
-                t2_apply_left(mat_add(m["Lo"][j], m["Ro"][j]), s),
-                t2_apply_right(m["Lr"][j], s),
-            ),
-        )
-        term3 = t2_apply_left(
-            m["Ll"][j],
-            t2_sub(t2_apply_right(m["Rl"][i], s), t2_apply_left(m["Ro"][i], s)),
-        )
-        w = apply_op(alg.lhd, e[j], e[i])
-        m1 = mat_add(
-            mat_scale(2, mult_matrix(alg.rhd, w, "left")), mult_matrix(alg.lhd, w, "right")
-        )
-        m2 = mat_add(
-            mat_scale(2, mult_matrix(circ, w, "left")), mult_matrix(circ, w, "right")
-        )
-        term4 = t2_add(t2_apply_right(m1, s), t2_apply_left(m2, s))
-        out["4.4"][i][j] = t2_sub(t2_sub(t2_add(term1, term2), term3), term4)
-        # 4.5
-        RrLl_j = mat_add(m["Rr"][j], m["Ll"][j])
-        term1 = t2_apply_left(RrLl_j, lo_plus_right(i, s))
-        term2 = t2_apply_right(
-            LrRl[i],
-            t2_add(
-                t2_apply_right(m["Lr"][j], s),
-                t2_apply_left(mat_add(m["Lo"][j], m["Ro"][j]), s),
-            ),
-        )
-        term3 = t2_apply_left(LrRl[i], lo_plus_right(j, s))
-        out["4.5"][i][j] = t2_sub(t2_sub(term1, term2), term3)
-        # 4.6
-        term1 = t2_apply_left(m["Rl"][i], lo_plus_right(j, s))
-        w = apply_op(alg.lhd, e[j], e[i])
-        lo_w, lrrl_w = pair_ops(w)
-        term2 = t2_add(t2_apply_left(lo_w, s), t2_apply_right(lrrl_w, s))
-        out["4.6"][i][j] = t2_sub(term1, term2)
-    return {code: tuple(tuple(row) for row in grid) for code, grid in out.items()}
+    tables = _operands(alg, r)
+    return {code: evaluate(labels.SPECS[code][1], tables) for code in labels.COBOUNDARY_CONDITIONS}
 
 
 def lemma_equation_residuals(alg: PreNovikovAlgebra, r: Tensor2, rt: Optional[dict] = None) -> dict:
     """Residuals of the four equations the R-tensors satisfy, one rank-3
     tensor per basis element, keyed by codes 4.7-4.10."""
-    n = alg.dim
-    _check_square(r, n, "r")
-    m = _mults(alg)
-    circ, odot, _ = _tables(alg)
-    if rt is None:
-        rt = r_tensors(alg, r)
-    s = t2_sub(flip(r), r)
-    e = [basis_vec(n, i) for i in range(n)]
-
-    out = {code: [] for code in labels.COBOUNDARY_EQUATIONS}
-    for i in range(n):
-        # 4.7
-        acc = t3_add(
-            t3_apply(m["Lo"][i], rt["R11"], 1),
-            t3_add(t3_apply(m["Lr"][i], rt["R12"], 2), t3_apply(m["Lod"][i], rt["R13"], 3)),
-        )
-        for p, q in itertools.product(range(n), repeat=2):
-            c = r[p][q]
-            if not c:
-                continue
-            w = apply_op(odot, e[i], e[p])
-            acc = t3_sub(
-                acc,
-                t3_from_vec_t2(
-                    tuple(c * x for x in e[q]),
-                    t2_apply_left(mult_matrix(alg.rhd, w, "left"), s),
-                ),
-            )
-            acc = t3_sub(
-                acc,
-                t3_from_vec_t2(
-                    tuple(c * x for x in e[q]),
-                    t2_apply_right(mult_matrix(odot, w, "left"), s),
-                ),
-            )
-        out["4.7"].append(acc)
-        # 4.8
-        acc = t3_add(
-            t3_sub(t3_apply(m["Lr"][i], rt["R21"], 1), t3_apply(m["Lr"][i], rt["R21"], 2)),
-            t3_apply(m["Lst"][i], rt["R22"], 3),
-        )
-        for p, q in itertools.product(range(n), repeat=2):
-            c = r[p][q]
-            if not c:
-                continue
-            w = apply_op(alg.rhd, e[i], e[p])
-            mw = mat_add(
-                mat_scale(2, mult_matrix(alg.rhd, w, "left")),
-                mult_matrix(alg.lhd, w, "right"),
-            )
-            sc = t2_scale(c, s)
-            acc = t3_add(acc, t3_from_t2_vec(t2_apply_left(mw, sc), e[q]))
-            acc = t3_add(acc, t3_from_t2_vec(t2_apply_right(mw, sc), e[q]))
-        out["4.8"].append(acc)
-        # 4.9
-        acc = t3_add(
-            t3_sub(t3_zero(n), t3_apply(m["Lod"][i], rt["R21"], 2)),
-            t3_apply(m["Lst"][i], rt["R31"], 3),
-        )
-        for p, q in itertools.product(range(n), repeat=2):
-            c = r[p][q]
-            if not c:
-                continue
-            w = apply_op(alg.rhd, e[i], e[p])
-            sc = t2_scale(c, s)
-            acc = t3_add(
-                acc, t3_from_t2_vec(t2_apply_left(mult_matrix(alg.rhd, w, "left"), sc), e[q])
-            )
-            acc = t3_add(
-                acc, t3_from_t2_vec(t2_apply_right(mult_matrix(odot, w, "left"), sc), e[q])
-            )
-        out["4.9"].append(acc)
-        # 4.10
-        acc = t3_sub(
-            t3_apply(m["Lod"][i], rt["R41"], 3), t3_apply(m["Lod"][i], rt["R12"], 2)
-        )
-        out["4.10"].append(acc)
-    return {code: tuple(series) for code, series in out.items()}
+    tables = {**_operands(alg, r), **(rt or {})}
+    return {code: evaluate(labels.SPECS[code][1], tables) for code in labels.COBOUNDARY_EQUATIONS}
 
 
 def coboundary_diagnostics(alg: PreNovikovAlgebra, r: Tensor2) -> DiagnosticsReport:
@@ -477,16 +210,7 @@ def check_o_operator_novikov(alg: NovikovAlgebra, rep: NovikovRep, T: Matrix,
         (labels.O_OPERATOR_NOVIKOV,),
         module_basis or default_labels(mdim, "v"),
     )
-    from .representations import rep_apply
-
-    cols = [tuple(T[i][p] for i in range(n)) for p in range(mdim)]
-    for p, q in itertools.product(range(mdim), repeat=2):
-        lhs = apply_op(alg.op, cols[p], cols[q])
-        rhs = vec_add(
-            mat_vec(T, mat_vec(rep_apply(rep.l, cols[p]), basis_vec(mdim, q))),
-            mat_vec(T, mat_vec(rep_apply(rep.r, cols[q]), basis_vec(mdim, p))),
-        )
-        rb.residual(labels.O_OPERATOR_NOVIKOV, (p, q), tuple(a - b for a, b in zip(lhs, rhs)))
+    rb.check({"o": alg.op.c, "l": rep.l, "r": rep.r, "T": T})
     return rb.build(time.perf_counter() - t0)
 
 
@@ -503,22 +227,8 @@ def check_o_operator_pre_novikov(alg: PreNovikovAlgebra, rep: PreNovikovRep, T: 
         labels.O_OPERATOR_PRE_NOVIKOV,
         module_basis or default_labels(mdim, "v"),
     )
-    from .representations import rep_apply
-
-    cols = [tuple(T[i][p] for i in range(n)) for p in range(mdim)]
-    for p, q in itertools.product(range(mdim), repeat=2):
-        lhs = apply_op(alg.rhd, cols[p], cols[q])
-        rhs = vec_add(
-            mat_vec(T, mat_vec(rep_apply(rep.l_rhd, cols[p]), basis_vec(mdim, q))),
-            mat_vec(T, mat_vec(rep_apply(rep.r_rhd, cols[q]), basis_vec(mdim, p))),
-        )
-        rb.residual("4.29", (p, q), tuple(a - b for a, b in zip(lhs, rhs)))
-        lhs = apply_op(alg.lhd, cols[p], cols[q])
-        rhs = vec_add(
-            mat_vec(T, mat_vec(rep_apply(rep.l_lhd, cols[p]), basis_vec(mdim, q))),
-            mat_vec(T, mat_vec(rep_apply(rep.r_lhd, cols[q]), basis_vec(mdim, p))),
-        )
-        rb.residual("4.30", (p, q), tuple(a - b for a, b in zip(lhs, rhs)))
+    rb.check({"<": alg.lhd.c, ">": alg.rhd.c, "l>": rep.l_rhd, "r>": rep.r_rhd,
+              "l<": rep.l_lhd, "r<": rep.r_lhd, "T": T})
     return rb.build(time.perf_counter() - t0)
 
 
@@ -543,23 +253,11 @@ def pre_novikov_from_o(alg: NovikovAlgebra, rep: NovikovRep, oper: OOperator) ->
         raise RefusalError("need a verified Novikov-flavor O-operator")
     if oper.rep != rep:
         raise InputError("O-operator was verified against a different representation")
-    from .representations import rep_apply
-
-    n, mdim = alg.dim, rep.module_dim
-    T = oper.t
-    cols = [tuple(T[i][p] for i in range(n)) for p in range(mdim)]
-    rhd_rows = []
-    lhd_rows = []
-    for p in range(mdim):
-        rhd_plane, lhd_plane = [], []
-        for q in range(mdim):
-            rhd_plane.append(mat_vec(rep_apply(rep.l, cols[p]), basis_vec(mdim, q)))
-            lhd_plane.append(mat_vec(rep_apply(rep.r, cols[q]), basis_vec(mdim, p)))
-        rhd_rows.append(tuple(rhd_plane))
-        lhd_rows.append(tuple(lhd_plane))
-    out = PreNovikovAlgebra(
-        StructureConstants(mdim, tuple(lhd_rows)), StructureConstants(mdim, tuple(rhd_rows))
-    )
+    tables = {"T": oper.t, "l": rep.l, "r": rep.r}
+    rhd = evaluate([(1, "ap,atq->pqt", ("T", "l"))], tables)
+    lhd = evaluate([(1, "aq,atp->pqt", ("T", "r"))], tables)
+    mdim = rep.module_dim
+    out = PreNovikovAlgebra(StructureConstants(mdim, lhd), StructureConstants(mdim, rhd))
     if not check_pre_novikov(out.lhd, out.rhd).passed:
         raise InternalCheckError("O-operator transport produced an invalid pre-Novikov pair")
     return out
@@ -567,30 +265,24 @@ def pre_novikov_from_o(alg: NovikovAlgebra, rep: NovikovRep, oper: OOperator) ->
 
 def _dual_novikov_rep_matrices(alg: PreNovikovAlgebra) -> NovikovRep:
     """(L>* + R<*, -R<*) on the dual module, built directly from the tables."""
-    m = _mults(alg)
-    n = alg.dim
-    l = tuple(
-        mat_scale(Fraction(-1), mat_transpose(mat_add(m["Lr"][i], m["Rl"][i])))
-        for i in range(n)
-    )
-    r = tuple(mat_transpose(m["Rl"][i]) for i in range(n))
-    nov = NovikovAlgebra(_tables(alg)[0])
-    return NovikovRep(nov, l, r)
+    l, r = dual_adjoint_maps(alg.lhd, alg.rhd)
+    return NovikovRep(NovikovAlgebra(sum_table(alg.lhd, alg.rhd)), l, r)
 
 
 def _dual_pre_novikov_rep_matrices(alg: PreNovikovAlgebra) -> PreNovikovRep:
     """The dual of the adjoint quadruple, built directly from the tables."""
-    m = _mults(alg)
-    n = alg.dim
-    sum_all = [
-        mat_add(mat_add(m["Lr"][i], m["Rr"][i]), mat_add(m["Ll"][i], m["Rl"][i]))
-        for i in range(n)
-    ]
-    l_rhd = tuple(mat_scale(Fraction(-1), mat_transpose(sum_all[i])) for i in range(n))
-    r_rhd = tuple(mat_scale(Fraction(-1), mat_transpose(m["Rr"][i])) for i in range(n))
-    l_lhd = tuple(mat_transpose(mat_add(m["Rr"][i], m["Ll"][i])) for i in range(n))
-    r_lhd = tuple(mat_transpose(mat_add(m["Rr"][i], m["Rl"][i])) for i in range(n))
-    return PreNovikovRep(alg, l_rhd, r_rhd, l_lhd, r_lhd)
+    tables = {"<": alg.lhd.c, ">": alg.rhd.c}
+
+    def transposed(*parts):
+        return evaluate([(coef, "akj->ajk", (name,)) for coef, name in parts], tables)
+
+    return PreNovikovRep(
+        alg,
+        transposed((-1, "L>"), (-1, "R>"), (-1, "L<"), (-1, "R<")),
+        transposed((-1, "R>")),
+        transposed((1, "R>+L<")),
+        transposed((1, "R>"), (1, "R<")),
+    )
 
 
 def co2_equivalence(alg: PreNovikovAlgebra, r: Tensor2) -> tuple[bool, bool, bool]:
@@ -657,18 +349,6 @@ def _upper_positions(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-def _int_table(op: StructureConstants, scale: int) -> np.ndarray:
-    out = np.zeros((op.dim,) * 3, dtype=np.int64)
-    for i, plane in enumerate(op.c):
-        for j, row in enumerate(plane):
-            for k, v in enumerate(row):
-                sv = v * scale
-                if sv.denominator != 1:
-                    raise InternalCheckError("scale did not clear denominators")
-                out[i][j][k] = int(sv)
-    return out
-
-
 def _workers_from_env() -> int:
     raw = os.environ.get("PRENOVIKOV_WORKERS", "1")
     try:
@@ -678,6 +358,11 @@ def _workers_from_env() -> int:
     if w < 1:
         raise InputError("PRENOVIKOV_WORKERS must be >= 1")
     return w
+
+
+def _pool_size(workers: int, tasks: int) -> int:
+    """Search threads: no more than requested, than cores, or than tasks."""
+    return max(1, min(workers, os.cpu_count() or 1, tasks))
 
 
 def search_symmetric_ybe(
@@ -709,26 +394,16 @@ def search_symmetric_ybe(
         )
     workers = workers if workers is not None else _workers_from_env()
 
-    circ, odot, _ = _tables(alg)
-    val_scale = 1
-    for v in values:
-        val_scale = val_scale * v.denominator // gcd(val_scale, v.denominator)
-    tab_scale = 1
-    for op in (circ, odot, alg.lhd):
-        for plane in op.c:
-            for row in plane:
-                for x in row:
-                    tab_scale = tab_scale * x.denominator // gcd(tab_scale, x.denominator)
-
-    max_val = max((abs(v) * val_scale for v in values), default=Fraction(0))
-    max_coeff = max(
-        (abs(x) * tab_scale for op in (circ, odot, alg.lhd) for plane in op.c
-         for row in plane for x in row),
-        default=Fraction(0),
-    )
-    bound = 3 * n * n * int(max_val) ** 2 * int(max_coeff)
-    if bound < 2**62:
-        hits = _search_fast(alg, values, positions, val_scale, tab_scale, workers)
+    # the products over their common denominator, the values over theirs
+    tables = {"<": alg.lhd.c, ">": alg.rhd.c}
+    ints = {name: contract([(1, "ijk->ijk", (name,))], tables)[0] for name in ("o", "(.)", "<")}
+    val_scale = lcm(*(v.denominator for v in values))
+    scaled = [int(v * val_scale) for v in values]
+    terms = labels.SPECS[labels.YBE][1]
+    shapes = {"r": (n, n), **{name: a.shape for name, a in ints.items()}}
+    maxabs = {"r": max(map(abs, scaled)), **{name: int(np.abs(a).max()) for name, a in ints.items()}}
+    if overflow_bound(terms, shapes, maxabs) <= INT64_MAX:
+        hits = _search_fast(ints, scaled, values, positions, workers)
     else:
         hits = _search_exact(alg, values, positions)
 
@@ -752,7 +427,8 @@ def _candidate_tensor(values_at_positions, positions, n) -> Tensor2:
 def _search_exact(alg: PreNovikovAlgebra, values, positions) -> list[Tensor2]:
     """Plain enumeration with entry-by-entry early exit, all in rationals."""
     n = alg.dim
-    circ, odot, _ = _tables(alg)
+    circ = sum_table(alg.lhd, alg.rhd)
+    odot, _ = derived_ops(alg)
     lhd = alg.lhd
     out = []
     for assignment in itertools.product(values, repeat=len(positions)):
@@ -785,38 +461,33 @@ def _search_exact(alg: PreNovikovAlgebra, values, positions) -> list[Tensor2]:
     return out
 
 
-def _search_fast(alg, values, positions, val_scale, tab_scale, workers) -> list[Tensor2]:
-    """Vectorized integer evaluation of the residual over all candidates."""
-    n = alg.dim
-    k = len(positions)
-    circ, odot, _ = _tables(alg)
-    Cc = _int_table(circ, tab_scale)
-    Co = _int_table(odot, tab_scale)
-    Cl = _int_table(alg.lhd, tab_scale)
-    scaled_values = np.array([int(v * val_scale) for v in values], dtype=np.int64)
-
+def _search_fast(ints: dict, scaled_values, values, positions, workers) -> list[Tensor2]:
+    """Vectorized int64 evaluation of the 4.13 spec over all candidates."""
+    n = ints["<"].shape[0]
+    terms = labels.SPECS[labels.YBE][1]
+    ints = {name: a.astype(np.int64) for name, a in ints.items()}
+    scaled = np.array(scaled_values, dtype=np.int64)
     combos = np.array(
-        list(itertools.product(range(len(values)), repeat=k)), dtype=np.int64
+        list(itertools.product(range(len(values)), repeat=len(positions))), dtype=np.int64
     )
     total = len(combos)
 
     def eval_chunk(lo: int, hi: int) -> list[int]:
-        sel = scaled_values[combos[lo:hi]]
+        sel = scaled[combos[lo:hi]]
         m = hi - lo
         R = np.zeros((m, n, n), dtype=np.int64)
         for idx, (i, j) in enumerate(positions):
             R[:, i, j] = sel[:, idx]
             R[:, j, i] = sel[:, idx]
-        res = np.einsum("Npb,Nsc,psa->Nabc", R, R, Cc)
-        res += np.einsum("Nbq,Nau,quc->Nabc", R, R, Co)
-        res -= np.einsum("Naq,Nsc,qsb->Nabc", R, R, Cl)
+        res = sum_terms(terms, {"r": R, **ints}, batch={"r"})
         flat = res.reshape(m, -1)
         return [lo + int(i) for i in np.nonzero(np.all(flat == 0, axis=1))[0]]
 
-    chunk = max(1, min(65536, (total + workers - 1) // workers))
+    chunk = max(1, min(65536, -(-total // _pool_size(workers, total))))
     ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = _pool_size(workers, len(ranges))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             hit_lists = list(pool.map(lambda rg: eval_chunk(*rg), ranges))
     else:
         hit_lists = [eval_chunk(*rg) for rg in ranges]

@@ -28,6 +28,7 @@ from prenovikov.core import (
     mat_identity,
     mat_vec,
 )
+from prenovikov import algebras
 
 from conftest import conjugate_table, rand_invertible, table
 
@@ -198,6 +199,20 @@ def test_verdicts_invariant_under_basis_change(alg2):
         assert check_pre_novikov(
             conjugate_table(alg2.lhd, p), conjugate_table(alg2.rhd, p)
         ).passed
+
+
+def test_enumeration_value_set_dedup_and_cap(monkeypatch):
+    zero = PreNovikovAlgebra(StructureConstants.zero(2), StructureConstants.zero(2))
+    assert enumerate_dim2_pre_novikov((0, 0)) == [zero]
+    assert enumerate_dim2_pre_novikov((1, 0, F(1), 0)) == enumerate_dim2_pre_novikov((0, 1))
+
+    def no_tables(values):
+        raise AssertionError("tables allocated before the cap was checked")
+
+    monkeypatch.setattr(algebras, "_int_tables", no_tables)
+    with pytest.raises(InputError, match="beyond the limit"):
+        enumerate_dim2_pre_novikov(range(5))
+    assert len(range(5)) ** 8 > algebras.ENUM_TABLE_LIMIT
 
 
 def test_enumeration_includes_fixture_and_agrees_with_checker(alg2):

@@ -40,6 +40,8 @@ def test_scalar_exactness():
     assert F(10, 20) == frac("1/2") == F(1) / 2
     with pytest.raises(InputError):
         frac(0.5)
+    with pytest.raises(InputError):
+        frac(True)
 
 
 def test_apply_op_examples(alg2):

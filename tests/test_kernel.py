@@ -1,0 +1,139 @@
+"""Differential tests of the exact contraction kernel against a pure-Python
+reference evaluator (Fraction arithmetic, every index assignment looped)."""
+
+import itertools
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prenovikov.core import INT64_MAX, contract, evaluate
+
+F = Fraction
+LETTERS = "abcde"
+
+
+def reference(terms, tables):
+    """sum(coef * einsum) by brute force, as a dict from output index to Fraction."""
+    sizes = {}
+    for _, subs, names in terms:
+        for letters, name in zip(subs.split("->")[0].split(","), names):
+            shape = np.array(tables[name], dtype=object).shape
+            sizes.update(zip(letters, shape))
+    out = terms[0][1].split("->")[1]
+    result = {idx: F(0) for idx in itertools.product(*(range(sizes[c]) for c in out))}
+    for coef, subs, names in terms:
+        inputs = subs.split("->")[0].split(",")
+        letters = sorted(set("".join(inputs)) | set(out))
+        for values in itertools.product(*(range(sizes[c]) for c in letters)):
+            at = dict(zip(letters, values))
+            prod = F(coef)
+            for sub, name in zip(inputs, names):
+                entry = tables[name]
+                for c in sub:
+                    entry = entry[at[c]]
+                prod *= entry
+            result[tuple(at[c] for c in out)] += prod
+    return result
+
+
+def kernel_as_dict(terms, tables):
+    num, den = contract(terms, tables)
+    return {idx: F(int(num[idx]), den) for idx in np.ndindex(num.shape)}, num.dtype
+
+
+def table_of(shape, entries):
+    """Nested tuples of the given shape, filled from an iterator of entries."""
+    if not shape:
+        return next(entries)
+    return tuple(table_of(shape[1:], entries) for _ in range(shape[0]))
+
+
+@st.composite
+def problems(draw, huge=False):
+    """Random signed einsum term lists over random rational tables."""
+    sizes = {c: draw(st.integers(1, 3)) for c in LETTERS}
+    out = "".join(draw(st.permutations(LETTERS))[: draw(st.integers(0, 3))])
+    numerators = st.integers(-(2**70), 2**70) if huge else st.integers(-40, 40)
+    scalars = st.builds(F, numerators, st.sampled_from((1, 1, 2, 3, 6)))
+    terms, tables = [], {}
+    for t in range(draw(st.integers(1, 3))):
+        operands = []
+        for k in range(draw(st.integers(1, 3))):
+            sub = "".join(draw(st.lists(st.sampled_from(LETTERS), min_size=1, max_size=3)))
+            operands.append(sub)
+        # every output letter must appear in some operand of the term
+        operands[-1] += "".join(c for c in out if c not in "".join(operands))
+        names = []
+        for k, sub in enumerate(operands):
+            shape = tuple(sizes[c] for c in sub)
+            reuse = [n for n, tab in tables.items() if np.array(tab, dtype=object).shape == shape]
+            if reuse and draw(st.booleans()):
+                names.append(draw(st.sampled_from(reuse)))
+                continue
+            name = f"t{t}{k}"
+            count = int(np.prod(shape))
+            entries = draw(st.lists(scalars, min_size=count, max_size=count))
+            if huge:
+                entries[0] = F(2**64 + abs(entries[0].numerator), entries[0].denominator)
+            tables[name] = table_of(shape, iter(entries))
+            names.append(name)
+        coef = draw(st.integers(-3, 3).filter(bool))
+        terms.append((coef, f"{','.join(operands)}->{out}", tuple(names)))
+    return terms, tables
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems())
+def test_kernel_matches_reference_int64(problem):
+    terms, tables = problem
+    got, dtype = kernel_as_dict(terms, tables)
+    assert dtype == np.int64
+    assert got == reference(terms, tables)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems(huge=True))
+def test_kernel_matches_reference_object(problem):
+    terms, tables = problem
+    got, dtype = kernel_as_dict(terms, tables)
+    assert dtype == object
+    assert got == reference(terms, tables)
+
+
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("excess", [-1, 0, 1])
+def test_kernel_at_the_certified_bound(size, excess):
+    """A sum of ``size`` products x * 7 lands just below, on (for size 1) or
+    just above the int64 limit; beyond it the kernel must use Python ints."""
+    step = 7 * size
+    x = INT64_MAX // step + excess
+    terms = [(1, "ij,j->i", ("A", "B"))]
+    for sign in (1, -1):
+        tables = {"A": ((F(sign * x),) * size,), "B": (F(7),) * size}
+        num, _ = contract(terms, tables)
+        assert num.dtype == (np.int64 if x * step <= INT64_MAX else object)
+        assert evaluate(terms, tables) == (F(sign * x * step),)
+
+
+@pytest.mark.parametrize("big", [2**61 - 1, 2**61])
+def test_kernel_cancelling_terms_near_the_bound(big):
+    """Partial sums count toward the bound even when the terms cancel."""
+    terms = [(1, "i->i", ("A",)), (1, "i->i", ("A",)), (-2, "i->i", ("A",))]
+    num, _ = contract(terms, {"A": (F(big),)})
+    assert num.dtype == (np.int64 if 4 * big <= INT64_MAX else object)
+    assert int(num[0]) == 0
+
+
+def test_kernel_common_denominator_and_named_operands():
+    lhd = ((((F(1, 2), F(0)), (F(0), F(1, 3))), ((F(0), F(1)), (F(0), F(0)))))
+    rhd = ((((F(0), F(2, 5)), (F(1), F(0))), ((F(0), F(0)), (F(-1, 7), F(0)))))
+    tables = {"<": lhd, ">": rhd}
+    # "o" is derived through labels.OPERANDS as < + >
+    got = evaluate([(1, "ijm,mkt->ijkt", ("o", "o"))], tables)
+    o = {"o": tuple(tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(p1, p2))
+                    for p1, p2 in zip(lhd, rhd))}
+    want = reference([(1, "ijm,mkt->ijkt", ("o", "o"))], o)
+    assert {idx: got[idx[0]][idx[1]][idx[2]][idx[3]] for idx in want} == want

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -42,7 +43,7 @@ from prenovikov.core import (
     t3_is_zero,
     mat_add,
 )
-from prenovikov.yang_baxter import _search_exact, _upper_positions
+from prenovikov.yang_baxter import _pool_size, _search_exact, _upper_positions
 
 from conftest import rand_symmetric
 
@@ -319,6 +320,14 @@ def test_search_worker_env(alg2, alg4, sol4, monkeypatch):
     monkeypatch.setenv("PRENOVIKOV_WORKERS", "0")
     with pytest.raises(InputError):
         search_symmetric_ybe(alg2, [0])
+
+
+def test_search_pool_size_is_clamped():
+    cores = os.cpu_count() or 1
+    assert _pool_size(10**6, 3**10) == min(cores, 3**10)
+    assert _pool_size(10**6, 1) == 1
+    assert _pool_size(1, 59049) == 1
+    assert _pool_size(2, 59049) == min(2, cores)
 
 
 def test_lift_biconditional_random_maps(alg2):
