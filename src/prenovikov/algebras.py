@@ -7,6 +7,7 @@ report) when it does not pass.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import labels
 from .core import (
+    INT64_MAX,
     InputError,
     InternalCheckError,
     Matrix,
@@ -27,6 +29,7 @@ from .core import (
     exact_det,
     mat_inverse,
     mat_transpose,
+    overflow_bound,
     sum_terms,
 )
 from .report import Report, ReportBuilder, default_labels
@@ -186,10 +189,11 @@ def pre_novikov_from_qf(op: StructureConstants, w: FormMatrix) -> PreNovikovAlge
 # ---------------------------------------------------------------------------
 
 ENUM_TABLE_LIMIT = 4**8  # tables per product; the sweep builds them all up front
+ENUM_CHUNK = 200_000  # (<, >) pairs per stage-2 block
 
 
-def _int_tables(values) -> np.ndarray:
-    grids = np.array(list(itertools.product(values, repeat=8)), dtype=np.int64)
+def _int_tables(values, dtype) -> np.ndarray:
+    grids = np.array(list(itertools.product(values, repeat=8)), dtype=dtype)
     return grids.reshape(-1, 2, 2, 2)
 
 
@@ -200,30 +204,47 @@ def frac_int(v) -> int:
     return int(f)
 
 
+def _sweep_dtype(vals) -> type:
+    """int64 when ``overflow_bound`` certifies 2.8-2.11 on tables with
+    entries in ``vals`` (so ``o`` = < + > up to twice as large), else object."""
+    top = max(map(abs, vals))
+    shapes = dict.fromkeys(("<", ">", "o"), (2, 2, 2))
+    maxabs = {"<": top, ">": top, "o": 2 * top}
+    bound = max(overflow_bound(labels.SPECS[code][1], shapes, maxabs) for code in labels.PRE_NOVIKOV)
+    return np.int64 if bound <= INT64_MAX else object
+
+
 def _batch_zero(code: str, ops: dict) -> np.ndarray:
     """Which members of a batch of integer tables satisfy identity ``code``."""
     res = sum_terms(labels.SPECS[code][1], ops, batch=frozenset(ops))
     return np.all(res.reshape(len(res), -1) == 0, axis=1)
 
 
-def enumerate_dim2_pre_novikov(values=(-1, 0, 1), chunk: int = 200_000):
+def enumerate_dim2_pre_novikov(values=(-1, 0, 1)) -> list[PreNovikovAlgebra]:
     """All dimension-2 pre-Novikov table pairs with entries in ``values``.
 
     The full pair space has ``len(values)**16`` members, so enumeration is
     staged: the pure-< identity (a<b)<c = (a<c)<b filters the < tables first,
     then the remaining identities run vectorized over the surviving (<, >)
-    pairs in integer arithmetic.  Every survivor is re-verified through the
-    exact checker before being returned; a disagreement between the fast path
-    and the checker raises.  Values are deduplicated and sorted, and more than
-    ``ENUM_TABLE_LIMIT`` tables per product are refused.
+    pairs in integer arithmetic (int64 when ``overflow_bound`` certifies it,
+    Python ints otherwise).  Every survivor is re-verified through the exact
+    checker before being returned; a disagreement between the fast path and
+    the checker raises.  Values are deduplicated and sorted, and more than
+    ``ENUM_TABLE_LIMIT`` tables per product are refused.  Results are
+    memoized per value set; each call returns a fresh list.
     """
-    vals = [frac_int(v) for v in sorted({Fraction(v) for v in values})]
+    vals = tuple(frac_int(v) for v in sorted({Fraction(v) for v in values}))
     if len(vals) ** 8 > ENUM_TABLE_LIMIT:
         raise InputError(
             f"{len(vals)} values give {len(vals) ** 8} tables per product, "
             f"beyond the limit of {ENUM_TABLE_LIMIT}"
         )
-    tables = _int_tables(vals)  # (m, 2, 2, 2)
+    return list(_enumerate(vals))
+
+
+@functools.lru_cache(maxsize=8)
+def _enumerate(vals: tuple[int, ...]) -> tuple[PreNovikovAlgebra, ...]:
+    tables = _int_tables(vals, _sweep_dtype(vals))  # (m, 2, 2, 2)
 
     # Stage 1: (a<b)<c = (a<c)<b, pure in <.
     lhd_ok = tables[_batch_zero("2.11", {"<": tables})]
@@ -232,7 +253,7 @@ def enumerate_dim2_pre_novikov(values=(-1, 0, 1), chunk: int = 200_000):
     # the cheapest identity filtering candidates before the costlier ones.
     m = len(tables)
     survivors = []
-    per_block = max(1, chunk // m)
+    per_block = max(1, ENUM_CHUNK // m)
     for lstart in range(0, len(lhd_ok), per_block):
         lblock = lhd_ok[lstart : lstart + per_block]
         L = np.repeat(lblock, m, axis=0)  # (len(lblock)*m, 2,2,2)
@@ -255,4 +276,4 @@ def enumerate_dim2_pre_novikov(values=(-1, 0, 1), chunk: int = 200_000):
         if not check_pre_novikov(alg.lhd, alg.rhd).passed:
             raise InternalCheckError("fast enumeration accepted a pair the checker rejects")
         out.append(alg)
-    return out
+    return tuple(out)

@@ -82,6 +82,11 @@ def overflow_bound(terms: Terms, shapes: dict, maxabs: dict) -> int:
     Each term contributes |coefficient| times the product of its operands'
     largest entries (at least 1, so partial products stay under it too) times
     the number of index values it sums over.
+
+    The bound also covers a term contracted pairwise along an einsum path:
+    the operands are integers, so each factor is 0 or at least 1 in absolute
+    value, and an intermediate sums products of fewer factors over fewer
+    index values than the whole term, so it is bounded by the term's bound.
     """
     total = 0
     for coef, subs, names in terms:
@@ -103,7 +108,9 @@ def sum_terms(terms: Terms, arrays: dict, batch=frozenset()) -> np.ndarray:
     """sum(coef * einsum(subscripts, operands)) in the arrays' own dtype.
 
     Operands named in ``batch`` carry an extra leading axis ``N``, which the
-    result carries too.  The caller certifies that the dtype cannot overflow.
+    result carries too; batched terms are contracted pairwise along a planned
+    path, single tables in one einsum.  The caller certifies that the dtype
+    cannot overflow.
     """
     acc = None
     for coef, subs, names in terms:
@@ -116,16 +123,17 @@ def sum_terms(terms: Terms, arrays: dict, batch=frozenset()) -> np.ndarray:
             subs = f"{inputs}->N{out}"
         # accumulate in place, so that one einsum temporary at most is alive
         operands = [arrays[name] for name in names]
+        value = np.einsum(subs, *operands, optimize=bool(batch))
         if acc is None:
-            acc = np.einsum(subs, *operands)
+            acc = value
             if coef != 1 or len(names) == 1:  # a one-operand einsum may be a view
                 acc = acc * coef
         elif coef == 1:
-            acc += np.einsum(subs, *operands)
+            acc += value
         elif coef == -1:
-            acc -= np.einsum(subs, *operands)
+            acc -= value
         else:
-            acc += coef * np.einsum(subs, *operands)
+            acc += coef * value
     return acc
 
 

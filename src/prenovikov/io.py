@@ -17,7 +17,7 @@ from typing import Any
 
 from .algebras import FormMatrix, NovikovAlgebra, PreNovikovAlgebra
 from .bialgebra import PreNovikovBialgebra, PreNovikovCoalgebra
-from .core import InputError, Matrix, StructureConstants, Tensor2, scalar_str
+from .core import InputError, StructureConstants, Tensor2, scalar_str
 from .labels import render_identity
 from .report import Report, Violation
 from .representations import NovikovRep, PreNovikovRep
@@ -258,19 +258,6 @@ def coalgebra_bundle(co: PreNovikovCoalgebra, basis=None) -> Bundle:
     return Bundle("coalgebra", data)
 
 
-def bialgebra_bundle(bi: PreNovikovBialgebra, basis=None) -> Bundle:
-    data = {
-        "dim": bi.algebra.dim,
-        "lhd": bi.algebra.lhd.c,
-        "rhd": bi.algebra.rhd.c,
-        "alpha": bi.coalgebra.alpha,
-        "beta": bi.coalgebra.beta,
-    }
-    if basis:
-        data["basis"] = tuple(basis)
-    return Bundle("bialgebra", data)
-
-
 def form_bundle(op: StructureConstants, w: FormMatrix, basis=None) -> Bundle:
     data = {"dim": op.dim, "product": op.c, "matrix": w.w}
     if basis:
@@ -283,13 +270,6 @@ def tensor2_bundle(entries: Tensor2, basis=None) -> Bundle:
     if basis:
         data["basis"] = tuple(basis)
     return Bundle("tensor2", data)
-
-
-def linmap_bundle(entries: Matrix) -> Bundle:
-    return Bundle(
-        "linmap",
-        {"rows": len(entries), "cols": len(entries[0]), "entries": tuple(tuple(r) for r in entries)},
-    )
 
 
 # ---------------------------------------------------------------------------

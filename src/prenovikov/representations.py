@@ -90,7 +90,7 @@ def check_novikov_rep(alg: NovikovAlgebra, rep: NovikovRep, basis=None, module_b
     n, m = alg.dim, rep.module_dim
     lab = tuple(basis or default_labels(n)) + tuple(module_basis or default_labels(m, "v"))
     rb = ReportBuilder("novikov_rep", labels.NOVIKOV_REP, lab)
-    rb.check({"o": alg.op.c, "l": rep.l, "r": rep.r})
+    rb.check({"o": alg.op.c, "l": rep.l, "r": rep.r}, shift={"v": n})
     return rb.build(time.perf_counter() - t0)
 
 
@@ -104,7 +104,7 @@ def check_pre_novikov_rep(alg: PreNovikovAlgebra, rep: PreNovikovRep,
     lab = tuple(basis or default_labels(n)) + tuple(module_basis or default_labels(m, "v"))
     rb = ReportBuilder("pre_novikov_rep", labels.PRE_NOVIKOV_REP, lab)
     rb.check({"<": alg.lhd.c, ">": alg.rhd.c, "l>": rep.l_rhd, "r>": rep.r_rhd,
-              "l<": rep.l_lhd, "r<": rep.r_lhd})
+              "l<": rep.l_lhd, "r<": rep.r_lhd}, shift={"v": n})
     return rb.build(time.perf_counter() - t0)
 
 

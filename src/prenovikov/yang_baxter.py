@@ -9,7 +9,6 @@ a named nonzero tensor instead of a silent wrong verdict.
 
 from __future__ import annotations
 
-import itertools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +24,6 @@ from .algebras import (
     NovikovAlgebra,
     PreNovikovAlgebra,
     check_pre_novikov,
-    derived_ops,
     sum_table,
 )
 from .bialgebra import PreNovikovBialgebra, PreNovikovCoalgebra, check_bialgebra
@@ -373,21 +371,19 @@ def search_symmetric_ybe(
 ) -> list[Tensor2]:
     """All symmetric tensors with entries in ``value_set`` and zero residual.
 
-    Enumerates every symmetric assignment over the upper triangle (the search
-    space has ``len(value_set) ** (n(n+1)/2)`` members and is refused beyond
-    ``max_candidates``), evaluates the residual in exact integer arithmetic
-    (vectorized after clearing denominators, with a pure-rational fallback
-    when the integer bound cannot be certified), then re-verifies every hit
-    through the rational evaluator before returning, sorted lexicographically
-    by upper-triangle coordinates.
+    The search space has ``len(value_set) ** (n(n+1)/2)`` members and is
+    refused beyond ``max_candidates``.  It is searched row by row (see
+    ``_search_rows``), in int64 after clearing denominators when
+    ``overflow_bound`` certifies the 4.13 spec and on Python-int object arrays
+    otherwise.  Every hit is re-verified through the rational evaluator
+    before returning, sorted lexicographically by upper-triangle coordinates.
     """
     values = sorted({Fraction(v) for v in value_set})
     if not values:
         raise InputError("value_set must be nonempty")
     n = alg.dim
     positions = _upper_positions(n)
-    k = len(positions)
-    space = len(values) ** k
+    space = len(values) ** len(positions)
     if space > max_candidates:
         raise InputError(
             f"search space has {space} candidates, beyond the budget of {max_candidates}"
@@ -402,13 +398,16 @@ def search_symmetric_ybe(
     terms = labels.SPECS[labels.YBE][1]
     shapes = {"r": (n, n), **{name: a.shape for name, a in ints.items()}}
     maxabs = {"r": max(map(abs, scaled)), **{name: int(np.abs(a).max()) for name, a in ints.items()}}
-    if overflow_bound(terms, shapes, maxabs) <= INT64_MAX:
-        hits = _search_fast(ints, scaled, values, positions, workers)
-    else:
-        hits = _search_exact(alg, values, positions)
+    dtype = np.int64 if overflow_bound(terms, shapes, maxabs) <= INT64_MAX else object
+    hits = _search_rows(
+        {name: a.astype(dtype) for name, a in ints.items()},
+        np.array(scaled, dtype=dtype),
+        workers,
+    )
 
     solutions = []
-    for r in hits:
+    for hit in hits:
+        r = tuple(tuple(Fraction(int(x), val_scale) for x in row) for row in hit)
         if not t3_is_zero(ybe_residual(alg, r)):
             raise InternalCheckError("fast search produced a non-solution")
         solutions.append(r)
@@ -416,85 +415,43 @@ def search_symmetric_ybe(
     return solutions
 
 
-def _candidate_tensor(values_at_positions, positions, n) -> Tensor2:
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), v in zip(positions, values_at_positions):
-        rows[i][j] = v
-        rows[j][i] = v
-    return tuple(tuple(row) for row in rows)
+def _search_rows(ints: dict, scaled: np.ndarray, workers: int) -> np.ndarray:
+    """Symmetric integer tensors over ``scaled`` whose 4.13 residual vanishes.
 
-
-def _search_exact(alg: PreNovikovAlgebra, values, positions) -> list[Tensor2]:
-    """Plain enumeration with entry-by-entry early exit, all in rationals."""
-    n = alg.dim
-    circ = sum_table(alg.lhd, alg.rhd)
-    odot, _ = derived_ops(alg)
-    lhd = alg.lhd
-    out = []
-    for assignment in itertools.product(values, repeat=len(positions)):
-        r = _candidate_tensor(assignment, positions, n)
-        ok = True
-        for a, b, c in itertools.product(range(n), repeat=3):
-            v = sum(
-                (r[p][b] * r[s][c] * circ.c[p][s][a]
-                 for p in range(n) if r[p][b]
-                 for s in range(n) if r[s][c] and circ.c[p][s][a]),
-                Fraction(0),
-            )
-            v += sum(
-                (r[b][q] * r[a][u] * odot.c[q][u][c]
-                 for q in range(n) if r[b][q]
-                 for u in range(n) if r[a][u] and odot.c[q][u][c]),
-                Fraction(0),
-            )
-            v -= sum(
-                (r[a][q] * r[s][c] * lhd.c[q][s][b]
-                 for q in range(n) if r[a][q]
-                 for s in range(n) if r[s][c] and lhd.c[q][s][b]),
-                Fraction(0),
-            )
-            if v != 0:
-                ok = False
-                break
-        if ok:
-            out.append(r)
-    return out
-
-
-def _search_fast(ints: dict, scaled_values, values, positions, workers) -> list[Tensor2]:
-    """Vectorized int64 evaluation of the 4.13 spec over all candidates."""
+    Entry (a, b, c) of the residual reads only rows a, b and c of a symmetric
+    r.  The upper triangle is filled row by row: placing row k multiplies the
+    batch by ``len(scaled)`` per entry of the row, after which every residual
+    entry with max(a, b, c) <= k is final, so candidates with a nonzero one
+    are dropped.  After the last row all n**3 entries have been checked.
+    """
     n = ints["<"].shape[0]
+    base = len(scaled)
     terms = labels.SPECS[labels.YBE][1]
-    ints = {name: a.astype(np.int64) for name, a in ints.items()}
-    scaled = np.array(scaled_values, dtype=np.int64)
-    combos = np.array(
-        list(itertools.product(range(len(values)), repeat=len(positions))), dtype=np.int64
-    )
-    total = len(combos)
+    batch = np.zeros((1, n, n), dtype=scaled.dtype)
+    for k in range(n):
+        fan = base ** (n - k)
+        total = len(batch) * fan
 
-    def eval_chunk(lo: int, hi: int) -> list[int]:
-        sel = scaled[combos[lo:hi]]
-        m = hi - lo
-        R = np.zeros((m, n, n), dtype=np.int64)
-        for idx, (i, j) in enumerate(positions):
-            R[:, i, j] = sel[:, idx]
-            R[:, j, i] = sel[:, idx]
-        res = sum_terms(terms, {"r": R, **ints}, batch={"r"})
-        flat = res.reshape(m, -1)
-        return [lo + int(i) for i in np.nonzero(np.all(flat == 0, axis=1))[0]]
+        def eval_chunk(lo: int, hi: int) -> np.ndarray:
+            t = np.arange(lo, hi)
+            R = batch[t // fan]
+            for j in range(k, n):
+                v = scaled[t // base ** (n - 1 - j) % base]
+                R[:, k, j] = v
+                R[:, j, k] = v
+            res = sum_terms(terms, {"r": R, **ints}, batch={"r"})
+            final = res[:, : k + 1, : k + 1, : k + 1].reshape(hi - lo, -1)
+            return R[~(final != 0).any(axis=1)]
 
-    chunk = max(1, min(65536, -(-total // _pool_size(workers, total))))
-    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    threads = _pool_size(workers, len(ranges))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hit_lists = list(pool.map(lambda rg: eval_chunk(*rg), ranges))
-    else:
-        hit_lists = [eval_chunk(*rg) for rg in ranges]
-
-    out = []
-    for hits in hit_lists:
-        for idx in hits:
-            assignment = [values[c] for c in combos[idx]]
-            out.append(_candidate_tensor(assignment, positions, n))
-    return out
+        chunk = max(1, min(65536, -(-total // _pool_size(workers, total))))
+        ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+        threads = _pool_size(workers, len(ranges))
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                parts = list(pool.map(lambda rg: eval_chunk(*rg), ranges))
+        else:
+            parts = [eval_chunk(*rg) for rg in ranges]
+        batch = np.concatenate(parts)
+        if not len(batch):
+            break
+    return batch

@@ -215,6 +215,31 @@ def test_enumeration_value_set_dedup_and_cap(monkeypatch):
     assert len(range(5)) ** 8 > algebras.ENUM_TABLE_LIMIT
 
 
+def test_enumeration_is_memoized_per_value_set():
+    first = enumerate_dim2_pre_novikov((0, 1))
+    hits = algebras._enumerate.cache_info().hits
+    again = enumerate_dim2_pre_novikov((1, 0, F(1)))
+    assert algebras._enumerate.cache_info().hits == hits + 1
+    assert again == first and again is not first
+    again.clear()
+    assert enumerate_dim2_pre_novikov((0, 1)) == first
+
+
+def test_enumeration_beyond_int64_runs_on_python_ints():
+    """Every identity is homogeneous of degree 2, so scaling the values by
+    2**40 scales the solutions; their products no longer fit in int64."""
+    big = 2**40
+
+    def scaled(op):
+        return StructureConstants(2, tuple(
+            tuple(tuple(v * big for v in row) for row in plane) for plane in op.c))
+
+    small = enumerate_dim2_pre_novikov((0, 1))
+    assert len(small) == 42
+    want = [PreNovikovAlgebra(scaled(a.lhd), scaled(a.rhd)) for a in small]
+    assert enumerate_dim2_pre_novikov((0, big)) == want
+
+
 def test_enumeration_includes_fixture_and_agrees_with_checker(alg2):
     algs = enumerate_dim2_pre_novikov()
     assert alg2 in algs

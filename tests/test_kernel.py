@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prenovikov.core import INT64_MAX, contract, evaluate
+from prenovikov.core import INT64_MAX, contract, evaluate, overflow_bound, sum_terms
 
 F = Fraction
 LETTERS = "abcde"
@@ -116,6 +116,28 @@ def test_kernel_at_the_certified_bound(size, excess):
         num, _ = contract(terms, tables)
         assert num.dtype == (np.int64 if x * step <= INT64_MAX else object)
         assert evaluate(terms, tables) == (F(sign * x * step),)
+
+
+@pytest.mark.parametrize("excess", [-1, 0, 1])
+def test_batched_three_operand_term_at_the_certified_bound(excess):
+    """A batched term is contracted pairwise along a planned path.  With all
+    entries at their maxima its value is the certified bound, which is
+    INT64_MAX itself for ``excess`` 0 (2**63 - 1 = 49 * 73 * 127 * x)."""
+    terms = [(1, "ij,jk,k->i", ("A", "B", "C"))]
+    x = INT64_MAX // (49 * 73 * 127) + excess
+    shapes = {"A": (1, 7), "B": (7, 7), "C": (7,)}
+    bound = overflow_bound(terms, shapes, {"A": x, "B": 73, "C": 127})
+    dtype = np.int64 if bound <= INT64_MAX else object
+    assert (dtype is object) == (excess > 0)
+    rows = [[x] * 7, [-x] * 7, [(-1) ** j * x for j in range(7)]]
+    arrays = {
+        "A": np.array([[row] for row in rows], dtype=dtype),  # batch axis N first
+        "B": np.full((7, 7), 73, dtype=dtype),
+        "C": np.full(7, 127, dtype=dtype),
+    }
+    got = sum_terms(terms, arrays, batch={"A"})
+    assert got.dtype == dtype
+    assert [int(v) for v in got[:, 0]] == [bound, -bound, x * 7 * 73 * 127]
 
 
 @pytest.mark.parametrize("big", [2**61 - 1, 2**61])

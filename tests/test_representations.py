@@ -52,6 +52,25 @@ def test_check_novikov_rep_examples(alg2):
         check_novikov_rep(NovikovAlgebra(StructureConstants.zero(3)), adj)
 
 
+def test_rep_reports_label_module_vectors():
+    """Witness v is a module vector: v = u0, u1 must be labeled u0, u1."""
+    zero = StructureConstants.zero(1)
+    ident = (mat_identity(2),)
+    none = _zero_maps(1, 2)
+    pre = check_pre_novikov_rep(
+        PreNovikovAlgebra(zero, zero),
+        PreNovikovRep(PreNovikovAlgebra(zero, zero), ident, none, none, ident),
+        module_basis=("u0", "u1"),
+    )
+    for code in ("4.22", "4.25"):
+        assert [v.witness for v in pre.violations if v.identity == code] == [
+            ("e1", "e1", "u0"), ("e1", "e1", "u1")]
+    nov = check_novikov_rep(NovikovAlgebra(zero), NovikovRep(NovikovAlgebra(zero), ident, ident),
+                            module_basis=("u0", "u1"))
+    assert [v.witness for v in nov.violations if v.identity == "2.5"] == [
+        ("e1", "e1", "u0"), ("e1", "e1", "u1")]
+
+
 def test_swapped_adjoint_fails_on_noncommutative(bialg2):
     double = double_from_bialgebra(bialg2)
     adj = novikov_adjoint_rep(double.algebra)

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -29,6 +30,7 @@ from prenovikov import (
     ybe_residual,
 )
 from prenovikov.core import (
+    INT64_MAX,
     InputError,
     StructureConstants,
     basis_vec,
@@ -42,10 +44,13 @@ from prenovikov.core import (
     t2_zero,
     t3_is_zero,
     mat_add,
+    overflow_bound,
 )
-from prenovikov.yang_baxter import _pool_size, _search_exact, _upper_positions
+from prenovikov import labels
+from prenovikov.yang_baxter import _pool_size
 
-from conftest import rand_symmetric
+from conftest import conjugate_table, rand_invertible, rand_symmetric
+from search_oracles import search_exact, search_int64, upper_positions
 
 F = Fraction
 
@@ -266,11 +271,11 @@ def test_search_examples(alg2, alg4, sol4):
 
 def test_search_ordering_budget_and_fallback(alg2):
     sols = search_symmetric_ybe(alg2, [-1, 0, 1])
-    keys = [tuple(s[i][j] for i, j in _upper_positions(2)) for s in sols]
+    keys = [tuple(s[i][j] for i, j in upper_positions(2)) for s in sols]
     assert keys == sorted(keys)
     with pytest.raises(InputError, match="candidates"):
         search_symmetric_ybe(alg2, [-1, 0, 1], max_candidates=10)
-    exact = _search_exact(alg2, [F(-1), F(0), F(1)], _upper_positions(2))
+    exact = search_exact(alg2, [-1, 0, 1])
     assert sorted(exact) == sorted(sols)
     with pytest.raises(InputError):
         search_symmetric_ybe(alg2, [])
@@ -278,25 +283,58 @@ def test_search_ordering_budget_and_fallback(alg2):
 
 def test_search_with_fractional_values(alg2):
     sols = search_symmetric_ybe(alg2, [F(-1, 2), F(0), F(1, 2)])
-    exact = _search_exact(alg2, [F(-1, 2), F(0), F(1, 2)], _upper_positions(2))
+    exact = search_exact(alg2, [F(-1, 2), F(0), F(1, 2)])
     assert sorted(sols) == sorted(exact)
     assert t2_zero(2) in sols
 
 
+def _block_diagonal_dim3(alg2) -> PreNovikovAlgebra:
+    """The dim-2 fixture plus a null line."""
+    rows = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, k in itertools.product(range(2), repeat=3):
+        rows[i][j][k] = alg2.lhd.c[i][j][k]
+    return PreNovikovAlgebra(StructureConstants.from_rows(rows), StructureConstants.zero(3))
+
+
+def _conjugate(alg: PreNovikovAlgebra, seed: int) -> PreNovikovAlgebra:
+    p = rand_invertible(random.Random(seed), alg.dim)
+    return PreNovikovAlgebra(conjugate_table(alg.lhd, p), conjugate_table(alg.rhd, p))
+
+
 def test_search_block_diagonal_dim3(alg2):
     """Search over a 3-dim algebra (fixture plus a null line)."""
-    n = 3
-    rows = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                rows[i][j][k] = alg2.lhd.c[i][j][k]
-    lhd3 = StructureConstants.from_rows(rows)
-    alg3 = PreNovikovAlgebra(lhd3, StructureConstants.zero(3))
+    alg3 = _block_diagonal_dim3(alg2)
     assert check_pre_novikov(alg3.lhd, alg3.rhd).passed
     sols = search_symmetric_ybe(alg3, [0, 1])
-    exact = _search_exact(alg3, [F(0), F(1)], _upper_positions(3))
+    exact = search_exact(alg3, [0, 1])
     assert sorted(sols) == sorted(exact)
+
+
+def test_search_matches_fraction_oracle_dense_dim3(alg2):
+    dense = _conjugate(_block_diagonal_dim3(alg2), 5)
+    assert check_pre_novikov(dense.lhd, dense.rhd).passed
+    sols = search_symmetric_ybe(dense, [-1, 0, 1])
+    assert sols == sorted(search_exact(dense, [-1, 0, 1]))
+    assert len(sols) > 1
+
+
+def test_search_matches_int64_oracle_dim4(alg4):
+    """The shipped semidirect algebra and a dense conjugate of it."""
+    for alg in (alg4, _conjugate(alg4, 11)):
+        sols = search_symmetric_ybe(alg, [-1, 0, 1])
+        assert sols == search_int64(alg, [-1, 0, 1])
+        assert len(sols) > 1
+
+
+def test_search_object_path(alg2):
+    """Entries of 2**40 square past int64, so the search runs on Python ints."""
+    values = [0, 2**40]
+    maxabs = {"r": 2**40, "o": 1, "(.)": 1, "<": 1}
+    shapes = {"r": (2, 2), "o": (2, 2, 2), "(.)": (2, 2, 2), "<": (2, 2, 2)}
+    assert overflow_bound(labels.SPECS[labels.YBE][1], shapes, maxabs) > INT64_MAX
+    sols = search_symmetric_ybe(alg2, values)
+    assert sols == sorted(search_exact(alg2, values))
+    assert len(sols) > 1
 
 
 def test_theorem_pipeline_over_search_output(alg2):
