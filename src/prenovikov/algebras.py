@@ -160,21 +160,17 @@ def pre_novikov_from_qf(op: StructureConstants, w: FormMatrix) -> PreNovikovAlge
     report = check_quasi_frobenius(op, w)
     if not report.passed:
         raise RefusalError("form is not quasi-Frobenius for this product", report)
-    n = op.dim
-    tables = {"o": op.c, "w": w.w, "T": form_iso(w)}
-
-    def solve(terms) -> StructureConstants:
-        return StructureConstants(n, evaluate(terms, tables))
-
-    # w(z, e_k) = d_k is solved by z = T d
-    rhd = solve([(1, "tk,ikm,mj->ijt", ("T", "(*)", "w"))])
-    lhd = solve([(1, "tk,im,kjm->ijt", ("T", "w", "o"))])
-
-    # Independent dual-transport route, through W^T = T^{-1}.
-    if (solve([(-1, "ty,ixy,jx->ijt", ("T", "Lo+Ro", "w"))]) != rhd
-            or solve([(1, "ty,jxy,ix->ijt", ("T", "Ro", "w"))]) != lhd):
+    # w(z, e_k) = d_k is solved by z = T d; the dual-transport route goes
+    # through W^T = T^{-1} instead
+    routes = evaluate({
+        ">": [(1, "tk,ikm,mj->ijt", ("T", "(*)", "w"))],
+        "<": [(1, "tk,im,kjm->ijt", ("T", "w", "o"))],
+        "dual >": [(-1, "ty,ixy,jx->ijt", ("T", "Lo+Ro", "w"))],
+        "dual <": [(1, "ty,jxy,ix->ijt", ("T", "Ro", "w"))],
+    }, {"o": op.c, "w": w.w, "T": form_iso(w)})
+    if routes["dual >"] != routes[">"] or routes["dual <"] != routes["<"]:
         raise InternalCheckError("direct and dual-transport constructions disagree")
-
+    lhd, rhd = (StructureConstants(op.dim, routes[name]) for name in "<>")
     if sum_table(lhd, rhd).c != op.c:
         raise InternalCheckError("recovered products do not sum to the input product")
     out = PreNovikovAlgebra(lhd, rhd)

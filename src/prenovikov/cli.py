@@ -124,18 +124,10 @@ def _cmd_derive(args, out) -> int:
             "associated": json.loads(serialize_bundle(novikov_bundle(nov, bundle.data.get("basis")))),
             "odot": _encode(odot.c),
             "star": _encode(star.c),
-            "adjoint_novikov_rep": {
-                "l": _encode(nov_rep.l),
-                "r": _encode(nov_rep.r),
-            },
-            "adjoint_pre_novikov_rep": {
-                "l_rhd": _encode(pre_rep.l_rhd),
-                "r_rhd": _encode(pre_rep.r_rhd),
-                "l_lhd": _encode(pre_rep.l_lhd),
-                "r_lhd": _encode(pre_rep.r_lhd),
-            },
-            "dual_novikov_rep": _dual_maps_doc(dual_novikov_rep(nov_rep)),
-            "dual_pre_novikov_rep": _dual_pre_maps_doc(dual_pre_novikov_rep(pre_rep)),
+            "adjoint_novikov_rep": _maps_doc(nov_rep),
+            "adjoint_pre_novikov_rep": _pre_maps_doc(pre_rep),
+            "dual_novikov_rep": _maps_doc(dual_novikov_rep(nov_rep)),
+            "dual_pre_novikov_rep": _pre_maps_doc(dual_pre_novikov_rep(pre_rep)),
         }
         _emit(out, json.dumps({"kind": "derived", "parts": parts}, sort_keys=True, indent=2))
         return 0
@@ -147,25 +139,25 @@ def _cmd_derive(args, out) -> int:
                 _emit(out, render_report(report, args.format))
                 return 1
             dual = dual_novikov_rep(replace(rep, verified=True))
-            doc = _dual_maps_doc(dual)
+            doc = _maps_doc(dual)
         else:
             report = check_pre_novikov_rep(alg, rep)
             if not report.passed:
                 _emit(out, render_report(report, args.format))
                 return 1
             dual = dual_pre_novikov_rep(replace(rep, verified=True))
-            doc = _dual_pre_maps_doc(dual)
+            doc = _pre_maps_doc(dual)
         _emit(out, json.dumps({"kind": "derived", "parts": {"dual_rep": doc}},
                               sort_keys=True, indent=2))
         return 0
     raise InputError(f"derive expects a pre_novikov or rep bundle, got {bundle.kind!r}")
 
 
-def _dual_maps_doc(rep) -> dict:
+def _maps_doc(rep) -> dict:
     return {"l": _encode(rep.l), "r": _encode(rep.r)}
 
 
-def _dual_pre_maps_doc(rep) -> dict:
+def _pre_maps_doc(rep) -> dict:
     return {
         "l_rhd": _encode(rep.l_rhd),
         "r_rhd": _encode(rep.r_rhd),
@@ -188,8 +180,7 @@ def _cmd_double(args, out) -> int:
         return 1
     out_bundle = form_bundle(double.algebra.op, double.form, basis=double.labels)
     _emit(out, serialize_bundle(out_bundle))
-    qf = check_quasi_frobenius(double.algebra.op, double.form, basis=double.labels)
-    _emit(out, render_report(qf, args.format))
+    _emit(out, render_report(double.report.sections[-1], args.format))  # the quasi-Frobenius check
     return 0
 
 

@@ -155,6 +155,9 @@ def _sum_lifted(terms: Terms, arrays: dict, degree: dict, den: int) -> tuple[np.
     An operand of degree d holds its values times den**d, so each term is
     brought to the largest degree among the terms before they are summed.
     """
+    for _, _, names in terms:
+        for name in names:
+            _resolve(name, arrays, degree, den)
     degrees = [sum(degree[name] for name in names) for _, _, names in terms]
     top = max(degrees)
     terms = [(coef * den ** (top - d), subs, names)
@@ -169,52 +172,46 @@ def _sum_lifted(terms: Terms, arrays: dict, degree: dict, den: int) -> tuple[np.
 
 def _resolve(name: str, arrays: dict, degree: dict, den: int) -> None:
     """Make ``arrays[name]`` available, deriving it from ``labels.OPERANDS``."""
-    if name in arrays:
-        return
-    terms = labels.OPERANDS[name]
-    for _, _, names in terms:
-        for sub in names:
-            _resolve(sub, arrays, degree, den)
-    arrays[name], degree[name] = _sum_lifted(terms, arrays, degree, den)
+    if name not in arrays:
+        arrays[name], degree[name] = _sum_lifted(labels.OPERANDS[name], arrays, degree, den)
 
 
-def contract(terms: Terms, tables: dict) -> tuple[np.ndarray, int]:
-    """Exact value of a signed sum of einsum terms over rational tables.
+def contract(specs: dict, tables: dict) -> dict:
+    """Exact values of signed sums of einsum terms over rational tables.
 
-    ``terms`` holds ``(integer coefficient, einsum subscripts, operand
-    names)``; ``tables`` maps names to nested sequences of rationals.  Names
-    missing from ``tables`` are derived through ``labels.OPERANDS``.  All
-    tables are lifted to integers over one common denominator; each sum runs
-    in int64 when ``overflow_bound`` certifies that it cannot overflow, and on
-    Python-int object arrays otherwise.  Returns ``(numerators, denominator)``:
-    the value is ``numerators / denominator``, entry by entry.
+    ``specs`` maps each key to a term list of ``(integer coefficient, einsum
+    subscripts, operand names)``; ``tables`` maps names to nested sequences of
+    rationals.  Names missing from ``tables`` are derived through
+    ``labels.OPERANDS``.  The tables are lifted once, to integers over one
+    common denominator, and each derived name is computed once for all specs.
+    Each sum runs in int64 when ``overflow_bound`` certifies that it cannot
+    overflow, and on Python-int object arrays otherwise.  Returns key ->
+    ``(numerators, denominator)``: the value is ``numerators / denominator``,
+    entry by entry.
     """
     arrays, den = _lift(tables)
     degree = dict.fromkeys(arrays, 1)
-    for _, _, names in terms:
-        for name in names:
-            _resolve(name, arrays, degree, den)
-    num, top = _sum_lifted(terms, arrays, degree, den)
-    return num, den**top
+    out = {}
+    for key, terms in specs.items():
+        num, top = _sum_lifted(terms, arrays, degree, den)
+        out[key] = (num, den**top)
+    return out
 
 
-def evaluate(terms: Terms, tables: dict):
-    """``contract`` as nested tuples of Fractions."""
-    num, den = contract(terms, tables)
-    flat = [Fraction(int(x), den) for x in num.flat]
-    for size in reversed(num.shape[1:]):
-        flat = [tuple(flat[k : k + size]) for k in range(0, len(flat), size)]
-    return tuple(flat)
-
-
-def derive(name: str, tables: dict):
-    """The named operand ``labels.OPERANDS[name]`` as nested Fractions."""
-    return evaluate(labels.OPERANDS[name], tables)
+def evaluate(specs: dict, tables: dict) -> dict:
+    """``contract`` as nested tuples of Fractions, key by key."""
+    out = {}
+    for key, (num, den) in contract(specs, tables).items():
+        flat = [Fraction(int(x), den) for x in num.flat]
+        for size in reversed(num.shape[1:]):
+            flat = [tuple(flat[k : k + size]) for k in range(0, len(flat), size)]
+        out[key] = tuple(flat)
+    return out
 
 
 def _contract1(subs: str, **tables):
     """One-term contraction of keyword tables, as nested Fractions."""
-    return evaluate([(1, subs, tuple(tables))], tables)
+    return evaluate({subs: [(1, subs, tuple(tables))]}, tables)[subs]
 
 
 # ---------------------------------------------------------------------------

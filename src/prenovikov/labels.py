@@ -13,7 +13,7 @@ subscripts, operand names)``, and the residual of the identity is the sum of
 the terms (left side minus right side).  The output axes of every term start
 with the ``witness`` letters: one violation is reported per witness index
 whose remaining axes, the residual, are not all zero.  ``core.contract``
-evaluates a term list exactly.
+evaluates a dict of term lists exactly, in one call over shared tables.
 
 Operand layouts (entries are the coefficients of basis vectors):
 

@@ -175,11 +175,10 @@ def induced_matched_pair(bialg: PreNovikovBialgebra) -> MatchedPair:
 def _double_blocks_ok(bialg: PreNovikovBialgebra, dsum: StructureConstants) -> bool:
     """Do both blocks of the induced pre-Novikov structure close and match?"""
     n = bialg.algebra.dim
-    w = standard_form(n)
-    qf = check_quasi_frobenius(dsum, w)
-    if not qf.passed:
+    try:
+        induced = pre_novikov_from_qf(dsum, standard_form(n))
+    except RefusalError:  # the form is not quasi-Frobenius for dsum
         return False
-    induced = pre_novikov_from_qf(dsum, w)
     lhd_star, rhd_star = coalgebra_to_dual_algebra(bialg.coalgebra)
 
     def block_matches(table, block_lo, expect):

@@ -85,20 +85,18 @@ class ReportBuilder:
         )
 
     def check(self, tables: dict, shift: dict | None = None) -> None:
-        """Evaluate the spec of every identity this report names that has one.
+        """Evaluate, in one kernel call, the spec of every identity this report
+        names that has one.
 
         One violation is recorded per witness index whose residual is
         nonzero; ``shift`` offsets witness letters into ``labels`` (for a
         second basis appended after the first).
         """
         shift = shift or {}
-        for code in self.identities:
-            if code not in SPECS:
-                continue
-            witness, terms = SPECS[code]
-            num, den = contract(terms, tables)
-            k = len(witness)
-            flat = num.reshape(num.shape[:k] + (-1,))
+        specs = {code: SPECS[code][1] for code in self.identities if code in SPECS}
+        for code, (num, den) in contract(specs, tables).items():
+            witness = SPECS[code][0]
+            flat = num.reshape(num.shape[: len(witness)] + (-1,))
             offsets = [shift.get(letter, 0) for letter in witness]
             for idx in zip(*np.nonzero((flat != 0).any(axis=-1))):
                 self.residual(

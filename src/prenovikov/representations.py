@@ -20,11 +20,7 @@ from .core import (
     Matrix,
     RefusalError,
     StructureConstants,
-    derive,
-    dual_map,
     evaluate,
-    mat_add,
-    mat_neg,
     mat_shape,
 )
 from .report import Report, ReportBuilder, default_labels
@@ -122,14 +118,35 @@ def verify_pre_novikov_rep(rep: PreNovikovRep) -> PreNovikovRep:
     return replace(rep, verified=True)
 
 
+def _duals(**maps) -> dict:
+    """Kernel spec of sums of dual maps: key -> sum of coef * M* over the
+    ``(coef, name)`` pairs, where M(a)* is the negated transpose of M(a)."""
+    return {key: [(-coef, "akj->ajk", (name,)) for coef, name in parts]
+            for key, parts in maps.items()}
+
+
+def dual_novikov_spec(l: str, r: str) -> dict:
+    """Kernel spec of the dual (l* + r*, -r*) of the maps named ``l`` and ``r``."""
+    return _duals(l=[(1, l), (1, r)], r=[(-1, r)])
+
+
+def dual_pre_novikov_spec(l_rhd: str, r_rhd: str, l_lhd: str, r_lhd: str) -> dict:
+    """Kernel spec of the dual quadruple (l>*+l<*+r>*+r<*, r>*, -(r>*+l<*),
+    -(r>*+r<*)) of the maps with these names."""
+    return _duals(
+        l_rhd=[(1, l_rhd), (1, l_lhd), (1, r_rhd), (1, r_lhd)],
+        r_rhd=[(1, r_rhd)],
+        l_lhd=[(-1, r_rhd), (-1, l_lhd)],
+        r_lhd=[(-1, r_rhd), (-1, r_lhd)],
+    )
+
+
 def dual_novikov_rep(rep: NovikovRep) -> NovikovRep:
     """The dual representation (l* + r*, -r*) on the dual module."""
     if not rep.verified:
         raise RefusalError("refusing to dualize an unverified representation")
-    n = rep.algebra.dim
-    l = tuple(mat_add(dual_map(rep.l[i], "rep"), dual_map(rep.r[i], "rep")) for i in range(n))
-    r = tuple(mat_neg(dual_map(rep.r[i], "rep")) for i in range(n))
-    out = NovikovRep(rep.algebra, l, r)
+    maps = evaluate(dual_novikov_spec("l", "r"), {"l": rep.l, "r": rep.r})
+    out = NovikovRep(rep.algebra, maps["l"], maps["r"])
     report = check_novikov_rep(rep.algebra, out)
     if not report.passed:
         raise InternalCheckError("dual of a verified Novikov representation failed its check")
@@ -140,20 +157,9 @@ def dual_pre_novikov_rep(rep: PreNovikovRep) -> PreNovikovRep:
     """The dual quadruple (l>*+l<*+r>*+r<*, r>*, -(r>*+l<*), -(r>*+r<*))."""
     if not rep.verified:
         raise RefusalError("refusing to dualize an unverified representation")
-    n = rep.algebra.dim
-
-    def d(maps, i):
-        return dual_map(maps[i], "rep")
-
-    l_rhd = tuple(
-        mat_add(mat_add(d(rep.l_rhd, i), d(rep.l_lhd, i)),
-                mat_add(d(rep.r_rhd, i), d(rep.r_lhd, i)))
-        for i in range(n)
-    )
-    r_rhd = tuple(d(rep.r_rhd, i) for i in range(n))
-    l_lhd = tuple(mat_neg(mat_add(d(rep.r_rhd, i), d(rep.l_lhd, i))) for i in range(n))
-    r_lhd = tuple(mat_neg(mat_add(d(rep.r_rhd, i), d(rep.r_lhd, i))) for i in range(n))
-    out = PreNovikovRep(rep.algebra, l_rhd, r_rhd, l_lhd, r_lhd)
+    maps = evaluate(dual_pre_novikov_spec("l>", "r>", "l<", "r<"),
+                    {"l>": rep.l_rhd, "r>": rep.r_rhd, "l<": rep.l_lhd, "r<": rep.r_lhd})
+    out = PreNovikovRep(rep.algebra, maps["l_rhd"], maps["r_rhd"], maps["l_lhd"], maps["r_lhd"])
     report = check_pre_novikov_rep(rep.algebra, out)
     if not report.passed:
         raise InternalCheckError("dual of a verified pre-Novikov representation failed its check")
@@ -162,19 +168,19 @@ def dual_pre_novikov_rep(rep: PreNovikovRep) -> PreNovikovRep:
 
 def novikov_adjoint_rep(alg: NovikovAlgebra) -> NovikovRep:
     """The adjoint representation (Lo, Ro) of a Novikov algebra on itself."""
-    tables = {"o": alg.op.c}
-    rep = NovikovRep(alg, derive("Lo", tables), derive("Ro", tables))
+    maps = evaluate({name: labels.OPERANDS[name] for name in ("Lo", "Ro")}, {"o": alg.op.c})
+    rep = NovikovRep(alg, maps["Lo"], maps["Ro"])
     return replace(rep, verified=check_novikov_rep(alg, rep).passed)
 
 
 def adjoint_reps(alg: PreNovikovAlgebra) -> tuple[NovikovRep, PreNovikovRep]:
     """The (L>, R<) representation of the associated Novikov algebra and the
     adjoint quadruple (L>, R>, L<, R<) of the pre-Novikov algebra itself."""
-    tables = {"<": alg.lhd.c, ">": alg.rhd.c}
-    L_rhd, R_rhd, L_lhd, R_lhd = (derive(name, tables) for name in ("L>", "R>", "L<", "R<"))
+    maps = evaluate({name: labels.OPERANDS[name] for name in ("L>", "R>", "L<", "R<")},
+                    {"<": alg.lhd.c, ">": alg.rhd.c})
     nov = NovikovAlgebra(sum_table(alg.lhd, alg.rhd))
-    nov_rep = NovikovRep(nov, L_rhd, R_lhd)
-    pre_rep = PreNovikovRep(alg, L_rhd, R_rhd, L_lhd, R_lhd)
+    nov_rep = NovikovRep(nov, maps["L>"], maps["R<"])
+    pre_rep = PreNovikovRep(alg, maps["L>"], maps["R>"], maps["L<"], maps["R<"])
     nov_rep = replace(nov_rep, verified=check_novikov_rep(nov, nov_rep).passed)
     pre_rep = replace(pre_rep, verified=check_pre_novikov_rep(alg, pre_rep).passed)
     return nov_rep, pre_rep
@@ -183,11 +189,8 @@ def adjoint_reps(alg: PreNovikovAlgebra) -> tuple[NovikovRep, PreNovikovRep]:
 def dual_adjoint_maps(lhd: StructureConstants, rhd: StructureConstants) -> tuple[RepMaps, RepMaps]:
     """The maps (L>* + R<*, -R<*) dual to the (L>, R<) action, built from the
     tables with no validity requirement."""
-    tables = {"<": lhd.c, ">": rhd.c}
-    return (
-        evaluate([(-1, "akj->ajk", ("L>+R<",))], tables),
-        evaluate([(1, "akj->ajk", ("R<",))], tables),
-    )
+    maps = evaluate(dual_novikov_spec("L>", "R<"), {"<": lhd.c, ">": rhd.c})
+    return maps["l"], maps["r"]
 
 
 def semidirect_pre_novikov(alg: PreNovikovAlgebra, rep: PreNovikovRep) -> PreNovikovAlgebra:

@@ -37,7 +37,6 @@ from .core import (
     Tensor2,
     Tensor3,
     contract,
-    derive,
     evaluate,
     flip,
     overflow_bound,
@@ -51,6 +50,7 @@ from .representations import (
     PreNovikovRep,
     dual_adjoint_maps,
     dual_pre_novikov_rep,
+    dual_pre_novikov_spec,
     semidirect_pre_novikov,
     verify_pre_novikov_rep,
 )
@@ -67,9 +67,14 @@ def _operands(alg: PreNovikovAlgebra, r: Tensor2) -> dict:
     return {"<": alg.lhd.c, ">": alg.rhd.c, "r": r}
 
 
+def _residuals(codes, tables: dict) -> dict:
+    """The residuals of the identities ``codes``, keyed by code, in one kernel call."""
+    return evaluate({code: labels.SPECS[code][1] for code in codes}, tables)
+
+
 def ybe_residual(alg: PreNovikovAlgebra, r: Tensor2) -> Tensor3:
     """Left-hand side of r12 o r13 + r23 (.) r13 - r12 < r23 as a rank-3 tensor."""
-    return evaluate(labels.SPECS[labels.YBE][1], _operands(alg, r))
+    return _residuals([labels.YBE], _operands(alg, r))[labels.YBE]
 
 
 def coboundary_maps(alg: PreNovikovAlgebra, r: Tensor2) -> PreNovikovCoalgebra:
@@ -80,10 +85,11 @@ def coboundary_maps(alg: PreNovikovAlgebra, r: Tensor2) -> PreNovikovCoalgebra:
 
     No validity claim is attached; run check_coalgebra / check_bialgebra.
     """
-    tables = _operands(alg, r)
-    alpha = evaluate([(1, "iap,bp->iab", ("Lo", "r")), (1, "qa,ibq->iab", ("r", "L>+R<"))], tables)
-    beta = evaluate([(-1, "iap,pb->iab", ("L>", "r")), (-1, "aq,ibq->iab", ("r", "Lo+Ro"))], tables)
-    return PreNovikovCoalgebra(alg.dim, alpha, beta)
+    co = evaluate({
+        "alpha": [(1, "iap,bp->iab", ("Lo", "r")), (1, "qa,ibq->iab", ("r", "L>+R<"))],
+        "beta": [(-1, "iap,pb->iab", ("L>", "r")), (-1, "aq,ibq->iab", ("r", "Lo+Ro"))],
+    }, _operands(alg, r))
+    return PreNovikovCoalgebra(alg.dim, co["alpha"], co["beta"])
 
 
 def bialgebra_from_r(alg: PreNovikovAlgebra, r: Tensor2) -> PreNovikovBialgebra:
@@ -138,33 +144,29 @@ class DiagnosticsReport:
 
 def r_tensors(alg: PreNovikovAlgebra, r: Tensor2) -> dict:
     """The seven named rank-3 tensors of the coboundary analysis."""
-    tables = _operands(alg, r)
-    return {name: derive(name, tables) for name in labels.R_TENSORS}
+    return evaluate({name: labels.OPERANDS[name] for name in labels.R_TENSORS}, _operands(alg, r))
 
 
 def lemma_condition_residuals(alg: PreNovikovAlgebra, r: Tensor2) -> dict:
     """Residuals of the four operator conditions applied to (tau(r) - r),
     one rank-2 tensor per basis pair (a, b), keyed by codes 4.3-4.6."""
-    tables = _operands(alg, r)
-    return {code: evaluate(labels.SPECS[code][1], tables) for code in labels.COBOUNDARY_CONDITIONS}
+    return _residuals(labels.COBOUNDARY_CONDITIONS, _operands(alg, r))
 
 
-def lemma_equation_residuals(alg: PreNovikovAlgebra, r: Tensor2, rt: Optional[dict] = None) -> dict:
+def lemma_equation_residuals(alg: PreNovikovAlgebra, r: Tensor2) -> dict:
     """Residuals of the four equations the R-tensors satisfy, one rank-3
     tensor per basis element, keyed by codes 4.7-4.10."""
-    tables = {**_operands(alg, r), **(rt or {})}
-    return {code: evaluate(labels.SPECS[code][1], tables) for code in labels.COBOUNDARY_EQUATIONS}
+    return _residuals(labels.COBOUNDARY_EQUATIONS, _operands(alg, r))
 
 
 def coboundary_diagnostics(alg: PreNovikovAlgebra, r: Tensor2) -> DiagnosticsReport:
     """All labeled diagnostics: operator-condition residuals per basis pair,
     the seven named rank-3 tensors, and the four equation residuals."""
-    rt = r_tensors(alg, r)
     return DiagnosticsReport(
         dim=alg.dim,
         condition_residuals=lemma_condition_residuals(alg, r),
-        r_tensors=rt,
-        equation_residuals=lemma_equation_residuals(alg, r, rt),
+        r_tensors=r_tensors(alg, r),
+        equation_residuals=lemma_equation_residuals(alg, r),
     )
 
 
@@ -251,11 +253,12 @@ def pre_novikov_from_o(alg: NovikovAlgebra, rep: NovikovRep, oper: OOperator) ->
         raise RefusalError("need a verified Novikov-flavor O-operator")
     if oper.rep != rep:
         raise InputError("O-operator was verified against a different representation")
-    tables = {"T": oper.t, "l": rep.l, "r": rep.r}
-    rhd = evaluate([(1, "ap,atq->pqt", ("T", "l"))], tables)
-    lhd = evaluate([(1, "aq,atp->pqt", ("T", "r"))], tables)
-    mdim = rep.module_dim
-    out = PreNovikovAlgebra(StructureConstants(mdim, lhd), StructureConstants(mdim, rhd))
+    prods = evaluate({
+        "<": [(1, "aq,atp->pqt", ("T", "r"))],
+        ">": [(1, "ap,atq->pqt", ("T", "l"))],
+    }, {"T": oper.t, "l": rep.l, "r": rep.r})
+    lhd, rhd = (StructureConstants(rep.module_dim, prods[name]) for name in "<>")
+    out = PreNovikovAlgebra(lhd, rhd)
     if not check_pre_novikov(out.lhd, out.rhd).passed:
         raise InternalCheckError("O-operator transport produced an invalid pre-Novikov pair")
     return out
@@ -269,18 +272,8 @@ def _dual_novikov_rep_matrices(alg: PreNovikovAlgebra) -> NovikovRep:
 
 def _dual_pre_novikov_rep_matrices(alg: PreNovikovAlgebra) -> PreNovikovRep:
     """The dual of the adjoint quadruple, built directly from the tables."""
-    tables = {"<": alg.lhd.c, ">": alg.rhd.c}
-
-    def transposed(*parts):
-        return evaluate([(coef, "akj->ajk", (name,)) for coef, name in parts], tables)
-
-    return PreNovikovRep(
-        alg,
-        transposed((-1, "L>"), (-1, "R>"), (-1, "L<"), (-1, "R<")),
-        transposed((-1, "R>")),
-        transposed((1, "R>+L<")),
-        transposed((1, "R>"), (1, "R<")),
-    )
+    maps = evaluate(dual_pre_novikov_spec("L>", "R>", "L<", "R<"), {"<": alg.lhd.c, ">": alg.rhd.c})
+    return PreNovikovRep(alg, maps["l_rhd"], maps["r_rhd"], maps["l_lhd"], maps["r_lhd"])
 
 
 def co2_equivalence(alg: PreNovikovAlgebra, r: Tensor2) -> tuple[bool, bool, bool]:
@@ -391,8 +384,9 @@ def search_symmetric_ybe(
     workers = workers if workers is not None else _workers_from_env()
 
     # the products over their common denominator, the values over theirs
-    tables = {"<": alg.lhd.c, ">": alg.rhd.c}
-    ints = {name: contract([(1, "ijk->ijk", (name,))], tables)[0] for name in ("o", "(.)", "<")}
+    lifted = contract({name: [(1, "ijk->ijk", (name,))] for name in ("o", "(.)", "<")},
+                      {"<": alg.lhd.c, ">": alg.rhd.c})
+    ints = {name: num for name, (num, _) in lifted.items()}
     val_scale = lcm(*(v.denominator for v in values))
     scaled = [int(v * val_scale) for v in values]
     terms = labels.SPECS[labels.YBE][1]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prenovikov import check_compatibility, coboundary_diagnostics, core
 from prenovikov.core import INT64_MAX, contract, evaluate, overflow_bound, sum_terms
 
 F = Fraction
@@ -39,9 +40,12 @@ def reference(terms, tables):
     return result
 
 
-def kernel_as_dict(terms, tables):
-    num, den = contract(terms, tables)
-    return {idx: F(int(num[idx]), den) for idx in np.ndindex(num.shape)}, num.dtype
+def kernel_as_dicts(specs, tables):
+    """One kernel call; key -> (index -> Fraction, dtype)."""
+    return {
+        key: ({idx: F(int(num[idx]), den) for idx in np.ndindex(num.shape)}, num.dtype)
+        for key, (num, den) in contract(specs, tables).items()
+    }
 
 
 def table_of(shape, entries):
@@ -53,54 +57,63 @@ def table_of(shape, entries):
 
 @st.composite
 def problems(draw, huge=False):
-    """Random signed einsum term lists over random rational tables."""
+    """Several random signed einsum term lists over shared random rational tables."""
     sizes = {c: draw(st.integers(1, 3)) for c in LETTERS}
-    out = "".join(draw(st.permutations(LETTERS))[: draw(st.integers(0, 3))])
     numerators = st.integers(-(2**70), 2**70) if huge else st.integers(-40, 40)
     scalars = st.builds(F, numerators, st.sampled_from((1, 1, 2, 3, 6)))
-    terms, tables = [], {}
-    for t in range(draw(st.integers(1, 3))):
-        operands = []
-        for k in range(draw(st.integers(1, 3))):
-            sub = "".join(draw(st.lists(st.sampled_from(LETTERS), min_size=1, max_size=3)))
-            operands.append(sub)
-        # every output letter must appear in some operand of the term
-        operands[-1] += "".join(c for c in out if c not in "".join(operands))
-        names = []
-        for k, sub in enumerate(operands):
-            shape = tuple(sizes[c] for c in sub)
-            reuse = [n for n, tab in tables.items() if np.array(tab, dtype=object).shape == shape]
-            if reuse and draw(st.booleans()):
-                names.append(draw(st.sampled_from(reuse)))
-                continue
-            name = f"t{t}{k}"
-            count = int(np.prod(shape))
-            entries = draw(st.lists(scalars, min_size=count, max_size=count))
-            if huge:
-                entries[0] = F(2**64 + abs(entries[0].numerator), entries[0].denominator)
-            tables[name] = table_of(shape, iter(entries))
-            names.append(name)
-        coef = draw(st.integers(-3, 3).filter(bool))
-        terms.append((coef, f"{','.join(operands)}->{out}", tuple(names)))
-    return terms, tables
+    specs, tables = {}, {}
+    for key in range(draw(st.integers(1, 3))):
+        out = "".join(draw(st.permutations(LETTERS))[: draw(st.integers(0, 3))])
+        terms = []
+        for t in range(draw(st.integers(1, 3))):
+            operands = []
+            for k in range(draw(st.integers(1, 3))):
+                sub = "".join(draw(st.lists(st.sampled_from(LETTERS), min_size=1, max_size=3)))
+                operands.append(sub)
+            # every output letter must appear in some operand of the term
+            operands[-1] += "".join(c for c in out if c not in "".join(operands))
+            names = []
+            for k, sub in enumerate(operands):
+                shape = tuple(sizes[c] for c in sub)
+                reuse = [n for n, tab in tables.items() if np.array(tab, dtype=object).shape == shape]
+                if reuse and draw(st.booleans()):
+                    names.append(draw(st.sampled_from(reuse)))
+                    continue
+                name = f"t{key}{t}{k}"
+                count = int(np.prod(shape))
+                entries = draw(st.lists(scalars, min_size=count, max_size=count))
+                if huge:
+                    # above INT64_MAX in lowest terms too
+                    d = entries[0].denominator
+                    entries[0] = F(2**64 * d + abs(entries[0].numerator), d)
+                tables[name] = table_of(shape, iter(entries))
+                names.append(name)
+            coef = draw(st.integers(-3, 3).filter(bool))
+            terms.append((coef, f"{','.join(operands)}->{out}", tuple(names)))
+        specs[key] = terms
+    return specs, tables
 
 
 @settings(max_examples=150, deadline=None)
 @given(problems())
 def test_kernel_matches_reference_int64(problem):
-    terms, tables = problem
-    got, dtype = kernel_as_dict(terms, tables)
-    assert dtype == np.int64
-    assert got == reference(terms, tables)
+    specs, tables = problem
+    results = kernel_as_dicts(specs, tables)
+    assert results.keys() == specs.keys()
+    for key, (got, dtype) in results.items():
+        assert dtype == np.int64
+        assert got == reference(specs[key], tables)
 
 
 @settings(max_examples=60, deadline=None)
 @given(problems(huge=True))
 def test_kernel_matches_reference_object(problem):
-    terms, tables = problem
-    got, dtype = kernel_as_dict(terms, tables)
-    assert dtype == object
-    assert got == reference(terms, tables)
+    specs, tables = problem
+    results = kernel_as_dicts(specs, tables)
+    assert results.keys() == specs.keys()
+    for key, (got, dtype) in results.items():
+        assert dtype == object
+        assert got == reference(specs[key], tables)
 
 
 @pytest.mark.parametrize("size", [1, 3])
@@ -113,9 +126,9 @@ def test_kernel_at_the_certified_bound(size, excess):
     terms = [(1, "ij,j->i", ("A", "B"))]
     for sign in (1, -1):
         tables = {"A": ((F(sign * x),) * size,), "B": (F(7),) * size}
-        num, _ = contract(terms, tables)
+        num, _ = contract({"": terms}, tables)[""]
         assert num.dtype == (np.int64 if x * step <= INT64_MAX else object)
-        assert evaluate(terms, tables) == (F(sign * x * step),)
+        assert evaluate({"": terms}, tables) == {"": (F(sign * x * step),)}
 
 
 @pytest.mark.parametrize("excess", [-1, 0, 1])
@@ -144,7 +157,7 @@ def test_batched_three_operand_term_at_the_certified_bound(excess):
 def test_kernel_cancelling_terms_near_the_bound(big):
     """Partial sums count toward the bound even when the terms cancel."""
     terms = [(1, "i->i", ("A",)), (1, "i->i", ("A",)), (-2, "i->i", ("A",))]
-    num, _ = contract(terms, {"A": (F(big),)})
+    num, _ = contract({"": terms}, {"A": (F(big),)})[""]
     assert num.dtype == (np.int64 if 4 * big <= INT64_MAX else object)
     assert int(num[0]) == 0
 
@@ -154,8 +167,21 @@ def test_kernel_common_denominator_and_named_operands():
     rhd = ((((F(0), F(2, 5)), (F(1), F(0))), ((F(0), F(0)), (F(-1, 7), F(0)))))
     tables = {"<": lhd, ">": rhd}
     # "o" is derived through labels.OPERANDS as < + >
-    got = evaluate([(1, "ijm,mkt->ijkt", ("o", "o"))], tables)
+    got = evaluate({"": [(1, "ijm,mkt->ijkt", ("o", "o"))]}, tables)[""]
     o = {"o": tuple(tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(p1, p2))
                     for p1, p2 in zip(lhd, rhd))}
     want = reference([(1, "ijm,mkt->ijkt", ("o", "o"))], o)
     assert {idx: got[idx[0]][idx[1]][idx[2]][idx[3]] for idx in want} == want
+
+
+def test_one_lift_per_kernel_call(monkeypatch, bialg2, alg4, sol4):
+    """Each kernel call lifts its tables once: a report is one call however
+    many identities it names, and the coboundary diagnostics are three."""
+    lifts = []
+    lift = core._lift
+    monkeypatch.setattr(core, "_lift", lambda tables: lifts.append(1) or lift(tables))
+    check_compatibility(bialg2.algebra, bialg2.coalgebra)
+    assert len(lifts) == 1
+    lifts.clear()
+    coboundary_diagnostics(alg4, sol4)
+    assert len(lifts) <= 3
