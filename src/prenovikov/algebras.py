@@ -160,6 +160,11 @@ def pre_novikov_from_qf(op: StructureConstants, w: FormMatrix) -> PreNovikovAlge
     report = check_quasi_frobenius(op, w)
     if not report.passed:
         raise RefusalError("form is not quasi-Frobenius for this product", report)
+    return _split_qf(op, w)
+
+
+def _split_qf(op: StructureConstants, w: FormMatrix) -> PreNovikovAlgebra:
+    """``pre_novikov_from_qf`` on a pair whose quasi-Frobenius check passed."""
     # w(z, e_k) = d_k is solved by z = T d; the dual-transport route goes
     # through W^T = T^{-1} instead
     routes = evaluate({
@@ -184,13 +189,17 @@ def pre_novikov_from_qf(op: StructureConstants, w: FormMatrix) -> PreNovikovAlge
 # exhaustive enumeration of small pre-Novikov algebras
 # ---------------------------------------------------------------------------
 
-ENUM_TABLE_LIMIT = 4**8  # tables per product; the sweep builds them all up front
-ENUM_CHUNK = 200_000  # (<, >) pairs per stage-2 block
+ENUM_DIM = 2  # the dimension of the enumerated algebras
+ENUM_TABLE_LIMIT = 4**8  # tables per product; stage 1 builds them all up front
+ENUM_CHUNK = 50_000  # batch members per stage-2 or stage-3 kernel call
 
 
 def _int_tables(values, dtype) -> np.ndarray:
-    grids = np.array(list(itertools.product(values, repeat=8)), dtype=dtype)
-    return grids.reshape(-1, 2, 2, 2)
+    """Every ``ENUM_DIM``-dimensional table with entries in ``values``, in
+    lexicographic order of the flattened entries."""
+    n = ENUM_DIM
+    grids = np.array(list(itertools.product(values, repeat=n**3)), dtype=dtype)
+    return grids.reshape(-1, n, n, n)
 
 
 def frac_int(v) -> int:
@@ -204,15 +213,16 @@ def _sweep_dtype(vals) -> type:
     """int64 when ``overflow_bound`` certifies 2.8-2.11 on tables with
     entries in ``vals`` (so ``o`` = < + > up to twice as large), else object."""
     top = max(map(abs, vals))
-    shapes = dict.fromkeys(("<", ">", "o"), (2, 2, 2))
+    shapes = dict.fromkeys(("<", ">", "o"), (ENUM_DIM,) * 3)
     maxabs = {"<": top, ">": top, "o": 2 * top}
     bound = max(overflow_bound(labels.SPECS[code][1], shapes, maxabs) for code in labels.PRE_NOVIKOV)
     return np.int64 if bound <= INT64_MAX else object
 
 
-def _batch_zero(code: str, ops: dict) -> np.ndarray:
-    """Which members of a batch of integer tables satisfy identity ``code``."""
-    res = sum_terms(labels.SPECS[code][1], ops, batch=frozenset(ops))
+def _batch_zero(code: str, ops: dict, witness=slice(None)) -> np.ndarray:
+    """Which members of a batch of integer tables have an all-zero residual of
+    identity ``code`` at first witness index ``witness`` (at all by default)."""
+    res = sum_terms(labels.SPECS[code][1], ops, batch=frozenset(ops))[:, witness]
     return np.all(res.reshape(len(res), -1) == 0, axis=1)
 
 
@@ -220,48 +230,85 @@ def enumerate_dim2_pre_novikov(values=(-1, 0, 1)) -> list[PreNovikovAlgebra]:
     """All dimension-2 pre-Novikov table pairs with entries in ``values``.
 
     The full pair space has ``len(values)**16`` members, so enumeration is
-    staged: the pure-< identity (a<b)<c = (a<c)<b filters the < tables first,
-    then the remaining identities run vectorized over the surviving (<, >)
-    pairs in integer arithmetic (int64 when ``overflow_bound`` certifies it,
-    Python ints otherwise).  Every survivor is re-verified through the exact
-    checker before being returned; a disagreement between the fast path and
-    the checker raises.  Values are deduplicated and sorted, and more than
-    ``ENUM_TABLE_LIMIT`` tables per product are refused.  Results are
-    memoized per value set; each call returns a fresh list.
+    staged, in integer arithmetic (int64 when ``overflow_bound`` certifies it,
+    Python ints otherwise):
+
+    1. the pure-< identity 2.11, (a<b)<c = (a<c)<b, filters the < tables;
+    2. identity 2.9, a>(b<c) = (a>b)<c + b<(a o c) - (b<a)<c, runs row by row
+       of >: its residual at witness (i, j, k) reads > only as a>b, a>(.) and
+       a o c with a = e_i, that is only row i of > (and of o = < + >).  So for
+       each surviving < table and each row index i, every candidate row is
+       placed as row i of an otherwise-zero > table and kept when the witness-i
+       slice of the residual is zero; the > tables satisfying 2.9 are the
+       products of the kept rows, row 0 outermost (lexicographic order);
+    3. identities 2.10 and then 2.8 run over those (<, >) pairs only.
+
+    With values -1, 0, 1 that is 817 < tables after stage 1, 2 x 817 x 81 row
+    evaluations in stage 2 and 8,041 pairs in stage 3 (against 817 x 6,561 =
+    5.36M for the full pair space), leaving 257 algebras.  Every survivor is
+    re-verified through the exact checker before being returned; a
+    disagreement between the fast path and the checker raises.  Values are
+    deduplicated and sorted, and more than ``ENUM_TABLE_LIMIT`` tables per
+    product are refused.  Results come in lexicographic order of (<, >), are
+    memoized per value set, and each call returns a fresh list.
     """
     vals = tuple(frac_int(v) for v in sorted({Fraction(v) for v in values}))
-    if len(vals) ** 8 > ENUM_TABLE_LIMIT:
+    count = len(vals) ** ENUM_DIM**3
+    if count > ENUM_TABLE_LIMIT:
         raise InputError(
-            f"{len(vals)} values give {len(vals) ** 8} tables per product, "
+            f"{len(vals)} values give {count} tables per product, "
             f"beyond the limit of {ENUM_TABLE_LIMIT}"
         )
     return list(_enumerate(vals))
 
 
+def _row_pairs(lhd_ok: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Stage 2: every (<, >) pair satisfying 2.9, as index rows
+    ``(index into lhd_ok, index into rows for each row of >)``, in
+    lexicographic order."""
+    n = ENUM_DIM
+    per_block = max(1, ENUM_CHUNK // len(rows))
+    pairs = [np.empty((0, n + 1), dtype=np.intp)]
+    for lstart in range(0, len(lhd_ok), per_block):
+        lblock = lhd_ok[lstart : lstart + per_block]
+        L = np.repeat(lblock, len(rows), axis=0)
+        masks = []
+        for i in range(n):
+            R = np.zeros_like(L)
+            R[:, i] = np.tile(rows, (len(lblock), 1, 1))
+            ok = _batch_zero("2.9", {"<": L, ">": R, "o": L + R}, witness=i)
+            masks.append(ok.reshape(len(lblock), len(rows)))
+        for l, row_ok in enumerate(zip(*masks), start=lstart):
+            grid = np.meshgrid(*map(np.flatnonzero, row_ok), indexing="ij")
+            pairs.append(np.stack([np.full_like(grid[0], l), *grid], axis=-1).reshape(-1, n + 1))
+    return np.concatenate(pairs)
+
+
 @functools.lru_cache(maxsize=8)
 def _enumerate(vals: tuple[int, ...]) -> tuple[PreNovikovAlgebra, ...]:
-    tables = _int_tables(vals, _sweep_dtype(vals))  # (m, 2, 2, 2)
+    n = ENUM_DIM
+    tables = _int_tables(vals, _sweep_dtype(vals))  # (m, n, n, n)
+    # the first len(vals)**(n*n) tables hold vals[0] in every row but the
+    # last, which runs over every candidate row in lexicographic order
+    rows = tables[: len(vals) ** (n * n), -1]
 
     # Stage 1: (a<b)<c = (a<c)<b, pure in <.
     lhd_ok = tables[_batch_zero("2.11", {"<": tables})]
 
-    # Stage 2: remaining identities over all (lhd, rhd) pairs, chunked, with
-    # the cheapest identity filtering candidates before the costlier ones.
-    m = len(tables)
+    # Stage 2: 2.9, row by row of >.
+    pairs = _row_pairs(lhd_ok, rows)
+
+    # Stage 3: 2.10, then 2.8 on the pairs that pass it.
     survivors = []
-    per_block = max(1, ENUM_CHUNK // m)
-    for lstart in range(0, len(lhd_ok), per_block):
-        lblock = lhd_ok[lstart : lstart + per_block]
-        L = np.repeat(lblock, m, axis=0)  # (len(lblock)*m, 2,2,2)
-        R = np.tile(tables, (len(lblock), 1, 1, 1))
+    for start in range(0, len(pairs), ENUM_CHUNK):
+        chunk = pairs[start : start + ENUM_CHUNK]
+        L, R = lhd_ok[chunk[:, 0]], rows[chunk[:, 1:]]
         O = L + R
         keep = np.flatnonzero(_batch_zero("2.10", {"<": L, ">": R, "o": O}))
         if not len(keep):
             continue
-        ops = {"<": L[keep], ">": R[keep], "o": O[keep]}
-        ok = _batch_zero("2.8", ops) & _batch_zero("2.9", ops)
-        for idx in keep[np.nonzero(ok)[0]]:
-            survivors.append((lblock[idx // m], tables[idx % m]))
+        keep = keep[_batch_zero("2.8", {"<": L[keep], ">": R[keep], "o": O[keep]})]
+        survivors.extend(zip(L[keep], R[keep]))
 
     out = []
     for lt, rt in survivors:

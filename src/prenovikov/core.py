@@ -18,6 +18,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -76,6 +77,13 @@ def scalar_str(x: Scalar) -> str:
 # the exact contraction kernel
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _parse(subs: str) -> tuple[tuple[str, ...], str]:
+    """Einsum subscripts split into the input letter groups and the output."""
+    inputs, out = subs.split("->")
+    return tuple(inputs.split(",")), out
+
+
 def overflow_bound(terms: Terms, shapes: dict, maxabs: dict) -> int:
     """A bound on every partial sum an integer evaluation of ``terms`` forms.
 
@@ -90,9 +98,9 @@ def overflow_bound(terms: Terms, shapes: dict, maxabs: dict) -> int:
     """
     total = 0
     for coef, subs, names in terms:
-        inputs, out = subs.split("->")
+        inputs, out = _parse(subs)
         sizes = {}
-        for letters, name in zip(inputs.split(","), names):
+        for letters, name in zip(inputs, names):
             sizes.update(zip(letters, shapes[name]))
         term = abs(coef)
         for name in names:
@@ -115,10 +123,10 @@ def sum_terms(terms: Terms, arrays: dict, batch=frozenset()) -> np.ndarray:
     acc = None
     for coef, subs, names in terms:
         if batch:
-            inputs, out = subs.split("->")
+            inputs, out = _parse(subs)
             inputs = ",".join(
                 "N" + letters if name in batch else letters
-                for letters, name in zip(inputs.split(","), names)
+                for letters, name in zip(inputs, names)
             )
             subs = f"{inputs}->N{out}"
         # accumulate in place, so that one einsum temporary at most is alive
@@ -149,31 +157,49 @@ def _lift(tables: dict) -> tuple[dict, int]:
     return lifted, den
 
 
-def _sum_lifted(terms: Terms, arrays: dict, degree: dict, den: int) -> tuple[np.ndarray, int]:
-    """Evaluate terms on lifted operands; returns (integers, scale exponent).
+class _Lifted:
+    """The operands of one ``contract`` call: the lifted tables and every name
+    derived from them, each with its degree (it holds its values times
+    den**degree), its largest absolute entry and its copies per dtype."""
 
-    An operand of degree d holds its values times den**d, so each term is
-    brought to the largest degree among the terms before they are summed.
-    """
-    for _, _, names in terms:
-        for name in names:
-            _resolve(name, arrays, degree, den)
-    degrees = [sum(degree[name] for name in names) for _, _, names in terms]
-    top = max(degrees)
-    terms = [(coef * den ** (top - d), subs, names)
-             for (coef, subs, names), d in zip(terms, degrees)]
-    used = {name for _, _, names in terms for name in names}
-    shapes = {name: arrays[name].shape for name in used}
-    maxabs = {name: int(np.abs(arrays[name]).max()) for name in used}
-    dtype = np.int64 if overflow_bound(terms, shapes, maxabs) <= INT64_MAX else object
-    value = sum_terms(terms, {name: arrays[name].astype(dtype) for name in used})
-    return np.asarray(value, dtype=dtype), top
+    def __init__(self, tables: dict):
+        self.arrays, self.den = _lift(tables)
+        self.degree = dict.fromkeys(self.arrays, 1)
+        self.maxabs = {}
+        self.typed = {}
 
+    def resolve(self, name: str) -> None:
+        """Make ``name`` available, deriving it from ``labels.OPERANDS``."""
+        if name not in self.arrays:
+            self.arrays[name], self.degree[name] = self.sum(labels.OPERANDS[name])
+        if name not in self.maxabs:
+            self.maxabs[name] = int(np.abs(self.arrays[name]).max())
 
-def _resolve(name: str, arrays: dict, degree: dict, den: int) -> None:
-    """Make ``arrays[name]`` available, deriving it from ``labels.OPERANDS``."""
-    if name not in arrays:
-        arrays[name], degree[name] = _sum_lifted(labels.OPERANDS[name], arrays, degree, den)
+    def as_dtype(self, name: str, dtype) -> np.ndarray:
+        key = (name, dtype)
+        if key not in self.typed:
+            array = self.arrays[name]
+            self.typed[key] = array if array.dtype == dtype else array.astype(dtype)
+        return self.typed[key]
+
+    def sum(self, terms: Terms) -> tuple[np.ndarray, int]:
+        """Evaluate terms on the operands; returns (integers, scale exponent).
+
+        Each term is brought to the largest degree among the terms before
+        they are summed.
+        """
+        for _, _, names in terms:
+            for name in names:
+                self.resolve(name)
+        degrees = [sum(self.degree[name] for name in names) for _, _, names in terms]
+        top = max(degrees)
+        terms = [(coef * self.den ** (top - d), subs, names)
+                 for (coef, subs, names), d in zip(terms, degrees)]
+        used = {name for _, _, names in terms for name in names}
+        shapes = {name: self.arrays[name].shape for name in used}
+        dtype = np.int64 if overflow_bound(terms, shapes, self.maxabs) <= INT64_MAX else object
+        value = sum_terms(terms, {name: self.as_dtype(name, dtype) for name in used})
+        return np.asarray(value, dtype=dtype), top
 
 
 def contract(specs: dict, tables: dict) -> dict:
@@ -183,18 +209,18 @@ def contract(specs: dict, tables: dict) -> dict:
     subscripts, operand names)``; ``tables`` maps names to nested sequences of
     rationals.  Names missing from ``tables`` are derived through
     ``labels.OPERANDS``.  The tables are lifted once, to integers over one
-    common denominator, and each derived name is computed once for all specs.
+    common denominator, and each derived name is computed once for all specs;
+    each operand's largest entry and int64 copy are likewise taken once.
     Each sum runs in int64 when ``overflow_bound`` certifies that it cannot
     overflow, and on Python-int object arrays otherwise.  Returns key ->
     ``(numerators, denominator)``: the value is ``numerators / denominator``,
     entry by entry.
     """
-    arrays, den = _lift(tables)
-    degree = dict.fromkeys(arrays, 1)
+    lifted = _Lifted(tables)
     out = {}
     for key, terms in specs.items():
-        num, top = _sum_lifted(terms, arrays, degree, den)
-        out[key] = (num, den**top)
+        num, top = lifted.sum(terms)
+        out[key] = (num, lifted.den**top)
     return out
 
 

@@ -17,6 +17,8 @@ from . import labels
 from .algebras import (
     FormMatrix,
     NovikovAlgebra,
+    PreNovikovAlgebra,
+    _split_qf,
     check_novikov,
     check_quasi_frobenius,
     pre_novikov_from_qf,
@@ -172,13 +174,9 @@ def induced_matched_pair(bialg: PreNovikovBialgebra) -> MatchedPair:
     )
 
 
-def _double_blocks_ok(bialg: PreNovikovBialgebra, dsum: StructureConstants) -> bool:
+def _blocks_match(bialg: PreNovikovBialgebra, induced: PreNovikovAlgebra) -> bool:
     """Do both blocks of the induced pre-Novikov structure close and match?"""
     n = bialg.algebra.dim
-    try:
-        induced = pre_novikov_from_qf(dsum, standard_form(n))
-    except RefusalError:  # the form is not quasi-Frobenius for dsum
-        return False
     lhd_star, rhd_star = coalgebra_to_dual_algebra(bialg.coalgebra)
 
     def block_matches(table, block_lo, expect):
@@ -200,6 +198,17 @@ def _double_blocks_ok(bialg: PreNovikovBialgebra, dsum: StructureConstants) -> b
     )
 
 
+def _has_double(bialg: PreNovikovBialgebra, mp: MatchedPair) -> bool:
+    dsum = direct_sum_product(mp)
+    if not check_novikov(dsum).passed:
+        return False
+    try:
+        induced = pre_novikov_from_qf(dsum, standard_form(bialg.algebra.dim))
+    except RefusalError:  # the form is not quasi-Frobenius for dsum
+        return False
+    return _blocks_match(bialg, induced)
+
+
 def has_double_construction(bialg: PreNovikovBialgebra) -> bool:
     """Verdict of the first characterization: the double candidate works.
 
@@ -207,18 +216,16 @@ def has_double_construction(bialg: PreNovikovBialgebra) -> bool:
     quasi-Frobenius, and that both blocks of the induced pre-Novikov structure
     close onto the two input table pairs.
     """
-    mp = induced_matched_pair(bialg)
-    dsum = direct_sum_product(mp)
-    if not check_novikov(dsum).passed:
-        return False
-    return _double_blocks_ok(bialg, dsum)
+    return _has_double(bialg, induced_matched_pair(bialg))
 
 
 def double_matched_bialgebra_verdicts(bialg: PreNovikovBialgebra) -> tuple[bool, bool, bool]:
     """The three equivalent verdicts (double, matched pair, bialgebra), computed
-    by separate routes so their agreement is a real test."""
-    v_double = has_double_construction(bialg)
-    v_matched = check_matched_pair(induced_matched_pair(bialg)).passed
+    by separate routes from one induced matched pair, so their agreement is a
+    real test."""
+    mp = induced_matched_pair(bialg)
+    v_double = _has_double(bialg, mp)
+    v_matched = check_matched_pair(mp).passed
     v_bialg = check_bialgebra(bialg.algebra, bialg.coalgebra).passed
     return (v_double, v_matched, v_bialg)
 
@@ -242,7 +249,7 @@ def double_from_bialgebra(bialg: PreNovikovBialgebra) -> DoubleConstruction:
     qf_report = check_quasi_frobenius(dsum, w, basis=lab)
     if not (nov_report.passed and qf_report.passed):
         raise InternalCheckError("double of a valid bialgebra failed Novikov/quasi-Frobenius checks")
-    if not _double_blocks_ok(bialg, dsum):
+    if not _blocks_match(bialg, _split_qf(dsum, w)):
         raise InternalCheckError("double blocks do not restrict to the input pre-Novikov tables")
     report = Report(
         name="double_construction",

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from prenovikov import (
@@ -27,10 +28,12 @@ from prenovikov.core import (
     basis_vec,
     mat_identity,
     mat_vec,
+    sum_terms,
 )
-from prenovikov import algebras
+from prenovikov import algebras, labels
 
 from conftest import conjugate_table, rand_invertible, table
+from enumeration_oracle import enumerate_pairs
 
 F = Fraction
 
@@ -256,3 +259,50 @@ def test_enumeration_includes_fixture_and_agrees_with_checker(alg2):
             continue
         assert not check_pre_novikov(lhd, rhd).passed
         rejected += 1
+
+
+@pytest.mark.parametrize("values", [(-1, 0, 1), (0, 1), (-1, 1), (0, 2), (0, 2**40)])
+def test_enumeration_matches_full_pair_sweep(values):
+    """Same algebras in the same order as the sweep over every (<, >) pair;
+    (0, 2**40) runs on Python-int object arrays."""
+    assert (algebras._sweep_dtype(values) is object) == (values == (0, 2**40))
+    assert enumerate_dim2_pre_novikov(values) == list(enumerate_pairs(values))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_identity_2_9_witness_i_reads_only_row_i_of_rhd(n):
+    """The premise of the row-by-row enumeration: the witness-i slice of the
+    2.9 residual does not move when the other rows of > (and so of o) do."""
+    rng = np.random.default_rng(29 + n)
+    terms = labels.SPECS["2.9"][1]
+
+    def residual(lhd, rhd):
+        return sum_terms(terms, {"<": lhd, ">": rhd, "o": lhd + rhd})
+
+    moved_elsewhere = 0
+    for _ in range(20):
+        lhd, rhd = rng.integers(-3, 4, (2, n, n, n))
+        res = residual(lhd, rhd)
+        for i in range(n):
+            other = rng.integers(-3, 4, (n, n, n))
+            other[i] = rhd[i]
+            changed = residual(lhd, other)
+            assert np.array_equal(changed[i], res[i])
+            moved_elsewhere += not np.array_equal(changed, res)
+    assert moved_elsewhere  # the other slices do read the other rows
+
+
+def test_enumeration_checks_2_10_and_2_8_on_the_2_9_pairs_only(monkeypatch):
+    sizes = {code: 0 for code in labels.PRE_NOVIKOV}
+    kernel = algebras.sum_terms
+
+    def counted(terms, arrays, batch=frozenset()):
+        (code,) = (c for c in labels.PRE_NOVIKOV if terms is labels.SPECS[c][1])
+        sizes[code] += len(arrays["<"])
+        return kernel(terms, arrays, batch)
+
+    monkeypatch.setattr(algebras, "sum_terms", counted)
+    assert len(algebras._enumerate.__wrapped__((-1, 0, 1))) == 257
+    assert sizes["2.11"] == 3**8
+    assert sizes["2.9"] <= 2 * 817 * 3**4
+    assert sizes["2.8"] <= sizes["2.10"] <= 8_041

@@ -1,3 +1,4 @@
+import io
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,11 @@ from prenovikov import (
     induced_matched_pair,
     standard_form,
 )
+from prenovikov import algebras, matched_double
+from prenovikov.cli import run_command
 from prenovikov.core import StructureConstants, mat_zero
+
+from conftest import FIXTURES
 
 
 
@@ -187,3 +192,34 @@ def test_surviving_mutations_are_genuinely_valid(alg2, co2):
         assert has_double_construction(mutant)
         assert check_matched_pair(induced_matched_pair(mutant)).passed
         double_from_bialgebra(mutant)  # must not raise
+
+
+@pytest.mark.parametrize("name", ["dim2_bialgebra.json", "dim4_bialgebra.json"])
+def test_one_quasi_frobenius_check_per_double(monkeypatch, name):
+    """`prenovikov double` checks the double's form once: the splitting that
+    restricts it to the input tables reuses that verdict instead of
+    re-checking it inside `pre_novikov_from_qf`."""
+    calls = []
+    check = algebras.check_quasi_frobenius
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(algebras, "check_quasi_frobenius", counted)
+    monkeypatch.setattr(matched_double, "check_quasi_frobenius", counted)
+    assert run_command(["double", str(FIXTURES / name)], out=io.StringIO()) == 0
+    assert len(calls) == 1
+
+
+def test_verdicts_build_the_induced_pair_once(monkeypatch, bialg2):
+    calls = []
+    build = matched_double.induced_matched_pair
+
+    def counted(bialg):
+        calls.append(1)
+        return build(bialg)
+
+    monkeypatch.setattr(matched_double, "induced_matched_pair", counted)
+    assert double_matched_bialgebra_verdicts(bialg2) == (True, True, True)
+    assert len(calls) == 1
