@@ -7,6 +7,7 @@ All diagnostics go to stderr; results and reports go to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -65,6 +66,19 @@ def _load(path: str) -> Bundle:
         return parse_bundle(text)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
+
+
+def _load_algebra_and_tensor(args, command: str):
+    """The algebra bundle, the algebra and the tensor r that ``command`` reads."""
+    alg_bundle = _load(args.algebra)
+    r_bundle = _load(args.tensor)
+    if alg_bundle.kind != "pre_novikov" or r_bundle.kind != "tensor2":
+        raise InputError(f"{command} expects a pre_novikov bundle and a tensor2 bundle")
+    alg = bundle_to_objects(alg_bundle)
+    r = bundle_to_objects(r_bundle)
+    if len(r) != alg.dim:
+        raise InputError("tensor dimension does not match the algebra")
+    return alg_bundle, alg, r
 
 
 def _emit(out, text: str) -> None:
@@ -185,14 +199,7 @@ def _cmd_double(args, out) -> int:
 
 
 def _cmd_coboundary(args, out) -> int:
-    alg_bundle = _load(args.algebra)
-    r_bundle = _load(args.tensor)
-    if alg_bundle.kind != "pre_novikov" or r_bundle.kind != "tensor2":
-        raise InputError("coboundary expects a pre_novikov bundle and a tensor2 bundle")
-    alg = bundle_to_objects(alg_bundle)
-    r = bundle_to_objects(r_bundle)
-    if len(r) != alg.dim:
-        raise InputError("tensor dimension does not match the algebra")
+    alg_bundle, alg, r = _load_algebra_and_tensor(args, "coboundary")
     co = coboundary_maps(alg, r)
     _emit(out, serialize_bundle(coalgebra_bundle(co, basis=alg_bundle.data.get("basis"))))
     symmetric = flip(r) == r
@@ -205,14 +212,7 @@ def _cmd_coboundary(args, out) -> int:
 
 
 def _cmd_ybe(args, out) -> int:
-    alg_bundle = _load(args.algebra)
-    r_bundle = _load(args.tensor)
-    if alg_bundle.kind != "pre_novikov" or r_bundle.kind != "tensor2":
-        raise InputError("ybe expects a pre_novikov bundle and a tensor2 bundle")
-    alg = bundle_to_objects(alg_bundle)
-    r = bundle_to_objects(r_bundle)
-    if len(r) != alg.dim:
-        raise InputError("tensor dimension does not match the algebra")
+    _, alg, r = _load_algebra_and_tensor(args, "ybe")
     residual = ybe_residual(alg, r)
     zero = t3_is_zero(residual)
     if args.format == "machine":
@@ -306,14 +306,7 @@ def _cmd_search(args, out) -> int:
 
 
 def _cmd_diag(args, out) -> int:
-    alg_bundle = _load(args.algebra)
-    r_bundle = _load(args.tensor)
-    if alg_bundle.kind != "pre_novikov" or r_bundle.kind != "tensor2":
-        raise InputError("diag expects a pre_novikov bundle and a tensor2 bundle")
-    alg = bundle_to_objects(alg_bundle)
-    r = bundle_to_objects(r_bundle)
-    if len(r) != alg.dim:
-        raise InputError("tensor dimension does not match the algebra")
+    _, alg, r = _load_algebra_and_tensor(args, "diag")
     diag = coboundary_diagnostics(alg, r)
     if args.format == "machine":
         doc = {
@@ -394,11 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on first use, not at import: every CLI process pays for its import
+_parser = functools.cache(build_parser)
+
+
 def run_command(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -1,5 +1,6 @@
-"""Exact scalars, based vector spaces, dense multilinear data, and the one
-exact contraction kernel every identity is evaluated with.
+"""Exact scalars, based vector spaces, dense multilinear data, the one exact
+contraction kernel every identity is evaluated with, the one builder of
+direct-sum tables, and the one exact elimination.
 
 Everything downstream works over the rationals with dense tuples indexed by
 basis position.  All values are immutable; every operation is a pure function,
@@ -21,7 +22,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -224,15 +225,17 @@ def contract(specs: dict, tables: dict) -> dict:
     return out
 
 
+def nested_fractions(num: np.ndarray, den: int = 1) -> tuple:
+    """An integer array over a denominator as nested tuples of Fractions."""
+    flat = [Fraction(int(x), den) for x in num.flat]
+    for size in reversed(num.shape[1:]):
+        flat = [tuple(flat[k : k + size]) for k in range(0, len(flat), size)]
+    return tuple(flat)
+
+
 def evaluate(specs: dict, tables: dict) -> dict:
     """``contract`` as nested tuples of Fractions, key by key."""
-    out = {}
-    for key, (num, den) in contract(specs, tables).items():
-        flat = [Fraction(int(x), den) for x in num.flat]
-        for size in reversed(num.shape[1:]):
-            flat = [tuple(flat[k : k + size]) for k in range(0, len(flat), size)]
-        out[key] = tuple(flat)
-    return out
+    return {key: nested_fractions(num, den) for key, (num, den) in contract(specs, tables).items()}
 
 
 def _contract1(subs: str, **tables):
@@ -300,67 +303,59 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
-def _integer_lift(m: Matrix) -> tuple[list[list[int]], Scalar]:
-    """Clear denominators: returns (integer matrix, scale) with int = scale * m."""
-    denom = 1
-    for row in m:
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    lifted = [[int(x * denom) for x in row] for row in m]
-    return lifted, Fraction(denom)
+def eliminate(m: Matrix) -> tuple[Scalar, Matrix | None]:
+    """Determinant and inverse of a square matrix, the inverse None when the
+    matrix is singular.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination of [M | I] on the integer
+    lift M = s m: after the step on column k every row holds (k+1)-minors of
+    the augmented matrix, so each division by the previous pivot is exact, and
+    the last pivot d is det M up to the sign of the row swaps, with d I on the
+    left and d M^{-1} on the right.
+    """
+    n = len(m)
+    lifted, den = _lift({"m": m})
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(lifted["m"].tolist())]
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return ZERO, None
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        pivot, row = a[k][k], a[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], row)]
+        prev = pivot
+    inverse = tuple(tuple(Fraction(x * den, prev) for x in row[n:]) for row in a)
+    return Fraction(sign * prev, den**n), inverse
 
 
 def exact_det(m: Matrix) -> Scalar:
-    """Determinant by fraction-free (Bareiss) elimination on the integer lift."""
-    n = len(m)
-    if any(len(row) != n for row in m):
+    """The determinant, by ``eliminate``."""
+    if any(len(row) != len(m) for row in m):
         raise InputError("determinant of a non-square matrix")
-    if n == 0:
-        return ONE
-    a, scale = _integer_lift(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return ZERO
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1]) / scale**n
+    return eliminate(m)[0]
+
+
+def mat_inverse(a: Matrix) -> Matrix:
+    """The inverse, by ``eliminate``; raises InputError if singular."""
+    if any(len(row) != len(a) for row in a):
+        raise InputError("solve_linear needs a square system")
+    inverse = eliminate(a)[1]
+    if inverse is None:
+        raise InputError("singular system")
+    return inverse
 
 
 def solve_linear(a: Matrix, b: Vector) -> Vector:
     """Solve the square system a x = b exactly; raises InputError if singular."""
-    n = len(a)
-    if any(len(row) != n for row in a) or len(b) != n:
+    if len(b) != len(a):
         raise InputError("solve_linear needs a square system")
-    rows = [list(row) + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise InputError("singular system")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        pv = rows[col][col]
-        rows[col] = [x / pv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return tuple(rows[i][n] for i in range(n))
-
-
-def mat_inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    cols = [solve_linear(a, basis_vec(n, j)) for j in range(n)]
-    return mat_transpose(tuple(cols))
+    return mat_vec(mat_inverse(a), b)
 
 
 # ---------------------------------------------------------------------------
@@ -392,23 +387,47 @@ class StructureConstants:
     def zero(n: int) -> "StructureConstants":
         return StructureConstants(n, tuple(tuple(vec_zero(n) for _ in range(n)) for _ in range(n)))
 
-    def entry(self, i: int, j: int, k: int) -> Scalar:
-        return self.c[i][j][k]
-
     def add(self, other: "StructureConstants") -> "StructureConstants":
         if self.dim != other.dim:
             raise InputError("dimension mismatch")
         return StructureConstants(self.dim, tuple(mat_add(a, b) for a, b in zip(self.c, other.c)))
 
-    def flip_args(self) -> "StructureConstants":
-        """Table of the opposite product (a, b) -> b * a."""
-        n = self.dim
-        return StructureConstants(
-            n, tuple(tuple(self.c[j][i] for j in range(n)) for i in range(n))
-        )
-
     def is_zero(self) -> bool:
         return t3_is_zero(self.c)
+
+
+# Where each table of ``direct_sum_table`` goes, by the summand (A or M) of
+# each of its three slots, and the axes it is read with: a family X holds one
+# matrix per basis element, X[a][z][x] being the coefficient of the z-th basis
+# vector in X(a) applied to the x-th.
+_BLOCKS = {
+    "o": ("AAA", (0, 1, 2)),
+    ".": ("MMM", (0, 1, 2)),
+    "lA": ("AMM", (0, 2, 1)),
+    "rA": ("MAM", (2, 0, 1)),
+    "lB": ("MAA", (0, 2, 1)),
+    "rB": ("AMA", (2, 0, 1)),
+}
+
+
+def direct_sum_table(n: int, m: int, tables: dict) -> StructureConstants:
+    """The product table on A (+) M, on the basis (e_1..e_n, v_1..v_m), of
+
+        (a+u)(b+v) = (a o b + lB(u)b + rB(v)a) + (u . v + lA(a)v + rA(b)u),
+
+    with no validity requirement.  ``tables`` holds any of: the A product
+    "o", the M product ".", the families lA, rA of A acting on M (n matrices
+    of size m x m) and lB, rB of M acting on A (m matrices of size n x n); a
+    missing one is zero.  The tables are lifted to integers over one common
+    denominator and each is placed as one block of a zero table.
+    """
+    lifted, den = _lift(tables)
+    span = {"A": slice(0, n), "M": slice(n, n + m)}
+    c = np.zeros((n + m,) * 3, dtype=object)
+    for name, array in lifted.items():
+        summands, axes = _BLOCKS[name]
+        c[tuple(span[s] for s in summands)] = array.transpose(axes)
+    return StructureConstants(n + m, nested_fractions(c, den))
 
 
 def apply_op(op: StructureConstants, a: Vector, b: Vector) -> Vector:

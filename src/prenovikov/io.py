@@ -287,7 +287,7 @@ def render_report(report: Report, fmt: str = "text") -> str:
 def _report_lines(report: Report, depth: int) -> list[str]:
     pad = "  " * depth
     verdict = "PASS" if report.passed else "FAIL"
-    lines = [f"{pad}{verdict} {report.name} ({report.seconds:.3f}s)"]
+    lines = [f"{pad}{verdict} {report.name}"]
     if report.identities:
         lines.append(pad + "  checked: " + ", ".join(render_identity(i) for i in report.identities))
     for v in report.violations:
@@ -315,12 +315,12 @@ def _report_doc(report: Report) -> dict:
             for v in report.violations
         ],
         "sections": [_report_doc(s) for s in report.sections],
-        "seconds": report.seconds,
     }
 
 
 def parse_report(text: str) -> Report:
-    """Inverse of the machine rendering."""
+    """Inverse of the machine rendering.  The ``seconds`` field that older
+    renderings carried is ignored."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -345,7 +345,6 @@ def _report_from_doc(raw: Any) -> Report:
         identities=tuple(raw.get("identities", [])),
         violations=violations,
         sections=tuple(_report_from_doc(s) for s in raw.get("sections", [])),
-        seconds=raw.get("seconds", 0.0),
     )
     verdict = raw.get("verdict")
     if verdict not in ("pass", "fail") or (verdict == "pass") != report.passed:

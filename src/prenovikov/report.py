@@ -48,7 +48,6 @@ class Report:
     identities: tuple[str, ...] = ()
     violations: tuple[Violation, ...] = ()
     sections: tuple["Report", ...] = ()
-    seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -114,11 +113,10 @@ class ReportBuilder:
     def section(self, report: Report) -> None:
         self._sections.append(report)
 
-    def build(self, seconds: float = 0.0) -> Report:
+    def build(self) -> Report:
         return Report(
             name=self.name,
             identities=self.identities,
             violations=tuple(sorted(self._violations, key=Violation.sort_key)),
             sections=tuple(self._sections),
-            seconds=seconds,
         )
