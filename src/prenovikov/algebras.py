@@ -28,6 +28,7 @@ from .core import (
     evaluate,
     exact_det,
     mat_transpose,
+    nested_fractions,
     overflow_bound,
     sum_terms,
 )
@@ -144,7 +145,7 @@ def form_iso(w: FormMatrix) -> Matrix:
     inverse = eliminate(mat_transpose(w.w))[1]
     if inverse is None:
         raise InputError("form is degenerate")
-    return inverse
+    return nested_fractions(*inverse)
 
 
 def pre_novikov_from_qf(op: StructureConstants, w: FormMatrix) -> PreNovikovAlgebra:

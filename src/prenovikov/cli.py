@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -24,16 +23,16 @@ from .algebras import (
 from .bialgebra import check_bialgebra, check_coalgebra
 from .core import InputError, RefusalError, flip, scalar_str, t3_is_zero
 from .io import (
+    FLAVORS,
     Bundle,
+    bundle_doc,
     bundle_to_objects,
-    coalgebra_bundle,
-    form_bundle,
-    novikov_bundle,
+    dumps,
+    make_bundle,
     parse_bundle,
     pre_novikov_bundle,
     render_report,
     serialize_bundle,
-    tensor2_bundle,
     _encode,
 )
 from .matched_double import double_from_bialgebra
@@ -55,6 +54,12 @@ from .yang_baxter import (
     search_symmetric_ybe,
     ybe_residual,
 )
+
+# flavor -> (rep check, dual rep, operator check)
+_FLAVOR_CHECKS = {
+    "novikov": (check_novikov_rep, dual_novikov_rep, check_o_operator_novikov),
+    "pre_novikov": (check_pre_novikov_rep, dual_pre_novikov_rep, check_o_operator_pre_novikov),
+}
 
 
 def _load(path: str) -> Bundle:
@@ -99,24 +104,13 @@ def _cmd_check(args, out) -> int:
     elif kind == "bialgebra":
         report = check_bialgebra(obj.algebra, obj.coalgebra, basis=basis)
     elif kind == "form":
-        alg, w = obj
-        report = check_quasi_frobenius(alg.op, w, basis=basis)
+        report = check_quasi_frobenius(obj[0].op, obj[1], basis=basis)
     elif kind == "rep":
-        alg, rep = obj
-        if bundle.data["flavor"] == "novikov":
-            report = check_novikov_rep(alg, rep, basis=basis,
-                                       module_basis=bundle.data.get("module_basis"))
-        else:
-            report = check_pre_novikov_rep(alg, rep, basis=basis,
-                                           module_basis=bundle.data.get("module_basis"))
+        check_rep = _FLAVOR_CHECKS[bundle.data["flavor"]][0]
+        report = check_rep(*obj, basis=basis, module_basis=bundle.data.get("module_basis"))
     elif kind == "o_operator":
-        alg, rep, t = obj
-        if bundle.data["flavor"] == "novikov":
-            report = check_o_operator_novikov(alg, rep, t,
-                                              module_basis=bundle.data.get("module_basis"))
-        else:
-            report = check_o_operator_pre_novikov(alg, rep, t,
-                                                  module_basis=bundle.data.get("module_basis"))
+        check_operator = _FLAVOR_CHECKS[bundle.data["flavor"]][2]
+        report = check_operator(*obj, module_basis=bundle.data.get("module_basis"))
     else:
         raise InputError(f"no verifier for bundle kind {kind!r}")
     _emit(out, render_report(report, args.format))
@@ -125,59 +119,41 @@ def _cmd_check(args, out) -> int:
 
 def _cmd_derive(args, out) -> int:
     bundle = _load(args.bundle)
+    basis = bundle.data.get("basis")
     if bundle.kind == "pre_novikov":
         alg = bundle_to_objects(bundle)
-        report = check_pre_novikov(alg.lhd, alg.rhd, basis=bundle.data.get("basis"))
-        if not report.passed:
-            _emit(out, render_report(report, args.format))
-            return 1
+        report = check_pre_novikov(alg.lhd, alg.rhd, basis=basis)
+    elif bundle.kind == "rep":
+        alg, rep = bundle_to_objects(bundle)
+        flavor = bundle.data["flavor"]
+        check_rep, dual_rep, _ = _FLAVOR_CHECKS[flavor]
+        report = check_rep(alg, rep)
+    else:
+        raise InputError(f"derive expects a pre_novikov or rep bundle, got {bundle.kind!r}")
+    if not report.passed:
+        _emit(out, render_report(report, args.format))
+        return 1
+    if bundle.kind == "rep":
+        parts = {"dual_rep": _maps_doc(flavor, dual_rep(replace(rep, verified=True)))}
+    else:
         nov = associated_novikov(alg)
         odot, star = derived_ops(alg)
         nov_rep, pre_rep = adjoint_reps(alg)
         parts = {
-            "associated": json.loads(serialize_bundle(novikov_bundle(nov, bundle.data.get("basis")))),
+            "associated": bundle_doc(make_bundle("novikov", basis, dim=nov.dim, product=nov.op.c)),
             "odot": _encode(odot.c),
             "star": _encode(star.c),
-            "adjoint_novikov_rep": _maps_doc(nov_rep),
-            "adjoint_pre_novikov_rep": _pre_maps_doc(pre_rep),
-            "dual_novikov_rep": _maps_doc(dual_novikov_rep(nov_rep)),
-            "dual_pre_novikov_rep": _pre_maps_doc(dual_pre_novikov_rep(pre_rep)),
+            "adjoint_novikov_rep": _maps_doc("novikov", nov_rep),
+            "adjoint_pre_novikov_rep": _maps_doc("pre_novikov", pre_rep),
+            "dual_novikov_rep": _maps_doc("novikov", dual_novikov_rep(nov_rep)),
+            "dual_pre_novikov_rep": _maps_doc("pre_novikov", dual_pre_novikov_rep(pre_rep)),
         }
-        _emit(out, json.dumps({"kind": "derived", "parts": parts}, sort_keys=True, indent=2))
-        return 0
-    if bundle.kind == "rep":
-        alg, rep = bundle_to_objects(bundle)
-        if bundle.data["flavor"] == "novikov":
-            report = check_novikov_rep(alg, rep)
-            if not report.passed:
-                _emit(out, render_report(report, args.format))
-                return 1
-            dual = dual_novikov_rep(replace(rep, verified=True))
-            doc = _maps_doc(dual)
-        else:
-            report = check_pre_novikov_rep(alg, rep)
-            if not report.passed:
-                _emit(out, render_report(report, args.format))
-                return 1
-            dual = dual_pre_novikov_rep(replace(rep, verified=True))
-            doc = _pre_maps_doc(dual)
-        _emit(out, json.dumps({"kind": "derived", "parts": {"dual_rep": doc}},
-                              sort_keys=True, indent=2))
-        return 0
-    raise InputError(f"derive expects a pre_novikov or rep bundle, got {bundle.kind!r}")
+    _emit(out, dumps({"kind": "derived", "parts": parts}))
+    return 0
 
 
-def _maps_doc(rep) -> dict:
-    return {"l": _encode(rep.l), "r": _encode(rep.r)}
-
-
-def _pre_maps_doc(rep) -> dict:
-    return {
-        "l_rhd": _encode(rep.l_rhd),
-        "r_rhd": _encode(rep.r_rhd),
-        "l_lhd": _encode(rep.l_lhd),
-        "r_lhd": _encode(rep.r_lhd),
-    }
+def _maps_doc(flavor: str, rep) -> dict:
+    return {name: _encode(getattr(rep, name)) for name in FLAVORS[flavor]["maps"]}
 
 
 def _cmd_double(args, out) -> int:
@@ -192,8 +168,9 @@ def _cmd_double(args, out) -> int:
             _emit(out, render_report(exc.report, args.format))
         print(f"double construction refused: {exc}", file=sys.stderr)
         return 1
-    out_bundle = form_bundle(double.algebra.op, double.form, basis=double.labels)
-    _emit(out, serialize_bundle(out_bundle))
+    op = double.algebra.op
+    _emit(out, serialize_bundle(make_bundle("form", double.labels, dim=op.dim, product=op.c,
+                                            matrix=double.form.w)))
     _emit(out, render_report(double.report.sections[-1], args.format))  # the quasi-Frobenius check
     return 0
 
@@ -201,7 +178,8 @@ def _cmd_double(args, out) -> int:
 def _cmd_coboundary(args, out) -> int:
     alg_bundle, alg, r = _load_algebra_and_tensor(args, "coboundary")
     co = coboundary_maps(alg, r)
-    _emit(out, serialize_bundle(coalgebra_bundle(co, basis=alg_bundle.data.get("basis"))))
+    _emit(out, serialize_bundle(make_bundle("coalgebra", alg_bundle.data.get("basis"), dim=co.dim,
+                                            alpha=co.alpha, beta=co.beta)))
     symmetric = flip(r) == r
     residual_zero = t3_is_zero(ybe_residual(alg, r))
     bi = check_bialgebra(alg, co, basis=alg_bundle.data.get("basis"))
@@ -223,7 +201,7 @@ def _cmd_ybe(args, out) -> int:
         }
         if flip(r) == r:
             doc["equivalent_verdicts"] = list(co2_equivalence(alg, r))
-        _emit(out, json.dumps(doc, sort_keys=True, indent=2))
+        _emit(out, dumps(doc))
     else:
         _emit(out, f"residual zero: {'yes' if zero else 'no'}")
         if not zero:
@@ -254,33 +232,23 @@ def _cmd_oper(args, out) -> int:
     rep_alg, rep = bundle_to_objects(rep_bundle)
     T = bundle_to_objects(t_bundle)
     flavor = rep_bundle.data["flavor"]
-    if flavor == "novikov":
-        if alg_bundle.kind != "novikov":
-            raise InputError("algebra bundle must be kind novikov for a novikov rep")
-        alg = bundle_to_objects(alg_bundle)
-        if alg.op != rep_alg.op:
-            raise InputError("rep bundle algebra differs from the algebra bundle")
-        report = check_o_operator_novikov(alg, rep, T,
-                                          module_basis=rep_bundle.data.get("module_basis"))
-        _emit(out, render_report(report, args.format))
-        if args.lift:
-            raise InputError("--lift applies to pre_novikov flavor only")
-        return 0 if report.passed else 1
-    if alg_bundle.kind != "pre_novikov":
-        raise InputError("algebra bundle must be kind pre_novikov for a pre_novikov rep")
+    if alg_bundle.kind != flavor:
+        raise InputError(f"algebra bundle must be kind {flavor} for a {flavor} rep")
     alg = bundle_to_objects(alg_bundle)
     if alg != rep_alg:
         raise InputError("rep bundle algebra differs from the algebra bundle")
-    report = check_o_operator_pre_novikov(alg, rep, T,
-                                          module_basis=rep_bundle.data.get("module_basis"))
+    check_operator = _FLAVOR_CHECKS[flavor][2]
+    report = check_operator(alg, rep, T, module_basis=rep_bundle.data.get("module_basis"))
     _emit(out, render_report(report, args.format))
     if args.lift:
+        if flavor == "novikov":
+            raise InputError("--lift applies to pre_novikov flavor only")
         semi, r = lift_o_operator(alg, rep, T)
         lab = tuple(default_labels(alg.dim)) + tuple(
             f"{x}*" for x in (rep_bundle.data.get("module_basis") or default_labels(rep.module_dim, "v"))
         )
         _emit(out, serialize_bundle(pre_novikov_bundle(semi, basis=lab)))
-        _emit(out, serialize_bundle(tensor2_bundle(r, basis=lab)))
+        _emit(out, serialize_bundle(make_bundle("tensor2", lab, dim=len(r), entries=r)))
         _emit(out, f"lifted residual zero: {'yes' if t3_is_zero(ybe_residual(semi, r)) else 'no'}")
     return 0 if report.passed else 1
 
@@ -299,9 +267,9 @@ def _cmd_search(args, out) -> int:
         "kind": "search_results",
         "dim": alg.dim,
         "count": len(solutions),
-        "solutions": [json.loads(serialize_bundle(tensor2_bundle(r))) for r in solutions],
+        "solutions": [bundle_doc(make_bundle("tensor2", dim=len(r), entries=r)) for r in solutions],
     }
-    _emit(out, json.dumps(doc, sort_keys=True, indent=2))
+    _emit(out, dumps(doc))
     return 0
 
 
@@ -315,7 +283,7 @@ def _cmd_diag(args, out) -> int:
             "r_tensors": {k: _encode(v) for k, v in diag.r_tensors.items()},
             "equation_residuals": {k: _encode(v) for k, v in diag.equation_residuals.items()},
         }
-        _emit(out, json.dumps(doc, sort_keys=True, indent=2))
+        _emit(out, dumps(doc))
     else:
         _emit(out, f"operator conditions all zero: {'yes' if diag.conditions_zero() else 'no'}")
         for code, grid in sorted(diag.condition_residuals.items()):

@@ -303,9 +303,10 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
-def eliminate(m: Matrix) -> tuple[Scalar, Matrix | None]:
-    """Determinant and inverse of a square matrix, the inverse None when the
-    matrix is singular.
+def eliminate(m: Matrix) -> tuple[Scalar, tuple[np.ndarray, int] | None]:
+    """Determinant and inverse of a square matrix.  The inverse comes unboxed,
+    as ``(numerators, denominator)`` for ``nested_fractions``, and is None
+    when the matrix is singular.
 
     Fraction-free (Bareiss) Gauss-Jordan elimination of [M | I] on the integer
     lift M = s m: after the step on column k every row holds (k+1)-minors of
@@ -330,8 +331,8 @@ def eliminate(m: Matrix) -> tuple[Scalar, Matrix | None]:
                 f = a[i][k]
                 a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], row)]
         prev = pivot
-    inverse = tuple(tuple(Fraction(x * den, prev) for x in row[n:]) for row in a)
-    return Fraction(sign * prev, den**n), inverse
+    inverse = np.array([row[n:] for row in a], dtype=object) * den
+    return Fraction(sign * prev, den**n), (inverse, prev)
 
 
 def exact_det(m: Matrix) -> Scalar:
@@ -348,7 +349,7 @@ def mat_inverse(a: Matrix) -> Matrix:
     inverse = eliminate(a)[1]
     if inverse is None:
         raise InputError("singular system")
-    return inverse
+    return nested_fractions(*inverse)
 
 
 def solve_linear(a: Matrix, b: Vector) -> Vector:

@@ -1,11 +1,14 @@
 """Bundle files and report rendering.
 
 A bundle is a JSON document with a ``kind`` field and rational entries written
-as strings ("1/2", "-3"); plain JSON integers are accepted on input, floats
-never are.  Parsing is strict: unknown fields and shape mismatches are
-rejected with the offending path, syntax errors with line and column.
-Serialization is canonical (sorted keys, reduced fractions, two-space indent,
-trailing newline), so parse-serialize round trips are byte-identical.
+as exact decimal or p/q strings ("1/2", "-3", "0.5"); plain JSON integers are
+accepted on input, floats never are.  ``KINDS`` and ``FLAVORS`` are the one
+place the format is declared: each kind's fields, sizes and array shapes, and
+each flavor's algebra tables and map families.  Parsing is strict: unknown
+fields and shape mismatches are rejected with the offending path, syntax
+errors with line and column.  Serialization is canonical (sorted keys, reduced
+fractions, two-space indent, trailing newline), so parse-serialize round trips
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -17,25 +20,41 @@ from typing import Any
 
 from .algebras import FormMatrix, NovikovAlgebra, PreNovikovAlgebra
 from .bialgebra import PreNovikovBialgebra, PreNovikovCoalgebra
-from .core import InputError, StructureConstants, Tensor2, scalar_str
+from .core import InputError, StructureConstants, scalar_str
 from .labels import render_identity
 from .report import Report, Violation
 from .representations import NovikovRep, PreNovikovRep
 
-# kind -> (required fields, optional fields)
-SCHEMAS = {
-    "novikov": ({"dim", "product"}, {"basis"}),
-    "pre_novikov": ({"dim", "lhd", "rhd"}, {"basis"}),
-    "coalgebra": ({"dim", "alpha", "beta"}, {"basis"}),
-    "bialgebra": ({"dim", "lhd", "rhd", "alpha", "beta"}, {"basis"}),
-    "rep": ({"flavor", "algebra_dim", "module_dim", "algebra", "maps"}, {"basis", "module_basis"}),
-    "form": ({"dim", "product", "matrix"}, {"basis"}),
-    "tensor2": ({"dim", "entries"}, {"basis"}),
-    "linmap": ({"rows", "cols", "entries"}, set()),
-    "o_operator": (
-        {"flavor", "algebra_dim", "module_dim", "algebra", "maps", "t"},
-        {"basis", "module_basis"},
-    ),
+# The bundle format.  Each kind lists its fields in parse order.  A one-letter
+# spec is a size: a positive integer that later shapes use.  A longer spec is
+# the shape of a rational array over those sizes ("nmm" is n x m x m).  A None
+# spec is set by the flavor: "flavor" names a row of FLAVORS, which gives the
+# arrays of the "algebra" and "maps" objects.  Every kind with size n may carry
+# "basis" (n labels), and every kind with size m "module_basis" (m labels).
+_REP = {"flavor": None, "algebra_dim": "n", "module_dim": "m", "algebra": None, "maps": None}
+KINDS = {
+    "novikov": {"dim": "n", "product": "nnn"},
+    "pre_novikov": {"dim": "n", "lhd": "nnn", "rhd": "nnn"},
+    "coalgebra": {"dim": "n", "alpha": "nnn", "beta": "nnn"},
+    "bialgebra": {"dim": "n", "lhd": "nnn", "rhd": "nnn", "alpha": "nnn", "beta": "nnn"},
+    "form": {"dim": "n", "product": "nnn", "matrix": "nn"},
+    "tensor2": {"dim": "n", "entries": "nn"},
+    "linmap": {"rows": "r", "cols": "c", "entries": "rc"},
+    "rep": _REP,
+    "o_operator": {**_REP, "t": "nm"},
+}
+_LABELS = {"basis": "n", "module_basis": "m"}
+
+# flavor -> its "algebra" tables (those of the algebra kind of the same name)
+# and its "maps" families, which are also the attribute names of its "rep"
+# class; each group lists its fields sorted, which is their parse order
+FLAVORS = {
+    "novikov": {"algebra": {"product": "nnn"}, "maps": {"l": "nmm", "r": "nmm"}, "rep": NovikovRep},
+    "pre_novikov": {
+        "algebra": {"lhd": "nnn", "rhd": "nnn"},
+        "maps": {"l_lhd": "nmm", "l_rhd": "nmm", "r_lhd": "nmm", "r_rhd": "nmm"},
+        "rep": PreNovikovRep,
+    },
 }
 
 
@@ -66,45 +85,37 @@ def _array(value: Any, shape: tuple[int, ...], path: str):
     return tuple(_array(v, shape[1:], f"{path}[{i}]") for i, v in enumerate(value))
 
 
-def _positive_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
-        raise InputError(f"{path}: expected a positive integer")
-    return value
+def _check_names(obj: dict, required, allowed, problem: str) -> None:
+    """Reject fields outside ``allowed``, then missing ``required`` ones;
+    ``problem`` formats the message prefix from "unknown" or "missing"."""
+    for word, names in (("unknown", set(obj) - set(allowed)), ("missing", set(required) - set(obj))):
+        if names:
+            raise InputError(problem.format(word) + str(sorted(names)))
 
 
-def _basis(value: Any, n: int, path: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or len(value) != n or not all(isinstance(x, str) for x in value):
-        raise InputError(f"{path}: expected {n} basis label strings")
-    return tuple(value)
-
-
-def _parse_algebra_tables(obj: Any, flavor: str, n: int, path: str) -> dict:
-    if not isinstance(obj, dict):
-        raise InputError(f"{path}: expected an object")
-    want = {"product"} if flavor == "novikov" else {"lhd", "rhd"}
-    extra = set(obj) - want
-    if extra:
-        raise InputError(f"{path}: unknown fields {sorted(extra)}")
-    missing = want - set(obj)
-    if missing:
-        raise InputError(f"{path}: missing fields {sorted(missing)}")
-    return {k: _array(obj[k], (n, n, n), f"{path}.{k}") for k in sorted(want)}
-
-
-_REP_MAP_NAMES = {"novikov": ("l", "r"), "pre_novikov": ("l_rhd", "r_rhd", "l_lhd", "r_lhd")}
-
-
-def _parse_maps(obj: Any, flavor: str, n: int, m: int, path: str) -> dict:
-    if not isinstance(obj, dict):
-        raise InputError(f"{path}: expected an object")
-    want = set(_REP_MAP_NAMES[flavor])
-    extra = set(obj) - want
-    if extra:
-        raise InputError(f"{path}: unknown fields {sorted(extra)}")
-    missing = want - set(obj)
-    if missing:
-        raise InputError(f"{path}: missing fields {sorted(missing)}")
-    return {k: _array(obj[k], (n, m, m), f"{path}.{k}") for k in sorted(want)}
+def _parse_fields(raw: dict, specs: dict, prefix: str, sizes: dict) -> dict:
+    """Parse the fields ``specs`` declares, in order, recording sizes."""
+    data: dict[str, Any] = {}
+    for name, spec in specs.items():
+        value, path = raw[name], prefix + name
+        if name == "flavor":
+            flavor = FLAVORS.get(value) if isinstance(value, str) else None
+            if flavor is None:
+                raise InputError(f"flavor: expected {' or '.join(map(repr, FLAVORS))}, got {value!r}")
+            data[name] = value
+        elif spec is None:
+            if not isinstance(value, dict):
+                raise InputError(f"{path}: expected an object")
+            group = flavor[name]
+            _check_names(value, group, group, path + ": {} fields ")
+            data[name] = _parse_fields(value, group, path + ".", sizes)
+        elif len(spec) == 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+                raise InputError(f"{path}: expected a positive integer")
+            sizes[spec] = data[name] = value
+        else:
+            data[name] = _array(value, tuple(sizes[s] for s in spec), path)
+    return data
 
 
 def parse_bundle(text: str) -> Bundle:
@@ -116,56 +127,19 @@ def parse_bundle(text: str) -> Bundle:
     if not isinstance(raw, dict):
         raise InputError("bundle must be a JSON object")
     kind = raw.get("kind")
-    if kind not in SCHEMAS:
+    specs = KINDS.get(kind) if isinstance(kind, str) else None
+    if specs is None:
         raise InputError(f"kind: unknown bundle kind {kind!r}")
-    required, optional = SCHEMAS[kind]
-    fields = set(raw) - {"kind"}
-    extra = fields - required - optional
-    if extra:
-        raise InputError(f"unknown fields for kind {kind!r}: {sorted(extra)}")
-    missing = required - fields
-    if missing:
-        raise InputError(f"missing fields for kind {kind!r}: {sorted(missing)}")
-
-    data: dict[str, Any] = {}
-    if kind in ("novikov", "pre_novikov", "coalgebra", "bialgebra", "form", "tensor2"):
-        n = _positive_int(raw["dim"], "dim")
-        data["dim"] = n
-        table_fields = {
-            "novikov": ["product"],
-            "pre_novikov": ["lhd", "rhd"],
-            "coalgebra": ["alpha", "beta"],
-            "bialgebra": ["lhd", "rhd", "alpha", "beta"],
-            "form": ["product"],
-            "tensor2": [],
-        }[kind]
-        for f in table_fields:
-            data[f] = _array(raw[f], (n, n, n), f)
-        if kind == "form":
-            data["matrix"] = _array(raw["matrix"], (n, n), "matrix")
-        if kind == "tensor2":
-            data["entries"] = _array(raw["entries"], (n, n), "entries")
-        if "basis" in raw:
-            data["basis"] = _basis(raw["basis"], n, "basis")
-    elif kind == "linmap":
-        rows = _positive_int(raw["rows"], "rows")
-        cols = _positive_int(raw["cols"], "cols")
-        data.update(rows=rows, cols=cols, entries=_array(raw["entries"], (rows, cols), "entries"))
-    else:  # rep / o_operator
-        flavor = raw.get("flavor")
-        if flavor not in ("novikov", "pre_novikov"):
-            raise InputError(f"flavor: expected 'novikov' or 'pre_novikov', got {flavor!r}")
-        n = _positive_int(raw["algebra_dim"], "algebra_dim")
-        m = _positive_int(raw["module_dim"], "module_dim")
-        data.update(flavor=flavor, algebra_dim=n, module_dim=m)
-        data["algebra"] = _parse_algebra_tables(raw["algebra"], flavor, n, "algebra")
-        data["maps"] = _parse_maps(raw["maps"], flavor, n, m, "maps")
-        if kind == "o_operator":
-            data["t"] = _array(raw["t"], (n, m), "t")
-        if "basis" in raw:
-            data["basis"] = _basis(raw["basis"], n, "basis")
-        if "module_basis" in raw:
-            data["module_basis"] = _basis(raw["module_basis"], m, "module_basis")
+    labels = [name for name, size in _LABELS.items() if size in specs.values()]
+    _check_names(raw, specs, [*specs, *labels, "kind"], f"{{}} fields for kind {kind!r}: ")
+    sizes: dict[str, int] = {}
+    data = _parse_fields(raw, specs, "", sizes)
+    for name in labels:
+        if name in raw:
+            value, n = raw[name], sizes[_LABELS[name]]
+            if not isinstance(value, list) or len(value) != n or not all(isinstance(x, str) for x in value):
+                raise InputError(f"{name}: expected {n} basis label strings")
+            data[name] = tuple(value)
     return Bundle(kind, data)
 
 
@@ -179,20 +153,35 @@ def _encode(value: Any) -> Any:
     return value
 
 
+def dumps(doc: Any) -> str:
+    """The canonical JSON text of a document: sorted keys, two-space indent."""
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def bundle_doc(bundle: Bundle) -> dict:
+    """A bundle as a JSON document, fractions reduced to strings."""
+    return {"kind": bundle.kind, **_encode(bundle.data)}
+
+
 def serialize_bundle(bundle: Bundle) -> str:
     """Canonical serialization: sorted keys, reduced fractions, stable layout."""
-    doc = {"kind": bundle.kind}
-    doc.update({k: _encode(v) for k, v in bundle.data.items()})
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return dumps(bundle_doc(bundle)) + "\n"
+
+
+def make_bundle(kind: str, basis=None, **data) -> Bundle:
+    """A bundle of ``kind`` from its fields, with basis labels when given."""
+    if basis:
+        data["basis"] = tuple(basis)
+    return Bundle(kind, data)
+
+
+def pre_novikov_bundle(alg: PreNovikovAlgebra, basis=None) -> Bundle:
+    return make_bundle("pre_novikov", basis, dim=alg.dim, lhd=alg.lhd.c, rhd=alg.rhd.c)
 
 
 # ---------------------------------------------------------------------------
 # bundle <-> library objects
 # ---------------------------------------------------------------------------
-
-def _sc(table, n) -> StructureConstants:
-    return StructureConstants(n, table)
-
 
 def bundle_to_objects(bundle: Bundle):
     """Interpret a bundle as library objects.
@@ -206,70 +195,24 @@ def bundle_to_objects(bundle: Bundle):
     d = bundle.data
     kind = bundle.kind
     if kind == "novikov":
-        return NovikovAlgebra(_sc(d["product"], d["dim"]))
+        return NovikovAlgebra(StructureConstants(d["dim"], d["product"]))
     if kind == "pre_novikov":
-        return PreNovikovAlgebra(_sc(d["lhd"], d["dim"]), _sc(d["rhd"], d["dim"]))
+        n = d["dim"]
+        return PreNovikovAlgebra(StructureConstants(n, d["lhd"]), StructureConstants(n, d["rhd"]))
     if kind == "coalgebra":
         return PreNovikovCoalgebra(d["dim"], d["alpha"], d["beta"])
     if kind == "bialgebra":
-        alg = PreNovikovAlgebra(_sc(d["lhd"], d["dim"]), _sc(d["rhd"], d["dim"]))
-        co = PreNovikovCoalgebra(d["dim"], d["alpha"], d["beta"])
-        return PreNovikovBialgebra(alg, co)
+        return PreNovikovBialgebra(bundle_to_objects(Bundle("pre_novikov", d)),
+                                   bundle_to_objects(Bundle("coalgebra", d)))
     if kind == "form":
-        return NovikovAlgebra(_sc(d["product"], d["dim"])), FormMatrix(d["dim"], d["matrix"])
-    if kind == "tensor2":
+        return bundle_to_objects(Bundle("novikov", d)), FormMatrix(d["dim"], d["matrix"])
+    if kind in ("tensor2", "linmap"):
         return d["entries"]
-    if kind == "linmap":
-        return d["entries"]
-    if kind in ("rep", "o_operator"):
-        n = d["algebra_dim"]
-        if d["flavor"] == "novikov":
-            alg = NovikovAlgebra(_sc(d["algebra"]["product"], n))
-            rep = NovikovRep(alg, d["maps"]["l"], d["maps"]["r"])
-        else:
-            alg = PreNovikovAlgebra(_sc(d["algebra"]["lhd"], n), _sc(d["algebra"]["rhd"], n))
-            rep = PreNovikovRep(
-                alg, d["maps"]["l_rhd"], d["maps"]["r_rhd"], d["maps"]["l_lhd"], d["maps"]["r_lhd"]
-            )
-        if kind == "rep":
-            return alg, rep
-        return alg, rep, d["t"]
-    raise InputError(f"unsupported kind {kind!r}")
-
-
-def novikov_bundle(alg: NovikovAlgebra, basis=None) -> Bundle:
-    data = {"dim": alg.dim, "product": alg.op.c}
-    if basis:
-        data["basis"] = tuple(basis)
-    return Bundle("novikov", data)
-
-
-def pre_novikov_bundle(alg: PreNovikovAlgebra, basis=None) -> Bundle:
-    data = {"dim": alg.dim, "lhd": alg.lhd.c, "rhd": alg.rhd.c}
-    if basis:
-        data["basis"] = tuple(basis)
-    return Bundle("pre_novikov", data)
-
-
-def coalgebra_bundle(co: PreNovikovCoalgebra, basis=None) -> Bundle:
-    data = {"dim": co.dim, "alpha": co.alpha, "beta": co.beta}
-    if basis:
-        data["basis"] = tuple(basis)
-    return Bundle("coalgebra", data)
-
-
-def form_bundle(op: StructureConstants, w: FormMatrix, basis=None) -> Bundle:
-    data = {"dim": op.dim, "product": op.c, "matrix": w.w}
-    if basis:
-        data["basis"] = tuple(basis)
-    return Bundle("form", data)
-
-
-def tensor2_bundle(entries: Tensor2, basis=None) -> Bundle:
-    data = {"dim": len(entries), "entries": tuple(tuple(row) for row in entries)}
-    if basis:
-        data["basis"] = tuple(basis)
-    return Bundle("tensor2", data)
+    if kind not in ("rep", "o_operator"):
+        raise InputError(f"unsupported kind {kind!r}")
+    alg = bundle_to_objects(Bundle(d["flavor"], {"dim": d["algebra_dim"], **d["algebra"]}))
+    rep = FLAVORS[d["flavor"]]["rep"](alg, **d["maps"])
+    return (alg, rep) if kind == "rep" else (alg, rep, d["t"])
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +221,7 @@ def tensor2_bundle(entries: Tensor2, basis=None) -> Bundle:
 
 def render_report(report: Report, fmt: str = "text") -> str:
     if fmt == "machine":
-        return json.dumps(_report_doc(report), sort_keys=True, indent=2) + "\n"
+        return dumps(_report_doc(report)) + "\n"
     if fmt != "text":
         raise InputError(f"format must be 'text' or 'machine', got {fmt!r}")
     return "\n".join(_report_lines(report, 0)) + "\n"

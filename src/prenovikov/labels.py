@@ -468,7 +468,6 @@ IDENTITIES = {
     ]),
 }
 
-FORMULAS = {code: row[0] for code, row in IDENTITIES.items()}
 SPECS = {code: row[1:] for code, row in IDENTITIES.items() if len(row) > 1}
 
 

@@ -300,3 +300,130 @@ def test_cli_unknown_command():
 def test_parse_report_ignores_the_old_timing_field():
     doc = json.loads(render_report(Report(name="novikov", identities=("2.1",)), "machine"))
     assert parse_report(json.dumps({**doc, "seconds": 0.004})) == Report(name="novikov", identities=("2.1",))
+
+
+DROP = object()  # delete the field instead of setting it
+
+# Single-fault variants of each fixture kind and the message each must give.
+PARSE_ERRORS = [
+    ("dim2_novikov.json", ("dim",), DROP, "missing fields for kind 'novikov': ['dim']"),
+    ("dim2_novikov.json", ("extra",), 1, "unknown fields for kind 'novikov': ['extra']"),
+    ("dim2_novikov.json", ("dim",), 0, "dim: expected a positive integer"),
+    ("dim2_novikov.json", ("product", 1), DROP, "product: expected a list of length 2"),
+    ("dim2_novikov.json", ("product", 0, 0, 0), 0.5,
+     "product[0][0][0]: scalar entries must be exact rationals, got 0.5"),
+    ("dim2_novikov.json", ("product", 0, 0, 0), "1/0",
+     "product[0][0][0]: bad rational '1/0' (Fraction(1, 0))"),
+    ("dim2_novikov.json", ("basis",), ["e1"], "basis: expected 2 basis label strings"),
+    ("dim2_novikov.json", ("product",), {}, "product: expected a list of length 2"),
+    ("dim2_pre_novikov.json", ("rhd",), DROP, "missing fields for kind 'pre_novikov': ['rhd']"),
+    ("dim2_pre_novikov.json", ("dim",), -1, "dim: expected a positive integer"),
+    ("dim2_pre_novikov.json", ("lhd", 0, 1), ["1"], "lhd[0][1]: expected a list of length 2"),
+    ("dim2_pre_novikov.json", ("rhd", 1, 1, 1), "x",
+     "rhd[1][1][1]: bad rational 'x' (Invalid literal for Fraction: 'x')"),
+    ("dim2_pre_novikov.json", ("dim",), True, "dim: expected a positive integer"),
+    ("dim2_coalgebra.json", ("beta",), DROP, "missing fields for kind 'coalgebra': ['beta']"),
+    ("dim2_coalgebra.json", ("dim",), 3, "alpha: expected a list of length 3"),
+    ("dim2_coalgebra.json", ("alpha", 1, 1, 1), 1.5,
+     "alpha[1][1][1]: scalar entries must be exact rationals, got 1.5"),
+    ("dim2_coalgebra.json", ("basis",), ["e1", 2], "basis: expected 2 basis label strings"),
+    ("dim2_bialgebra.json", ("alpha",), DROP, "missing fields for kind 'bialgebra': ['alpha']"),
+    ("dim2_bialgebra.json", ("zz",), 1, "unknown fields for kind 'bialgebra': ['zz']"),
+    ("dim2_bialgebra.json", ("beta", 0), DROP, "beta: expected a list of length 2"),
+    ("dim2_bialgebra.json", ("lhd", 0, 0, 0), None,
+     "lhd[0][0][0]: scalar entries must be strings or integers, got None"),
+    ("dim2_double_qf.json", ("matrix",), DROP, "missing fields for kind 'form': ['matrix']"),
+    ("dim2_double_qf.json", ("matrix", 3), DROP, "matrix: expected a list of length 4"),
+    ("dim2_double_qf.json", ("matrix", 0, 0), 0.25,
+     "matrix[0][0]: scalar entries must be exact rationals, got 0.25"),
+    ("dim2_double_qf.json", ("dim",), "4", "dim: expected a positive integer"),
+    ("dim4_ybe_solution.json", ("entries",), DROP, "missing fields for kind 'tensor2': ['entries']"),
+    ("dim4_ybe_solution.json", ("entries", 0), ["1"], "entries[0]: expected a list of length 4"),
+    ("dim4_ybe_solution.json", ("entries", 3, 3), "1/x",
+     "entries[3][3]: bad rational '1/x' (Invalid literal for Fraction: '1/x')"),
+    ("dim4_ybe_solution.json", ("basis",), ["a", "b", "c"], "basis: expected 4 basis label strings"),
+    ("dim2_shift_t.json", ("rows",), 0, "rows: expected a positive integer"),
+    ("dim2_shift_t.json", ("cols",), DROP, "missing fields for kind 'linmap': ['cols']"),
+    ("dim2_shift_t.json", ("basis",), ["a", "b"], "unknown fields for kind 'linmap': ['basis']"),
+    ("dim2_shift_t.json", ("entries", 1), ["1", "0", "0"], "entries[1]: expected a list of length 2"),
+    ("dim2_shift_t.json", ("entries", 0, 0), 2.0,
+     "entries[0][0]: scalar entries must be exact rationals, got 2.0"),
+    ("dim2_rep.json", ("flavor",), DROP, "missing fields for kind 'rep': ['flavor']"),
+    ("dim2_rep.json", ("flavor",), "lie", "flavor: expected 'novikov' or 'pre_novikov', got 'lie'"),
+    ("dim2_rep.json", ("flavor",), 1, "flavor: expected 'novikov' or 'pre_novikov', got 1"),
+    ("dim2_rep.json", ("flavor",), ["novikov"],
+     "flavor: expected 'novikov' or 'pre_novikov', got ['novikov']"),
+    ("dim2_rep.json", ("algebra_dim",), 0, "algebra_dim: expected a positive integer"),
+    ("dim2_rep.json", ("module_dim",), DROP, "missing fields for kind 'rep': ['module_dim']"),
+    ("dim2_rep.json", ("algebra",), [], "algebra: expected an object"),
+    ("dim2_rep.json", ("algebra", "product"), DROP, "algebra: missing fields ['product']"),
+    ("dim2_rep.json", ("algebra", "lhd"), [], "algebra: unknown fields ['lhd']"),
+    ("dim2_rep.json", ("maps",), "l", "maps: expected an object"),
+    ("dim2_rep.json", ("maps", "r"), DROP, "maps: missing fields ['r']"),
+    ("dim2_rep.json", ("maps", "l_rhd"), [], "maps: unknown fields ['l_rhd']"),
+    ("dim2_rep.json", ("maps", "l", 0), DROP, "maps.l: expected a list of length 2"),
+    ("dim2_rep.json", ("algebra", "product", 0, 0, 0), 0.5,
+     "algebra.product[0][0][0]: scalar entries must be exact rationals, got 0.5"),
+    ("dim2_rep.json", ("module_basis",), ["v1"], "module_basis: expected 2 basis label strings"),
+    ("dim2_rep.json", ("basis",), ["e1", "e2", "e3"], "basis: expected 2 basis label strings"),
+    ("dim2_rep.json", ("t",), [], "unknown fields for kind 'rep': ['t']"),
+    ("dim2_pre_rep.json", ("algebra",), None, "algebra: expected an object"),
+    ("dim2_pre_rep.json", ("algebra", "rhd"), DROP, "algebra: missing fields ['rhd']"),
+    ("dim2_pre_rep.json", ("algebra", "product"), [], "algebra: unknown fields ['product']"),
+    ("dim2_pre_rep.json", ("maps",), [], "maps: expected an object"),
+    ("dim2_pre_rep.json", ("maps", "r_lhd"), DROP, "maps: missing fields ['r_lhd']"),
+    ("dim2_pre_rep.json", ("maps", "l"), [], "maps: unknown fields ['l']"),
+    ("dim2_pre_rep.json", ("maps", "l_lhd", 1, 1), ["0"],
+     "maps.l_lhd[1][1]: expected a list of length 2"),
+    ("dim2_pre_rep.json", ("maps", "r_rhd", 0, 0, 0), "1/0",
+     "maps.r_rhd[0][0][0]: bad rational '1/0' (Fraction(1, 0))"),
+    ("dim2_pre_rep.json", ("flavor",), "novikov", "algebra: unknown fields ['lhd', 'rhd']"),
+    ("dim2_pre_rep.json", ("module_basis",), ["v1", "v2", "v3"],
+     "module_basis: expected 2 basis label strings"),
+    ("dim2_o_operator.json", ("t",), DROP, "missing fields for kind 'o_operator': ['t']"),
+    ("dim2_o_operator.json", ("t",), [["1", "0"]], "t: expected a list of length 2"),
+    ("dim2_o_operator.json", ("t", 0), ["1"], "t[0]: expected a list of length 2"),
+    ("dim2_o_operator.json", ("t", 1, 1), 0.5, "t[1][1]: scalar entries must be exact rationals, got 0.5"),
+    ("dim2_o_operator.json", ("module_dim",), 1, "maps.l_lhd[0]: expected a list of length 1"),
+    ("dim2_o_operator.json", ("flavor",), None, "flavor: expected 'novikov' or 'pre_novikov', got None"),
+    ("dim2_o_operator.json", ("maps", "zz"), [], "maps: unknown fields ['zz']"),
+    ("dim2_o_operator.json", ("extra",), 0, "unknown fields for kind 'o_operator': ['extra']"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,path,value,message",
+    PARSE_ERRORS,
+    ids=[f"{n[:-5]}:{'.'.join(map(str, p))}={'DROP' if v is DROP else v!r}" for n, p, v, _ in PARSE_ERRORS],
+)
+def test_parse_error_messages(name, path, value, message):
+    doc = json.loads((FIXTURES / name).read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    with pytest.raises(InputError) as info:
+        parse_bundle(json.dumps(doc))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind,shown", [([1], "[1]"), ({"a": 1}, "{'a': 1}")])
+def test_cli_rejects_a_non_string_kind(tmp_path, capsys, kind, shown):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": kind}))
+    assert run(["check", str(bad)])[0] == 2
+    assert capsys.readouterr().err == f"input error: {bad}: kind: unknown bundle kind {shown}\n"
+
+
+def test_scalar_rule_is_exact_decimal_or_p_q_strings():
+    argv = ["search", fixture("dim2_pre_novikov.json")]
+    code, halves = run(argv + ["--values=-1/2,0,1/2"])
+    assert code == 0 and json.loads(halves)["count"] == 3
+    assert run(argv + ["--values=-0.5,0,0.5,1/2"]) == (0, halves)
+    doc = {"kind": "tensor2", "dim": 1, "entries": [["0.5"]]}
+    assert parse_bundle(json.dumps(doc)) == parse_bundle(json.dumps({**doc, "entries": [["1/2"]]}))
+    with pytest.raises(InputError, match="must be exact rationals, got 0.5"):
+        parse_bundle(json.dumps({**doc, "entries": [[0.5]]}))
