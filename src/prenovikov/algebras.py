@@ -30,6 +30,7 @@ from .core import (
     mat_transpose,
     nested_fractions,
     overflow_bound,
+    sum_batched,
     sum_terms,
 )
 from .report import Report, ReportBuilder, default_labels
@@ -218,10 +219,10 @@ def _sweep_dtype(vals) -> type:
     return np.int64 if bound <= INT64_MAX else object
 
 
-def _batch_zero(code: str, ops: dict, witness=slice(None)) -> np.ndarray:
+def _batch_zero(code: str, ops: dict) -> np.ndarray:
     """Which members of a batch of integer tables have an all-zero residual of
-    identity ``code`` at first witness index ``witness`` (at all by default)."""
-    res = sum_terms(labels.SPECS[code][1], ops, batch=frozenset(ops))[:, witness]
+    identity ``code``."""
+    res = sum_terms(labels.SPECS[code][1], ops, batch=frozenset(ops))
     return np.all(res.reshape(len(res), -1) == 0, axis=1)
 
 
@@ -235,21 +236,24 @@ def enumerate_dim2_pre_novikov(values=(-1, 0, 1)) -> list[PreNovikovAlgebra]:
     1. the pure-< identity 2.11, (a<b)<c = (a<c)<b, filters the < tables;
     2. identity 2.9, a>(b<c) = (a>b)<c + b<(a o c) - (b<a)<c, runs row by row
        of >: its residual at witness (i, j, k) reads > only as a>b, a>(.) and
-       a o c with a = e_i, that is only row i of > (and of o = < + >).  So for
-       each surviving < table and each row index i, every candidate row is
-       placed as row i of an otherwise-zero > table and kept when the witness-i
-       slice of the residual is zero; the > tables satisfying 2.9 are the
-       products of the kept rows, row 0 outermost (lexicographic order);
+       a o c with a = e_i, that is only row i of > (and of o = < + >), and
+       it is affine in that row.  So for each surviving < table and each row
+       index i the witness-i slice is evaluated on the zero row and the unit
+       rows only, every candidate row's slice follows by one integer matmul
+       (see ``_row_pairs``), and the > tables satisfying 2.9 are the products
+       of the rows whose slice is zero, row 0 outermost (lexicographic order);
     3. identities 2.10 and then 2.8 run over those (<, >) pairs only.
 
-    With values -1, 0, 1 that is 817 < tables after stage 1, 2 x 817 x 81 row
-    evaluations in stage 2 and 8,041 pairs in stage 3 (against 817 x 6,561 =
-    5.36M for the full pair space), leaving 257 algebras.  Every survivor is
-    re-verified through the exact checker before being returned; a
-    disagreement between the fast path and the checker raises.  Values are
-    deduplicated and sorted, and more than ``ENUM_TABLE_LIMIT`` tables per
-    product are refused.  Results come in lexicographic order of (<, >), are
-    memoized per value set, and each call returns a fresh list.
+    With values -1, 0, 1 that is 817 < tables after stage 1, 2 x 817 x 5
+    probe-row evaluations in stage 2 and 8,041 pairs in stage 3 (against
+    817 x 6,561 = 5.36M for the full pair space), leaving 257 algebras.  All
+    survivors are re-verified in one batched call on Python ints by a second
+    theorem route, the representation identities 4.18-4.27 on the regular
+    quadruple (see ``_regular_quadruple_ok``); a disagreement with the fast
+    path raises.  Values are deduplicated and sorted, and more than
+    ``ENUM_TABLE_LIMIT`` tables per product are refused.  Results come in
+    lexicographic order of (<, >), are memoized per value set, and each call
+    returns a fresh list.
     """
     vals = tuple(frac_int(v) for v in sorted({Fraction(v) for v in values}))
     count = len(vals) ** ENUM_DIM**3
@@ -264,23 +268,72 @@ def enumerate_dim2_pre_novikov(values=(-1, 0, 1)) -> list[PreNovikovAlgebra]:
 def _row_pairs(lhd_ok: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Stage 2: every (<, >) pair satisfying 2.9, as index rows
     ``(index into lhd_ok, index into rows for each row of >)``, in
-    lexicographic order."""
+    lexicographic order.
+
+    The witness-i slice of the 2.9 residual is affine in row i of >: with the
+    row flattened to v it is C + v D, where C is the slice at the zero row and
+    row p of D the slice at the p-th unit row minus C.  So the spec runs on
+    those 1 + n**2 probe rows per (< table, i), and the slices of all
+    candidate rows are one integer matmul, in int64 only when
+    |C| + n**2 max|v| max|D| fits.  The index rows are built from the masks
+    one row of > at a time, for a block of < tables at once.
+    """
     n = ENUM_DIM
+    probes = np.eye(n * n + 1, n * n, k=-1, dtype=np.int64).astype(rows.dtype).reshape(-1, n, n)
+    V = rows.reshape(len(rows), n * n)
     per_block = max(1, ENUM_CHUNK // len(rows))
     pairs = [np.empty((0, n + 1), dtype=np.intp)]
     for lstart in range(0, len(lhd_ok), per_block):
         lblock = lhd_ok[lstart : lstart + per_block]
-        L = np.repeat(lblock, len(rows), axis=0)
-        masks = []
+        b = len(lblock)
+        # member (l, i, p) holds < table l and probe row p as row i of >
+        L = np.repeat(lblock, n * len(probes), axis=0)
+        R = np.zeros_like(L)
         for i in range(n):
-            R = np.zeros_like(L)
-            R[:, i] = np.tile(rows, (len(lblock), 1, 1))
-            ok = _batch_zero("2.9", {"<": L, ">": R, "o": L + R}, witness=i)
-            masks.append(ok.reshape(len(lblock), len(rows)))
-        for l, row_ok in enumerate(zip(*masks), start=lstart):
-            grid = np.meshgrid(*map(np.flatnonzero, row_ok), indexing="ij")
-            pairs.append(np.stack([np.full_like(grid[0], l), *grid], axis=-1).reshape(-1, n + 1))
+            R.reshape(b, n, len(probes), n, n, n)[:, i, :, i] = probes
+        ops = {"<": L, ">": R, "o": L + R}
+        res = sum_terms(labels.SPECS["2.9"][1], ops, batch=frozenset(ops))
+        res = res.reshape(b, n, len(probes), n, -1)
+        # probe entries are 0 or 1, so _sweep_dtype's certificate covers res,
+        # and D, the linear terms at a unit row, is bounded by it too
+        S = np.stack([res[:, i, :, i] for i in range(n)], axis=1)  # (b, n, probe, slice)
+        C, D = S[:, :, :1], S[:, :, 1:] - S[:, :, :1]
+        bound = int(np.abs(C).max()) + n * n * int(np.abs(V).max()) * int(np.abs(D).max())
+        dtype = np.int64 if bound <= INT64_MAX else object
+        slices = C.astype(dtype) + V.astype(dtype) @ D.astype(dtype)
+        ok = ~(slices != 0).any(axis=3)  # (b, n, candidate row)
+
+        # extend each partial index row (l, row_0..row_{i-1}) by the rows
+        # kept for row i of table l, in order
+        idx = np.arange(b)[:, None]
+        for i in range(n):
+            counts = ok[:, i].sum(axis=1)
+            kept = np.nonzero(ok[:, i])[1]  # table by table
+            reps = counts[idx[:, 0]]
+            offsets = np.cumsum(counts) - counts
+            at = np.repeat(offsets[idx[:, 0]] - (np.cumsum(reps) - reps), reps) + np.arange(reps.sum())
+            idx = np.column_stack([np.repeat(idx, reps, axis=0), kept[at]])
+        idx[:, 0] += lstart
+        pairs.append(idx)
     return np.concatenate(pairs)
+
+
+def _regular_quadruple_ok(lhd: np.ndarray, rhd: np.ndarray) -> np.ndarray:
+    """Which members of a batch of integer (<, >) table pairs have a regular
+    quadruple (L>, R>, L<, R<) satisfying the representation identities
+    4.18-4.27, evaluated on Python ints.
+
+    That is exactly the pre-Novikov pairs: the regular quadruple of a
+    pre-Novikov algebra is a representation, and on it 4.18, 4.19, 4.25 and
+    4.26 are 2.8, 2.9, 2.10 and 2.11 with the letters renamed.
+    """
+    tables = {"<": lhd.astype(object), ">": rhd.astype(object)}
+    adjoint = sum_batched({name: labels.OPERANDS[name] for name in ("L>", "R>", "L<", "R<")},
+                          tables, batch=set(tables))
+    ops = {**tables, "l>": adjoint["L>"], "r>": adjoint["R>"], "l<": adjoint["L<"], "r<": adjoint["R<"]}
+    res = sum_batched({code: labels.SPECS[code][1] for code in labels.PRE_NOVIKOV_REP},
+                      ops, batch=set(ops))
+    return ~np.any([(r.reshape(len(r), -1) != 0).any(axis=1) for r in res.values()], axis=0)
 
 
 @functools.lru_cache(maxsize=8)
@@ -298,7 +351,7 @@ def _enumerate(vals: tuple[int, ...]) -> tuple[PreNovikovAlgebra, ...]:
     pairs = _row_pairs(lhd_ok, rows)
 
     # Stage 3: 2.10, then 2.8 on the pairs that pass it.
-    survivors = []
+    lefts, rights = [tables[:0]], [tables[:0]]
     for start in range(0, len(pairs), ENUM_CHUNK):
         chunk = pairs[start : start + ENUM_CHUNK]
         L, R = lhd_ok[chunk[:, 0]], rows[chunk[:, 1:]]
@@ -307,15 +360,13 @@ def _enumerate(vals: tuple[int, ...]) -> tuple[PreNovikovAlgebra, ...]:
         if not len(keep):
             continue
         keep = keep[_batch_zero("2.8", {"<": L[keep], ">": R[keep], "o": O[keep]})]
-        survivors.extend(zip(L[keep], R[keep]))
+        lefts.append(L[keep])
+        rights.append(R[keep])
 
-    out = []
-    for lt, rt in survivors:
-        alg = PreNovikovAlgebra(
-            StructureConstants.from_rows([[list(map(int, row)) for row in plane] for plane in lt]),
-            StructureConstants.from_rows([[list(map(int, row)) for row in plane] for plane in rt]),
-        )
-        if not check_pre_novikov(alg.lhd, alg.rhd).passed:
-            raise InternalCheckError("fast enumeration accepted a pair the checker rejects")
-        out.append(alg)
-    return tuple(out)
+    lhd, rhd = np.concatenate(lefts), np.concatenate(rights)
+    if len(lhd) and not _regular_quadruple_ok(lhd, rhd).all():
+        raise InternalCheckError("fast enumeration accepted a pair the regular quadruple rejects")
+    return tuple(
+        PreNovikovAlgebra(StructureConstants(n, lt), StructureConstants(n, rt))
+        for lt, rt in zip(nested_fractions(lhd), nested_fractions(rhd))
+    )

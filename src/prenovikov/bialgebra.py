@@ -14,6 +14,7 @@ verdicts agreeing is a theorem; a disagreement raises the bug sentinel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import labels
@@ -37,6 +38,12 @@ class PreNovikovCoalgebra:
                 len(t) != n or any(len(row) != n for row in t) for t in maps
             ):
                 raise InputError(f"{name} must be an {n}x{n}x{n} array")
+
+    @cached_property
+    def dual(self) -> tuple[StructureConstants, StructureConstants]:
+        """The dual-space products, computed once per coalgebra by
+        ``coalgebra_to_dual_algebra``."""
+        return coalgebra_to_dual_algebra(self)
 
 
 @dataclass(frozen=True)
@@ -66,7 +73,7 @@ def check_coalgebra(co: PreNovikovCoalgebra, basis=None) -> Report:
     rb.check({"al": co.alpha, "be": co.beta})
     direct = rb.build()
 
-    lhd_star, rhd_star = coalgebra_to_dual_algebra(co)
+    lhd_star, rhd_star = co.dual
     dual_basis = tuple(f"{b}*" for b in lab)
     dual = check_pre_novikov(lhd_star, rhd_star, basis=dual_basis)
     if direct.passed != dual.passed:

@@ -127,7 +127,7 @@ def _cmd_derive(args, out) -> int:
         alg, rep = bundle_to_objects(bundle)
         flavor = bundle.data["flavor"]
         check_rep, dual_rep, _ = _FLAVOR_CHECKS[flavor]
-        report = check_rep(alg, rep)
+        report = check_rep(alg, rep, basis=basis, module_basis=bundle.data.get("module_basis"))
     else:
         raise InputError(f"derive expects a pre_novikov or rep bundle, got {bundle.kind!r}")
     if not report.passed:
@@ -244,7 +244,7 @@ def _cmd_oper(args, out) -> int:
         if flavor == "novikov":
             raise InputError("--lift applies to pre_novikov flavor only")
         semi, r = lift_o_operator(alg, rep, T)
-        lab = tuple(default_labels(alg.dim)) + tuple(
+        lab = tuple(alg_bundle.data.get("basis") or default_labels(alg.dim)) + tuple(
             f"{x}*" for x in (rep_bundle.data.get("module_basis") or default_labels(rep.module_dim, "v"))
         )
         _emit(out, serialize_bundle(pre_novikov_bundle(semi, basis=lab)))

@@ -146,6 +146,34 @@ def sum_terms(terms: Terms, arrays: dict, batch=frozenset()) -> np.ndarray:
     return acc
 
 
+def sum_batched(specs: dict, arrays: dict, batch) -> dict:
+    """``sum_terms`` of each term list in ``specs`` on integer arrays, the
+    operands named in ``batch`` carrying a leading batch axis ``N``.
+
+    Names missing from ``arrays`` are derived once for all specs through
+    ``labels.OPERANDS``, batched when one of their inputs is.  The caller
+    certifies that the dtype cannot overflow.
+    """
+    arrays, batch = dict(arrays), set(batch)
+
+    def resolve(terms):
+        for _, _, names in terms:
+            for name in names:
+                if name not in arrays:
+                    sub = labels.OPERANDS[name]
+                    resolve(sub)
+                    inputs = {m for _, _, ms in sub for m in ms} & batch
+                    arrays[name] = sum_terms(sub, arrays, batch=inputs)
+                    if inputs:
+                        batch.add(name)
+
+    out = {}
+    for key, terms in specs.items():
+        resolve(terms)
+        out[key] = sum_terms(terms, arrays, batch=batch)
+    return out
+
+
 def _lift(tables: dict) -> tuple[dict, int]:
     """Integer object arrays over one common denominator of all entries."""
     raw = {name: np.array(t, dtype=object) for name, t in tables.items()}
@@ -226,8 +254,11 @@ def contract(specs: dict, tables: dict) -> dict:
 
 
 def nested_fractions(num: np.ndarray, den: int = 1) -> tuple:
-    """An integer array over a denominator as nested tuples of Fractions."""
-    flat = [Fraction(int(x), den) for x in num.flat]
+    """An integer array over a denominator as nested tuples of Fractions, one
+    Fraction object per distinct value."""
+    ints = num.ravel().tolist()
+    box = {x: Fraction(x, den) for x in set(ints)}
+    flat = [box[x] for x in ints]
     for size in reversed(num.shape[1:]):
         flat = [tuple(flat[k : k + size]) for k in range(0, len(flat), size)]
     return tuple(flat)

@@ -25,7 +25,7 @@ from .algebras import (
     pre_novikov_from_qf,
     sum_table,
 )
-from .bialgebra import PreNovikovBialgebra, check_bialgebra, coalgebra_to_dual_algebra
+from .bialgebra import PreNovikovBialgebra, check_bialgebra
 from .core import (
     ONE,
     ZERO,
@@ -144,7 +144,7 @@ def induced_matched_pair(bialg: PreNovikovBialgebra) -> MatchedPair:
     find out whether it actually is one.
     """
     alg = bialg.algebra
-    lhd_star, rhd_star = coalgebra_to_dual_algebra(bialg.coalgebra)
+    lhd_star, rhd_star = bialg.coalgebra.dual
     l_a, r_a = dual_adjoint_maps(alg.lhd, alg.rhd)
     l_b, r_b = dual_adjoint_maps(lhd_star, rhd_star)
     return MatchedPair(
@@ -165,7 +165,7 @@ def _blocks_match(bialg: PreNovikovBialgebra, induced: PreNovikovAlgebra) -> boo
     part; the mixed products are not constrained.
     """
     n = bialg.algebra.dim
-    lhd_star, rhd_star = coalgebra_to_dual_algebra(bialg.coalgebra)
+    lhd_star, rhd_star = bialg.coalgebra.dual
     pad = (0,) * n
 
     def same_blocks(got, table, table_star):

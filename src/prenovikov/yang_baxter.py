@@ -41,6 +41,7 @@ from .core import (
     flip,
     nested_fractions,
     overflow_bound,
+    sum_batched,
     sum_terms,
     t3_is_zero,
 )
@@ -363,8 +364,11 @@ def search_symmetric_ybe(
     refused beyond ``max_candidates``.  It is searched row by row (see
     ``_search_rows``), in int64 after clearing denominators when
     ``overflow_bound`` certifies the 4.13 spec and on Python-int object arrays
-    otherwise.  Every hit is re-verified through the rational evaluator
-    before returning, sorted lexicographically by upper-triangle coordinates.
+    otherwise.  The hits are re-verified by a second theorem route, the
+    operator form: T_r is an O-operator of the dual adjoint quadruple (4.29
+    and 4.30, see ``_o_operator_ok``), in batched calls of up to
+    ``VERIFY_CHUNK`` hits.  They are returned sorted lexicographically by
+    upper-triangle coordinates.
     """
     values = sorted({Fraction(v) for v in value_set})
     if not values:
@@ -378,30 +382,66 @@ def search_symmetric_ybe(
         )
     workers = workers if workers is not None else _workers_from_env()
 
-    # the products over their common denominator, the values over theirs
-    lifted = contract({name: [(1, "ijk->ijk", (name,))] for name in ("o", "(.)", "<")},
-                      {"<": alg.lhd.c, ">": alg.rhd.c})
-    ints = {name: num for name, (num, _) in lifted.items()}
+    ints = _integer_tables(alg)
     val_scale = lcm(*(v.denominator for v in values))
     scaled = [int(v * val_scale) for v in values]
-    terms = labels.SPECS[labels.YBE][1]
-    shapes = {"r": (n, n), **{name: a.shape for name, a in ints.items()}}
-    maxabs = {"r": max(map(abs, scaled)), **{name: int(np.abs(a).max()) for name, a in ints.items()}}
-    dtype = np.int64 if overflow_bound(terms, shapes, maxabs) <= INT64_MAX else object
+    dtype = _dtype([labels.SPECS[labels.YBE][1]], ints, "r", max(map(abs, scaled)))
     hits = _search_rows(
-        {name: a.astype(dtype) for name, a in ints.items()},
+        {name: ints[name].astype(dtype) for name in ("o", "(.)", "<")},
         np.array(scaled, dtype=dtype),
         workers,
     )
 
-    solutions = []
-    for hit in hits:
-        r = nested_fractions(hit, val_scale)
-        if not t3_is_zero(ybe_residual(alg, r)):
-            raise InternalCheckError("fast search produced a non-solution")
-        solutions.append(r)
-    solutions.sort(key=lambda r: tuple(r[i][j] for i, j in positions))
-    return solutions
+    if not all(_o_operator_ok(ints, hits[k : k + VERIFY_CHUNK]).all()
+               for k in range(0, len(hits), VERIFY_CHUNK)):
+        raise InternalCheckError("fast search produced a non-solution")
+    hits = hits[np.lexsort([hits[:, i, j] for i, j in reversed(positions)])]
+    return list(nested_fractions(hits, val_scale))
+
+
+# hits per re-verification call: at 59,049 hits one call peaked above the
+# row search (228 MB against 189 MB, zero algebra at dim 4)
+VERIFY_CHUNK = 16_384
+
+
+_DUAL_QUADRUPLE = {name: dual_pre_novikov_spec("L>", "R>", "L<", "R<")[key] for name, key in (
+    ("l>", "l_rhd"), ("r>", "r_rhd"), ("l<", "l_lhd"), ("r<", "r_lhd"))}
+
+
+def _integer_tables(alg: PreNovikovAlgebra) -> dict:
+    """The products o, (.), <, > and the dual adjoint quadruple l>, r>, l<, r<
+    of ``alg`` as integer arrays over one common denominator, from one
+    kernel call."""
+    lifted = contract({**{name: [(1, "ijk->ijk", (name,))] for name in ("o", "(.)", "<", ">")},
+                       **_DUAL_QUADRUPLE}, {"<": alg.lhd.c, ">": alg.rhd.c})
+    return {name: num for name, (num, _) in lifted.items()}
+
+
+def _dtype(term_lists, ints: dict, name: str, top: int) -> type:
+    """int64 when ``overflow_bound`` certifies every term list on the integer
+    tables ``ints`` and an n x n operand ``name`` with entries up to ``top``
+    in absolute value, else object."""
+    n = ints["<"].shape[0]
+    shapes = {name: (n, n), **{k: a.shape for k, a in ints.items()}}
+    maxabs = {name: top, **{k: int(np.abs(a).max()) for k, a in ints.items()}}
+    bound = max(overflow_bound(terms, shapes, maxabs) for terms in term_lists)
+    return np.int64 if bound <= INT64_MAX else object
+
+
+def _o_operator_ok(ints: dict, hits: np.ndarray) -> np.ndarray:
+    """Which of a batch of integer symmetric r make T_r (the matrix r itself)
+    an O-operator of the dual adjoint quadruple: identities 4.29 and 4.30,
+    evaluated in one call with the batch axis on T.  By the operator-form
+    theorem these are exactly the r with a zero 4.13 residual.
+
+    ``ints`` is ``_integer_tables``; the identities are homogeneous in T and
+    in the tables, so the scales of both leave the verdict unchanged.
+    """
+    specs = {code: labels.SPECS[code][1] for code in labels.O_OPERATOR_PRE_NOVIKOV}
+    dtype = _dtype(specs.values(), ints, "T", int(np.abs(hits).max()))
+    res = sum_batched(specs, {"T": hits.astype(dtype), **{k: a.astype(dtype) for k, a in ints.items()}},
+                      batch={"T"})
+    return ~np.any([(r.reshape(len(r), -1) != 0).any(axis=1) for r in res.values()], axis=0)
 
 
 def _search_rows(ints: dict, scaled: np.ndarray, workers: int) -> np.ndarray:

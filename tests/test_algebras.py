@@ -23,6 +23,7 @@ from prenovikov import (
 )
 from prenovikov.core import (
     InputError,
+    InternalCheckError,
     StructureConstants,
     apply_op,
     basis_vec,
@@ -306,3 +307,57 @@ def test_enumeration_checks_2_10_and_2_8_on_the_2_9_pairs_only(monkeypatch):
     assert sizes["2.11"] == 3**8
     assert sizes["2.9"] <= 2 * 817 * 3**4
     assert sizes["2.8"] <= sizes["2.10"] <= 8_041
+
+
+def test_enumeration_reverification_catches_a_planted_pair(monkeypatch):
+    """A stage 3 that passes every 2.9 pair, most of which fail 2.8, is caught
+    by the regular-quadruple re-verification.  (On these pairs 2.10 already
+    implies 2.8, so stage 3 must skip both filters to let a 2.8 failure
+    through.)"""
+    batch_zero = algebras._batch_zero
+
+    def planted(code, ops):
+        ok = batch_zero(code, ops)
+        return np.ones_like(ok) if code in ("2.10", "2.8") else ok
+
+    monkeypatch.setattr(algebras, "_batch_zero", planted)
+    with pytest.raises(InternalCheckError, match="regular quadruple"):
+        algebras._enumerate.__wrapped__((-1, 0, 1))
+
+
+def _random_pairs(rng, n, count):
+    return [tuple(rng.choice([-1, 0, 0, 1], size=(n, n, n)) for _ in "<>") for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_regular_quadruple_verdict_matches_the_checker(n):
+    """Seeded differential test of the enumeration's second route on mostly
+    failing pairs: random tables, and one-entry mutations of pre-Novikov
+    pairs (enumerated ones, padded by a zero row and column at dim 3)."""
+    rng = np.random.default_rng(18 + n)
+    valid = [(np.array(a.lhd.c, dtype=np.int64), np.array(a.rhd.c, dtype=np.int64))
+             for a in enumerate_dim2_pre_novikov()[::8]]
+    valid = [tuple(np.pad(t, (0, n - 2)) for t in pair) for pair in valid]
+    mutants = []
+    for lhd, rhd in valid:
+        lhd, rhd = lhd.copy(), rhd.copy()
+        (lhd, rhd)[rng.integers(2)][tuple(rng.integers(n, size=3))] += 1
+        mutants.append((lhd, rhd))
+    pairs = valid + mutants + _random_pairs(rng, n, 60)
+    lhd, rhd = (np.stack(tables) for tables in zip(*pairs))
+    got = algebras._regular_quadruple_ok(lhd, rhd)
+    want = [check_pre_novikov(table(a.tolist()), table(b.tolist())).passed for a, b in pairs]
+    assert got.tolist() == want
+    assert 0 < sum(want) < len(want)
+
+
+def test_enumeration_over_four_values():
+    """(-2,-1,0,1) gives 548 algebras in lexicographic order, every one a
+    pre-Novikov pair, and contains the sweeps over its subsets."""
+    algs = enumerate_dim2_pre_novikov((-2, -1, 0, 1))
+    assert len(algs) == 548
+    keys = [(a.lhd.c, a.rhd.c) for a in algs]
+    assert keys == sorted(keys) and len(set(keys)) == 548
+    assert all(check_pre_novikov(a.lhd, a.rhd).passed for a in algs)
+    for values in [(-1, 0, 1), (-2, 0), (-2, 1)]:
+        assert set(enumerate_dim2_pre_novikov(values)) <= set(algs)

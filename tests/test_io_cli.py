@@ -427,3 +427,37 @@ def test_scalar_rule_is_exact_decimal_or_p_q_strings():
     assert parse_bundle(json.dumps(doc)) == parse_bundle(json.dumps({**doc, "entries": [["1/2"]]}))
     with pytest.raises(InputError, match="must be exact rationals, got 0.5"):
         parse_bundle(json.dumps({**doc, "entries": [[0.5]]}))
+
+
+def _relabeled(tmp_path, name, doc=None, **labels):
+    """A fixture (or ``doc``) with its labels replaced, written under tmp_path."""
+    doc = {**(doc or json.loads(Path(fixture(name)).read_text())), **labels}
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_cli_derive_reports_the_bundle_labels(tmp_path):
+    """A failing rep reports the same witnesses, with the bundle's labels,
+    under `derive` as under `check`."""
+    doc = json.loads(Path(fixture("dim2_rep.json")).read_text())
+    doc["maps"]["l"][0][0][0] = "5"
+    path = _relabeled(tmp_path, "broken_rep.json", doc, basis=["x", "y"], module_basis=["u", "w"])
+    for fmt in ("text", "machine"):
+        checked = run(["--format", fmt, "check", path])
+        assert checked[0] == 1
+        assert run(["--format", fmt, "derive", path]) == checked
+    assert "(x,y,u)" in run(["check", path])[1]
+
+
+def test_cli_oper_lift_labels_the_algebra_basis(tmp_path):
+    alg = _relabeled(tmp_path, "dim2_pre_novikov.json", basis=["x", "y"])
+    rep = _relabeled(tmp_path, "dim2_pre_rep.json", basis=["x", "y"], module_basis=["u", "w"])
+    code, text = run(["oper", alg, rep, fixture("dim2_shift_t.json"), "--lift"])
+    assert code == 0
+    decoder = json.JSONDecoder()
+    starts = [m.start() for m in re.finditer(r"^\{", text, re.MULTILINE)]
+    bundles = [parse_bundle(json.dumps(decoder.raw_decode(text, s)[0])) for s in starts]
+    assert [b.kind for b in bundles] == ["pre_novikov", "tensor2"]
+    for b in bundles:
+        assert b.data["basis"] == ("x", "y", "u*", "w*")

@@ -20,7 +20,7 @@ from prenovikov import (
     induced_matched_pair,
     standard_form,
 )
-from prenovikov import algebras, matched_double
+from prenovikov import algebras, bialgebra, matched_double
 from prenovikov.cli import run_command
 from prenovikov.core import StructureConstants, mat_zero
 
@@ -223,3 +223,19 @@ def test_verdicts_build_the_induced_pair_once(monkeypatch, bialg2):
     monkeypatch.setattr(matched_double, "induced_matched_pair", counted)
     assert double_matched_bialgebra_verdicts(bialg2) == (True, True, True)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["dim2_bialgebra.json", "dim4_bialgebra.json"])
+def test_one_dual_algebra_per_double(monkeypatch, name):
+    """`prenovikov double` dualizes the coalgebra once: the coalgebra check,
+    the induced matched pair and the block comparison share the tables."""
+    calls = []
+    evaluate = bialgebra.evaluate
+
+    def counted(specs, tables):
+        calls.append(set(tables) == {"al", "be"} and set(specs) == {"<", ">"})
+        return evaluate(specs, tables)
+
+    monkeypatch.setattr(bialgebra, "evaluate", counted)
+    assert run_command(["double", str(FIXTURES / name)], out=io.StringIO()) == 0
+    assert sum(calls) == 1

@@ -3,6 +3,7 @@ import os
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from prenovikov import (
@@ -17,6 +18,7 @@ from prenovikov import (
     check_o_operator_pre_novikov,
     check_pre_novikov,
     co2_equivalence,
+    enumerate_dim2_pre_novikov,
     coboundary_diagnostics,
     coboundary_maps,
     dual_novikov_rep,
@@ -32,6 +34,7 @@ from prenovikov import (
 from prenovikov.core import (
     INT64_MAX,
     InputError,
+    InternalCheckError,
     StructureConstants,
     basis_vec,
     flip,
@@ -40,13 +43,14 @@ from prenovikov.core import (
     t2_apply_left,
     t2_apply_right,
     t2_scale,
+    t2,
     t2_sub,
     t2_zero,
     t3_is_zero,
     mat_add,
     overflow_bound,
 )
-from prenovikov import labels
+from prenovikov import labels, yang_baxter
 from prenovikov.yang_baxter import _pool_size
 
 from conftest import conjugate_table, rand_invertible, rand_symmetric
@@ -375,3 +379,46 @@ def test_lift_biconditional_random_maps(alg2):
         t = tuple(tuple(F(rng.randint(-2, 2)) for _ in range(2)) for _ in range(2))
         semi, r = lift_o_operator(alg2, pre, t)  # raises if the biconditional breaks
         assert flip(r) == r
+
+
+def test_search_reverification_catches_a_planted_hit(monkeypatch, alg2):
+    """A row search that returns a non-solution is caught by the batched
+    operator-form re-verification."""
+    rows = yang_baxter._search_rows
+
+    def planted(ints, scaled, workers):
+        hits = rows(ints, scaled, workers)
+        return np.concatenate([hits, np.ones_like(hits[:1])])
+
+    assert not t3_is_zero(ybe_residual(alg2, ((F(1), F(1)), (F(1), F(1)))))
+    monkeypatch.setattr(yang_baxter, "_search_rows", planted)
+    with pytest.raises(InternalCheckError, match="non-solution"):
+        search_symmetric_ybe(alg2, [-1, 0, 1])
+
+
+def _random_algebra(rng, n):
+    return PreNovikovAlgebra(*(
+        StructureConstants.from_rows(rng.choice([-1, 0, 0, 1], size=(n, n, n)).tolist())
+        for _ in "<>"))
+
+
+def test_operator_form_verdict_matches_the_residual():
+    """Seeded differential test of the search's second route: for symmetric
+    r, identities 4.29/4.30 with the dual adjoint quadruple hold exactly when
+    the 4.13 residual is zero, on enumerated pre-Novikov algebras and on
+    random tables, which are almost never pre-Novikov."""
+    rng = np.random.default_rng(413)
+    every_r2 = [((a, b), (b, c)) for a, b, c in itertools.product((-1, 0, 1), repeat=3)]
+    cases = [(alg, every_r2) for alg in enumerate_dim2_pre_novikov()[::7]]
+    cases += [(_random_algebra(rng, 2), every_r2) for _ in range(12)]
+    for _ in range(12):
+        r = rng.choice([-1, 0, 0, 1], size=(20, 3, 3))
+        cases.append((_random_algebra(rng, 3), r + r.transpose(0, 2, 1)))
+    verdicts = []
+    for alg, rs in cases:
+        hits = np.array(rs, dtype=np.int64)
+        got = yang_baxter._o_operator_ok(yang_baxter._integer_tables(alg), hits)
+        want = [t3_is_zero(ybe_residual(alg, t2(r))) for r in hits.tolist()]
+        assert got.tolist() == want
+        verdicts += want
+    assert 0 < sum(verdicts) < len(verdicts)
