@@ -2,6 +2,11 @@
 contraction kernel every identity is evaluated with, the one builder of
 direct-sum tables, and the one exact elimination.
 
+The kernel compiles each term list once per set of operand shapes, degrees
+and batch axes into a plan (``_plan``, a bounded LRU cache keyed by the term
+list's content), so that a call on small tables pays for little more than
+its einsums: see ``contract`` and ``sum_terms``.
+
 Everything downstream works over the rationals with dense tuples indexed by
 basis position.  All values are immutable; every operation is a pure function,
 so identities reduce to exact equality tests with no tolerances anywhere.
@@ -22,7 +27,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -96,6 +101,11 @@ def overflow_bound(terms: Terms, shapes: dict, maxabs: dict) -> int:
     the operands are integers, so each factor is 0 or at least 1 in absolute
     value, and an intermediate sums products of fewer factors over fewer
     index values than the whole term, so it is bounded by the term's bound.
+
+    The kernel does not call this on every sum: each compiled plan keeps
+    every term's factor |coefficient| x (sizes summed over), so its bound is
+    sum(factor * den**shift * prod(max(maxabs, 1))) with the call's maxabs,
+    the same integer as this function on the degree-scaled terms.
     """
     total = 0
     for coef, subs, names in terms:
@@ -113,37 +123,171 @@ def overflow_bound(terms: Terms, shapes: dict, maxabs: dict) -> int:
     return total
 
 
+# A term whose full index loop (the product of the sizes of all its letters,
+# the batch axis included) is at most this runs as one einsum; a larger one
+# runs along a path planned once.  From timings on small integer tables: one
+# naive einsum is the cheapest below it, pairwise einsums above it, and
+# np.einsum along the path (its pairwise steps are batched matrix products)
+# on a batch axis.
+PATH_LOOP = 512
+
+# The plans ``_plan`` keeps, least recently used first out.  One process
+# meets a few hundred (spec, shapes, degrees) combinations at most, and a
+# plan holds a few short strings and tuples.
+PLAN_CACHE = 1024
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _names(terms: tuple) -> tuple[str, ...]:
+    """The operand names of a term list, in order of first use."""
+    return tuple(dict.fromkeys(name for _, _, names in terms for name in names))
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _plan(terms: tuple, shapes: tuple, degrees: tuple, batch: frozenset) -> "_Plan":
+    """The compiled plan of a term list, keyed by its content and by the
+    shapes and degrees of its operands (listed as ``_names`` lists them) and
+    the operands that carry a batch axis."""
+    return _Plan(terms, shapes, degrees, batch)
+
+
+def _steps(inputs: tuple, out: str, sizes: dict) -> tuple[tuple, int]:
+    """How one einsum term runs, and the entries per batch member of the
+    largest array it forms.
+
+    The steps are ``(picked, subscripts, options)``: each is ``np.einsum``
+    with these keyword options of the operands at positions ``picked`` of
+    the current list, its result appended to the list.  Above ``PATH_LOOP``
+    the term follows the greedy path ``np.einsum(optimize=True)`` picks for
+    these shapes: as pairwise einsums, or, with a batch axis ``N``, as one
+    ``np.einsum`` given that path.
+    """
+    def entries(letters):
+        return prod(sizes[c] for c in letters if c != "N")
+
+    subs, whole = f"{','.join(inputs)}->{out}", tuple(range(len(inputs)))
+    if prod(sizes.values()) <= PATH_LOOP:
+        return ((whole, subs, {}),), entries(out)
+    if len(inputs) <= 2:  # the path is the term itself
+        return ((whole, subs, {"optimize": True} if "N" in out else {}),), entries(out)
+    shaped = [np.broadcast_to(np.int8(0), tuple(sizes[c] for c in letters)) for letters in inputs]
+    path = np.einsum_path(subs, *shaped, optimize="greedy")[0]
+    inputs, steps = list(inputs), []
+    for picked in path[1:]:
+        picked = tuple(sorted(picked))
+        groups = [inputs[k] for k in picked]
+        for k in reversed(picked):
+            del inputs[k]
+        kept = set(out).union(*inputs)
+        result = out if not inputs else "".join(dict.fromkeys(c for g in groups for c in g if c in kept))
+        steps.append((picked, f"{','.join(groups)}->{result}", {}))
+        inputs.append(result)
+    peak = max(entries(step.split("->")[1]) for _, step, _ in steps)
+    return (((whole, subs, {"optimize": path}),) if "N" in out else tuple(steps)), peak
+
+
+class _Plan:
+    """A term list compiled for operands of fixed shapes and degrees.
+
+    Per term it holds the operand positions, the degree shift that brings
+    the term to the top degree ``top``, the bound factor (|coef| times the
+    number of index values the term sums over) and how the term runs: a
+    one-operand permutation as a transpose view, any other term as the
+    einsum steps of ``_steps``.  ``peak`` is the largest array a step forms,
+    in entries per batch member.
+    """
+
+    def __init__(self, terms, shapes, degrees, batch):
+        self.names = _names(terms)
+        pos = {name: k for k, name in enumerate(self.names)}
+        batched = [name in batch for name in self.names]
+        extent = [shape[1:] if b else shape for shape, b in zip(shapes, batched)]
+        own = [sum(degrees[pos[name]] for name in names) for _, _, names in terms]
+        self.top = max(own)
+        self.terms, self.peak = [], 0
+        for (coef, subs, names), degree in zip(terms, own):
+            inputs, out = _parse(subs)
+            at = tuple(pos[name] for name in names)
+            sizes = {}
+            for letters, k in zip(inputs, at):
+                sizes.update(zip(letters, extent[k]))
+            factor = abs(coef) * prod(size for c, size in sizes.items() if c not in out)
+            if batch:
+                inputs = tuple("N" + g if batched[k] else g for g, k in zip(inputs, at))
+                out = "N" + out
+                sizes["N"] = shapes[batched.index(True)][0]
+            axes, steps = None, ()
+            if len(at) == 1 and len(set(inputs[0])) == len(inputs[0]) and sorted(inputs[0]) == sorted(out):
+                axes = tuple(inputs[0].index(c) for c in out)
+            else:
+                steps, peak = _steps(inputs, out, sizes)
+                self.peak = max(self.peak, peak)
+            self.terms.append((coef, self.top - degree, factor, at, axes, steps))
+
+    def bound(self, maxabs: Sequence[int], den: int = 1) -> int:
+        """``overflow_bound`` of the degree-scaled terms: the sum over terms
+        of factor * den**shift * prod(max(maxabs, 1)) over its operands."""
+        pads = [max(m, 1) for m in maxabs]
+        total = 0
+        for _, shift, factor, at, _, _ in self.terms:
+            term = factor * den**shift
+            for k in at:
+                term *= pads[k]
+            total += term
+        return total
+
+    def run(self, operands: Sequence[np.ndarray], den: int = 1) -> np.ndarray:
+        """sum(coef * den**shift * term) on the operands listed as ``names``,
+        in their own dtype, which the caller certifies cannot overflow."""
+        acc = None
+        for coef, shift, _, at, axes, steps in self.terms:
+            coef *= den**shift
+            if axes is not None:
+                value = operands[at[0]].transpose(axes)
+            elif len(steps) == 1:
+                _, subs, options = steps[0]
+                value = np.einsum(subs, *[operands[k] for k in at], **options)
+            else:
+                ops = [operands[k] for k in at]
+                for picked, subs, options in steps:
+                    args = [ops[k] for k in picked]
+                    for k in reversed(picked):
+                        del ops[k]
+                    ops.append(np.einsum(subs, *args, **options))
+                value = ops[0]
+            # accumulate in place, so that one einsum temporary at most is alive
+            if acc is None:
+                acc = value * coef if coef != 1 or len(at) == 1 else value  # one operand: a view
+            elif coef == 1:
+                acc += value
+            elif coef == -1:
+                acc -= value
+            else:
+                acc += coef * value
+        return acc
+
+
+def _terms_plan(terms: Terms, shapes: dict, batch=frozenset()) -> _Plan:
+    """The plan ``sum_terms`` runs for operands of these shapes."""
+    terms = tuple(terms)
+    names = _names(terms)
+    return _plan(terms, tuple(shapes[name] for name in names), (0,) * len(names),
+                 frozenset(batch).intersection(names))
+
+
 def sum_terms(terms: Terms, arrays: dict, batch=frozenset()) -> np.ndarray:
     """sum(coef * einsum(subscripts, operands)) in the arrays' own dtype.
 
     Operands named in ``batch`` carry an extra leading axis ``N``, which the
-    result carries too; batched terms are contracted pairwise along a planned
-    path, single tables in one einsum.  The caller certifies that the dtype
-    cannot overflow.
+    result carries too.  The term list runs through its cached plan for
+    these shapes, the batch length included (see ``_Plan``): one-operand
+    permutations as transposes, a term whose full index loop exceeds
+    ``PATH_LOOP`` along the greedy path planned once (pairwise einsums, or
+    ``np.einsum`` given the path when batched), any other term as one einsum.
+    The caller certifies that the dtype cannot overflow.
     """
-    acc = None
-    for coef, subs, names in terms:
-        if batch:
-            inputs, out = _parse(subs)
-            inputs = ",".join(
-                "N" + letters if name in batch else letters
-                for letters, name in zip(inputs, names)
-            )
-            subs = f"{inputs}->N{out}"
-        # accumulate in place, so that one einsum temporary at most is alive
-        operands = [arrays[name] for name in names]
-        value = np.einsum(subs, *operands, optimize=bool(batch))
-        if acc is None:
-            acc = value
-            if coef != 1 or len(names) == 1:  # a one-operand einsum may be a view
-                acc = acc * coef
-        elif coef == 1:
-            acc += value
-        elif coef == -1:
-            acc -= value
-        else:
-            acc += coef * value
-    return acc
+    plan = _terms_plan(terms, {name: array.shape for name, array in arrays.items()}, batch)
+    return plan.run([arrays[name] for name in plan.names])
 
 
 def sum_batched(specs: dict, arrays: dict, batch) -> dict:
@@ -174,15 +318,35 @@ def sum_batched(specs: dict, arrays: dict, batch) -> dict:
     return out
 
 
+def _entries(table) -> tuple[list, tuple]:
+    """The entries of a table in row-major order, and its shape.  Regular
+    nested tuples and lists are flattened directly, which is much cheaper
+    than building an object array from them; anything else goes through
+    numpy."""
+    shape, level = (), [table]
+    while level and isinstance(level[0], (tuple, list)):
+        size = len(level[0])
+        if not all(isinstance(row, (tuple, list)) and len(row) == size for row in level):
+            break
+        shape += (size,)
+        level = [x for row in level for x in row]
+    else:
+        if not (level and isinstance(level[0], np.ndarray)):
+            return level, shape
+    array = np.array(table, dtype=object)
+    return array.ravel().tolist(), array.shape
+
+
 def _lift(tables: dict) -> tuple[dict, int]:
-    """Integer object arrays over one common denominator of all entries."""
-    raw = {name: np.array(t, dtype=object) for name, t in tables.items()}
-    den = lcm(*{x.denominator for a in raw.values() for x in a.flat})
-    lifted = {
-        name: np.array([x.numerator * (den // x.denominator) for x in a.flat],
-                       dtype=object).reshape(a.shape)
-        for name, a in raw.items()
-    }
+    """Integer arrays over one common denominator of all entries: int64
+    where every entry of a table fits, Python-int object arrays otherwise."""
+    flat = {name: _entries(t) for name, t in tables.items()}
+    den = lcm(*{x.denominator for values, _ in flat.values() for x in values})
+    lifted = {}
+    for name, (values, shape) in flat.items():
+        ints = [x.numerator * (den // x.denominator) for x in values]
+        dtype = np.int64 if max(map(abs, ints), default=0) <= INT64_MAX else object
+        lifted[name] = np.array(ints, dtype=dtype).reshape(shape)
     return lifted, den
 
 
@@ -195,40 +359,43 @@ class _Lifted:
         self.arrays, self.den = _lift(tables)
         self.degree = dict.fromkeys(self.arrays, 1)
         self.maxabs = {}
-        self.typed = {}
+        self.typed = {np.int64: {}, object: {}}
 
     def resolve(self, name: str) -> None:
         """Make ``name`` available, deriving it from ``labels.OPERANDS``."""
         if name not in self.arrays:
             self.arrays[name], self.degree[name] = self.sum(labels.OPERANDS[name])
-        if name not in self.maxabs:
-            self.maxabs[name] = int(np.abs(self.arrays[name]).max())
+        self.maxabs[name] = int(np.abs(self.arrays[name]).max())
 
-    def as_dtype(self, name: str, dtype) -> np.ndarray:
-        key = (name, dtype)
-        if key not in self.typed:
-            array = self.arrays[name]
-            self.typed[key] = array if array.dtype == dtype else array.astype(dtype)
-        return self.typed[key]
+    def as_dtype(self, names, dtype) -> list[np.ndarray]:
+        """The operands ``names`` in ``dtype``, each converted once."""
+        typed, out = self.typed[dtype], []
+        for name in names:
+            array = typed.get(name)
+            if array is None:
+                array = self.arrays[name]
+                typed[name] = array = array if array.dtype == dtype else array.astype(dtype)
+            out.append(array)
+        return out
 
     def sum(self, terms: Terms) -> tuple[np.ndarray, int]:
         """Evaluate terms on the operands; returns (integers, scale exponent).
 
         Each term is brought to the largest degree among the terms before
-        they are summed.
+        they are summed, in int64 when the plan's bound, which is
+        ``overflow_bound`` of the degree-scaled terms, certifies it.
         """
-        for _, _, names in terms:
-            for name in names:
+        terms = tuple(terms)
+        names = _names(terms)
+        for name in names:
+            if name not in self.maxabs:
                 self.resolve(name)
-        degrees = [sum(self.degree[name] for name in names) for _, _, names in terms]
-        top = max(degrees)
-        terms = [(coef * self.den ** (top - d), subs, names)
-                 for (coef, subs, names), d in zip(terms, degrees)]
-        used = {name for _, _, names in terms for name in names}
-        shapes = {name: self.arrays[name].shape for name in used}
-        dtype = np.int64 if overflow_bound(terms, shapes, self.maxabs) <= INT64_MAX else object
-        value = sum_terms(terms, {name: self.as_dtype(name, dtype) for name in used})
-        return np.asarray(value, dtype=dtype), top
+        plan = _plan(terms, tuple([self.arrays[name].shape for name in names]),
+                     tuple([self.degree[name] for name in names]), frozenset())
+        bound = plan.bound([self.maxabs[name] for name in names], self.den)
+        dtype = np.int64 if bound <= INT64_MAX else object
+        value = plan.run(self.as_dtype(names, dtype), self.den)
+        return np.asarray(value, dtype=dtype), plan.top
 
 
 def contract(specs: dict, tables: dict) -> dict:
@@ -240,8 +407,10 @@ def contract(specs: dict, tables: dict) -> dict:
     ``labels.OPERANDS``.  The tables are lifted once, to integers over one
     common denominator, and each derived name is computed once for all specs;
     each operand's largest entry and int64 copy are likewise taken once.
-    Each sum runs in int64 when ``overflow_bound`` certifies that it cannot
-    overflow, and on Python-int object arrays otherwise.  Returns key ->
+    Each term list runs through its cached plan (see ``sum_terms``), in int64
+    when the plan's bound, equal to ``overflow_bound`` of the degree-scaled
+    terms, certifies that no partial sum can overflow, and on Python-int
+    object arrays otherwise.  Returns key ->
     ``(numerators, denominator)``: the value is ``numerators / denominator``,
     entry by entry.
     """

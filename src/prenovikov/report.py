@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -89,7 +90,8 @@ class ReportBuilder:
 
         One violation is recorded per witness index whose residual is
         nonzero; ``shift`` offsets witness letters into ``labels`` (for a
-        second basis appended after the first).
+        second basis appended after the first).  One ``Fraction`` is boxed
+        per distinct residual value of each identity.
         """
         shift = shift or {}
         specs = {code: SPECS[code][1] for code in self.identities if code in SPECS}
@@ -97,11 +99,14 @@ class ReportBuilder:
             witness = SPECS[code][0]
             flat = num.reshape(num.shape[: len(witness)] + (-1,))
             offsets = [shift.get(letter, 0) for letter in witness]
-            for idx in zip(*np.nonzero((flat != 0).any(axis=-1))):
+            at = np.nonzero((flat != 0).any(axis=-1))
+            values = flat[at].tolist()
+            box = {x: Fraction(x, den) for x in set(chain.from_iterable(values))}
+            for idx, value in zip(zip(*(a.tolist() for a in at)), values):
                 self.residual(
                     code,
-                    tuple(int(i) + o for i, o in zip(idx, offsets)),
-                    tuple(Fraction(int(x), den) for x in flat[idx]),
+                    tuple(i + o for i, o in zip(idx, offsets)),
+                    tuple(box[x] for x in value),
                 )
 
     def flag(self, identity: str, message: str) -> None:

@@ -36,6 +36,7 @@ from .core import (
     StructureConstants,
     Tensor2,
     Tensor3,
+    _terms_plan,
     contract,
     evaluate,
     flip,
@@ -444,6 +445,16 @@ def _o_operator_ok(ints: dict, hits: np.ndarray) -> np.ndarray:
     return ~np.any([(r.reshape(len(r), -1) != 0).any(axis=1) for r in res.values()], axis=0)
 
 
+# Bytes of the largest einsum array one row-search chunk may form: the chunk
+# length follows from the 4.13 plan's largest array per candidate.
+CHUNK_BYTES = 4 * 2**20
+
+# Bytes of candidates one row of the search may keep.  Past it the search is
+# refused before the row's chunks are joined: on the zero algebra at dim 4,
+# -1,0,1 keeps 59,049 candidates (7.6 MB), -1,0,1,2 would keep 1,048,576.
+SURVIVOR_BYTES = 16 * 2**20
+
+
 def _search_rows(ints: dict, scaled: np.ndarray, workers: int) -> np.ndarray:
     """Symmetric integer tensors over ``scaled`` whose 4.13 residual vanishes.
 
@@ -452,6 +463,10 @@ def _search_rows(ints: dict, scaled: np.ndarray, workers: int) -> np.ndarray:
     batch by ``len(scaled)`` per entry of the row, after which every residual
     entry with max(a, b, c) <= k is final, so candidates with a nonzero one
     are dropped.  After the last row all n**3 entries have been checked.
+
+    Each row runs in chunks whose largest einsum array stays within
+    ``CHUNK_BYTES``, and a row keeping more than ``SURVIVOR_BYTES`` of
+    candidates is refused with ``InputError``.
     """
     n = ints["<"].shape[0]
     base = len(scaled)
@@ -472,15 +487,37 @@ def _search_rows(ints: dict, scaled: np.ndarray, workers: int) -> np.ndarray:
             final = res[:, : k + 1, : k + 1, : k + 1].reshape(hi - lo, -1)
             return R[~(final != 0).any(axis=1)]
 
-        chunk = max(1, min(65536, -(-total // _pool_size(workers, total))))
+        length = -(-total // _pool_size(workers, total))
+        shapes = {"r": (length, n, n), **{name: a.shape for name, a in ints.items()}}
+        member = _terms_plan(terms, shapes, {"r"}).peak * scaled.itemsize
+        chunk = max(1, min(length, CHUNK_BYTES // member))
         ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
         threads = _pool_size(workers, len(ranges))
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(lambda rg: eval_chunk(*rg), ranges))
+                try:
+                    parts = _kept(pool.map(lambda rg: eval_chunk(*rg), ranges), k)
+                except InputError:
+                    pool.shutdown(cancel_futures=True)
+                    raise
         else:
-            parts = [eval_chunk(*rg) for rg in ranges]
+            parts = _kept((eval_chunk(*rg) for rg in ranges), k)
         batch = np.concatenate(parts)
         if not len(batch):
             break
     return batch
+
+
+def _kept(parts, row: int) -> list:
+    """The survivor chunks of one search row, refused once they hold more
+    than ``SURVIVOR_BYTES``."""
+    kept, held = [], 0
+    for part in parts:
+        kept.append(part)
+        held += part.nbytes
+        if held > SURVIVOR_BYTES:
+            raise InputError(
+                f"search row {row + 1} keeps {sum(map(len, kept))} candidates so far, "
+                f"beyond the bound of {SURVIVOR_BYTES} bytes"
+            )
+    return kept

@@ -292,6 +292,27 @@ def test_search_with_fractional_values(alg2):
     assert t2_zero(2) in sols
 
 
+def test_search_chunks_bounded_in_bytes(monkeypatch, alg2):
+    """Chunks of one candidate each give the same solutions as the default
+    byte budget."""
+    alg3 = _block_diagonal_dim3(alg2)
+    sols = search_symmetric_ybe(alg3, [-1, 0, 1])
+    monkeypatch.setattr(yang_baxter, "CHUNK_BYTES", 1)
+    assert search_symmetric_ybe(alg3, [-1, 0, 1]) == sols
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_search_refuses_rows_beyond_the_survivor_bound(monkeypatch, workers):
+    """On the zero algebra every candidate survives: at dim 3 with -1,0,1
+    row 2 keeps 3**5 = 243 int64 tensors (17,496 bytes), past a bound of
+    10,000 bytes."""
+    zero = PreNovikovAlgebra(StructureConstants.zero(3), StructureConstants.zero(3))
+    assert len(search_symmetric_ybe(zero, [-1, 0, 1], workers=workers)) == 3**6
+    monkeypatch.setattr(yang_baxter, "SURVIVOR_BYTES", 10_000)
+    with pytest.raises(InputError, match=r"search row 2 keeps 243 candidates so far, beyond"):
+        search_symmetric_ybe(zero, [-1, 0, 1], workers=workers)
+
+
 def _block_diagonal_dim3(alg2) -> PreNovikovAlgebra:
     """The dim-2 fixture plus a null line."""
     rows = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
