@@ -8,7 +8,6 @@ report) when it does not pass.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,7 +15,6 @@ import numpy as np
 
 from . import labels
 from .core import (
-    INT64_MAX,
     InputError,
     InternalCheckError,
     Matrix,
@@ -24,14 +22,13 @@ from .core import (
     Scalar,
     StructureConstants,
     Vector,
+    _lift,
     eliminate,
     evaluate,
     exact_det,
     mat_transpose,
     nested_fractions,
-    overflow_bound,
     sum_batched,
-    sum_terms,
 )
 from .report import Report, ReportBuilder, default_labels
 
@@ -194,12 +191,13 @@ ENUM_TABLE_LIMIT = 4**8  # tables per product; stage 1 builds them all up front
 ENUM_CHUNK = 50_000  # batch members per stage-2 or stage-3 kernel call
 
 
-def _int_tables(values, dtype) -> np.ndarray:
+def _int_tables(values) -> np.ndarray:
     """Every ``ENUM_DIM``-dimensional table with entries in ``values``, in
-    lexicographic order of the flattened entries."""
+    lexicographic order of the flattened entries: int64 when every value
+    fits, Python ints otherwise (the rule of ``core._lift``)."""
     n = ENUM_DIM
-    grids = np.array(list(itertools.product(values, repeat=n**3)), dtype=dtype)
-    return grids.reshape(-1, n, n, n)
+    v = _lift({"v": values})[0]["v"]
+    return v[np.indices((len(v),) * n**3).reshape(n**3, -1).T].reshape(-1, n, n, n)
 
 
 def frac_int(v) -> int:
@@ -209,20 +207,10 @@ def frac_int(v) -> int:
     return int(f)
 
 
-def _sweep_dtype(vals) -> type:
-    """int64 when ``overflow_bound`` certifies 2.8-2.11 on tables with
-    entries in ``vals`` (so ``o`` = < + > up to twice as large), else object."""
-    top = max(map(abs, vals))
-    shapes = dict.fromkeys(("<", ">", "o"), (ENUM_DIM,) * 3)
-    maxabs = {"<": top, ">": top, "o": 2 * top}
-    bound = max(overflow_bound(labels.SPECS[code][1], shapes, maxabs) for code in labels.PRE_NOVIKOV)
-    return np.int64 if bound <= INT64_MAX else object
-
-
 def _batch_zero(code: str, ops: dict) -> np.ndarray:
     """Which members of a batch of integer tables have an all-zero residual of
     identity ``code``."""
-    res = sum_terms(labels.SPECS[code][1], ops, batch=frozenset(ops))
+    res = sum_batched({code: labels.SPECS[code][1]}, ops, batch=ops)[code]
     return np.all(res.reshape(len(res), -1) == 0, axis=1)
 
 
@@ -230,8 +218,8 @@ def enumerate_dim2_pre_novikov(values=(-1, 0, 1)) -> list[PreNovikovAlgebra]:
     """All dimension-2 pre-Novikov table pairs with entries in ``values``.
 
     The full pair space has ``len(values)**16`` members, so enumeration is
-    staged, in integer arithmetic (int64 when ``overflow_bound`` certifies it,
-    Python ints otherwise):
+    staged, in integer arithmetic (each kernel sum in int64 when its bound
+    certifies it, on Python ints otherwise):
 
     1. the pure-< identity 2.11, (a<b)<c = (a<c)<b, filters the < tables;
     2. identity 2.9, a>(b<c) = (a>b)<c + b<(a o c) - (b<a)<c, runs row by row
@@ -239,7 +227,7 @@ def enumerate_dim2_pre_novikov(values=(-1, 0, 1)) -> list[PreNovikovAlgebra]:
        a o c with a = e_i, that is only row i of > (and of o = < + >), and
        it is affine in that row.  So for each surviving < table and each row
        index i the witness-i slice is evaluated on the zero row and the unit
-       rows only, every candidate row's slice follows by one integer matmul
+       rows only, every candidate row's slice follows by one kernel matmul
        (see ``_row_pairs``), and the > tables satisfying 2.9 are the products
        of the rows whose slice is zero, row 0 outermost (lexicographic order);
     3. identities 2.10 and then 2.8 run over those (<, >) pairs only.
@@ -247,13 +235,12 @@ def enumerate_dim2_pre_novikov(values=(-1, 0, 1)) -> list[PreNovikovAlgebra]:
     With values -1, 0, 1 that is 817 < tables after stage 1, 2 x 817 x 5
     probe-row evaluations in stage 2 and 8,041 pairs in stage 3 (against
     817 x 6,561 = 5.36M for the full pair space), leaving 257 algebras.  All
-    survivors are re-verified in one batched call on Python ints by a second
-    theorem route, the representation identities 4.18-4.27 on the regular
-    quadruple (see ``_regular_quadruple_ok``); a disagreement with the fast
-    path raises.  Values are deduplicated and sorted, and more than
-    ``ENUM_TABLE_LIMIT`` tables per product are refused.  Results come in
-    lexicographic order of (<, >), are memoized per value set, and each call
-    returns a fresh list.
+    survivors are re-verified in one batched call by a second theorem route,
+    the representation identities 4.18-4.27 on the regular quadruple (see
+    ``_regular_quadruple_ok``); a disagreement with the fast path raises.
+    Values are deduplicated and sorted, and more than ``ENUM_TABLE_LIMIT``
+    tables per product are refused.  Results come in lexicographic order of
+    (<, >), are memoized per value set, and each call returns a fresh list.
     """
     vals = tuple(frac_int(v) for v in sorted({Fraction(v) for v in values}))
     count = len(vals) ** ENUM_DIM**3
@@ -274,13 +261,14 @@ def _row_pairs(lhd_ok: np.ndarray, rows: np.ndarray) -> np.ndarray:
     row flattened to v it is C + v D, where C is the slice at the zero row and
     row p of D the slice at the p-th unit row minus C.  So the spec runs on
     those 1 + n**2 probe rows per (< table, i), and the slices of all
-    candidate rows are one integer matmul, in int64 only when
-    |C| + n**2 max|v| max|D| fits.  The index rows are built from the masks
-    one row of > at a time, for a block of < tables at once.
+    candidate rows are one kernel term, [1 | V] @ [C ; D].  The index rows
+    are built from the masks one row of > at a time, for a block of < tables
+    at once.
     """
     n = ENUM_DIM
-    probes = np.eye(n * n + 1, n * n, k=-1, dtype=np.int64).astype(rows.dtype).reshape(-1, n, n)
+    probes = np.eye(n * n + 1, n * n, k=-1, dtype=np.int64).reshape(-1, n, n)
     V = rows.reshape(len(rows), n * n)
+    V = np.concatenate([np.ones_like(V[:, :1]), V], axis=1)  # [1 | V]
     per_block = max(1, ENUM_CHUNK // len(rows))
     pairs = [np.empty((0, n + 1), dtype=np.intp)]
     for lstart in range(0, len(lhd_ok), per_block):
@@ -291,17 +279,15 @@ def _row_pairs(lhd_ok: np.ndarray, rows: np.ndarray) -> np.ndarray:
         R = np.zeros_like(L)
         for i in range(n):
             R.reshape(b, n, len(probes), n, n, n)[:, i, :, i] = probes
-        ops = {"<": L, ">": R, "o": L + R}
-        res = sum_terms(labels.SPECS["2.9"][1], ops, batch=frozenset(ops))
+        res = sum_batched({"2.9": labels.SPECS["2.9"][1]}, {"<": L, ">": R}, batch={"<", ">"})["2.9"]
         res = res.reshape(b, n, len(probes), n, -1)
-        # probe entries are 0 or 1, so _sweep_dtype's certificate covers res,
-        # and D, the linear terms at a unit row, is bounded by it too
         S = np.stack([res[:, i, :, i] for i in range(n)], axis=1)  # (b, n, probe, slice)
-        C, D = S[:, :, :1], S[:, :, 1:] - S[:, :, :1]
-        bound = int(np.abs(C).max()) + n * n * int(np.abs(V).max()) * int(np.abs(D).max())
-        dtype = np.int64 if bound <= INT64_MAX else object
-        slices = C.astype(dtype) + V.astype(dtype) @ D.astype(dtype)
-        ok = ~(slices != 0).any(axis=3)  # (b, n, candidate row)
+        # D in place: an entry of D sums the parts of the 2.9 terms that read
+        # row i, at a unit row, so it stays under the bound that certified res
+        S[:, :, 1:] -= S[:, :, :1]
+        CD = S.reshape(b * n, len(probes), -1)
+        slices = sum_batched({"": [(1, "cp,ps->cs", ("V", "CD"))]}, {"V": V, "CD": CD}, batch={"CD"})[""]
+        ok = ~(slices != 0).any(axis=2).reshape(b, n, len(rows))  # (b, n, candidate row)
 
         # extend each partial index row (l, row_0..row_{i-1}) by the rows
         # kept for row i of table l, in order
@@ -321,25 +307,25 @@ def _row_pairs(lhd_ok: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _regular_quadruple_ok(lhd: np.ndarray, rhd: np.ndarray) -> np.ndarray:
     """Which members of a batch of integer (<, >) table pairs have a regular
     quadruple (L>, R>, L<, R<) satisfying the representation identities
-    4.18-4.27, evaluated on Python ints.
+    4.18-4.27.
 
     That is exactly the pre-Novikov pairs: the regular quadruple of a
     pre-Novikov algebra is a representation, and on it 4.18, 4.19, 4.25 and
     4.26 are 2.8, 2.9, 2.10 and 2.11 with the letters renamed.
     """
-    tables = {"<": lhd.astype(object), ">": rhd.astype(object)}
+    tables = {"<": lhd, ">": rhd}
     adjoint = sum_batched({name: labels.OPERANDS[name] for name in ("L>", "R>", "L<", "R<")},
-                          tables, batch=set(tables))
+                          tables, batch=tables)
     ops = {**tables, "l>": adjoint["L>"], "r>": adjoint["R>"], "l<": adjoint["L<"], "r<": adjoint["R<"]}
     res = sum_batched({code: labels.SPECS[code][1] for code in labels.PRE_NOVIKOV_REP},
-                      ops, batch=set(ops))
+                      ops, batch=ops)
     return ~np.any([(r.reshape(len(r), -1) != 0).any(axis=1) for r in res.values()], axis=0)
 
 
 @functools.lru_cache(maxsize=8)
 def _enumerate(vals: tuple[int, ...]) -> tuple[PreNovikovAlgebra, ...]:
     n = ENUM_DIM
-    tables = _int_tables(vals, _sweep_dtype(vals))  # (m, n, n, n)
+    tables = _int_tables(vals)  # (m, n, n, n)
     # the first len(vals)**(n*n) tables hold vals[0] in every row but the
     # last, which runs over every candidate row in lexicographic order
     rows = tables[: len(vals) ** (n * n), -1]
@@ -350,16 +336,17 @@ def _enumerate(vals: tuple[int, ...]) -> tuple[PreNovikovAlgebra, ...]:
     # Stage 2: 2.9, row by row of >.
     pairs = _row_pairs(lhd_ok, rows)
 
-    # Stage 3: 2.10, then 2.8 on the pairs that pass it.
+    # Stage 3: 2.10, then 2.8 on the pairs that pass it.  2.8 does not follow
+    # from 2.9-2.11: at dim 3, < = 0 with e1>e2 = e3 and e2>e3 = e3 fails it
+    # alone, though at dim 2 no pair tried has shown that.
     lefts, rights = [tables[:0]], [tables[:0]]
     for start in range(0, len(pairs), ENUM_CHUNK):
         chunk = pairs[start : start + ENUM_CHUNK]
         L, R = lhd_ok[chunk[:, 0]], rows[chunk[:, 1:]]
-        O = L + R
-        keep = np.flatnonzero(_batch_zero("2.10", {"<": L, ">": R, "o": O}))
+        keep = np.flatnonzero(_batch_zero("2.10", {"<": L, ">": R}))
         if not len(keep):
             continue
-        keep = keep[_batch_zero("2.8", {"<": L[keep], ">": R[keep], "o": O[keep]})]
+        keep = keep[_batch_zero("2.8", {"<": L[keep], ">": R[keep]})]
         lefts.append(L[keep])
         rights.append(R[keep])
 

@@ -5,7 +5,9 @@ direct-sum tables, and the one exact elimination.
 The kernel compiles each term list once per set of operand shapes, degrees
 and batch axes into a plan (``_plan``, a bounded LRU cache keyed by the term
 list's content), so that a call on small tables pays for little more than
-its einsums: see ``contract`` and ``sum_terms``.
+its einsums: see ``contract`` and ``sum_batched``.  It alone decides whether a
+sum runs in int64 or on Python ints, from the bound of its plan; callers
+certify nothing.
 
 Everything downstream works over the rationals with dense tuples indexed by
 basis position.  All values are immutable; every operation is a pure function,
@@ -88,39 +90,6 @@ def _parse(subs: str) -> tuple[tuple[str, ...], str]:
     """Einsum subscripts split into the input letter groups and the output."""
     inputs, out = subs.split("->")
     return tuple(inputs.split(",")), out
-
-
-def overflow_bound(terms: Terms, shapes: dict, maxabs: dict) -> int:
-    """A bound on every partial sum an integer evaluation of ``terms`` forms.
-
-    Each term contributes |coefficient| times the product of its operands'
-    largest entries (at least 1, so partial products stay under it too) times
-    the number of index values it sums over.
-
-    The bound also covers a term contracted pairwise along an einsum path:
-    the operands are integers, so each factor is 0 or at least 1 in absolute
-    value, and an intermediate sums products of fewer factors over fewer
-    index values than the whole term, so it is bounded by the term's bound.
-
-    The kernel does not call this on every sum: each compiled plan keeps
-    every term's factor |coefficient| x (sizes summed over), so its bound is
-    sum(factor * den**shift * prod(max(maxabs, 1))) with the call's maxabs,
-    the same integer as this function on the degree-scaled terms.
-    """
-    total = 0
-    for coef, subs, names in terms:
-        inputs, out = _parse(subs)
-        sizes = {}
-        for letters, name in zip(inputs, names):
-            sizes.update(zip(letters, shapes[name]))
-        term = abs(coef)
-        for name in names:
-            term *= max(maxabs[name], 1)
-        for letter, size in sizes.items():
-            if letter not in out:
-                term *= size
-        total += term
-    return total
 
 
 # A term whose full index loop (the product of the sizes of all its letters,
@@ -225,8 +194,17 @@ class _Plan:
             self.terms.append((coef, self.top - degree, factor, at, axes, steps))
 
     def bound(self, maxabs: Sequence[int], den: int = 1) -> int:
-        """``overflow_bound`` of the degree-scaled terms: the sum over terms
-        of factor * den**shift * prod(max(maxabs, 1)) over its operands."""
+        """A bound on every partial sum an integer evaluation forms, given
+        each operand's largest absolute entry: the sum over terms of
+        factor * den**shift * prod(max(maxabs, 1)) over its operands.
+
+        The padding to at least 1 keeps partial products under it too.  It
+        also covers a term contracted pairwise along its path: the operands
+        are integers, so each factor is 0 or at least 1 in absolute value,
+        and an intermediate sums products of fewer factors over fewer index
+        values than the whole term.  With a batch axis it bounds each
+        member, whose sums are independent.
+        """
         pads = [max(m, 1) for m in maxabs]
         total = 0
         for _, shift, factor, at, _, _ in self.terms:
@@ -238,7 +216,7 @@ class _Plan:
 
     def run(self, operands: Sequence[np.ndarray], den: int = 1) -> np.ndarray:
         """sum(coef * den**shift * term) on the operands listed as ``names``,
-        in their own dtype, which the caller certifies cannot overflow."""
+        in their own dtype, which ``_Lifted.sum`` certifies cannot overflow."""
         acc = None
         for coef, shift, _, at, axes, steps in self.terms:
             coef *= den**shift
@@ -267,55 +245,13 @@ class _Plan:
         return acc
 
 
-def _terms_plan(terms: Terms, shapes: dict, batch=frozenset()) -> _Plan:
-    """The plan ``sum_terms`` runs for operands of these shapes."""
+def _terms_plan(terms: Terms, shapes: dict, batch: frozenset) -> _Plan:
+    """The plan ``sum_batched`` runs for a term list on operands of these
+    shapes, the operands named in ``batch`` carrying the batch axis."""
     terms = tuple(terms)
     names = _names(terms)
-    return _plan(terms, tuple(shapes[name] for name in names), (0,) * len(names),
-                 frozenset(batch).intersection(names))
-
-
-def sum_terms(terms: Terms, arrays: dict, batch=frozenset()) -> np.ndarray:
-    """sum(coef * einsum(subscripts, operands)) in the arrays' own dtype.
-
-    Operands named in ``batch`` carry an extra leading axis ``N``, which the
-    result carries too.  The term list runs through its cached plan for
-    these shapes, the batch length included (see ``_Plan``): one-operand
-    permutations as transposes, a term whose full index loop exceeds
-    ``PATH_LOOP`` along the greedy path planned once (pairwise einsums, or
-    ``np.einsum`` given the path when batched), any other term as one einsum.
-    The caller certifies that the dtype cannot overflow.
-    """
-    plan = _terms_plan(terms, {name: array.shape for name, array in arrays.items()}, batch)
-    return plan.run([arrays[name] for name in plan.names])
-
-
-def sum_batched(specs: dict, arrays: dict, batch) -> dict:
-    """``sum_terms`` of each term list in ``specs`` on integer arrays, the
-    operands named in ``batch`` carrying a leading batch axis ``N``.
-
-    Names missing from ``arrays`` are derived once for all specs through
-    ``labels.OPERANDS``, batched when one of their inputs is.  The caller
-    certifies that the dtype cannot overflow.
-    """
-    arrays, batch = dict(arrays), set(batch)
-
-    def resolve(terms):
-        for _, _, names in terms:
-            for name in names:
-                if name not in arrays:
-                    sub = labels.OPERANDS[name]
-                    resolve(sub)
-                    inputs = {m for _, _, ms in sub for m in ms} & batch
-                    arrays[name] = sum_terms(sub, arrays, batch=inputs)
-                    if inputs:
-                        batch.add(name)
-
-    out = {}
-    for key, terms in specs.items():
-        resolve(terms)
-        out[key] = sum_terms(terms, arrays, batch=batch)
-    return out
+    return _plan(terms, tuple(shapes[name] for name in names), (1,) * len(names),
+                 batch.intersection(names))
 
 
 def _entries(table) -> tuple[list, tuple]:
@@ -350,22 +286,38 @@ def _lift(tables: dict) -> tuple[dict, int]:
     return lifted, den
 
 
-class _Lifted:
-    """The operands of one ``contract`` call: the lifted tables and every name
-    derived from them, each with its degree (it holds its values times
-    den**degree), its largest absolute entry and its copies per dtype."""
+# The batch of an unbatched call: shared, so that the rational path of
+# ``contract`` builds no set per sum.
+_NO_BATCH = frozenset()
 
-    def __init__(self, tables: dict):
-        self.arrays, self.den = _lift(tables)
-        self.degree = dict.fromkeys(self.arrays, 1)
+
+class _Lifted:
+    """The operands of one kernel call: integer arrays over the common
+    denominator ``den`` and every name derived from them, each with its
+    degree (it holds its values times den**degree), its largest absolute
+    entry and its copies per dtype.  The names in ``batch`` carry a leading
+    batch axis ``N``; a derived name carries it when one of its inputs does.
+
+    This is the one place that decides between int64 and Python ints: every
+    sum runs in int64 when its plan's bound certifies it, and on Python-int
+    object arrays otherwise.
+    """
+
+    def __init__(self, arrays: dict, den: int = 1, batch=_NO_BATCH):
+        self.arrays, self.den = arrays, den
+        self.batch = set(batch) if batch else _NO_BATCH
+        self.degree = dict.fromkeys(arrays, 1)
         self.maxabs = {}
         self.typed = {np.int64: {}, object: {}}
 
     def resolve(self, name: str) -> None:
         """Make ``name`` available, deriving it from ``labels.OPERANDS``."""
         if name not in self.arrays:
-            self.arrays[name], self.degree[name] = self.sum(labels.OPERANDS[name])
-        self.maxabs[name] = int(np.abs(self.arrays[name]).max())
+            terms = tuple(labels.OPERANDS[name])
+            self.arrays[name], self.degree[name] = self.sum(terms)
+            if self.batch and not self.batch.isdisjoint(_names(terms)):
+                self.batch.add(name)
+        self.maxabs[name] = int(np.abs(self.arrays[name]).max(initial=0))
 
     def as_dtype(self, names, dtype) -> list[np.ndarray]:
         """The operands ``names`` in ``dtype``, each converted once."""
@@ -382,16 +334,17 @@ class _Lifted:
         """Evaluate terms on the operands; returns (integers, scale exponent).
 
         Each term is brought to the largest degree among the terms before
-        they are summed, in int64 when the plan's bound, which is
-        ``overflow_bound`` of the degree-scaled terms, certifies it.
+        they are summed, in int64 when the plan's bound certifies that no
+        partial sum can overflow, and on Python-int object arrays otherwise.
         """
         terms = tuple(terms)
         names = _names(terms)
         for name in names:
             if name not in self.maxabs:
                 self.resolve(name)
+        batch = frozenset(self.batch.intersection(names)) if self.batch else _NO_BATCH
         plan = _plan(terms, tuple([self.arrays[name].shape for name in names]),
-                     tuple([self.degree[name] for name in names]), frozenset())
+                     tuple([self.degree[name] for name in names]), batch)
         bound = plan.bound([self.maxabs[name] for name in names], self.den)
         dtype = np.int64 if bound <= INT64_MAX else object
         value = plan.run(self.as_dtype(names, dtype), self.den)
@@ -407,19 +360,29 @@ def contract(specs: dict, tables: dict) -> dict:
     ``labels.OPERANDS``.  The tables are lifted once, to integers over one
     common denominator, and each derived name is computed once for all specs;
     each operand's largest entry and int64 copy are likewise taken once.
-    Each term list runs through its cached plan (see ``sum_terms``), in int64
-    when the plan's bound, equal to ``overflow_bound`` of the degree-scaled
-    terms, certifies that no partial sum can overflow, and on Python-int
-    object arrays otherwise.  Returns key ->
-    ``(numerators, denominator)``: the value is ``numerators / denominator``,
-    entry by entry.
+    Each term list runs through its cached plan (see ``_Plan``), in the dtype
+    ``_Lifted.sum`` certifies.  Returns key -> ``(numerators, denominator)``:
+    the value is ``numerators / denominator``, entry by entry.
     """
-    lifted = _Lifted(tables)
+    lifted = _Lifted(*_lift(tables))
     out = {}
     for key, terms in specs.items():
         num, top = lifted.sum(terms)
         out[key] = (num, lifted.den**top)
     return out
+
+
+def sum_batched(specs: dict, arrays: dict, batch=()) -> dict:
+    """Each term list in ``specs`` summed on integer arrays, key by key.
+
+    The operands named in ``batch`` carry a leading batch axis ``N``, which
+    the results carry too.  Names missing from ``arrays`` are derived once
+    for all specs through ``labels.OPERANDS``, batched when one of their
+    inputs is.  Every sum runs in the dtype ``_Lifted.sum`` certifies,
+    whatever the dtype of the arrays passed in.
+    """
+    lifted = _Lifted(dict(arrays), 1, batch)
+    return {key: lifted.sum(terms)[0] for key, terms in specs.items()}
 
 
 def nested_fractions(num: np.ndarray, den: int = 1) -> tuple:

@@ -13,7 +13,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Union
 
 import numpy as np
@@ -27,7 +26,6 @@ from .algebras import (
 )
 from .bialgebra import PreNovikovBialgebra, PreNovikovCoalgebra, check_bialgebra
 from .core import (
-    INT64_MAX,
     ZERO,
     InputError,
     InternalCheckError,
@@ -36,14 +34,13 @@ from .core import (
     StructureConstants,
     Tensor2,
     Tensor3,
+    _lift,
     _terms_plan,
     contract,
     evaluate,
     flip,
     nested_fractions,
-    overflow_bound,
     sum_batched,
-    sum_terms,
     t3_is_zero,
 )
 from .report import Report, ReportBuilder, default_labels
@@ -163,12 +160,17 @@ def lemma_equation_residuals(alg: PreNovikovAlgebra, r: Tensor2) -> dict:
 
 def coboundary_diagnostics(alg: PreNovikovAlgebra, r: Tensor2) -> DiagnosticsReport:
     """All labeled diagnostics: operator-condition residuals per basis pair,
-    the seven named rank-3 tensors, and the four equation residuals."""
+    the seven named rank-3 tensors, and the four equation residuals, from one
+    kernel call, so that the R-tensors 4.7-4.10 read are derived once."""
+    specs = {code: labels.SPECS[code][1]
+             for code in labels.COBOUNDARY_CONDITIONS + labels.COBOUNDARY_EQUATIONS}
+    specs.update({name: [(1, "abc->abc", (name,))] for name in labels.R_TENSORS})
+    got = evaluate(specs, _operands(alg, r))
     return DiagnosticsReport(
         dim=alg.dim,
-        condition_residuals=lemma_condition_residuals(alg, r),
-        r_tensors=r_tensors(alg, r),
-        equation_residuals=lemma_equation_residuals(alg, r),
+        condition_residuals={code: got[code] for code in labels.COBOUNDARY_CONDITIONS},
+        r_tensors={name: got[name] for name in labels.R_TENSORS},
+        equation_residuals={code: got[code] for code in labels.COBOUNDARY_EQUATIONS},
     )
 
 
@@ -363,12 +365,10 @@ def search_symmetric_ybe(
 
     The search space has ``len(value_set) ** (n(n+1)/2)`` members and is
     refused beyond ``max_candidates``.  It is searched row by row (see
-    ``_search_rows``), in int64 after clearing denominators when
-    ``overflow_bound`` certifies the 4.13 spec and on Python-int object arrays
-    otherwise.  The hits are re-verified by a second theorem route, the
-    operator form: T_r is an O-operator of the dual adjoint quadruple (4.29
-    and 4.30, see ``_o_operator_ok``), in batched calls of up to
-    ``VERIFY_CHUNK`` hits.  They are returned sorted lexicographically by
+    ``_search_rows``) in integers, after clearing denominators.  The hits are
+    re-verified by a second theorem route, the operator form: T_r is an
+    O-operator of the dual adjoint quadruple (4.29 and 4.30, see
+    ``_o_operator_ok``).  They are returned sorted lexicographically by
     upper-triangle coordinates.
     """
     values = sorted({Fraction(v) for v in value_set})
@@ -384,25 +384,12 @@ def search_symmetric_ybe(
     workers = workers if workers is not None else _workers_from_env()
 
     ints = _integer_tables(alg)
-    val_scale = lcm(*(v.denominator for v in values))
-    scaled = [int(v * val_scale) for v in values]
-    dtype = _dtype([labels.SPECS[labels.YBE][1]], ints, "r", max(map(abs, scaled)))
-    hits = _search_rows(
-        {name: ints[name].astype(dtype) for name in ("o", "(.)", "<")},
-        np.array(scaled, dtype=dtype),
-        workers,
-    )
-
-    if not all(_o_operator_ok(ints, hits[k : k + VERIFY_CHUNK]).all()
-               for k in range(0, len(hits), VERIFY_CHUNK)):
+    scaled, val_scale = _lift({"v": values})
+    hits = _search_rows({name: ints[name] for name in ("o", "(.)", "<")}, scaled["v"], workers)
+    if not _o_operator_ok(ints, hits).all():
         raise InternalCheckError("fast search produced a non-solution")
     hits = hits[np.lexsort([hits[:, i, j] for i, j in reversed(positions)])]
     return list(nested_fractions(hits, val_scale))
-
-
-# hits per re-verification call: at 59,049 hits one call peaked above the
-# row search (228 MB against 189 MB, zero algebra at dim 4)
-VERIFY_CHUNK = 16_384
 
 
 _DUAL_QUADRUPLE = {name: dual_pre_novikov_spec("L>", "R>", "L<", "R<")[key] for name, key in (
@@ -418,35 +405,27 @@ def _integer_tables(alg: PreNovikovAlgebra) -> dict:
     return {name: num for name, (num, _) in lifted.items()}
 
 
-def _dtype(term_lists, ints: dict, name: str, top: int) -> type:
-    """int64 when ``overflow_bound`` certifies every term list on the integer
-    tables ``ints`` and an n x n operand ``name`` with entries up to ``top``
-    in absolute value, else object."""
-    n = ints["<"].shape[0]
-    shapes = {name: (n, n), **{k: a.shape for k, a in ints.items()}}
-    maxabs = {name: top, **{k: int(np.abs(a).max()) for k, a in ints.items()}}
-    bound = max(overflow_bound(terms, shapes, maxabs) for terms in term_lists)
-    return np.int64 if bound <= INT64_MAX else object
-
-
 def _o_operator_ok(ints: dict, hits: np.ndarray) -> np.ndarray:
     """Which of a batch of integer symmetric r make T_r (the matrix r itself)
     an O-operator of the dual adjoint quadruple: identities 4.29 and 4.30,
-    evaluated in one call with the batch axis on T.  By the operator-form
-    theorem these are exactly the r with a zero 4.13 residual.
+    evaluated with the batch axis on T, in chunks whose largest einsum array
+    stays within ``CHUNK_BYTES``.  By the operator-form theorem these are
+    exactly the r with a zero 4.13 residual.
 
     ``ints`` is ``_integer_tables``; the identities are homogeneous in T and
     in the tables, so the scales of both leave the verdict unchanged.
     """
     specs = {code: labels.SPECS[code][1] for code in labels.O_OPERATOR_PRE_NOVIKOV}
-    dtype = _dtype(specs.values(), ints, "T", int(np.abs(hits).max()))
-    res = sum_batched(specs, {"T": hits.astype(dtype), **{k: a.astype(dtype) for k, a in ints.items()}},
-                      batch={"T"})
-    return ~np.any([(r.reshape(len(r), -1) != 0).any(axis=1) for r in res.values()], axis=0)
+    chunk = _chunk(specs.values(), {"T": hits.shape, **{k: a.shape for k, a in ints.items()}}, "T")
+    ok = np.ones(len(hits), dtype=bool)
+    for k in range(0, len(hits), chunk):
+        res = sum_batched(specs, {"T": hits[k : k + chunk], **ints}, batch={"T"})
+        ok[k : k + chunk] = ~np.any([(r.reshape(len(r), -1) != 0).any(axis=1) for r in res.values()], axis=0)
+    return ok
 
 
-# Bytes of the largest einsum array one row-search chunk may form: the chunk
-# length follows from the 4.13 plan's largest array per candidate.
+# Bytes of the largest einsum array one search or re-verification chunk may
+# form: the chunk length follows from the plans' largest array per candidate.
 CHUNK_BYTES = 4 * 2**20
 
 # Bytes of candidates one row of the search may keep.  Past it the search is
@@ -483,14 +462,13 @@ def _search_rows(ints: dict, scaled: np.ndarray, workers: int) -> np.ndarray:
                 v = scaled[t // base ** (n - 1 - j) % base]
                 R[:, k, j] = v
                 R[:, j, k] = v
-            res = sum_terms(terms, {"r": R, **ints}, batch={"r"})
+            res = sum_batched({"": terms}, {"r": R, **ints}, batch={"r"})[""]
             final = res[:, : k + 1, : k + 1, : k + 1].reshape(hi - lo, -1)
             return R[~(final != 0).any(axis=1)]
 
         length = -(-total // _pool_size(workers, total))
         shapes = {"r": (length, n, n), **{name: a.shape for name, a in ints.items()}}
-        member = _terms_plan(terms, shapes, {"r"}).peak * scaled.itemsize
-        chunk = max(1, min(length, CHUNK_BYTES // member))
+        chunk = min(length, _chunk([terms], shapes, "r"))
         ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
         threads = _pool_size(workers, len(ranges))
         if threads > 1:
@@ -506,6 +484,13 @@ def _search_rows(ints: dict, scaled: np.ndarray, workers: int) -> np.ndarray:
         if not len(batch):
             break
     return batch
+
+
+def _chunk(term_lists, shapes: dict, name: str) -> int:
+    """Candidates per kernel call, batched on ``name``, such that the largest
+    einsum array of any of the term lists stays within ``CHUNK_BYTES``."""
+    member = max(_terms_plan(terms, shapes, frozenset((name,))).peak for terms in term_lists)
+    return max(1, CHUNK_BYTES // (member * np.dtype(np.int64).itemsize))
 
 
 def _kept(parts, row: int) -> list:

@@ -12,7 +12,6 @@ from prenovikov.algebras import (
     PreNovikovAlgebra,
     _batch_zero,
     _int_tables,
-    _sweep_dtype,
     check_pre_novikov,
 )
 from prenovikov.core import InternalCheckError, StructureConstants
@@ -21,7 +20,7 @@ ENUM_CHUNK = 200_000  # (<, >) pairs per stage-2 block
 
 
 def enumerate_pairs(vals: tuple[int, ...]) -> tuple[PreNovikovAlgebra, ...]:
-    tables = _int_tables(vals, _sweep_dtype(vals))  # (m, 2, 2, 2)
+    tables = _int_tables(vals)  # (m, 2, 2, 2)
 
     # Stage 1: (a<b)<c = (a<c)<b, pure in <.
     lhd_ok = tables[_batch_zero("2.11", {"<": tables})]

@@ -29,7 +29,7 @@ from prenovikov.core import (
     basis_vec,
     mat_identity,
     mat_vec,
-    sum_terms,
+    sum_batched,
 )
 from prenovikov import algebras, labels
 
@@ -263,11 +263,23 @@ def test_enumeration_includes_fixture_and_agrees_with_checker(alg2):
 
 
 @pytest.mark.parametrize("values", [(-1, 0, 1), (0, 1), (-1, 1), (0, 2), (0, 2**40)])
-def test_enumeration_matches_full_pair_sweep(values):
+def test_enumeration_matches_full_pair_sweep(monkeypatch, values):
     """Same algebras in the same order as the sweep over every (<, >) pair;
-    (0, 2**40) runs on Python-int object arrays."""
-    assert (algebras._sweep_dtype(values) is object) == (values == (0, 2**40))
-    assert enumerate_dim2_pre_novikov(values) == list(enumerate_pairs(values))
+    the kernel evaluates 2.8-2.11 on Python-int object arrays for (0, 2**40)
+    and in int64 for the other value sets."""
+    dtypes = []
+    kernel = algebras.sum_batched
+
+    def recorded(specs, arrays, batch=()):
+        out = kernel(specs, arrays, batch)
+        dtypes.extend(out[code].dtype for code in labels.PRE_NOVIKOV if code in out)
+        return out
+
+    monkeypatch.setattr(algebras, "sum_batched", recorded)
+    got = list(algebras._enumerate.__wrapped__(values))
+    want = np.int64 if values != (0, 2**40) else object
+    assert dtypes and all(dtype == want for dtype in dtypes)
+    assert got == enumerate_dim2_pre_novikov(values) == list(enumerate_pairs(values))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -278,7 +290,7 @@ def test_identity_2_9_witness_i_reads_only_row_i_of_rhd(n):
     terms = labels.SPECS["2.9"][1]
 
     def residual(lhd, rhd):
-        return sum_terms(terms, {"<": lhd, ">": rhd, "o": lhd + rhd})
+        return sum_batched({"": terms}, {"<": lhd, ">": rhd})[""]
 
     moved_elsewhere = 0
     for _ in range(20):
@@ -295,18 +307,28 @@ def test_identity_2_9_witness_i_reads_only_row_i_of_rhd(n):
 
 def test_enumeration_checks_2_10_and_2_8_on_the_2_9_pairs_only(monkeypatch):
     sizes = {code: 0 for code in labels.PRE_NOVIKOV}
-    kernel = algebras.sum_terms
+    kernel = algebras.sum_batched
 
-    def counted(terms, arrays, batch=frozenset()):
-        (code,) = (c for c in labels.PRE_NOVIKOV if terms is labels.SPECS[c][1])
-        sizes[code] += len(arrays["<"])
-        return kernel(terms, arrays, batch)
+    def counted(specs, arrays, batch=()):
+        for terms in specs.values():
+            for code in labels.PRE_NOVIKOV:
+                sizes[code] += len(arrays["<"]) if terms is labels.SPECS[code][1] else 0
+        return kernel(specs, arrays, batch)
 
-    monkeypatch.setattr(algebras, "sum_terms", counted)
+    monkeypatch.setattr(algebras, "sum_batched", counted)
     assert len(algebras._enumerate.__wrapped__((-1, 0, 1))) == 257
     assert sizes["2.11"] == 3**8
     assert sizes["2.9"] <= 2 * 817 * 3**4
     assert sizes["2.8"] <= sizes["2.10"] <= 8_041
+
+
+def test_identity_2_8_is_not_implied_by_the_other_three():
+    """Why stage 3 keeps its 2.8 filter: at dim 3, < = 0 with e1>e2 = e3 and
+    e2>e3 = e3 satisfies 2.9-2.11 and fails 2.8 alone."""
+    rhd = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    rhd[0][1][2] = rhd[1][2][2] = 1
+    report = check_pre_novikov(StructureConstants.zero(3), table(rhd))
+    assert {v.identity for v in report.violations} == {"2.8"}
 
 
 def test_enumeration_reverification_catches_a_planted_pair(monkeypatch):

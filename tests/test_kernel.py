@@ -3,6 +3,7 @@ reference evaluator (Fraction arithmetic, every index assignment looped)."""
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prenovikov import check_compatibility, coboundary_diagnostics, core
-from prenovikov.core import INT64_MAX, contract, evaluate, overflow_bound, sum_terms
+from prenovikov.core import INT64_MAX, contract, evaluate, sum_batched
+
+from kernel_reference import overflow_bound
 
 F = Fraction
 LETTERS = "abcde"
@@ -135,21 +138,20 @@ def test_kernel_at_the_certified_bound(size, excess):
 def test_batched_three_operand_term_at_the_certified_bound(excess):
     """A batched term is contracted pairwise along a planned path.  With all
     entries at their maxima its value is the certified bound, which is
-    INT64_MAX itself for ``excess`` 0 (2**63 - 1 = 49 * 73 * 127 * x)."""
+    INT64_MAX itself for ``excess`` 0 (2**63 - 1 = 49 * 73 * 127 * x).  The
+    operands come in int64; past the bound the kernel runs on Python ints."""
     terms = [(1, "ij,jk,k->i", ("A", "B", "C"))]
     x = INT64_MAX // (49 * 73 * 127) + excess
     shapes = {"A": (1, 7), "B": (7, 7), "C": (7,)}
     bound = overflow_bound(terms, shapes, {"A": x, "B": 73, "C": 127})
-    dtype = np.int64 if bound <= INT64_MAX else object
-    assert (dtype is object) == (excess > 0)
     rows = [[x] * 7, [-x] * 7, [(-1) ** j * x for j in range(7)]]
     arrays = {
-        "A": np.array([[row] for row in rows], dtype=dtype),  # batch axis N first
-        "B": np.full((7, 7), 73, dtype=dtype),
-        "C": np.full(7, 127, dtype=dtype),
+        "A": np.array([[row] for row in rows], dtype=np.int64),  # batch axis N first
+        "B": np.full((7, 7), 73, dtype=np.int64),
+        "C": np.full(7, 127, dtype=np.int64),
     }
-    got = sum_terms(terms, arrays, batch={"A"})
-    assert got.dtype == dtype
+    got = sum_batched({"": terms}, arrays, batch={"A"})[""]
+    assert (got.dtype == object) == (excess > 0) == (bound > INT64_MAX)
     assert [int(v) for v in got[:, 0]] == [bound, -bound, x * 7 * 73 * 127]
 
 
@@ -176,7 +178,7 @@ def test_kernel_common_denominator_and_named_operands():
 
 def test_one_lift_per_kernel_call(monkeypatch, bialg2, alg4, sol4):
     """Each kernel call lifts its tables once: a report is one call however
-    many identities it names, and the coboundary diagnostics are three."""
+    many identities it names, and so are the coboundary diagnostics."""
     lifts = []
     lift = core._lift
     monkeypatch.setattr(core, "_lift", lambda tables: lifts.append(1) or lift(tables))
@@ -184,4 +186,13 @@ def test_one_lift_per_kernel_call(monkeypatch, bialg2, alg4, sol4):
     assert len(lifts) == 1
     lifts.clear()
     coboundary_diagnostics(alg4, sol4)
-    assert len(lifts) <= 3
+    assert len(lifts) == 1
+
+
+def test_only_the_kernel_decides_int64_or_python_ints():
+    """No module but ``core`` names the int64 limit or an overflow bound, so
+    the int64-or-object decision cannot spread out of the kernel again."""
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        if path.name != "core.py":
+            text = path.read_text()
+            assert "INT64_MAX" not in text and "overflow_bound" not in text, path.name

@@ -48,12 +48,12 @@ from prenovikov.core import (
     t2_zero,
     t3_is_zero,
     mat_add,
-    overflow_bound,
 )
 from prenovikov import labels, yang_baxter
 from prenovikov.yang_baxter import _pool_size
 
 from conftest import conjugate_table, rand_invertible, rand_symmetric
+from kernel_reference import overflow_bound
 from search_oracles import search_exact, search_int64, upper_positions
 
 F = Fraction
@@ -293,12 +293,23 @@ def test_search_with_fractional_values(alg2):
 
 
 def test_search_chunks_bounded_in_bytes(monkeypatch, alg2):
-    """Chunks of one candidate each give the same solutions as the default
-    byte budget."""
+    """Chunks of one candidate each, in the row search and in the
+    re-verification, give the same solutions as the default byte budget."""
     alg3 = _block_diagonal_dim3(alg2)
     sols = search_symmetric_ybe(alg3, [-1, 0, 1])
+    lengths = {"r": [], "T": []}
+    kernel = yang_baxter.sum_batched
+
+    def recorded(specs, arrays, batch=()):
+        (name,) = batch
+        lengths[name].append(len(arrays[name]))
+        return kernel(specs, arrays, batch)
+
+    monkeypatch.setattr(yang_baxter, "sum_batched", recorded)
     monkeypatch.setattr(yang_baxter, "CHUNK_BYTES", 1)
     assert search_symmetric_ybe(alg3, [-1, 0, 1]) == sols
+    assert set(lengths["r"]) == {1}
+    assert lengths["T"] == [1] * len(sols)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
