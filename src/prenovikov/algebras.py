@@ -15,6 +15,7 @@ import numpy as np
 
 from . import labels
 from .core import (
+    Exact,
     InputError,
     InternalCheckError,
     Matrix,
@@ -22,12 +23,11 @@ from .core import (
     Scalar,
     StructureConstants,
     Vector,
-    _lift,
     eliminate,
     evaluate,
+    exact,
     exact_det,
-    mat_transpose,
-    nested_fractions,
+    held,
     sum_batched,
 )
 from .report import Report, ReportBuilder, default_labels
@@ -55,15 +55,22 @@ class PreNovikovAlgebra:
     def dim(self) -> int:
         return self.lhd.dim
 
+    @property
+    def tables(self) -> dict:
+        """The two products as the kernel operands < and >."""
+        return {"<": self.lhd.table, ">": self.rhd.table}
+
 
 @dataclass(frozen=True)
 class FormMatrix:
+    """A bilinear form, held as the ``Exact`` array ``tables["w"]``."""
+
     dim: int
-    w: tuple[tuple[Scalar, ...], ...]
+    w: tuple[tuple[Scalar, ...], ...] = held("w")
 
     def __post_init__(self):
         n = self.dim
-        if len(self.w) != n or any(len(row) != n for row in self.w):
+        if self.tables["w"].shape != (n, n):
             raise InputError(f"form matrix must be {n}x{n}")
 
     def pair(self, u: Vector, v: Vector) -> Scalar:
@@ -82,7 +89,7 @@ def sum_table(lhd: StructureConstants, rhd: StructureConstants) -> StructureCons
 def check_novikov(op: StructureConstants, basis=None) -> Report:
     """Evaluate both Novikov identities on every basis triple."""
     rb = ReportBuilder("novikov", labels.NOVIKOV, basis or default_labels(op.dim))
-    rb.check({"o": op.c})
+    rb.check({"o": op.table})
     return rb.build()
 
 
@@ -91,7 +98,7 @@ def check_pre_novikov(lhd: StructureConstants, rhd: StructureConstants, basis=No
     if lhd.dim != rhd.dim:
         raise InputError("dimension mismatch between < and > tables")
     rb = ReportBuilder("pre_novikov", labels.PRE_NOVIKOV, basis or default_labels(lhd.dim))
-    rb.check({"<": lhd.c, ">": rhd.c})
+    rb.check({"<": lhd.table, ">": rhd.table})
     return rb.build()
 
 
@@ -109,8 +116,7 @@ def associated_novikov(alg: PreNovikovAlgebra) -> NovikovAlgebra:
 def derived_ops(alg: PreNovikovAlgebra) -> tuple[StructureConstants, StructureConstants]:
     """The derived products a(.)b = a>b + b<a and a(*)b = a o b + b o a, as
     ``labels.OPERANDS`` defines them."""
-    ops = evaluate({name: labels.OPERANDS[name] for name in ("(.)", "(*)")},
-                   {"<": alg.lhd.c, ">": alg.rhd.c})
+    ops = evaluate({name: labels.OPERANDS[name] for name in ("(.)", "(*)")}, alg.tables)
     return StructureConstants(alg.dim, ops["(.)"]), StructureConstants(alg.dim, ops["(*)"])
 
 
@@ -124,13 +130,12 @@ def check_quasi_frobenius(op: StructureConstants, w: FormMatrix, basis=None) -> 
         (labels.QF_SKEW, labels.QF_NONDEGENERATE, labels.QF_COCYCLE),
         basis or default_labels(n),
     )
-    for i in range(n):
-        for j in range(i, n):
-            if w.w[i][j] != -w.w[j][i]:
-                rb.residual(labels.QF_SKEW, (i, j), (w.w[i][j] + w.w[j][i],))
-    if exact_det(w.w) == 0:
+    skew = evaluate({"": [(1, "ij->ij", ("w",)), (1, "ji->ij", ("w",))]}, w.tables)[""]
+    for i, j in zip(*np.nonzero(np.triu(skew.num))):
+        rb.residual(labels.QF_SKEW, (int(i), int(j)), (str(Fraction(int(skew.num[i, j]), skew.den)),))
+    if exact_det(w.tables["w"]) == 0:
         rb.flag(labels.QF_NONDEGENERATE, "determinant is zero")
-    rb.check({"o": op.c, "w": w.w})
+    rb.check({"o": op.table, **w.tables})
     return rb.build()
 
 
@@ -140,10 +145,15 @@ def form_iso(w: FormMatrix) -> Matrix:
     In coordinates (T f)^T W a = f^T a for all a, so T = (W^T)^{-1}, found by
     one ``eliminate``.
     """
-    inverse = eliminate(mat_transpose(w.w))[1]
+    return _form_iso(w).nested
+
+
+def _form_iso(w: FormMatrix) -> Exact:
+    """``form_iso`` as an ``Exact`` array."""
+    inverse = eliminate(w.tables["w"].T)[1]
     if inverse is None:
         raise InputError("form is degenerate")
-    return nested_fractions(*inverse)
+    return inverse
 
 
 def pre_novikov_from_qf(op: StructureConstants, w: FormMatrix) -> PreNovikovAlgebra:
@@ -169,11 +179,11 @@ def _split_qf(op: StructureConstants, w: FormMatrix) -> PreNovikovAlgebra:
         "<": [(1, "tk,im,kjm->ijt", ("T", "w", "o"))],
         "dual >": [(-1, "ty,ixy,jx->ijt", ("T", "Lo+Ro", "w"))],
         "dual <": [(1, "ty,jxy,ix->ijt", ("T", "Ro", "w"))],
-    }, {"o": op.c, "w": w.w, "T": form_iso(w)})
+    }, {"o": op.table, **w.tables, "T": _form_iso(w)})
     if routes["dual >"] != routes[">"] or routes["dual <"] != routes["<"]:
         raise InternalCheckError("direct and dual-transport constructions disagree")
     lhd, rhd = (StructureConstants(op.dim, routes[name]) for name in "<>")
-    if sum_table(lhd, rhd).c != op.c:
+    if sum_table(lhd, rhd).table != op.table:
         raise InternalCheckError("recovered products do not sum to the input product")
     out = PreNovikovAlgebra(lhd, rhd)
     sub = check_pre_novikov(lhd, rhd)
@@ -194,17 +204,10 @@ ENUM_CHUNK = 50_000  # batch members per stage-2 or stage-3 kernel call
 def _int_tables(values) -> np.ndarray:
     """Every ``ENUM_DIM``-dimensional table with entries in ``values``, in
     lexicographic order of the flattened entries: int64 when every value
-    fits, Python ints otherwise (the rule of ``core._lift``)."""
+    fits, Python ints otherwise (the rule of ``core.Exact``)."""
     n = ENUM_DIM
-    v = _lift({"v": values})[0]["v"]
+    v = exact(values).num
     return v[np.indices((len(v),) * n**3).reshape(n**3, -1).T].reshape(-1, n, n, n)
-
-
-def frac_int(v) -> int:
-    f = Fraction(v)
-    if f.denominator != 1:
-        raise InputError("enumeration values must be integers")
-    return int(f)
 
 
 def _batch_zero(code: str, ops: dict) -> np.ndarray:
@@ -242,7 +245,10 @@ def enumerate_dim2_pre_novikov(values=(-1, 0, 1)) -> list[PreNovikovAlgebra]:
     tables per product are refused.  Results come in lexicographic order of
     (<, >), are memoized per value set, and each call returns a fresh list.
     """
-    vals = tuple(frac_int(v) for v in sorted({Fraction(v) for v in values}))
+    vals = sorted({Fraction(v) for v in values})
+    if any(v.denominator != 1 for v in vals):
+        raise InputError("enumeration values must be integers")
+    vals = tuple(map(int, vals))
     count = len(vals) ** ENUM_DIM**3
     if count > ENUM_TABLE_LIMIT:
         raise InputError(
@@ -354,6 +360,6 @@ def _enumerate(vals: tuple[int, ...]) -> tuple[PreNovikovAlgebra, ...]:
     if len(lhd) and not _regular_quadruple_ok(lhd, rhd).all():
         raise InternalCheckError("fast enumeration accepted a pair the regular quadruple rejects")
     return tuple(
-        PreNovikovAlgebra(StructureConstants(n, lt), StructureConstants(n, rt))
-        for lt, rt in zip(nested_fractions(lhd), nested_fractions(rhd))
+        PreNovikovAlgebra(StructureConstants(n, Exact(lt)), StructureConstants(n, Exact(rt)))
+        for lt, rt in zip(lhd, rhd)
     )

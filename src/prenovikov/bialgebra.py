@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import labels
 from .algebras import PreNovikovAlgebra, check_pre_novikov
-from .core import InputError, InternalCheckError, StructureConstants, Tensor2, evaluate
+from .core import InputError, InternalCheckError, StructureConstants, Tensor2, evaluate, held
 from .report import Report, ReportBuilder, default_labels
 
 CoMaps = tuple[Tensor2, ...]
@@ -27,16 +27,17 @@ CoMaps = tuple[Tensor2, ...]
 
 @dataclass(frozen=True)
 class PreNovikovCoalgebra:
+    """The co-operations, held as the ``Exact`` arrays ``tables["al"]`` and
+    ``tables["be"]``."""
+
     dim: int
-    alpha: CoMaps
-    beta: CoMaps
+    alpha: CoMaps = held("al")
+    beta: CoMaps = held("be")
 
     def __post_init__(self):
         n = self.dim
-        for name, maps in (("alpha", self.alpha), ("beta", self.beta)):
-            if len(maps) != n or any(
-                len(t) != n or any(len(row) != n for row in t) for t in maps
-            ):
+        for name, key in (("alpha", "al"), ("beta", "be")):
+            if self.tables[key].shape != (n, n, n):
                 raise InputError(f"{name} must be an {n}x{n}x{n} array")
 
     @cached_property
@@ -60,8 +61,7 @@ class PreNovikovBialgebra:
 def coalgebra_to_dual_algebra(co: PreNovikovCoalgebra) -> tuple[StructureConstants, StructureConstants]:
     """The dual-space products: < from alpha, > from beta, each one index
     permutation (``ipq->pqi``) through the kernel."""
-    ops = evaluate({"<": [(1, "ipq->pqi", ("al",))], ">": [(1, "ipq->pqi", ("be",))]},
-                   {"al": co.alpha, "be": co.beta})
+    ops = evaluate({"<": [(1, "ipq->pqi", ("al",))], ">": [(1, "ipq->pqi", ("be",))]}, co.tables)
     return StructureConstants(co.dim, ops["<"]), StructureConstants(co.dim, ops[">"])
 
 
@@ -70,7 +70,7 @@ def check_coalgebra(co: PreNovikovCoalgebra, basis=None) -> Report:
     n = co.dim
     lab = basis or default_labels(n)
     rb = ReportBuilder("coalgebra", labels.COALGEBRA, lab)
-    rb.check({"al": co.alpha, "be": co.beta})
+    rb.check(co.tables)
     direct = rb.build()
 
     lhd_star, rhd_star = co.dual
@@ -95,7 +95,7 @@ def check_compatibility(alg: PreNovikovAlgebra, co: PreNovikovCoalgebra, basis=N
     if alg.dim != co.dim:
         raise InputError("algebra/coalgebra dimension mismatch")
     rb = ReportBuilder("compatibility", labels.COMPATIBILITY, basis or default_labels(alg.dim))
-    rb.check({"<": alg.lhd.c, ">": alg.rhd.c, "al": co.alpha, "be": co.beta})
+    rb.check({**alg.tables, **co.tables})
     return rb.build()
 
 

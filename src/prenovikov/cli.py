@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .algebras import (
     derived_ops,
 )
 from .bialgebra import check_bialgebra, check_coalgebra
-from .core import InputError, RefusalError, flip, scalar_str, t3_is_zero
+from .core import InputError, RefusalError, t3_is_zero
 from .io import (
     FLAVORS,
     Bundle,
@@ -74,14 +73,15 @@ def _load(path: str) -> Bundle:
 
 
 def _load_algebra_and_tensor(args, command: str):
-    """The algebra bundle, the algebra and the tensor r that ``command`` reads."""
+    """The algebra bundle, the algebra and the tensor r that ``command`` reads,
+    r as its ``Exact`` array."""
     alg_bundle = _load(args.algebra)
     r_bundle = _load(args.tensor)
     if alg_bundle.kind != "pre_novikov" or r_bundle.kind != "tensor2":
         raise InputError(f"{command} expects a pre_novikov bundle and a tensor2 bundle")
     alg = bundle_to_objects(alg_bundle)
-    r = bundle_to_objects(r_bundle)
-    if len(r) != alg.dim:
+    r = r_bundle.data["entries"]
+    if r.shape[0] != alg.dim:
         raise InputError("tensor dimension does not match the algebra")
     return alg_bundle, alg, r
 
@@ -110,7 +110,7 @@ def _cmd_check(args, out) -> int:
         report = check_rep(*obj, basis=basis, module_basis=bundle.data.get("module_basis"))
     elif kind == "o_operator":
         check_operator = _FLAVOR_CHECKS[bundle.data["flavor"]][2]
-        report = check_operator(*obj, module_basis=bundle.data.get("module_basis"))
+        report = check_operator(*obj[:2], bundle.data["t"], module_basis=bundle.data.get("module_basis"))
     else:
         raise InputError(f"no verifier for bundle kind {kind!r}")
     _emit(out, render_report(report, args.format))
@@ -134,15 +134,15 @@ def _cmd_derive(args, out) -> int:
         _emit(out, render_report(report, args.format))
         return 1
     if bundle.kind == "rep":
-        parts = {"dual_rep": _maps_doc(flavor, dual_rep(replace(rep, verified=True)))}
+        parts = {"dual_rep": _maps_doc(flavor, dual_rep(rep.certified()))}
     else:
         nov = associated_novikov(alg)
         odot, star = derived_ops(alg)
         nov_rep, pre_rep = adjoint_reps(alg)
         parts = {
-            "associated": bundle_doc(make_bundle("novikov", basis, dim=nov.dim, product=nov.op.c)),
-            "odot": _encode(odot.c),
-            "star": _encode(star.c),
+            "associated": bundle_doc(make_bundle("novikov", basis, dim=nov.dim, product=nov.op.table)),
+            "odot": _encode(odot.table),
+            "star": _encode(star.table),
             "adjoint_novikov_rep": _maps_doc("novikov", nov_rep),
             "adjoint_pre_novikov_rep": _maps_doc("pre_novikov", pre_rep),
             "dual_novikov_rep": _maps_doc("novikov", dual_novikov_rep(nov_rep)),
@@ -169,8 +169,8 @@ def _cmd_double(args, out) -> int:
         print(f"double construction refused: {exc}", file=sys.stderr)
         return 1
     op = double.algebra.op
-    _emit(out, serialize_bundle(make_bundle("form", double.labels, dim=op.dim, product=op.c,
-                                            matrix=double.form.w)))
+    _emit(out, serialize_bundle(make_bundle("form", double.labels, dim=op.dim, product=op.table,
+                                            matrix=double.form.tables["w"])))
     _emit(out, render_report(double.report.sections[-1], args.format))  # the quasi-Frobenius check
     return 0
 
@@ -179,8 +179,8 @@ def _cmd_coboundary(args, out) -> int:
     alg_bundle, alg, r = _load_algebra_and_tensor(args, "coboundary")
     co = coboundary_maps(alg, r)
     _emit(out, serialize_bundle(make_bundle("coalgebra", alg_bundle.data.get("basis"), dim=co.dim,
-                                            alpha=co.alpha, beta=co.beta)))
-    symmetric = flip(r) == r
+                                            alpha=co.tables["al"], beta=co.tables["be"])))
+    symmetric = r.T == r
     residual_zero = t3_is_zero(ybe_residual(alg, r))
     bi = check_bialgebra(alg, co, basis=alg_bundle.data.get("basis"))
     _emit(out, render_report(bi, args.format))
@@ -199,21 +199,21 @@ def _cmd_ybe(args, out) -> int:
             "residual_zero": zero,
             "residual": _encode(residual),
         }
-        if flip(r) == r:
+        if r.T == r:
             doc["equivalent_verdicts"] = list(co2_equivalence(alg, r))
         _emit(out, dumps(doc))
     else:
         _emit(out, f"residual zero: {'yes' if zero else 'no'}")
         if not zero:
             nonzero = [
-                f"  [{i},{j},{k}] = {scalar_str(v)}"
+                f"  [{i},{j},{k}] = {v}"
                 for i, plane in enumerate(residual)
                 for j, row in enumerate(plane)
                 for k, v in enumerate(row)
                 if v
             ]
             _emit(out, "\n".join(nonzero[:32]))
-        if flip(r) == r:
+        if r.T == r:
             a, b, c = co2_equivalence(alg, r)
             _emit(out, f"equivalent verdicts: residual={a} novikov_operator={b} pre_novikov_operator={c}")
         else:
@@ -230,7 +230,7 @@ def _cmd_oper(args, out) -> int:
     if t_bundle.kind != "linmap":
         raise InputError(f"oper expects a linmap bundle, got {t_bundle.kind!r}")
     rep_alg, rep = bundle_to_objects(rep_bundle)
-    T = bundle_to_objects(t_bundle)
+    T = t_bundle.data["entries"]
     flavor = rep_bundle.data["flavor"]
     if alg_bundle.kind != flavor:
         raise InputError(f"algebra bundle must be kind {flavor} for a {flavor} rep")
@@ -305,6 +305,21 @@ def _cmd_diag(args, out) -> int:
     return 0
 
 
+# command -> (help, positional arguments, handler); options are added below
+_COMMANDS = {
+    "check": ("run the verifier matching a bundle's kind", ("bundle",), _cmd_check),
+    "derive": ("associated/derived products, adjoint and dual actions", ("bundle",), _cmd_derive),
+    "double": ("double construction from a bialgebra bundle", ("bundle",), _cmd_double),
+    "coboundary": ("co-operations from a tensor, with the full pipeline report", ("algebra", "tensor"),
+                   _cmd_coboundary),
+    "ybe": ("residual of the quadratic tensor equation, plus operator verdicts", ("algebra", "tensor"),
+            _cmd_ybe),
+    "oper": ("operator identity report, optionally lifted", ("algebra", "rep", "linmap"), _cmd_oper),
+    "search": ("exhaustive symmetric-solution search", ("algebra",), _cmd_search),
+    "diag": ("coboundary diagnostics dump", ("algebra", "tensor"), _cmd_diag),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prenovikov",
@@ -312,46 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "machine"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="run the verifier matching a bundle's kind")
-    p.add_argument("bundle")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("derive", help="associated/derived products, adjoint and dual actions")
-    p.add_argument("bundle")
-    p.set_defaults(func=_cmd_derive)
-
-    p = sub.add_parser("double", help="double construction from a bialgebra bundle")
-    p.add_argument("bundle")
-    p.set_defaults(func=_cmd_double)
-
-    p = sub.add_parser("coboundary", help="co-operations from a tensor, with the full pipeline report")
-    p.add_argument("algebra")
-    p.add_argument("tensor")
-    p.set_defaults(func=_cmd_coboundary)
-
-    p = sub.add_parser("ybe", help="residual of the quadratic tensor equation, plus operator verdicts")
-    p.add_argument("algebra")
-    p.add_argument("tensor")
-    p.set_defaults(func=_cmd_ybe)
-
-    p = sub.add_parser("oper", help="operator identity report, optionally lifted")
-    p.add_argument("algebra")
-    p.add_argument("rep")
-    p.add_argument("linmap")
-    p.add_argument("--lift", action="store_true")
-    p.set_defaults(func=_cmd_oper)
-
-    p = sub.add_parser("search", help="exhaustive symmetric-solution search")
-    p.add_argument("algebra")
-    p.add_argument("--values", default="-1,0,1")
-    p.add_argument("--max-candidates", type=int, default=2_000_000)
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser("diag", help="coboundary diagnostics dump")
-    p.add_argument("algebra")
-    p.add_argument("tensor")
-    p.set_defaults(func=_cmd_diag)
+    commands = {}
+    for name, (text, positional, func) in _COMMANDS.items():
+        commands[name] = p = sub.add_parser(name, help=text)
+        for arg in positional:
+            p.add_argument(arg)
+        p.set_defaults(func=func)
+    commands["oper"].add_argument("--lift", action="store_true")
+    commands["search"].add_argument("--values", default="-1,0,1")
+    commands["search"].add_argument("--max-candidates", type=int, default=2_000_000)
     return parser
 
 

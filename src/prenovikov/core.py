@@ -1,6 +1,6 @@
-"""Exact scalars, based vector spaces, dense multilinear data, the one exact
-contraction kernel every identity is evaluated with, the one builder of
-direct-sum tables, and the one exact elimination.
+"""The one exact array of the package, the one exact contraction kernel every
+identity is evaluated with, the one builder of direct-sum tables, and the one
+exact elimination.
 
 The kernel compiles each term list once per set of operand shapes, degrees
 and batch axes into a plan (``_plan``, a bounded LRU cache keyed by the term
@@ -9,17 +9,16 @@ its einsums: see ``contract`` and ``sum_batched``.  It alone decides whether a
 sum runs in int64 or on Python ints, from the bound of its plan; callers
 certify nothing.
 
-Everything downstream works over the rationals with dense tuples indexed by
-basis position.  All values are immutable; every operation is a pure function,
-so identities reduce to exact equality tests with no tolerances anywhere.
+Conventions used throughout the package, all exact, with no tolerances:
 
-Conventions used throughout the package:
-
-* a vector is a tuple of ``Fraction``; ``v[i]`` is the coefficient of ``e_i``;
-* a matrix ``M`` is a tuple of rows; column ``j`` is the image of ``e_j``,
-  i.e. ``(M @ v)[i] = sum_j M[i][j] v[j]``;
-* a rank-2 tensor ``t`` has ``t[i][j]`` = coefficient of ``e_i (x) e_j``;
-* a rank-3 tensor has ``t[i][j][k]`` = coefficient of ``e_i (x) e_j (x) e_k``;
+* every table is held as an ``Exact`` array, built once, when a bundle is
+  parsed or a construction returns, and read by the kernel without
+  flattening; public attributes and return values are its nested tuples of
+  ``Fraction`` (``Exact.nested``), built on first access;
+* ``v[i]`` is the coefficient of ``e_i``; column ``j`` of a matrix ``M`` is
+  the image of ``e_j``, i.e. ``(M @ v)[i] = sum_j M[i][j] v[j]``;
+* ``t[i][j]`` is the coefficient of ``e_i (x) e_j`` in a rank-2 tensor, and
+  ``t[i][j][k]`` that of ``e_i (x) e_j (x) e_k`` in a rank-3 tensor;
 * structure constants ``c`` of a binary product have
   ``e_i * e_j = sum_k c[i][j][k] e_k``.
 """
@@ -27,10 +26,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
-from typing import Iterable, Sequence
+from math import gcd, lcm, prod
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +44,6 @@ Tensor3 = tuple[tuple[tuple[Scalar, ...], ...], ...]
 Terms = Sequence[tuple[int, str, tuple[str, ...]]]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -66,19 +65,108 @@ class InternalCheckError(AssertionError):
 
 def frac(x) -> Scalar:
     """Coerce an int, string ("p/q" or "n"), or Fraction to an exact Scalar."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, bool):
+    if isinstance(x, bool) or not isinstance(x, (Fraction, int, str)):
         raise InputError(f"not an exact scalar: {x!r}")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise InputError(f"not an exact scalar: {x!r}")
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def scalar_str(x: Scalar) -> str:
-    return str(x)
+# ---------------------------------------------------------------------------
+# exact arrays
+# ---------------------------------------------------------------------------
+
+def _fit(ints: list) -> np.ndarray:
+    """Python ints as an array: int64 when every one fits, objects otherwise."""
+    return np.array(ints, dtype=np.int64 if max(map(abs, ints), default=0) <= INT64_MAX else object)
+
+
+class Exact:
+    """An immutable exact array: the integers ``num`` over the positive
+    denominator ``den``, in lowest terms and in int64 when every numerator
+    fits (Python-int objects otherwise), so that equal values are equal
+    arrays.  ``nested`` is its nested-tuple-of-``Fraction`` view, built once."""
+
+    __slots__ = ("num", "den", "_nested")
+
+    def __init__(self, num, den: int = 1):
+        num = np.asarray(num)
+        if den != 1:
+            g = gcd(den, int(np.gcd.reduce(num, axis=None))) * (1 if den > 0 else -1)
+            if g != 1 and num.any():
+                num = num // g
+            den //= g
+        if num.dtype != np.int64:
+            num = _fit(num.ravel().tolist()).reshape(num.shape)
+        self.num, self.den, self._nested = num.view(), den, None
+        self.num.flags.writeable = False
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.num.shape
+
+    @property
+    def T(self) -> "Exact":
+        return Exact(self.num.T, self.den)
+
+    @property
+    def nested(self) -> tuple:
+        if self._nested is None:
+            self._nested = nested_fractions(self.num, self.den)
+        return self._nested
+
+    def __eq__(self, other):
+        if not isinstance(other, Exact):
+            return NotImplemented
+        return self.den == other.den and self.shape == other.shape and bool((self.num == other.num).all())
+
+
+def rationals(values: list, shape: tuple) -> Exact:
+    """The ``Exact`` array of reduced rationals (ints or Fractions) listed in
+    row-major order: over the lcm of their denominators, which is then in
+    lowest terms already."""
+    den = lcm(*{x.denominator for x in values})
+    return Exact(_fit([x.numerator * (den // x.denominator) for x in values]).reshape(shape), den)
+
+
+def _entries(table) -> tuple[list, tuple]:
+    """The entries of a nested table in row-major order, and its shape.
+    Nested tuples and lists are flattened level by level, which is much
+    cheaper than building an object array from them."""
+    shape, level = (), [table.tolist() if isinstance(table, np.ndarray) else table]
+    while level and isinstance(level[0], (tuple, list)):
+        size = len(level[0])
+        if not all(isinstance(row, (tuple, list)) and len(row) == size for row in level):
+            raise InputError("a table must be a rectangular array of exact rationals")
+        shape += (size,)
+        level = [x for row in level for x in row]
+    return level, shape
+
+
+def exact(table) -> Exact:
+    """A table as an ``Exact`` array: itself when it is one, otherwise its
+    nested rational entries, flattened once by ``_entries``."""
+    if isinstance(table, Exact):
+        return table
+    try:
+        return rationals(*_entries(table))
+    except (AttributeError, TypeError):
+        raise InputError("a table must be a rectangular array of exact rationals") from None
+
+
+class held:
+    """A data-class field kept as an ``Exact`` array, in the instance's
+    ``tables`` under the kernel operand name ``key``, and read as its nested
+    view.  Whatever is assigned goes through ``exact``."""
+
+    def __init__(self, key: str):
+        self.key = key
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.key)  # the field has no default
+        return obj.tables[self.key].nested
+
+    def __set__(self, obj, value):
+        obj.__dict__.setdefault("tables", {})[self.key] = exact(value)
 
 
 # ---------------------------------------------------------------------------
@@ -254,35 +342,31 @@ def _terms_plan(terms: Terms, shapes: dict, batch: frozenset) -> _Plan:
                  batch.intersection(names))
 
 
-def _entries(table) -> tuple[list, tuple]:
-    """The entries of a table in row-major order, and its shape.  Regular
-    nested tuples and lists are flattened directly, which is much cheaper
-    than building an object array from them; anything else goes through
-    numpy."""
-    shape, level = (), [table]
-    while level and isinstance(level[0], (tuple, list)):
-        size = len(level[0])
-        if not all(isinstance(row, (tuple, list)) and len(row) == size for row in level):
-            break
-        shape += (size,)
-        level = [x for row in level for x in row]
-    else:
-        if not (level and isinstance(level[0], np.ndarray)):
-            return level, shape
-    array = np.array(table, dtype=object)
-    return array.ravel().tolist(), array.shape
+def sum_footprint(terms: Terms, shapes: dict, maxabs: dict, batch: str) -> tuple[int, int]:
+    """Per batch member, the entries of the largest array ``sum_batched`` forms
+    for a term list on operands of these shapes and largest entries, batched
+    on ``batch`` (``_Plan.peak``), and the bytes per entry of the dtype the
+    plan's bound picks: 8 in int64, else an 8-byte pointer plus an int object
+    no larger than the bound."""
+    plan = _terms_plan(terms, shapes, frozenset((batch,)))
+    bound = plan.bound([maxabs[name] for name in plan.names])
+    return plan.peak, 8 if bound <= INT64_MAX else 8 + sys.getsizeof(bound)
 
 
 def _lift(tables: dict) -> tuple[dict, int]:
-    """Integer arrays over one common denominator of all entries: int64
-    where every entry of a table fits, Python-int object arrays otherwise."""
-    flat = {name: _entries(t) for name, t in tables.items()}
-    den = lcm(*{x.denominator for values, _ in flat.values() for x in values})
+    """The tables' numerators over one common denominator: each ``Exact``
+    array is brought there by one integer multiply, on Python ints when an
+    entry would leave int64."""
+    arrays = {name: exact(t) for name, t in tables.items()}
+    den = lcm(*{e.den for e in arrays.values()})
     lifted = {}
-    for name, (values, shape) in flat.items():
-        ints = [x.numerator * (den // x.denominator) for x in values]
-        dtype = np.int64 if max(map(abs, ints), default=0) <= INT64_MAX else object
-        lifted[name] = np.array(ints, dtype=dtype).reshape(shape)
+    for name, e in arrays.items():
+        num, factor = e.num, den // e.den
+        if factor != 1 and num.any():
+            if int(np.abs(num).max()) * factor > INT64_MAX:
+                num = num.astype(object)
+            num = num * factor
+        lifted[name] = num
     return lifted, den
 
 
@@ -355,10 +439,11 @@ def contract(specs: dict, tables: dict) -> dict:
     """Exact values of signed sums of einsum terms over rational tables.
 
     ``specs`` maps each key to a term list of ``(integer coefficient, einsum
-    subscripts, operand names)``; ``tables`` maps names to nested sequences of
-    rationals.  Names missing from ``tables`` are derived through
-    ``labels.OPERANDS``.  The tables are lifted once, to integers over one
-    common denominator, and each derived name is computed once for all specs;
+    subscripts, operand names)``; ``tables`` maps names to ``Exact`` arrays
+    (or nested sequences of rationals, which ``exact`` flattens).  Names
+    missing from ``tables`` are derived through ``labels.OPERANDS``.  The
+    tables are brought once to one common denominator (``_lift``), and each
+    derived name is computed once for all specs;
     each operand's largest entry and int64 copy are likewise taken once.
     Each term list runs through its cached plan (see ``_Plan``), in the dtype
     ``_Lifted.sum`` certifies.  Returns key -> ``(numerators, denominator)``:
@@ -397,53 +482,29 @@ def nested_fractions(num: np.ndarray, den: int = 1) -> tuple:
 
 
 def evaluate(specs: dict, tables: dict) -> dict:
-    """``contract`` as nested tuples of Fractions, key by key."""
-    return {key: nested_fractions(num, den) for key, (num, den) in contract(specs, tables).items()}
+    """``contract`` as ``Exact`` arrays, key by key."""
+    return {key: Exact(num, den) for key, (num, den) in contract(specs, tables).items()}
 
 
 def _contract1(subs: str, **tables):
     """One-term contraction of keyword tables, as nested Fractions."""
-    return evaluate({subs: [(1, subs, tuple(tables))]}, tables)[subs]
+    return evaluate({subs: [(1, subs, tuple(tables))]}, tables)[subs].nested
 
 
 # ---------------------------------------------------------------------------
 # vectors and matrices
 # ---------------------------------------------------------------------------
 
-def vec(entries: Iterable) -> Vector:
-    return tuple(frac(x) for x in entries)
-
-
 def vec_zero(n: int) -> Vector:
     return (ZERO,) * n
-
-
-def basis_vec(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def mat_zero(rows: int, cols: int) -> Matrix:
     return tuple(vec_zero(cols) for _ in range(rows))
 
 
-def mat_identity(n: int) -> Matrix:
-    return tuple(basis_vec(n, i) for i in range(n))
-
-
 def mat_shape(m: Matrix) -> tuple[int, int]:
     return (len(m), len(m[0]) if m else 0)
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(u, v)) for u, v in zip(a, b))
-
-
-def mat_neg(a: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
-def mat_scale(c: Scalar, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def mat_transpose(a: Matrix) -> Matrix:
@@ -466,10 +527,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
-def eliminate(m: Matrix) -> tuple[Scalar, tuple[np.ndarray, int] | None]:
-    """Determinant and inverse of a square matrix.  The inverse comes unboxed,
-    as ``(numerators, denominator)`` for ``nested_fractions``, and is None
-    when the matrix is singular.
+def eliminate(m) -> tuple[Scalar, Exact | None]:
+    """Determinant and inverse of a square matrix (``Exact`` or nested).  The
+    inverse is an ``Exact`` array, None when the matrix is singular.
 
     Fraction-free (Bareiss) Gauss-Jordan elimination of [M | I] on the integer
     lift M = s m: after the step on column k every row holds (k+1)-minors of
@@ -477,9 +537,9 @@ def eliminate(m: Matrix) -> tuple[Scalar, tuple[np.ndarray, int] | None]:
     the last pivot d is det M up to the sign of the row swaps, with d I on the
     left and d M^{-1} on the right.
     """
-    n = len(m)
-    lifted, den = _lift({"m": m})
-    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(lifted["m"].tolist())]
+    m = exact(m)
+    n, den = len(m.num), m.den
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m.num.tolist())]
     sign, prev = 1, 1
     for k in range(n):
         p = next((i for i in range(k, n) if a[i][k]), None)
@@ -494,25 +554,28 @@ def eliminate(m: Matrix) -> tuple[Scalar, tuple[np.ndarray, int] | None]:
                 f = a[i][k]
                 a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], row)]
         prev = pivot
-    inverse = np.array([row[n:] for row in a], dtype=object) * den
-    return Fraction(sign * prev, den**n), (inverse, prev)
+    return Fraction(sign * prev, den**n), Exact(np.array([row[n:] for row in a], dtype=object) * den, prev)
+
+
+def _square(m, message: str) -> Exact:
+    """``m`` as an ``Exact`` array, refused with ``message`` unless square."""
+    m = exact(m)
+    if m.num.size and (m.num.ndim != 2 or m.shape[0] != m.shape[1]):
+        raise InputError(message)
+    return m
 
 
 def exact_det(m: Matrix) -> Scalar:
     """The determinant, by ``eliminate``."""
-    if any(len(row) != len(m) for row in m):
-        raise InputError("determinant of a non-square matrix")
-    return eliminate(m)[0]
+    return eliminate(_square(m, "determinant of a non-square matrix"))[0]
 
 
 def mat_inverse(a: Matrix) -> Matrix:
     """The inverse, by ``eliminate``; raises InputError if singular."""
-    if any(len(row) != len(a) for row in a):
-        raise InputError("solve_linear needs a square system")
-    inverse = eliminate(a)[1]
+    inverse = eliminate(_square(a, "solve_linear needs a square system"))[1]
     if inverse is None:
         raise InputError("singular system")
-    return nested_fractions(*inverse)
+    return inverse.nested
 
 
 def solve_linear(a: Matrix, b: Vector) -> Vector:
@@ -528,36 +591,40 @@ def solve_linear(a: Matrix, b: Vector) -> Vector:
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Rank-3 table c with e_i * e_j = sum_k c[i][j][k] e_k."""
+    """Rank-3 table c with e_i * e_j = sum_k c[i][j][k] e_k, held as the
+    ``Exact`` array ``table``."""
 
     dim: int
-    c: Tensor3
+    c: Tensor3 = held("c")
 
     def __post_init__(self):
         n = self.dim
         if n <= 0:
             raise InputError("dimension must be positive")
-        if len(self.c) != n or any(
-            len(plane) != n or any(len(row) != n for row in plane) for plane in self.c
-        ):
+        if self.table.shape != (n, n, n):
             raise InputError(f"structure constants must have shape {n}x{n}x{n}")
+
+    @property
+    def table(self) -> Exact:
+        return self.tables["c"]
 
     @staticmethod
     def from_rows(rows) -> "StructureConstants":
-        c = tuple(tuple(vec(row) for row in plane) for plane in rows)
+        c = tuple(tuple(tuple(map(frac, row)) for row in plane) for plane in rows)
         return StructureConstants(len(c), c)
 
     @staticmethod
     def zero(n: int) -> "StructureConstants":
-        return StructureConstants(n, tuple(tuple(vec_zero(n) for _ in range(n)) for _ in range(n)))
+        return StructureConstants(n, Exact(np.zeros((n, n, n), dtype=np.int64)))
 
     def add(self, other: "StructureConstants") -> "StructureConstants":
         if self.dim != other.dim:
             raise InputError("dimension mismatch")
-        return StructureConstants(self.dim, tuple(mat_add(a, b) for a, b in zip(self.c, other.c)))
+        terms = labels.OPERANDS["o"]
+        return StructureConstants(self.dim, evaluate({"o": terms}, {"<": self.table, ">": other.table})["o"])
 
     def is_zero(self) -> bool:
-        return t3_is_zero(self.c)
+        return not self.table.num.any()
 
 
 # Where each table of ``direct_sum_table`` goes, by the summand (A or M) of
@@ -582,23 +649,23 @@ def direct_sum_table(n: int, m: int, tables: dict) -> StructureConstants:
     with no validity requirement.  ``tables`` holds any of: the A product
     "o", the M product ".", the families lA, rA of A acting on M (n matrices
     of size m x m) and lB, rB of M acting on A (m matrices of size n x n); a
-    missing one is zero.  The tables are lifted to integers over one common
-    denominator and each is placed as one block of a zero table.
+    missing one is zero.  The tables are brought to one common denominator
+    and each is placed as one block of a zero table.
     """
     lifted, den = _lift(tables)
     span = {"A": slice(0, n), "M": slice(n, n + m)}
-    c = np.zeros((n + m,) * 3, dtype=object)
+    c = np.zeros((n + m,) * 3, dtype=np.result_type(np.int64, *lifted.values()))
     for name, array in lifted.items():
         summands, axes = _BLOCKS[name]
         c[tuple(span[s] for s in summands)] = array.transpose(axes)
-    return StructureConstants(n + m, nested_fractions(c, den))
+    return StructureConstants(n + m, Exact(c, den))
 
 
 def apply_op(op: StructureConstants, a: Vector, b: Vector) -> Vector:
     """Evaluate the bilinear product on coordinate vectors."""
     if len(a) != op.dim or len(b) != op.dim:
         raise InputError(f"apply_op: expected vectors of length {op.dim}")
-    return _contract1("i,j,ijk->k", a=a, b=b, c=op.c)
+    return _contract1("i,j,ijk->k", a=a, b=b, c=op.table)
 
 
 def mult_matrix(op: StructureConstants, a: Vector, side: str) -> Matrix:
@@ -607,31 +674,15 @@ def mult_matrix(op: StructureConstants, a: Vector, side: str) -> Matrix:
         raise InputError(f"mult_matrix: expected vector of length {op.dim}")
     if side not in ("left", "right"):
         raise InputError(f"side must be 'left' or 'right', got {side!r}")
-    return _contract1("i,ijk->kj" if side == "left" else "i,jik->kj", a=a, c=op.c)
+    return _contract1("i,ijk->kj" if side == "left" else "i,jik->kj", a=a, c=op.table)
 
 
 # ---------------------------------------------------------------------------
 # rank-2 and rank-3 tensors
 # ---------------------------------------------------------------------------
 
-def t2(entries: Iterable[Iterable]) -> Tensor2:
-    return tuple(vec(row) for row in entries)
-
-
 def t2_zero(n: int, m: int | None = None) -> Tensor2:
     return mat_zero(n, m if m is not None else n)
-
-
-def t2_add(a: Tensor2, b: Tensor2) -> Tensor2:
-    return mat_add(a, b)
-
-
-def t2_sub(a: Tensor2, b: Tensor2) -> Tensor2:
-    return mat_add(a, mat_neg(b))
-
-
-def t2_scale(c: Scalar, a: Tensor2) -> Tensor2:
-    return mat_scale(c, a)
 
 
 def flip(t: Tensor2) -> Tensor2:
@@ -642,20 +693,6 @@ def flip(t: Tensor2) -> Tensor2:
     return tuple(tuple(t[j][i] for j in range(n)) for i in range(n))
 
 
-def t2_apply_left(m: Matrix, t: Tensor2) -> Tensor2:
-    """(M (x) id) t."""
-    return _contract1("ap,pb->ab", m=m, t=t)
-
-
-def t2_apply_right(m: Matrix, t: Tensor2) -> Tensor2:
-    """(id (x) M) t."""
-    return _contract1("aq,bq->ab", t=t, m=m)
-
-
-def t3_add(a: Tensor3, b: Tensor3) -> Tensor3:
-    return tuple(mat_add(x, y) for x, y in zip(a, b))
-
-
 def t3_is_zero(a: Tensor3) -> bool:
     return all(x == 0 for plane in a for row in plane for x in row)
 
@@ -664,17 +701,13 @@ def permute3(t: Tensor3, perm: Sequence[int]) -> Tensor3:
     """Push tensor slots around: slot k of the input becomes slot perm[k-1].
 
     ``perm`` is a permutation of (1, 2, 3).  The group action law holds:
-    ``permute3(permute3(t, s), r) == permute3(t, compose_perm(r, s))``.
+    ``permute3(permute3(t, s), r) == permute3(t, r s)``, with (r s)(k) =
+    r(s(k)).
     """
     if sorted(perm) != [1, 2, 3]:
         raise InputError(f"not a permutation of (1,2,3): {perm!r}")
     # out[j1][j2][j3] = t[j_{perm(1)}][j_{perm(2)}][j_{perm(3)}]
     return _contract1("".join("abc"[k - 1] for k in perm) + "->abc", t=t)
-
-
-def compose_perm(r: Sequence[int], s: Sequence[int]) -> tuple[int, ...]:
-    """(r s)(k) = r(s(k)) on {1,2,3}."""
-    return tuple(r[s[k] - 1] for k in range(3))
 
 
 _VALID_SLOT_PAIRS = {(p, q) for p in (1, 2, 3) for q in (1, 2, 3) if p != q}
@@ -705,7 +738,7 @@ def placed_product(
     (k,) = shared
     first = "".join("u" if x == k else "abc"[x - 1] for x in (p, q))
     second = "".join("v" if x == k else "abc"[x - 1] for x in (s, t))
-    return _contract1(f"{first},{second},uv{'abc'[k - 1]}->abc", r=r, r2=r2, c=op.c)
+    return _contract1(f"{first},{second},uv{'abc'[k - 1]}->abc", r=r, r2=r2, c=op.table)
 
 
 def dual_map(m: Matrix, mode: str) -> Matrix:
@@ -717,5 +750,5 @@ def dual_map(m: Matrix, mode: str) -> Matrix:
     if mode == "pairing":
         return mat_transpose(m)
     if mode == "rep":
-        return mat_neg(mat_transpose(m))
+        return tuple(tuple(-x for x in row) for row in mat_transpose(m))
     raise InputError(f"dual_map mode must be 'pairing' or 'rep', got {mode!r}")

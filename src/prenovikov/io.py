@@ -16,11 +16,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
+
+import numpy as np
 
 from .algebras import FormMatrix, NovikovAlgebra, PreNovikovAlgebra
 from .bialgebra import PreNovikovBialgebra, PreNovikovCoalgebra
-from .core import InputError, StructureConstants, scalar_str
+from .core import Exact, InputError, StructureConstants, rationals
 from .labels import render_identity
 from .report import Report, Violation
 from .representations import NovikovRep, PreNovikovRep
@@ -64,25 +67,42 @@ class Bundle:
     data: dict
 
 
-def _scalar(value: Any, path: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
+def _locate(value: Any, shape: tuple[int, ...], path: str) -> None:
+    """Walk an array depth first and raise at its first bad list or entry,
+    with its path."""
+    if shape:
+        if not isinstance(value, list) or len(value) != shape[0]:
+            raise InputError(f"{path}: expected a list of length {shape[0]}")
+        for i, v in enumerate(value):
+            _locate(v, shape[1:], f"{path}[{i}]")
+    elif isinstance(value, (bool, float)):
         raise InputError(f"{path}: scalar entries must be exact rationals, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    elif isinstance(value, str):
         try:
-            return Fraction(value)
+            Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{path}: bad rational {value!r} ({exc})") from None
-    raise InputError(f"{path}: scalar entries must be strings or integers, got {value!r}")
+    elif not isinstance(value, int):
+        raise InputError(f"{path}: scalar entries must be strings or integers, got {value!r}")
 
 
-def _array(value: Any, shape: tuple[int, ...], path: str):
-    if not shape:
-        return _scalar(value, path)
-    if not isinstance(value, list) or len(value) != shape[0]:
-        raise InputError(f"{path}: expected a list of length {shape[0]}")
-    return tuple(_array(v, shape[1:], f"{path}[{i}]") for i, v in enumerate(value))
+def _array(value: Any, shape: tuple[int, ...], path: str, memo: dict) -> Exact:
+    """An array of ``shape`` as an ``Exact`` array.  Its lists are checked
+    level by level and its entries parsed once per distinct string or int of
+    the document (``memo``); a malformed array is walked again by ``_locate``,
+    which names the offending path."""
+    level = [value]
+    try:
+        for size in shape:
+            if not all(type(v) is list and len(v) == size for v in level):
+                raise ValueError
+            level = [x for row in level for x in row]
+        if not all(type(x) is str or type(x) is int for x in level):
+            raise ValueError
+        memo.update((x, Fraction(x)) for x in set(level).difference(memo))
+    except (ValueError, ZeroDivisionError):
+        _locate(value, shape, path)
+    return rationals([memo[x] for x in level], shape)
 
 
 def _check_names(obj: dict, required, allowed, problem: str) -> None:
@@ -93,7 +113,7 @@ def _check_names(obj: dict, required, allowed, problem: str) -> None:
             raise InputError(problem.format(word) + str(sorted(names)))
 
 
-def _parse_fields(raw: dict, specs: dict, prefix: str, sizes: dict) -> dict:
+def _parse_fields(raw: dict, specs: dict, prefix: str, sizes: dict, memo: dict) -> dict:
     """Parse the fields ``specs`` declares, in order, recording sizes."""
     data: dict[str, Any] = {}
     for name, spec in specs.items():
@@ -108,13 +128,13 @@ def _parse_fields(raw: dict, specs: dict, prefix: str, sizes: dict) -> dict:
                 raise InputError(f"{path}: expected an object")
             group = flavor[name]
             _check_names(value, group, group, path + ": {} fields ")
-            data[name] = _parse_fields(value, group, path + ".", sizes)
+            data[name] = _parse_fields(value, group, path + ".", sizes, memo)
         elif len(spec) == 1:
             if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
                 raise InputError(f"{path}: expected a positive integer")
             sizes[spec] = data[name] = value
         else:
-            data[name] = _array(value, tuple(sizes[s] for s in spec), path)
+            data[name] = _array(value, tuple(sizes[s] for s in spec), path, memo)
     return data
 
 
@@ -133,7 +153,7 @@ def parse_bundle(text: str) -> Bundle:
     labels = [name for name, size in _LABELS.items() if size in specs.values()]
     _check_names(raw, specs, [*specs, *labels, "kind"], f"{{}} fields for kind {kind!r}: ")
     sizes: dict[str, int] = {}
-    data = _parse_fields(raw, specs, "", sizes)
+    data = _parse_fields(raw, specs, "", sizes, {})
     for name in labels:
         if name in raw:
             value, n = raw[name], sizes[_LABELS[name]]
@@ -144,8 +164,12 @@ def parse_bundle(text: str) -> Bundle:
 
 
 def _encode(value: Any) -> Any:
+    if isinstance(value, Exact):  # one string per distinct entry
+        flat = value.num.ravel().tolist()
+        text = {x: str(Fraction(x, value.den)) for x in set(flat)}
+        return np.array([text[x] for x in flat], dtype=object).reshape(value.shape).tolist()
     if isinstance(value, Fraction):
-        return scalar_str(value)
+        return str(value)
     if isinstance(value, tuple):
         return [_encode(v) for v in value]
     if isinstance(value, dict):
@@ -153,9 +177,28 @@ def _encode(value: Any) -> Any:
     return value
 
 
+_LITERALS = {"None": "null", "True": "true", "False": "false", "()": "[]"}
+
+
 def dumps(doc: Any) -> str:
-    """The canonical JSON text of a document: sorted keys, two-space indent."""
-    return json.dumps(doc, sort_keys=True, indent=2)
+    """Canonical JSON text: byte for byte ``json.dumps(doc, sort_keys=True, indent=2)``."""
+    out: list[str] = []
+
+    def emit(value, pad: str) -> None:
+        if isinstance(value, (dict, list, tuple)) and value:
+            is_dict, inner = isinstance(value, dict), pad + "  "
+            out.append("{" if is_dict else "[")
+            for k, item in enumerate(sorted(value.items()) if is_dict else value):
+                key = encode_basestring_ascii(item[0]) + ": " if is_dict else ""
+                out.append(("," if k else "") + inner + key)
+                emit(item[1] if is_dict else item, inner)
+            out.append(pad + ("}" if is_dict else "]"))
+        elif isinstance(value, str):
+            out.append(encode_basestring_ascii(value))
+        else:  # null, booleans, numbers and empty containers
+            out.append(_LITERALS.get(text := repr(value), text))
+    emit(doc, "\n")
+    return "".join(out)
 
 
 def bundle_doc(bundle: Bundle) -> dict:
@@ -176,7 +219,7 @@ def make_bundle(kind: str, basis=None, **data) -> Bundle:
 
 
 def pre_novikov_bundle(alg: PreNovikovAlgebra, basis=None) -> Bundle:
-    return make_bundle("pre_novikov", basis, dim=alg.dim, lhd=alg.lhd.c, rhd=alg.rhd.c)
+    return make_bundle("pre_novikov", basis, dim=alg.dim, lhd=alg.lhd.table, rhd=alg.rhd.table)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +233,8 @@ def bundle_to_objects(bundle: Bundle):
     PreNovikovAlgebra; coalgebra -> PreNovikovCoalgebra; bialgebra ->
     PreNovikovBialgebra; form -> (NovikovAlgebra, FormMatrix); tensor2 ->
     rank-2 tuple; linmap -> matrix; rep -> (algebra, rep); o_operator ->
-    (algebra, rep, matrix).
+    (algebra, rep, matrix).  The bundle's ``Exact`` arrays become the
+    objects' tables, without a copy.
     """
     d = bundle.data
     kind = bundle.kind
@@ -207,12 +251,12 @@ def bundle_to_objects(bundle: Bundle):
     if kind == "form":
         return bundle_to_objects(Bundle("novikov", d)), FormMatrix(d["dim"], d["matrix"])
     if kind in ("tensor2", "linmap"):
-        return d["entries"]
+        return d["entries"].nested
     if kind not in ("rep", "o_operator"):
         raise InputError(f"unsupported kind {kind!r}")
     alg = bundle_to_objects(Bundle(d["flavor"], {"dim": d["algebra_dim"], **d["algebra"]}))
     rep = FLAVORS[d["flavor"]]["rep"](alg, **d["maps"])
-    return (alg, rep) if kind == "rep" else (alg, rep, d["t"])
+    return (alg, rep) if kind == "rep" else (alg, rep, d["t"].nested)
 
 
 # ---------------------------------------------------------------------------

@@ -27,13 +27,13 @@ from .algebras import (
 )
 from .bialgebra import PreNovikovBialgebra, check_bialgebra
 from .core import (
-    ONE,
-    ZERO,
+    Exact,
     InputError,
     InternalCheckError,
     RefusalError,
     StructureConstants,
     direct_sum_table,
+    held,
 )
 from .report import Report, ReportBuilder, default_labels, split_labels
 from .representations import NovikovRep, RepMaps, check_novikov_rep, dual_adjoint_maps
@@ -41,23 +41,22 @@ from .representations import NovikovRep, RepMaps, check_novikov_rep, dual_adjoin
 
 @dataclass(frozen=True)
 class MatchedPair:
+    """Two products and the actions between them; the actions are held as
+    ``Exact`` arrays in ``tables``, under their ``direct_sum_table`` names."""
+
     a_op: StructureConstants
     b_op: StructureConstants
-    l_a: RepMaps  # A acting on B
-    r_a: RepMaps
-    l_b: RepMaps  # B acting on A
-    r_b: RepMaps
+    l_a: RepMaps = held("lA")  # A acting on B
+    r_a: RepMaps = held("rA")
+    l_b: RepMaps = held("lB")  # B acting on A
+    r_b: RepMaps = held("rB")
     verified: bool = False
 
     def __post_init__(self):
         n, m = self.a_op.dim, self.b_op.dim
-        for name, maps, count, size in (
-            ("l_a", self.l_a, n, m),
-            ("r_a", self.r_a, n, m),
-            ("l_b", self.l_b, m, n),
-            ("r_b", self.r_b, m, n),
-        ):
-            if len(maps) != count or any(len(mx) != size or len(mx[0]) != size for mx in maps):
+        for name, key, count, size in (("l_a", "lA", n, m), ("r_a", "rA", n, m),
+                                       ("l_b", "lB", m, n), ("r_b", "rB", m, n)):
+            if self.tables[key].shape != (count, size, size):
                 raise InputError(f"{name} must hold {count} matrices of size {size}x{size}")
 
 
@@ -79,22 +78,11 @@ def check_matched_pair(mp: MatchedPair, basis_a=None, basis_b=None) -> Report:
 
     rb.section(check_novikov(mp.a_op, basis=lab_a))
     rb.section(check_novikov(mp.b_op, basis=lab_b))
-    rb.section(
-        check_novikov_rep(
-            NovikovAlgebra(mp.a_op),
-            NovikovRep(NovikovAlgebra(mp.a_op), mp.l_a, mp.r_a),
-            basis=lab_a,
-            module_basis=lab_b,
-        )
-    )
-    rb.section(
-        check_novikov_rep(
-            NovikovAlgebra(mp.b_op),
-            NovikovRep(NovikovAlgebra(mp.b_op), mp.l_b, mp.r_b),
-            basis=lab_b,
-            module_basis=lab_a,
-        )
-    )
+    for op, l, r, basis, module_basis in ((mp.a_op, "lA", "rA", lab_a, lab_b),
+                                          (mp.b_op, "lB", "rB", lab_b, lab_a)):
+        alg = NovikovAlgebra(op)
+        rep = NovikovRep(alg, mp.tables[l], mp.tables[r])
+        rb.section(check_novikov_rep(alg, rep, basis=basis, module_basis=module_basis))
 
     rb.check(_tables(mp), shift={"x": n, "y": n})
     return rb.build()
@@ -102,7 +90,7 @@ def check_matched_pair(mp: MatchedPair, basis_a=None, basis_b=None) -> Report:
 
 def _tables(mp: MatchedPair) -> dict:
     """The kernel and block names of a matched pair's tables."""
-    return {"o": mp.a_op.c, ".": mp.b_op.c, "lA": mp.l_a, "rA": mp.r_a, "lB": mp.l_b, "rB": mp.r_b}
+    return {"o": mp.a_op.table, ".": mp.b_op.table, **mp.tables}
 
 
 def direct_sum_product(mp: MatchedPair) -> StructureConstants:
@@ -120,7 +108,7 @@ def direct_sum_algebra(mp: MatchedPair) -> NovikovAlgebra:
         report = check_matched_pair(mp)
         if not report.passed:
             raise RefusalError("not a matched pair", report)
-        mp = MatchedPair(mp.a_op, mp.b_op, mp.l_a, mp.r_a, mp.l_b, mp.r_b, verified=True)
+        mp = MatchedPair(mp.a_op, mp.b_op, *mp.tables.values(), verified=True)
     out = NovikovAlgebra(direct_sum_product(mp))
     if not check_novikov(out.op).passed:
         raise InternalCheckError("direct sum of a verified matched pair failed the Novikov check")
@@ -131,10 +119,10 @@ def standard_form(n: int) -> FormMatrix:
     """The canonical skew pairing w(a+f, b+g) = <f, b> - <g, a> on A (+) A*."""
     if n <= 0:
         raise InputError("dimension must be positive")
-    w = np.full((2 * n, 2 * n), ZERO, dtype=object)
-    w[range(n), range(n, 2 * n)] = -ONE
-    w[range(n, 2 * n), range(n)] = ONE
-    return FormMatrix(2 * n, tuple(map(tuple, w)))
+    w = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    w[range(n), range(n, 2 * n)] = -1
+    w[range(n, 2 * n), range(n)] = 1
+    return FormMatrix(2 * n, Exact(w))
 
 
 def induced_matched_pair(bialg: PreNovikovBialgebra) -> MatchedPair:
@@ -143,18 +131,9 @@ def induced_matched_pair(bialg: PreNovikovBialgebra) -> MatchedPair:
     Built unconditionally from the bialgebra data; run check_matched_pair to
     find out whether it actually is one.
     """
-    alg = bialg.algebra
-    lhd_star, rhd_star = bialg.coalgebra.dual
-    l_a, r_a = dual_adjoint_maps(alg.lhd, alg.rhd)
-    l_b, r_b = dual_adjoint_maps(lhd_star, rhd_star)
-    return MatchedPair(
-        sum_table(alg.lhd, alg.rhd),
-        sum_table(lhd_star, rhd_star),
-        l_a,
-        r_a,
-        l_b,
-        r_b,
-    )
+    alg, (lhd_star, rhd_star) = bialg.algebra, bialg.coalgebra.dual
+    return MatchedPair(sum_table(alg.lhd, alg.rhd), sum_table(lhd_star, rhd_star),
+                       *dual_adjoint_maps(alg.lhd, alg.rhd), *dual_adjoint_maps(lhd_star, rhd_star))
 
 
 def _blocks_match(bialg: PreNovikovBialgebra, induced: PreNovikovAlgebra) -> bool:
@@ -166,13 +145,12 @@ def _blocks_match(bialg: PreNovikovBialgebra, induced: PreNovikovAlgebra) -> boo
     """
     n = bialg.algebra.dim
     lhd_star, rhd_star = bialg.coalgebra.dual
-    pad = (0,) * n
+    a, star = slice(0, n), slice(n, 2 * n)
 
     def same_blocks(got, table, table_star):
-        a_rows = tuple(plane[:n] for plane in got.c[:n])
-        star_rows = tuple(plane[n:] for plane in got.c[n:])
-        return (a_rows == tuple(tuple(row + pad for row in plane) for plane in table.c)
-                and star_rows == tuple(tuple(pad + row for row in plane) for plane in table_star.c))
+        want = direct_sum_table(n, n, {"o": table.table, ".": table_star.table}).table
+        return all(Exact(got.table.num[rows], got.table.den) == Exact(want.num[rows], want.den)
+                   for rows in ((a, a), (star, star)))
 
     return (same_blocks(induced.lhd, bialg.algebra.lhd, lhd_star)
             and same_blocks(induced.rhd, bialg.algebra.rhd, rhd_star))

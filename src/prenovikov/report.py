@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import contract, scalar_str
+from .core import contract
 from .labels import SPECS
 
 
@@ -71,16 +71,15 @@ class ReportBuilder:
         self._violations: list[Violation] = []
         self._sections: list[Report] = []
 
-    def residual(self, identity: str, witness: tuple[int, ...], value) -> None:
-        """Record a violation when the residual vector is nonzero."""
-        if all(x == 0 for x in value):
-            return
+    def residual(self, identity: str, witness: tuple[int, ...], value: tuple[str, ...]) -> None:
+        """Record a violation: ``value`` is the nonzero residual vector at
+        ``witness``, each entry the string of a reduced fraction."""
         self._violations.append(
             Violation(
                 identity=identity,
                 witness_index=witness,
                 witness=tuple(self.labels[i] for i in witness),
-                residual=tuple(scalar_str(x) for x in value),
+                residual=value,
             )
         )
 
@@ -90,7 +89,7 @@ class ReportBuilder:
 
         One violation is recorded per witness index whose residual is
         nonzero; ``shift`` offsets witness letters into ``labels`` (for a
-        second basis appended after the first).  One ``Fraction`` is boxed
+        second basis appended after the first).  One residual string is built
         per distinct residual value of each identity.
         """
         shift = shift or {}
@@ -101,12 +100,12 @@ class ReportBuilder:
             offsets = [shift.get(letter, 0) for letter in witness]
             at = np.nonzero((flat != 0).any(axis=-1))
             values = flat[at].tolist()
-            box = {x: Fraction(x, den) for x in set(chain.from_iterable(values))}
+            text = {x: str(Fraction(x, den)) for x in set(chain.from_iterable(values))}
             for idx, value in zip(zip(*(a.tolist() for a in at)), values):
                 self.residual(
                     code,
                     tuple(i + o for i, o in zip(idx, offsets)),
-                    tuple(box[x] for x in value),
+                    tuple(text[x] for x in value),
                 )
 
     def flag(self, identity: str, message: str) -> None:

@@ -9,7 +9,7 @@ module's factories after actually running the checker, never trusted input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import labels
 from .algebras import NovikovAlgebra, PreNovikovAlgebra, check_pre_novikov, sum_table
@@ -21,99 +21,88 @@ from .core import (
     StructureConstants,
     direct_sum_table,
     evaluate,
-    mat_shape,
+    held,
 )
 from .report import Report, ReportBuilder, default_labels
 
 RepMaps = tuple[Matrix, ...]
 
 
-def _check_maps(maps: RepMaps, algebra_dim: int, name: str) -> int:
-    if len(maps) != algebra_dim:
-        raise InputError(f"{name}: need one matrix per algebra basis element")
-    m = len(maps[0])
-    for mtx in maps:
-        if mat_shape(mtx) != (m, m):
-            raise InputError(f"{name}: module matrices must be square of equal size")
-    return m
+class _Maps:
+    """A representation's map families, held as ``Exact`` arrays in
+    ``tables`` under their kernel operand names: one square module matrix per
+    algebra basis element, all of one size."""
+
+    def __post_init__(self):
+        n, shapes = self.algebra.dim, {a.shape for a in self.tables.values()}
+        if len(shapes) != 1:
+            raise InputError("the map families act on different module dimensions")
+        (shape,) = shapes
+        if len(shape) != 3 or shape[0] != n or shape[1] != shape[2]:
+            raise InputError(f"need one square module matrix per algebra basis element, got shape {shape}")
+
+    @property
+    def module_dim(self) -> int:
+        return next(iter(self.tables.values())).shape[1]
+
+    def certified(self, verified: bool = True):
+        """The same representation with the ``verified`` flag set."""
+        return type(self)(self.algebra, *self.tables.values(), verified=verified)
 
 
 @dataclass(frozen=True)
-class NovikovRep:
+class NovikovRep(_Maps):
     algebra: NovikovAlgebra
-    l: RepMaps
-    r: RepMaps
+    l: RepMaps = held("l")
+    r: RepMaps = held("r")
     verified: bool = False
-
-    def __post_init__(self):
-        m = _check_maps(self.l, self.algebra.dim, "l")
-        if _check_maps(self.r, self.algebra.dim, "r") != m:
-            raise InputError("l and r act on different module dimensions")
-
-    @property
-    def module_dim(self) -> int:
-        return len(self.l[0])
 
 
 @dataclass(frozen=True)
-class PreNovikovRep:
+class PreNovikovRep(_Maps):
     algebra: PreNovikovAlgebra
-    l_rhd: RepMaps
-    r_rhd: RepMaps
-    l_lhd: RepMaps
-    r_lhd: RepMaps
+    l_rhd: RepMaps = held("l>")
+    r_rhd: RepMaps = held("r>")
+    l_lhd: RepMaps = held("l<")
+    r_lhd: RepMaps = held("r<")
     verified: bool = False
 
-    def __post_init__(self):
-        dims = {
-            _check_maps(maps, self.algebra.dim, name)
-            for name, maps in [("l_rhd", self.l_rhd), ("r_rhd", self.r_rhd),
-                               ("l_lhd", self.l_lhd), ("r_lhd", self.r_lhd)]
-        }
-        if len(dims) != 1:
-            raise InputError("the four map families act on different module dimensions")
 
-    @property
-    def module_dim(self) -> int:
-        return len(self.l_rhd[0])
-
-
-def check_novikov_rep(alg: NovikovAlgebra, rep: NovikovRep, basis=None, module_basis=None) -> Report:
-    """The four module identities, evaluated on all basis triples."""
+def _rep_report(name: str, codes, tables: dict, alg, rep, basis, module_basis) -> Report:
+    """The report ``name`` of the module identities ``codes`` on all basis
+    triples, the algebra read through ``tables``."""
     if rep.algebra.dim != alg.dim:
         raise InputError("representation/algebra dimension mismatch")
     n, m = alg.dim, rep.module_dim
     lab = tuple(basis or default_labels(n)) + tuple(module_basis or default_labels(m, "v"))
-    rb = ReportBuilder("novikov_rep", labels.NOVIKOV_REP, lab)
-    rb.check({"o": alg.op.c, "l": rep.l, "r": rep.r}, shift={"v": n})
+    rb = ReportBuilder(name, codes, lab)
+    rb.check({**tables, **rep.tables}, shift={"v": n})
     return rb.build()
+
+
+def check_novikov_rep(alg: NovikovAlgebra, rep: NovikovRep, basis=None, module_basis=None) -> Report:
+    """The four module identities, evaluated on all basis triples."""
+    return _rep_report("novikov_rep", labels.NOVIKOV_REP, {"o": alg.op.table}, alg, rep, basis, module_basis)
 
 
 def check_pre_novikov_rep(alg: PreNovikovAlgebra, rep: PreNovikovRep,
                           basis=None, module_basis=None) -> Report:
     """The ten pre-Novikov module identities on all basis triples."""
-    if rep.algebra.dim != alg.dim:
-        raise InputError("representation/algebra dimension mismatch")
-    n, m = alg.dim, rep.module_dim
-    lab = tuple(basis or default_labels(n)) + tuple(module_basis or default_labels(m, "v"))
-    rb = ReportBuilder("pre_novikov_rep", labels.PRE_NOVIKOV_REP, lab)
-    rb.check({"<": alg.lhd.c, ">": alg.rhd.c, "l>": rep.l_rhd, "r>": rep.r_rhd,
-              "l<": rep.l_lhd, "r<": rep.r_lhd}, shift={"v": n})
-    return rb.build()
+    return _rep_report("pre_novikov_rep", labels.PRE_NOVIKOV_REP, alg.tables, alg, rep, basis, module_basis)
 
 
 def verify_novikov_rep(rep: NovikovRep) -> NovikovRep:
     report = check_novikov_rep(rep.algebra, rep)
     if not report.passed:
         raise RefusalError("not a Novikov representation", report)
-    return replace(rep, verified=True)
+    return rep.certified()
 
 
 def verify_pre_novikov_rep(rep: PreNovikovRep) -> PreNovikovRep:
     report = check_pre_novikov_rep(rep.algebra, rep)
     if not report.passed:
         raise RefusalError("not a pre-Novikov representation", report)
-    return replace(rep, verified=True)
+    return rep.certified()
 
 
 def _duals(**maps) -> dict:
@@ -130,64 +119,57 @@ def dual_novikov_spec(l: str, r: str) -> dict:
 
 def dual_pre_novikov_spec(l_rhd: str, r_rhd: str, l_lhd: str, r_lhd: str) -> dict:
     """Kernel spec of the dual quadruple (l>*+l<*+r>*+r<*, r>*, -(r>*+l<*),
-    -(r>*+r<*)) of the maps with these names."""
-    return _duals(
-        l_rhd=[(1, l_rhd), (1, l_lhd), (1, r_rhd), (1, r_lhd)],
-        r_rhd=[(1, r_rhd)],
-        l_lhd=[(-1, r_rhd), (-1, l_lhd)],
-        r_lhd=[(-1, r_rhd), (-1, r_lhd)],
-    )
+    -(r>*+r<*)) of the maps with these names, keyed l>, r>, l<, r<."""
+    return _duals(**{
+        "l>": [(1, l_rhd), (1, l_lhd), (1, r_rhd), (1, r_lhd)],
+        "r>": [(1, r_rhd)],
+        "l<": [(-1, r_rhd), (-1, l_lhd)],
+        "r<": [(-1, r_rhd), (-1, r_lhd)],
+    })
+
+
+def _dual(rep, spec: dict, check, what: str):
+    """The dual of a verified representation by its kernel spec, re-verified."""
+    if not rep.verified:
+        raise RefusalError("refusing to dualize an unverified representation")
+    out = type(rep)(rep.algebra, *evaluate(spec, rep.tables).values())
+    if not check(rep.algebra, out).passed:
+        raise InternalCheckError(f"dual of a verified {what} representation failed its check")
+    return out.certified()
 
 
 def dual_novikov_rep(rep: NovikovRep) -> NovikovRep:
     """The dual representation (l* + r*, -r*) on the dual module."""
-    if not rep.verified:
-        raise RefusalError("refusing to dualize an unverified representation")
-    maps = evaluate(dual_novikov_spec("l", "r"), {"l": rep.l, "r": rep.r})
-    out = NovikovRep(rep.algebra, maps["l"], maps["r"])
-    report = check_novikov_rep(rep.algebra, out)
-    if not report.passed:
-        raise InternalCheckError("dual of a verified Novikov representation failed its check")
-    return replace(out, verified=True)
+    return _dual(rep, dual_novikov_spec("l", "r"), check_novikov_rep, "Novikov")
 
 
 def dual_pre_novikov_rep(rep: PreNovikovRep) -> PreNovikovRep:
     """The dual quadruple (l>*+l<*+r>*+r<*, r>*, -(r>*+l<*), -(r>*+r<*))."""
-    if not rep.verified:
-        raise RefusalError("refusing to dualize an unverified representation")
-    maps = evaluate(dual_pre_novikov_spec("l>", "r>", "l<", "r<"),
-                    {"l>": rep.l_rhd, "r>": rep.r_rhd, "l<": rep.l_lhd, "r<": rep.r_lhd})
-    out = PreNovikovRep(rep.algebra, maps["l_rhd"], maps["r_rhd"], maps["l_lhd"], maps["r_lhd"])
-    report = check_pre_novikov_rep(rep.algebra, out)
-    if not report.passed:
-        raise InternalCheckError("dual of a verified pre-Novikov representation failed its check")
-    return replace(out, verified=True)
+    return _dual(rep, dual_pre_novikov_spec("l>", "r>", "l<", "r<"), check_pre_novikov_rep, "pre-Novikov")
 
 
 def novikov_adjoint_rep(alg: NovikovAlgebra) -> NovikovRep:
     """The adjoint representation (Lo, Ro) of a Novikov algebra on itself."""
-    maps = evaluate({name: labels.OPERANDS[name] for name in ("Lo", "Ro")}, {"o": alg.op.c})
+    maps = evaluate({name: labels.OPERANDS[name] for name in ("Lo", "Ro")}, {"o": alg.op.table})
     rep = NovikovRep(alg, maps["Lo"], maps["Ro"])
-    return replace(rep, verified=check_novikov_rep(alg, rep).passed)
+    return rep.certified(check_novikov_rep(alg, rep).passed)
 
 
 def adjoint_reps(alg: PreNovikovAlgebra) -> tuple[NovikovRep, PreNovikovRep]:
     """The (L>, R<) representation of the associated Novikov algebra and the
     adjoint quadruple (L>, R>, L<, R<) of the pre-Novikov algebra itself."""
-    maps = evaluate({name: labels.OPERANDS[name] for name in ("L>", "R>", "L<", "R<")},
-                    {"<": alg.lhd.c, ">": alg.rhd.c})
+    maps = evaluate({name: labels.OPERANDS[name] for name in ("L>", "R>", "L<", "R<")}, alg.tables)
     nov = NovikovAlgebra(sum_table(alg.lhd, alg.rhd))
     nov_rep = NovikovRep(nov, maps["L>"], maps["R<"])
     pre_rep = PreNovikovRep(alg, maps["L>"], maps["R>"], maps["L<"], maps["R<"])
-    nov_rep = replace(nov_rep, verified=check_novikov_rep(nov, nov_rep).passed)
-    pre_rep = replace(pre_rep, verified=check_pre_novikov_rep(alg, pre_rep).passed)
-    return nov_rep, pre_rep
+    return (nov_rep.certified(check_novikov_rep(nov, nov_rep).passed),
+            pre_rep.certified(check_pre_novikov_rep(alg, pre_rep).passed))
 
 
 def dual_adjoint_maps(lhd: StructureConstants, rhd: StructureConstants) -> tuple[RepMaps, RepMaps]:
     """The maps (L>* + R<*, -R<*) dual to the (L>, R<) action, built from the
     tables with no validity requirement."""
-    maps = evaluate(dual_novikov_spec("L>", "R<"), {"<": lhd.c, ">": rhd.c})
+    maps = evaluate(dual_novikov_spec("L>", "R<"), {"<": lhd.table, ">": rhd.table})
     return maps["l"], maps["r"]
 
 
@@ -204,8 +186,8 @@ def semidirect_pre_novikov(alg: PreNovikovAlgebra, rep: PreNovikovRep) -> PreNov
         raise RefusalError("refusing to build a semidirect product from an unverified representation")
     n, m = alg.dim, rep.module_dim
     out = PreNovikovAlgebra(
-        direct_sum_table(n, m, {"o": alg.lhd.c, "lA": rep.l_lhd, "rA": rep.r_lhd}),
-        direct_sum_table(n, m, {"o": alg.rhd.c, "lA": rep.l_rhd, "rA": rep.r_rhd}),
+        direct_sum_table(n, m, {"o": alg.lhd.table, "lA": rep.tables["l<"], "rA": rep.tables["r<"]}),
+        direct_sum_table(n, m, {"o": alg.rhd.table, "lA": rep.tables["l>"], "rA": rep.tables["r>"]}),
     )
     if not check_pre_novikov(out.lhd, out.rhd).passed:
         raise InternalCheckError("semidirect product of a verified representation failed its check")

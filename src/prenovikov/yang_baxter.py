@@ -13,6 +13,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Optional, Union
 
 import numpy as np
@@ -26,7 +27,7 @@ from .algebras import (
 )
 from .bialgebra import PreNovikovBialgebra, PreNovikovCoalgebra, check_bialgebra
 from .core import (
-    ZERO,
+    Exact,
     InputError,
     InternalCheckError,
     Matrix,
@@ -34,13 +35,12 @@ from .core import (
     StructureConstants,
     Tensor2,
     Tensor3,
-    _lift,
-    _terms_plan,
     contract,
     evaluate,
-    flip,
-    nested_fractions,
+    exact,
+    held,
     sum_batched,
+    sum_footprint,
     t3_is_zero,
 )
 from .report import Report, ReportBuilder, default_labels
@@ -55,25 +55,33 @@ from .representations import (
 )
 
 
-def _check_square(r: Tensor2, n: int, what: str = "tensor") -> None:
-    if len(r) != n or any(len(row) != n for row in r):
-        raise InputError(f"{what} must be {n}x{n}")
+def _matrix(t, rows: int, cols: int, what: str) -> Exact:
+    """``t`` as an ``Exact`` array, refused unless it is rows x cols."""
+    t = exact(t)
+    if t.shape != (rows, cols):
+        raise InputError(f"{what} must be {rows}x{cols}")
+    return t
 
 
-def _operands(alg: PreNovikovAlgebra, r: Tensor2) -> dict:
+def _operands(alg: PreNovikovAlgebra, r) -> dict:
     """The kernel tables of an algebra and a rank-2 tensor r."""
-    _check_square(r, alg.dim, "r")
-    return {"<": alg.lhd.c, ">": alg.rhd.c, "r": r}
+    return {**alg.tables, "r": _matrix(r, alg.dim, alg.dim, "r")}
 
 
-def _residuals(codes, tables: dict) -> dict:
-    """The residuals of the identities ``codes``, keyed by code, in one kernel call."""
-    return evaluate({code: labels.SPECS[code][1] for code in codes}, tables)
+def _ybe(alg: PreNovikovAlgebra, r) -> Exact:
+    """``ybe_residual`` as an ``Exact`` array."""
+    return evaluate({labels.YBE: labels.SPECS[labels.YBE][1]}, _operands(alg, r))[labels.YBE]
 
 
 def ybe_residual(alg: PreNovikovAlgebra, r: Tensor2) -> Tensor3:
     """Left-hand side of r12 o r13 + r23 (.) r13 - r12 < r23 as a rank-3 tensor."""
-    return _residuals([labels.YBE], _operands(alg, r))[labels.YBE]
+    return _ybe(alg, r).nested
+
+
+def _symmetric(alg: PreNovikovAlgebra, r) -> tuple[Exact, bool]:
+    """r as an ``Exact`` array, and whether it is symmetric."""
+    r = _matrix(r, alg.dim, alg.dim, "r")
+    return r, r.T == r
 
 
 def coboundary_maps(alg: PreNovikovAlgebra, r: Tensor2) -> PreNovikovCoalgebra:
@@ -93,18 +101,15 @@ def coboundary_maps(alg: PreNovikovAlgebra, r: Tensor2) -> PreNovikovCoalgebra:
 
 def bialgebra_from_r(alg: PreNovikovAlgebra, r: Tensor2) -> PreNovikovBialgebra:
     """Coboundary bialgebra of a symmetric solution; refuses anything else."""
-    n = alg.dim
-    _check_square(r, n, "r")
-    if flip(r) != r:
+    r, symmetric = _symmetric(alg, r)
+    if not symmetric:
         raise RefusalError("r is not symmetric")
-    if not t3_is_zero(ybe_residual(alg, r)):
+    if _ybe(alg, r).num.any():
         raise RefusalError("r has a nonzero Yang-Baxter residual")
     co = coboundary_maps(alg, r)
     report = check_bialgebra(alg, co)
     if not report.passed:
-        raise InternalCheckError(
-            "coboundary maps of a symmetric solution failed the bialgebra check"
-        )
+        raise InternalCheckError("coboundary maps of a symmetric solution failed the bialgebra check")
     return PreNovikovBialgebra(alg, co, report=report)
 
 
@@ -128,34 +133,13 @@ class DiagnosticsReport:
     equation_residuals: dict
 
     def conditions_zero(self) -> bool:
-        return all(
-            t3_is_zero(line) for grid in self.condition_residuals.values() for line in grid
-        )
+        return all(t3_is_zero(line) for grid in self.condition_residuals.values() for line in grid)
 
     def equations_zero(self) -> bool:
-        return all(
-            t3_is_zero(t) for series in self.equation_residuals.values() for t in series
-        )
+        return all(t3_is_zero(t) for series in self.equation_residuals.values() for t in series)
 
     def r_tensors_zero(self) -> bool:
         return all(t3_is_zero(t) for t in self.r_tensors.values())
-
-
-def r_tensors(alg: PreNovikovAlgebra, r: Tensor2) -> dict:
-    """The seven named rank-3 tensors of the coboundary analysis."""
-    return evaluate({name: labels.OPERANDS[name] for name in labels.R_TENSORS}, _operands(alg, r))
-
-
-def lemma_condition_residuals(alg: PreNovikovAlgebra, r: Tensor2) -> dict:
-    """Residuals of the four operator conditions applied to (tau(r) - r),
-    one rank-2 tensor per basis pair (a, b), keyed by codes 4.3-4.6."""
-    return _residuals(labels.COBOUNDARY_CONDITIONS, _operands(alg, r))
-
-
-def lemma_equation_residuals(alg: PreNovikovAlgebra, r: Tensor2) -> dict:
-    """Residuals of the four equations the R-tensors satisfy, one rank-3
-    tensor per basis element, keyed by codes 4.7-4.10."""
-    return _residuals(labels.COBOUNDARY_EQUATIONS, _operands(alg, r))
 
 
 def coboundary_diagnostics(alg: PreNovikovAlgebra, r: Tensor2) -> DiagnosticsReport:
@@ -168,9 +152,9 @@ def coboundary_diagnostics(alg: PreNovikovAlgebra, r: Tensor2) -> DiagnosticsRep
     got = evaluate(specs, _operands(alg, r))
     return DiagnosticsReport(
         dim=alg.dim,
-        condition_residuals={code: got[code] for code in labels.COBOUNDARY_CONDITIONS},
-        r_tensors={name: got[name] for name in labels.R_TENSORS},
-        equation_residuals={code: got[code] for code in labels.COBOUNDARY_EQUATIONS},
+        condition_residuals={code: got[code].nested for code in labels.COBOUNDARY_CONDITIONS},
+        r_tensors={name: got[name].nested for name in labels.R_TENSORS},
+        equation_residuals={code: got[code].nested for code in labels.COBOUNDARY_EQUATIONS},
     )
 
 
@@ -184,54 +168,42 @@ def t_r_from_tensor(r: Tensor2) -> Matrix:
     In standard dual coordinates this is the matrix with entries r[i][j].
     """
     n = len(r)
-    _check_square(r, n, "r")
-    return tuple(tuple(row) for row in r)
+    return _matrix(r, n, n, "r").nested
 
 
 @dataclass(frozen=True)
 class OOperator:
-    t: Matrix
+    """A verified operator, held as the ``Exact`` array ``tables["T"]``."""
+
+    t: Matrix = held("T")
     flavor: str  # "novikov" | "pre_novikov"
     rep: Union[NovikovRep, PreNovikovRep]
     verified: bool = False
 
 
-def _check_t_shape(T: Matrix, algebra_dim: int, module_dim: int) -> None:
-    if len(T) != algebra_dim or any(len(row) != module_dim for row in T):
-        raise InputError(f"operator matrix must be {algebra_dim}x{module_dim}")
+def _o_operator_report(name: str, codes, tables: dict, alg, rep, T, module_basis) -> Report:
+    """The report ``name`` of the operator identities ``codes`` on all module
+    basis pairs, the algebra read through ``tables``."""
+    if rep.algebra.dim != alg.dim:
+        raise InputError("representation/algebra dimension mismatch")
+    mdim = rep.module_dim
+    rb = ReportBuilder(name, codes, module_basis or default_labels(mdim, "v"))
+    rb.check({**tables, **rep.tables, "T": _matrix(T, alg.dim, mdim, "operator matrix")})
+    return rb.build()
 
 
 def check_o_operator_novikov(alg: NovikovAlgebra, rep: NovikovRep, T: Matrix,
                              module_basis=None) -> Report:
     """T(u) o T(v) = T(l(T(u))v) + T(r(T(v))u) on all module basis pairs."""
-    if rep.algebra.dim != alg.dim:
-        raise InputError("representation/algebra dimension mismatch")
-    n, mdim = alg.dim, rep.module_dim
-    _check_t_shape(T, n, mdim)
-    rb = ReportBuilder(
-        "o_operator_novikov",
-        (labels.O_OPERATOR_NOVIKOV,),
-        module_basis or default_labels(mdim, "v"),
-    )
-    rb.check({"o": alg.op.c, "l": rep.l, "r": rep.r, "T": T})
-    return rb.build()
+    return _o_operator_report("o_operator_novikov", (labels.O_OPERATOR_NOVIKOV,), {"o": alg.op.table},
+                              alg, rep, T, module_basis)
 
 
 def check_o_operator_pre_novikov(alg: PreNovikovAlgebra, rep: PreNovikovRep, T: Matrix,
                                  module_basis=None) -> Report:
     """Both intertwining identities for the two products, on all module pairs."""
-    if rep.algebra.dim != alg.dim:
-        raise InputError("representation/algebra dimension mismatch")
-    n, mdim = alg.dim, rep.module_dim
-    _check_t_shape(T, n, mdim)
-    rb = ReportBuilder(
-        "o_operator_pre_novikov",
-        labels.O_OPERATOR_PRE_NOVIKOV,
-        module_basis or default_labels(mdim, "v"),
-    )
-    rb.check({"<": alg.lhd.c, ">": alg.rhd.c, "l>": rep.l_rhd, "r>": rep.r_rhd,
-              "l<": rep.l_lhd, "r<": rep.r_lhd, "T": T})
-    return rb.build()
+    return _o_operator_report("o_operator_pre_novikov", labels.O_OPERATOR_PRE_NOVIKOV, alg.tables,
+                              alg, rep, T, module_basis)
 
 
 def o_operator_novikov(alg: NovikovAlgebra, rep: NovikovRep, T: Matrix) -> OOperator:
@@ -239,14 +211,14 @@ def o_operator_novikov(alg: NovikovAlgebra, rep: NovikovRep, T: Matrix) -> OOper
     report = check_o_operator_novikov(alg, rep, T)
     if not report.passed:
         raise RefusalError("not an O-operator for this representation", report)
-    return OOperator(tuple(tuple(row) for row in T), "novikov", rep, verified=True)
+    return OOperator(T, "novikov", rep, verified=True)
 
 
 def o_operator_pre_novikov(alg: PreNovikovAlgebra, rep: PreNovikovRep, T: Matrix) -> OOperator:
     report = check_o_operator_pre_novikov(alg, rep, T)
     if not report.passed:
         raise RefusalError("not an O-operator for this representation", report)
-    return OOperator(tuple(tuple(row) for row in T), "pre_novikov", rep, verified=True)
+    return OOperator(T, "pre_novikov", rep, verified=True)
 
 
 def pre_novikov_from_o(alg: NovikovAlgebra, rep: NovikovRep, oper: OOperator) -> PreNovikovAlgebra:
@@ -258,24 +230,12 @@ def pre_novikov_from_o(alg: NovikovAlgebra, rep: NovikovRep, oper: OOperator) ->
     prods = evaluate({
         "<": [(1, "aq,atp->pqt", ("T", "r"))],
         ">": [(1, "ap,atq->pqt", ("T", "l"))],
-    }, {"T": oper.t, "l": rep.l, "r": rep.r})
+    }, {"T": oper.tables["T"], **rep.tables})
     lhd, rhd = (StructureConstants(rep.module_dim, prods[name]) for name in "<>")
     out = PreNovikovAlgebra(lhd, rhd)
     if not check_pre_novikov(out.lhd, out.rhd).passed:
         raise InternalCheckError("O-operator transport produced an invalid pre-Novikov pair")
     return out
-
-
-def _dual_novikov_rep_matrices(alg: PreNovikovAlgebra) -> NovikovRep:
-    """(L>* + R<*, -R<*) on the dual module, built directly from the tables."""
-    l, r = dual_adjoint_maps(alg.lhd, alg.rhd)
-    return NovikovRep(NovikovAlgebra(sum_table(alg.lhd, alg.rhd)), l, r)
-
-
-def _dual_pre_novikov_rep_matrices(alg: PreNovikovAlgebra) -> PreNovikovRep:
-    """The dual of the adjoint quadruple, built directly from the tables."""
-    maps = evaluate(dual_pre_novikov_spec("L>", "R>", "L<", "R<"), {"<": alg.lhd.c, ">": alg.rhd.c})
-    return PreNovikovRep(alg, maps["l_rhd"], maps["r_rhd"], maps["l_lhd"], maps["r_lhd"])
 
 
 def co2_equivalence(alg: PreNovikovAlgebra, r: Tensor2) -> tuple[bool, bool, bool]:
@@ -289,16 +249,14 @@ def co2_equivalence(alg: PreNovikovAlgebra, r: Tensor2) -> tuple[bool, bool, boo
 
     The three routes share only the core tensor layer.
     """
-    n = alg.dim
-    _check_square(r, n, "r")
-    if flip(r) != r:
+    r, symmetric = _symmetric(alg, r)
+    if not symmetric:
         raise InputError("r must be symmetric")
-    verdict_a = t3_is_zero(ybe_residual(alg, r))
-    T = t_r_from_tensor(r)
-    nov_rep = _dual_novikov_rep_matrices(alg)
-    verdict_b = check_o_operator_novikov(nov_rep.algebra, nov_rep, T).passed
-    pre_rep = _dual_pre_novikov_rep_matrices(alg)
-    verdict_c = check_o_operator_pre_novikov(alg, pre_rep, T).passed
+    verdict_a = not _ybe(alg, r).num.any()
+    nov = NovikovAlgebra(sum_table(alg.lhd, alg.rhd))  # T_r is r itself
+    verdict_b = check_o_operator_novikov(nov, NovikovRep(nov, *dual_adjoint_maps(alg.lhd, alg.rhd)), r).passed
+    pre_rep = PreNovikovRep(alg, *evaluate(_DUAL_QUADRUPLE, alg.tables).values())
+    verdict_c = check_o_operator_pre_novikov(alg, pre_rep, r).passed
     return (verdict_a, verdict_b, verdict_c)
 
 
@@ -314,21 +272,21 @@ def lift_o_operator(alg: PreNovikovAlgebra, rep: PreNovikovRep, T: Matrix) -> tu
     if rep.algebra != alg:
         raise InputError("representation was built over a different algebra")
     n, mdim = alg.dim, rep.module_dim
-    _check_t_shape(T, n, mdim)
+    T = _matrix(T, n, mdim, "operator matrix")
     rep_v = rep if rep.verified else verify_pre_novikov_rep(rep)
     dual = dual_pre_novikov_rep(rep_v)
     semi = semidirect_pre_novikov(alg, dual)
-    r_t = np.full((n + mdim, n + mdim), ZERO, dtype=object)
-    r_t[:n, n:] = T
-    r = tuple(map(tuple, r_t + r_t.T))
-    residual_zero = t3_is_zero(ybe_residual(semi, r))
+    r_t = np.zeros((n + mdim, n + mdim), dtype=T.num.dtype)
+    r_t[:n, n:] = T.num
+    r = Exact(r_t + r_t.T, T.den)
+    residual_zero = not _ybe(semi, r).num.any()
     operator_ok = check_o_operator_pre_novikov(alg, rep_v, T).passed
     if residual_zero != operator_ok:
         raise InternalCheckError(
             "lift biconditional violated: residual-zero "
             f"{residual_zero} but operator check {operator_ok}"
         )
-    return semi, r
+    return semi, r.nested
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +342,15 @@ def search_symmetric_ybe(
     workers = workers if workers is not None else _workers_from_env()
 
     ints = _integer_tables(alg)
-    scaled, val_scale = _lift({"v": values})
-    hits = _search_rows({name: ints[name] for name in ("o", "(.)", "<")}, scaled["v"], workers)
+    scaled = exact(values)
+    hits = _search_rows({name: ints[name] for name in ("o", "(.)", "<")}, scaled.num, workers)
     if not _o_operator_ok(ints, hits).all():
         raise InternalCheckError("fast search produced a non-solution")
     hits = hits[np.lexsort([hits[:, i, j] for i, j in reversed(positions)])]
-    return list(nested_fractions(hits, val_scale))
+    return list(Exact(hits, scaled.den).nested)
 
 
-_DUAL_QUADRUPLE = {name: dual_pre_novikov_spec("L>", "R>", "L<", "R<")[key] for name, key in (
-    ("l>", "l_rhd"), ("r>", "r_rhd"), ("l<", "l_lhd"), ("r<", "r_lhd"))}
+_DUAL_QUADRUPLE = dual_pre_novikov_spec("L>", "R>", "L<", "R<")
 
 
 def _integer_tables(alg: PreNovikovAlgebra) -> dict:
@@ -401,7 +358,7 @@ def _integer_tables(alg: PreNovikovAlgebra) -> dict:
     of ``alg`` as integer arrays over one common denominator, from one
     kernel call."""
     lifted = contract({**{name: [(1, "ijk->ijk", (name,))] for name in ("o", "(.)", "<", ">")},
-                       **_DUAL_QUADRUPLE}, {"<": alg.lhd.c, ">": alg.rhd.c})
+                       **_DUAL_QUADRUPLE}, alg.tables)
     return {name: num for name, (num, _) in lifted.items()}
 
 
@@ -416,7 +373,7 @@ def _o_operator_ok(ints: dict, hits: np.ndarray) -> np.ndarray:
     in the tables, so the scales of both leave the verdict unchanged.
     """
     specs = {code: labels.SPECS[code][1] for code in labels.O_OPERATOR_PRE_NOVIKOV}
-    chunk = _chunk(specs.values(), {"T": hits.shape, **{k: a.shape for k, a in ints.items()}}, "T")
+    chunk = _chunk(specs.values(), ints, "T", hits.shape, int(np.abs(hits).max(initial=0)))
     ok = np.ones(len(hits), dtype=bool)
     for k in range(0, len(hits), chunk):
         res = sum_batched(specs, {"T": hits[k : k + chunk], **ints}, batch={"T"})
@@ -467,8 +424,7 @@ def _search_rows(ints: dict, scaled: np.ndarray, workers: int) -> np.ndarray:
             return R[~(final != 0).any(axis=1)]
 
         length = -(-total // _pool_size(workers, total))
-        shapes = {"r": (length, n, n), **{name: a.shape for name, a in ints.items()}}
-        chunk = min(length, _chunk([terms], shapes, "r"))
+        chunk = min(length, _chunk([terms], ints, "r", (length, n, n), int(np.abs(scaled).max())))
         ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
         threads = _pool_size(workers, len(ranges))
         if threads > 1:
@@ -486,11 +442,15 @@ def _search_rows(ints: dict, scaled: np.ndarray, workers: int) -> np.ndarray:
     return batch
 
 
-def _chunk(term_lists, shapes: dict, name: str) -> int:
-    """Candidates per kernel call, batched on ``name``, such that the largest
-    einsum array of any of the term lists stays within ``CHUNK_BYTES``."""
-    member = max(_terms_plan(terms, shapes, frozenset((name,))).peak for terms in term_lists)
-    return max(1, CHUNK_BYTES // (member * np.dtype(np.int64).itemsize))
+def _chunk(term_lists, ints: dict, name: str, shape: tuple, maxabs: int) -> int:
+    """Candidates per kernel call on ``ints`` and the operand ``name``, batched,
+    of ``shape`` and largest entry ``maxabs``, such that the largest einsum
+    array of any of the term lists, at the bytes per entry of the dtype its
+    sum runs in (``core.sum_footprint``), stays within ``CHUNK_BYTES``."""
+    shapes = {name: shape, **{k: a.shape for k, a in ints.items()}}
+    bounds = {name: maxabs, **{k: int(np.abs(a).max(initial=0)) for k, a in ints.items()}}
+    member = max(prod(sum_footprint(terms, shapes, bounds, name)) for terms in term_lists)
+    return max(1, CHUNK_BYTES // member)
 
 
 def _kept(parts, row: int) -> list:

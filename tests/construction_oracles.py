@@ -9,7 +9,9 @@ Fractions, and ``fraction_det`` multiplies the pivots of Gaussian elimination.
 
 from fractions import Fraction
 
-from prenovikov.core import ZERO, InputError, StructureConstants, basis_vec, mat_transpose
+from prenovikov.core import ZERO, InputError, StructureConstants, mat_transpose
+
+from tensor_reference import basis_vec
 
 
 def direct_sum_product(mp) -> StructureConstants:

@@ -1,0 +1,57 @@
+"""Fraction-tuple helpers the tests build expected values with.
+
+Nothing in the package calls them: its tables are exact arrays that the
+kernel contracts.  Each is written out entry by entry, so that an expected
+value built here does not go through the kernel it checks.
+"""
+
+from fractions import Fraction
+
+
+def basis_vec(n, i):
+    return tuple(Fraction(int(j == i)) for j in range(n))
+
+
+def mat_identity(n):
+    return tuple(basis_vec(n, i) for i in range(n))
+
+
+def t2(entries):
+    """A rank-2 tensor from rows of ints, strings or Fractions."""
+    return tuple(tuple(Fraction(x) for x in row) for row in entries)
+
+
+def mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(u, v)) for u, v in zip(a, b))
+
+
+def mat_scale(c, a):
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+t2_add, t2_scale = mat_add, mat_scale
+
+
+def t2_sub(a, b):
+    return mat_add(a, mat_scale(-1, b))
+
+
+def t2_apply_left(m, t):
+    """(M (x) id) t."""
+    return tuple(tuple(sum(m[a][p] * t[p][b] for p in range(len(t))) for b in range(len(t[0])))
+                 for a in range(len(m)))
+
+
+def t2_apply_right(m, t):
+    """(id (x) M) t."""
+    return tuple(tuple(sum(t[a][q] * m[b][q] for q in range(len(m[0]))) for b in range(len(m)))
+                 for a in range(len(t)))
+
+
+def t3_add(a, b):
+    return tuple(mat_add(x, y) for x, y in zip(a, b))
+
+
+def compose_perm(r, s):
+    """(r s)(k) = r(s(k)) on {1,2,3}."""
+    return tuple(r[s[k] - 1] for k in range(3))

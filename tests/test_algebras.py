@@ -26,8 +26,6 @@ from prenovikov.core import (
     InternalCheckError,
     StructureConstants,
     apply_op,
-    basis_vec,
-    mat_identity,
     mat_vec,
     sum_batched,
 )
@@ -35,6 +33,7 @@ from prenovikov import algebras, labels
 
 from conftest import conjugate_table, rand_invertible, table
 from enumeration_oracle import enumerate_pairs
+from tensor_reference import basis_vec, mat_identity
 
 F = Fraction
 

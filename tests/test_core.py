@@ -8,26 +8,21 @@ from prenovikov.core import (
     InputError,
     StructureConstants,
     apply_op,
-    basis_vec,
-    compose_perm,
     dual_map,
     exact_det,
     flip,
     frac,
-    mat_identity,
     mat_inverse,
     mat_mul,
-    mat_scale,
     mat_transpose,
     mult_matrix,
     permute3,
     placed_product,
     solve_linear,
-    t2_add,
-    t2_scale,
-    t3_add,
     t3_is_zero,
 )
+
+from tensor_reference import basis_vec, compose_perm, mat_identity, mat_scale, t2_add, t2_scale, t3_add
 
 F = Fraction
 

@@ -8,9 +8,12 @@ import pytest
 
 from prenovikov.cli import run_command
 from prenovikov.core import InputError
+from prenovikov import PreNovikovCoalgebra, check_bialgebra
 from prenovikov.io import (
     Bundle,
+    bundle_doc,
     bundle_to_objects,
+    dumps,
     parse_bundle,
     parse_report,
     render_report,
@@ -58,15 +61,17 @@ def test_round_trip_byte_identity(path):
 def test_canonicalization_reduces_fractions():
     doc = {"kind": "tensor2", "dim": 1, "entries": [["2/4"]]}
     bundle = parse_bundle(json.dumps(doc))
-    assert bundle.data["entries"][0][0] == F(1, 2)
+    assert bundle.data["entries"].nested[0][0] == F(1, 2)
     assert '"1/2"' in serialize_bundle(bundle)
 
 
 def test_parse_accepts_ints_rejects_floats():
     ok = parse_bundle('{"kind":"tensor2","dim":1,"entries":[[3]]}')
-    assert ok.data["entries"][0][0] == F(3)
+    assert ok.data["entries"].nested[0][0] == F(3)
     with pytest.raises(InputError, match="entries"):
         parse_bundle('{"kind":"tensor2","dim":1,"entries":[[0.5]]}')
+    with pytest.raises(InputError, match=r"entries\[0\]\[1\]: scalar entries must be exact rationals, got True"):
+        parse_bundle('{"kind":"tensor2","dim":2,"entries":[[1,true],["0","0"]]}')
 
 
 def test_parse_errors():
@@ -86,6 +91,38 @@ def test_parse_errors():
         parse_bundle("[1,2]")
     with pytest.raises(InputError, match="basis"):
         parse_bundle('{"kind":"tensor2","dim":1,"entries":[["1"]],"basis":["a","b"]}')
+
+
+def _failing_bialgebra_reports() -> list:
+    """Machine reports of the fixture bialgebras with one co-operation entry
+    changed, so that every section has violations."""
+    docs = []
+    for name in ("dim2_bialgebra.json", "dim4_bialgebra.json"):
+        bialg = bundle_to_objects(parse_bundle((FIXTURES / name).read_text()))
+        co = bialg.coalgebra
+        alpha = [[list(row) for row in plane] for plane in co.alpha]
+        alpha[0][0][0] += F(1, 3)
+        report = check_bialgebra(bialg.algebra, PreNovikovCoalgebra(co.dim, alpha, co.beta))
+        assert not report.passed
+        docs.append(json.loads(render_report(report, "machine")))
+    return docs
+
+
+def test_dumps_is_json_dumps_canonical():
+    """The canonical emitter gives byte for byte what ``json.dumps`` with
+    sorted keys and a two-space indent gives."""
+    docs = [json.loads(path.read_text()) for path in ALL_FIXTURES]
+    docs += [bundle_doc(parse_bundle(path.read_text())) for path in ALL_FIXTURES]
+    docs += _failing_bialgebra_reports()
+    docs += [
+        {}, [], (), "", 0, -7, 2**70, True, False, None,
+        {"empty": {"list": [], "dict": {}, "nested": [[], {}, [[]]]}},
+        {"basis": ["é1", "∂2", "e\u00003", "tab\tnew\nline"], "z": 1, "a": -2},
+        {"label \"quoted\"": ['say "hi"', "back\\slash", "/"], "ints": [0, 1, -1, 2**64]},
+        {"b": {"d": {"f": [True, False, None]}, "c": ["x", ("y", "z")]}, "a": [{"k": []}]},
+    ]
+    for doc in docs:
+        assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
 def test_render_report_text_and_machine():

@@ -1,7 +1,9 @@
 """Differential tests of the exact contraction kernel against a pure-Python
 reference evaluator (Fraction arithmetic, every index assignment looped)."""
 
+import io
 import itertools
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prenovikov import check_compatibility, coboundary_diagnostics, core
+from prenovikov.cli import run_command
 from prenovikov.core import INT64_MAX, contract, evaluate, sum_batched
 
+from conftest import FIXTURES
 from kernel_reference import overflow_bound
 
 F = Fraction
@@ -131,7 +135,7 @@ def test_kernel_at_the_certified_bound(size, excess):
         tables = {"A": ((F(sign * x),) * size,), "B": (F(7),) * size}
         num, _ = contract({"": terms}, tables)[""]
         assert num.dtype == (np.int64 if x * step <= INT64_MAX else object)
-        assert evaluate({"": terms}, tables) == {"": (F(sign * x * step),)}
+        assert evaluate({"": terms}, tables)[""].nested == (F(sign * x * step),)
 
 
 @pytest.mark.parametrize("excess", [-1, 0, 1])
@@ -169,7 +173,7 @@ def test_kernel_common_denominator_and_named_operands():
     rhd = ((((F(0), F(2, 5)), (F(1), F(0))), ((F(0), F(0)), (F(-1, 7), F(0)))))
     tables = {"<": lhd, ">": rhd}
     # "o" is derived through labels.OPERANDS as < + >
-    got = evaluate({"": [(1, "ijm,mkt->ijkt", ("o", "o"))]}, tables)[""]
+    got = evaluate({"": [(1, "ijm,mkt->ijkt", ("o", "o"))]}, tables)[""].nested
     o = {"o": tuple(tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(p1, p2))
                     for p1, p2 in zip(lhd, rhd))}
     want = reference([(1, "ijm,mkt->ijkt", ("o", "o"))], o)
@@ -196,3 +200,30 @@ def test_only_the_kernel_decides_int64_or_python_ints():
         if path.name != "core.py":
             text = path.read_text()
             assert "INT64_MAX" not in text and "overflow_bound" not in text, path.name
+
+
+def test_only_the_kernel_lifts_or_boxes():
+    """No module but ``core`` calls ``_lift`` or ``nested_fractions``: tables
+    are brought to a common denominator, and boxed into Fractions, in one
+    place only."""
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        if path.name != "core.py":
+            assert not re.search(r"\b(_lift|nested_fractions)\b", path.read_text()), path.name
+
+
+def test_no_table_is_flattened_after_parse(monkeypatch):
+    """Parsing builds every table's exact array: checking, doubling and the
+    coboundary pipeline on the dim-4 fixtures flatten no nested table."""
+    calls = []
+    entries = core._entries
+    monkeypatch.setattr(core, "_entries", lambda table: calls.append(1) or entries(table))
+    fixture = {name: str(FIXTURES / f"dim4_{name}.json")
+               for name in ("bialgebra", "coalgebra", "semidirect", "ybe_solution")}
+    runs = [["check", fixture[name]] for name in ("bialgebra", "coalgebra", "semidirect")]
+    runs += [["double", fixture["bialgebra"]], ["coboundary", fixture["semidirect"], fixture["ybe_solution"]]]
+    for fmt in ("text", "machine"):
+        for argv in runs:
+            assert run_command(["--format", fmt, *argv], out=io.StringIO()) == 0
+    assert calls == []
+    core.exact(((F(1), F(2)),))  # the wrapper counts a flattening
+    assert calls == [1]

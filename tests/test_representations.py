@@ -26,14 +26,13 @@ from prenovikov import (
 from prenovikov.core import (
     InputError,
     StructureConstants,
-    mat_identity,
     mat_inverse,
     mat_mul,
-    mat_scale,
     mat_zero,
 )
 
 from conftest import rand_invertible
+from tensor_reference import mat_identity, mat_scale
 
 F = Fraction
 

@@ -36,18 +36,11 @@ from prenovikov.core import (
     InputError,
     InternalCheckError,
     StructureConstants,
-    basis_vec,
     flip,
-    mat_identity,
     mult_matrix,
-    t2_apply_left,
-    t2_apply_right,
-    t2_scale,
-    t2,
-    t2_sub,
     t2_zero,
     t3_is_zero,
-    mat_add,
+    sum_footprint,
 )
 from prenovikov import labels, yang_baxter
 from prenovikov.yang_baxter import _pool_size
@@ -55,6 +48,7 @@ from prenovikov.yang_baxter import _pool_size
 from conftest import conjugate_table, rand_invertible, rand_symmetric
 from kernel_reference import overflow_bound
 from search_oracles import search_exact, search_int64, upper_positions
+from tensor_reference import basis_vec, mat_add, mat_identity, t2, t2_apply_left, t2_apply_right, t2_scale, t2_sub
 
 F = Fraction
 
@@ -226,7 +220,7 @@ def test_form_iso_is_o_operator_for_dual_rep(bialg2=None):
     dual, intertwines the product with the dual adjoint actions: the route
     used to build the compatible splitting really is operator transport."""
     from prenovikov import double_from_bialgebra
-    from prenovikov.core import t2 as mk
+    mk = t2
 
     lhd = StructureConstants.from_rows([[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
     alg = PreNovikovAlgebra(lhd, StructureConstants.zero(2))
@@ -322,6 +316,35 @@ def test_search_refuses_rows_beyond_the_survivor_bound(monkeypatch, workers):
     monkeypatch.setattr(yang_baxter, "SURVIVOR_BYTES", 10_000)
     with pytest.raises(InputError, match=r"search row 2 keeps 243 candidates so far, beyond"):
         search_symmetric_ybe(zero, [-1, 0, 1], workers=workers)
+
+
+def test_object_sums_are_charged_their_int_objects():
+    """On the dim-4 zero algebra with -2**40, 0, 2**40 every search sum runs
+    on Python ints, so each entry is charged 8 bytes plus an int object: the
+    chunk stays within CHUNK_BYTES and is shorter than the int64 chunk of
+    -1, 0, 1.  The solutions stay every symmetric tensor over the values."""
+    zero = PreNovikovAlgebra(StructureConstants.zero(4), StructureConstants.zero(4))
+    ints = {k: a for k, a in yang_baxter._integer_tables(zero).items() if k in ("o", "(.)", "<")}
+    terms = labels.SPECS[labels.YBE][1]
+    shapes = {"r": (1, 4, 4), **{k: a.shape for k, a in ints.items()}}
+    chunks = {}
+    for big in (1, 2**40):
+        peak, per_entry = sum_footprint(terms, shapes, {"r": big, **{k: 0 for k in ints}}, "r")
+        chunk = yang_baxter._chunk([terms], ints, "r", shapes["r"], big)
+        assert chunk * peak * per_entry <= yang_baxter.CHUNK_BYTES
+        chunks[big] = chunk, per_entry
+    assert chunks[1][1] == 8 < chunks[2**40][1]
+    assert chunks[2**40][0] < chunks[1][0]
+    values = (-(2**40), 0, 2**40)
+    for n in (2, 3):
+        zero = PreNovikovAlgebra(StructureConstants.zero(n), StructureConstants.zero(n))
+        want = []
+        for upper in itertools.product(values, repeat=n * (n + 1) // 2):
+            m = [[None] * n for _ in range(n)]
+            for (i, j), v in zip(yang_baxter._upper_positions(n), upper):
+                m[i][j] = m[j][i] = F(v)
+            want.append(tuple(map(tuple, m)))
+        assert search_symmetric_ybe(zero, values) == want
 
 
 def _block_diagonal_dim3(alg2) -> PreNovikovAlgebra:
