@@ -89,7 +89,7 @@ def sum_table(lhd: StructureConstants, rhd: StructureConstants) -> StructureCons
 def check_novikov(op: StructureConstants, basis=None) -> Report:
     """Evaluate both Novikov identities on every basis triple."""
     rb = ReportBuilder("novikov", labels.NOVIKOV, basis or default_labels(op.dim))
-    rb.check({"o": op.table})
+    rb.record(rb.contract({"o": op.table}))
     return rb.build()
 
 
@@ -98,7 +98,7 @@ def check_pre_novikov(lhd: StructureConstants, rhd: StructureConstants, basis=No
     if lhd.dim != rhd.dim:
         raise InputError("dimension mismatch between < and > tables")
     rb = ReportBuilder("pre_novikov", labels.PRE_NOVIKOV, basis or default_labels(lhd.dim))
-    rb.check({"<": lhd.table, ">": rhd.table})
+    rb.record(rb.contract({"<": lhd.table, ">": rhd.table}))
     return rb.build()
 
 
@@ -109,7 +109,7 @@ def associated_novikov(alg: PreNovikovAlgebra) -> NovikovAlgebra:
         raise RefusalError("input is not a pre-Novikov algebra", report)
     out = NovikovAlgebra(sum_table(alg.lhd, alg.rhd))
     if not check_novikov(out.op).passed:
-        raise InternalCheckError("sum of a valid pre-Novikov pair failed the Novikov check")
+        raise InternalCheckError("theorem (sum_table): a pre-Novikov pair's sum is not Novikov")
     return out
 
 
@@ -135,7 +135,7 @@ def check_quasi_frobenius(op: StructureConstants, w: FormMatrix, basis=None) -> 
         rb.residual(labels.QF_SKEW, (int(i), int(j)), (str(Fraction(int(skew.num[i, j]), skew.den)),))
     if exact_det(w.tables["w"]) == 0:
         rb.flag(labels.QF_NONDEGENERATE, "determinant is zero")
-    rb.check({"o": op.table, **w.tables})
+    rb.record(rb.contract({"o": op.table, **w.tables}))
     return rb.build()
 
 
@@ -160,9 +160,9 @@ def pre_novikov_from_qf(op: StructureConstants, w: FormMatrix) -> PreNovikovAlge
     """The compatible pre-Novikov structure of a quasi-Frobenius Novikov algebra.
 
     Solves w(a>b, c) = w(a o c + c o a, b) and w(a<b, c) = w(a, c o b) for the
-    two products, then cross-checks against the dual-transport construction
-    a>b = T((Lo* + Ro*)(a) T^{-1} b), a<b = T((-Ro*)(b) T^{-1} a); the two
-    routes disagreeing is a bug, not an input condition.
+    two products, and checks that they are a pre-Novikov pair summing to o.
+    The dual-transport construction a>b = T((Lo* + Ro*)(a) T^{-1} b),
+    a<b = T((-Ro*)(b) T^{-1} a) gives the same sums for skew w, as a test checks.
     """
     report = check_quasi_frobenius(op, w)
     if not report.passed:
@@ -172,24 +172,17 @@ def pre_novikov_from_qf(op: StructureConstants, w: FormMatrix) -> PreNovikovAlge
 
 def _split_qf(op: StructureConstants, w: FormMatrix) -> PreNovikovAlgebra:
     """``pre_novikov_from_qf`` on a pair whose quasi-Frobenius check passed."""
-    # w(z, e_k) = d_k is solved by z = T d; the dual-transport route goes
-    # through W^T = T^{-1} instead
-    routes = evaluate({
+    # w(z, e_k) = d_k is solved by z = T d
+    prods = evaluate({
         ">": [(1, "tk,ikm,mj->ijt", ("T", "(*)", "w"))],
         "<": [(1, "tk,im,kjm->ijt", ("T", "w", "o"))],
-        "dual >": [(-1, "ty,ixy,jx->ijt", ("T", "Lo+Ro", "w"))],
-        "dual <": [(1, "ty,jxy,ix->ijt", ("T", "Ro", "w"))],
     }, {"o": op.table, **w.tables, "T": _form_iso(w)})
-    if routes["dual >"] != routes[">"] or routes["dual <"] != routes["<"]:
-        raise InternalCheckError("direct and dual-transport constructions disagree")
-    lhd, rhd = (StructureConstants(op.dim, routes[name]) for name in "<>")
+    lhd, rhd = (StructureConstants(op.dim, prods[name]) for name in "<>")
     if sum_table(lhd, rhd).table != op.table:
-        raise InternalCheckError("recovered products do not sum to the input product")
-    out = PreNovikovAlgebra(lhd, rhd)
-    sub = check_pre_novikov(lhd, rhd)
-    if not sub.passed:
-        raise InternalCheckError("quasi-Frobenius data produced an invalid pre-Novikov pair")
-    return out
+        raise InternalCheckError("theorem (_split_qf): the recovered products do not sum to o")
+    if not check_pre_novikov(lhd, rhd).passed:
+        raise InternalCheckError("theorem (_split_qf): the recovered products are not pre-Novikov")
+    return PreNovikovAlgebra(lhd, rhd)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +231,9 @@ def enumerate_dim2_pre_novikov(values=(-1, 0, 1)) -> list[PreNovikovAlgebra]:
     With values -1, 0, 1 that is 817 < tables after stage 1, 2 x 817 x 5
     probe-row evaluations in stage 2 and 8,041 pairs in stage 3 (against
     817 x 6,561 = 5.36M for the full pair space), leaving 257 algebras.  All
-    survivors are re-verified in one batched call by a second theorem route,
-    the representation identities 4.18-4.27 on the regular quadruple (see
-    ``_regular_quadruple_ok``); a disagreement with the fast path raises.
+    survivors are re-verified in one batched call through 4.18-4.27 on the
+    regular quadruple (``_regular_quadruple_ok``), a guard on the staging, not
+    the specs; a disagreement with the fast path raises.
     Values are deduplicated and sorted, and more than ``ENUM_TABLE_LIMIT``
     tables per product are refused.  Results come in lexicographic order of
     (<, >), are memoized per value set, and each call returns a fresh list.
@@ -358,7 +351,7 @@ def _enumerate(vals: tuple[int, ...]) -> tuple[PreNovikovAlgebra, ...]:
 
     lhd, rhd = np.concatenate(lefts), np.concatenate(rights)
     if len(lhd) and not _regular_quadruple_ok(lhd, rhd).all():
-        raise InternalCheckError("fast enumeration accepted a pair the regular quadruple rejects")
+        raise InternalCheckError("staging (_enumerate): the regular quadruple rejects a kept pair")
     return tuple(
         PreNovikovAlgebra(StructureConstants(n, Exact(lt)), StructureConstants(n, Exact(rt)))
         for lt, rt in zip(lhd, rhd)

@@ -60,7 +60,8 @@ class RefusalError(RuntimeError):
 
 
 class InternalCheckError(AssertionError):
-    """Two independent routes disagreed; this signals a bug, never bad input."""
+    """A package-built object failed a check it must pass (a bug, never bad
+    input); the message opens with ``theorem (...)`` or ``staging (...)``."""
 
 
 def frac(x) -> Scalar:

@@ -40,6 +40,14 @@ QF_NONDEGENERATE = "nondegenerate"
 QF_COCYCLE = "2.14"
 MATCHED_PAIR = ("3.1", "3.2", "3.3", "3.4", "3.5", "3.6", "3.7", "3.8")
 COALGEBRA = ("3.11", "3.12", "3.13", "3.14")
+# The pre-Novikov residuals of a coalgebra's dual products as signed axis
+# permutations of co-identity residuals C[t,a,b,c]: code -> (code, sign, subs).
+DUAL_PRE_NOVIKOV = {
+    "2.8": ("3.12", 1, "tabc->abct"),
+    "2.9": ("3.11", 1, "tbac->abct"),
+    "2.10": ("3.13", -1, "tabc->abct"),
+    "2.11": ("3.14", -1, "tabc->abct"),
+}
 COMPATIBILITY = ("3.16", "3.17", "3.18", "3.19", "3.20", "3.21", "3.22", "3.23")
 COBOUNDARY_CONDITIONS = ("4.3", "4.4", "4.5", "4.6")
 COBOUNDARY_EQUATIONS = ("4.7", "4.8", "4.9", "4.10")

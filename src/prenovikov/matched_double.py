@@ -84,7 +84,7 @@ def check_matched_pair(mp: MatchedPair, basis_a=None, basis_b=None) -> Report:
         rep = NovikovRep(alg, mp.tables[l], mp.tables[r])
         rb.section(check_novikov_rep(alg, rep, basis=basis, module_basis=module_basis))
 
-    rb.check(_tables(mp), shift={"x": n, "y": n})
+    rb.record(rb.contract(_tables(mp)), shift={"x": n, "y": n})
     return rb.build()
 
 
@@ -111,7 +111,7 @@ def direct_sum_algebra(mp: MatchedPair) -> NovikovAlgebra:
         mp = MatchedPair(mp.a_op, mp.b_op, *mp.tables.values(), verified=True)
     out = NovikovAlgebra(direct_sum_product(mp))
     if not check_novikov(out.op).passed:
-        raise InternalCheckError("direct sum of a verified matched pair failed the Novikov check")
+        raise InternalCheckError("theorem (direct_sum_table): a matched pair's direct sum is not Novikov")
     return out
 
 
@@ -199,15 +199,15 @@ def double_from_bialgebra(bialg: PreNovikovBialgebra) -> DoubleConstruction:
     lab = split_labels(n)
     mp_report = check_matched_pair(mp, basis_a=lab[:n], basis_b=lab[n:])
     if not mp_report.passed:
-        raise InternalCheckError("valid bialgebra induced an invalid matched pair")
+        raise InternalCheckError("theorem (induced_matched_pair): a bialgebra's induced pair is not matched")
     dsum = direct_sum_product(mp)
     nov_report = check_novikov(dsum, basis=lab)
     w = standard_form(n)
     qf_report = check_quasi_frobenius(dsum, w, basis=lab)
     if not (nov_report.passed and qf_report.passed):
-        raise InternalCheckError("double of a valid bialgebra failed Novikov/quasi-Frobenius checks")
+        raise InternalCheckError("theorem (direct_sum_table): the double is not quasi-Frobenius Novikov")
     if not _blocks_match(bialg, _split_qf(dsum, w)):
-        raise InternalCheckError("double blocks do not restrict to the input pre-Novikov tables")
+        raise InternalCheckError("theorem (_split_qf): the double's blocks miss the input tables")
     report = Report("double_construction", sections=(bi_report, mp_report, nov_report, qf_report))
     return DoubleConstruction(
         algebra=NovikovAlgebra(dsum),

@@ -83,18 +83,17 @@ class ReportBuilder:
             )
         )
 
-    def check(self, tables: dict, shift: dict | None = None) -> None:
+    def contract(self, tables: dict) -> dict:
         """Evaluate, in one kernel call, the spec of every identity this report
-        names that has one.
+        names that has one: code -> ``(numerators, denominator)``."""
+        return contract({code: SPECS[code][1] for code in self.identities if code in SPECS}, tables)
 
-        One violation is recorded per witness index whose residual is
-        nonzero; ``shift`` offsets witness letters into ``labels`` (for a
-        second basis appended after the first).  One residual string is built
-        per distinct residual value of each identity.
-        """
+    def record(self, residuals: dict, shift: dict | None = None) -> None:
+        """One violation per nonzero witness residual of ``contract``'s layout;
+        ``shift`` offsets witness letters into ``labels`` (for a second basis
+        after the first).  One string is built per distinct residual value."""
         shift = shift or {}
-        specs = {code: SPECS[code][1] for code in self.identities if code in SPECS}
-        for code, (num, den) in contract(specs, tables).items():
+        for code, (num, den) in residuals.items():
             witness = SPECS[code][0]
             flat = num.reshape(num.shape[: len(witness)] + (-1,))
             offsets = [shift.get(letter, 0) for letter in witness]

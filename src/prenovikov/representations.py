@@ -76,7 +76,7 @@ def _rep_report(name: str, codes, tables: dict, alg, rep, basis, module_basis) -
     n, m = alg.dim, rep.module_dim
     lab = tuple(basis or default_labels(n)) + tuple(module_basis or default_labels(m, "v"))
     rb = ReportBuilder(name, codes, lab)
-    rb.check({**tables, **rep.tables}, shift={"v": n})
+    rb.record(rb.contract({**tables, **rep.tables}), shift={"v": n})
     return rb.build()
 
 
@@ -134,7 +134,7 @@ def _dual(rep, spec: dict, check, what: str):
         raise RefusalError("refusing to dualize an unverified representation")
     out = type(rep)(rep.algebra, *evaluate(spec, rep.tables).values())
     if not check(rep.algebra, out).passed:
-        raise InternalCheckError(f"dual of a verified {what} representation failed its check")
+        raise InternalCheckError(f"theorem (dual maps): a verified {what} representation's dual fails")
     return out.certified()
 
 
@@ -190,5 +190,5 @@ def semidirect_pre_novikov(alg: PreNovikovAlgebra, rep: PreNovikovRep) -> PreNov
         direct_sum_table(n, m, {"o": alg.rhd.table, "lA": rep.tables["l>"], "rA": rep.tables["r>"]}),
     )
     if not check_pre_novikov(out.lhd, out.rhd).passed:
-        raise InternalCheckError("semidirect product of a verified representation failed its check")
+        raise InternalCheckError("theorem (direct_sum_table): the semidirect product is not pre-Novikov")
     return out

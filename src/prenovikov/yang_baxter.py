@@ -109,7 +109,7 @@ def bialgebra_from_r(alg: PreNovikovAlgebra, r: Tensor2) -> PreNovikovBialgebra:
     co = coboundary_maps(alg, r)
     report = check_bialgebra(alg, co)
     if not report.passed:
-        raise InternalCheckError("coboundary maps of a symmetric solution failed the bialgebra check")
+        raise InternalCheckError("theorem (coboundary_maps): a solution's coboundary is not a bialgebra")
     return PreNovikovBialgebra(alg, co, report=report)
 
 
@@ -188,7 +188,7 @@ def _o_operator_report(name: str, codes, tables: dict, alg, rep, T, module_basis
         raise InputError("representation/algebra dimension mismatch")
     mdim = rep.module_dim
     rb = ReportBuilder(name, codes, module_basis or default_labels(mdim, "v"))
-    rb.check({**tables, **rep.tables, "T": _matrix(T, alg.dim, mdim, "operator matrix")})
+    rb.record(rb.contract({**tables, **rep.tables, "T": _matrix(T, alg.dim, mdim, "operator matrix")}))
     return rb.build()
 
 
@@ -234,12 +234,12 @@ def pre_novikov_from_o(alg: NovikovAlgebra, rep: NovikovRep, oper: OOperator) ->
     lhd, rhd = (StructureConstants(rep.module_dim, prods[name]) for name in "<>")
     out = PreNovikovAlgebra(lhd, rhd)
     if not check_pre_novikov(out.lhd, out.rhd).passed:
-        raise InternalCheckError("O-operator transport produced an invalid pre-Novikov pair")
+        raise InternalCheckError("theorem (pre_novikov_from_o): the transported pair is not pre-Novikov")
     return out
 
 
 def co2_equivalence(alg: PreNovikovAlgebra, r: Tensor2) -> tuple[bool, bool, bool]:
-    """Three independently computed verdicts for a symmetric r:
+    """Three separately evaluated verdicts for a symmetric r:
 
     (a) the Yang-Baxter residual vanishes;
     (b) T_r is an O-operator for the associated Novikov algebra on the dual
@@ -247,7 +247,9 @@ def co2_equivalence(alg: PreNovikovAlgebra, r: Tensor2) -> tuple[bool, bool, boo
     (c) T_r is an O-operator for the two products with the dual adjoint
         quadruple.
 
-    The three routes share only the core tensor layer.
+    For symmetric r the residuals of (b) and (c) are fixed linear images of
+    that of (a) (4.30 is -4.13 with axes (a, c, b)), so (b) and (c) check the
+    specs' transcription rather than new arithmetic.
     """
     r, symmetric = _symmetric(alg, r)
     if not symmetric:
@@ -283,9 +285,7 @@ def lift_o_operator(alg: PreNovikovAlgebra, rep: PreNovikovRep, T: Matrix) -> tu
     operator_ok = check_o_operator_pre_novikov(alg, rep_v, T).passed
     if residual_zero != operator_ok:
         raise InternalCheckError(
-            "lift biconditional violated: residual-zero "
-            f"{residual_zero} but operator check {operator_ok}"
-        )
+            f"theorem (lift_o_operator): lifted residual zero {residual_zero}, operator check {operator_ok}")
     return semi, r.nested
 
 
@@ -324,10 +324,9 @@ def search_symmetric_ybe(
     The search space has ``len(value_set) ** (n(n+1)/2)`` members and is
     refused beyond ``max_candidates``.  It is searched row by row (see
     ``_search_rows``) in integers, after clearing denominators.  The hits are
-    re-verified by a second theorem route, the operator form: T_r is an
-    O-operator of the dual adjoint quadruple (4.29 and 4.30, see
-    ``_o_operator_ok``).  They are returned sorted lexicographically by
-    upper-triangle coordinates.
+    re-verified through the operator form (4.29 and 4.30, see
+    ``_o_operator_ok``), a guard on the row staging, not the spec.  They are
+    returned sorted lexicographically by upper-triangle coordinates.
     """
     values = sorted({Fraction(v) for v in value_set})
     if not values:
@@ -345,7 +344,7 @@ def search_symmetric_ybe(
     scaled = exact(values)
     hits = _search_rows({name: ints[name] for name in ("o", "(.)", "<")}, scaled.num, workers)
     if not _o_operator_ok(ints, hits).all():
-        raise InternalCheckError("fast search produced a non-solution")
+        raise InternalCheckError("staging (_search_rows): the fast search produced a non-solution")
     hits = hits[np.lexsort([hits[:, i, j] for i, j in reversed(positions)])]
     return list(Exact(hits, scaled.den).nested)
 

@@ -22,10 +22,12 @@ from prenovikov import (
     sum_table,
 )
 from prenovikov.core import (
+    Exact,
     InputError,
     InternalCheckError,
     StructureConstants,
     apply_op,
+    evaluate,
     mat_vec,
     sum_batched,
 )
@@ -173,6 +175,47 @@ def test_pre_novikov_from_qf_on_double(bialg2, alg2, co2):
                 want_r = alg2.rhd.c[i][j][k] if k < n else F(0)
                 assert induced.lhd.c[i][j][k] == want_l
                 assert induced.rhd.c[i][j][k] == want_r
+
+
+def test_split_qf_dual_transport_routes():
+    """The dual-transport products a>b = T((Lo* + Ro*)(a) T^{-1} b) and
+    a<b = T((-Ro*)(b) T^{-1} a) against ``_split_qf``'s specs, on random o, w
+    and T with no relation between them: the < routes are one sum after
+    renaming letters, and the > routes agree exactly when w is skew."""
+    rng = np.random.default_rng(14)
+    direct = {
+        ">": [(1, "tk,ikm,mj->ijt", ("T", "(*)", "w"))],
+        "<": [(1, "tk,im,kjm->ijt", ("T", "w", "o"))],
+    }
+    transport = {
+        ">": [(-1, "ty,ixy,jx->ijt", ("T", "Lo+Ro", "w"))],
+        "<": [(1, "ty,jxy,ix->ijt", ("T", "Ro", "w"))],
+    }
+    differs = []
+    for n in (2, 3):
+        for _ in range(20):
+            o, w, T = (Exact(rng.integers(-2, 3, size=shape), int(rng.integers(1, 4)))
+                       for shape in ((n, n, n), (n, n), (n, n)))
+            skew = Exact(w.num - w.num.T, w.den)
+            for form, is_skew in ((skew, True), (w, w.T == Exact(-w.num, w.den))):
+                tables = {"o": o, "w": form, "T": T}
+                got, want = evaluate(direct, tables), evaluate(transport, tables)
+                assert got["<"] == want["<"]
+                if is_skew:
+                    assert got[">"] == want[">"]
+                else:
+                    differs.append(got[">"] != want[">"])
+    assert any(differs)
+
+
+def test_split_qf_evaluates_two_specs(monkeypatch, bialg2):
+    """The split is one kernel call of the two product specs."""
+    double = double_from_bialgebra(bialg2)
+    calls = []
+    spy = algebras.evaluate
+    monkeypatch.setattr(algebras, "evaluate", lambda specs, tables: calls.append(sorted(specs)) or spy(specs, tables))
+    algebras._split_qf(double.algebra.op, double.form)
+    assert calls == [["<", ">"]]
 
 
 def test_pre_novikov_from_qf_zero_algebra():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from prenovikov import (
@@ -11,8 +12,8 @@ from prenovikov import (
     check_pre_novikov,
     coalgebra_to_dual_algebra,
 )
-from prenovikov.core import InputError, StructureConstants, t2_zero
-
+from prenovikov import bialgebra, core, labels
+from prenovikov.core import Exact, InputError, StructureConstants, contract, t2_zero
 
 
 F = Fraction
@@ -58,13 +59,20 @@ def test_failing_coalgebra_and_dual_route_consistency():
     assert not report.passed
     ids = {v.identity for v in report.violations}
     assert {"3.11", "3.13"} <= ids
-    # the nested dual-route section must agree (the checker would raise otherwise)
-    assert len(report.sections) == 1 and not report.sections[0].passed
+    # the nested section is the dual-algebra route's report
+    assert report.sections == (_dual_route(co, ("e1", "e2")),)
+    assert not report.sections[0].passed
+
+
+def _dual_route(co, lab):
+    """The nested section as the dual-algebra route gives it: the pre-Novikov
+    check of the dual products."""
+    return check_pre_novikov(*coalgebra_to_dual_algebra(co), basis=tuple(f"{b}*" for b in lab))
 
 
 def test_dual_route_agreement_over_mutations(co2):
-    """Every single-entry mutation keeps the two coalgebra routes in agreement
-    (a disagreement raises inside the checker)."""
+    """For every single-entry mutation the nested section equals the
+    dual-algebra route's report, and the two verdicts agree."""
     for which in ("alpha", "beta"):
         for i in range(2):
             for j in range(2):
@@ -80,7 +88,10 @@ def test_dual_route_agreement_over_mutations(co2):
                         new if which == "alpha" else co2.alpha,
                         new if which == "beta" else co2.beta,
                     )
-                    check_coalgebra(co)  # must not raise
+                    report = check_coalgebra(co)
+                    dual = _dual_route(co, ("e1", "e2"))
+                    assert report.sections == (dual,)
+                    assert (not report.violations) == dual.passed
 
 
 def test_check_compatibility_examples(alg2, co2):
@@ -112,3 +123,47 @@ def test_check_bialgebra(alg2, co2, alg4):
         tuple(t2_zero(4) for _ in range(4)),
     )
     assert check_bialgebra(alg4, co4).passed
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dual_map_matches_the_dual_algebra_route(n):
+    """``labels.DUAL_PRE_NOVIKOV`` read on the co-identity residuals gives,
+    exactly and entry by entry, the pre-Novikov residuals of the dual
+    products, and ``check_coalgebra``'s nested section is their report, on
+    random co-operations with fractional entries."""
+    rng = np.random.default_rng(n)
+    lab = tuple(f"e{i + 1}" for i in range(n))
+    for _ in range(25):
+        al, be = (Exact(rng.choice([-2, -1, 0, 0, 1, 2], size=(n, n, n)), int(rng.choice([1, 2, 3])))
+                  for _ in "ab")
+        co = PreNovikovCoalgebra(n, al, be)
+        direct = contract({code: labels.SPECS[code][1] for code in labels.COALGEBRA}, co.tables)
+        lhd_star, rhd_star = co.dual
+        dual = contract({code: labels.SPECS[code][1] for code in labels.PRE_NOVIKOV},
+                        {"<": lhd_star.table, ">": rhd_star.table})
+        for code, (source, sign, subs) in labels.DUAL_PRE_NOVIKOV.items():
+            num, den = direct[source]
+            assert Exact(sign * np.einsum(subs, num), den) == Exact(*dual[code])
+        report = check_coalgebra(co)
+        assert report.sections == (check_pre_novikov(*co.dual, basis=tuple(f"{b}*" for b in lab)),)
+        assert report.sections[0].violations
+
+
+def test_check_coalgebra_is_one_kernel_call(monkeypatch, co2):
+    """The nested section is read off the co-identity residuals: one kernel
+    call, and neither the dual products nor the pre-Novikov check."""
+    calls = []
+    init = core._Lifted.__init__
+    monkeypatch.setattr(core._Lifted, "__init__", lambda self, *a, **k: calls.append(1) or init(self, *a, **k))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("second route evaluated")
+
+    monkeypatch.setattr(bialgebra, "coalgebra_to_dual_algebra", forbidden)
+    monkeypatch.setattr(bialgebra, "check_pre_novikov", forbidden)
+    ones = tuple(tuple(F(-1) for _ in range(2)) for _ in range(2))
+    for co in (PreNovikovCoalgebra(2, co2.alpha, co2.beta),
+               PreNovikovCoalgebra(2, (ones, t2_zero(2)), (ones, t2_zero(2)))):
+        calls.clear()
+        report = check_coalgebra(co)
+        assert len(calls) == 1 and len(report.sections) == 1

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from prenovikov.cli import run_command
+from prenovikov import core, labels
 from prenovikov.core import InputError
 from prenovikov import PreNovikovCoalgebra, check_bialgebra
 from prenovikov.io import (
@@ -289,6 +290,24 @@ def test_cli_oper_and_lift():
         ["oper", fixture("dim2_novikov.json"), fixture("dim2_pre_rep.json"), fixture("dim2_shift_t.json")]
     )
     assert code == 2
+
+
+def test_cli_oper_lift_evaluates_4_13_once(monkeypatch):
+    """``oper --lift`` prints the lifted residual's verdict from the one 4.13
+    evaluation ``lift_o_operator`` makes on the four-dimensional lift."""
+    sums = []
+    total = core._Lifted.sum
+
+    def spy(self, terms):
+        if tuple(terms) == tuple(labels.SPECS[labels.YBE][1]):
+            sums.append(self.arrays["r"].shape)
+        return total(self, terms)
+
+    monkeypatch.setattr(core._Lifted, "sum", spy)
+    code, text = run(["oper", fixture("dim2_pre_novikov.json"), fixture("dim2_pre_rep.json"),
+                      fixture("dim2_shift_t.json"), "--lift"])
+    assert code == 0 and "lifted residual zero: yes" in text
+    assert sums == [(4, 4)]
 
 
 def test_cli_search():

@@ -202,6 +202,20 @@ def test_only_the_kernel_decides_int64_or_python_ints():
             assert "INT64_MAX" not in text and "overflow_bound" not in text, path.name
 
 
+def test_every_internal_check_names_its_class():
+    """Each ``raise InternalCheckError(`` in the package opens its message
+    with its class: ``theorem (...)`` for a construction whose result must
+    satisfy a theorem, ``staging (...)`` for a fast sweep's guard.  A check
+    that evaluates the same sum twice belongs in a spec-level test instead,
+    so the count of sites only changes with a reason."""
+    sites = classified = 0
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        sites += text.count("raise InternalCheckError(")
+        classified += len(re.findall(r'raise InternalCheckError\(\s*f?"(?:theorem|staging) \([^)]+\): ', text))
+    assert sites == classified == 14
+
+
 def test_only_the_kernel_lifts_or_boxes():
     """No module but ``core`` calls ``_lift`` or ``nested_fractions``: tables
     are brought to a common denominator, and boxed into Fractions, in one

@@ -33,9 +33,11 @@ from prenovikov import (
 )
 from prenovikov.core import (
     INT64_MAX,
+    Exact,
     InputError,
     InternalCheckError,
     StructureConstants,
+    evaluate,
     flip,
     mult_matrix,
     t2_zero,
@@ -477,3 +479,20 @@ def test_operator_form_verdict_matches_the_residual():
         assert got.tolist() == want
         verdicts += want
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_operator_form_4_30_is_4_13_permuted():
+    """Why the search's re-verification guards its staging and not the spec:
+    for symmetric T = r and the dual adjoint quadruple, the 4.30 residual is
+    exactly -4.13 with axes (a, c, b), on random tables with fractional
+    entries, pre-Novikov or not."""
+    rng = np.random.default_rng(430)
+    for n in (2, 3, 4):
+        for _ in range(10):
+            tables = {name: Exact(rng.integers(-2, 3, size=(n, n, n)), int(rng.integers(1, 4))) for name in "<>"}
+            r = rng.integers(-2, 3, size=(n, n))
+            r = Exact(r + r.T, int(rng.integers(1, 4)))
+            ybe = evaluate({"": labels.SPECS[labels.YBE][1]}, {**tables, "r": r})[""]
+            quadruple = evaluate(yang_baxter._DUAL_QUADRUPLE, tables)
+            got = evaluate({"": labels.SPECS["4.30"][1]}, {**tables, **quadruple, "T": r})[""]
+            assert got == Exact(-np.einsum("abc->acb", ybe.num), ybe.den)
