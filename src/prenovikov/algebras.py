@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import labels
+from . import core, labels
 from .core import (
     Exact,
     InputError,
@@ -29,6 +29,8 @@ from .core import (
     exact_det,
     held,
     sum_batched,
+    zero_mask,
+    zero_members,
 )
 from .report import Report, ReportBuilder, default_labels
 
@@ -191,7 +193,6 @@ def _split_qf(op: StructureConstants, w: FormMatrix) -> PreNovikovAlgebra:
 
 ENUM_DIM = 2  # the dimension of the enumerated algebras
 ENUM_TABLE_LIMIT = 4**8  # tables per product; stage 1 builds them all up front
-ENUM_CHUNK = 50_000  # batch members per stage-2 or stage-3 kernel call
 
 
 def _int_tables(values) -> np.ndarray:
@@ -203,11 +204,9 @@ def _int_tables(values) -> np.ndarray:
     return v[np.indices((len(v),) * n**3).reshape(n**3, -1).T].reshape(-1, n, n, n)
 
 
-def _batch_zero(code: str, ops: dict) -> np.ndarray:
-    """Which members of a batch of integer tables have an all-zero residual of
-    identity ``code``."""
-    res = sum_batched({code: labels.SPECS[code][1]}, ops, batch=ops)[code]
-    return np.all(res.reshape(len(res), -1) == 0, axis=1)
+def _specs(*codes: str) -> dict:
+    """The term lists of identities ``codes``, by code."""
+    return {code: labels.SPECS[code][1] for code in codes}
 
 
 def enumerate_dim2_pre_novikov(values=(-1, 0, 1)) -> list[PreNovikovAlgebra]:
@@ -262,13 +261,16 @@ def _row_pairs(lhd_ok: np.ndarray, rows: np.ndarray) -> np.ndarray:
     those 1 + n**2 probe rows per (< table, i), and the slices of all
     candidate rows are one kernel term, [1 | V] @ [C ; D].  The index rows
     are built from the masks one row of > at a time, for a block of < tables
-    at once.
+    at once.  The blocks are as few as keep each block's candidate-row
+    slices (8 * n**4 * len(rows) bytes per < table) within
+    ``core.BATCH_BYTES``, and of one length up to rounding.
     """
     n = ENUM_DIM
     probes = np.eye(n * n + 1, n * n, k=-1, dtype=np.int64).reshape(-1, n, n)
     V = rows.reshape(len(rows), n * n)
     V = np.concatenate([np.ones_like(V[:, :1]), V], axis=1)  # [1 | V]
-    per_block = max(1, ENUM_CHUNK // len(rows))
+    fit = max(1, core.BATCH_BYTES // (8 * n**4 * len(rows)))  # < tables per block at most
+    per_block = max(1, -(-len(lhd_ok) // max(1, -(-len(lhd_ok) // fit))))  # as few blocks, of one length
     pairs = [np.empty((0, n + 1), dtype=np.intp)]
     for lstart in range(0, len(lhd_ok), per_block):
         lblock = lhd_ok[lstart : lstart + per_block]
@@ -312,13 +314,13 @@ def _regular_quadruple_ok(lhd: np.ndarray, rhd: np.ndarray) -> np.ndarray:
     pre-Novikov algebra is a representation, and on it 4.18, 4.19, 4.25 and
     4.26 are 2.8, 2.9, 2.10 and 2.11 with the letters renamed.
     """
-    tables = {"<": lhd, ">": rhd}
-    adjoint = sum_batched({name: labels.OPERANDS[name] for name in ("L>", "R>", "L<", "R<")},
-                          tables, batch=tables)
-    ops = {**tables, "l>": adjoint["L>"], "r>": adjoint["R>"], "l<": adjoint["L<"], "r<": adjoint["R<"]}
-    res = sum_batched({code: labels.SPECS[code][1] for code in labels.PRE_NOVIKOV_REP},
-                      ops, batch=ops)
-    return ~np.any([(r.reshape(len(r), -1) != 0).any(axis=1) for r in res.values()], axis=0)
+    def quadruple(lo: int, hi: int) -> dict:  # l> = L>, r> = R>, l< = L<, r< = R<
+        tables = {"<": lhd[lo:hi], ">": rhd[lo:hi]}
+        maps = sum_batched({name.lower(): labels.OPERANDS[name] for name in ("L>", "R>", "L<", "R<")},
+                           tables, batch=tables)
+        return {**tables, **maps}
+
+    return zero_mask(_specs(*labels.PRE_NOVIKOV_REP), len(lhd), quadruple)
 
 
 @functools.lru_cache(maxsize=8)
@@ -330,7 +332,7 @@ def _enumerate(vals: tuple[int, ...]) -> tuple[PreNovikovAlgebra, ...]:
     rows = tables[: len(vals) ** (n * n), -1]
 
     # Stage 1: (a<b)<c = (a<c)<b, pure in <.
-    lhd_ok = tables[_batch_zero("2.11", {"<": tables})]
+    lhd_ok = tables[zero_mask(_specs("2.11"), len(tables), lambda lo, hi: {"<": tables[lo:hi]})]
 
     # Stage 2: 2.9, row by row of >.
     pairs = _row_pairs(lhd_ok, rows)
@@ -338,14 +340,13 @@ def _enumerate(vals: tuple[int, ...]) -> tuple[PreNovikovAlgebra, ...]:
     # Stage 3: 2.10, then 2.8 on the pairs that pass it.  2.8 does not follow
     # from 2.9-2.11: at dim 3, < = 0 with e1>e2 = e3 and e2>e3 = e3 fails it
     # alone, though at dim 2 no pair tried has shown that.
+    def pair(lo: int, hi: int) -> dict:
+        return {"<": lhd_ok[pairs[lo:hi, 0]], ">": rows[pairs[lo:hi, 1:]]}
+
     lefts, rights = [tables[:0]], [tables[:0]]
-    for start in range(0, len(pairs), ENUM_CHUNK):
-        chunk = pairs[start : start + ENUM_CHUNK]
-        L, R = lhd_ok[chunk[:, 0]], rows[chunk[:, 1:]]
-        keep = np.flatnonzero(_batch_zero("2.10", {"<": L, ">": R}))
-        if not len(keep):
-            continue
-        keep = keep[_batch_zero("2.8", {"<": L[keep], ">": R[keep]})]
+    for ops, ok in zero_members(_specs("2.10"), len(pairs), pair):
+        L, R = ops["<"][ok], ops[">"][ok]
+        keep = zero_mask(_specs("2.8"), len(L), lambda lo, hi: {"<": L[lo:hi], ">": R[lo:hi]})
         lefts.append(L[keep])
         rights.append(R[keep])
 

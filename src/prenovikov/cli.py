@@ -51,7 +51,7 @@ from .yang_baxter import (
     coboundary_maps,
     lift_o_operator,
     search_symmetric_ybe,
-    ybe_residual,
+    _ybe,
 )
 
 # flavor -> (rep check, dual rep, operator check)
@@ -181,7 +181,7 @@ def _cmd_coboundary(args, out) -> int:
     _emit(out, serialize_bundle(make_bundle("coalgebra", alg_bundle.data.get("basis"), dim=co.dim,
                                             alpha=co.tables["al"], beta=co.tables["be"])))
     symmetric = r.T == r
-    residual_zero = t3_is_zero(ybe_residual(alg, r))
+    residual_zero = not _ybe(alg, r).num.any()
     bi = check_bialgebra(alg, co, basis=alg_bundle.data.get("basis"))
     _emit(out, render_report(bi, args.format))
     _emit(out, f"symmetric: {'yes' if symmetric else 'no'}")
@@ -191,8 +191,8 @@ def _cmd_coboundary(args, out) -> int:
 
 def _cmd_ybe(args, out) -> int:
     _, alg, r = _load_algebra_and_tensor(args, "ybe")
-    residual = ybe_residual(alg, r)
-    zero = t3_is_zero(residual)
+    residual = _ybe(alg, r)
+    zero = not residual.num.any()
     if args.format == "machine":
         doc = {
             "kind": "ybe",
@@ -207,7 +207,7 @@ def _cmd_ybe(args, out) -> int:
         if not zero:
             nonzero = [
                 f"  [{i},{j},{k}] = {v}"
-                for i, plane in enumerate(residual)
+                for i, plane in enumerate(residual.nested)
                 for j, row in enumerate(plane)
                 for k, v in enumerate(row)
                 if v

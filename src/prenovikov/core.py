@@ -251,8 +251,9 @@ class _Plan:
     the term to the top degree ``top``, the bound factor (|coef| times the
     number of index values the term sums over) and how the term runs: a
     one-operand permutation as a transpose view, any other term as the
-    einsum steps of ``_steps``.  ``peak`` is the largest array a step forms,
-    in entries per batch member.
+    einsum steps of ``_steps``.  ``peak`` is the largest array a term forms,
+    an einsum step or the permuted copy it is summed into, in entries per
+    batch member.
     """
 
     def __init__(self, terms, shapes, degrees, batch):
@@ -277,9 +278,10 @@ class _Plan:
             axes, steps = None, ()
             if len(at) == 1 and len(set(inputs[0])) == len(inputs[0]) and sorted(inputs[0]) == sorted(out):
                 axes = tuple(inputs[0].index(c) for c in out)
+                peak = prod(sizes[c] for c in out if c != "N")  # the copy it accumulates into
             else:
                 steps, peak = _steps(inputs, out, sizes)
-                self.peak = max(self.peak, peak)
+            self.peak = max(self.peak, peak)
             self.terms.append((coef, self.top - degree, factor, at, axes, steps))
 
     def bound(self, maxabs: Sequence[int], den: int = 1) -> int:
@@ -334,26 +336,6 @@ class _Plan:
         return acc
 
 
-def _terms_plan(terms: Terms, shapes: dict, batch: frozenset) -> _Plan:
-    """The plan ``sum_batched`` runs for a term list on operands of these
-    shapes, the operands named in ``batch`` carrying the batch axis."""
-    terms = tuple(terms)
-    names = _names(terms)
-    return _plan(terms, tuple(shapes[name] for name in names), (1,) * len(names),
-                 batch.intersection(names))
-
-
-def sum_footprint(terms: Terms, shapes: dict, maxabs: dict, batch: str) -> tuple[int, int]:
-    """Per batch member, the entries of the largest array ``sum_batched`` forms
-    for a term list on operands of these shapes and largest entries, batched
-    on ``batch`` (``_Plan.peak``), and the bytes per entry of the dtype the
-    plan's bound picks: 8 in int64, else an 8-byte pointer plus an int object
-    no larger than the bound."""
-    plan = _terms_plan(terms, shapes, frozenset((batch,)))
-    bound = plan.bound([maxabs[name] for name in plan.names])
-    return plan.peak, 8 if bound <= INT64_MAX else 8 + sys.getsizeof(bound)
-
-
 def _lift(tables: dict) -> tuple[dict, int]:
     """The tables' numerators over one common denominator: each ``Exact``
     array is brought there by one integer multiply, on Python ints when an
@@ -385,11 +367,12 @@ class _Lifted:
 
     This is the one place that decides between int64 and Python ints: every
     sum runs in int64 when its plan's bound certifies it, and on Python-int
-    object arrays otherwise.
+    object arrays otherwise.  With a ``budget`` in bytes, a batched sum whose
+    largest array would pass it raises ``_OverBudget`` instead of running.
     """
 
-    def __init__(self, arrays: dict, den: int = 1, batch=_NO_BATCH):
-        self.arrays, self.den = arrays, den
+    def __init__(self, arrays: dict, den: int = 1, batch=_NO_BATCH, budget: int = 0):
+        self.arrays, self.den, self.budget = arrays, den, budget
         self.batch = set(batch) if batch else _NO_BATCH
         self.degree = dict.fromkeys(arrays, 1)
         self.maxabs = {}
@@ -432,6 +415,12 @@ class _Lifted:
                      tuple([self.degree[name] for name in names]), batch)
         bound = plan.bound([self.maxabs[name] for name in names], self.den)
         dtype = np.int64 if bound <= INT64_MAX else object
+        if self.budget and batch:
+            # an entry is 8 bytes in int64, a pointer plus an int object otherwise
+            member = plan.peak * (8 if dtype is np.int64 else 8 + sys.getsizeof(bound))
+            size = len(self.arrays[next(iter(batch))])
+            if size > 1 and size * member > self.budget:
+                raise _OverBudget(max(1, self.budget // member))
         value = plan.run(self.as_dtype(names, dtype), self.den)
         return np.asarray(value, dtype=dtype), plan.top
 
@@ -469,6 +458,53 @@ def sum_batched(specs: dict, arrays: dict, batch=()) -> dict:
     """
     lifted = _Lifted(dict(arrays), 1, batch)
     return {key: lifted.sum(terms)[0] for key, terms in specs.items()}
+
+
+# Bytes of the largest array one chunk of ``zero_members`` may form.
+BATCH_BYTES = 4 * 2**20
+
+
+class _OverBudget(Exception):
+    """A batched sum would pass its budget; its argument is how many
+    members would stay within it."""
+
+
+def zero_members(specs: dict, size: int, members, fixed=None, where=()):
+    """Which members of a batch have an all-zero residual under every term
+    list in ``specs``, one chunk at a time.
+
+    ``members(lo, hi)`` builds the operands of members lo..hi-1 that carry a
+    leading batch axis; ``fixed`` holds those that do not.  Yields, in order,
+    each chunk's batched operands and the mask of its members whose every
+    residual is zero, on the index ``where`` (taken after the batch axis)
+    when one is given.  The first chunk's length is guessed from one
+    member's operands; a chunk on which a sum would form an array of more
+    than ``BATCH_BYTES`` (at the bytes per entry of the dtype certified for
+    that chunk, see ``_Lifted.sum``) is rebuilt shorter before that sum
+    runs, and the chunks after it keep the shorter length.
+    """
+    lo, length, index = 0, 0, (slice(None), *where)
+    while lo < size:
+        if not length:
+            length = max(1, BATCH_BYTES // sum(a.nbytes for a in members(lo, lo + 1).values()))
+        hi = min(size, lo + length)
+        arrays = members(lo, hi)
+        lifted = _Lifted({**(fixed or {}), **arrays}, 1, arrays, BATCH_BYTES)
+        try:  # each residual is reduced, and freed, before the next sum runs
+            nonzero = [(lifted.sum(terms)[0][index] != 0).reshape(hi - lo, -1).any(axis=1)
+                       for terms in specs.values()]
+        except _OverBudget as over:
+            (length,) = over.args
+            continue
+        del lifted  # nothing of this chunk but its operands outlives the yield
+        yield arrays, ~np.any(nonzero, axis=0)
+        lo = hi
+
+
+def zero_mask(specs: dict, size: int, members, fixed=None, where=()) -> np.ndarray:
+    """The mask of ``zero_members`` over the whole batch."""
+    masks = [ok for _, ok in zero_members(specs, size, members, fixed, where)]
+    return np.concatenate([np.ones(0, bool), *masks])
 
 
 def nested_fractions(num: np.ndarray, den: int = 1) -> tuple:

@@ -9,12 +9,9 @@ a named nonzero tensor instead of a silent wrong verdict.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -39,9 +36,9 @@ from .core import (
     evaluate,
     exact,
     held,
-    sum_batched,
-    sum_footprint,
     t3_is_zero,
+    zero_mask,
+    zero_members,
 )
 from .report import Report, ReportBuilder, default_labels
 from .representations import (
@@ -297,33 +294,13 @@ def _upper_positions(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("PRENOVIKOV_WORKERS", "1")
-    try:
-        w = int(raw)
-    except ValueError:
-        raise InputError(f"PRENOVIKOV_WORKERS must be an integer, got {raw!r}")
-    if w < 1:
-        raise InputError("PRENOVIKOV_WORKERS must be >= 1")
-    return w
-
-
-def _pool_size(workers: int, tasks: int) -> int:
-    """Search threads: no more than requested, than cores, or than tasks."""
-    return max(1, min(workers, os.cpu_count() or 1, tasks))
-
-
-def search_symmetric_ybe(
-    alg: PreNovikovAlgebra,
-    value_set,
-    max_candidates: int = 2_000_000,
-    workers: Optional[int] = None,
-) -> list[Tensor2]:
+def search_symmetric_ybe(alg: PreNovikovAlgebra, value_set, max_candidates: int = 2_000_000) -> list[Tensor2]:
     """All symmetric tensors with entries in ``value_set`` and zero residual.
 
     The search space has ``len(value_set) ** (n(n+1)/2)`` members and is
     refused beyond ``max_candidates``.  It is searched row by row (see
-    ``_search_rows``) in integers, after clearing denominators.  The hits are
+    ``_search_rows``) in integers, after clearing denominators, on one
+    thread, chunk by chunk through ``core.zero_members``.  The hits are
     re-verified through the operator form (4.29 and 4.30, see
     ``_o_operator_ok``), a guard on the row staging, not the spec.  They are
     returned sorted lexicographically by upper-triangle coordinates.
@@ -338,11 +315,9 @@ def search_symmetric_ybe(
         raise InputError(
             f"search space has {space} candidates, beyond the budget of {max_candidates}"
         )
-    workers = workers if workers is not None else _workers_from_env()
-
     ints = _integer_tables(alg)
     scaled = exact(values)
-    hits = _search_rows({name: ints[name] for name in ("o", "(.)", "<")}, scaled.num, workers)
+    hits = _search_rows({name: ints[name] for name in ("o", "(.)", "<")}, scaled.num)
     if not _o_operator_ok(ints, hits).all():
         raise InternalCheckError("staging (_search_rows): the fast search produced a non-solution")
     hits = hits[np.lexsort([hits[:, i, j] for i, j in reversed(positions)])]
@@ -364,25 +339,16 @@ def _integer_tables(alg: PreNovikovAlgebra) -> dict:
 def _o_operator_ok(ints: dict, hits: np.ndarray) -> np.ndarray:
     """Which of a batch of integer symmetric r make T_r (the matrix r itself)
     an O-operator of the dual adjoint quadruple: identities 4.29 and 4.30,
-    evaluated with the batch axis on T, in chunks whose largest einsum array
-    stays within ``CHUNK_BYTES``.  By the operator-form theorem these are
+    evaluated with the batch axis on T by ``core.zero_mask``, in chunks
+    within ``core.BATCH_BYTES``.  By the operator-form theorem these are
     exactly the r with a zero 4.13 residual.
 
     ``ints`` is ``_integer_tables``; the identities are homogeneous in T and
     in the tables, so the scales of both leave the verdict unchanged.
     """
     specs = {code: labels.SPECS[code][1] for code in labels.O_OPERATOR_PRE_NOVIKOV}
-    chunk = _chunk(specs.values(), ints, "T", hits.shape, int(np.abs(hits).max(initial=0)))
-    ok = np.ones(len(hits), dtype=bool)
-    for k in range(0, len(hits), chunk):
-        res = sum_batched(specs, {"T": hits[k : k + chunk], **ints}, batch={"T"})
-        ok[k : k + chunk] = ~np.any([(r.reshape(len(r), -1) != 0).any(axis=1) for r in res.values()], axis=0)
-    return ok
+    return zero_mask(specs, len(hits), lambda lo, hi: {"T": hits[lo:hi]}, ints)
 
-
-# Bytes of the largest einsum array one search or re-verification chunk may
-# form: the chunk length follows from the plans' largest array per candidate.
-CHUNK_BYTES = 4 * 2**20
 
 # Bytes of candidates one row of the search may keep.  Past it the search is
 # refused before the row's chunks are joined: on the zero algebra at dim 4,
@@ -390,7 +356,7 @@ CHUNK_BYTES = 4 * 2**20
 SURVIVOR_BYTES = 16 * 2**20
 
 
-def _search_rows(ints: dict, scaled: np.ndarray, workers: int) -> np.ndarray:
+def _search_rows(ints: dict, scaled: np.ndarray) -> np.ndarray:
     """Symmetric integer tensors over ``scaled`` whose 4.13 residual vanishes.
 
     Entry (a, b, c) of the residual reads only rows a, b and c of a symmetric
@@ -399,69 +365,35 @@ def _search_rows(ints: dict, scaled: np.ndarray, workers: int) -> np.ndarray:
     entry with max(a, b, c) <= k is final, so candidates with a nonzero one
     are dropped.  After the last row all n**3 entries have been checked.
 
-    Each row runs in chunks whose largest einsum array stays within
-    ``CHUNK_BYTES``, and a row keeping more than ``SURVIVOR_BYTES`` of
-    candidates is refused with ``InputError``.
+    Each row's candidates are built and tested chunk by chunk by
+    ``core.zero_members``, within ``core.BATCH_BYTES``; a row keeping more
+    than ``SURVIVOR_BYTES`` of candidates is refused with ``InputError`` as
+    soon as its survivors pass it.
     """
     n = ints["<"].shape[0]
     base = len(scaled)
-    terms = labels.SPECS[labels.YBE][1]
+    spec = {labels.YBE: labels.SPECS[labels.YBE][1]}
     batch = np.zeros((1, n, n), dtype=scaled.dtype)
     for k in range(n):
         fan = base ** (n - k)
-        total = len(batch) * fan
 
-        def eval_chunk(lo: int, hi: int) -> np.ndarray:
+        def candidates(lo: int, hi: int) -> dict:
             t = np.arange(lo, hi)
             R = batch[t // fan]
             for j in range(k, n):
-                v = scaled[t // base ** (n - 1 - j) % base]
-                R[:, k, j] = v
-                R[:, j, k] = v
-            res = sum_batched({"": terms}, {"r": R, **ints}, batch={"r"})[""]
-            final = res[:, : k + 1, : k + 1, : k + 1].reshape(hi - lo, -1)
-            return R[~(final != 0).any(axis=1)]
+                R[:, k, j] = R[:, j, k] = scaled[t // base ** (n - 1 - j) % base]
+            return {"r": R}
 
-        length = -(-total // _pool_size(workers, total))
-        chunk = min(length, _chunk([terms], ints, "r", (length, n, n), int(np.abs(scaled).max())))
-        ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-        threads = _pool_size(workers, len(ranges))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                try:
-                    parts = _kept(pool.map(lambda rg: eval_chunk(*rg), ranges), k)
-                except InputError:
-                    pool.shutdown(cancel_futures=True)
-                    raise
-        else:
-            parts = _kept((eval_chunk(*rg) for rg in ranges), k)
-        batch = np.concatenate(parts)
+        kept, nbytes = [], 0
+        for chunk, ok in zero_members(spec, len(batch) * fan, candidates, ints, (slice(k + 1),) * 3):
+            kept.append(chunk["r"][ok])
+            nbytes += kept[-1].nbytes
+            if nbytes > SURVIVOR_BYTES:
+                raise InputError(
+                    f"search row {k + 1} keeps {sum(map(len, kept))} candidates so far, "
+                    f"beyond the bound of {SURVIVOR_BYTES} bytes"
+                )
+        batch = np.concatenate(kept)
         if not len(batch):
             break
     return batch
-
-
-def _chunk(term_lists, ints: dict, name: str, shape: tuple, maxabs: int) -> int:
-    """Candidates per kernel call on ``ints`` and the operand ``name``, batched,
-    of ``shape`` and largest entry ``maxabs``, such that the largest einsum
-    array of any of the term lists, at the bytes per entry of the dtype its
-    sum runs in (``core.sum_footprint``), stays within ``CHUNK_BYTES``."""
-    shapes = {name: shape, **{k: a.shape for k, a in ints.items()}}
-    bounds = {name: maxabs, **{k: int(np.abs(a).max(initial=0)) for k, a in ints.items()}}
-    member = max(prod(sum_footprint(terms, shapes, bounds, name)) for terms in term_lists)
-    return max(1, CHUNK_BYTES // member)
-
-
-def _kept(parts, row: int) -> list:
-    """The survivor chunks of one search row, refused once they hold more
-    than ``SURVIVOR_BYTES``."""
-    kept, held = [], 0
-    for part in parts:
-        kept.append(part)
-        held += part.nbytes
-        if held > SURVIVOR_BYTES:
-            raise InputError(
-                f"search row {row + 1} keeps {sum(map(len, kept))} candidates so far, "
-                f"beyond the bound of {SURVIVOR_BYTES} bytes"
-            )
-    return kept

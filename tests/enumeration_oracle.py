@@ -8,15 +8,17 @@ checker.  It returns the algebras in lexicographic order of (<, >).
 
 import numpy as np
 
-from prenovikov.algebras import (
-    PreNovikovAlgebra,
-    _batch_zero,
-    _int_tables,
-    check_pre_novikov,
-)
-from prenovikov.core import InternalCheckError, StructureConstants
+from prenovikov import labels
+from prenovikov.algebras import PreNovikovAlgebra, _int_tables, check_pre_novikov
+from prenovikov.core import InternalCheckError, StructureConstants, sum_batched
 
 ENUM_CHUNK = 200_000  # (<, >) pairs per stage-2 block
+
+
+def _batch_zero(code: str, ops: dict) -> np.ndarray:
+    """Which members of a batch have an all-zero residual of identity ``code``."""
+    res = sum_batched({code: labels.SPECS[code][1]}, ops, batch=ops)[code]
+    return ~(res.reshape(len(res), -1) != 0).any(axis=1)
 
 
 def enumerate_pairs(vals: tuple[int, ...]) -> tuple[PreNovikovAlgebra, ...]:

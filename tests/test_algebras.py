@@ -31,7 +31,7 @@ from prenovikov.core import (
     mat_vec,
     sum_batched,
 )
-from prenovikov import algebras, labels
+from prenovikov import algebras, core, labels
 
 from conftest import conjugate_table, rand_invertible, table
 from enumeration_oracle import enumerate_pairs
@@ -307,21 +307,32 @@ def test_enumeration_includes_fixture_and_agrees_with_checker(alg2):
 @pytest.mark.parametrize("values", [(-1, 0, 1), (0, 1), (-1, 1), (0, 2), (0, 2**40)])
 def test_enumeration_matches_full_pair_sweep(monkeypatch, values):
     """Same algebras in the same order as the sweep over every (<, >) pair;
-    the kernel evaluates 2.8-2.11 on Python-int object arrays for (0, 2**40)
-    and in int64 for the other value sets."""
-    dtypes = []
-    kernel = algebras.sum_batched
+    the kernel evaluates each of 2.8-2.11 on Python-int object arrays for
+    (0, 2**40) and in int64 for the other value sets."""
+    dtypes = {}
+    kernel = core._Lifted.sum
 
-    def recorded(specs, arrays, batch=()):
-        out = kernel(specs, arrays, batch)
-        dtypes.extend(out[code].dtype for code in labels.PRE_NOVIKOV if code in out)
+    def recorded(self, terms):
+        out = kernel(self, terms)
+        for code in labels.PRE_NOVIKOV:
+            if terms is labels.SPECS[code][1]:
+                dtypes.setdefault(code, set()).add(out[0].dtype)
         return out
 
-    monkeypatch.setattr(algebras, "sum_batched", recorded)
+    monkeypatch.setattr(core._Lifted, "sum", recorded)
     got = list(algebras._enumerate.__wrapped__(values))
-    want = np.int64 if values != (0, 2**40) else object
-    assert dtypes and all(dtype == want for dtype in dtypes)
+    want = np.dtype(np.int64 if values != (0, 2**40) else object)
+    assert dtypes == {code: {want} for code in labels.PRE_NOVIKOV}
     assert got == enumerate_dim2_pre_novikov(values) == list(enumerate_pairs(values))
+
+
+def test_enumeration_in_one_member_chunks(monkeypatch):
+    """A 1-byte batch budget, which makes every chunk of stages 1 and 3 and of
+    the re-verification one member long and every stage-2 block one < table,
+    gives the same algebras in the same order."""
+    want = enumerate_dim2_pre_novikov((0, 1))
+    monkeypatch.setattr(core, "BATCH_BYTES", 1)
+    assert list(algebras._enumerate.__wrapped__((0, 1))) == want
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -349,15 +360,15 @@ def test_identity_2_9_witness_i_reads_only_row_i_of_rhd(n):
 
 def test_enumeration_checks_2_10_and_2_8_on_the_2_9_pairs_only(monkeypatch):
     sizes = {code: 0 for code in labels.PRE_NOVIKOV}
-    kernel = algebras.sum_batched
+    kernel = core._Lifted.sum
 
-    def counted(specs, arrays, batch=()):
-        for terms in specs.values():
-            for code in labels.PRE_NOVIKOV:
-                sizes[code] += len(arrays["<"]) if terms is labels.SPECS[code][1] else 0
-        return kernel(specs, arrays, batch)
+    def counted(self, terms):
+        out = kernel(self, terms)  # a sum refused over the byte budget counts nothing
+        for code in labels.PRE_NOVIKOV:
+            sizes[code] += len(self.arrays["<"]) if terms is labels.SPECS[code][1] else 0
+        return out
 
-    monkeypatch.setattr(algebras, "sum_batched", counted)
+    monkeypatch.setattr(core._Lifted, "sum", counted)
     assert len(algebras._enumerate.__wrapped__((-1, 0, 1))) == 257
     assert sizes["2.11"] == 3**8
     assert sizes["2.9"] <= 2 * 817 * 3**4
@@ -378,13 +389,14 @@ def test_enumeration_reverification_catches_a_planted_pair(monkeypatch):
     by the regular-quadruple re-verification.  (On these pairs 2.10 already
     implies 2.8, so stage 3 must skip both filters to let a 2.8 failure
     through.)"""
-    batch_zero = algebras._batch_zero
+    sweep = core.zero_members
 
-    def planted(code, ops):
-        ok = batch_zero(code, ops)
-        return np.ones_like(ok) if code in ("2.10", "2.8") else ok
+    def planted(specs, size, members, fixed=None, where=()):
+        for arrays, ok in sweep(specs, size, members, fixed, where):
+            yield arrays, np.ones_like(ok) if {"2.10", "2.8"} & set(specs) else ok
 
-    monkeypatch.setattr(algebras, "_batch_zero", planted)
+    monkeypatch.setattr(core, "zero_members", planted)  # through core.zero_mask
+    monkeypatch.setattr(algebras, "zero_members", planted)
     with pytest.raises(InternalCheckError, match="regular quadruple"):
         algebras._enumerate.__wrapped__((-1, 0, 1))
 

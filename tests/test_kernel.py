@@ -4,6 +4,7 @@ reference evaluator (Fraction arithmetic, every index assignment looped)."""
 import io
 import itertools
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prenovikov import check_compatibility, coboundary_diagnostics, core
+from prenovikov import check_compatibility, coboundary_diagnostics, core, labels
 from prenovikov.cli import run_command
 from prenovikov.core import INT64_MAX, contract, evaluate, sum_batched
 
@@ -225,6 +226,19 @@ def test_only_the_kernel_lifts_or_boxes():
             assert not re.search(r"\b(_lift|nested_fractions)\b", path.read_text()), path.name
 
 
+def test_only_the_kernel_sizes_batches():
+    """Every sweep chunks by one byte budget, ``core.BATCH_BYTES``, on one
+    thread: no module names the retired thread pool, its knob or the
+    per-caller chunk rules, and no module but ``core`` assigns a batch or
+    chunk size."""
+    retired = r"\b(ThreadPoolExecutor|PRENOVIKOV_WORKERS|ENUM_CHUNK|CHUNK_BYTES|sum_footprint)\b"
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        assert not re.search(retired, text), path.name
+        sizes = re.findall(r"^\s*([A-Z_]*(?:BATCH_|CHUNK)[A-Z_]*)\s*=", text, re.M)
+        assert sizes == (["BATCH_BYTES"] if path.name == "core.py" else []), path.name
+
+
 def test_no_table_is_flattened_after_parse(monkeypatch):
     """Parsing builds every table's exact array: checking, doubling and the
     coboundary pipeline on the dim-4 fixtures flatten no nested table."""
@@ -241,3 +255,72 @@ def test_no_table_is_flattened_after_parse(monkeypatch):
     assert calls == []
     core.exact(((F(1), F(2)),))  # the wrapper counts a flattening
     assert calls == [1]
+
+
+def _plain_zero(specs, arrays, fixed, where):
+    """The plain route: one ``sum_batched`` over the whole batch, reduced."""
+    res = sum_batched(specs, {**fixed, **arrays}, batch=arrays)
+    return ~np.any([(r[(slice(None),) + where] != 0).reshape(len(r), -1).any(axis=1)
+                    for r in res.values()], axis=0)
+
+
+@pytest.mark.parametrize("scale", [1, 2**40, 2**70], ids=["1", "2**40", "2**70"])
+def test_zero_members_matches_the_full_batch(monkeypatch, scale):
+    """``core.zero_members`` against one plain ``sum_batched`` over the whole
+    batch, on sparse random tables whose later half is multiplied by
+    ``scale``: int64 sums throughout, then Python-int sums on int64 operands,
+    then Python-int operands.  With and without ``where``, at the default
+    budget, at 2 KiB and at 1 byte, the masks agree, and a 1-byte budget
+    gives chunks of one member.  Every sum that runs on a chunk of more than
+    one member forms no array past ``BATCH_BYTES``, charged 8 bytes per
+    int64 entry and 8 plus the int object at the plan's bound otherwise: at
+    2 KiB the chunks that reach the scaled half must be rebuilt shorter."""
+    rng = np.random.default_rng(11)
+    size = 300
+
+    def sparse(shape):
+        t = rng.choice([-1, 0, 1], p=[0.05, 0.9, 0.05], size=shape).astype(object)
+        t[size // 2 :] *= scale
+        return core._fit(t.ravel().tolist()).reshape(shape)
+
+    r = sparse((size, 3, 3))
+    tables = {name: rng.integers(-1, 2, size=(3, 3, 3)) for name in ("o", "(.)", "<")}
+    cases = [  # (specs, batched operands, fixed operands, where)
+        ({code: labels.SPECS[code][1] for code in ("2.10", "2.11")},
+         {"<": sparse((size, 2, 2, 2)), ">": sparse((size, 2, 2, 2))}, {}, ()),
+        ({labels.YBE: labels.SPECS[labels.YBE][1]}, {"r": r + r.transpose(0, 2, 1)}, tables, ()),
+    ]
+    cases += [(specs, arrays, fixed, (slice(1),) * 2) for specs, arrays, fixed, _ in cases]
+    wants = [_plain_zero(*case).tolist() for case in cases]
+
+    over, lengths = [], []
+    run = core._Plan.run
+
+    def charged(plan, operands, den=1):
+        members = next(len(op) for name, op in zip(plan.names, operands) if name in batched)
+        bound = plan.bound([int(np.abs(op).max(initial=0)) for op in operands], den)
+        entry = 8 if operands[0].dtype == np.int64 else 8 + sys.getsizeof(bound)
+        if members > 1 and members * plan.peak * entry > core.BATCH_BYTES:
+            over.append((members, plan.peak, entry))
+        return run(plan, operands, den)
+
+    monkeypatch.setattr(core._Plan, "run", charged)
+    default = core.BATCH_BYTES
+    for (specs, arrays, fixed, where), want in zip(cases, wants):
+        batched = set(arrays)
+
+        def members(lo, hi):
+            return {name: a[lo:hi] for name, a in arrays.items()}
+
+        for budget in (default, 2048, 1):
+            monkeypatch.setattr(core, "BATCH_BYTES", budget)
+            lengths.clear()
+            got = []
+            for chunk, ok in core.zero_members(specs, size, members, fixed, where):
+                assert all(len(a) == len(ok) for a in chunk.values())
+                lengths.append(len(ok))
+                got += ok.tolist()
+            assert got == want == core.zero_mask(specs, size, members, fixed, where).tolist()
+            assert sum(lengths) == size and (budget > 1 or set(lengths) == {1})
+    assert over == []
+    assert all(0 < sum(want) < size for want in wants)

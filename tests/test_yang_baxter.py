@@ -1,5 +1,4 @@
 import itertools
-import os
 import random
 from fractions import Fraction
 
@@ -42,10 +41,8 @@ from prenovikov.core import (
     mult_matrix,
     t2_zero,
     t3_is_zero,
-    sum_footprint,
 )
-from prenovikov import labels, yang_baxter
-from prenovikov.yang_baxter import _pool_size
+from prenovikov import core, labels, yang_baxter
 
 from conftest import conjugate_table, rand_invertible, rand_symmetric
 from kernel_reference import overflow_bound
@@ -294,50 +291,49 @@ def test_search_chunks_bounded_in_bytes(monkeypatch, alg2):
     alg3 = _block_diagonal_dim3(alg2)
     sols = search_symmetric_ybe(alg3, [-1, 0, 1])
     lengths = {"r": [], "T": []}
-    kernel = yang_baxter.sum_batched
+    sweep = core.zero_members
 
-    def recorded(specs, arrays, batch=()):
-        (name,) = batch
-        lengths[name].append(len(arrays[name]))
-        return kernel(specs, arrays, batch)
+    def recorded(specs, size, members, fixed=None, where=()):
+        for arrays, ok in sweep(specs, size, members, fixed, where):
+            (name,) = arrays
+            lengths[name].append(len(ok))
+            yield arrays, ok
 
-    monkeypatch.setattr(yang_baxter, "sum_batched", recorded)
-    monkeypatch.setattr(yang_baxter, "CHUNK_BYTES", 1)
+    monkeypatch.setattr(core, "zero_members", recorded)  # the re-verification's
+    monkeypatch.setattr(yang_baxter, "zero_members", recorded)  # the row search's
+    monkeypatch.setattr(core, "BATCH_BYTES", 1)
     assert search_symmetric_ybe(alg3, [-1, 0, 1]) == sols
     assert set(lengths["r"]) == {1}
     assert lengths["T"] == [1] * len(sols)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_search_refuses_rows_beyond_the_survivor_bound(monkeypatch, workers):
+def test_search_refuses_rows_beyond_the_survivor_bound(monkeypatch):
     """On the zero algebra every candidate survives: at dim 3 with -1,0,1
     row 2 keeps 3**5 = 243 int64 tensors (17,496 bytes), past a bound of
     10,000 bytes."""
     zero = PreNovikovAlgebra(StructureConstants.zero(3), StructureConstants.zero(3))
-    assert len(search_symmetric_ybe(zero, [-1, 0, 1], workers=workers)) == 3**6
+    assert len(search_symmetric_ybe(zero, [-1, 0, 1])) == 3**6
     monkeypatch.setattr(yang_baxter, "SURVIVOR_BYTES", 10_000)
     with pytest.raises(InputError, match=r"search row 2 keeps 243 candidates so far, beyond"):
-        search_symmetric_ybe(zero, [-1, 0, 1], workers=workers)
+        search_symmetric_ybe(zero, [-1, 0, 1])
 
 
-def test_object_sums_are_charged_their_int_objects():
-    """On the dim-4 zero algebra with -2**40, 0, 2**40 every search sum runs
-    on Python ints, so each entry is charged 8 bytes plus an int object: the
-    chunk stays within CHUNK_BYTES and is shorter than the int64 chunk of
-    -1, 0, 1.  The solutions stay every symmetric tensor over the values."""
-    zero = PreNovikovAlgebra(StructureConstants.zero(4), StructureConstants.zero(4))
-    ints = {k: a for k, a in yang_baxter._integer_tables(zero).items() if k in ("o", "(.)", "<")}
-    terms = labels.SPECS[labels.YBE][1]
-    shapes = {"r": (1, 4, 4), **{k: a.shape for k, a in ints.items()}}
-    chunks = {}
-    for big in (1, 2**40):
-        peak, per_entry = sum_footprint(terms, shapes, {"r": big, **{k: 0 for k in ints}}, "r")
-        chunk = yang_baxter._chunk([terms], ints, "r", shapes["r"], big)
-        assert chunk * peak * per_entry <= yang_baxter.CHUNK_BYTES
-        chunks[big] = chunk, per_entry
-    assert chunks[1][1] == 8 < chunks[2**40][1]
-    assert chunks[2**40][0] < chunks[1][0]
+def test_search_object_values_keep_every_solution(monkeypatch):
+    """On the zero algebras of dims 2 and 3 with -2**40, 0, 2**40 the 4.13
+    sums run on Python ints (in int64 only on a chunk whose entries are all
+    0) and every symmetric tensor over the values is a solution, with the
+    default byte budget and in chunks of one candidate.  (The bytes each
+    chunk is charged are tested with ``core.zero_members``.)"""
     values = (-(2**40), 0, 2**40)
+    dtypes = set()
+    kernel = core._Lifted.sum
+
+    def recorded(self, terms):
+        out = kernel(self, terms)
+        dtypes.update([out[0].dtype] if terms is labels.SPECS[labels.YBE][1] else [])
+        return out
+
+    monkeypatch.setattr(core._Lifted, "sum", recorded)
     for n in (2, 3):
         zero = PreNovikovAlgebra(StructureConstants.zero(n), StructureConstants.zero(n))
         want = []
@@ -347,6 +343,10 @@ def test_object_sums_are_charged_their_int_objects():
                 m[i][j] = m[j][i] = F(v)
             want.append(tuple(map(tuple, m)))
         assert search_symmetric_ybe(zero, values) == want
+        with monkeypatch.context() as budget:
+            budget.setattr(core, "BATCH_BYTES", 1)
+            assert search_symmetric_ybe(zero, values) == want
+    assert np.dtype(object) in dtypes
 
 
 def _block_diagonal_dim3(alg2) -> PreNovikovAlgebra:
@@ -406,29 +406,6 @@ def test_theorem_pipeline_over_search_output(alg2):
         assert d.equations_zero() and d.r_tensors_zero()
 
 
-def test_search_worker_env(alg2, alg4, sol4, monkeypatch):
-    baseline = search_symmetric_ybe(alg4, [-1, 0, 1])
-    monkeypatch.setenv("PRENOVIKOV_WORKERS", "3")
-    assert search_symmetric_ybe(alg4, [-1, 0, 1]) == baseline
-    assert search_symmetric_ybe(alg2, [-1, 0, 1], workers=2) == search_symmetric_ybe(
-        alg2, [-1, 0, 1], workers=1
-    )
-    monkeypatch.setenv("PRENOVIKOV_WORKERS", "zero")
-    with pytest.raises(InputError):
-        search_symmetric_ybe(alg2, [0])
-    monkeypatch.setenv("PRENOVIKOV_WORKERS", "0")
-    with pytest.raises(InputError):
-        search_symmetric_ybe(alg2, [0])
-
-
-def test_search_pool_size_is_clamped():
-    cores = os.cpu_count() or 1
-    assert _pool_size(10**6, 3**10) == min(cores, 3**10)
-    assert _pool_size(10**6, 1) == 1
-    assert _pool_size(1, 59049) == 1
-    assert _pool_size(2, 59049) == min(2, cores)
-
-
 def test_lift_biconditional_random_maps(alg2):
     rng = random.Random(37)
     _, pre = adjoint_reps(alg2)
@@ -439,16 +416,17 @@ def test_lift_biconditional_random_maps(alg2):
 
 
 def test_search_reverification_catches_a_planted_hit(monkeypatch, alg2):
-    """A row search that returns a non-solution is caught by the batched
-    operator-form re-verification."""
-    rows = yang_baxter._search_rows
+    """A row search whose zero test keeps every candidate, non-solutions
+    among them, is caught by the batched operator-form re-verification,
+    which tests through ``core.zero_members`` itself."""
+    sweep = yang_baxter.zero_members
 
-    def planted(ints, scaled, workers):
-        hits = rows(ints, scaled, workers)
-        return np.concatenate([hits, np.ones_like(hits[:1])])
+    def planted(specs, size, members, fixed=None, where=()):
+        for arrays, ok in sweep(specs, size, members, fixed, where):
+            yield arrays, np.ones_like(ok)
 
     assert not t3_is_zero(ybe_residual(alg2, ((F(1), F(1)), (F(1), F(1)))))
-    monkeypatch.setattr(yang_baxter, "_search_rows", planted)
+    monkeypatch.setattr(yang_baxter, "zero_members", planted)
     with pytest.raises(InternalCheckError, match="non-solution"):
         search_symmetric_ybe(alg2, [-1, 0, 1])
 
