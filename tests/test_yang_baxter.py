@@ -307,14 +307,17 @@ def test_search_chunks_bounded_in_bytes(monkeypatch, alg2):
     assert lengths["T"] == [1] * len(sols)
 
 
-def test_search_refuses_rows_beyond_the_survivor_bound(monkeypatch):
+@pytest.mark.parametrize("row", [1, 2])
+def test_search_refuses_rows_beyond_the_survivor_bound(monkeypatch, row):
     """On the zero algebra every candidate survives: at dim 3 with -1,0,1
-    row 2 keeps 3**5 = 243 int64 tensors (17,496 bytes), past a bound of
-    10,000 bytes."""
+    row 1 keeps 3**3 = 27 int64 tensors (1,944 bytes) and row 2 keeps
+    3**5 = 243 (17,496 bytes).  A bound one byte short of a row's survivors
+    refuses that row, by number, and no row before it."""
     zero = PreNovikovAlgebra(StructureConstants.zero(3), StructureConstants.zero(3))
     assert len(search_symmetric_ybe(zero, [-1, 0, 1])) == 3**6
-    monkeypatch.setattr(yang_baxter, "SURVIVOR_BYTES", 10_000)
-    with pytest.raises(InputError, match=r"search row 2 keeps 243 candidates so far, beyond"):
+    kept = {1: 3**3, 2: 3**5}[row]
+    monkeypatch.setattr(yang_baxter, "SURVIVOR_BYTES", kept * 9 * 8 - 1)
+    with pytest.raises(InputError, match=rf"search row {row} keeps {kept} candidates so far, beyond"):
         search_symmetric_ybe(zero, [-1, 0, 1])
 
 
