@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from . import labels
 from .algebras import (
     associated_novikov,
     check_novikov,
@@ -20,7 +21,7 @@ from .algebras import (
     derived_ops,
 )
 from .bialgebra import check_bialgebra, check_coalgebra
-from .core import InputError, RefusalError, t3_is_zero
+from .core import InputError, RefusalError
 from .io import (
     FLAVORS,
     Bundle,
@@ -286,20 +287,15 @@ def _cmd_diag(args, out) -> int:
         _emit(out, dumps(doc))
     else:
         _emit(out, f"operator conditions all zero: {'yes' if diag.conditions_zero() else 'no'}")
-        for code, grid in sorted(diag.condition_residuals.items()):
-            bad = [
-                (i, j)
-                for i, row in enumerate(grid)
-                for j, t in enumerate(row)
-                if any(v for rr in t for v in rr)
-            ]
+        for code in sorted(labels.COBOUNDARY_CONDITIONS):
+            bad = diag.nonzero(code)
             if bad:
                 _emit(out, f"  Eq ({code}) nonzero at pairs: {bad}")
-        for name, tensor in sorted(diag.r_tensors.items()):
-            _emit(out, f"{name}: {'zero' if t3_is_zero(tensor) else 'nonzero'}")
+        for name in sorted(labels.R_TENSORS):
+            _emit(out, f"{name}: {'nonzero' if diag.nonzero(name) else 'zero'}")
         _emit(out, f"equation residuals all zero: {'yes' if diag.equations_zero() else 'no'}")
-        for code, series in sorted(diag.equation_residuals.items()):
-            bad = [i for i, t in enumerate(series) if not t3_is_zero(t)]
+        for code in sorted(labels.COBOUNDARY_EQUATIONS):
+            bad = [i for (i,) in diag.nonzero(code)]
             if bad:
                 _emit(out, f"  Eq ({code}) nonzero at basis indices: {bad}")
     return 0

@@ -2,12 +2,12 @@
 identity is evaluated with, the one builder of direct-sum tables, and the one
 exact elimination.
 
-The kernel compiles each term list once per set of operand shapes, degrees
-and batch axes into a plan (``_plan``, a bounded LRU cache keyed by the term
-list's content), so that a call on small tables pays for little more than
-its einsums: see ``contract`` and ``sum_batched``.  It alone decides whether a
-sum runs in int64 or on Python ints, from the bound of its plan; callers
-certify nothing.
+The kernel compiles each call once per spec content, input names and shapes
+and batch axes into a program (``_program``, a bounded LRU cache) that
+evaluates each distinct contraction once, so that a call on small tables pays
+for little more than its einsums: see ``contract`` and ``sum_batched``.  It
+alone decides whether a sum runs in int64 or on Python ints, from the bound
+of the sum's plan; callers certify nothing.
 
 Conventions used throughout the package, all exact, with no tolerances:
 
@@ -26,10 +26,12 @@ Conventions used throughout the package, all exact, with no tolerances:
 from __future__ import annotations
 
 import functools
+import itertools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from string import ascii_lowercase
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +43,6 @@ Vector = tuple[Scalar, ...]
 Matrix = tuple[Vector, ...]
 Tensor2 = tuple[tuple[Scalar, ...], ...]
 Tensor3 = tuple[tuple[tuple[Scalar, ...], ...], ...]
-Terms = Sequence[tuple[int, str, tuple[str, ...]]]
 
 ZERO = Fraction(0)
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -84,9 +85,10 @@ class Exact:
     """An immutable exact array: the integers ``num`` over the positive
     denominator ``den``, in lowest terms and in int64 when every numerator
     fits (Python-int objects otherwise), so that equal values are equal
-    arrays.  ``nested`` is its nested-tuple-of-``Fraction`` view, built once."""
+    arrays.  ``maxabs`` is its largest absolute numerator and ``nested`` its
+    nested-tuple-of-``Fraction`` view, each computed once, when first read."""
 
-    __slots__ = ("num", "den", "_nested")
+    __slots__ = ("num", "den", "_maxabs", "_nested")
 
     def __init__(self, num, den: int = 1):
         num = np.asarray(num)
@@ -97,7 +99,7 @@ class Exact:
             den //= g
         if num.dtype != np.int64:
             num = _fit(num.ravel().tolist()).reshape(num.shape)
-        self.num, self.den, self._nested = num.view(), den, None
+        self.num, self.den, self._maxabs, self._nested = num.view(), den, None, None
         self.num.flags.writeable = False
 
     @property
@@ -107,6 +109,12 @@ class Exact:
     @property
     def T(self) -> "Exact":
         return Exact(self.num.T, self.den)
+
+    @property
+    def maxabs(self) -> int:
+        if self._maxabs is None:
+            self._maxabs = _maxabs(self.num)
+        return self._maxabs
 
     @property
     def nested(self) -> tuple:
@@ -189,9 +197,9 @@ def _parse(subs: str) -> tuple[tuple[str, ...], str]:
 # on a batch axis.
 PATH_LOOP = 512
 
-# The plans ``_plan`` keeps, least recently used first out.  One process
-# meets a few hundred (spec, shapes, degrees) combinations at most, and a
-# plan holds a few short strings and tuples.
+# The plans ``_plan`` and the programs ``_program`` keep, each least recently
+# used first out.  One process meets a few hundred (spec, shapes) combinations
+# at most, and a plan or a program holds a few short strings and tuples.
 PLAN_CACHE = 1024
 
 
@@ -199,14 +207,6 @@ PLAN_CACHE = 1024
 def _names(terms: tuple) -> tuple[str, ...]:
     """The operand names of a term list, in order of first use."""
     return tuple(dict.fromkeys(name for _, _, names in terms for name in names))
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE)
-def _plan(terms: tuple, shapes: tuple, degrees: tuple, batch: frozenset) -> "_Plan":
-    """The compiled plan of a term list, keyed by its content and by the
-    shapes and degrees of its operands (listed as ``_names`` lists them) and
-    the operands that carry a batch axis."""
-    return _Plan(terms, shapes, degrees, batch)
 
 
 def _steps(inputs: tuple, out: str, sizes: dict) -> tuple[tuple, int]:
@@ -244,16 +244,33 @@ def _steps(inputs: tuple, out: str, sizes: dict) -> tuple[tuple, int]:
     return (((whole, subs, {"optimize": path}),) if "N" in out else tuple(steps)), peak
 
 
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _canonical(inputs: tuple, out: str, names: tuple) -> tuple[tuple, dict]:
+    """The contraction a term of several operands computes: the least form
+    (operand names, letter groups, sorted output letters) over its operand
+    orders, letters renamed by first use (``N`` kept), which terms differing
+    only in operand order or output axis order share; with its renaming."""
+    def form(order):
+        rename = {"N": "N"}
+        for c in "".join(inputs[k] for k in order):
+            rename.setdefault(c, ascii_lowercase[len(rename) - 1])
+        return ((tuple(names[k] for k in order), tuple("".join(map(rename.get, inputs[k])) for k in order),
+                 "".join(sorted(map(rename.get, out)))), rename)
+
+    return min(map(form, itertools.permutations(range(len(inputs)))), key=lambda f: f[0])
+
+
 class _Plan:
     """A term list compiled for operands of fixed shapes and degrees.
 
-    Per term it holds the operand positions, the degree shift that brings
-    the term to the top degree ``top``, the bound factor (|coef| times the
-    number of index values the term sums over) and how the term runs: a
-    one-operand permutation as a transpose view, any other term as the
-    einsum steps of ``_steps``.  ``peak`` is the largest array a term forms,
-    an einsum step or the permuted copy it is summed into, in entries per
-    batch member.
+    Per term: the coefficient, the shift to the top degree ``top``, the
+    bound factor (|coef| times the index values the term sums over), the
+    operand positions, and either the transpose ``axes`` of a one-operand
+    permutation or the term's contraction (``_canonical``), its output
+    letters in that contraction's names, and how the term runs: one einsum
+    ``(subscripts, options)`` or ``(None, steps)`` of ``_steps``.
+    ``peak`` is the largest array a term forms, an einsum step or the copy
+    it is summed into, in entries per batch member.
     """
 
     def __init__(self, terms, shapes, degrees, batch):
@@ -275,14 +292,16 @@ class _Plan:
                 inputs = tuple("N" + g if batched[k] else g for g, k in zip(inputs, at))
                 out = "N" + out
                 sizes["N"] = shapes[batched.index(True)][0]
-            axes, steps = None, ()
+            contraction = steps = None
             if len(at) == 1 and len(set(inputs[0])) == len(inputs[0]) and sorted(inputs[0]) == sorted(out):
                 axes = tuple(inputs[0].index(c) for c in out)
                 peak = prod(sizes[c] for c in out if c != "N")  # the copy it accumulates into
             else:
-                steps, peak = _steps(inputs, out, sizes)
+                (contraction, rename), (steps, peak) = _canonical(inputs, out, names), _steps(inputs, out, sizes)
+                axes, steps = "".join(map(rename.get, out)), steps[0][1:] if len(steps) == 1 else (None, steps)
             self.peak = max(self.peak, peak)
-            self.terms.append((coef, self.top - degree, factor, at, axes, steps))
+            self.terms.append((coef, self.top - degree, factor, at, axes, contraction, steps))
+        self.shape = tuple(sizes[c] for c in out)
 
     def bound(self, maxabs: Sequence[int], den: int = 1) -> int:
         """A bound on every partial sum an integer evaluation forms, given
@@ -296,133 +315,173 @@ class _Plan:
         values than the whole term.  With a batch axis it bounds each
         member, whose sums are independent.
         """
-        pads = [max(m, 1) for m in maxabs]
+        pads = [m if m > 1 else 1 for m in maxabs]
         total = 0
-        for _, shift, factor, at, _, _ in self.terms:
-            term = factor * den**shift
+        for _, shift, term, at, *_ in self.terms:
             for k in at:
                 term *= pads[k]
-            total += term
+            total += term * den**shift if shift else term
         return total
 
-    def run(self, operands: Sequence[np.ndarray], den: int = 1) -> np.ndarray:
-        """sum(coef * den**shift * term) on the operands listed as ``names``,
-        in their own dtype, which ``_Lifted.sum`` certifies cannot overflow."""
-        acc = None
-        for coef, shift, _, at, axes, steps in self.terms:
-            coef *= den**shift
-            if axes is not None:
-                value = operands[at[0]].transpose(axes)
-            elif len(steps) == 1:
-                _, subs, options = steps[0]
-                value = np.einsum(subs, *[operands[k] for k in at], **options)
-            else:
-                ops = [operands[k] for k in at]
-                for picked, subs, options in steps:
-                    args = [ops[k] for k in picked]
-                    for k in reversed(picked):
-                        del ops[k]
-                    ops.append(np.einsum(subs, *args, **options))
-                value = ops[0]
-            # accumulate in place, so that one einsum temporary at most is alive
-            if acc is None:
-                acc = value * coef if coef != 1 or len(at) == 1 else value  # one operand: a view
-            elif coef == 1:
-                acc += value
-            elif coef == -1:
-                acc -= value
-            else:
-                acc += coef * value
-        return acc
+
+# The compiled plan of a term list, keyed by its content, the shapes and
+# degrees of its operands (as ``_names`` lists them) and the batched ones.
+_plan = functools.lru_cache(maxsize=PLAN_CACHE)(_Plan)
 
 
-def _lift(tables: dict) -> tuple[dict, int]:
-    """The tables' numerators over one common denominator: each ``Exact``
-    array is brought there by one integer multiply, on Python ints when an
-    entry would leave int64."""
-    arrays = {name: exact(t) for name, t in tables.items()}
-    den = lcm(*{e.den for e in arrays.values()})
-    lifted = {}
-    for name, e in arrays.items():
-        num, factor = e.num, den // e.den
-        if factor != 1 and num.any():
-            if int(np.abs(num).max()) * factor > INT64_MAX:
-                num = num.astype(object)
-            num = num * factor
-        lifted[name] = num
-    return lifted, den
+class _Program:
+    """One kernel call compiled: specs (``(key, terms)`` pairs) on inputs
+    (``(name, shape)`` pairs, of degree 1), those in ``batch`` batched.
 
-
-# The batch of an unbatched call: shared, so that the rational path of
-# ``contract`` builds no set per sum.
-_NO_BATCH = frozenset()
-
-
-class _Lifted:
-    """The operands of one kernel call: integer arrays over the common
-    denominator ``den`` and every name derived from them, each with its
-    degree (it holds its values times den**degree), its largest absolute
-    entry and its copies per dtype.  The names in ``batch`` carry a leading
-    batch axis ``N``; a derived name carries it when one of its inputs does.
-
-    This is the one place that decides between int64 and Python ints: every
-    sum runs in int64 when its plan's bound certifies it, and on Python-int
-    object arrays otherwise.  With a ``budget`` in bytes, a batched sum whose
-    largest array would pass it raises ``_OverBudget`` instead of running.
+    Each derived operand (``labels.OPERANDS``, batched when an input is)
+    comes before the first sum that reads it.  Each distinct contraction has
+    one slot, computed by the first term that reads it and read by the
+    others through a transpose; slots and derived operands are freed after
+    their last reader.  A batched sum's peak adds the batched slots read
+    twice and derived operands alive while it runs to its plan's peak, in
+    entries per member; ``peak`` is the largest.
     """
 
-    def __init__(self, arrays: dict, den: int = 1, batch=_NO_BATCH, budget: int = 0):
-        self.arrays, self.den, self.budget = arrays, den, budget
-        self.batch = set(batch) if batch else _NO_BATCH
-        self.degree = dict.fromkeys(arrays, 1)
-        self.maxabs = {}
-        self.typed = {np.int64: {}, object: {}}
+    def __init__(self, specs, inputs, batch):
+        self.specs, self.batch, inputs = specs, [name for name, _ in inputs if name in batch], dict(inputs)
+        shape, degree, batched, order = dict(inputs), dict.fromkeys(inputs, 1), set(self.batch), []
 
-    def resolve(self, name: str) -> None:
-        """Make ``name`` available, deriving it from ``labels.OPERANDS``."""
-        if name not in self.arrays:
-            terms = tuple(labels.OPERANDS[name])
-            self.arrays[name], self.degree[name] = self.sum(terms)
-            if self.batch and not self.batch.isdisjoint(_names(terms)):
-                self.batch.add(name)
-        self.maxabs[name] = int(np.abs(self.arrays[name]).max(initial=0))
+        def add(key, terms, derived):
+            names = _names(terms)
+            for name in names:
+                if name not in shape:
+                    add(name, tuple(labels.OPERANDS[name]), True)
+            plan = _plan(terms, tuple([shape[name] for name in names]),
+                         tuple([degree[name] for name in names]), frozenset(batched.intersection(names)))
+            if derived:
+                shape[key], degree[key] = plan.shape, plan.top
+                batched.update([key] if not batched.isdisjoint(names) else [])
+            order.append((key, plan, names, derived))
 
-    def as_dtype(self, names, dtype) -> list[np.ndarray]:
-        """The operands ``names`` in ``dtype``, each converted once."""
-        typed, out = self.typed[dtype], []
-        for name in names:
-            array = typed.get(name)
-            if array is None:
-                array = self.arrays[name]
-                typed[name] = array = array if array.dtype == dtype else array.astype(dtype)
-            out.append(array)
-        return out
+        for key, terms in specs:
+            add(key, terms, False)
+        last, uses = {}, {}  # the last sum reading each operand and slot; the terms reading each slot
+        for s, (_, plan, names, _) in enumerate(order):
+            last.update(dict.fromkeys(names, s))
+            for c in (term[5] for term in plan.terms if term[5]):
+                last[c], uses[c] = s, uses.get(c, 0) + 1
+        slot = {c: k for k, c in enumerate(uses)}  # slots are held by number, operands by name
+        self.slots, self.sums, self.peak, live, layout = len(slot), [], 0, {}, {}
+        for s, (key, plan, names, derived) in enumerate(order):
+            member = 0 if batched.isdisjoint(names) else prod(plan.shape[1:])
+            alone, terms = derived and len(plan.terms) == 1, []  # nothing is added to a lone term
+            for coef, shift, _, at, axes, c, steps in plan.terms:
+                if c:  # a slot is laid out as its first reader's output, which computes it
+                    first = layout.setdefault(c, axes)
+                    axes = None if first == axes else tuple(first.index(x) for x in axes)
+                terms.append((coef, shift, at, axes, slot.get(c), steps, (not c or uses[c] > 1) and not alone))
+                if c and uses[c] > 1:  # a slot alive past its term
+                    live.setdefault(c, member)
+            peak = member and plan.peak + sum(live.values())
+            self.peak = max(self.peak, peak)
+            frees = tuple(slot.get(k, k) for k, at in last.items() if at == s and k not in inputs)
+            live = {k: entries for k, entries in live.items() if last[k] > s}
+            if derived:  # 2: one permuted operand, whose bound is its largest entry (or 1 for 0)
+                live[key], derived = member, 2 if alone and not c else 1
+            self.sums.append((key, plan, names, derived, tuple(terms), peak, frees))
 
-    def sum(self, terms: Terms) -> tuple[np.ndarray, int]:
-        """Evaluate terms on the operands; returns (integers, scale exponent).
+    def run(self, arrays: dict, maxabs: dict, den: int = 1, budget: int = 0):
+        """Yields ``(key, integers, scale exponent)`` per spec, from the inputs'
+        integers over ``den`` and their largest absolute entries.
 
-        Each term is brought to the largest degree among the terms before
-        they are summed, in int64 when the plan's bound certifies that no
-        partial sum can overflow, and on Python-int object arrays otherwise.
+        The one place that decides between int64 and Python ints: a sum runs
+        in int64 when its plan's bound certifies it, on Python-int objects
+        otherwise; a slot read in the other dtype is converted.  With a
+        ``budget`` in bytes, a batched sum whose peak would pass it raises
+        ``_OverBudget`` instead of running.
         """
-        terms = tuple(terms)
-        names = _names(terms)
-        for name in names:
-            if name not in self.maxabs:
-                self.resolve(name)
-        batch = frozenset(self.batch.intersection(names)) if self.batch else _NO_BATCH
-        plan = _plan(terms, tuple([self.arrays[name].shape for name in names]),
-                     tuple([self.degree[name] for name in names]), batch)
-        bound = plan.bound([self.maxabs[name] for name in names], self.den)
-        dtype = np.int64 if bound <= INT64_MAX else object
-        if self.budget and batch:
-            # an entry is 8 bytes in int64, a pointer plus an int object otherwise
-            member = plan.peak * (8 if dtype is np.int64 else 8 + sys.getsizeof(bound))
-            size = len(self.arrays[next(iter(batch))])
-            if size > 1 and size * member > self.budget:
-                raise _OverBudget(max(1, self.budget // member))
-        value = plan.run(self.as_dtype(names, dtype), self.den)
-        return np.asarray(value, dtype=dtype), plan.top
+        values, maxabs, typed = dict(arrays), dict(maxabs), {}
+        size = len(arrays[self.batch[0]]) if budget and self.batch else 0
+        for key, plan, names, derived, terms, peak, frees in self.sums:
+            bound = plan.bound([maxabs[name] for name in names], den)
+            dtype = np.int64 if bound <= INT64_MAX else object
+            if size > 1 and peak:
+                # an entry is 8 bytes in int64, a pointer plus an int object otherwise
+                member = peak * (8 if dtype is np.int64 else 8 + sys.getsizeof(bound))
+                if size * member > budget:
+                    raise _OverBudget(max(1, budget // member))
+            ops = [values[name] for name in names]
+            for k, name in enumerate(names):
+                if ops[k].dtype != dtype:  # converted once per dtype
+                    ops[k] = typed.get((name, dtype))
+                    if ops[k] is None:
+                        ops[k] = typed[name, dtype] = values[name].astype(dtype)
+            acc = None
+            for coef, shift, at, axes, slot, steps, shared in terms:
+                if slot is None:
+                    value = ops[at[0]].transpose(axes)
+                else:
+                    value = values.get(slot)
+                    if value is None:
+                        subs, options = steps
+                        value = values[slot] = (np.einsum(subs, *[ops[k] for k in at], **options) if subs
+                                                else _einsums([ops[k] for k in at], options))
+                    elif getattr(value, "dtype", object) != dtype:  # (an object einsum's 0-d value is an int)
+                        value = values[slot] = np.asarray(value).astype(dtype)
+                    if axes is not None:
+                        value = value.transpose(axes)
+                if shift:
+                    coef *= den**shift
+                # accumulate in place, so that one einsum temporary at most is alive
+                if acc is None:
+                    acc = value * coef if coef != 1 or shared else value
+                elif coef == 1:
+                    acc += value
+                elif coef == -1:
+                    acc -= value
+                else:
+                    acc += coef * value
+            for k in frees:
+                del values[k]
+            acc = np.asarray(acc, dtype=dtype)  # (a 0-d einsum gives a scalar)
+            if derived:
+                values[key], maxabs[key] = acc, bound if derived == 2 else _maxabs(acc)
+            else:
+                yield key, acc, plan.top
+
+
+# The compiled program of a kernel call, keyed by its specs, inputs and batch.
+_program = functools.lru_cache(maxsize=PLAN_CACHE)(_Program)
+
+
+def _compile(specs: dict, arrays: dict, batch=()) -> _Program:
+    """``_program`` of the term lists ``specs`` on ``arrays``."""
+    return _program(tuple([(key, tuple(terms)) for key, terms in specs.items()]),
+                    tuple([(name, a.shape) for name, a in arrays.items()]), frozenset(batch))
+
+
+def _einsums(operands: list, steps: tuple) -> np.ndarray:
+    """The pairwise einsum ``steps`` of ``_steps`` run on ``operands``."""
+    for picked, subs, options in steps:
+        args = [operands.pop(k) for k in reversed(picked)][::-1]
+        operands.append(np.einsum(subs, *args, **options))
+    return operands[0]
+
+
+def _maxabs(array: np.ndarray) -> int:
+    """The largest absolute entry of an integer array, 0 when it is empty."""
+    return int(np.abs(array).max(initial=0))
+
+
+def _lift(tables: dict) -> tuple[dict, dict, int]:
+    """The tables' numerators over one common denominator, each brought there
+    by one integer multiply (on Python ints when an entry would leave int64),
+    and their largest absolute numerators (their ``Exact`` arrays', scaled)."""
+    arrays = {name: exact(t) for name, t in tables.items()}
+    den = lcm(*{e.den for e in arrays.values()})
+    lifted, maxabs = {}, {}
+    for name, e in arrays.items():
+        num, factor = e.num, den // e.den
+        maxabs[name] = e.maxabs * factor
+        if factor != 1 and e.maxabs:
+            num = (num.astype(object) if maxabs[name] > INT64_MAX else num) * factor
+        lifted[name] = num
+    return lifted, maxabs, den
 
 
 def contract(specs: dict, tables: dict) -> dict:
@@ -432,32 +491,20 @@ def contract(specs: dict, tables: dict) -> dict:
     subscripts, operand names)``; ``tables`` maps names to ``Exact`` arrays
     (or nested sequences of rationals, which ``exact`` flattens).  Names
     missing from ``tables`` are derived through ``labels.OPERANDS``.  The
-    tables are brought once to one common denominator (``_lift``), and each
-    derived name is computed once for all specs;
-    each operand's largest entry and int64 copy are likewise taken once.
-    Each term list runs through its cached plan (see ``_Plan``), in the dtype
-    ``_Lifted.sum`` certifies.  Returns key -> ``(numerators, denominator)``:
-    the value is ``numerators / denominator``, entry by entry.
+    tables are brought to one common denominator (``_lift``) and the call
+    runs as its cached ``_Program``.  Returns key -> ``(numerators,
+    denominator)``: the value is ``numerators / denominator``, entry by entry.
     """
-    lifted = _Lifted(*_lift(tables))
-    out = {}
-    for key, terms in specs.items():
-        num, top = lifted.sum(terms)
-        out[key] = (num, lifted.den**top)
-    return out
+    arrays, maxabs, den = _lift(tables)
+    return {key: (num, den**top) for key, num, top in _compile(specs, arrays).run(arrays, maxabs, den)}
 
 
 def sum_batched(specs: dict, arrays: dict, batch=()) -> dict:
-    """Each term list in ``specs`` summed on integer arrays, key by key.
-
-    The operands named in ``batch`` carry a leading batch axis ``N``, which
-    the results carry too.  Names missing from ``arrays`` are derived once
-    for all specs through ``labels.OPERANDS``, batched when one of their
-    inputs is.  Every sum runs in the dtype ``_Lifted.sum`` certifies,
-    whatever the dtype of the arrays passed in.
-    """
-    lifted = _Lifted(dict(arrays), 1, batch)
-    return {key: lifted.sum(terms)[0] for key, terms in specs.items()}
+    """Each term list in ``specs`` summed on integer arrays (of any dtype),
+    key by key, in one ``_Program`` run.  The operands named in ``batch``
+    carry a leading batch axis ``N``, which the results carry too."""
+    maxabs = {name: _maxabs(a) for name, a in arrays.items()}
+    return {key: num for key, num, _ in _compile(specs, arrays, batch).run(arrays, maxabs)}
 
 
 # Bytes of the largest array one chunk of ``zero_members`` may form.
@@ -477,26 +524,26 @@ def zero_members(specs: dict, size: int, members, fixed=None, where=()):
     leading batch axis; ``fixed`` holds those that do not.  Yields, in order,
     each chunk's batched operands and the mask of its members whose every
     residual is zero, on the index ``where`` (taken after the batch axis)
-    when one is given.  The first chunk's length is guessed from one
-    member's operands; a chunk on which a sum would form an array of more
-    than ``BATCH_BYTES`` (at the bytes per entry of the dtype certified for
-    that chunk, see ``_Lifted.sum``) is rebuilt shorter before that sum
+    when one is given.  The first chunk's length comes from the program's
+    peak per member, at 8 bytes an entry; a chunk on which a sum would pass
+    ``BATCH_BYTES`` (see ``_Program.run``) is rebuilt shorter before that sum
     runs, and the chunks after it keep the shorter length.
     """
-    lo, length, index = 0, 0, (slice(None), *where)
+    fixed = fixed or {}
+    lo, length, index, tops = 0, 0, (slice(None), *where), {name: _maxabs(a) for name, a in fixed.items()}
     while lo < size:
-        if not length:
-            length = max(1, BATCH_BYTES // sum(a.nbytes for a in members(lo, lo + 1).values()))
+        if not length:  # (the program of the whole batch, which a batch within budget runs in one chunk)
+            one = {name: np.broadcast_to(a, (size, *a.shape[1:])) for name, a in members(lo, lo + 1).items()}
+            length = max(1, BATCH_BYTES // (8 * max(1, _compile(specs, {**fixed, **one}, one).peak)))
         hi = min(size, lo + length)
         arrays = members(lo, hi)
-        lifted = _Lifted({**(fixed or {}), **arrays}, 1, arrays, BATCH_BYTES)
+        sums = _compile(specs, {**fixed, **arrays}, arrays).run(
+            {**fixed, **arrays}, {**tops, **{name: _maxabs(a) for name, a in arrays.items()}}, 1, BATCH_BYTES)
         try:  # each residual is reduced, and freed, before the next sum runs
-            nonzero = [(lifted.sum(terms)[0][index] != 0).reshape(hi - lo, -1).any(axis=1)
-                       for terms in specs.values()]
+            nonzero = [(num[index] != 0).reshape(hi - lo, -1).any(axis=1) for _, num, _ in sums]
         except _OverBudget as over:
             (length,) = over.args
             continue
-        del lifted  # nothing of this chunk but its operands outlives the yield
         yield arrays, ~np.any(nonzero, axis=0)
         lo = hi
 
@@ -689,7 +736,7 @@ def direct_sum_table(n: int, m: int, tables: dict) -> StructureConstants:
     missing one is zero.  The tables are brought to one common denominator
     and each is placed as one block of a zero table.
     """
-    lifted, den = _lift(tables)
+    lifted, _, den = _lift(tables)
     span = {"A": slice(0, n), "M": slice(n, n + m)}
     c = np.zeros((n + m,) * 3, dtype=np.result_type(np.int64, *lifted.values()))
     for name, array in lifted.items():

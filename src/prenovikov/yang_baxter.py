@@ -36,7 +36,6 @@ from .core import (
     evaluate,
     exact,
     held,
-    t3_is_zero,
     zero_mask,
     zero_members,
 )
@@ -121,22 +120,36 @@ class DiagnosticsReport:
     ``condition_residuals`` maps each of the codes 4.3-4.6 to a grid indexed
     by basis pair (a, b) of rank-2 residual tensors; ``r_tensors`` holds the
     seven named rank-3 tensors; ``equation_residuals`` maps each of 4.7-4.10
-    to the per-basis-element rank-3 residuals.
+    to the per-basis-element rank-3 residuals.  Each is held in ``arrays``,
+    by code or name, as the kernel's ``Exact`` array, and read as nested
+    tuples of Fractions built on first access.
     """
 
     dim: int
-    condition_residuals: dict
-    r_tensors: dict
-    equation_residuals: dict
+    arrays: dict
+
+    condition_residuals = property(lambda self: self._nested(labels.COBOUNDARY_CONDITIONS))
+    r_tensors = property(lambda self: self._nested(labels.R_TENSORS))
+    equation_residuals = property(lambda self: self._nested(labels.COBOUNDARY_EQUATIONS))
+
+    def _nested(self, keys) -> dict:
+        return {key: self.arrays[key].nested for key in keys}
+
+    def nonzero(self, key: str) -> list:
+        """The witnesses (of the spec ``key``; none for an R-tensor) whose
+        residual is not all zero, in row-major order."""
+        num = self.arrays[key].num
+        flat = num.reshape(num.shape[: len(labels.SPECS[key][0]) if key in labels.SPECS else 0] + (-1,))
+        return [tuple(w) for w in np.argwhere(flat.any(axis=-1)).tolist()]
 
     def conditions_zero(self) -> bool:
-        return all(t3_is_zero(line) for grid in self.condition_residuals.values() for line in grid)
+        return not any(map(self.nonzero, labels.COBOUNDARY_CONDITIONS))
 
     def equations_zero(self) -> bool:
-        return all(t3_is_zero(t) for series in self.equation_residuals.values() for t in series)
+        return not any(map(self.nonzero, labels.COBOUNDARY_EQUATIONS))
 
     def r_tensors_zero(self) -> bool:
-        return all(t3_is_zero(t) for t in self.r_tensors.values())
+        return not any(map(self.nonzero, labels.R_TENSORS))
 
 
 def coboundary_diagnostics(alg: PreNovikovAlgebra, r: Tensor2) -> DiagnosticsReport:
@@ -146,13 +159,7 @@ def coboundary_diagnostics(alg: PreNovikovAlgebra, r: Tensor2) -> DiagnosticsRep
     specs = {code: labels.SPECS[code][1]
              for code in labels.COBOUNDARY_CONDITIONS + labels.COBOUNDARY_EQUATIONS}
     specs.update({name: [(1, "abc->abc", (name,))] for name in labels.R_TENSORS})
-    got = evaluate(specs, _operands(alg, r))
-    return DiagnosticsReport(
-        dim=alg.dim,
-        condition_residuals={code: got[code].nested for code in labels.COBOUNDARY_CONDITIONS},
-        r_tensors={name: got[name].nested for name in labels.R_TENSORS},
-        equation_residuals={code: got[code].nested for code in labels.COBOUNDARY_EQUATIONS},
-    )
+    return DiagnosticsReport(dim=alg.dim, arrays=evaluate(specs, _operands(alg, r)))
 
 
 # ---------------------------------------------------------------------------

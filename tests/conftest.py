@@ -13,6 +13,7 @@ from prenovikov import (
     adjoint_reps,
     lift_o_operator,
 )
+from prenovikov import core
 from prenovikov.core import StructureConstants, mat_inverse, mat_vec, t2_zero
 
 F = Fraction
@@ -21,6 +22,24 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def table(rows) -> StructureConstants:
     return StructureConstants.from_rows(rows)
+
+
+@pytest.fixture
+def kernel_sums(monkeypatch) -> list:
+    """Every spec sum the kernel completes from here on, as ``(terms, operand
+    shapes, result dtype)``, recorded by wrapping ``core._Program.run``."""
+    sums = []
+    run = core._Program.run
+
+    def recorded(self, arrays, *args, **kwargs):
+        specs = dict(self.specs)
+        shapes = {name: a.shape for name, a in arrays.items()}
+        for key, num, top in run(self, arrays, *args, **kwargs):
+            sums.append((specs[key], shapes, num.dtype))
+            yield key, num, top
+
+    monkeypatch.setattr(core._Program, "run", recorded)
+    return sums
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,71 @@
-"""Reference for the kernel's overflow certificate.
+"""Pure-Python references for the exact contraction kernel.
 
-``overflow_bound`` is the bound written out term by term from its definition;
-the compiled plans of ``core`` must give the same integer on the
+``reference`` evaluates a term list by brute force in Fraction arithmetic,
+every index assignment looped, and ``derive`` adds the derived operands of
+``labels.OPERANDS`` to a set of tables the same way.  ``overflow_bound`` is
+the kernel's overflow certificate written out term by term from its
+definition; the compiled plans of ``core`` must give the same integer on the
 degree-scaled terms, and the tests use it to say where int64 must end.
 """
+
+import itertools
+from fractions import Fraction
+
+import numpy as np
+
+from prenovikov import labels
+
+
+def reference(terms, tables):
+    """sum(coef * einsum) by brute force, as a dict from output index to Fraction."""
+    sizes = {}
+    for _, subs, names in terms:
+        for letters, name in zip(subs.split("->")[0].split(","), names):
+            shape = np.array(tables[name], dtype=object).shape
+            sizes.update(zip(letters, shape))
+    out = terms[0][1].split("->")[1]
+    result = {idx: Fraction(0) for idx in itertools.product(*(range(sizes[c]) for c in out))}
+    for coef, subs, names in terms:
+        inputs = subs.split("->")[0].split(",")
+        letters = sorted(set("".join(inputs)) | set(out))
+        for values in itertools.product(*(range(sizes[c]) for c in letters)):
+            at = dict(zip(letters, values))
+            prod = Fraction(coef)
+            for sub, name in zip(inputs, names):
+                entry = tables[name]
+                for c in sub:
+                    entry = entry[at[c]]
+                prod *= entry
+            result[tuple(at[c] for c in out)] += prod
+    return result
+
+
+def table_of(shape, entries):
+    """Nested tuples of the given shape, filled from an iterator of entries."""
+    if not shape:
+        return next(entries)
+    return tuple(table_of(shape[1:], entries) for _ in range(shape[0]))
+
+
+def derive(names, tables):
+    """``tables`` with the named derived operands added, each evaluated by
+    ``reference``, recursively."""
+    tables = dict(tables)
+
+    def need(name):
+        if name in tables:
+            return
+        terms = labels.OPERANDS[name]
+        for _, _, ns in terms:
+            for m in ns:
+                need(m)
+        values = reference(terms, tables)
+        shape = tuple(max(idx[k] for idx in values) + 1 for k in range(len(next(iter(values)))))
+        tables[name] = table_of(shape, iter(values.values()))
+
+    for name in names:
+        need(name)
+    return tables
 
 
 def overflow_bound(terms, shapes: dict, maxabs: dict) -> int:

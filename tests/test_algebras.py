@@ -305,22 +305,16 @@ def test_enumeration_includes_fixture_and_agrees_with_checker(alg2):
 
 
 @pytest.mark.parametrize("values", [(-1, 0, 1), (0, 1), (-1, 1), (0, 2), (0, 2**40)])
-def test_enumeration_matches_full_pair_sweep(monkeypatch, values):
+def test_enumeration_matches_full_pair_sweep(kernel_sums, values):
     """Same algebras in the same order as the sweep over every (<, >) pair;
     the kernel evaluates each of 2.8-2.11 on Python-int object arrays for
     (0, 2**40) and in int64 for the other value sets."""
-    dtypes = {}
-    kernel = core._Lifted.sum
-
-    def recorded(self, terms):
-        out = kernel(self, terms)
-        for code in labels.PRE_NOVIKOV:
-            if terms is labels.SPECS[code][1]:
-                dtypes.setdefault(code, set()).add(out[0].dtype)
-        return out
-
-    monkeypatch.setattr(core._Lifted, "sum", recorded)
     got = list(algebras._enumerate.__wrapped__(values))
+    dtypes = {}
+    for terms, _, dtype in kernel_sums:
+        for code in labels.PRE_NOVIKOV:
+            if terms == tuple(labels.SPECS[code][1]):
+                dtypes.setdefault(code, set()).add(dtype)
     want = np.dtype(np.int64 if values != (0, 2**40) else object)
     assert dtypes == {code: {want} for code in labels.PRE_NOVIKOV}
     assert got == enumerate_dim2_pre_novikov(values) == list(enumerate_pairs(values))
@@ -358,18 +352,12 @@ def test_identity_2_9_witness_i_reads_only_row_i_of_rhd(n):
     assert moved_elsewhere  # the other slices do read the other rows
 
 
-def test_enumeration_checks_2_10_and_2_8_on_the_2_9_pairs_only(monkeypatch):
-    sizes = {code: 0 for code in labels.PRE_NOVIKOV}
-    kernel = core._Lifted.sum
-
-    def counted(self, terms):
-        out = kernel(self, terms)  # a sum refused over the byte budget counts nothing
-        for code in labels.PRE_NOVIKOV:
-            sizes[code] += len(self.arrays["<"]) if terms is labels.SPECS[code][1] else 0
-        return out
-
-    monkeypatch.setattr(core._Lifted, "sum", counted)
+def test_enumeration_checks_2_10_and_2_8_on_the_2_9_pairs_only(kernel_sums):
     assert len(algebras._enumerate.__wrapped__((-1, 0, 1))) == 257
+    sizes = {code: 0 for code in labels.PRE_NOVIKOV}
+    for terms, shapes, _ in kernel_sums:  # a sum refused over the byte budget counts nothing
+        for code in labels.PRE_NOVIKOV:
+            sizes[code] += shapes["<"][0] if terms == tuple(labels.SPECS[code][1]) else 0
     assert sizes["2.11"] == 3**8
     assert sizes["2.9"] <= 2 * 817 * 3**4
     assert sizes["2.8"] <= sizes["2.10"] <= 8_041

@@ -292,22 +292,14 @@ def test_cli_oper_and_lift():
     assert code == 2
 
 
-def test_cli_oper_lift_evaluates_4_13_once(monkeypatch):
+def test_cli_oper_lift_evaluates_4_13_once(kernel_sums):
     """``oper --lift`` prints the lifted residual's verdict from the one 4.13
     evaluation ``lift_o_operator`` makes on the four-dimensional lift."""
-    sums = []
-    total = core._Lifted.sum
-
-    def spy(self, terms):
-        if tuple(terms) == tuple(labels.SPECS[labels.YBE][1]):
-            sums.append(self.arrays["r"].shape)
-        return total(self, terms)
-
-    monkeypatch.setattr(core._Lifted, "sum", spy)
     code, text = run(["oper", fixture("dim2_pre_novikov.json"), fixture("dim2_pre_rep.json"),
                       fixture("dim2_shift_t.json"), "--lift"])
     assert code == 0 and "lifted residual zero: yes" in text
-    assert sums == [(4, 4)]
+    assert [shapes["r"] for terms, shapes, _ in kernel_sums
+            if terms == tuple(labels.SPECS[labels.YBE][1])] == [(4, 4)]
 
 
 def test_cli_search():

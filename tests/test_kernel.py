@@ -2,7 +2,6 @@
 reference evaluator (Fraction arithmetic, every index assignment looped)."""
 
 import io
-import itertools
 import re
 import sys
 from fractions import Fraction
@@ -18,34 +17,10 @@ from prenovikov.cli import run_command
 from prenovikov.core import INT64_MAX, contract, evaluate, sum_batched
 
 from conftest import FIXTURES
-from kernel_reference import overflow_bound
+from kernel_reference import overflow_bound, reference, table_of
 
 F = Fraction
 LETTERS = "abcde"
-
-
-def reference(terms, tables):
-    """sum(coef * einsum) by brute force, as a dict from output index to Fraction."""
-    sizes = {}
-    for _, subs, names in terms:
-        for letters, name in zip(subs.split("->")[0].split(","), names):
-            shape = np.array(tables[name], dtype=object).shape
-            sizes.update(zip(letters, shape))
-    out = terms[0][1].split("->")[1]
-    result = {idx: F(0) for idx in itertools.product(*(range(sizes[c]) for c in out))}
-    for coef, subs, names in terms:
-        inputs = subs.split("->")[0].split(",")
-        letters = sorted(set("".join(inputs)) | set(out))
-        for values in itertools.product(*(range(sizes[c]) for c in letters)):
-            at = dict(zip(letters, values))
-            prod = F(coef)
-            for sub, name in zip(inputs, names):
-                entry = tables[name]
-                for c in sub:
-                    entry = entry[at[c]]
-                prod *= entry
-            result[tuple(at[c] for c in out)] += prod
-    return result
 
 
 def kernel_as_dicts(specs, tables):
@@ -54,13 +29,6 @@ def kernel_as_dicts(specs, tables):
         key: ({idx: F(int(num[idx]), den) for idx in np.ndindex(num.shape)}, num.dtype)
         for key, (num, den) in contract(specs, tables).items()
     }
-
-
-def table_of(shape, entries):
-    """Nested tuples of the given shape, filled from an iterator of entries."""
-    if not shape:
-        return next(entries)
-    return tuple(table_of(shape[1:], entries) for _ in range(shape[0]))
 
 
 @st.composite
@@ -169,6 +137,22 @@ def test_kernel_cancelling_terms_near_the_bound(big):
     assert int(num[0]) == 0
 
 
+def test_exact_carries_its_largest_numerator():
+    """``Exact.maxabs`` is the largest absolute numerator, for int64, object
+    and empty arrays, and ``_lift`` scales it with the numerators."""
+    arrays = [np.array([[3, -7], [0, 2]]), np.array([2**70, -(2**71), 5], dtype=object),
+              np.zeros((0, 3), dtype=np.int64), np.zeros((2, 0), dtype=object)]
+    for num in arrays:
+        for den in (1, 6):
+            e = core.Exact(num, den)
+            assert e.maxabs == int(np.abs(e.num).max(initial=0))
+    tables = {"a": core.Exact(arrays[0], 3), "b": core.Exact(arrays[1], 2), "c": core.Exact(arrays[2])}
+    lifted, maxabs, den = core._lift(tables)
+    assert den == 6
+    assert maxabs == {name: int(np.abs(num).max(initial=0)) for name, num in lifted.items()} == {
+        "a": 7 * 2, "b": 2**71 * 3, "c": 0}
+
+
 def test_kernel_common_denominator_and_named_operands():
     lhd = ((((F(1, 2), F(0)), (F(0), F(1, 3))), ((F(0), F(1)), (F(0), F(0)))))
     rhd = ((((F(0), F(2, 5)), (F(1), F(0))), ((F(0), F(0)), (F(-1, 7), F(0)))))
@@ -273,8 +257,9 @@ def test_zero_members_matches_the_full_batch(monkeypatch, scale):
     budget, at 2 KiB and at 1 byte, the masks agree, and a 1-byte budget
     gives chunks of one member.  Every sum that runs on a chunk of more than
     one member forms no array past ``BATCH_BYTES``, charged 8 bytes per
-    int64 entry and 8 plus the int object at the plan's bound otherwise: at
-    2 KiB the chunks that reach the scaled half must be rebuilt shorter."""
+    int64 entry and a pointer plus its int object otherwise (each array
+    the kernel's einsums return or its sums yield is measured): at 2 KiB
+    the chunks that reach the scaled half must be rebuilt shorter."""
     rng = np.random.default_rng(11)
     size = 300
 
@@ -293,21 +278,27 @@ def test_zero_members_matches_the_full_batch(monkeypatch, scale):
     cases += [(specs, arrays, fixed, (slice(1),) * 2) for specs, arrays, fixed, _ in cases]
     wants = [_plain_zero(*case).tolist() for case in cases]
 
-    over, lengths = [], []
-    run = core._Plan.run
+    over, lengths, running = [], [], []
+    run, einsum = core._Program.run, np.einsum
 
-    def charged(plan, operands, den=1):
-        members = next(len(op) for name, op in zip(plan.names, operands) if name in batched)
-        bound = plan.bound([int(np.abs(op).max(initial=0)) for op in operands], den)
-        entry = 8 if operands[0].dtype == np.int64 else 8 + sys.getsizeof(bound)
-        if members > 1 and members * plan.peak * entry > core.BATCH_BYTES:
-            over.append((members, plan.peak, entry))
-        return run(plan, operands, den)
+    def measured(array):
+        size = array.nbytes + (sum(map(sys.getsizeof, array.ravel().tolist())) if array.dtype == object else 0)
+        if running and running[-1] > 1 and size > core.BATCH_BYTES:
+            over.append((running[-1], array.shape, array.dtype))
+        return array
 
-    monkeypatch.setattr(core._Plan, "run", charged)
+    def budgeted(self, arrays, maxabs, den=1, budget=0):
+        running.append(len(arrays[self.batch[0]]) if budget else 0)
+        try:
+            for key, num, top in run(self, arrays, maxabs, den, budget):
+                yield key, measured(num), top
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(core._Program, "run", budgeted)
+    monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: measured(einsum(*args, **kwargs)))
     default = core.BATCH_BYTES
     for (specs, arrays, fixed, where), want in zip(cases, wants):
-        batched = set(arrays)
 
         def members(lo, hi):
             return {name: a[lo:hi] for name, a in arrays.items()}

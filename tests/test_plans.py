@@ -14,8 +14,8 @@ from prenovikov.algebras import check_pre_novikov
 from prenovikov.core import StructureConstants, contract
 from prenovikov.report import ReportBuilder
 
-from kernel_reference import overflow_bound
-from test_kernel import problems, reference, table_of
+from kernel_reference import derive, overflow_bound, reference, table_of
+from test_kernel import problems
 
 F = Fraction
 TERM_LISTS = [spec[1] for spec in labels.SPECS.values()] + list(labels.OPERANDS.values())
@@ -71,27 +71,6 @@ def test_plan_cache_stays_bounded_under_random_specs(problem):
     assert info.currsize <= info.maxsize
 
 
-def _derive(names, tables):
-    """``tables`` with the named derived operands added, each evaluated by the
-    Fraction reference, recursively."""
-    tables = dict(tables)
-
-    def need(name):
-        if name in tables:
-            return
-        terms = labels.OPERANDS[name]
-        for _, _, ns in terms:
-            for m in ns:
-                need(m)
-        values = reference(terms, tables)
-        shape = tuple(max(idx[k] for idx in values) + 1 for k in range(len(next(iter(values)))))
-        tables[name] = table_of(shape, iter(values.values()))
-
-    for name in names:
-        need(name)
-    return tables
-
-
 def _block(rng, n, huge):
     def entry():
         return F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
@@ -143,7 +122,7 @@ def test_dim8_lemma_equations_along_paths_match_reference(monkeypatch):
         got = contract({code: labels.SPECS[code][1] for code in codes},
                        {name: _embed(t, 8, offset) for name, t in block.items()})
         operands = {m for code in codes for _, _, ns in labels.SPECS[code][1] for m in ns}
-        ref_tables = _derive(sorted(operands), block)
+        ref_tables = derive(sorted(operands), block)
         for code in codes:
             num, den = got[code]
             assert num.dtype == (object if huge else np.int64)

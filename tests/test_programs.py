@@ -1,0 +1,192 @@
+"""The compiled programs of ``core``: one slot per distinct contraction of a
+kernel call, read through its own transpose by every term that shares it,
+checked against the Fraction reference of ``kernel_reference``; the program
+cache; and the einsum calls of whole verifier runs."""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from prenovikov import check_bialgebra, coboundary_diagnostics, core, labels
+from prenovikov.core import contract, evaluate, sum_batched
+from prenovikov.io import bundle_to_objects, parse_bundle
+
+from conftest import FIXTURES
+from kernel_reference import derive, reference, table_of
+
+F = Fraction
+HUGE = 2**62  # a coefficient that puts its sum past int64
+
+
+# the identities on the tables <, > and the rank-2 tensor r
+CODES = labels.PRE_NOVIKOV + labels.COBOUNDARY_CONDITIONS + labels.COBOUNDARY_EQUATIONS + (labels.YBE,)
+
+
+def _pool(needed):
+    """Every term of several operands in the specs ``CODES`` and the derived
+    operands that reads a name in ``needed`` (directly or through a derived
+    operand), by output rank."""
+    def reads(name):
+        return name in needed or (name in labels.OPERANDS and any(
+            reads(m) for _, _, names in labels.OPERANDS[name] for m in names))
+
+    pool = {}
+    for terms in [labels.SPECS[code][1] for code in CODES] + list(labels.OPERANDS.values()):
+        for _, subs, names in terms:
+            if len(names) > 1 and any(map(reads, names)):
+                pool.setdefault(len(subs.split("->")[1]), []).append((subs, names))
+    return pool
+
+
+POOL = _pool(("<", ">", "r"))
+R_POOL = _pool(("r",))  # every term vanishes at r = 0
+
+
+def _permuted(rng, subs):
+    """The same contraction with its output axes in a random order, written
+    with the output letters ``ABCD`` (the terms of one spec must share them)."""
+    inputs, out = subs.split("->")
+    rename = dict(zip(out, rng.sample("ABCD"[: len(out)], len(out))))
+    return f"{''.join(rename.get(c, c) for c in inputs)}->{'ABCD'[: len(out)]}"
+
+
+def _specs(rng, pool):
+    """Two to four specs built to share contractions: one term with its
+    outputs permuted in two specs, one of them scaled by ``HUGE`` so that
+    its sum runs on Python ints while the other reads the same slot in
+    int64 (which of the two comes first is random); maybe an R-tensor read
+    whole next to one of its own terms, permuted; and random fillers."""
+    rank = rng.choice((3, 4))
+    shared = rng.choice(pool[rank])
+    big = rng.randrange(2)
+
+    def fill():
+        return [(rng.choice((-2, -1, 1, 3)), _permuted(rng, subs), names)
+                for subs, names in rng.sample(pool[rank], rng.randint(0, 2))]
+
+    specs = {f"s{k}": [(HUGE if k == big else rng.choice((-1, 1, 2)), _permuted(rng, shared[0]), shared[1])]
+             + fill() for k in range(2)}
+    if rank == 3 and rng.random() < 0.7:
+        name = rng.choice(labels.R_TENSORS)
+        _, subs, names = rng.choice(labels.OPERANDS[name])
+        specs["whole"] = [(1, "ABC->ABC", (name,))]
+        specs["term"] = [(rng.choice((-1, 1)), _permuted(rng, subs), names)] + fill()
+    return specs
+
+
+def _tables(rng, n):
+    def entry():
+        return F(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+
+    return {"<": table_of((n, n, n), (entry() for _ in range(n**3))),
+            ">": table_of((n, n, n), (entry() for _ in range(n**3))),
+            "r": table_of((n, n), (entry() for _ in range(n**2)))}
+
+
+def _want(terms, tables):
+    names = sorted({m for _, _, ns in terms for m in ns})
+    return reference(terms, derive(names, tables))
+
+
+def _contractions(program):
+    """The terms of a program's sums, derived operands' included, that read
+    a contraction."""
+    return sum(term[5] is not None for _, plan, *_ in program.sums for term in plan.terms)
+
+
+def test_shared_slots_match_reference():
+    """On random spec dicts built to share contractions, every spec's value
+    is the reference value, though the program computes fewer contractions
+    than the specs name; each call has an int64 sum and a Python-int sum
+    reading one slot."""
+    rng = random.Random(14)
+    for trial in range(30):
+        n = 2 if trial % 5 else 3
+        specs, tables = _specs(rng, POOL), _tables(rng, n)
+        got = evaluate(specs, tables)
+        for key, terms in specs.items():
+            e = got[key]
+            assert {idx: F(int(e.num[idx]), e.den) for idx in np.ndindex(e.shape)} == _want(terms, tables)
+        arrays = {name: core.exact(t).num for name, t in tables.items()}
+        program = core._compile(specs, arrays)
+        assert program.slots < _contractions(program)
+        dtypes = {key: num.dtype for key, (num, _) in contract(specs, tables).items()}
+        assert (dtypes["s0"], dtypes["s1"]) in {(np.dtype(object), np.dtype(np.int64)),
+                                                (np.dtype(np.int64), np.dtype(object))}
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_batched_shared_slots_match_reference(monkeypatch, budget):
+    """The same on a batch of r (two of them zero) with fixed integer < and
+    >, every term reading r: each member of ``sum_batched`` is the reference
+    value on that member, and ``zero_mask`` (at the default budget and at 1
+    byte, one member per chunk) keeps the members whose every residual is
+    zero."""
+    if budget:
+        monkeypatch.setattr(core, "BATCH_BYTES", budget)
+    rng = random.Random(41)
+    n, size = 2, 5
+    for _ in range(6):
+        specs = _specs(rng, R_POOL)
+        fixed = {name: np.array([[[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)] for _ in range(n)])
+                 for name in "<>"}
+        r = np.array([[[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)] for _ in range(size)])
+        r[1] = r[3] = 0
+        got = sum_batched(specs, {**fixed, "r": r}, batch={"r"})
+        zero = []
+        for m in range(size):
+            tables = {name: a.tolist() for name, a in {**fixed, "r": r[m]}.items()}
+            wants = {key: _want(terms, tables) for key, terms in specs.items()}
+            for key, want in wants.items():
+                assert {idx: F(int(got[key][m][idx])) for idx in want} == want
+            zero.append(not any(v for want in wants.values() for v in want.values()))
+        mask = core.zero_mask(specs, size, lambda lo, hi: {"r": r[lo:hi]}, fixed)
+        assert mask.tolist() == zero and zero[1] and zero[3]
+
+
+def test_program_cache_is_a_bounded_lru(bialg2):
+    """The programs are an LRU cache of ``PLAN_CACHE`` entries: a repeated
+    call compiles no program and no plan; past the bound the least recently
+    used program is dropped first."""
+    check_bialgebra(bialg2.algebra, bialg2.coalgebra)
+    programs, plans = core._program.cache_info().misses, core._plan.cache_info().misses
+    check_bialgebra(bialg2.algebra, bialg2.coalgebra)
+    assert (core._program.cache_info().misses, core._plan.cache_info().misses) == (programs, plans)
+    assert core._program.cache_info().maxsize == core.PLAN_CACHE
+    a = np.arange(4, dtype=np.int64)
+
+    def call(coef):
+        assert int(sum_batched({"": [(coef, "i->", ("a",))]}, {"a": a})[""]) == 6 * coef
+        return core._program.cache_info()
+
+    first = call(1)
+    for coef in range(2, core.PLAN_CACHE + 50):
+        last = call(coef)
+    assert last.currsize == core.PLAN_CACHE
+    assert call(core.PLAN_CACHE + 49).misses == last.misses  # the most recent is kept
+    assert call(1).misses == last.misses + 1 > first.misses  # the oldest was dropped
+
+
+def _load(name):
+    return bundle_to_objects(parse_bundle((FIXTURES / name).read_text()))
+
+
+def _einsum_calls(monkeypatch, run) -> int:
+    calls = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: calls.append(1) or einsum(*args, **kwargs))
+    run()
+    return len(calls)
+
+
+def test_dim4_runs_evaluate_each_contraction_once(monkeypatch):
+    """``check_bialgebra`` on the dim-4 bialgebra fixture and
+    ``coboundary_diagnostics`` on the dim-4 semidirect algebra with its
+    solution stay within their einsum calls (63 and 150 when every term
+    made its own)."""
+    bialg = _load("dim4_bialgebra.json")
+    alg, r = _load("dim4_semidirect.json"), _load("dim4_ybe_solution.json")
+    assert _einsum_calls(monkeypatch, lambda: check_bialgebra(bialg.algebra, bialg.coalgebra)) <= 45
+    assert _einsum_calls(monkeypatch, lambda: coboundary_diagnostics(alg, r)) <= 98

@@ -307,6 +307,29 @@ def test_search_chunks_bounded_in_bytes(monkeypatch, alg2):
     assert lengths["T"] == [1] * len(sols)
 
 
+def test_search_first_chunks_fit_the_program_peak(monkeypatch):
+    """On the dim-4 zero algebra with -1, 0, 1 every candidate survives, and
+    each row's first chunk is sized from the 4.13 program's peak per
+    member: no chunk is rebuilt shorter, and the chunks past a row's first
+    keep its length."""
+    runs = []
+    run = core._Program.run
+
+    def recorded(self, arrays, maxabs, den=1, budget=0):
+        if budget:
+            runs.append([len(arrays[self.batch[0]]), "rebuilt"])
+        yield from run(self, arrays, maxabs, den, budget)
+        if budget:
+            runs[-1][1] = "ran"
+
+    monkeypatch.setattr(core._Program, "run", recorded)
+    zero = PreNovikovAlgebra(StructureConstants.zero(4), StructureConstants.zero(4))
+    assert len(search_symmetric_ybe(zero, [-1, 0, 1])) == 3**10
+    assert {state for _, state in runs} == {"ran"}
+    lengths = [length for length, _ in runs]
+    assert max(lengths) == core.BATCH_BYTES // (8 * 4**3) and lengths.count(max(lengths)) > 1
+
+
 @pytest.mark.parametrize("row", [1, 2])
 def test_search_refuses_rows_beyond_the_survivor_bound(monkeypatch, row):
     """On the zero algebra every candidate survives: at dim 3 with -1,0,1
@@ -321,22 +344,13 @@ def test_search_refuses_rows_beyond_the_survivor_bound(monkeypatch, row):
         search_symmetric_ybe(zero, [-1, 0, 1])
 
 
-def test_search_object_values_keep_every_solution(monkeypatch):
+def test_search_object_values_keep_every_solution(monkeypatch, kernel_sums):
     """On the zero algebras of dims 2 and 3 with -2**40, 0, 2**40 the 4.13
     sums run on Python ints (in int64 only on a chunk whose entries are all
     0) and every symmetric tensor over the values is a solution, with the
     default byte budget and in chunks of one candidate.  (The bytes each
     chunk is charged are tested with ``core.zero_members``.)"""
     values = (-(2**40), 0, 2**40)
-    dtypes = set()
-    kernel = core._Lifted.sum
-
-    def recorded(self, terms):
-        out = kernel(self, terms)
-        dtypes.update([out[0].dtype] if terms is labels.SPECS[labels.YBE][1] else [])
-        return out
-
-    monkeypatch.setattr(core._Lifted, "sum", recorded)
     for n in (2, 3):
         zero = PreNovikovAlgebra(StructureConstants.zero(n), StructureConstants.zero(n))
         want = []
@@ -349,7 +363,8 @@ def test_search_object_values_keep_every_solution(monkeypatch):
         with monkeypatch.context() as budget:
             budget.setattr(core, "BATCH_BYTES", 1)
             assert search_symmetric_ybe(zero, values) == want
-    assert np.dtype(object) in dtypes
+    assert np.dtype(object) in {dtype for terms, _, dtype in kernel_sums
+                                if terms == tuple(labels.SPECS[labels.YBE][1])}
 
 
 def _block_diagonal_dim3(alg2) -> PreNovikovAlgebra:
