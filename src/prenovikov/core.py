@@ -369,20 +369,20 @@ class _Program:
         self.slots, self.sums, self.peak, live, layout = len(slot), [], 0, {}, {}
         for s, (key, plan, names, derived) in enumerate(order):
             member = 0 if batched.isdisjoint(names) else prod(plan.shape[1:])
-            alone, terms = derived and len(plan.terms) == 1, []  # nothing is added to a lone term
+            terms = []
             for coef, shift, _, at, axes, c, steps in plan.terms:
                 if c:  # a slot is laid out as its first reader's output, which computes it
                     first = layout.setdefault(c, axes)
                     axes = None if first == axes else tuple(first.index(x) for x in axes)
-                terms.append((coef, shift, at, axes, slot.get(c), steps, (not c or uses[c] > 1) and not alone))
+                terms.append((coef, shift, at, axes, slot.get(c), steps, len(at) == 1 or uses[c] > 1))
                 if c and uses[c] > 1:  # a slot alive past its term
                     live.setdefault(c, member)
             peak = member and plan.peak + sum(live.values())
             self.peak = max(self.peak, peak)
             frees = tuple(slot.get(k, k) for k, at in last.items() if at == s and k not in inputs)
             live = {k: entries for k, entries in live.items() if last[k] > s}
-            if derived:  # 2: one permuted operand, whose bound is its largest entry (or 1 for 0)
-                live[key], derived = member, 2 if alone and not c else 1
+            if derived:
+                live[key] = member
             self.sums.append((key, plan, names, derived, tuple(terms), peak, frees))
 
     def run(self, arrays: dict, maxabs: dict, den: int = 1, budget: int = 0):
@@ -412,7 +412,7 @@ class _Program:
                     if ops[k] is None:
                         ops[k] = typed[name, dtype] = values[name].astype(dtype)
             acc = None
-            for coef, shift, at, axes, slot, steps, shared in terms:
+            for coef, shift, at, axes, slot, steps, copied in terms:
                 if slot is None:
                     value = ops[at[0]].transpose(axes)
                 else:
@@ -427,9 +427,9 @@ class _Program:
                         value = value.transpose(axes)
                 if shift:
                     coef *= den**shift
-                # accumulate in place, so that one einsum temporary at most is alive
+                # accumulate in place, into a copy of the first term unless it is a new array read once
                 if acc is None:
-                    acc = value * coef if coef != 1 or shared else value
+                    acc = value * coef if coef != 1 or copied else value
                 elif coef == 1:
                     acc += value
                 elif coef == -1:
@@ -440,7 +440,7 @@ class _Program:
                 del values[k]
             acc = np.asarray(acc, dtype=dtype)  # (a 0-d einsum gives a scalar)
             if derived:
-                values[key], maxabs[key] = acc, bound if derived == 2 else _maxabs(acc)
+                values[key], maxabs[key] = acc, _maxabs(acc)
             else:
                 yield key, acc, plan.top
 

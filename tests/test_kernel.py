@@ -137,6 +137,29 @@ def test_kernel_cancelling_terms_near_the_bound(big):
     assert int(num[0]) == 0
 
 
+@pytest.mark.parametrize("half", [1, F(1, 2)], ids=["int64", "lifted"])
+@pytest.mark.parametrize("first, second, again", [("ii->i", "i->i", "ij->ji"), ("iij->ji", "ij->ij", "ijk->kji")])
+def test_one_operand_first_term_leaves_its_operand_alone(half, first, second, again):
+    """A one-operand einsum may return a view of its operand (a diagonal
+    here).  A sum whose first such term is followed by another must not add
+    into that view: the operand is read-only at lift factor 1, and at
+    another factor (or in ``sum_batched``) a later sum would read the
+    changed entries."""
+    a = ((F(1), F(2)), (F(3), F(4)))
+    if first == "iij->ji":
+        a = tuple((row,) * 2 for row in a)
+    b = (half, half) if second == "i->i" else ((half, half),) * 2
+    specs = {"k": [(1, first, ("a",)), (1, second, ("b",))], "again": [(1, again, ("a",))]}
+    tables = {"a": a, "b": b}
+    want = {key: reference(terms, tables) for key, terms in specs.items()}
+    for key, (got, _) in kernel_as_dicts(specs, tables).items():
+        assert got == want[key]
+    if half == 1:
+        arrays = {name: np.array(t, dtype=np.int64) for name, t in tables.items()}
+        for key, got in sum_batched(specs, arrays).items():
+            assert {idx: F(int(got[idx])) for idx in np.ndindex(got.shape)} == want[key]
+
+
 def test_exact_carries_its_largest_numerator():
     """``Exact.maxabs`` is the largest absolute numerator, for int64, object
     and empty arrays, and ``_lift`` scales it with the numerators."""
