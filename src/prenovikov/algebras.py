@@ -238,6 +238,8 @@ def enumerate_dim2_pre_novikov(values=(-1, 0, 1)) -> list[PreNovikovAlgebra]:
     (<, >), are memoized per value set, and each call returns a fresh list.
     """
     vals = sorted({Fraction(v) for v in values})
+    if not vals:
+        raise InputError("enumeration values must be nonempty")
     if any(v.denominator != 1 for v in vals):
         raise InputError("enumeration values must be integers")
     vals = tuple(map(int, vals))

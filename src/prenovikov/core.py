@@ -6,8 +6,8 @@ The kernel compiles each call once per spec content, input names and shapes
 and batch axes into a program (``_program``, a bounded LRU cache) that
 evaluates each distinct contraction once, so that a call on small tables pays
 for little more than its einsums: see ``contract`` and ``sum_batched``.  It
-alone decides whether a sum runs in int64 or on Python ints, from the bound
-of the sum's plan; callers certify nothing.
+alone decides whether a sum runs in int64 or on Python ints, from the
+sum's overflow bound (``_bound``); callers certify nothing.
 
 Conventions used throughout the package, all exact, with no tolerances:
 
@@ -69,7 +69,10 @@ def frac(x) -> Scalar:
     """Coerce an int, string ("p/q" or "n"), or Fraction to an exact Scalar."""
     if isinstance(x, bool) or not isinstance(x, (Fraction, int, str)):
         raise InputError(f"not an exact scalar: {x!r}")
-    return x if isinstance(x, Fraction) else Fraction(x)
+    try:
+        return x if isinstance(x, Fraction) else Fraction(x)
+    except (ValueError, ZeroDivisionError):  # "x", "1/0"
+        raise InputError(f"not an exact scalar: {x!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +185,6 @@ class held:
 # the exact contraction kernel
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _parse(subs: str) -> tuple[tuple[str, ...], str]:
-    """Einsum subscripts split into the input letter groups and the output."""
-    inputs, out = subs.split("->")
-    return tuple(inputs.split(",")), out
-
-
 # A term whose full index loop (the product of the sizes of all its letters,
 # the batch axis included) is at most this runs as one einsum; a larger one
 # runs along a path planned once.  From timings on small integer tables: one
@@ -197,16 +193,11 @@ def _parse(subs: str) -> tuple[tuple[str, ...], str]:
 # on a batch axis.
 PATH_LOOP = 512
 
-# The plans ``_plan`` and the programs ``_program`` keep, each least recently
-# used first out.  One process meets a few hundred (spec, shapes) combinations
-# at most, and a plan or a program holds a few short strings and tuples.
+# The programs ``_program`` keeps, least recently used first out: the one
+# cache of the kernel.  One process meets a few hundred kernel calls of
+# distinct specs and shapes at most, and a program holds a few short strings
+# and tuples per term.
 PLAN_CACHE = 1024
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE)
-def _names(terms: tuple) -> tuple[str, ...]:
-    """The operand names of a term list, in order of first use."""
-    return tuple(dict.fromkeys(name for _, _, names in terms for name in names))
 
 
 def _steps(inputs: tuple, out: str, sizes: dict) -> tuple[tuple, int]:
@@ -244,7 +235,6 @@ def _steps(inputs: tuple, out: str, sizes: dict) -> tuple[tuple, int]:
     return (((whole, subs, {"optimize": path}),) if "N" in out else tuple(steps)), peak
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE)
 def _canonical(inputs: tuple, out: str, names: tuple) -> tuple[tuple, dict]:
     """The contraction a term of several operands computes: the least form
     (operand names, letter groups, sorted output letters) over its operand
@@ -260,73 +250,26 @@ def _canonical(inputs: tuple, out: str, names: tuple) -> tuple[tuple, dict]:
     return min(map(form, itertools.permutations(range(len(inputs)))), key=lambda f: f[0])
 
 
-class _Plan:
-    """A term list compiled for operands of fixed shapes and degrees.
+def _bound(factors: tuple, maxabs: Sequence[int], den: int = 1) -> int:
+    """A bound on every partial sum an integer evaluation of a sum forms,
+    given its ``(factor, shift, operand positions)`` per term and each
+    operand's largest absolute entry: the sum over terms of
+    factor * den**shift * prod(max(maxabs, 1)) over its operands.
 
-    Per term: the coefficient, the shift to the top degree ``top``, the
-    bound factor (|coef| times the index values the term sums over), the
-    operand positions, and either the transpose ``axes`` of a one-operand
-    permutation or the term's contraction (``_canonical``), its output
-    letters in that contraction's names, and how the term runs: one einsum
-    ``(subscripts, options)`` or ``(None, steps)`` of ``_steps``.
-    ``peak`` is the largest array a term forms, an einsum step or the copy
-    it is summed into, in entries per batch member.
+    The padding to at least 1 keeps partial products under it too.  It
+    also covers a term contracted pairwise along its path: the operands
+    are integers, so each factor is 0 or at least 1 in absolute value,
+    and an intermediate sums products of fewer factors over fewer index
+    values than the whole term.  With a batch axis it bounds each
+    member, whose sums are independent.
     """
-
-    def __init__(self, terms, shapes, degrees, batch):
-        self.names = _names(terms)
-        pos = {name: k for k, name in enumerate(self.names)}
-        batched = [name in batch for name in self.names]
-        extent = [shape[1:] if b else shape for shape, b in zip(shapes, batched)]
-        own = [sum(degrees[pos[name]] for name in names) for _, _, names in terms]
-        self.top = max(own)
-        self.terms, self.peak = [], 0
-        for (coef, subs, names), degree in zip(terms, own):
-            inputs, out = _parse(subs)
-            at = tuple(pos[name] for name in names)
-            sizes = {}
-            for letters, k in zip(inputs, at):
-                sizes.update(zip(letters, extent[k]))
-            factor = abs(coef) * prod(size for c, size in sizes.items() if c not in out)
-            if batch:
-                inputs = tuple("N" + g if batched[k] else g for g, k in zip(inputs, at))
-                out = "N" + out
-                sizes["N"] = shapes[batched.index(True)][0]
-            contraction = steps = None
-            if len(at) == 1 and len(set(inputs[0])) == len(inputs[0]) and sorted(inputs[0]) == sorted(out):
-                axes = tuple(inputs[0].index(c) for c in out)
-                peak = prod(sizes[c] for c in out if c != "N")  # the copy it accumulates into
-            else:
-                (contraction, rename), (steps, peak) = _canonical(inputs, out, names), _steps(inputs, out, sizes)
-                axes, steps = "".join(map(rename.get, out)), steps[0][1:] if len(steps) == 1 else (None, steps)
-            self.peak = max(self.peak, peak)
-            self.terms.append((coef, self.top - degree, factor, at, axes, contraction, steps))
-        self.shape = tuple(sizes[c] for c in out)
-
-    def bound(self, maxabs: Sequence[int], den: int = 1) -> int:
-        """A bound on every partial sum an integer evaluation forms, given
-        each operand's largest absolute entry: the sum over terms of
-        factor * den**shift * prod(max(maxabs, 1)) over its operands.
-
-        The padding to at least 1 keeps partial products under it too.  It
-        also covers a term contracted pairwise along its path: the operands
-        are integers, so each factor is 0 or at least 1 in absolute value,
-        and an intermediate sums products of fewer factors over fewer index
-        values than the whole term.  With a batch axis it bounds each
-        member, whose sums are independent.
-        """
-        pads = [m if m > 1 else 1 for m in maxabs]
-        total = 0
-        for _, shift, term, at, *_ in self.terms:
-            for k in at:
-                term *= pads[k]
-            total += term * den**shift if shift else term
-        return total
-
-
-# The compiled plan of a term list, keyed by its content, the shapes and
-# degrees of its operands (as ``_names`` lists them) and the batched ones.
-_plan = functools.lru_cache(maxsize=PLAN_CACHE)(_Plan)
+    pads = [m if m > 1 else 1 for m in maxabs]
+    total = 0
+    for term, shift, at in factors:
+        for k in at:
+            term *= pads[k]
+        total += term * den**shift if shift else term
+    return total
 
 
 class _Program:
@@ -334,71 +277,98 @@ class _Program:
     (``(name, shape)`` pairs, of degree 1), those in ``batch`` batched.
 
     Each derived operand (``labels.OPERANDS``, batched when an input is)
-    comes before the first sum that reads it.  Each distinct contraction has
-    one slot, computed by the first term that reads it and read by the
-    others through a transpose; slots and derived operands are freed after
-    their last reader.  A batched sum's peak adds the batched slots read
-    twice and derived operands alive while it runs to its plan's peak, in
-    entries per member; ``peak`` is the largest.
+    comes before the first sum that reads it.  Per sum: its top degree, its
+    bound factors for ``_bound`` (|coef| times the index values a term sums
+    over, the shift to the top degree, the operand positions), its operand
+    names and its terms.  Per term: the coefficient, the shift, the operand
+    positions, and either the transpose ``axes`` of a one-operand
+    permutation or the slot of the term's contraction (``_canonical``), the
+    axes it is read through (None when it is laid out as read) and how it
+    runs: one einsum ``(subscripts, options)`` or ``(None, steps)`` of
+    ``_steps``.  Each distinct contraction has one slot, laid out as the
+    output of the first term that reads it, which computes it; slots and
+    derived operands are freed after their last reader.  A sum's first term
+    is copied before the sum adds into it unless it is a new array read
+    once.  A batched sum's peak is the largest array a term forms (an einsum
+    step or the copy it is summed into) plus the batched slots read twice
+    and derived operands alive while it runs, in entries per member;
+    ``peak`` is the largest.
     """
 
     def __init__(self, specs, inputs, batch):
         self.specs, self.batch, inputs = specs, [name for name, _ in inputs if name in batch], dict(inputs)
         shape, degree, batched, order = dict(inputs), dict.fromkeys(inputs, 1), set(self.batch), []
+        # the last sum reading each operand and slot, the terms reading each slot, and per contraction its slot
+        # (a number, as operands are held by name) and its first reader's axes
+        last, uses, layout = {}, {}, {}
 
         def add(key, terms, derived):
-            names = _names(terms)
+            names = tuple(dict.fromkeys(name for _, _, ns in terms for name in ns))
             for name in names:
                 if name not in shape:
                     add(name, tuple(labels.OPERANDS[name]), True)
-            plan = _plan(terms, tuple([shape[name] for name in names]),
-                         tuple([degree[name] for name in names]), frozenset(batched.intersection(names)))
+            s, pos, on = len(order), {name: k for k, name in enumerate(names)}, not batched.isdisjoint(names)
+            last.update(dict.fromkeys(names, s))
+            own = [sum(degree[name] for name in ns) for _, _, ns in terms]
+            top, factors, compiled, most = max(own), [], [], 0
+            for (coef, subs, ns), d in zip(terms, own):
+                groups, out = subs.split("->")
+                groups, at, sizes = groups.split(","), tuple(pos[name] for name in ns), {}
+                for letters, name in zip(groups, ns):
+                    sizes.update(zip(letters, shape[name][1:] if name in batched else shape[name]))
+                factors.append((abs(coef) * prod(size for c, size in sizes.items() if c not in out), top - d, at))
+                if on:
+                    groups = ["N" + g if name in batched else g for g, name in zip(groups, ns)]
+                    out, sizes["N"] = "N" + out, shape[next(name for name in names if name in batched)][0]
+                slot = steps = None
+                if len(at) == 1 and len(set(groups[0])) == len(groups[0]) and sorted(groups[0]) == sorted(out):
+                    axes = tuple(groups[0].index(c) for c in out)
+                    peak = prod(sizes[c] for c in out if c != "N")  # the copy it accumulates into
+                else:
+                    (c, rename), (steps, peak) = _canonical(tuple(groups), out, ns), _steps(tuple(groups), out, sizes)
+                    axes, steps = "".join(map(rename.get, out)), steps[0][1:] if len(steps) == 1 else (None, steps)
+                    slot, first = layout.setdefault(c, (len(layout), axes))
+                    axes = None if first == axes else tuple(first.index(x) for x in axes)
+                    last[slot], uses[slot] = s, uses.get(slot, 0) + 1
+                most = max(most, peak)
+                compiled.append((coef, top - d, at, axes, slot, steps))
             if derived:
-                shape[key], degree[key] = plan.shape, plan.top
-                batched.update([key] if not batched.isdisjoint(names) else [])
-            order.append((key, plan, names, derived))
+                shape[key], degree[key] = tuple(sizes[c] for c in out), top
+                batched.update([key] if on else [])
+            order.append((key, top, tuple(factors), names, derived, tuple(compiled), most,
+                          prod(sizes[c] for c in out if c != "N") if on else 0))
 
         for key, terms in specs:
             add(key, terms, False)
-        last, uses = {}, {}  # the last sum reading each operand and slot; the terms reading each slot
-        for s, (_, plan, names, _) in enumerate(order):
-            last.update(dict.fromkeys(names, s))
-            for c in (term[5] for term in plan.terms if term[5]):
-                last[c], uses[c] = s, uses.get(c, 0) + 1
-        slot = {c: k for k, c in enumerate(uses)}  # slots are held by number, operands by name
-        self.slots, self.sums, self.peak, live, layout = len(slot), [], 0, {}, {}
-        for s, (key, plan, names, derived) in enumerate(order):
-            member = 0 if batched.isdisjoint(names) else prod(plan.shape[1:])
-            terms = []
-            for coef, shift, _, at, axes, c, steps in plan.terms:
-                if c:  # a slot is laid out as its first reader's output, which computes it
-                    first = layout.setdefault(c, axes)
-                    axes = None if first == axes else tuple(first.index(x) for x in axes)
-                terms.append((coef, shift, at, axes, slot.get(c), steps, len(at) == 1 or uses[c] > 1))
-                if c and uses[c] > 1:  # a slot alive past its term
-                    live.setdefault(c, member)
-            peak = member and plan.peak + sum(live.values())
+        self.slots, self.sums, self.peak, live = len(layout), [], 0, {}
+        for s, (key, top, factors, names, derived, terms, most, member) in enumerate(order):
+            for *_, slot, _ in terms:
+                if slot is not None and uses[slot] > 1:  # a slot alive past its term
+                    live.setdefault(slot, member)
+            peak = member and most + sum(live.values())
             self.peak = max(self.peak, peak)
-            frees = tuple(slot.get(k, k) for k, at in last.items() if at == s and k not in inputs)
+            frees = tuple(k for k, at in last.items() if at == s and k not in inputs)
             live = {k: entries for k, entries in live.items() if last[k] > s}
             if derived:
                 live[key] = member
-            self.sums.append((key, plan, names, derived, tuple(terms), peak, frees))
+            _, _, at, _, slot, _ = terms[0]
+            copied = len(at) == 1 or uses[slot] > 1
+            self.sums.append((key, top, factors, names, derived, terms, copied, peak, frees))
 
     def run(self, arrays: dict, maxabs: dict, den: int = 1, budget: int = 0):
         """Yields ``(key, integers, scale exponent)`` per spec, from the inputs'
         integers over ``den`` and their largest absolute entries.
 
         The one place that decides between int64 and Python ints: a sum runs
-        in int64 when its plan's bound certifies it, on Python-int objects
+        in int64 when its ``_bound`` certifies it, on Python-int objects
         otherwise; a slot read in the other dtype is converted.  With a
         ``budget`` in bytes, a batched sum whose peak would pass it raises
         ``_OverBudget`` instead of running.
         """
         values, maxabs, typed = dict(arrays), dict(maxabs), {}
         size = len(arrays[self.batch[0]]) if budget and self.batch else 0
-        for key, plan, names, derived, terms, peak, frees in self.sums:
-            bound = plan.bound([maxabs[name] for name in names], den)
+        for key, top, factors, names, derived, terms, copied, peak, frees in self.sums:
+            bound = _bound(factors, [maxabs[name] for name in names], den)
             dtype = np.int64 if bound <= INT64_MAX else object
             if size > 1 and peak:
                 # an entry is 8 bytes in int64, a pointer plus an int object otherwise
@@ -412,7 +382,7 @@ class _Program:
                     if ops[k] is None:
                         ops[k] = typed[name, dtype] = values[name].astype(dtype)
             acc = None
-            for coef, shift, at, axes, slot, steps, copied in terms:
+            for coef, shift, at, axes, slot, steps in terms:
                 if slot is None:
                     value = ops[at[0]].transpose(axes)
                 else:
@@ -442,7 +412,7 @@ class _Program:
             if derived:
                 values[key], maxabs[key] = acc, _maxabs(acc)
             else:
-                yield key, acc, plan.top
+                yield key, acc, top
 
 
 # The compiled program of a kernel call, keyed by its specs, inputs and batch.

@@ -318,21 +318,26 @@ def parse_report(text: str) -> Report:
 def _report_from_doc(raw: Any) -> Report:
     if not isinstance(raw, dict) or raw.get("kind") != "report":
         raise InputError("not a machine report document")
-    violations = tuple(
-        Violation(
-            identity=v["identity"],
-            witness_index=tuple(v["witness_index"]),
-            witness=tuple(v["witness"]),
-            residual=tuple(v["residual"]),
+    try:
+        violations = tuple(
+            Violation(
+                identity=v["identity"],
+                witness_index=tuple(v["witness_index"]),
+                witness=tuple(v["witness"]),
+                residual=tuple(v["residual"]),
+            )
+            for v in raw.get("violations", [])
         )
-        for v in raw.get("violations", [])
-    )
-    report = Report(
-        name=raw.get("name", ""),
-        identities=tuple(raw.get("identities", [])),
-        violations=violations,
-        sections=tuple(_report_from_doc(s) for s in raw.get("sections", [])),
-    )
+        report = Report(
+            name=raw.get("name", ""),
+            identities=tuple(raw.get("identities", [])),
+            violations=violations,
+            sections=tuple(_report_from_doc(s) for s in raw.get("sections", [])),
+        )
+    except KeyError as exc:
+        raise InputError(f"a report violation lacks the field {exc}") from None
+    except TypeError:
+        raise InputError("a report field has the wrong type") from None
     verdict = raw.get("verdict")
     if verdict not in ("pass", "fail") or (verdict == "pass") != report.passed:
         raise InputError("report verdict does not match its violation list")

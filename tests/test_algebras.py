@@ -251,6 +251,8 @@ def test_enumeration_value_set_dedup_and_cap(monkeypatch):
     zero = PreNovikovAlgebra(StructureConstants.zero(2), StructureConstants.zero(2))
     assert enumerate_dim2_pre_novikov((0, 0)) == [zero]
     assert enumerate_dim2_pre_novikov((1, 0, F(1), 0)) == enumerate_dim2_pre_novikov((0, 1))
+    with pytest.raises(InputError, match="nonempty"):
+        enumerate_dim2_pre_novikov([])
 
     def no_tables(values):
         raise AssertionError("tables allocated before the cap was checked")

@@ -39,6 +39,14 @@ def test_scalar_exactness():
         frac(True)
 
 
+@pytest.mark.parametrize("text", ["1/0", "x", "1/", ""])
+def test_frac_refuses_malformed_strings(text):
+    """A string that is not an exact rational is bad input, like a float or
+    a bool, not a ZeroDivisionError or a bare ValueError."""
+    with pytest.raises(InputError, match="not an exact scalar"):
+        frac(text)
+
+
 def test_apply_op_examples(alg2):
     e1, e2 = basis_vec(2, 0), basis_vec(2, 1)
     assert apply_op(alg2.lhd, e1, e2) == e2

@@ -164,6 +164,22 @@ def test_parse_report_verdict_validation():
         parse_report(json.dumps(doc))
 
 
+@pytest.mark.parametrize("change", [
+    {"violations": [{"witness_index": [0], "witness": ["e1"], "residual": ["1"]}]},  # no "identity"
+    {"violations": [{"identity": "2.1", "witness_index": 3, "witness": ["e1"], "residual": ["1"]}]},
+    {"violations": [["2.1", [0], ["e1"], ["1"]]]},
+    {"violations": 5},
+    {"sections": 5},
+    {"sections": [{"kind": "report", "verdict": "pass", "violations": [{}]}]},
+])
+def test_parse_report_refuses_malformed_documents(change):
+    """A report document with a missing field or a field of the wrong type
+    is refused as bad input, not a KeyError or a TypeError."""
+    doc = {"kind": "report", "name": "x", "verdict": "fail", "identities": [], "violations": [], "sections": []}
+    with pytest.raises(InputError):
+        parse_report(json.dumps({**doc, **change}))
+
+
 def fixture(name: str) -> str:
     return str(FIXTURES / name)
 

@@ -1,6 +1,8 @@
 """Differential tests of the exact contraction kernel against a pure-Python
 reference evaluator (Fraction arithmetic, every index assignment looped)."""
 
+import importlib
+import inspect
 import io
 import re
 import sys
@@ -244,6 +246,31 @@ def test_only_the_kernel_sizes_batches():
         assert not re.search(retired, text), path.name
         sizes = re.findall(r"^\s*([A-Z_]*(?:BATCH_|CHUNK)[A-Z_]*)\s*=", text, re.M)
         assert sizes == (["BATCH_BYTES"] if path.name == "core.py" else []), path.name
+
+
+def test_every_cache_is_bounded():
+    """What the package keeps across calls is capped in memory: every
+    ``functools.lru_cache`` has a finite ``maxsize``, ``functools.cache``
+    wraps only a function of no arguments (``cli.build_parser``), and
+    ``core`` keeps one cache, its compiled programs.  Each cache is a
+    module-level name, so the caches a module's source makes are the cached
+    objects it holds."""
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        assert not re.search(r"from functools import [^\n]*\b(lru_cache|cache)\b", text), path.name
+        made = len(re.findall(r"\bfunctools\.(lru_cache|cache)\b", text))
+        if path.stem == "__main__":  # (importing it runs the CLI)
+            assert not made
+            continue
+        module = importlib.import_module("prenovikov" + ("" if path.stem == "__init__" else f".{path.stem}"))
+        caches = [obj for obj in vars(module).values()
+                  if hasattr(obj, "cache_info") and obj.__module__ == module.__name__]
+        assert len(caches) == made, path.name
+        for cached in caches:
+            if cached.cache_info().maxsize is None:
+                assert not inspect.signature(cached.__wrapped__).parameters, cached
+        if path.name == "core.py":
+            assert caches == [core._program]
 
 
 def test_no_table_is_flattened_after_parse(monkeypatch):

@@ -1,6 +1,6 @@
-"""The compiled contraction plans of ``core``: their overflow bound, their
-cache, their pathed branch at dimension 8, and the boxing of report
-residuals."""
+"""The compiled kernel programs of ``core``: their per-sum overflow bound,
+their cache under random specs, their pathed branch at dimension 8, and the
+boxing of report residuals."""
 
 import itertools
 import random
@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings
 
-from prenovikov import check_bialgebra, core, labels
+from prenovikov import core, labels
 from prenovikov.algebras import check_pre_novikov
 from prenovikov.core import StructureConstants, contract
 from prenovikov.report import ReportBuilder
@@ -21,45 +21,42 @@ F = Fraction
 TERM_LISTS = [spec[1] for spec in labels.SPECS.values()] + list(labels.OPERANDS.values())
 
 
+def _inputs(terms, leaves):
+    """The ranks of the tables a term list is compiled on: its operands, or
+    (``leaves``) the tables its derived operands are derived from."""
+    ranks = {}
+    for _, subs, names in terms:
+        for letters, name in zip(subs.split("->")[0].split(","), names):
+            if leaves and name in labels.OPERANDS:
+                ranks.update(_inputs(labels.OPERANDS[name], True))
+            else:
+                ranks[name] = len(letters)
+    return ranks
+
+
 def test_plan_bound_is_overflow_bound_of_degree_scaled_terms():
-    """For every spec and operand term list, the plan's per-call bound equals
-    ``overflow_bound`` of the terms with each coefficient scaled to the top
-    degree."""
+    """For every spec and operand term list, compiled on its operands and on
+    the tables its derived operands come from, each sum's ``_bound`` equals
+    ``overflow_bound`` of its terms with each coefficient scaled to the
+    sum's top degree (an input has degree 1, a derived operand the top
+    degree of its own sum)."""
     rng = random.Random(9)
-    for terms, n in itertools.product(TERM_LISTS, (1, 2, 3, 4)):
-        names = core._names(tuple(terms))
-        ranks = {name: len(letters) for _, subs, ns in terms
-                 for letters, name in zip(subs.split("->")[0].split(","), ns)}
-        shapes = {name: (n,) * ranks[name] for name in names}
-        degrees = {name: rng.randint(1, 3) for name in names}
-        for _ in range(3):
-            maxabs = {name: rng.choice((0, 1, rng.randint(2, 50), rng.randint(1, 2**40)))
-                      for name in names}
-            den = rng.choice((1, 2, rng.randint(3, 60)))
-            plan = core._plan(tuple(terms), tuple(shapes[m] for m in names),
-                              tuple(degrees[m] for m in names), frozenset())
-            own = [sum(degrees[m] for m in ns) for _, _, ns in terms]
-            scaled = [(coef * den ** (max(own) - d), subs, ns)
-                      for (coef, subs, ns), d in zip(terms, own)]
-            assert plan.top == max(own)
-            assert plan.bound([maxabs[m] for m in names], den) == overflow_bound(scaled, shapes, maxabs)
-
-
-def test_repeated_call_compiles_no_plan(bialg2):
-    check_bialgebra(bialg2.algebra, bialg2.coalgebra)
-    misses = core._plan.cache_info().misses
-    check_bialgebra(bialg2.algebra, bialg2.coalgebra)
-    assert core._plan.cache_info().misses == misses
-
-
-def test_plan_cache_is_bounded():
-    """More distinct term lists than the cache holds leave it at its maxsize."""
-    maxsize = core._plan.cache_info().maxsize
-    assert maxsize == core.PLAN_CACHE
-    a = np.arange(4, dtype=np.int64)
-    for coef in range(1, maxsize + 50):
-        assert int(core.sum_batched({"": [(coef, "i->", ("a",))]}, {"a": a})[""]) == 6 * coef
-    assert core._plan.cache_info().currsize == maxsize
+    for terms, n, leaves in itertools.product(TERM_LISTS, (1, 2, 3, 4), (False, True)):
+        inputs = tuple((name, (n,) * rank) for name, rank in _inputs(terms, leaves).items())
+        shapes, degrees = dict(inputs), {name: 1 for name, _ in inputs}
+        program = core._Program((("spec", tuple(terms)),), inputs, frozenset())
+        for key, top, factors, names, derived, *_ in program.sums:
+            own_terms = labels.OPERANDS[key] if derived else terms
+            own = [sum(degrees[m] for m in ns) for _, _, ns in own_terms]
+            assert top == max(own)
+            if derived:
+                shapes[key], degrees[key] = (n,) * len(own_terms[0][1].split("->")[1]), top
+            for _ in range(3):
+                maxabs = {name: rng.choice((0, 1, rng.randint(2, 50), rng.randint(1, 2**40)))
+                          for name in names}
+                den = rng.choice((1, 2, rng.randint(3, 60)))
+                scaled = [(coef * den ** (top - d), subs, ns) for (coef, subs, ns), d in zip(own_terms, own)]
+                assert core._bound(factors, [maxabs[m] for m in names], den) == overflow_bound(scaled, shapes, maxabs)
 
 
 @settings(max_examples=25, deadline=None)
@@ -67,7 +64,7 @@ def test_plan_cache_is_bounded():
 def test_plan_cache_stays_bounded_under_random_specs(problem):
     specs, tables = problem
     contract(specs, tables)
-    info = core._plan.cache_info()
+    info = core._program.cache_info()
     assert info.currsize <= info.maxsize
 
 
@@ -117,7 +114,7 @@ def test_dim8_lemma_equations_along_paths_match_reference(monkeypatch):
     codes = ("4.7", "4.8", "4.9")
     rng = random.Random(48)
     for huge, offset in ((False, 5), (True, 0)):
-        core._plan.cache_clear()
+        core._program.cache_clear()
         block = _block(rng, 3, huge)
         got = contract({code: labels.SPECS[code][1] for code in codes},
                        {name: _embed(t, 8, offset) for name, t in block.items()})
