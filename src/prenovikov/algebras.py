@@ -32,7 +32,7 @@ from .core import (
     zero_mask,
     zero_members,
 )
-from .report import Report, ReportBuilder, default_labels
+from .report import Report, Tree, default_labels, verify
 
 
 @dataclass(frozen=True)
@@ -90,18 +90,15 @@ def sum_table(lhd: StructureConstants, rhd: StructureConstants) -> StructureCons
 
 def check_novikov(op: StructureConstants, basis=None) -> Report:
     """Evaluate both Novikov identities on every basis triple."""
-    rb = ReportBuilder("novikov", labels.NOVIKOV, basis or default_labels(op.dim))
-    rb.record(rb.contract({"o": op.table}))
-    return rb.build()
+    return verify(Tree("novikov", labels.NOVIKOV, basis or default_labels(op.dim)), {"o": op.table})
 
 
 def check_pre_novikov(lhd: StructureConstants, rhd: StructureConstants, basis=None) -> Report:
     """Evaluate the four pre-Novikov identities (with o = < + >) on every triple."""
     if lhd.dim != rhd.dim:
         raise InputError("dimension mismatch between < and > tables")
-    rb = ReportBuilder("pre_novikov", labels.PRE_NOVIKOV, basis or default_labels(lhd.dim))
-    rb.record(rb.contract({"<": lhd.table, ">": rhd.table}))
-    return rb.build()
+    return verify(Tree("pre_novikov", labels.PRE_NOVIKOV, basis or default_labels(lhd.dim)),
+                  {"<": lhd.table, ">": rhd.table})
 
 
 def associated_novikov(alg: PreNovikovAlgebra) -> NovikovAlgebra:
@@ -126,19 +123,13 @@ def check_quasi_frobenius(op: StructureConstants, w: FormMatrix, basis=None) -> 
     """Skewsymmetry, exact nondegeneracy, and the 2-cocycle-type identity."""
     if op.dim != w.dim:
         raise InputError("form/algebra dimension mismatch")
-    n = op.dim
-    rb = ReportBuilder(
-        "quasi_frobenius",
-        (labels.QF_SKEW, labels.QF_NONDEGENERATE, labels.QF_COCYCLE),
-        basis or default_labels(n),
-    )
     skew = evaluate({"": [(1, "ij->ij", ("w",)), (1, "ji->ij", ("w",))]}, w.tables)[""]
-    for i, j in zip(*np.nonzero(np.triu(skew.num))):
-        rb.residual(labels.QF_SKEW, (int(i), int(j)), (str(Fraction(int(skew.num[i, j]), skew.den)),))
-    if exact_det(w.tables["w"]) == 0:
-        rb.flag(labels.QF_NONDEGENERATE, "determinant is zero")
-    rb.record(rb.contract({"o": op.table, **w.tables}))
-    return rb.build()
+    rows = [(labels.QF_NONDEGENERATE, (), ("determinant is zero",))] if exact_det(w.tables["w"]) == 0 else []
+    rows += [(labels.QF_SKEW, (int(i), int(j)), (str(Fraction(int(skew.num[i, j]), skew.den)),))
+             for i, j in zip(*np.nonzero(np.triu(skew.num)))]
+    tree = Tree("quasi_frobenius", (labels.QF_SKEW, labels.QF_NONDEGENERATE, labels.QF_COCYCLE),
+                basis or default_labels(op.dim))
+    return verify(tree, {"o": op.table, **w.tables}, rows)
 
 
 def form_iso(w: FormMatrix) -> Matrix:

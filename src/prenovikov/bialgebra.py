@@ -17,12 +17,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-import numpy as np
-
 from . import labels
-from .algebras import PreNovikovAlgebra, check_pre_novikov
+from .algebras import PreNovikovAlgebra
 from .core import InputError, StructureConstants, Tensor2, evaluate, held
-from .report import Report, ReportBuilder, default_labels
+from .report import Report, Tree, default_labels, verify
 
 CoMaps = tuple[Tensor2, ...]
 
@@ -67,19 +65,18 @@ def coalgebra_to_dual_algebra(co: PreNovikovCoalgebra) -> tuple[StructureConstan
     return StructureConstants(co.dim, ops["<"]), StructureConstants(co.dim, ops[">"])
 
 
+def _coalgebra_tree(lab) -> Tree:
+    """The co-identities 3.11-3.14, with the pre-Novikov identities on the
+    dual products (basis ``e1*``, ...) read off their residuals."""
+    dual = Tree("pre_novikov", labels.PRE_NOVIKOV, tuple(f"{b}*" for b in lab), read=labels.DUAL_PRE_NOVIKOV)
+    return Tree("coalgebra", labels.COALGEBRA, lab, sections=(dual,))
+
+
 def check_coalgebra(co: PreNovikovCoalgebra, basis=None) -> Report:
     """The co-identities 3.11-3.14, with the pre-Novikov identities on the
     dual products (basis ``e1*``, ...) as a nested section, from one kernel
     call."""
-    lab = basis or default_labels(co.dim)
-    rb = ReportBuilder("coalgebra", labels.COALGEBRA, lab)
-    residuals = rb.contract(co.tables)
-    rb.record(residuals)
-    dual = ReportBuilder("pre_novikov", labels.PRE_NOVIKOV, tuple(f"{b}*" for b in lab))
-    dual.record({code: (sign * np.einsum(subs, residuals[source][0]), residuals[source][1])
-                 for code, (source, sign, subs) in labels.DUAL_PRE_NOVIKOV.items()})
-    rb.section(dual.build())
-    return rb.build()
+    return verify(_coalgebra_tree(basis or default_labels(co.dim)), co.tables)
 
 
 def check_compatibility(alg: PreNovikovAlgebra, co: PreNovikovCoalgebra, basis=None) -> Report:
@@ -91,18 +88,16 @@ def check_compatibility(alg: PreNovikovAlgebra, co: PreNovikovCoalgebra, basis=N
     """
     if alg.dim != co.dim:
         raise InputError("algebra/coalgebra dimension mismatch")
-    rb = ReportBuilder("compatibility", labels.COMPATIBILITY, basis or default_labels(alg.dim))
-    rb.record(rb.contract({**alg.tables, **co.tables}))
-    return rb.build()
+    return verify(Tree("compatibility", labels.COMPATIBILITY, basis or default_labels(alg.dim)),
+                  {**alg.tables, **co.tables})
 
 
 def check_bialgebra(alg: PreNovikovAlgebra, co: PreNovikovCoalgebra, basis=None) -> Report:
-    """Algebra axioms + coalgebra axioms + the eight compatibility identities."""
+    """Algebra axioms + coalgebra axioms + the eight compatibility identities,
+    from one kernel call."""
     if alg.dim != co.dim:
         raise InputError("algebra/coalgebra dimension mismatch")
-    sections = (
-        check_pre_novikov(alg.lhd, alg.rhd, basis=basis),
-        check_coalgebra(co, basis=basis),
-        check_compatibility(alg, co, basis=basis),
-    )
-    return Report(name="bialgebra", sections=sections)
+    lab = basis or default_labels(alg.dim)
+    sections = (Tree("pre_novikov", labels.PRE_NOVIKOV, lab), _coalgebra_tree(lab),
+                Tree("compatibility", labels.COMPATIBILITY, lab))
+    return verify(Tree("bialgebra", (), lab, sections=sections), {**alg.tables, **co.tables})

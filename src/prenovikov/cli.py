@@ -37,16 +37,8 @@ from .io import (
 )
 from .matched_double import double_from_bialgebra
 from .report import default_labels
-from .representations import (
-    adjoint_reps,
-    check_novikov_rep,
-    check_pre_novikov_rep,
-    dual_novikov_rep,
-    dual_pre_novikov_rep,
-)
+from .representations import adjoint_reps, dual_novikov_rep, dual_pre_novikov_rep
 from .yang_baxter import (
-    check_o_operator_novikov,
-    check_o_operator_pre_novikov,
     co2_equivalence,
     coboundary_diagnostics,
     coboundary_maps,
@@ -54,13 +46,6 @@ from .yang_baxter import (
     search_symmetric_ybe,
     _ybe,
 )
-
-# flavor -> (rep check, dual rep, operator check)
-_FLAVOR_CHECKS = {
-    "novikov": (check_novikov_rep, dual_novikov_rep, check_o_operator_novikov),
-    "pre_novikov": (check_pre_novikov_rep, dual_pre_novikov_rep, check_o_operator_pre_novikov),
-}
-
 
 def _load(path: str) -> Bundle:
     try:
@@ -106,12 +91,12 @@ def _cmd_check(args, out) -> int:
         report = check_bialgebra(obj.algebra, obj.coalgebra, basis=basis)
     elif kind == "form":
         report = check_quasi_frobenius(obj[0].op, obj[1], basis=basis)
-    elif kind == "rep":
-        check_rep = _FLAVOR_CHECKS[bundle.data["flavor"]][0]
-        report = check_rep(*obj, basis=basis, module_basis=bundle.data.get("module_basis"))
-    elif kind == "o_operator":
-        check_operator = _FLAVOR_CHECKS[bundle.data["flavor"]][2]
-        report = check_operator(*obj[:2], bundle.data["t"], module_basis=bundle.data.get("module_basis"))
+    elif kind in ("rep", "o_operator"):
+        flavor, module_basis = FLAVORS[bundle.data["flavor"]], bundle.data.get("module_basis")
+        if kind == "rep":
+            report = flavor["check"](*obj, basis=basis, module_basis=module_basis)
+        else:
+            report = flavor["operator"](*obj[:2], bundle.data["t"], module_basis=module_basis)
     else:
         raise InputError(f"no verifier for bundle kind {kind!r}")
     _emit(out, render_report(report, args.format))
@@ -127,15 +112,14 @@ def _cmd_derive(args, out) -> int:
     elif bundle.kind == "rep":
         alg, rep = bundle_to_objects(bundle)
         flavor = bundle.data["flavor"]
-        check_rep, dual_rep, _ = _FLAVOR_CHECKS[flavor]
-        report = check_rep(alg, rep, basis=basis, module_basis=bundle.data.get("module_basis"))
+        report = FLAVORS[flavor]["check"](alg, rep, basis=basis, module_basis=bundle.data.get("module_basis"))
     else:
         raise InputError(f"derive expects a pre_novikov or rep bundle, got {bundle.kind!r}")
     if not report.passed:
         _emit(out, render_report(report, args.format))
         return 1
     if bundle.kind == "rep":
-        parts = {"dual_rep": _maps_doc(flavor, dual_rep(rep.certified()))}
+        parts = {"dual_rep": _maps_doc(flavor, FLAVORS[flavor]["dual"](rep.certified()))}
     else:
         nov = associated_novikov(alg)
         odot, star = derived_ops(alg)
@@ -238,8 +222,7 @@ def _cmd_oper(args, out) -> int:
     alg = bundle_to_objects(alg_bundle)
     if alg != rep_alg:
         raise InputError("rep bundle algebra differs from the algebra bundle")
-    check_operator = _FLAVOR_CHECKS[flavor][2]
-    report = check_operator(alg, rep, T, module_basis=rep_bundle.data.get("module_basis"))
+    report = FLAVORS[flavor]["operator"](alg, rep, T, module_basis=rep_bundle.data.get("module_basis"))
     _emit(out, render_report(report, args.format))
     if args.lift:
         if flavor == "novikov":

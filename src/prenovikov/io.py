@@ -26,7 +26,15 @@ from .bialgebra import PreNovikovBialgebra, PreNovikovCoalgebra
 from .core import Exact, InputError, StructureConstants, rationals
 from .labels import render_identity
 from .report import Report, Violation
-from .representations import NovikovRep, PreNovikovRep
+from .representations import (
+    NovikovRep,
+    PreNovikovRep,
+    check_novikov_rep,
+    check_pre_novikov_rep,
+    dual_novikov_rep,
+    dual_pre_novikov_rep,
+)
+from .yang_baxter import check_o_operator_novikov, check_o_operator_pre_novikov
 
 # The bundle format.  Each kind lists its fields in parse order.  A one-letter
 # spec is a size: a positive integer that later shapes use.  A longer spec is
@@ -50,13 +58,16 @@ _LABELS = {"basis": "n", "module_basis": "m"}
 
 # flavor -> its "algebra" tables (those of the algebra kind of the same name)
 # and its "maps" families, which are also the attribute names of its "rep"
-# class; each group lists its fields sorted, which is their parse order
+# class (each group lists its fields sorted, which is their parse order), and
+# the flavor's rep "check", "dual" rep and "operator" check
 FLAVORS = {
-    "novikov": {"algebra": {"product": "nnn"}, "maps": {"l": "nmm", "r": "nmm"}, "rep": NovikovRep},
+    "novikov": {"algebra": {"product": "nnn"}, "maps": {"l": "nmm", "r": "nmm"}, "rep": NovikovRep,
+                "check": check_novikov_rep, "dual": dual_novikov_rep, "operator": check_o_operator_novikov},
     "pre_novikov": {
         "algebra": {"lhd": "nnn", "rhd": "nnn"},
         "maps": {"l_lhd": "nmm", "l_rhd": "nmm", "r_lhd": "nmm", "r_rhd": "nmm"},
         "rep": PreNovikovRep,
+        "check": check_pre_novikov_rep, "dual": dual_pre_novikov_rep, "operator": check_o_operator_pre_novikov,
     },
 }
 
@@ -315,29 +326,31 @@ def parse_report(text: str) -> Report:
     return _report_from_doc(raw)
 
 
+# the fields of a report document and of one of its violations -> their JSON
+# type and, for a list, its items' type
+_REPORT = {"name": (str, None), "identities": (list, str), "violations": (list, dict), "sections": (list, dict)}
+_VIOLATION = {"identity": (str, None), "witness_index": (list, int), "witness": (list, str), "residual": (list, str)}
+
+
+def _fields(raw: dict, fields: dict, what: str) -> list:
+    """The values of ``fields`` in ``raw``: a missing one is refused, as is
+    one without its type (an int is not a bool); other fields are ignored."""
+    _check_names(raw, fields, raw, what + ": {} fields ")
+    for name, (kind, item) in fields.items():
+        value = raw[name]
+        if type(value) is not kind or (item and not all(type(x) is item for x in value)):
+            expected = f"a list of {item.__name__}" if item else kind.__name__
+            raise InputError(f"{name}: expected {expected}, got {value!r}")
+    return [raw[name] for name in fields]
+
+
 def _report_from_doc(raw: Any) -> Report:
     if not isinstance(raw, dict) or raw.get("kind") != "report":
         raise InputError("not a machine report document")
-    try:
-        violations = tuple(
-            Violation(
-                identity=v["identity"],
-                witness_index=tuple(v["witness_index"]),
-                witness=tuple(v["witness"]),
-                residual=tuple(v["residual"]),
-            )
-            for v in raw.get("violations", [])
-        )
-        report = Report(
-            name=raw.get("name", ""),
-            identities=tuple(raw.get("identities", [])),
-            violations=violations,
-            sections=tuple(_report_from_doc(s) for s in raw.get("sections", [])),
-        )
-    except KeyError as exc:
-        raise InputError(f"a report violation lacks the field {exc}") from None
-    except TypeError:
-        raise InputError("a report field has the wrong type") from None
+    name, identities, violations, sections = _fields(raw, _REPORT, "report")
+    violations = (_fields(v, _VIOLATION, "report violation") for v in violations)
+    report = Report(name, tuple(identities), tuple(Violation(code, *map(tuple, lists)) for code, *lists in violations),
+                    tuple(map(_report_from_doc, sections)))
     verdict = raw.get("verdict")
     if verdict not in ("pass", "fail") or (verdict == "pass") != report.passed:
         raise InputError("report verdict does not match its violation list")

@@ -35,8 +35,8 @@ from .core import (
     direct_sum_table,
     held,
 )
-from .report import Report, ReportBuilder, default_labels, split_labels
-from .representations import NovikovRep, RepMaps, check_novikov_rep, dual_adjoint_maps
+from .report import Report, Tree, default_labels, split_labels, verify
+from .representations import RepMaps, dual_adjoint_maps
 
 
 @dataclass(frozen=True)
@@ -70,22 +70,21 @@ class DoubleConstruction:
 
 
 def check_matched_pair(mp: MatchedPair, basis_a=None, basis_b=None) -> Report:
-    """Both algebras Novikov, both actions representations, eight mixed identities."""
+    """Both algebras Novikov, both actions representations, eight mixed
+    identities, from one kernel call.  The B-side sections read the specs of
+    A with ``o``, ``l`` and ``r`` renamed to ``.``, ``lB`` and ``rB``."""
     n, m = mp.a_op.dim, mp.b_op.dim
     lab_a = tuple(basis_a or default_labels(n))
     lab_b = tuple(basis_b or default_labels(m, "f"))
-    rb = ReportBuilder("matched_pair", labels.MATCHED_PAIR, lab_a + lab_b)
-
-    rb.section(check_novikov(mp.a_op, basis=lab_a))
-    rb.section(check_novikov(mp.b_op, basis=lab_b))
-    for op, l, r, basis, module_basis in ((mp.a_op, "lA", "rA", lab_a, lab_b),
-                                          (mp.b_op, "lB", "rB", lab_b, lab_a)):
-        alg = NovikovAlgebra(op)
-        rep = NovikovRep(alg, mp.tables[l], mp.tables[r])
-        rb.section(check_novikov_rep(alg, rep, basis=basis, module_basis=module_basis))
-
-    rb.record(rb.contract(_tables(mp)), shift={"x": n, "y": n})
-    return rb.build()
+    sections = (
+        Tree("novikov", labels.NOVIKOV, lab_a),
+        Tree("novikov", labels.NOVIKOV, lab_b, rename={"o": "."}),
+        Tree("novikov_rep", labels.NOVIKOV_REP, lab_a + lab_b, shift={"v": n}, rename={"l": "lA", "r": "rA"}),
+        Tree("novikov_rep", labels.NOVIKOV_REP, lab_b + lab_a, shift={"v": m},
+             rename={"o": ".", "l": "lB", "r": "rB"}),
+    )
+    tree = Tree("matched_pair", labels.MATCHED_PAIR, lab_a + lab_b, shift={"x": n, "y": n}, sections=sections)
+    return verify(tree, _tables(mp))
 
 
 def _tables(mp: MatchedPair) -> dict:

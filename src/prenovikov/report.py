@@ -1,14 +1,17 @@
-"""Structured pass/fail reports produced by every verifier.
+"""Structured pass/fail reports produced by every verifier, and the one path
+that makes them.
 
 A report names the identities it evaluated, lists every violation (witness
 basis tuple plus the exact nonzero residual), and may nest sub-reports for
-composite checks.  Violations are sorted, so reports are deterministic no
-matter how the underlying loops were scheduled.
+composite checks.  Every verifier declares its report as a ``Tree`` and makes
+it with one ``verify`` call, which evaluates the whole tree in one kernel
+call.  Violations are listed identity by identity in code order, each
+identity's witnesses in lexicographic order, so reports are deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
@@ -34,14 +37,6 @@ class Violation:
     witness: tuple[str, ...]
     residual: tuple[str, ...]
 
-    def sort_key(self):
-        # numeric code parts sort numerically ("2.9" before "2.10")
-        parts = tuple(
-            (0, int(p), "") if p.isdigit() else (1, 0, p)
-            for p in self.identity.replace("-", ".").split(".")
-        )
-        return (parts, self.witness_index)
-
 
 @dataclass(frozen=True)
 class Report:
@@ -61,65 +56,83 @@ class Report:
         return tuple(out)
 
 
-class ReportBuilder:
-    """Collects violations for one verifier run."""
+@dataclass(frozen=True)
+class Tree:
+    """A report declared as data: its name, the identity codes it checks, the
+    basis labels its witnesses index, letter offsets into them (``shift``,
+    for a second basis after the first), operand renames of its specs
+    (section name -> table name) and nested sections.  A section with
+    ``read`` evaluates nothing: it takes each code's residual from its
+    parent's as ``(source code, sign, subscripts)``, a signed axis
+    permutation (``labels.DUAL_PRE_NOVIKOV``)."""
 
-    def __init__(self, name: str, identities, labels):
-        self.name = name
-        self.identities = tuple(identities)
-        self.labels = tuple(labels)
-        self._violations: list[Violation] = []
-        self._sections: list[Report] = []
+    name: str
+    codes: tuple[str, ...]
+    labels: tuple[str, ...]
+    shift: dict = field(default_factory=dict)
+    rename: dict = field(default_factory=dict)
+    sections: tuple[Tree, ...] = ()
+    read: dict | None = None
+
+
+class ReportBuilder:
+    """Collects the violations of the report a ``Tree`` declares."""
+
+    def __init__(self, tree: Tree):
+        self.tree, self._violations = tree, []
 
     def residual(self, identity: str, witness: tuple[int, ...], value: tuple[str, ...]) -> None:
         """Record a violation: ``value`` is the nonzero residual vector at
         ``witness``, each entry the string of a reduced fraction."""
-        self._violations.append(
-            Violation(
-                identity=identity,
-                witness_index=witness,
-                witness=tuple(self.labels[i] for i in witness),
-                residual=value,
-            )
-        )
+        self._violations.append(Violation(identity, witness, tuple(self.tree.labels[i] for i in witness), value))
 
-    def contract(self, tables: dict) -> dict:
-        """Evaluate, in one kernel call, the spec of every identity this report
-        names that has one: code -> ``(numerators, denominator)``."""
-        return contract({code: SPECS[code][1] for code in self.identities if code in SPECS}, tables)
+    def build(self, sections=()) -> Report:
+        return Report(self.tree.name, self.tree.codes, tuple(self._violations), tuple(sections))
 
-    def record(self, residuals: dict, shift: dict | None = None) -> None:
-        """One violation per nonzero witness residual of ``contract``'s layout;
-        ``shift`` offsets witness letters into ``labels`` (for a second basis
-        after the first).  One string is built per distinct residual value."""
-        shift = shift or {}
-        for code, (num, den) in residuals.items():
-            witness = SPECS[code][0]
-            flat = num.reshape(num.shape[: len(witness)] + (-1,))
-            offsets = [shift.get(letter, 0) for letter in witness]
-            at = np.nonzero((flat != 0).any(axis=-1))
-            values = flat[at].tolist()
-            text = {x: str(Fraction(x, den)) for x in set(chain.from_iterable(values))}
-            for idx, value in zip(zip(*(a.tolist() for a in at)), values):
-                self.residual(
-                    code,
-                    tuple(i + o for i, o in zip(idx, offsets)),
-                    tuple(text[x] for x in value),
-                )
 
-    def flag(self, identity: str, message: str) -> None:
-        """Record a non-residual failure (e.g. a degenerate form)."""
-        self._violations.append(
-            Violation(identity=identity, witness_index=(), witness=(), residual=(message,))
-        )
+def _specs(tree: Tree, path: tuple, out: dict) -> dict:
+    """The term lists of every spec in ``tree``, keyed ``(path, code)``."""
+    for code in tree.codes:
+        if code in SPECS and not tree.read:
+            terms = SPECS[code][1]
+            out[path, code] = [(coef, subs, tuple(tree.rename.get(n, n) for n in names))
+                               for coef, subs, names in terms] if tree.rename else terms
+    for k, section in enumerate(tree.sections):
+        _specs(section, path + (k,), out)
+    return out
 
-    def section(self, report: Report) -> None:
-        self._sections.append(report)
 
-    def build(self) -> Report:
-        return Report(
-            name=self.name,
-            identities=self.identities,
-            violations=tuple(sorted(self._violations, key=Violation.sort_key)),
-            sections=tuple(self._sections),
-        )
+def verify(tree: Tree, tables: dict, rows=()) -> Report:
+    """The report ``tree`` declares, on ``tables``, from one kernel call.
+
+    Violations are listed code by code in the order of ``tree.codes``, each
+    code's witnesses in lexicographic order (that of ``np.nonzero``, which a
+    shift keeps), and then ``rows``: the root's violations that are no
+    spec's residual, ``(code, witness index, residual strings)``.  One
+    residual string is built per distinct value of a code.
+    """
+    return _build(tree, (), contract(_specs(tree, (), {}), tables), rows)
+
+
+def _build(tree: Tree, path: tuple, residuals: dict, rows=()) -> Report:
+    rb = ReportBuilder(tree)
+    for code in tree.codes:
+        if tree.read:
+            source, sign, subs = tree.read[code]
+            num, den = residuals[path[:-1], source]
+            num = sign * np.einsum(subs, num)
+        elif (path, code) in residuals:
+            num, den = residuals[path, code]
+        else:
+            continue
+        witness = SPECS[code][0]
+        flat = num.reshape(num.shape[: len(witness)] + (-1,))
+        offsets = [tree.shift.get(letter, 0) for letter in witness]
+        at = np.nonzero((flat != 0).any(axis=-1))
+        values = flat[at].tolist()
+        text = {x: str(Fraction(x, den)) for x in set(chain.from_iterable(values))}
+        for idx, value in zip(zip(*(a.tolist() for a in at)), values):
+            rb.residual(code, tuple(i + o for i, o in zip(idx, offsets)), tuple(text[x] for x in value))
+    for row in rows:
+        rb.residual(*row)
+    return rb.build(_build(section, path + (k,), residuals) for k, section in enumerate(tree.sections))

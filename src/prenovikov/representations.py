@@ -23,7 +23,7 @@ from .core import (
     evaluate,
     held,
 )
-from .report import Report, ReportBuilder, default_labels
+from .report import Report, Tree, default_labels, verify
 
 RepMaps = tuple[Matrix, ...]
 
@@ -75,9 +75,7 @@ def _rep_report(name: str, codes, tables: dict, alg, rep, basis, module_basis) -
         raise InputError("representation/algebra dimension mismatch")
     n, m = alg.dim, rep.module_dim
     lab = tuple(basis or default_labels(n)) + tuple(module_basis or default_labels(m, "v"))
-    rb = ReportBuilder(name, codes, lab)
-    rb.record(rb.contract({**tables, **rep.tables}), shift={"v": n})
-    return rb.build()
+    return verify(Tree(name, codes, lab, shift={"v": n}), {**tables, **rep.tables})
 
 
 def check_novikov_rep(alg: NovikovAlgebra, rep: NovikovRep, basis=None, module_basis=None) -> Report:
@@ -91,18 +89,20 @@ def check_pre_novikov_rep(alg: PreNovikovAlgebra, rep: PreNovikovRep,
     return _rep_report("pre_novikov_rep", labels.PRE_NOVIKOV_REP, alg.tables, alg, rep, basis, module_basis)
 
 
-def verify_novikov_rep(rep: NovikovRep) -> NovikovRep:
-    report = check_novikov_rep(rep.algebra, rep)
+def _certified(rep, check, what: str):
+    """``rep`` with its ``verified`` flag set, refused unless ``check`` passes."""
+    report = check(rep.algebra, rep)
     if not report.passed:
-        raise RefusalError("not a Novikov representation", report)
+        raise RefusalError(f"not a {what} representation", report)
     return rep.certified()
+
+
+def verify_novikov_rep(rep: NovikovRep) -> NovikovRep:
+    return _certified(rep, check_novikov_rep, "Novikov")
 
 
 def verify_pre_novikov_rep(rep: PreNovikovRep) -> PreNovikovRep:
-    report = check_pre_novikov_rep(rep.algebra, rep)
-    if not report.passed:
-        raise RefusalError("not a pre-Novikov representation", report)
-    return rep.certified()
+    return _certified(rep, check_pre_novikov_rep, "pre-Novikov")
 
 
 def _duals(**maps) -> dict:

@@ -39,7 +39,7 @@ from .core import (
     zero_mask,
     zero_members,
 )
-from .report import Report, ReportBuilder, default_labels
+from .report import Report, Tree, default_labels, verify
 from .representations import (
     NovikovRep,
     PreNovikovRep,
@@ -191,9 +191,8 @@ def _o_operator_report(name: str, codes, tables: dict, alg, rep, T, module_basis
     if rep.algebra.dim != alg.dim:
         raise InputError("representation/algebra dimension mismatch")
     mdim = rep.module_dim
-    rb = ReportBuilder(name, codes, module_basis or default_labels(mdim, "v"))
-    rb.record(rb.contract({**tables, **rep.tables, "T": _matrix(T, alg.dim, mdim, "operator matrix")}))
-    return rb.build()
+    return verify(Tree(name, codes, module_basis or default_labels(mdim, "v")),
+                  {**tables, **rep.tables, "T": _matrix(T, alg.dim, mdim, "operator matrix")})
 
 
 def check_o_operator_novikov(alg: NovikovAlgebra, rep: NovikovRep, T: Matrix,
@@ -210,19 +209,20 @@ def check_o_operator_pre_novikov(alg: PreNovikovAlgebra, rep: PreNovikovRep, T: 
                               alg, rep, T, module_basis)
 
 
-def o_operator_novikov(alg: NovikovAlgebra, rep: NovikovRep, T: Matrix) -> OOperator:
-    """Verified O-operator certificate; refuses when the identity fails."""
-    report = check_o_operator_novikov(alg, rep, T)
+def _o_operator(check, flavor: str, alg, rep, T) -> OOperator:
+    """Verified O-operator certificate; refuses when ``check`` fails."""
+    report = check(alg, rep, T)
     if not report.passed:
         raise RefusalError("not an O-operator for this representation", report)
-    return OOperator(T, "novikov", rep, verified=True)
+    return OOperator(T, flavor, rep, verified=True)
+
+
+def o_operator_novikov(alg: NovikovAlgebra, rep: NovikovRep, T: Matrix) -> OOperator:
+    return _o_operator(check_o_operator_novikov, "novikov", alg, rep, T)
 
 
 def o_operator_pre_novikov(alg: PreNovikovAlgebra, rep: PreNovikovRep, T: Matrix) -> OOperator:
-    report = check_o_operator_pre_novikov(alg, rep, T)
-    if not report.passed:
-        raise RefusalError("not an O-operator for this representation", report)
-    return OOperator(T, "pre_novikov", rep, verified=True)
+    return _o_operator(check_o_operator_pre_novikov, "pre_novikov", alg, rep, T)
 
 
 def pre_novikov_from_o(alg: NovikovAlgebra, rep: NovikovRep, oper: OOperator) -> PreNovikovAlgebra:

@@ -5,14 +5,17 @@ import pytest
 
 from prenovikov import (
     PreNovikovAlgebra,
+    PreNovikovBialgebra,
     PreNovikovCoalgebra,
     check_bialgebra,
     check_coalgebra,
     check_compatibility,
     check_pre_novikov,
+    check_matched_pair,
     coalgebra_to_dual_algebra,
+    induced_matched_pair,
 )
-from prenovikov import bialgebra, core, labels
+from prenovikov import algebras, bialgebra, core, labels, representations
 from prenovikov.core import Exact, InputError, StructureConstants, contract, t2_zero
 
 
@@ -149,9 +152,15 @@ def test_dual_map_matches_the_dual_algebra_route(n):
         assert report.sections[0].violations
 
 
-def test_check_coalgebra_is_one_kernel_call(monkeypatch, co2):
+def test_check_coalgebra_is_one_kernel_call(monkeypatch, alg2, co2):
     """The nested section is read off the co-identity residuals: one kernel
-    call, and neither the dual products nor the pre-Novikov check."""
+    call, and neither the dual products nor the pre-Novikov check.  The
+    composite verifiers evaluate their whole report tree in one call too:
+    ``check_bialgebra`` and ``check_matched_pair`` call no section checker."""
+    ones = tuple(tuple(F(-1) for _ in range(2)) for _ in range(2))
+    coalgebras = (PreNovikovCoalgebra(2, co2.alpha, co2.beta),
+                  PreNovikovCoalgebra(2, (ones, t2_zero(2)), (ones, t2_zero(2))))
+    pairs = [induced_matched_pair(PreNovikovBialgebra(alg2, co)) for co in coalgebras]
     calls = []
     run = core._Program.run
     monkeypatch.setattr(core._Program, "run", lambda self, *a, **k: calls.append(1) or run(self, *a, **k))
@@ -160,10 +169,17 @@ def test_check_coalgebra_is_one_kernel_call(monkeypatch, co2):
         raise AssertionError("second route evaluated")
 
     monkeypatch.setattr(bialgebra, "coalgebra_to_dual_algebra", forbidden)
-    monkeypatch.setattr(bialgebra, "check_pre_novikov", forbidden)
-    ones = tuple(tuple(F(-1) for _ in range(2)) for _ in range(2))
-    for co in (PreNovikovCoalgebra(2, co2.alpha, co2.beta),
-               PreNovikovCoalgebra(2, (ones, t2_zero(2)), (ones, t2_zero(2)))):
+    for module, name in ((algebras, "check_pre_novikov"), (algebras, "check_novikov"),
+                         (bialgebra, "check_coalgebra"), (bialgebra, "check_compatibility"),
+                         (representations, "check_novikov_rep")):
+        monkeypatch.setattr(module, name, forbidden)
+    for co, mp in zip(coalgebras, pairs):
         calls.clear()
         report = check_coalgebra(co)
         assert len(calls) == 1 and len(report.sections) == 1
+        calls.clear()
+        report = check_bialgebra(alg2, co)
+        assert len(calls) == 1 and [s.name for s in report.sections] == ["pre_novikov", "coalgebra", "compatibility"]
+        calls.clear()
+        report = check_matched_pair(mp)
+        assert len(calls) == 1 and len(report.sections) == 4

@@ -180,6 +180,34 @@ def test_parse_report_refuses_malformed_documents(change):
         parse_report(json.dumps({**doc, **change}))
 
 
+_VIOLATION = {"identity": "2.1", "witness_index": [0], "witness": ["e1"], "residual": ["1"]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("name", 5),
+    ("identities", ["2.1", 2]),
+    ("identity", 5),
+    ("witness_index", ["a"]),
+    ("witness_index", [True]),
+    ("witness", "e1"),
+    ("residual", [1]),
+    ("sections", {}),
+])
+def test_parse_report_checks_field_types(field, value):
+    """Every field of a report document is type-checked: a wrong type is
+    refused as bad input, naming the field, rather than parsed (``"e1"`` as
+    the witness ``('e', '1')``) or failing later in the text render."""
+    doc = {"kind": "report", "name": "x", "verdict": "fail", "identities": [], "violations": [dict(_VIOLATION)],
+           "sections": []}
+    assert parse_report(json.dumps(doc)).violations[0].witness == ("e1",)
+    if field in _VIOLATION:
+        doc["violations"][0][field] = value
+    else:
+        doc[field] = value
+    with pytest.raises(InputError, match=f"^{field}: expected"):
+        parse_report(json.dumps(doc))
+
+
 def fixture(name: str) -> str:
     return str(FIXTURES / name)
 

@@ -248,6 +248,14 @@ def test_only_the_kernel_sizes_batches():
         assert sizes == (["BATCH_BYTES"] if path.name == "core.py" else []), path.name
 
 
+def test_only_the_report_module_builds_reports():
+    """Every verifier makes its report through ``report.verify``: no module
+    but ``report`` constructs a ``ReportBuilder``."""
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        if path.name != "report.py":
+            assert "ReportBuilder(" not in path.read_text(), path.name
+
+
 def test_every_cache_is_bounded():
     """What the package keeps across calls is capped in memory: every
     ``functools.lru_cache`` has a finite ``maxsize``, ``functools.cache``

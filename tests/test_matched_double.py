@@ -1,9 +1,11 @@
 import io
+import random
 from fractions import Fraction
 
 import pytest
 
 from prenovikov import (
+    FormMatrix,
     MatchedPair,
     PreNovikovAlgebra,
     PreNovikovBialgebra,
@@ -20,7 +22,7 @@ from prenovikov import (
     induced_matched_pair,
     standard_form,
 )
-from prenovikov import algebras, bialgebra, matched_double
+from prenovikov import algebras, bialgebra, core, labels, matched_double
 from prenovikov.cli import run_command
 from prenovikov.core import StructureConstants, mat_zero
 
@@ -239,3 +241,58 @@ def test_one_dual_algebra_per_double(monkeypatch, name):
     monkeypatch.setattr(bialgebra, "evaluate", counted)
     assert run_command(["double", str(FIXTURES / name)], out=io.StringIO()) == 0
     assert sum(calls) == 1
+
+
+def test_renamed_codes_read_no_derived_operand(monkeypatch, bialg2):
+    """``check_matched_pair`` evaluates the Novikov and module identities of
+    B by renaming ``o``, ``l`` and ``r`` in their specs.  A derived operand
+    (``labels.OPERANDS``) would be derived from the tables before the
+    rename, so those specs read only the renamed names, each a table of the
+    pair, and the call derives only the operands its mixed identities read."""
+    names = {name for code in labels.NOVIKOV + labels.NOVIKOV_REP for _, _, ns in labels.SPECS[code][1] for name in ns}
+    assert names == {"o", "l", "r"}
+    derived = []
+
+    class Recording(dict):
+        def __getitem__(self, name):
+            derived.append(name)
+            return super().__getitem__(name)
+
+    mp = induced_matched_pair(bialg2)
+    monkeypatch.setattr(labels, "OPERANDS", Recording(labels.OPERANDS))
+    core._program.cache_clear()  # (derived operands are looked up when a call is compiled)
+    assert check_matched_pair(mp).passed
+    assert set(derived) == {"lA-rA", "lB-rB"}  # read by 3.1 and 3.3
+
+
+def test_violations_come_in_code_then_witness_order():
+    """``report.verify`` sorts nothing: every report of a tree lists its
+    violations code by code ("2.9" before "2.10"; the quasi-Frobenius rows
+    after 2.14, "nondegenerate" before "skew") and each code's witnesses in
+    lexicographic order, shifted or not, which is the order a sort on
+    (numeric code parts, witness index) gives."""
+    def order(v):
+        return tuple((0, int(p), "") if p.isdigit() else (1, 0, p) for p in v.identity.split(".")), v.witness_index
+
+    rng = random.Random(7)
+
+    def tables(*shape):
+        return [[[Fraction(rng.choice((-1, 0, 1)), rng.choice((1, 2))) for _ in range(shape[2])]
+                 for _ in range(shape[1])] for _ in range(shape[0])]
+
+    op = StructureConstants.from_rows(tables(3, 3, 3))
+    degenerate = FormMatrix(3, tuple(tuple(map(Fraction, row)) for row in ((1, 2, 0), (0, 0, 1), (1, 2, 1))))
+    qf = check_quasi_frobenius(op, degenerate)
+    assert {v.identity for v in qf.violations} == {"2.14", "nondegenerate", "skew"}
+    alg = PreNovikovAlgebra(op, StructureConstants.from_rows(tables(3, 3, 3)))
+    mp = MatchedPair(op, StructureConstants.from_rows(tables(2, 2, 2)), tables(3, 2, 2), tables(3, 2, 2),
+                     tables(2, 3, 3), tables(2, 3, 3))
+    reports = [qf, check_bialgebra(alg, PreNovikovCoalgebra(3, tables(3, 3, 3), tables(3, 3, 3))),
+               check_matched_pair(mp)]
+    checked = 0
+    while reports:
+        report = reports.pop()
+        assert list(report.violations) == sorted(report.violations, key=order)
+        checked += bool(report.violations)
+        reports.extend(report.sections)
+    assert checked >= 9
