@@ -124,11 +124,11 @@ def check_quasi_frobenius(op: StructureConstants, w: FormMatrix, basis=None) -> 
     if op.dim != w.dim:
         raise InputError("form/algebra dimension mismatch")
     skew = evaluate({"": [(1, "ij->ij", ("w",)), (1, "ji->ij", ("w",))]}, w.tables)[""]
-    rows = [(labels.QF_NONDEGENERATE, (), ("determinant is zero",))] if exact_det(w.tables["w"]) == 0 else []
-    rows += [(labels.QF_SKEW, (int(i), int(j)), (str(Fraction(int(skew.num[i, j]), skew.den)),))
-             for i, j in zip(*np.nonzero(np.triu(skew.num)))]
-    tree = Tree("quasi_frobenius", (labels.QF_SKEW, labels.QF_NONDEGENERATE, labels.QF_COCYCLE),
-                basis or default_labels(op.dim))
+    lab = basis or default_labels(op.dim)
+    rows = [(labels.QF_NONDEGENERATE, (), (), ("determinant is zero",))] if exact_det(w.tables["w"]) == 0 else []
+    rows += [(labels.QF_SKEW, (i, j), (lab[i], lab[j]), (str(Fraction(int(skew.num[i, j]), skew.den)),))
+             for i, j in zip(*(a.tolist() for a in np.nonzero(np.triu(skew.num))))]
+    tree = Tree("quasi_frobenius", (labels.QF_SKEW, labels.QF_NONDEGENERATE, labels.QF_COCYCLE), lab)
     return verify(tree, {"o": op.table, **w.tables}, rows)
 
 

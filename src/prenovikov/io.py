@@ -24,7 +24,7 @@ import numpy as np
 from .algebras import FormMatrix, NovikovAlgebra, PreNovikovAlgebra
 from .bialgebra import PreNovikovBialgebra, PreNovikovCoalgebra
 from .core import Exact, InputError, StructureConstants, rationals
-from .labels import render_identity
+from .labels import IDENTITIES, render_identity
 from .report import Report, Violation
 from .representations import (
     NovikovRep,
@@ -275,45 +275,44 @@ def bundle_to_objects(bundle: Bundle):
 # ---------------------------------------------------------------------------
 
 def render_report(report: Report, fmt: str = "text") -> str:
+    """A report as text or as its machine document, written from its entries."""
     if fmt == "machine":
-        return dumps(_report_doc(report)) + "\n"
+        return _report_json(report, "\n") + "\n"
     if fmt != "text":
         raise InputError(f"format must be 'text' or 'machine', got {fmt!r}")
-    return "\n".join(_report_lines(report, 0)) + "\n"
+    return "\n".join(_report_lines(report, "", [])) + "\n"
 
 
-def _report_lines(report: Report, depth: int) -> list[str]:
-    pad = "  " * depth
-    verdict = "PASS" if report.passed else "FAIL"
-    lines = [f"{pad}{verdict} {report.name}"]
+def _report_lines(report: Report, pad: str, lines: list) -> list[str]:
+    lines.append(f"{pad}{'PASS' if report.passed else 'FAIL'} {report.name}")
     if report.identities:
-        lines.append(pad + "  checked: " + ", ".join(render_identity(i) for i in report.identities))
-    for v in report.violations:
-        witness = ",".join(v.witness)
-        residual = ", ".join(v.residual)
-        lines.append(f"{pad}  {render_identity(v.identity)} violated at ({witness}): residual ({residual})")
+        lines.append(pad + "  checked: " + ", ".join(map(render_identity, report.identities)))
+    for code, _, witness, residual in report.entries:
+        lines.append(f"{pad}  {render_identity(code)} violated at ({','.join(witness)}): "
+                     f"residual ({', '.join(residual)})")
     for section in report.sections:
-        lines.extend(_report_lines(section, depth + 1))
+        _report_lines(section, pad + "  ", lines)
     return lines
 
 
-def _report_doc(report: Report) -> dict:
-    return {
-        "kind": "report",
-        "name": report.name,
-        "verdict": "pass" if report.passed else "fail",
-        "identities": list(report.identities),
-        "violations": [
-            {
-                "identity": v.identity,
-                "witness_index": list(v.witness_index),
-                "witness": list(v.witness),
-                "residual": list(v.residual),
-            }
-            for v in report.violations
-        ],
-        "sections": [_report_doc(s) for s in report.sections],
-    }
+def _json_list(items, pad: str) -> str:
+    """JSON texts as a list, laid out as ``dumps`` lays it out at indent ``pad``."""
+    body = ("," + pad + "  ").join(items)
+    return f"[{pad}  {body}{pad}]" if body else "[]"
+
+
+def _report_json(report: Report, pad: str) -> str:
+    """The report's document as ``dumps`` writes it at indent ``pad``, keys sorted."""
+    p1, p2, p3, esc = pad + "  ", pad + "    ", pad + "      ", encode_basestring_ascii
+    violations = (f'{{{p3}"identity": {esc(code)},{p3}"residual": {_json_list(map(esc, residual), p3)},'
+                  f'{p3}"witness": {_json_list(map(esc, witness), p3)},'
+                  f'{p3}"witness_index": {_json_list(map(str, index), p3)}{p2}}}'
+                  for code, index, witness, residual in report.entries)
+    sections = (_report_json(s, p2) for s in report.sections)
+    return (f'{{{p1}"identities": {_json_list(map(esc, report.identities), p1)},{p1}"kind": "report",'
+            f'{p1}"name": {esc(report.name)},{p1}"sections": {_json_list(sections, p1)},'
+            f'{p1}"verdict": "{"pass" if report.passed else "fail"}",'
+            f'{p1}"violations": {_json_list(violations, p1)}{pad}}}')
 
 
 def parse_report(text: str) -> Report:
@@ -348,9 +347,12 @@ def _report_from_doc(raw: Any) -> Report:
     if not isinstance(raw, dict) or raw.get("kind") != "report":
         raise InputError("not a machine report document")
     name, identities, violations, sections = _fields(raw, _REPORT, "report")
-    violations = (_fields(v, _VIOLATION, "report violation") for v in violations)
-    report = Report(name, tuple(identities), tuple(Violation(code, *map(tuple, lists)) for code, *lists in violations),
-                    tuple(map(_report_from_doc, sections)))
+    violations = tuple(Violation(code, *map(tuple, lists))
+                       for code, *lists in (_fields(v, _VIOLATION, "report violation") for v in violations))
+    for field, code in [*(("identities", c) for c in identities), *(("identity", v.identity) for v in violations)]:
+        if code not in IDENTITIES:
+            raise InputError(f"{field}: expected an identity code of labels.IDENTITIES, got {code!r}")
+    report = Report(name, tuple(identities), violations, tuple(map(_report_from_doc, sections)))
     verdict = raw.get("verdict")
     if verdict not in ("pass", "fail") or (verdict == "pass") != report.passed:
         raise InputError("report verdict does not match its violation list")

@@ -35,7 +35,7 @@ from .core import (
     direct_sum_table,
     held,
 )
-from .report import Report, Tree, default_labels, split_labels, verify
+from .report import Report, Tree, default_labels, verify
 from .representations import RepMaps, dual_adjoint_maps
 
 
@@ -195,7 +195,7 @@ def double_from_bialgebra(bialg: PreNovikovBialgebra) -> DoubleConstruction:
     if not bi_report.passed:
         raise RefusalError("not a pre-Novikov bialgebra", bi_report)
     mp = induced_matched_pair(bialg)
-    lab = split_labels(n)
+    lab = default_labels(n) + tuple(f"{x}*" for x in default_labels(n))  # e1..en, e1*..en*
     mp_report = check_matched_pair(mp, basis_a=lab[:n], basis_b=lab[n:])
     if not mp_report.passed:
         raise InternalCheckError("theorem (induced_matched_pair): a bialgebra's induced pair is not matched")

@@ -5,15 +5,18 @@ A report names the identities it evaluated, lists every violation (witness
 basis tuple plus the exact nonzero residual), and may nest sub-reports for
 composite checks.  Every verifier declares its report as a ``Tree`` and makes
 it with one ``verify`` call, which evaluates the whole tree in one kernel
-call.  Violations are listed identity by identity in code order, each
-identity's witnesses in lexicographic order, so reports are deterministic.
+call and keeps each failing code's residual array.  Violations are listed
+identity by identity in code order, each identity's witnesses in
+lexicographic order, so reports are deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import chain
+from functools import cached_property
+from itertools import chain, starmap
+from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,35 +28,69 @@ def default_labels(n: int, prefix: str = "e") -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(n))
 
 
-def split_labels(n: int) -> tuple[str, ...]:
-    """Basis labels for a double space: e1..en then e1*..en*."""
-    return tuple(f"e{i + 1}" for i in range(n)) + tuple(f"e{i + 1}*" for i in range(n))
-
-
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     identity: str
     witness_index: tuple[int, ...]
     witness: tuple[str, ...]
     residual: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+class ReportBuilder:
+    """The one place a violation view is made, from the fields ``entries``
+    lists (``bench/tracer.py`` wraps ``residual`` to count views)."""
+
+    residual = staticmethod(Violation)
+
+
 class Report:
-    name: str
-    identities: tuple[str, ...] = ()
-    violations: tuple[Violation, ...] = ()
-    sections: tuple["Report", ...] = ()
+    """A verifier's report.  ``verify`` makes it hold ``blocks``: per failing
+    code ``(code, numerators flattened past the witness axes, denominator,
+    witness offsets)`` into basis ``labels``.  The ``violations`` it is given
+    (rows, or a parsed report's) follow them.  Views are made on first read."""
+
+    def __init__(self, name: str, identities=(), violations=(), sections=(), labels=(), blocks=()):
+        self.name, self.identities, self.sections = name, identities, sections
+        self.labels, self.blocks, self.rows = labels, blocks, violations
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        return tuple(starmap(ReportBuilder.residual, self.entries))
 
     @property
     def passed(self) -> bool:
-        return not self.violations and all(s.passed for s in self.sections)
+        return not (self.blocks or self.rows) and all(s.passed for s in self.sections)
 
     def all_violations(self) -> tuple[Violation, ...]:
-        out = list(self.violations)
-        for s in self.sections:
-            out.extend(s.all_violations())
-        return tuple(out)
+        return self.violations + tuple(chain.from_iterable(s.all_violations() for s in self.sections))
+
+    @cached_property
+    def entries(self) -> tuple:
+        """Each violation as a tuple of ``Violation``'s fields: code by code,
+        witnesses in ``np.nonzero`` (lexicographic) order, then the rows; one
+        residual string per distinct value of a code, and no ``Fraction``."""
+        label, out = self.labels.__getitem__, []
+        for code, flat, den, offsets in self.blocks:
+            at = np.nonzero((flat != 0).any(axis=-1))
+            values = flat[at].tolist()
+            text = {}
+            for x in set(chain.from_iterable(values)):
+                g = gcd(x, den)
+                text[x] = str(x // g) if g == den else f"{x // g}/{den // g}"
+            for idx, value in zip(zip(*((a + o).tolist() for a, o in zip(at, offsets))), values):
+                out.append((code, idx, tuple(map(label, idx)), tuple(map(text.__getitem__, value))))
+        return (*out, *self.rows)
+
+    def _key(self) -> tuple:
+        return self.name, self.identities, self.violations, self.sections
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, Report) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "Report(name=%r, identities=%r, violations=%r, sections=%r)" % self._key()
 
 
 @dataclass(frozen=True)
@@ -75,21 +112,6 @@ class Tree:
     read: dict | None = None
 
 
-class ReportBuilder:
-    """Collects the violations of the report a ``Tree`` declares."""
-
-    def __init__(self, tree: Tree):
-        self.tree, self._violations = tree, []
-
-    def residual(self, identity: str, witness: tuple[int, ...], value: tuple[str, ...]) -> None:
-        """Record a violation: ``value`` is the nonzero residual vector at
-        ``witness``, each entry the string of a reduced fraction."""
-        self._violations.append(Violation(identity, witness, tuple(self.tree.labels[i] for i in witness), value))
-
-    def build(self, sections=()) -> Report:
-        return Report(self.tree.name, self.tree.codes, tuple(self._violations), tuple(sections))
-
-
 def _specs(tree: Tree, path: tuple, out: dict) -> dict:
     """The term lists of every spec in ``tree``, keyed ``(path, code)``."""
     for code in tree.codes:
@@ -103,19 +125,14 @@ def _specs(tree: Tree, path: tuple, out: dict) -> dict:
 
 
 def verify(tree: Tree, tables: dict, rows=()) -> Report:
-    """The report ``tree`` declares, on ``tables``, from one kernel call.
-
-    Violations are listed code by code in the order of ``tree.codes``, each
-    code's witnesses in lexicographic order (that of ``np.nonzero``, which a
-    shift keeps), and then ``rows``: the root's violations that are no
-    spec's residual, ``(code, witness index, residual strings)``.  One
-    residual string is built per distinct value of a code.
-    """
+    """The report ``tree`` declares, on ``tables``, from one kernel call.  It
+    holds each code's residual array unless it is all zero; ``rows``, the
+    root's violations that are no spec's residual, follow the codes'."""
     return _build(tree, (), contract(_specs(tree, (), {}), tables), rows)
 
 
 def _build(tree: Tree, path: tuple, residuals: dict, rows=()) -> Report:
-    rb = ReportBuilder(tree)
+    blocks = []
     for code in tree.codes:
         if tree.read:
             source, sign, subs = tree.read[code]
@@ -127,12 +144,7 @@ def _build(tree: Tree, path: tuple, residuals: dict, rows=()) -> Report:
             continue
         witness = SPECS[code][0]
         flat = num.reshape(num.shape[: len(witness)] + (-1,))
-        offsets = [tree.shift.get(letter, 0) for letter in witness]
-        at = np.nonzero((flat != 0).any(axis=-1))
-        values = flat[at].tolist()
-        text = {x: str(Fraction(x, den)) for x in set(chain.from_iterable(values))}
-        for idx, value in zip(zip(*(a.tolist() for a in at)), values):
-            rb.residual(code, tuple(i + o for i, o in zip(idx, offsets)), tuple(text[x] for x in value))
-    for row in rows:
-        rb.residual(*row)
-    return rb.build(_build(section, path + (k,), residuals) for k, section in enumerate(tree.sections))
+        if flat.any():
+            blocks.append((code, flat, den, [tree.shift.get(letter, 0) for letter in witness]))
+    sections = tuple(_build(section, path + (k,), residuals) for k, section in enumerate(tree.sections))
+    return Report(tree.name, tree.codes, rows, sections, tree.labels, blocks)

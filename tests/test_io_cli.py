@@ -142,7 +142,7 @@ def test_render_report_text_and_machine():
     assert "PASS" in out and "violated" not in out
     machine = render_report(report, "machine")
     back = parse_report(machine)
-    assert back == report
+    assert back == report and hash(back) == hash(report) and back != tuple(report.violations)
     assert render_report(back, "machine") == machine
     with pytest.raises(InputError):
         render_report(report, "markdown")
@@ -205,6 +205,21 @@ def test_parse_report_checks_field_types(field, value):
     else:
         doc[field] = value
     with pytest.raises(InputError, match=f"^{field}: expected"):
+        parse_report(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field, code", [("identities", ""), ("identity", ""), ("identity", "9.99"),
+                                         ("identities", "2.1 ")])
+def test_parse_report_refuses_unknown_identity_codes(field, code):
+    """An identity code that is no key of ``labels.IDENTITIES`` is refused,
+    naming its field; the empty one made the text render raise IndexError."""
+    doc = {"kind": "report", "name": "x", "verdict": "fail", "identities": ["2.1"],
+           "violations": [dict(_VIOLATION)], "sections": []}
+    if field == "identity":
+        doc["violations"][0]["identity"] = code
+    else:
+        doc["identities"] = [code]
+    with pytest.raises(InputError, match=f"^{field}: expected an identity code"):
         parse_report(json.dumps(doc))
 
 

@@ -1,6 +1,6 @@
 """The compiled kernel programs of ``core``: their per-sum overflow bound,
 their cache under random specs, their pathed branch at dimension 8, and the
-boxing of report residuals."""
+residual strings and violation views of reports."""
 
 import itertools
 import random
@@ -10,8 +10,10 @@ import numpy as np
 from hypothesis import given, settings
 
 from prenovikov import core, labels
-from prenovikov.algebras import check_pre_novikov
+from prenovikov.algebras import PreNovikovAlgebra, check_pre_novikov
+from prenovikov.bialgebra import PreNovikovCoalgebra, check_bialgebra
 from prenovikov.core import StructureConstants, contract
+from prenovikov.io import render_report
 from prenovikov.report import ReportBuilder
 
 from kernel_reference import derive, overflow_bound, reference, table_of
@@ -132,19 +134,42 @@ def test_dim8_lemma_equations_along_paths_match_reference(monkeypatch):
     assert any(pathed)
 
 
-def test_report_boxes_one_fraction_per_distinct_residual(monkeypatch):
-    """Every nonzero witness is still recorded through ``residual``; equal
-    residual values of one identity share one Fraction object."""
+def test_report_boxes_one_fraction_per_distinct_residual():
+    """Every nonzero witness is listed, with its residual; equal residual
+    values of one identity share one string object."""
     rng = random.Random(3)
     rows = [[[rng.choice((-1, 0, 1)) for _ in range(3)] for _ in range(3)] for _ in range(3)]
     lhd, rhd = StructureConstants.from_rows(rows), StructureConstants.from_rows(rows[::-1])
-    seen = []
-    residual = ReportBuilder.residual
-    monkeypatch.setattr(ReportBuilder, "residual",
-                        lambda self, code, w, value: seen.append((code, value)) or residual(self, code, w, value))
     report = check_pre_novikov(lhd, rhd)
-    assert len(seen) == len(report.violations) > 0
+    operands = {m for code in labels.PRE_NOVIKOV for _, _, ns in labels.SPECS[code][1] for m in ns}
+    tables = derive(sorted(operands), {"<": lhd.c, ">": rhd.c})
+    want = {}
+    for code in labels.PRE_NOVIKOV:
+        witness = len(labels.SPECS[code][0])
+        for idx, value in sorted(reference(labels.SPECS[code][1], tables).items()):
+            want.setdefault((code, idx[:witness]), []).append(str(value))
+    want = {key: tuple(value) for key, value in want.items() if set(value) != {"0"}}
+    assert {(v.identity, v.witness_index): v.residual for v in report.violations} == want
+    assert len(report.violations) == len(want) > 0
     for code in labels.PRE_NOVIKOV:
         boxes = {}
-        for x in (x for c, value in seen if c == code for x in value):
+        for x in (x for v in report.violations if v.identity == code for x in v.residual):
             assert boxes.setdefault(x, x) is x
+
+
+def test_passed_makes_no_violation_view(monkeypatch):
+    """``passed`` and both renderings of a failing bialgebra report read the
+    held residual arrays: no violation view is made through
+    ``ReportBuilder.residual`` until the violations are read, and then one
+    per violation."""
+    made = []
+    residual = ReportBuilder.residual
+    monkeypatch.setattr(ReportBuilder, "residual", lambda *fields: made.append(fields) or residual(*fields))
+    rng = random.Random(5)
+    tables = [[[[rng.choice((-1, 0, 1)) for _ in range(2)] for _ in range(2)] for _ in range(2)] for _ in range(4)]
+    lhd, rhd, alpha, beta = map(StructureConstants.from_rows, tables)
+    report = check_bialgebra(PreNovikovAlgebra(lhd, rhd), PreNovikovCoalgebra(2, alpha.c, beta.c))
+    assert not report.passed
+    render_report(report, "text"), render_report(report, "machine")
+    assert made == []
+    assert len(report.all_violations()) == len(made) > 0
