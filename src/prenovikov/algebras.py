@@ -27,6 +27,7 @@ from .core import (
     evaluate,
     exact,
     exact_det,
+    fraction_texts,
     held,
     sum_batched,
     zero_mask,
@@ -126,8 +127,11 @@ def check_quasi_frobenius(op: StructureConstants, w: FormMatrix, basis=None) -> 
     skew = evaluate({"": [(1, "ij->ij", ("w",)), (1, "ji->ij", ("w",))]}, w.tables)[""]
     lab = basis or default_labels(op.dim)
     rows = [(labels.QF_NONDEGENERATE, (), (), ("determinant is zero",))] if exact_det(w.tables["w"]) == 0 else []
-    rows += [(labels.QF_SKEW, (i, j), (lab[i], lab[j]), (str(Fraction(int(skew.num[i, j]), skew.den)),))
-             for i, j in zip(*(a.tolist() for a in np.nonzero(np.triu(skew.num))))]
+    at = np.nonzero(np.triu(skew.num))
+    values = skew.num[at].tolist()
+    text = fraction_texts(values, skew.den)
+    rows += [(labels.QF_SKEW, (i, j), (lab[i], lab[j]), (text[v],))
+             for i, j, v in zip(*(a.tolist() for a in at), values)]
     tree = Tree("quasi_frobenius", (labels.QF_SKEW, labels.QF_NONDEGENERATE, labels.QF_COCYCLE), lab)
     return verify(tree, {"o": op.table, **w.tables}, rows)
 

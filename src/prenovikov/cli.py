@@ -21,7 +21,7 @@ from .algebras import (
     derived_ops,
 )
 from .bialgebra import check_bialgebra, check_coalgebra
-from .core import InputError, RefusalError
+from .core import InputError, RefusalError, fraction_texts
 from .io import (
     FLAVORS,
     Bundle,
@@ -33,7 +33,6 @@ from .io import (
     pre_novikov_bundle,
     render_report,
     serialize_bundle,
-    _encode,
 )
 from .matched_double import double_from_bialgebra
 from .report import default_labels
@@ -76,11 +75,10 @@ def _emit(out, text: str) -> None:
     out.write(text if text.endswith("\n") else text + "\n")
 
 
-def _cmd_check(args, out) -> int:
-    bundle = _load(args.bundle)
-    basis = bundle.data.get("basis")
+def _verify(bundle: Bundle) -> tuple:
+    """The bundle's library objects and the report of its kind's verifier."""
+    kind, basis = bundle.kind, bundle.data.get("basis")
     obj = bundle_to_objects(bundle)
-    kind = bundle.kind
     if kind == "novikov":
         report = check_novikov(obj.op, basis=basis)
     elif kind == "pre_novikov":
@@ -99,35 +97,35 @@ def _cmd_check(args, out) -> int:
             report = flavor["operator"](*obj[:2], bundle.data["t"], module_basis=module_basis)
     else:
         raise InputError(f"no verifier for bundle kind {kind!r}")
+    return obj, report
+
+
+def _cmd_check(args, out) -> int:
+    _, report = _verify(_load(args.bundle))
     _emit(out, render_report(report, args.format))
     return 0 if report.passed else 1
 
 
 def _cmd_derive(args, out) -> int:
     bundle = _load(args.bundle)
-    basis = bundle.data.get("basis")
-    if bundle.kind == "pre_novikov":
-        alg = bundle_to_objects(bundle)
-        report = check_pre_novikov(alg.lhd, alg.rhd, basis=basis)
-    elif bundle.kind == "rep":
-        alg, rep = bundle_to_objects(bundle)
-        flavor = bundle.data["flavor"]
-        report = FLAVORS[flavor]["check"](alg, rep, basis=basis, module_basis=bundle.data.get("module_basis"))
-    else:
+    if bundle.kind not in ("pre_novikov", "rep"):
         raise InputError(f"derive expects a pre_novikov or rep bundle, got {bundle.kind!r}")
+    obj, report = _verify(bundle)
     if not report.passed:
         _emit(out, render_report(report, args.format))
         return 1
     if bundle.kind == "rep":
+        flavor, rep = bundle.data["flavor"], obj[1]
         parts = {"dual_rep": _maps_doc(flavor, FLAVORS[flavor]["dual"](rep.certified()))}
     else:
+        alg, basis = obj, bundle.data.get("basis")
         nov = associated_novikov(alg)
         odot, star = derived_ops(alg)
         nov_rep, pre_rep = adjoint_reps(alg)
         parts = {
             "associated": bundle_doc(make_bundle("novikov", basis, dim=nov.dim, product=nov.op.table)),
-            "odot": _encode(odot.table),
-            "star": _encode(star.table),
+            "odot": odot.table,
+            "star": star.table,
             "adjoint_novikov_rep": _maps_doc("novikov", nov_rep),
             "adjoint_pre_novikov_rep": _maps_doc("pre_novikov", pre_rep),
             "dual_novikov_rep": _maps_doc("novikov", dual_novikov_rep(nov_rep)),
@@ -138,7 +136,8 @@ def _cmd_derive(args, out) -> int:
 
 
 def _maps_doc(flavor: str, rep) -> dict:
-    return {name: _encode(getattr(rep, name)) for name in FLAVORS[flavor]["maps"]}
+    """The rep's map families by field name, as the ``Exact`` arrays it holds."""
+    return {name: rep.tables[vars(type(rep))[name].key] for name in FLAVORS[flavor]["maps"]}
 
 
 def _cmd_double(args, out) -> int:
@@ -179,25 +178,18 @@ def _cmd_ybe(args, out) -> int:
     residual = _ybe(alg, r)
     zero = not residual.num.any()
     if args.format == "machine":
-        doc = {
-            "kind": "ybe",
-            "residual_zero": zero,
-            "residual": _encode(residual),
-        }
+        doc = {"kind": "ybe", "residual_zero": zero, "residual": residual}
         if r.T == r:
             doc["equivalent_verdicts"] = list(co2_equivalence(alg, r))
         _emit(out, dumps(doc))
     else:
         _emit(out, f"residual zero: {'yes' if zero else 'no'}")
-        if not zero:
-            nonzero = [
-                f"  [{i},{j},{k}] = {v}"
-                for i, plane in enumerate(residual.nested)
-                for j, row in enumerate(plane)
-                for k, v in enumerate(row)
-                if v
-            ]
-            _emit(out, "\n".join(nonzero[:32]))
+        if not zero:  # the first 32 nonzero entries, in row-major order
+            at = tuple(axis[:32] for axis in residual.num.nonzero())
+            values = residual.num[at].tolist()
+            text = fraction_texts(values, residual.den)
+            _emit(out, "\n".join(f"  [{i},{j},{k}] = {text[v]}"
+                                 for i, j, k, v in zip(*(a.tolist() for a in at), values)))
         if r.T == r:
             a, b, c = co2_equivalence(alg, r)
             _emit(out, f"equivalent verdicts: residual={a} novikov_operator={b} pre_novikov_operator={c}")
@@ -261,13 +253,10 @@ def _cmd_diag(args, out) -> int:
     _, alg, r = _load_algebra_and_tensor(args, "diag")
     diag = coboundary_diagnostics(alg, r)
     if args.format == "machine":
-        doc = {
-            "kind": "diagnostics",
-            "condition_residuals": {k: _encode(v) for k, v in diag.condition_residuals.items()},
-            "r_tensors": {k: _encode(v) for k, v in diag.r_tensors.items()},
-            "equation_residuals": {k: _encode(v) for k, v in diag.equation_residuals.items()},
-        }
-        _emit(out, dumps(doc))
+        groups = {"condition_residuals": labels.COBOUNDARY_CONDITIONS, "r_tensors": labels.R_TENSORS,
+                  "equation_residuals": labels.COBOUNDARY_EQUATIONS}
+        doc = {name: {key: diag.arrays[key] for key in keys} for name, keys in groups.items()}
+        _emit(out, dumps({"kind": "diagnostics", **doc}))
     else:
         _emit(out, f"operator conditions all zero: {'yes' if diag.conditions_zero() else 'no'}")
         for code in sorted(labels.COBOUNDARY_CONDITIONS):

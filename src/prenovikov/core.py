@@ -535,6 +535,17 @@ def nested_fractions(num: np.ndarray, den: int = 1) -> tuple:
     return tuple(flat)
 
 
+def fraction_texts(ints, den: int) -> dict:
+    """Each distinct integer of ``ints`` over the positive ``den`` -> its
+    reduced ``"p"`` or ``"p/q"`` string, as ``str(Fraction(x, den))`` writes
+    it: one string per value."""
+    text = {}
+    for x in set(ints):
+        g = gcd(x, den)
+        text[x] = str(x // g) if g == den else f"{x // g}/{den // g}"
+    return text
+
+
 def evaluate(specs: dict, tables: dict) -> dict:
     """``contract`` as ``Exact`` arrays, key by key."""
     return {key: Exact(num, den) for key, (num, den) in contract(specs, tables).items()}

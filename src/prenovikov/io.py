@@ -8,7 +8,8 @@ each flavor's algebra tables and map families.  Parsing is strict: unknown
 fields and shape mismatches are rejected with the offending path, syntax
 errors with line and column.  Serialization is canonical (sorted keys, reduced
 fractions, two-space indent, trailing newline), so parse-serialize round trips
-are byte-identical.
+are byte-identical.  ``dumps`` writes every document but reports, from the
+``Exact`` arrays as the package holds them.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import prod
 from typing import Any
-
-import numpy as np
 
 from .algebras import FormMatrix, NovikovAlgebra, PreNovikovAlgebra
 from .bialgebra import PreNovikovBialgebra, PreNovikovCoalgebra
-from .core import Exact, InputError, StructureConstants, rationals
+from .core import Exact, InputError, StructureConstants, fraction_texts, rationals
 from .labels import IDENTITIES, render_identity
 from .report import Report, Violation
 from .representations import (
@@ -174,47 +174,52 @@ def parse_bundle(text: str) -> Bundle:
     return Bundle(kind, data)
 
 
-def _encode(value: Any) -> Any:
-    if isinstance(value, Exact):  # one string per distinct entry
-        flat = value.num.ravel().tolist()
-        text = {x: str(Fraction(x, value.den)) for x in set(flat)}
-        return np.array([text[x] for x in flat], dtype=object).reshape(value.shape).tolist()
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, tuple):
-        return [_encode(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _encode(v) for k, v in sorted(value.items())}
-    return value
-
-
-_LITERALS = {"None": "null", "True": "true", "False": "false", "()": "[]"}
+def _json_list(items, pad: str, ends: str = "[]") -> str:
+    """JSON texts as a list (an object, with ``ends`` "{}", when they are its
+    ``"key": value`` texts) laid out at indent ``pad``: the one layout rule."""
+    body = ("," + pad + "  ").join(items)
+    return f"{ends[0]}{pad}  {body}{pad}{ends[1]}" if body else ends
 
 
 def dumps(doc: Any) -> str:
-    """Canonical JSON text: byte for byte ``json.dumps(doc, sort_keys=True, indent=2)``."""
-    out: list[str] = []
+    """Canonical JSON text: byte for byte ``json.dumps(doc, sort_keys=True,
+    indent=2)`` of ``doc`` with each ``Exact`` array written as nested lists
+    of its reduced fraction strings and each ``Fraction`` as its string."""
+    return _json(doc, "\n")
 
-    def emit(value, pad: str) -> None:
-        if isinstance(value, (dict, list, tuple)) and value:
-            is_dict, inner = isinstance(value, dict), pad + "  "
-            out.append("{" if is_dict else "[")
-            for k, item in enumerate(sorted(value.items()) if is_dict else value):
-                key = encode_basestring_ascii(item[0]) + ": " if is_dict else ""
-                out.append(("," if k else "") + inner + key)
-                emit(item[1] if is_dict else item, inner)
-            out.append(pad + ("}" if is_dict else "]"))
-        elif isinstance(value, str):
-            out.append(encode_basestring_ascii(value))
-        else:  # null, booleans, numbers and empty containers
-            out.append(_LITERALS.get(text := repr(value), text))
-    emit(doc, "\n")
-    return "".join(out)
+
+def _json(value: Any, pad: str) -> str:
+    """``value`` as JSON text at indent ``pad``."""
+    if isinstance(value, Exact):
+        return _exact_json(value, pad)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        return _json_list((f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(value.items())),
+                          pad, "{}")
+    if isinstance(value, (list, tuple)):
+        return _json_list((_json(v, inner) for v in value), pad)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, Fraction):
+        return f'"{value}"'
+    return json.dumps(value)  # null, booleans and numbers
+
+
+def _exact_json(array: Exact, pad: str) -> str:
+    """An ``Exact`` array as nested JSON lists of its fraction strings, one
+    string per distinct value, its rows joined axis by axis."""
+    ints = array.num.ravel().tolist()
+    quoted = {x: f'"{text}"' for x, text in fraction_texts(ints, array.den).items()}
+    level = [quoted[x] for x in ints]
+    for axis in reversed(range(array.num.ndim)):
+        size, inner = array.shape[axis], pad + "  " * axis
+        level = [_json_list(level[k * size : (k + 1) * size], inner) for k in range(prod(array.shape[:axis]))]
+    return level[0]
 
 
 def bundle_doc(bundle: Bundle) -> dict:
-    """A bundle as a JSON document, fractions reduced to strings."""
-    return {"kind": bundle.kind, **_encode(bundle.data)}
+    """A bundle as the document ``dumps`` writes, its arrays as they are held."""
+    return {"kind": bundle.kind, **bundle.data}
 
 
 def serialize_bundle(bundle: Bundle) -> str:
@@ -293,12 +298,6 @@ def _report_lines(report: Report, pad: str, lines: list) -> list[str]:
     for section in report.sections:
         _report_lines(section, pad + "  ", lines)
     return lines
-
-
-def _json_list(items, pad: str) -> str:
-    """JSON texts as a list, laid out as ``dumps`` lays it out at indent ``pad``."""
-    body = ("," + pad + "  ").join(items)
-    return f"[{pad}  {body}{pad}]" if body else "[]"
 
 
 def _report_json(report: Report, pad: str) -> str:

@@ -15,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, starmap
-from math import gcd
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import contract
+from .core import contract, fraction_texts
 from .labels import SPECS
 
 
@@ -72,10 +71,7 @@ class Report:
         for code, flat, den, offsets in self.blocks:
             at = np.nonzero((flat != 0).any(axis=-1))
             values = flat[at].tolist()
-            text = {}
-            for x in set(chain.from_iterable(values)):
-                g = gcd(x, den)
-                text[x] = str(x // g) if g == den else f"{x // g}/{den // g}"
+            text = fraction_texts(chain.from_iterable(values), den)
             for idx, value in zip(zip(*((a + o).tolist() for a, o in zip(at, offsets))), values):
                 out.append((code, idx, tuple(map(label, idx)), tuple(map(text.__getitem__, value))))
         return (*out, *self.rows)

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from prenovikov.cli import run_command
 from prenovikov import core, labels
 from prenovikov.core import InputError
-from prenovikov import PreNovikovCoalgebra, check_bialgebra
+from prenovikov import PreNovikovCoalgebra, check_bialgebra, co2_equivalence, ybe_residual
 from prenovikov.io import (
     Bundle,
     bundle_doc,
@@ -22,6 +23,7 @@ from prenovikov.io import (
 )
 from prenovikov.report import Report, Violation
 
+from bundle_reference import encode
 from conftest import FIXTURES
 
 F = Fraction
@@ -113,7 +115,7 @@ def test_dumps_is_json_dumps_canonical():
     """The canonical emitter gives byte for byte what ``json.dumps`` with
     sorted keys and a two-space indent gives."""
     docs = [json.loads(path.read_text()) for path in ALL_FIXTURES]
-    docs += [bundle_doc(parse_bundle(path.read_text())) for path in ALL_FIXTURES]
+    docs += [encode(bundle_doc(parse_bundle(path.read_text()))) for path in ALL_FIXTURES]
     docs += _failing_bialgebra_reports()
     docs += [
         {}, [], (), "", 0, -7, 2**70, True, False, None,
@@ -292,6 +294,51 @@ def test_cli_double():
     assert bundle == expected
     code, _ = run(["double", fixture("dim2_pre_novikov.json")])
     assert code == 2
+
+
+def test_cli_writes_documents_without_nested_views(monkeypatch):
+    """``derive``, ``double``, ``coboundary`` and the machine ``diag`` and
+    ``ybe`` documents are written from the ``Exact`` arrays: no nested
+    Fraction view is built."""
+    views = []
+    nested_fractions = core.nested_fractions
+
+    def counted(*args):
+        views.append(args[0].shape)
+        return nested_fractions(*args)
+
+    monkeypatch.setattr(core, "nested_fractions", counted)
+    alg, r = fixture("dim4_semidirect.json"), fixture("dim4_ybe_solution.json")
+    for argv in (["derive", fixture("dim4_semidirect.json")], ["derive", fixture("dim2_pre_rep.json")],
+                 ["derive", fixture("dim2_rep.json")], ["--format", "machine", "diag", alg, r],
+                 ["--format", "machine", "ybe", alg, r], ["coboundary", alg, r],
+                 ["--format", "machine", "coboundary", alg, r], ["double", fixture("dim4_bialgebra.json")]):
+        assert run(argv)[0] == 0, argv
+        assert views == [], argv
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_cli_ybe_lists_the_first_32_nonzero_entries(tmp_path, symmetric):
+    """The text listing of a nonzero residual, against one built from
+    ``ybe_residual``'s nested view."""
+    rng = random.Random(4)
+    entries = [[F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(4)] for _ in range(4)]
+    entries = tuple(tuple(entries[min(i, j)][max(i, j)] if symmetric else entries[i][j] for j in range(4))
+                    for i in range(4))
+    path = tmp_path / "r.json"
+    path.write_text(serialize_bundle(Bundle("tensor2", {"dim": 4, "entries": entries})))
+    alg = bundle_to_objects(parse_bundle(Path(fixture("dim4_semidirect.json")).read_text()))
+    residual = ybe_residual(alg, entries)
+    nonzero = [(f"  [{i},{j},{k}] = {v}", v) for i, plane in enumerate(residual)
+               for j, row in enumerate(plane) for k, v in enumerate(row) if v]
+    assert len(nonzero) > 32 and any(v.denominator > 1 for _, v in nonzero[:32])
+    if symmetric:
+        a, b, c = co2_equivalence(alg, entries)
+        last = f"equivalent verdicts: residual={a} novikov_operator={b} pre_novikov_operator={c}"
+    else:
+        last = "r is not symmetric; operator-form verdicts skipped"
+    expected = ["residual zero: no", *(line for line, _ in nonzero[:32]), last]
+    assert run(["ybe", fixture("dim4_semidirect.json"), str(path)]) == (1, "\n".join(expected) + "\n")
 
 
 def test_cli_coboundary():
