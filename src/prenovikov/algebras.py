@@ -27,6 +27,7 @@ from .core import (
     evaluate,
     exact,
     exact_det,
+    fit_letters,
     fraction_texts,
     held,
     sum_batched,
@@ -72,16 +73,11 @@ class FormMatrix:
     w: tuple[tuple[Scalar, ...], ...] = held("w")
 
     def __post_init__(self):
-        n = self.dim
-        if self.tables["w"].shape != (n, n):
-            raise InputError(f"form matrix must be {n}x{n}")
+        fit_letters("form matrix", "nn", self.tables["w"].shape, {"n": self.dim})
 
     def pair(self, u: Vector, v: Vector) -> Scalar:
-        return sum(
-            (ui * self.w[i][j] * vj for i, ui in enumerate(u) if ui
-             for j, vj in enumerate(v) if vj),
-            Fraction(0),
-        )
+        value = evaluate({"": [(1, "i,ij,j->", ("u", "w", "v"))]}, {"u": u, **self.tables, "v": v})[""]
+        return Fraction(int(value.num), value.den)
 
 
 def sum_table(lhd: StructureConstants, rhd: StructureConstants) -> StructureConstants:
@@ -96,8 +92,6 @@ def check_novikov(op: StructureConstants, basis=None) -> Report:
 
 def check_pre_novikov(lhd: StructureConstants, rhd: StructureConstants, basis=None) -> Report:
     """Evaluate the four pre-Novikov identities (with o = < + >) on every triple."""
-    if lhd.dim != rhd.dim:
-        raise InputError("dimension mismatch between < and > tables")
     return verify(Tree("pre_novikov", labels.PRE_NOVIKOV, basis or default_labels(lhd.dim)),
                   {"<": lhd.table, ">": rhd.table})
 
@@ -122,10 +116,8 @@ def derived_ops(alg: PreNovikovAlgebra) -> tuple[StructureConstants, StructureCo
 
 def check_quasi_frobenius(op: StructureConstants, w: FormMatrix, basis=None) -> Report:
     """Skewsymmetry, exact nondegeneracy, and the 2-cocycle-type identity."""
-    if op.dim != w.dim:
-        raise InputError("form/algebra dimension mismatch")
     skew = evaluate({"": [(1, "ij->ij", ("w",)), (1, "ji->ij", ("w",))]}, w.tables)[""]
-    lab = basis or default_labels(op.dim)
+    lab = basis or default_labels(w.dim)  # (the skew rows index w; verify refuses any other op size)
     rows = [(labels.QF_NONDEGENERATE, (), (), ("determinant is zero",))] if exact_det(w.tables["w"]) == 0 else []
     at = np.nonzero(np.triu(skew.num))
     values = skew.num[at].tolist()

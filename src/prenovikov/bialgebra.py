@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import labels
 from .algebras import PreNovikovAlgebra
-from .core import InputError, StructureConstants, Tensor2, evaluate, held
+from .core import InputError, StructureConstants, Tensor2, evaluate, fit_letters, held
 from .report import Report, Tree, default_labels, verify
 
 CoMaps = tuple[Tensor2, ...]
@@ -35,10 +35,8 @@ class PreNovikovCoalgebra:
     beta: CoMaps = held("be")
 
     def __post_init__(self):
-        n = self.dim
         for name, key in (("alpha", "al"), ("beta", "be")):
-            if self.tables[key].shape != (n, n, n):
-                raise InputError(f"{name} must be an {n}x{n}x{n} array")
+            fit_letters(name, "nnn", self.tables[key].shape, {"n": self.dim})
 
     @cached_property
     def dual(self) -> tuple[StructureConstants, StructureConstants]:
@@ -86,8 +84,6 @@ def check_compatibility(alg: PreNovikovAlgebra, co: PreNovikovCoalgebra, basis=N
     operator factor (e.g. L> + 2R<) acting on one tensor leg; no algebraic
     simplification happens first.
     """
-    if alg.dim != co.dim:
-        raise InputError("algebra/coalgebra dimension mismatch")
     return verify(Tree("compatibility", labels.COMPATIBILITY, basis or default_labels(alg.dim)),
                   {**alg.tables, **co.tables})
 
@@ -95,8 +91,6 @@ def check_compatibility(alg: PreNovikovAlgebra, co: PreNovikovCoalgebra, basis=N
 def check_bialgebra(alg: PreNovikovAlgebra, co: PreNovikovCoalgebra, basis=None) -> Report:
     """Algebra axioms + coalgebra axioms + the eight compatibility identities,
     from one kernel call."""
-    if alg.dim != co.dim:
-        raise InputError("algebra/coalgebra dimension mismatch")
     lab = basis or default_labels(alg.dim)
     sections = (Tree("pre_novikov", labels.PRE_NOVIKOV, lab), _coalgebra_tree(lab),
                 Tree("compatibility", labels.COMPATIBILITY, lab))

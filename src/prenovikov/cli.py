@@ -21,7 +21,7 @@ from .algebras import (
     derived_ops,
 )
 from .bialgebra import check_bialgebra, check_coalgebra
-from .core import InputError, RefusalError, fraction_texts
+from .core import InputError, RefusalError, fit_letters, fraction_texts
 from .io import (
     FLAVORS,
     Bundle,
@@ -78,7 +78,7 @@ def _emit(out, text: str) -> None:
 def _verify(bundle: Bundle) -> tuple:
     """The bundle's library objects and the report of its kind's verifier."""
     kind, basis = bundle.kind, bundle.data.get("basis")
-    obj = bundle_to_objects(bundle)
+    obj = bundle_to_objects(Bundle("rep", bundle.data) if kind == "o_operator" else bundle)  # t stays unboxed
     if kind == "novikov":
         report = check_novikov(obj.op, basis=basis)
     elif kind == "pre_novikov":
@@ -94,7 +94,7 @@ def _verify(bundle: Bundle) -> tuple:
         if kind == "rep":
             report = flavor["check"](*obj, basis=basis, module_basis=module_basis)
         else:
-            report = flavor["operator"](*obj[:2], bundle.data["t"], module_basis=module_basis)
+            report = flavor["operator"](*obj, bundle.data["t"], module_basis=module_basis)
     else:
         raise InputError(f"no verifier for bundle kind {kind!r}")
     return obj, report
@@ -214,6 +214,7 @@ def _cmd_oper(args, out) -> int:
     alg = bundle_to_objects(alg_bundle)
     if alg != rep_alg:
         raise InputError("rep bundle algebra differs from the algebra bundle")
+    fit_letters("linmap", "nm", T.shape, {"n": alg.dim, "m": rep.module_dim})
     report = FLAVORS[flavor]["operator"](alg, rep, T, module_basis=rep_bundle.data.get("module_basis"))
     _emit(out, render_report(report, args.format))
     if args.lift:

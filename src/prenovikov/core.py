@@ -181,6 +181,15 @@ class held:
         obj.__dict__.setdefault("tables", {})[self.key] = exact(value)
 
 
+def fit_letters(what: str, letters: str, shape: tuple, sizes: dict) -> None:
+    """The one shape rule, of the kernel's compiler and of the constructors:
+    ``shape`` has one axis per letter and one size per letter.  A letter in
+    ``sizes`` keeps its size there and the others are added, so no size-1
+    axis is broadcast."""
+    if len(shape) != len(letters) or any(sizes.setdefault(c, k) != k for c, k in zip(letters, shape)):
+        raise InputError(f"{what}: shape {shape} does not fit {letters!r} at sizes {sizes}")
+
+
 # ---------------------------------------------------------------------------
 # the exact contraction kernel
 # ---------------------------------------------------------------------------
@@ -292,7 +301,8 @@ class _Program:
     once.  A batched sum's peak is the largest array a term forms (an einsum
     step or the copy it is summed into) plus the batched slots read twice
     and derived operands alive while it runs, in entries per member;
-    ``peak`` is the largest.
+    ``peak`` is the largest.  Each operand of a term must fit its letters
+    (``fit_letters``) and the terms of a sum give one shape.
     """
 
     def __init__(self, specs, inputs, batch):
@@ -310,16 +320,17 @@ class _Program:
             s, pos, on = len(order), {name: k for k, name in enumerate(names)}, not batched.isdisjoint(names)
             last.update(dict.fromkeys(names, s))
             own = [sum(degree[name] for name in ns) for _, _, ns in terms]
-            top, factors, compiled, most = max(own), [], [], 0
+            top, factors, compiled, most, ends = max(own), [], [], 0, set()
             for (coef, subs, ns), d in zip(terms, own):
                 groups, out = subs.split("->")
                 groups, at, sizes = groups.split(","), tuple(pos[name] for name in ns), {}
-                for letters, name in zip(groups, ns):
-                    sizes.update(zip(letters, shape[name][1:] if name in batched else shape[name]))
-                factors.append((abs(coef) * prod(size for c, size in sizes.items() if c not in out), top - d, at))
                 if on:
                     groups = ["N" + g if name in batched else g for g, name in zip(groups, ns)]
                     out, sizes["N"] = "N" + out, shape[next(name for name in names if name in batched)][0]
+                for letters, name in zip(groups, ns):
+                    fit_letters(f"spec {key!r}, operand {name!r}", letters, shape[name], sizes)
+                ends.add(tuple(sizes[c] for c in out))
+                factors.append((abs(coef) * prod(size for c, size in sizes.items() if c not in out), top - d, at))
                 slot = steps = None
                 if len(at) == 1 and len(set(groups[0])) == len(groups[0]) and sorted(groups[0]) == sorted(out):
                     axes = tuple(groups[0].index(c) for c in out)
@@ -332,6 +343,8 @@ class _Program:
                     last[slot], uses[slot] = s, uses.get(slot, 0) + 1
                 most = max(most, peak)
                 compiled.append((coef, top - d, at, axes, slot, steps))
+            if len(ends) > 1:
+                raise InputError(f"spec {key!r}: its terms give the shapes {sorted(ends)}")
             if derived:
                 shape[key], degree[key] = tuple(sizes[c] for c in out), top
                 batched.update([key] if on else [])
@@ -568,23 +581,15 @@ def mat_zero(rows: int, cols: int) -> Matrix:
     return tuple(vec_zero(cols) for _ in range(rows))
 
 
-def mat_shape(m: Matrix) -> tuple[int, int]:
-    return (len(m), len(m[0]) if m else 0)
-
-
 def mat_transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a)) if a else ()
+    return _contract1("ij->ji", a=a)
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
-    if m and len(m[0]) != len(v):
-        raise InputError(f"matrix/vector shape mismatch: {mat_shape(m)} vs {len(v)}")
     return _contract1("ij,j->i", m=m, v=v)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if mat_shape(a)[1] != mat_shape(b)[0]:
-        raise InputError(f"matrix shape mismatch: {mat_shape(a)[1]} vs {mat_shape(b)[0]}")
     return _contract1("ik,kj->ij", a=a, b=b)
 
 
@@ -623,10 +628,11 @@ def eliminate(m) -> tuple[Scalar, Exact | None]:
 
 
 def _square(m, message: str) -> Exact:
-    """``m`` as an ``Exact`` array, refused with ``message`` unless square."""
+    """``m`` as an ``Exact`` array, refused with ``message`` unless square
+    (``()``, the empty matrix, is square)."""
     m = exact(m)
-    if m.num.size and (m.num.ndim != 2 or m.shape[0] != m.shape[1]):
-        raise InputError(message)
+    if m.shape != (0,):
+        fit_letters(message, "aa", m.shape, {})
     return m
 
 
@@ -645,8 +651,6 @@ def mat_inverse(a: Matrix) -> Matrix:
 
 def solve_linear(a: Matrix, b: Vector) -> Vector:
     """Solve the square system a x = b exactly; raises InputError if singular."""
-    if len(b) != len(a):
-        raise InputError("solve_linear needs a square system")
     return mat_vec(mat_inverse(a), b)
 
 
@@ -663,11 +667,9 @@ class StructureConstants:
     c: Tensor3 = held("c")
 
     def __post_init__(self):
-        n = self.dim
-        if n <= 0:
+        if self.dim <= 0:
             raise InputError("dimension must be positive")
-        if self.table.shape != (n, n, n):
-            raise InputError(f"structure constants must have shape {n}x{n}x{n}")
+        fit_letters("structure constants", "nnn", self.table.shape, {"n": self.dim})
 
     @property
     def table(self) -> Exact:
@@ -683,27 +685,35 @@ class StructureConstants:
         return StructureConstants(n, Exact(np.zeros((n, n, n), dtype=np.int64)))
 
     def add(self, other: "StructureConstants") -> "StructureConstants":
-        if self.dim != other.dim:
-            raise InputError("dimension mismatch")
         terms = labels.OPERANDS["o"]
         return StructureConstants(self.dim, evaluate({"o": terms}, {"<": self.table, ">": other.table})["o"])
 
     def is_zero(self) -> bool:
         return not self.table.num.any()
 
+    def __eq__(self, other):  # (the dataclass hash reads the same table, as its nested view)
+        return self.table == other.table if isinstance(other, StructureConstants) else NotImplemented
 
-# Where each table of ``direct_sum_table`` goes, by the summand (A or M) of
-# each of its three slots, and the axes it is read with: a family X holds one
-# matrix per basis element, X[a][z][x] being the coefficient of the z-th basis
-# vector in X(a) applied to the x-th.
+
+# The tables of ``direct_sum_table``: the summand (A or M) of each axis, and
+# the axes that read it in the order of the product's slots.  A family X holds
+# one matrix per basis element, X[a][z][x] being the coefficient of the z-th
+# basis vector in X(a) applied to the x-th.
 _BLOCKS = {
     "o": ("AAA", (0, 1, 2)),
     ".": ("MMM", (0, 1, 2)),
     "lA": ("AMM", (0, 2, 1)),
-    "rA": ("MAM", (2, 0, 1)),
+    "rA": ("AMM", (2, 0, 1)),
     "lB": ("MAA", (0, 2, 1)),
-    "rB": ("AMA", (2, 0, 1)),
+    "rB": ("MAA", (2, 0, 1)),
 }
+
+
+def fit_blocks(tables: dict, n: int, m: int) -> None:
+    """The letter rule on ``_BLOCKS``' tables, with A of size n and M of size m."""
+    sizes = {"A": n, "M": m}
+    for name, table in tables.items():
+        fit_letters(name, _BLOCKS[name][0], table.shape, sizes)
 
 
 def direct_sum_table(n: int, m: int, tables: dict) -> StructureConstants:
@@ -714,29 +724,26 @@ def direct_sum_table(n: int, m: int, tables: dict) -> StructureConstants:
     with no validity requirement.  ``tables`` holds any of: the A product
     "o", the M product ".", the families lA, rA of A acting on M (n matrices
     of size m x m) and lB, rB of M acting on A (m matrices of size n x n); a
-    missing one is zero.  The tables are brought to one common denominator
-    and each is placed as one block of a zero table.
+    missing one is zero.  The tables, refused unless they fit their blocks, are
+    brought to one common denominator and placed as blocks of a zero table.
     """
     lifted, _, den = _lift(tables)
+    fit_blocks(lifted, n, m)
     span = {"A": slice(0, n), "M": slice(n, n + m)}
     c = np.zeros((n + m,) * 3, dtype=np.result_type(np.int64, *lifted.values()))
     for name, array in lifted.items():
-        summands, axes = _BLOCKS[name]
-        c[tuple(span[s] for s in summands)] = array.transpose(axes)
+        letters, axes = _BLOCKS[name]
+        c[tuple(span[letters[k]] for k in axes)] = array.transpose(axes)
     return StructureConstants(n + m, Exact(c, den))
 
 
 def apply_op(op: StructureConstants, a: Vector, b: Vector) -> Vector:
     """Evaluate the bilinear product on coordinate vectors."""
-    if len(a) != op.dim or len(b) != op.dim:
-        raise InputError(f"apply_op: expected vectors of length {op.dim}")
     return _contract1("i,j,ijk->k", a=a, b=b, c=op.table)
 
 
 def mult_matrix(op: StructureConstants, a: Vector, side: str) -> Matrix:
     """Matrix of left (b -> a*b) or right (b -> b*a) multiplication by a."""
-    if len(a) != op.dim:
-        raise InputError(f"mult_matrix: expected vector of length {op.dim}")
     if side not in ("left", "right"):
         raise InputError(f"side must be 'left' or 'right', got {side!r}")
     return _contract1("i,ijk->kj" if side == "left" else "i,jik->kj", a=a, c=op.table)
@@ -752,10 +759,7 @@ def t2_zero(n: int, m: int | None = None) -> Tensor2:
 
 def flip(t: Tensor2) -> Tensor2:
     """The swap a(x)b -> b(x)a; requires a square tensor."""
-    n = len(t)
-    if any(len(row) != n for row in t):
-        raise InputError("flip needs a square rank-2 tensor")
-    return tuple(tuple(t[j][i] for j in range(n)) for i in range(n))
+    return mat_transpose(_square(t, "flip needs a square rank-2 tensor"))
 
 
 def t3_is_zero(a: Tensor3) -> bool:
@@ -775,9 +779,6 @@ def permute3(t: Tensor3, perm: Sequence[int]) -> Tensor3:
     return _contract1("".join("abc"[k - 1] for k in perm) + "->abc", t=t)
 
 
-_VALID_SLOT_PAIRS = {(p, q) for p in (1, 2, 3) for q in (1, 2, 3) if p != q}
-
-
 def placed_product(
     r: Tensor2,
     r2: Tensor2,
@@ -792,14 +793,9 @@ def placed_product(
     patterns must jointly cover {1, 2, 3} with exactly one overlap.
     """
     (p, q), (s, t) = slots
-    if (p, q) not in _VALID_SLOT_PAIRS or (s, t) not in _VALID_SLOT_PAIRS:
-        raise InputError(f"invalid slot pattern {slots!r}")
     shared = {p, q} & {s, t}
     if len(shared) != 1 or {p, q} | {s, t} != {1, 2, 3}:
         raise InputError(f"slot pattern must cover 1..3 with one shared slot: {slots!r}")
-    n = op.dim
-    if len(r) != n or len(r2) != n or any(len(row) != n for row in r + r2):
-        raise InputError("placed_product: dimension mismatch")
     (k,) = shared
     first = "".join("u" if x == k else "abc"[x - 1] for x in (p, q))
     second = "".join("v" if x == k else "abc"[x - 1] for x in (s, t))
@@ -812,8 +808,6 @@ def dual_map(m: Matrix, mode: str) -> Matrix:
     ``pairing`` mode is the plain transpose, <M*(f), v> = <f, M v>;
     ``rep`` mode is the negated transpose, <M*(f), v> = -<f, M v>.
     """
-    if mode == "pairing":
-        return mat_transpose(m)
-    if mode == "rep":
-        return tuple(tuple(-x for x in row) for row in mat_transpose(m))
-    raise InputError(f"dual_map mode must be 'pairing' or 'rep', got {mode!r}")
+    if mode not in ("pairing", "rep"):
+        raise InputError(f"dual_map mode must be 'pairing' or 'rep', got {mode!r}")
+    return evaluate({"": [(1 if mode == "pairing" else -1, "ij->ji", ("m",))]}, {"m": m})[""].nested

@@ -33,6 +33,7 @@ from .core import (
     RefusalError,
     StructureConstants,
     direct_sum_table,
+    fit_blocks,
     held,
 )
 from .report import Report, Tree, default_labels, verify
@@ -53,11 +54,7 @@ class MatchedPair:
     verified: bool = False
 
     def __post_init__(self):
-        n, m = self.a_op.dim, self.b_op.dim
-        for name, key, count, size in (("l_a", "lA", n, m), ("r_a", "rA", n, m),
-                                       ("l_b", "lB", m, n), ("r_b", "rB", m, n)):
-            if self.tables[key].shape != (count, size, size):
-                raise InputError(f"{name} must hold {count} matrices of size {size}x{size}")
+        fit_blocks(self.tables, self.a_op.dim, self.b_op.dim)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .core import (
     StructureConstants,
     direct_sum_table,
     evaluate,
+    fit_letters,
     held,
 )
 from .report import Report, Tree, default_labels, verify
@@ -34,12 +35,9 @@ class _Maps:
     algebra basis element, all of one size."""
 
     def __post_init__(self):
-        n, shapes = self.algebra.dim, {a.shape for a in self.tables.values()}
-        if len(shapes) != 1:
-            raise InputError("the map families act on different module dimensions")
-        (shape,) = shapes
-        if len(shape) != 3 or shape[0] != n or shape[1] != shape[2]:
-            raise InputError(f"need one square module matrix per algebra basis element, got shape {shape}")
+        sizes = {"n": self.algebra.dim}
+        for key, maps in self.tables.items():
+            fit_letters(f"maps {key!r}", "nmm", maps.shape, sizes)
 
     @property
     def module_dim(self) -> int:
@@ -71,8 +69,6 @@ class PreNovikovRep(_Maps):
 def _rep_report(name: str, codes, tables: dict, alg, rep, basis, module_basis) -> Report:
     """The report ``name`` of the module identities ``codes`` on all basis
     triples, the algebra read through ``tables``."""
-    if rep.algebra.dim != alg.dim:
-        raise InputError("representation/algebra dimension mismatch")
     n, m = alg.dim, rep.module_dim
     lab = tuple(basis or default_labels(n)) + tuple(module_basis or default_labels(m, "v"))
     return verify(Tree(name, codes, lab, shift={"v": n}), {**tables, **rep.tables})

@@ -35,6 +35,7 @@ from .core import (
     contract,
     evaluate,
     exact,
+    fit_letters,
     held,
     zero_mask,
     zero_members,
@@ -54,19 +55,13 @@ from .representations import (
 def _matrix(t, rows: int, cols: int, what: str) -> Exact:
     """``t`` as an ``Exact`` array, refused unless it is rows x cols."""
     t = exact(t)
-    if t.shape != (rows, cols):
-        raise InputError(f"{what} must be {rows}x{cols}")
+    fit_letters(what, "ab", t.shape, {"a": rows, "b": cols})
     return t
-
-
-def _operands(alg: PreNovikovAlgebra, r) -> dict:
-    """The kernel tables of an algebra and a rank-2 tensor r."""
-    return {**alg.tables, "r": _matrix(r, alg.dim, alg.dim, "r")}
 
 
 def _ybe(alg: PreNovikovAlgebra, r) -> Exact:
     """``ybe_residual`` as an ``Exact`` array."""
-    return evaluate({labels.YBE: labels.SPECS[labels.YBE][1]}, _operands(alg, r))[labels.YBE]
+    return evaluate({labels.YBE: labels.SPECS[labels.YBE][1]}, {**alg.tables, "r": r})[labels.YBE]
 
 
 def ybe_residual(alg: PreNovikovAlgebra, r: Tensor2) -> Tensor3:
@@ -91,7 +86,7 @@ def coboundary_maps(alg: PreNovikovAlgebra, r: Tensor2) -> PreNovikovCoalgebra:
     co = evaluate({
         "alpha": [(1, "iap,bp->iab", ("Lo", "r")), (1, "qa,ibq->iab", ("r", "L>+R<"))],
         "beta": [(-1, "iap,pb->iab", ("L>", "r")), (-1, "aq,ibq->iab", ("r", "Lo+Ro"))],
-    }, _operands(alg, r))
+    }, {**alg.tables, "r": r})
     return PreNovikovCoalgebra(alg.dim, co["alpha"], co["beta"])
 
 
@@ -159,7 +154,7 @@ def coboundary_diagnostics(alg: PreNovikovAlgebra, r: Tensor2) -> DiagnosticsRep
     specs = {code: labels.SPECS[code][1]
              for code in labels.COBOUNDARY_CONDITIONS + labels.COBOUNDARY_EQUATIONS}
     specs.update({name: [(1, "abc->abc", (name,))] for name in labels.R_TENSORS})
-    return DiagnosticsReport(dim=alg.dim, arrays=evaluate(specs, _operands(alg, r)))
+    return DiagnosticsReport(dim=alg.dim, arrays=evaluate(specs, {**alg.tables, "r": r}))
 
 
 # ---------------------------------------------------------------------------
@@ -185,28 +180,20 @@ class OOperator:
     verified: bool = False
 
 
-def _o_operator_report(name: str, codes, tables: dict, alg, rep, T, module_basis) -> Report:
-    """The report ``name`` of the operator identities ``codes`` on all module
-    basis pairs, the algebra read through ``tables``."""
-    if rep.algebra.dim != alg.dim:
-        raise InputError("representation/algebra dimension mismatch")
-    mdim = rep.module_dim
-    return verify(Tree(name, codes, module_basis or default_labels(mdim, "v")),
-                  {**tables, **rep.tables, "T": _matrix(T, alg.dim, mdim, "operator matrix")})
-
-
 def check_o_operator_novikov(alg: NovikovAlgebra, rep: NovikovRep, T: Matrix,
                              module_basis=None) -> Report:
     """T(u) o T(v) = T(l(T(u))v) + T(r(T(v))u) on all module basis pairs."""
-    return _o_operator_report("o_operator_novikov", (labels.O_OPERATOR_NOVIKOV,), {"o": alg.op.table},
-                              alg, rep, T, module_basis)
+    lab = module_basis or default_labels(rep.module_dim, "v")
+    return verify(Tree("o_operator_novikov", (labels.O_OPERATOR_NOVIKOV,), lab),
+                  {"o": alg.op.table, **rep.tables, "T": T})
 
 
 def check_o_operator_pre_novikov(alg: PreNovikovAlgebra, rep: PreNovikovRep, T: Matrix,
                                  module_basis=None) -> Report:
     """Both intertwining identities for the two products, on all module pairs."""
-    return _o_operator_report("o_operator_pre_novikov", labels.O_OPERATOR_PRE_NOVIKOV, alg.tables,
-                              alg, rep, T, module_basis)
+    lab = module_basis or default_labels(rep.module_dim, "v")
+    return verify(Tree("o_operator_pre_novikov", labels.O_OPERATOR_PRE_NOVIKOV, lab),
+                  {**alg.tables, **rep.tables, "T": T})
 
 
 def _o_operator(check, flavor: str, alg, rep, T) -> OOperator:

@@ -297,9 +297,10 @@ def test_cli_double():
 
 
 def test_cli_writes_documents_without_nested_views(monkeypatch):
-    """``derive``, ``double``, ``coboundary`` and the machine ``diag`` and
-    ``ybe`` documents are written from the ``Exact`` arrays: no nested
-    Fraction view is built."""
+    """``derive``, ``double``, ``coboundary``, ``oper``, the ``check`` of an
+    operator bundle and the machine ``diag`` and ``ybe`` documents are
+    written from the ``Exact`` arrays: no nested Fraction view is built, by
+    comparing algebras either."""
     views = []
     nested_fractions = core.nested_fractions
 
@@ -312,7 +313,11 @@ def test_cli_writes_documents_without_nested_views(monkeypatch):
     for argv in (["derive", fixture("dim4_semidirect.json")], ["derive", fixture("dim2_pre_rep.json")],
                  ["derive", fixture("dim2_rep.json")], ["--format", "machine", "diag", alg, r],
                  ["--format", "machine", "ybe", alg, r], ["coboundary", alg, r],
-                 ["--format", "machine", "coboundary", alg, r], ["double", fixture("dim4_bialgebra.json")]):
+                 ["--format", "machine", "coboundary", alg, r], ["double", fixture("dim4_bialgebra.json")],
+                 ["oper", fixture("dim2_novikov.json"), fixture("dim2_rep.json"), fixture("dim2_shift_t.json")],
+                 ["oper", fixture("dim2_pre_novikov.json"), fixture("dim2_pre_rep.json"),
+                  fixture("dim2_shift_t.json")],
+                 ["check", fixture("dim2_o_operator.json")]):
         assert run(argv)[0] == 0, argv
         assert views == [], argv
 
