@@ -209,9 +209,9 @@ PATH_LOOP = 512
 PLAN_CACHE = 1024
 
 
-def _steps(inputs: tuple, out: str, sizes: dict) -> tuple[tuple, int]:
-    """How one einsum term runs, and the entries per batch member of the
-    largest array it forms.
+def _steps(inputs: tuple, out: str, sizes: dict, charged: dict) -> tuple[tuple, int]:
+    """How one einsum term runs at ``sizes``, and the entries per batch
+    member of the largest array it forms at the sizes ``charged``.
 
     The steps are ``(picked, subscripts, options)``: each is ``np.einsum``
     with these keyword options of the operands at positions ``picked`` of
@@ -221,7 +221,7 @@ def _steps(inputs: tuple, out: str, sizes: dict) -> tuple[tuple, int]:
     ``np.einsum`` given that path.
     """
     def entries(letters):
-        return prod(sizes[c] for c in letters if c != "N")
+        return prod(charged[c] for c in letters if c != "N")
 
     subs, whole = f"{','.join(inputs)}->{out}", tuple(range(len(inputs)))
     if prod(sizes.values()) <= PATH_LOOP:
@@ -283,7 +283,8 @@ def _bound(factors: tuple, maxabs: Sequence[int], den: int = 1) -> int:
 
 class _Program:
     """One kernel call compiled: specs (``(key, terms)`` pairs) on inputs
-    (``(name, shape)`` pairs, of degree 1), those in ``batch`` batched.
+    (``(name, shape)`` pairs, of degree 1), those in ``batch`` batched, each
+    spec on the box ``where`` of its output (see below).
 
     Each derived operand (``labels.OPERANDS``, batched when an input is)
     comes before the first sum that reads it.  Per sum: its top degree, its
@@ -303,9 +304,16 @@ class _Program:
     and derived operands alive while it runs, in entries per member;
     ``peak`` is the largest.  Each operand of a term must fit its letters
     (``fit_letters``) and the terms of a sum give one shape.
+
+    ``where`` is one ``(start, stop, step)`` per output axis after ``N``: a
+    spec's term reads each operand with a cut letter through a view, one of
+    its sum's ``views``, and its slot is keyed with the indices kept, so only
+    terms cut alike share it; derived operands are computed whole.  Steps
+    keep the uncut plan (numpy's planner falls back to one naive einsum on
+    cut shapes), peaks are charged cut, bounds (over contracted letters) stay.
     """
 
-    def __init__(self, specs, inputs, batch):
+    def __init__(self, specs, inputs, batch, where=()):
         self.specs, self.batch, inputs = specs, [name for name, _ in inputs if name in batch], dict(inputs)
         shape, degree, batched, order = dict(inputs), dict.fromkeys(inputs, 1), set(self.batch), []
         # the last sum reading each operand and slot, the terms reading each slot, and per contraction its slot
@@ -320,10 +328,12 @@ class _Program:
             s, pos, on = len(order), {name: k for k, name in enumerate(names)}, not batched.isdisjoint(names)
             last.update(dict.fromkeys(names, s))
             own = [sum(degree[name] for name in ns) for _, _, ns in terms]
-            top, factors, compiled, most, ends = max(own), [], [], 0, set()
+            top, factors, compiled, most, ends, views = max(own), [], [], 0, set(), {}
             for (coef, subs, ns), d in zip(terms, own):
                 groups, out = subs.split("->")
-                groups, at, sizes = groups.split(","), tuple(pos[name] for name in ns), {}
+                groups, at, sizes, spots = groups.split(","), tuple(pos[name] for name in ns), {}, out[:len(where)]
+                if not derived and len(where) > len(out):
+                    raise InputError(f"spec {key!r}: where cuts {len(where)} axes of its output {out!r}")
                 if on:
                     groups = ["N" + g if name in batched else g for g, name in zip(groups, ns)]
                     out, sizes["N"] = "N" + out, shape[next(name for name in names if name in batched)][0]
@@ -331,30 +341,37 @@ class _Program:
                     fit_letters(f"spec {key!r}, operand {name!r}", letters, shape[name], sizes)
                 ends.add(tuple(sizes[c] for c in out))
                 factors.append((abs(coef) * prod(size for c, size in sizes.items() if c not in out), top - d, at))
+                cut = {c: (i, kept) for i, c in enumerate("" if derived else spots)  # letter: (where at, kept)
+                       if (kept := range(sizes[c])[slice(*where[i])]) != range(sizes[c])}
+                charged = {**sizes, **{c: len(kept) for c, (_, kept) in cut.items()}} if cut else sizes
+                reads = at if not cut else tuple(k if not cut.keys() & set(g) else len(names) + views.setdefault(
+                    (k, tuple(cut.get(c, (None,))[0] for c in g)), len(views)) for k, g in zip(at, groups))
                 slot = steps = None
                 if len(at) == 1 and len(set(groups[0])) == len(groups[0]) and sorted(groups[0]) == sorted(out):
                     axes = tuple(groups[0].index(c) for c in out)
-                    peak = prod(sizes[c] for c in out if c != "N")  # the copy it accumulates into
+                    peak = prod(charged[c] for c in out if c != "N")  # the copy it accumulates into
                 else:
-                    (c, rename), (steps, peak) = _canonical(tuple(groups), out, ns), _steps(tuple(groups), out, sizes)
+                    (c, rename), (steps, peak) = _canonical(tuple(groups), out, ns), _steps(groups, out, sizes, charged)
+                    c = (c, frozenset((rename[x], kept) for x, (_, kept) in cut.items())) if cut else c  # (per cuts)
                     axes, steps = "".join(map(rename.get, out)), steps[0][1:] if len(steps) == 1 else (None, steps)
                     slot, first = layout.setdefault(c, (len(layout), axes))
                     axes = None if first == axes else tuple(first.index(x) for x in axes)
                     last[slot], uses[slot] = s, uses.get(slot, 0) + 1
                 most = max(most, peak)
-                compiled.append((coef, top - d, at, axes, slot, steps))
+                compiled.append((coef, top - d, reads, axes, slot, steps))
             if len(ends) > 1:
                 raise InputError(f"spec {key!r}: its terms give the shapes {sorted(ends)}")
             if derived:
                 shape[key], degree[key] = tuple(sizes[c] for c in out), top
                 batched.update([key] if on else [])
+            views = tuple((k, tuple(slice(*where[i]) if i is not None else slice(None) for i in ix)) for k, ix in views)
             order.append((key, top, tuple(factors), names, derived, tuple(compiled), most,
-                          prod(sizes[c] for c in out if c != "N") if on else 0))
+                          prod(sizes[c] for c in out if c != "N") if on else 0, views))
 
         for key, terms in specs:
             add(key, terms, False)
         self.slots, self.sums, self.peak, live = len(layout), [], 0, {}
-        for s, (key, top, factors, names, derived, terms, most, member) in enumerate(order):
+        for s, (key, top, factors, names, derived, terms, most, member, views) in enumerate(order):
             for *_, slot, _ in terms:
                 if slot is not None and uses[slot] > 1:  # a slot alive past its term
                     live.setdefault(slot, member)
@@ -366,7 +383,7 @@ class _Program:
                 live[key] = member
             _, _, at, _, slot, _ = terms[0]
             copied = len(at) == 1 or uses[slot] > 1
-            self.sums.append((key, top, factors, names, derived, terms, copied, peak, frees))
+            self.sums.append((key, top, factors, names, derived, terms, copied, peak, frees, views))
 
     def run(self, arrays: dict, maxabs: dict, den: int = 1, budget: int = 0):
         """Yields ``(key, integers, scale exponent)`` per spec, from the inputs'
@@ -380,7 +397,7 @@ class _Program:
         """
         values, maxabs, typed = dict(arrays), dict(maxabs), {}
         size = len(arrays[self.batch[0]]) if budget and self.batch else 0
-        for key, top, factors, names, derived, terms, copied, peak, frees in self.sums:
+        for key, top, factors, names, derived, terms, copied, peak, frees, views in self.sums:
             bound = _bound(factors, [maxabs[name] for name in names], den)
             dtype = np.int64 if bound <= INT64_MAX else object
             if size > 1 and peak:
@@ -394,6 +411,8 @@ class _Program:
                     ops[k] = typed.get((name, dtype))
                     if ops[k] is None:
                         ops[k] = typed[name, dtype] = values[name].astype(dtype)
+            for k, index in views:  # (a loop: a comprehension costs more on the empty tuple of most sums)
+                ops.append(ops[k][index])
             acc = None
             for coef, shift, at, axes, slot, steps in terms:
                 if slot is None:
@@ -432,10 +451,11 @@ class _Program:
 _program = functools.lru_cache(maxsize=PLAN_CACHE)(_Program)
 
 
-def _compile(specs: dict, arrays: dict, batch=()) -> _Program:
-    """``_program`` of the term lists ``specs`` on ``arrays``."""
+def _compile(specs: dict, arrays: dict, batch=(), where=()) -> _Program:
+    """``_program`` of the term lists ``specs`` on ``arrays``, cut to ``where``."""
     return _program(tuple([(key, tuple(terms)) for key, terms in specs.items()]),
-                    tuple([(name, a.shape) for name, a in arrays.items()]), frozenset(batch))
+                    tuple([(name, a.shape) for name, a in arrays.items()]), frozenset(batch),
+                    tuple([(s.start, s.stop, s.step) for s in where]))
 
 
 def _einsums(operands: list, steps: tuple) -> np.ndarray:
@@ -506,24 +526,24 @@ def zero_members(specs: dict, size: int, members, fixed=None, where=()):
     ``members(lo, hi)`` builds the operands of members lo..hi-1 that carry a
     leading batch axis; ``fixed`` holds those that do not.  Yields, in order,
     each chunk's batched operands and the mask of its members whose every
-    residual is zero, on the index ``where`` (taken after the batch axis)
-    when one is given.  The first chunk's length comes from the program's
-    peak per member, at 8 bytes an entry; a chunk on which a sum would pass
-    ``BATCH_BYTES`` (see ``_Program.run``) is rebuilt shorter before that sum
-    runs, and the chunks after it keep the shorter length.
+    residual is zero, computed on the box ``where`` (after the batch axis)
+    alone.  The first chunk's length comes from the program's peak per
+    member, at 8 bytes an entry; a chunk on which a sum would pass
+    ``BATCH_BYTES`` (see ``_Program.run``) is rebuilt shorter before that
+    sum runs, and the chunks after it keep the shorter length.
     """
     fixed = fixed or {}
-    lo, length, index, tops = 0, 0, (slice(None), *where), {name: _maxabs(a) for name, a in fixed.items()}
+    lo, length, tops = 0, 0, {name: _maxabs(a) for name, a in fixed.items()}
     while lo < size:
         if not length:  # (the program of the whole batch, which a batch within budget runs in one chunk)
             one = {name: np.broadcast_to(a, (size, *a.shape[1:])) for name, a in members(lo, lo + 1).items()}
-            length = max(1, BATCH_BYTES // (8 * max(1, _compile(specs, {**fixed, **one}, one).peak)))
+            length = max(1, BATCH_BYTES // (8 * max(1, _compile(specs, {**fixed, **one}, one, where).peak)))
         hi = min(size, lo + length)
         arrays = members(lo, hi)
-        sums = _compile(specs, {**fixed, **arrays}, arrays).run(
+        sums = _compile(specs, {**fixed, **arrays}, arrays, where).run(
             {**fixed, **arrays}, {**tops, **{name: _maxabs(a) for name, a in arrays.items()}}, 1, BATCH_BYTES)
         try:  # each residual is reduced, and freed, before the next sum runs
-            nonzero = [(num[index] != 0).reshape(hi - lo, -1).any(axis=1) for _, num, _ in sums]
+            nonzero = [(num != 0).reshape(hi - lo, -1).any(axis=1) for _, num, _ in sums]
         except _OverBudget as over:
             (length,) = over.args
             continue
@@ -573,12 +593,8 @@ def _contract1(subs: str, **tables):
 # vectors and matrices
 # ---------------------------------------------------------------------------
 
-def vec_zero(n: int) -> Vector:
-    return (ZERO,) * n
-
-
 def mat_zero(rows: int, cols: int) -> Matrix:
-    return tuple(vec_zero(cols) for _ in range(rows))
+    return ((ZERO,) * cols,) * rows
 
 
 def mat_transpose(a: Matrix) -> Matrix:
@@ -763,7 +779,7 @@ def flip(t: Tensor2) -> Tensor2:
 
 
 def t3_is_zero(a: Tensor3) -> bool:
-    return all(x == 0 for plane in a for row in plane for x in row)
+    return not exact(a).num.any()  # (ragged input is refused)
 
 
 def permute3(t: Tensor3, perm: Sequence[int]) -> Tensor3:

@@ -47,8 +47,12 @@ class _Maps:
         """The same representation with the ``verified`` flag set."""
         return type(self)(self.algebra, *self.tables.values(), verified=verified)
 
+    def __eq__(self, other):  # on the held tables, not their nested views
+        return ((self.algebra, self.tables, self.verified) == (other.algebra, other.tables, other.verified)
+                if type(other) is type(self) else NotImplemented)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, unsafe_hash=True)  # (_Maps.__eq__; the hash reads the fields)
 class NovikovRep(_Maps):
     algebra: NovikovAlgebra
     l: RepMaps = held("l")
@@ -56,7 +60,7 @@ class NovikovRep(_Maps):
     verified: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, unsafe_hash=True)  # (_Maps.__eq__; the hash reads the fields)
 class PreNovikovRep(_Maps):
     algebra: PreNovikovAlgebra
     l_rhd: RepMaps = held("l>")

@@ -360,9 +360,9 @@ def _search_rows(ints: dict, scaled: np.ndarray) -> np.ndarray:
     are dropped.  After the last row all n**3 entries have been checked.
 
     Each row's candidates are built and tested chunk by chunk by
-    ``core.zero_members``, within ``core.BATCH_BYTES``; a row keeping more
-    than ``SURVIVOR_BYTES`` of candidates is refused with ``InputError`` as
-    soon as its survivors pass it.
+    ``core.zero_members`` on the (k+1)**3 witness cube of row k only, within
+    ``core.BATCH_BYTES``; a row keeping more than ``SURVIVOR_BYTES`` of
+    candidates is refused with ``InputError`` as soon as its survivors pass it.
     """
     n = ints["<"].shape[0]
     base = len(scaled)

@@ -279,6 +279,15 @@ def test_solve_and_inverse():
         solve_linear(((F(1), F(2)), (F(2), F(4))), (F(1), F(0)))
 
 
+def test_t3_is_zero_reads_through_exact():
+    """Zero and nonzero tensors, and ragged input refused as ``exact``
+    refuses it."""
+    assert t3_is_zero((((F(0), 0),), ((0, 0),))) and not t3_is_zero((((0, F(1, 3)),),))
+    for ragged in ((((0,),), ((0, 0),)), (((0,), (0, 0)),), (((0,),), (0,))):
+        with pytest.raises(InputError, match="rectangular"):
+            t3_is_zero(ragged)
+
+
 def test_structure_constants_validation():
     with pytest.raises(InputError):
         StructureConstants(2, ((),))

@@ -313,11 +313,16 @@ def test_zero_members_matches_the_full_batch(monkeypatch, scale):
     ``scale``: int64 sums throughout, then Python-int sums on int64 operands,
     then Python-int operands.  With and without ``where``, at the default
     budget, at 2 KiB and at 1 byte, the masks agree, and a 1-byte budget
-    gives chunks of one member.  Every sum that runs on a chunk of more than
-    one member forms no array past ``BATCH_BYTES``, charged 8 bytes per
-    int64 entry and a pointer plus its int object otherwise (each array
-    the kernel's einsums return or its sums yield is measured): at 2 KiB
-    the chunks that reach the scaled half must be rebuilt shorter."""
+    gives chunks of one member.  The ``where`` cases include boxes that are
+    not cubes: on 4.13, on 2.10/2.11 (whose derived ``o`` is computed whole
+    and then cut) and on a spec whose two terms read one contraction through
+    different output positions, so that they cut it differently and must
+    not share it.  A ``where`` longer than a spec's output is refused.
+    Every sum that runs on a chunk of more than one member forms no array
+    past ``BATCH_BYTES``, charged 8 bytes per int64 entry and a pointer
+    plus its int object otherwise (each array the kernel's einsums return
+    or its sums yield is measured): at 2 KiB the chunks that reach the
+    scaled half must be rebuilt shorter."""
     rng = np.random.default_rng(11)
     size = 300
 
@@ -334,6 +339,13 @@ def test_zero_members_matches_the_full_batch(monkeypatch, scale):
         ({labels.YBE: labels.SPECS[labels.YBE][1]}, {"r": r + r.transpose(0, 2, 1)}, tables, ()),
     ]
     cases += [(specs, arrays, fixed, (slice(1),) * 2) for specs, arrays, fixed, _ in cases]
+    box = (slice(1), slice(None), slice(2))
+    shared = {"C": [(1, "ij,jkl->ikl", ("r", "<")), (-1, "kj,jil->ikl", ("r", "<"))]}
+    cases += [(cases[1][0], cases[1][1], tables, box), (cases[0][0], cases[0][1], {}, (slice(1, 2),)),
+              (shared, {"r": r}, tables, box)]
+    assert [core._compile(shared, {**tables, "r": r}, {"r"}, where).slots for where in ((), box)] == [1, 2]
+    with pytest.raises(core.InputError, match="where cuts 4 axes of its output"):
+        core.zero_mask(cases[1][0], size, lambda lo, hi: {"r": r[lo:hi]}, tables, (slice(1),) * 4)
     wants = [_plain_zero(*case).tolist() for case in cases]
 
     over, lengths, running = [], [], []

@@ -43,8 +43,9 @@ from prenovikov.core import (
     t3_is_zero,
 )
 from prenovikov import core, labels, yang_baxter
+from prenovikov.io import bundle_to_objects, parse_bundle
 
-from conftest import conjugate_table, rand_invertible, rand_symmetric
+from conftest import FIXTURES, conjugate_table, rand_invertible, rand_symmetric
 from kernel_reference import overflow_bound
 from search_oracles import search_exact, search_int64, upper_positions
 from tensor_reference import basis_vec, mat_add, mat_identity, t2, t2_apply_left, t2_apply_right, t2_scale, t2_sub
@@ -214,6 +215,23 @@ def test_pre_novikov_from_o_refusals(alg2, shift_t):
         pre_novikov_from_o(nov, adj, oop)
 
 
+def test_pre_novikov_from_o_builds_no_nested_view(monkeypatch):
+    """``pre_novikov_from_o`` compares the operator's representation with the
+    one it is given on their held ``Exact`` tables: on the ``dim2_rep.json``
+    representation and the ``dim2_shift_t.json`` operator it builds no
+    nested Fraction view, for the same representation and for the adjoint
+    one it refuses."""
+    alg, rep = bundle_to_objects(parse_bundle((FIXTURES / "dim2_rep.json").read_text()))
+    oop = o_operator_novikov(alg, rep, parse_bundle((FIXTURES / "dim2_shift_t.json").read_text()).data["entries"])
+    adj = novikov_adjoint_rep(alg)
+    views, nested_fractions = [], core.nested_fractions
+    monkeypatch.setattr(core, "nested_fractions", lambda *args: views.append(args[0].shape) or nested_fractions(*args))
+    assert not pre_novikov_from_o(alg, rep, oop).lhd.is_zero()
+    with pytest.raises(InputError, match="different representation"):
+        pre_novikov_from_o(alg, adj, oop)
+    assert views == []
+
+
 def test_form_iso_is_o_operator_for_dual_rep(bialg2=None):
     """The inverse-transpose of a quasi-Frobenius form, seen as a map from the
     dual, intertwines the product with the dual adjoint actions: the route
@@ -309,25 +327,62 @@ def test_search_chunks_bounded_in_bytes(monkeypatch, alg2):
 
 def test_search_first_chunks_fit_the_program_peak(monkeypatch):
     """On the dim-4 zero algebra with -1, 0, 1 every candidate survives, and
-    each row's first chunk is sized from the 4.13 program's peak per
-    member: no chunk is rebuilt shorter, and the chunks past a row's first
-    keep its length."""
+    each row's first chunk is sized from the peak per member of its 4.13
+    program: no chunk is rebuilt shorter, and the chunks past a row's first
+    keep its length.  Rows 0-2 evaluate their witness cube only, so their
+    peak is below the 4**3 of row 3, which evaluates every entry."""
     runs = []
     run = core._Program.run
 
     def recorded(self, arrays, maxabs, den=1, budget=0):
         if budget:
-            runs.append([len(arrays[self.batch[0]]), "rebuilt"])
+            runs.append([self.peak, len(arrays[self.batch[0]]), "rebuilt"])
         yield from run(self, arrays, maxabs, den, budget)
         if budget:
-            runs[-1][1] = "ran"
+            runs[-1][-1] = "ran"
 
     monkeypatch.setattr(core._Program, "run", recorded)
     zero = PreNovikovAlgebra(StructureConstants.zero(4), StructureConstants.zero(4))
     assert len(search_symmetric_ybe(zero, [-1, 0, 1])) == 3**10
-    assert {state for _, state in runs} == {"ran"}
-    lengths = [length for length, _ in runs]
-    assert max(lengths) == core.BATCH_BYTES // (8 * 4**3) and lengths.count(max(lengths)) > 1
+    assert {state for *_, state in runs} == {"ran"}
+    chunks, peaks = iter(runs), []
+    for size in (3**4, 3**7, 3**9, 3**10):  # the candidates of rows 0-3
+        peak, length, _ = next(chunks)
+        peaks.append(peak)
+        assert length == min(size, core.BATCH_BYTES // (8 * peak))
+        size -= length
+        while size:
+            assert next(chunks)[:2] == [peak, min(size, length)]
+            size -= min(size, length)
+    assert max(peaks[:3]) < peaks[3] == 4**3
+
+
+def test_search_rows_follow_pairwise_paths_within_the_whole_peak(monkeypatch, alg4):
+    """In a dim-4 search every batched three-operand 4.13 einsum is given its
+    pairwise path: each row's cut terms follow the path planned at the whole
+    sizes, where numpy's own planner, on the cut shapes, would fall back to
+    one naive einsum.  A program cut by ``where`` peaks no higher than the
+    same program without it."""
+    calls, einsum = [], np.einsum
+
+    def recorded(subs, *operands, **options):
+        calls.append((subs, options.get("optimize")))
+        return einsum(subs, *operands, **options)
+
+    terms = labels.SPECS[labels.YBE][1]
+    batched = {",".join("N" + g if name == "r" else g for g, name in zip(subs.split("->")[0].split(","), ns))
+               + "->N" + subs.split("->")[1] for _, subs, ns in terms}
+    monkeypatch.setattr(np, "einsum", recorded)
+    assert search_symmetric_ybe(alg4, [-1, 0, 1])
+    paths = [path for subs, path in calls if subs in batched]
+    assert len(paths) >= 4 * len(terms)  # (a chunk or more per row)
+    assert all(path[0] == "einsum_path" and [len(step) for step in path[1:]] == [2, 2] for path in paths)
+    ints = yang_baxter._integer_tables(alg4)
+    arrays = {**{name: ints[name] for name in ("o", "(.)", "<")}, "r": np.zeros((5, 4, 4), dtype=np.int64)}
+    spec = {labels.YBE: terms}
+    whole = core._compile(spec, arrays, {"r"}).peak
+    for where in [(slice(k + 1),) * 3 for k in range(4)] + [(slice(1), slice(None), slice(2))]:
+        assert core._compile(spec, arrays, {"r"}, where).peak <= whole
 
 
 @pytest.mark.parametrize("row", [1, 2])
