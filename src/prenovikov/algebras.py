@@ -200,7 +200,7 @@ def enumerate_dim2_pre_novikov(values=(-1, 0, 1)) -> list[PreNovikovAlgebra]:
     """All dimension-2 pre-Novikov table pairs with entries in ``values``.
 
     The full pair space has ``len(values)**16`` members, so enumeration is
-    staged, in integer arithmetic (each kernel sum in int64 when its bound
+    staged, in integer arithmetic (each kernel call in int64 when its bound
     certifies it, on Python ints otherwise):
 
     1. the pure-< identity 2.11, (a<b)<c = (a<c)<b, filters the < tables;
@@ -219,12 +219,12 @@ def enumerate_dim2_pre_novikov(values=(-1, 0, 1)) -> list[PreNovikovAlgebra]:
     817 x 6,561 = 5.36M for the full pair space), leaving 257 algebras.  All
     survivors are re-verified in one batched call through 4.18-4.27 on the
     regular quadruple (``_regular_quadruple_ok``), a guard on the staging, not
-    the specs; a disagreement with the fast path raises.
-    Values are deduplicated and sorted, and more than ``ENUM_TABLE_LIMIT``
-    tables per product are refused.  Results come in lexicographic order of
-    (<, >), are memoized per value set, and each call returns a fresh list.
+    the specs; a disagreement with the fast path raises.  Values are exact
+    scalars, deduplicated and sorted; more than ``ENUM_TABLE_LIMIT`` tables per
+    product are refused.  Results come in lexicographic order of (<, >), are
+    memoized per value set, and each call returns a fresh list.
     """
-    vals = sorted({Fraction(v) for v in values})
+    vals = sorted(set(map(core.frac, values)))
     if not vals:
         raise InputError("enumeration values must be nonempty")
     if any(v.denominator != 1 for v in vals):

@@ -6,8 +6,8 @@ The kernel compiles each call once per spec content, input names and shapes
 and batch axes into a program (``_program``, a bounded LRU cache) that
 evaluates each distinct contraction once, so that a call on small tables pays
 for little more than its einsums: see ``contract`` and ``sum_batched``.  It
-alone decides whether a sum runs in int64 or on Python ints, from the
-sum's overflow bound (``_bound``); callers certify nothing.
+alone decides whether a call runs in int64 or on Python ints, once, from the
+overflow bounds of its sums (``_bound``); callers certify nothing.
 
 Conventions used throughout the package, all exact, with no tolerances:
 
@@ -261,9 +261,9 @@ def _canonical(inputs: tuple, out: str, names: tuple) -> tuple[tuple, dict]:
 
 def _bound(factors: tuple, maxabs: Sequence[int], den: int = 1) -> int:
     """A bound on every partial sum an integer evaluation of a sum forms,
-    given its ``(factor, shift, operand positions)`` per term and each
-    operand's largest absolute entry: the sum over terms of
-    factor * den**shift * prod(max(maxabs, 1)) over its operands.
+    given its ``(factor, shift, operand positions)`` per term and a bound on
+    each operand's absolute entries: the sum over terms of factor *
+    den**shift * prod(max(maxabs, 1)) over its operands.
 
     The padding to at least 1 keeps partial products under it too.  It
     also covers a term contracted pairwise along its path: the operands
@@ -299,10 +299,10 @@ class _Program:
     output of the first term that reads it, which computes it; slots and
     derived operands are freed after their last reader.  A sum's first term
     is copied before the sum adds into it unless it is a new array read
-    once.  A batched sum's peak is the largest array a term forms (an einsum
-    step or the copy it is summed into) plus the batched slots read twice
-    and derived operands alive while it runs, in entries per member;
-    ``peak`` is the largest.  Each operand of a term must fit its letters
+    once.  ``peak`` is the most entries per member a batched sum holds: the
+    largest array a term forms (an einsum step or the copy it is summed
+    into) plus the batched slots read twice and derived operands alive
+    while it runs.  Each operand of a term must fit its letters
     (``fit_letters``) and the terms of a sum give one shape.
 
     ``where`` is one ``(start, stop, step)`` per output axis after ``N``: a
@@ -375,42 +375,40 @@ class _Program:
             for *_, slot, _ in terms:
                 if slot is not None and uses[slot] > 1:  # a slot alive past its term
                     live.setdefault(slot, member)
-            peak = member and most + sum(live.values())
-            self.peak = max(self.peak, peak)
+            self.peak = max(self.peak, member and most + sum(live.values()))
             frees = tuple(k for k, at in last.items() if at == s and k not in inputs)
             live = {k: entries for k, entries in live.items() if last[k] > s}
             if derived:
                 live[key] = member
             _, _, at, _, slot, _ = terms[0]
             copied = len(at) == 1 or uses[slot] > 1
-            self.sums.append((key, top, factors, names, derived, terms, copied, peak, frees, views))
+            self.sums.append((key, top, factors, names, derived, terms, copied, frees, views))
 
     def run(self, arrays: dict, maxabs: dict, den: int = 1, budget: int = 0):
         """Yields ``(key, integers, scale exponent)`` per spec, from the inputs'
         integers over ``den`` and their largest absolute entries.
 
-        The one place that decides between int64 and Python ints: a sum runs
-        in int64 when its ``_bound`` certifies it, on Python-int objects
-        otherwise; a slot read in the other dtype is converted.  With a
-        ``budget`` in bytes, a batched sum whose peak would pass it raises
-        ``_OverBudget`` instead of running.
+        The one place that decides int64 or Python ints, once per call,
+        before any sum runs: int64 when every input and every sum's
+        ``_bound`` fits (a derived operand counts at its own sum's bound),
+        objects otherwise.  With a ``budget`` in bytes, a batch whose
+        ``peak`` would pass it raises ``_OverBudget`` instead of running.
         """
-        values, maxabs, typed = dict(arrays), dict(maxabs), {}
-        size = len(arrays[self.batch[0]]) if budget and self.batch else 0
-        for key, top, factors, names, derived, terms, copied, peak, frees, views in self.sums:
+        maxabs, most = dict(maxabs), max(maxabs.values(), default=0)
+        for key, _, factors, names, derived, *_ in self.sums:
             bound = _bound(factors, [maxabs[name] for name in names], den)
-            dtype = np.int64 if bound <= INT64_MAX else object
-            if size > 1 and peak:
-                # an entry is 8 bytes in int64, a pointer plus an int object otherwise
-                member = peak * (8 if dtype is np.int64 else 8 + sys.getsizeof(bound))
-                if size * member > budget:
-                    raise _OverBudget(max(1, budget // member))
+            most = max(most, bound)
+            if derived:
+                maxabs[key] = bound
+        dtype = np.int64 if most <= INT64_MAX else object
+        if budget and self.peak and (size := len(arrays[self.batch[0]])) > 1:
+            # an entry is 8 bytes in int64, a pointer plus an int object otherwise
+            member = self.peak * (8 if dtype is np.int64 else 8 + sys.getsizeof(most))
+            if size * member > budget:
+                raise _OverBudget(max(1, budget // member))
+        values = {name: a if a.dtype == dtype else a.astype(dtype) for name, a in arrays.items()}
+        for key, top, _, names, derived, terms, copied, frees, views in self.sums:
             ops = [values[name] for name in names]
-            for k, name in enumerate(names):
-                if ops[k].dtype != dtype:  # converted once per dtype
-                    ops[k] = typed.get((name, dtype))
-                    if ops[k] is None:
-                        ops[k] = typed[name, dtype] = values[name].astype(dtype)
             for k, index in views:  # (a loop: a comprehension costs more on the empty tuple of most sums)
                 ops.append(ops[k][index])
             acc = None
@@ -423,8 +421,6 @@ class _Program:
                         subs, options = steps
                         value = values[slot] = (np.einsum(subs, *[ops[k] for k in at], **options) if subs
                                                 else _einsums([ops[k] for k in at], options))
-                    elif getattr(value, "dtype", object) != dtype:  # (an object einsum's 0-d value is an int)
-                        value = values[slot] = np.asarray(value).astype(dtype)
                     if axes is not None:
                         value = value.transpose(axes)
                 if shift:
@@ -442,7 +438,7 @@ class _Program:
                 del values[k]
             acc = np.asarray(acc, dtype=dtype)  # (a 0-d einsum gives a scalar)
             if derived:
-                values[key], maxabs[key] = acc, _maxabs(acc)
+                values[key] = acc
             else:
                 yield key, acc, top
 
@@ -528,9 +524,9 @@ def zero_members(specs: dict, size: int, members, fixed=None, where=()):
     each chunk's batched operands and the mask of its members whose every
     residual is zero, computed on the box ``where`` (after the batch axis)
     alone.  The first chunk's length comes from the program's peak per
-    member, at 8 bytes an entry; a chunk on which a sum would pass
-    ``BATCH_BYTES`` (see ``_Program.run``) is rebuilt shorter before that
-    sum runs, and the chunks after it keep the shorter length.
+    member, at 8 bytes an entry; a chunk whose call would pass
+    ``BATCH_BYTES`` at its dtype (see ``_Program.run``) is rebuilt shorter
+    before any sum runs, and the chunks after it keep the shorter length.
     """
     fixed = fixed or {}
     lo, length, tops = 0, 0, {name: _maxabs(a) for name, a in fixed.items()}

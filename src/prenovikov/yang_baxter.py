@@ -10,7 +10,6 @@ a named nonzero tensor instead of a silent wrong verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 import numpy as np
@@ -36,6 +35,7 @@ from .core import (
     evaluate,
     exact,
     fit_letters,
+    frac,
     held,
     zero_mask,
     zero_members,
@@ -166,8 +166,8 @@ def t_r_from_tensor(r: Tensor2) -> Matrix:
 
     In standard dual coordinates this is the matrix with entries r[i][j].
     """
-    n = len(r)
-    return _matrix(r, n, n, "r").nested
+    fit_letters("r", "aa", (r := exact(r)).shape, {})
+    return r.nested
 
 
 @dataclass(frozen=True)
@@ -299,7 +299,7 @@ def search_symmetric_ybe(alg: PreNovikovAlgebra, value_set, max_candidates: int 
     ``_o_operator_ok``), a guard on the row staging, not the spec.  They are
     returned sorted lexicographically by upper-triangle coordinates.
     """
-    values = sorted({Fraction(v) for v in value_set})
+    values = sorted(set(map(frac, value_set)))
     if not values:
         raise InputError("value_set must be nonempty")
     n = alg.dim

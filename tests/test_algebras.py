@@ -263,6 +263,15 @@ def test_enumeration_value_set_dedup_and_cap(monkeypatch):
     assert len(range(5)) ** 8 > algebras.ENUM_TABLE_LIMIT
 
 
+def test_enumeration_values_are_exact_scalars():
+    """Each value goes through ``core.frac``: a float, a bool or an
+    unparsable string is refused, and a string is read as its integer."""
+    for values in ((0.5, 0), (True, False), ("x",)):
+        with pytest.raises(InputError, match="not an exact scalar"):
+            enumerate_dim2_pre_novikov(values)
+    assert enumerate_dim2_pre_novikov(("0", "1")) == enumerate_dim2_pre_novikov((0, 1))
+
+
 def test_enumeration_is_memoized_per_value_set():
     first = enumerate_dim2_pre_novikov((0, 1))
     hits = algebras._enumerate.cache_info().hits

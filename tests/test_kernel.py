@@ -19,7 +19,7 @@ from prenovikov.cli import run_command
 from prenovikov.core import INT64_MAX, contract, evaluate, sum_batched
 
 from conftest import FIXTURES
-from kernel_reference import overflow_bound, reference, table_of
+from kernel_reference import derive, overflow_bound, reference, table_of
 
 F = Fraction
 LETTERS = "abcde"
@@ -137,6 +137,63 @@ def test_kernel_cancelling_terms_near_the_bound(big):
     num, _ = contract({"": terms}, {"A": (F(big),)})[""]
     assert num.dtype == (np.int64 if 4 * big <= INT64_MAX else object)
     assert int(num[0]) == 0
+
+
+@pytest.mark.parametrize("rhd, dtype", [(-(2**62 - 1), np.int64), (-(2**62), object)], ids=["int64", "object"])
+def test_a_derived_operand_counts_at_its_propagated_bound(rhd, dtype):
+    """A call's dtype is decided before its first sum runs, a derived
+    operand counting at its own sum's bound rather than at its entries.
+    With < = 2**62 and > = rhd, the bound of o = < + > is 2**62 + |rhd|:
+    INT64_MAX itself in the first case (int64), one past it in the second,
+    where o is all zero, so that the whole call, its sum on < alone
+    included, runs on Python ints.  Both give the reference values, plain
+    and batched."""
+    n = 2
+    tables = {"<": table_of((n,) * 3, iter([F(2**62)] * n**3)), ">": table_of((n,) * 3, iter([F(rhd)] * n**3))}
+    specs = {"o": [(1, "ijk->ijk", ("o",))], "lhd": [(-1, "ijk->kji", ("<",))]}
+    derived = derive(["o"], tables)
+    for key, (got, got_dtype) in kernel_as_dicts(specs, tables).items():
+        assert got_dtype == dtype
+        assert got == reference(specs[key], derived)
+    arrays = {"<": np.full((3, n, n, n), 2**62, np.int64), ">": np.full((3, n, n, n), rhd, np.int64)}
+    got = sum_batched(specs, arrays, batch=arrays)
+    assert [num.dtype for num in got.values()] == [np.dtype(dtype)] * 2
+    assert (got["o"] == 2**62 + rhd).all() and (got["lhd"] == -(2**62)).all()
+
+
+def test_an_object_batch_over_budget_runs_no_einsum(monkeypatch):
+    """A batched call on Python ints is charged, once and before its first
+    sum, a pointer plus the int object of its largest bound per entry of
+    its ``peak``: one byte short of the whole batch it raises
+    ``_OverBudget`` with the members that fit, and no einsum has run; at
+    the whole batch's charge it runs."""
+    terms = [(1, "ij,jk->ik", ("A", "B"))]
+    arrays = {"A": np.full((5, 2, 2), 2**40, np.int64), "B": np.full((2, 2), 2**40, np.int64)}
+    maxabs = {"A": 2**40, "B": 2**40}
+    program = core._compile({"": terms}, arrays, {"A"})
+    member = program.peak * (8 + sys.getsizeof(2 * 2**40 * 2**40))
+    calls, einsum = [], np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: calls.append(1) or einsum(*args, **kwargs))
+    with pytest.raises(core._OverBudget) as over:
+        next(program.run(arrays, maxabs, 1, 5 * member - 1))
+    assert over.value.args == (4,) and calls == []
+    ((_, num, _),) = program.run(arrays, maxabs, 1, 5 * member)
+    assert calls and num.dtype == object and (num == 2**81).all()
+
+
+def test_every_fixture_command_runs_in_int64(kernel_sums):
+    """The certificate is looser than a scan of each derived operand, but
+    no kernel call of the CLI on the shipped fixtures misses it: ``check``,
+    ``derive`` and ``double`` on every fixture, ``ybe``, ``coboundary`` and
+    ``diag`` on the dim-4 semidirect algebra and its solution, and
+    ``search`` on that algebra."""
+    runs = [[command, str(path)] for path in sorted(FIXTURES.glob("*.json"))
+            for command in ("check", "derive", "double")]
+    pair = [str(FIXTURES / "dim4_semidirect.json"), str(FIXTURES / "dim4_ybe_solution.json")]
+    runs += [[command, *pair] for command in ("ybe", "coboundary", "diag")] + [["search", pair[0]]]
+    codes = [run_command(argv, out=io.StringIO()) for argv in runs]
+    assert codes.count(0) >= 10
+    assert len(kernel_sums) > 100 and {dtype for *_, dtype in kernel_sums} == {np.dtype(np.int64)}
 
 
 @pytest.mark.parametrize("half", [1, F(1, 2)], ids=["int64", "lifted"])
@@ -310,10 +367,10 @@ def _plain_zero(specs, arrays, fixed, where):
 def test_zero_members_matches_the_full_batch(monkeypatch, scale):
     """``core.zero_members`` against one plain ``sum_batched`` over the whole
     batch, on sparse random tables whose later half is multiplied by
-    ``scale``: int64 sums throughout, then Python-int sums on int64 operands,
-    then Python-int operands.  With and without ``where``, at the default
-    budget, at 2 KiB and at 1 byte, the masks agree, and a 1-byte budget
-    gives chunks of one member.  The ``where`` cases include boxes that are
+    ``scale``: int64 calls throughout, then Python-int calls on int64
+    operands, then Python-int operands.  With and without ``where``, at the
+    default budget, at 2 KiB and at 1 byte, the masks agree, and a 1-byte
+    budget gives chunks of one member.  The ``where`` cases include boxes that are
     not cubes: on 4.13, on 2.10/2.11 (whose derived ``o`` is computed whole
     and then cut) and on a spec whose two terms read one contraction through
     different output positions, so that they cut it differently and must

@@ -161,6 +161,17 @@ def test_t_r_from_tensor(alg4, sol4):
     assert t_r_from_tensor(mat_identity(3)) == mat_identity(3)
 
 
+def test_t_r_from_tensor_reads_a_parsed_tensor():
+    """A parsed ``tensor2`` bundle's entries, an ``Exact`` array, are read as
+    they are; ragged, non-square and empty tensors are refused."""
+    entries = parse_bundle((FIXTURES / "dim4_ybe_solution.json").read_text()).data["entries"]
+    assert isinstance(entries, core.Exact)
+    assert t_r_from_tensor(entries) == entries.nested == t_r_from_tensor(entries.nested)
+    for bad in (((F(1), F(2)), (F(3),)), ((F(1), F(2)),), (), core.Exact(np.zeros((2, 3), np.int64))):
+        with pytest.raises(InputError):
+            t_r_from_tensor(bad)
+
+
 def test_check_o_operator_novikov(alg2, shift_t):
     nov = associated_novikov(alg2)
     nov_rep, _ = adjoint_reps(alg2)
@@ -294,6 +305,15 @@ def test_search_ordering_budget_and_fallback(alg2):
     assert sorted(exact) == sorted(sols)
     with pytest.raises(InputError):
         search_symmetric_ybe(alg2, [])
+
+
+def test_search_values_are_exact_scalars(alg2):
+    """Each value goes through ``core.frac``: a float, a bool or an
+    unparsable string is refused, and a string is read as its rational."""
+    for values in ([0.5, 0], [True, False], ["x"]):
+        with pytest.raises(InputError, match="not an exact scalar"):
+            search_symmetric_ybe(alg2, values)
+    assert search_symmetric_ybe(alg2, ["-1/2", 0, "1/2"]) == search_symmetric_ybe(alg2, [F(-1, 2), 0, F(1, 2)])
 
 
 def test_search_with_fractional_values(alg2):
