@@ -2,8 +2,8 @@
 identity is evaluated with, the one builder of direct-sum tables, and the one
 exact elimination.
 
-The kernel compiles each call once per spec content, input names and shapes
-and batch axes into a program (``_program``, a bounded LRU cache) that
+The kernel compiles each call once per spec content, input names, member
+shapes and batch axes into a program (``_program``, a bounded LRU cache) that
 evaluates each distinct contraction once, so that a call on small tables pays
 for little more than its einsums: see ``contract`` and ``sum_batched``.  It
 alone decides whether a call runs in int64 or on Python ints, once, from the
@@ -26,7 +26,7 @@ Conventions used throughout the package, all exact, with no tolerances:
 from __future__ import annotations
 
 import functools
-import itertools
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,11 +66,11 @@ class InternalCheckError(AssertionError):
 
 
 def frac(x) -> Scalar:
-    """Coerce an int, string ("p/q" or "n"), or Fraction to an exact Scalar."""
-    if isinstance(x, bool) or not isinstance(x, (Fraction, int, str)):
+    """Coerce an integer (numpy's as an int), string ("p/q" or "n"), or Fraction to an exact Scalar."""
+    if isinstance(x, bool) or not isinstance(x, (Fraction, numbers.Integral, str)):
         raise InputError(f"not an exact scalar: {x!r}")
     try:
-        return x if isinstance(x, Fraction) else Fraction(x)
+        return x if isinstance(x, Fraction) else Fraction(x if isinstance(x, str) else int(x))
     except (ValueError, ZeroDivisionError):  # "x", "1/0"
         raise InputError(f"not an exact scalar: {x!r}") from None
 
@@ -194,18 +194,18 @@ def fit_letters(what: str, letters: str, shape: tuple, sizes: dict) -> None:
 # the exact contraction kernel
 # ---------------------------------------------------------------------------
 
-# A term whose full index loop (the product of the sizes of all its letters,
-# the batch axis included) is at most this runs as one einsum; a larger one
-# runs along a path planned once.  From timings on small integer tables: one
-# naive einsum is the cheapest below it, pairwise einsums above it, and
-# np.einsum along the path (its pairwise steps are batched matrix products)
-# on a batch axis.
+# A term whose full index loop (the product of the sizes of its letters; in a
+# batched call, the batch length times the largest such loop per member) is at
+# most this runs as one einsum; a larger one runs along a path planned once.
+# From timings on small integer tables: one naive einsum is the cheapest below
+# it, pairwise einsums above it, and np.einsum along the path (its pairwise
+# steps are batched matrix products) on a batch axis.
 PATH_LOOP = 512
 
 # The programs ``_program`` keeps, least recently used first out: the one
 # cache of the kernel.  One process meets a few hundred kernel calls of
-# distinct specs and shapes at most, and a program holds a few short strings
-# and tuples per term.
+# distinct specs and member shapes at most (a batched input is keyed without
+# its length), and a program holds a few short strings and tuples per term.
 PLAN_CACHE = 1024
 
 
@@ -217,17 +217,12 @@ def _steps(inputs: tuple, out: str, sizes: dict, charged: dict) -> tuple[tuple, 
     with these keyword options of the operands at positions ``picked`` of
     the current list, its result appended to the list.  Above ``PATH_LOOP``
     the term follows the greedy path ``np.einsum(optimize=True)`` picks for
-    these shapes: as pairwise einsums, or, with a batch axis ``N``, as one
-    ``np.einsum`` given that path.
+    these shapes, as pairwise einsums; with a batch axis ``N`` (of size 1)
+    always, as one ``np.einsum`` given that path, which ``run`` may drop.
     """
-    def entries(letters):
-        return prod(charged[c] for c in letters if c != "N")
-
     subs, whole = f"{','.join(inputs)}->{out}", tuple(range(len(inputs)))
-    if prod(sizes.values()) <= PATH_LOOP:
-        return ((whole, subs, {}),), entries(out)
-    if len(inputs) <= 2:  # the path is the term itself
-        return ((whole, subs, {"optimize": True} if "N" in out else {}),), entries(out)
+    if len(inputs) <= 2 or "N" not in out and prod(sizes.values()) <= PATH_LOOP:  # (two operands: the path is the term)
+        return ((whole, subs, {"optimize": True} if "N" in out else {}),), prod(charged[c] for c in out)
     shaped = [np.broadcast_to(np.int8(0), tuple(sizes[c] for c in letters)) for letters in inputs]
     path = np.einsum_path(subs, *shaped, optimize="greedy")[0]
     inputs, steps = list(inputs), []
@@ -240,23 +235,19 @@ def _steps(inputs: tuple, out: str, sizes: dict, charged: dict) -> tuple[tuple, 
         result = out if not inputs else "".join(dict.fromkeys(c for g in groups for c in g if c in kept))
         steps.append((picked, f"{','.join(groups)}->{result}", {}))
         inputs.append(result)
-    peak = max(entries(step.split("->")[1]) for _, step, _ in steps)
+    peak = max(prod(charged[c] for c in step.split("->")[1]) for _, step, _ in steps)
     return (((whole, subs, {"optimize": path}),) if "N" in out else tuple(steps)), peak
 
 
 def _canonical(inputs: tuple, out: str, names: tuple) -> tuple[tuple, dict]:
-    """The contraction a term of several operands computes: the least form
-    (operand names, letter groups, sorted output letters) over its operand
-    orders, letters renamed by first use (``N`` kept), which terms differing
-    only in operand order or output axis order share; with its renaming."""
-    def form(order):
-        rename = {"N": "N"}
-        for c in "".join(inputs[k] for k in order):
-            rename.setdefault(c, ascii_lowercase[len(rename) - 1])
-        return ((tuple(names[k] for k in order), tuple("".join(map(rename.get, inputs[k])) for k in order),
-                 "".join(sorted(map(rename.get, out)))), rename)
-
-    return min(map(form, itertools.permutations(range(len(inputs)))), key=lambda f: f[0])
+    """The contraction a term of several operands computes: (operand names,
+    letter groups, sorted output letters) in its written operand order,
+    letters renamed by first use (``N`` kept), which terms differing only
+    in their letters or output axis order share; with its renaming."""
+    rename = {"N": "N"}
+    for c in "".join(inputs):
+        rename.setdefault(c, ascii_lowercase[len(rename) - 1])
+    return (names, tuple("".join(map(rename.get, g)) for g in inputs), "".join(sorted(map(rename.get, out)))), rename
 
 
 def _bound(factors: tuple, maxabs: Sequence[int], den: int = 1) -> int:
@@ -283,8 +274,8 @@ def _bound(factors: tuple, maxabs: Sequence[int], den: int = 1) -> int:
 
 class _Program:
     """One kernel call compiled: specs (``(key, terms)`` pairs) on inputs
-    (``(name, shape)`` pairs, of degree 1), those in ``batch`` batched, each
-    spec on the box ``where`` of its output (see below).
+    (``(name, shape)`` pairs, of degree 1), those in ``batch`` batched (on
+    an axis ``N`` of size 1), each spec on the box ``where`` of its output.
 
     Each derived operand (``labels.OPERANDS``, batched when an input is)
     comes before the first sum that reads it.  Per sum: its top degree, its
@@ -302,8 +293,9 @@ class _Program:
     once.  ``peak`` is the most entries per member a batched sum holds: the
     largest array a term forms (an einsum step or the copy it is summed
     into) plus the batched slots read twice and derived operands alive
-    while it runs.  Each operand of a term must fit its letters
-    (``fit_letters``) and the terms of a sum give one shape.
+    while it runs.  Each operand is an input or derived and fits its
+    letters (``fit_letters``), each output letter of a term is read, and
+    the terms of a sum give one shape.
 
     ``where`` is one ``(start, stop, step)`` per output axis after ``N``: a
     spec's term reads each operand with a cut letter through a view, one of
@@ -318,12 +310,14 @@ class _Program:
         shape, degree, batched, order = dict(inputs), dict.fromkeys(inputs, 1), set(self.batch), []
         # the last sum reading each operand and slot, the terms reading each slot, and per contraction its slot
         # (a number, as operands are held by name) and its first reader's axes
-        last, uses, layout = {}, {}, {}
+        last, uses, layout, loops = {}, {}, {}, [0]
 
         def add(key, terms, derived):
             names = tuple(dict.fromkeys(name for _, _, ns in terms for name in ns))
             for name in names:
                 if name not in shape:
+                    if name not in labels.OPERANDS:
+                        raise InputError(f"spec {key!r}: operand {name!r} is neither an input nor derived")
                     add(name, tuple(labels.OPERANDS[name]), True)
             s, pos, on = len(order), {name: k for k, name in enumerate(names)}, not batched.isdisjoint(names)
             last.update(dict.fromkeys(names, s))
@@ -334,11 +328,12 @@ class _Program:
                 groups, at, sizes, spots = groups.split(","), tuple(pos[name] for name in ns), {}, out[:len(where)]
                 if not derived and len(where) > len(out):
                     raise InputError(f"spec {key!r}: where cuts {len(where)} axes of its output {out!r}")
-                if on:
-                    groups = ["N" + g if name in batched else g for g, name in zip(groups, ns)]
-                    out, sizes["N"] = "N" + out, shape[next(name for name in names if name in batched)][0]
+                groups = ["N" + g if name in batched else g for g, name in zip(groups, ns)]
+                out = "N" + out if on else out
                 for letters, name in zip(groups, ns):
                     fit_letters(f"spec {key!r}, operand {name!r}", letters, shape[name], sizes)
+                if not sizes.keys() >= set(out):
+                    raise InputError(f"spec {key!r}: no operand of {','.join(groups)}->{out} reads each output letter")
                 ends.add(tuple(sizes[c] for c in out))
                 factors.append((abs(coef) * prod(size for c, size in sizes.items() if c not in out), top - d, at))
                 cut = {c: (i, kept) for i, c in enumerate("" if derived else spots)  # letter: (where at, kept)
@@ -349,9 +344,10 @@ class _Program:
                 slot = steps = None
                 if len(at) == 1 and len(set(groups[0])) == len(groups[0]) and sorted(groups[0]) == sorted(out):
                     axes = tuple(groups[0].index(c) for c in out)
-                    peak = prod(charged[c] for c in out if c != "N")  # the copy it accumulates into
+                    peak = prod(charged[c] for c in out)  # the copy it accumulates into
                 else:
                     (c, rename), (steps, peak) = _canonical(tuple(groups), out, ns), _steps(groups, out, sizes, charged)
+                    loops.append(prod(sizes.values()) if on else 0)
                     c = (c, frozenset((rename[x], kept) for x, (_, kept) in cut.items())) if cut else c  # (per cuts)
                     axes, steps = "".join(map(rename.get, out)), steps[0][1:] if len(steps) == 1 else (None, steps)
                     slot, first = layout.setdefault(c, (len(layout), axes))
@@ -366,11 +362,11 @@ class _Program:
                 batched.update([key] if on else [])
             views = tuple((k, tuple(slice(*where[i]) if i is not None else slice(None) for i in ix)) for k, ix in views)
             order.append((key, top, tuple(factors), names, derived, tuple(compiled), most,
-                          prod(sizes[c] for c in out if c != "N") if on else 0, views))
+                          prod(sizes[c] for c in out) if on else 0, views))
 
         for key, terms in specs:
             add(key, terms, False)
-        self.slots, self.sums, self.peak, live = len(layout), [], 0, {}
+        self.slots, self.loop, self.sums, self.peak, live = len(layout), max(loops), [], 0, {}
         for s, (key, top, factors, names, derived, terms, most, member, views) in enumerate(order):
             for *_, slot, _ in terms:
                 if slot is not None and uses[slot] > 1:  # a slot alive past its term
@@ -388,11 +384,12 @@ class _Program:
         """Yields ``(key, integers, scale exponent)`` per spec, from the inputs'
         integers over ``den`` and their largest absolute entries.
 
-        The one place that decides int64 or Python ints, once per call,
-        before any sum runs: int64 when every input and every sum's
-        ``_bound`` fits (a derived operand counts at its own sum's bound),
-        objects otherwise.  With a ``budget`` in bytes, a batch whose
-        ``peak`` would pass it raises ``_OverBudget`` instead of running.
+        The one place that decides, once per call, before any sum runs: int64
+        when every input and every sum's ``_bound`` fits (a derived operand
+        counts at its own sum's bound), objects otherwise; batched terms naive
+        when the batch length times ``loop``, their largest index loop per
+        member, is at most ``PATH_LOOP``; and, with a ``budget`` in bytes,
+        ``_OverBudget`` when the batch's ``peak`` would pass it.
         """
         maxabs, most = dict(maxabs), max(maxabs.values(), default=0)
         for key, _, factors, names, derived, *_ in self.sums:
@@ -401,6 +398,7 @@ class _Program:
             if derived:
                 maxabs[key] = bound
         dtype = np.int64 if most <= INT64_MAX else object
+        naive = not self.loop or len(arrays[self.batch[0]]) * self.loop <= PATH_LOOP
         if budget and self.peak and (size := len(arrays[self.batch[0]])) > 1:
             # an entry is 8 bytes in int64, a pointer plus an int object otherwise
             member = self.peak * (8 if dtype is np.int64 else 8 + sys.getsizeof(most))
@@ -419,8 +417,8 @@ class _Program:
                     value = values.get(slot)
                     if value is None:
                         subs, options = steps
-                        value = values[slot] = (np.einsum(subs, *[ops[k] for k in at], **options) if subs
-                                                else _einsums([ops[k] for k in at], options))
+                        value = values[slot] = (np.einsum(subs, *[ops[k] for k in at], **({} if naive else options))
+                                                if subs else _einsums([ops[k] for k in at], options))
                     if axes is not None:
                         value = value.transpose(axes)
                 if shift:
@@ -443,15 +441,17 @@ class _Program:
                 yield key, acc, top
 
 
-# The compiled program of a kernel call, keyed by its specs, inputs and batch.
+# The compiled program of a kernel call, keyed by its specs, member shapes and batch.
 _program = functools.lru_cache(maxsize=PLAN_CACHE)(_Program)
 
 
 def _compile(specs: dict, arrays: dict, batch=(), where=()) -> _Program:
-    """``_program`` of the term lists ``specs`` on ``arrays``, cut to ``where``."""
+    """``_program`` of ``specs`` on ``arrays`` (those in ``batch`` of one length, by member shape), cut to ``where``."""
+    if batch and (len(lengths := {a.shape[:1] for name, a in arrays.items() if name in batch}) > 1 or () in lengths):
+        raise InputError(f"batched operands of lengths {sorted(lengths)}: one batch length is needed")
     return _program(tuple([(key, tuple(terms)) for key, terms in specs.items()]),
-                    tuple([(name, a.shape) for name, a in arrays.items()]), frozenset(batch),
-                    tuple([(s.start, s.stop, s.step) for s in where]))
+                    tuple([(name, (1, *a.shape[1:]) if name in batch else a.shape) for name, a in arrays.items()]),
+                    frozenset(batch), tuple([(s.start, s.stop, s.step) for s in where]))
 
 
 def _einsums(operands: list, steps: tuple) -> np.ndarray:
@@ -523,16 +523,16 @@ def zero_members(specs: dict, size: int, members, fixed=None, where=()):
     leading batch axis; ``fixed`` holds those that do not.  Yields, in order,
     each chunk's batched operands and the mask of its members whose every
     residual is zero, computed on the box ``where`` (after the batch axis)
-    alone.  The first chunk's length comes from the program's peak per
-    member, at 8 bytes an entry; a chunk whose call would pass
-    ``BATCH_BYTES`` at its dtype (see ``_Program.run``) is rebuilt shorter
-    before any sum runs, and the chunks after it keep the shorter length.
+    alone.  The first chunk's length comes from the peak per member of the
+    program, compiled from member ``lo``, at 8 bytes an entry; a chunk whose
+    call would pass ``BATCH_BYTES`` at its dtype (see ``_Program.run``) is
+    rebuilt shorter before any sum runs, and the chunks after keep its length.
     """
     fixed = fixed or {}
     lo, length, tops = 0, 0, {name: _maxabs(a) for name, a in fixed.items()}
     while lo < size:
-        if not length:  # (the program of the whole batch, which a batch within budget runs in one chunk)
-            one = {name: np.broadcast_to(a, (size, *a.shape[1:])) for name, a in members(lo, lo + 1).items()}
+        if not length:
+            one = members(lo, lo + 1)
             length = max(1, BATCH_BYTES // (8 * max(1, _compile(specs, {**fixed, **one}, one, where).peak)))
         hi = min(size, lo + length)
         arrays = members(lo, hi)

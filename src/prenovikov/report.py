@@ -6,8 +6,8 @@ basis tuple plus the exact nonzero residual), and may nest sub-reports for
 composite checks.  Every verifier declares its report as a ``Tree`` and makes
 it with one ``verify`` call, which evaluates the whole tree in one kernel
 call and keeps each failing code's residual array.  Violations are listed
-identity by identity in code order, each identity's witnesses in
-lexicographic order, so reports are deterministic.
+spec code by spec code, each code's witnesses in lexicographic order, then
+the rows a verifier adds itself, so reports are deterministic.
 """
 
 from __future__ import annotations

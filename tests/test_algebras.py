@@ -264,12 +264,15 @@ def test_enumeration_value_set_dedup_and_cap(monkeypatch):
 
 
 def test_enumeration_values_are_exact_scalars():
-    """Each value goes through ``core.frac``: a float, a bool or an
-    unparsable string is refused, and a string is read as its integer."""
-    for values in ((0.5, 0), (True, False), ("x",)):
+    """Each value goes through ``core.frac``: a float, a bool (numpy's too)
+    or an unparsable string is refused, and a string or a numpy integer is
+    read as its integer."""
+    for values in ((0.5, 0), (True, False), ("x",), np.array([True, False])):
         with pytest.raises(InputError, match="not an exact scalar"):
             enumerate_dim2_pre_novikov(values)
     assert enumerate_dim2_pre_novikov(("0", "1")) == enumerate_dim2_pre_novikov((0, 1))
+    assert enumerate_dim2_pre_novikov(np.array([0, 1])) == enumerate_dim2_pre_novikov((0, 1))
+    assert len(enumerate_dim2_pre_novikov(np.array([0, 1]))) == 42
 
 
 def test_enumeration_is_memoized_per_value_set():

@@ -173,20 +173,53 @@ def _load(name):
     return bundle_to_objects(parse_bundle((FIXTURES / name).read_text()))
 
 
-def _einsum_calls(monkeypatch, run) -> int:
-    calls = []
-    einsum = np.einsum
+def _einsum_calls(monkeypatch, run) -> tuple[int, list]:
+    """The number of einsum calls ``run`` makes, and the slots of each
+    program it runs."""
+    calls, slots = [], []
+    einsum, compile_ = np.einsum, core._compile
+
+    def compiled(*args):
+        program = compile_(*args)
+        slots.append(program.slots)
+        return program
+
     monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: calls.append(1) or einsum(*args, **kwargs))
+    monkeypatch.setattr(core, "_compile", compiled)
     run()
-    return len(calls)
+    return len(calls), slots
 
 
 def test_dim4_runs_evaluate_each_contraction_once(monkeypatch):
     """``check_bialgebra`` on the dim-4 bialgebra fixture and
     ``coboundary_diagnostics`` on the dim-4 semidirect algebra with its
     solution stay within their einsum calls (63 and 150 when every term
-    made its own)."""
+    made its own), and each runs one program whose slot count is pinned
+    (41 and 51), so a contraction that stops being shared fails."""
     bialg = _load("dim4_bialgebra.json")
     alg, r = _load("dim4_semidirect.json"), _load("dim4_ybe_solution.json")
-    assert _einsum_calls(monkeypatch, lambda: check_bialgebra(bialg.algebra, bialg.coalgebra)) <= 45
-    assert _einsum_calls(monkeypatch, lambda: coboundary_diagnostics(alg, r)) <= 98
+    calls, slots = _einsum_calls(monkeypatch, lambda: check_bialgebra(bialg.algebra, bialg.coalgebra))
+    assert calls <= 45 and slots == [41]
+    calls, slots = _einsum_calls(monkeypatch, lambda: coboundary_diagnostics(alg, r))
+    assert calls <= 98 and slots == [51]
+
+
+def test_one_program_per_member_shape(monkeypatch):
+    """A program is keyed by its inputs' member shapes, not by the batch
+    length: ``sum_batched`` of one spec at batch lengths 3 and 5 compiles
+    once, and a ``zero_members`` sweep whose chunks have two lengths (3 and
+    2) compiles one program, which sizes its first chunk and runs all."""
+    core._program.cache_clear()
+    terms = [(1, "ij,jk->ik", ("m", "v")), (-1, "ij,jk->ik", ("v", "m"))]
+    fixed = {"v": np.eye(2, dtype=np.int64)}
+    for size in (3, 5):
+        got = sum_batched({"": terms}, {**fixed, "m": np.ones((size, 2, 2), np.int64)}, batch={"m"})[""]
+        assert got.shape == (size, 2, 2) and not got.any()
+    assert core._program.cache_info().misses == 1
+
+    core._program.cache_clear()
+    r = np.arange(20, dtype=np.int64).reshape(5, 2, 2) % 3
+    program = core._compile({"": terms}, {**fixed, "m": r[:1]}, {"m"})
+    monkeypatch.setattr(core, "BATCH_BYTES", 8 * program.peak * 3)  # 3 members a chunk
+    chunks = [len(ops["m"]) for ops, _ in core.zero_members({"": terms}, 5, lambda lo, hi: {"m": r[lo:hi]}, fixed)]
+    assert chunks == [3, 2] and core._program.cache_info().misses == 1

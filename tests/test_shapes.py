@@ -1,9 +1,9 @@
 """The one shape rule: every operand of a kernel call must fit its letters,
 and the terms of one sum must give one shape.  Each case below gives one
 operand a mismatched axis, often a size-1 axis where a larger size is
-expected, which ``np.einsum`` and numpy slice assignment would broadcast.
-Every entry point must refuse it with ``InputError``, never with another
-exception and never with a value."""
+expected, which ``np.einsum`` and numpy slice assignment would broadcast,
+or hands the kernel a malformed spec.  Every entry point must refuse it
+with ``InputError``, never with another exception and never with a value."""
 
 import io
 import json
@@ -32,6 +32,7 @@ from prenovikov import (
     coboundary_diagnostics,
     coboundary_maps,
     core,
+    labels,
     t_r_from_tensor,
     ybe_residual,
 )
@@ -104,10 +105,16 @@ CASES = {
         {"x": [(1, "ij->ij", ("w",)), (1, "ji->ij", ("w",))]}, {"w": ones(2, 3)}),
     "evaluate derived operand": lambda: evaluate(
         {"x": [(1, "ijk->ijk", ("o",))]}, {"<": ones(2, 2, 2), ">": ones(1, 1, 1)}),
+    "evaluate unknown operand": lambda: evaluate({"x": [(1, "ij->ji", ("q",))]}, {"m": M2}),
     "sum_batched size-1 member axis": lambda: sum_batched(
         {"x": [(1, "ij,j->i", ("m", "v"))]}, batched((3, 2, 2), (3, 1)), batch={"m", "v"}),
     "sum_batched batch lengths": lambda: sum_batched(
         {"x": [(1, "ij,j->i", ("m", "v"))]}, batched((3, 2, 2), (4, 2)), batch={"m", "v"}),
+    "sum_batched batch lengths 1 and 3": lambda: sum_batched(
+        {"x": [(1, "ij,j->i", ("m", "v"))]}, batched((1, 2, 2), (3, 2)), batch={"m", "v"}),
+    "sum_batched term reading no batched operand": lambda: sum_batched(
+        {"x": labels.OPERANDS["o"]}, {"<": np.ones((3, 2, 2, 2), np.int64), ">": np.ones((2, 2, 2), np.int64)},
+        batch={"<"}),
     "sum_batched size-1 fixed operand": lambda: sum_batched(
         {"x": [(1, "ij,j->i", ("m", "v"))]}, batched((3, 2, 2), (1,)), batch={"m"}),
     "zero_mask size-1 fixed operand": lambda: zero_mask(
@@ -184,6 +191,10 @@ def test_the_refusal_names_the_spec_the_operand_and_the_sizes():
         evaluate({"x": [(1, "ij,j->i", ("m", "v"))]}, {"m": M2, "v": (F(5),)})
     with pytest.raises(InputError, match=r"^spec 'x': its terms give the shapes \[\(1, 1\), \(2, 2\)\]$"):
         CASES["evaluate terms of two shapes"]()
+    with pytest.raises(InputError, match=r"^spec 'x': operand 'q' is neither an input nor derived$"):
+        CASES["evaluate unknown operand"]()
+    with pytest.raises(InputError, match=r"^spec 'x': no operand of ijk->Nijk reads each output letter$"):
+        CASES["sum_batched term reading no batched operand"]()
 
 
 def test_a_refused_call_leaves_the_kernel_usable():

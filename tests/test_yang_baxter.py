@@ -308,12 +308,16 @@ def test_search_ordering_budget_and_fallback(alg2):
 
 
 def test_search_values_are_exact_scalars(alg2):
-    """Each value goes through ``core.frac``: a float, a bool or an
-    unparsable string is refused, and a string is read as its rational."""
-    for values in ([0.5, 0], [True, False], ["x"]):
+    """Each value goes through ``core.frac``: a float, a bool (numpy's too)
+    or an unparsable string is refused, a string is read as its rational,
+    and a numpy integer as a Python int, so that lifting it to a common
+    denominator cannot wrap around in int64."""
+    for values in ([0.5, 0], [True, False], ["x"], np.array([True, False])):
         with pytest.raises(InputError, match="not an exact scalar"):
             search_symmetric_ybe(alg2, values)
     assert search_symmetric_ybe(alg2, ["-1/2", 0, "1/2"]) == search_symmetric_ybe(alg2, [F(-1, 2), 0, F(1, 2)])
+    assert search_symmetric_ybe(alg2, np.arange(-1, 2)) == search_symmetric_ybe(alg2, [-1, 0, 1])
+    assert search_symmetric_ybe(alg2, [np.int64(2**62), "1/4"]) == search_symmetric_ybe(alg2, [2**62, "1/4"])
 
 
 def test_search_with_fractional_values(alg2):
@@ -403,6 +407,42 @@ def test_search_rows_follow_pairwise_paths_within_the_whole_peak(monkeypatch, al
     whole = core._compile(spec, arrays, {"r"}).peak
     for where in [(slice(k + 1),) * 3 for k in range(4)] + [(slice(1), slice(None), slice(2))]:
         assert core._compile(spec, arrays, {"r"}, where).peak <= whole
+
+
+def test_batched_ybe_takes_its_path_past_path_loop(monkeypatch, alg2):
+    """A batched call runs its batched terms as one naive einsum while the
+    batch length times their largest index loop per member is at most
+    ``PATH_LOOP``, and along their paths past it, from one program.  A
+    dim-2 4.13 term loops over 2**5 index values per member, so 16 members
+    run naive and 17 follow the path.  (At dim 4 one member is past it.)"""
+    ints = yang_baxter._integer_tables(alg2)
+    fixed, spec = {name: ints[name] for name in ("o", "(.)", "<")}, {labels.YBE: labels.SPECS[labels.YBE][1]}
+    calls, einsum = [], np.einsum
+
+    def recorded(subs, *operands, **options):
+        calls.append(options.get("optimize"))
+        return einsum(subs, *operands, **options)
+
+    monkeypatch.setattr(np, "einsum", recorded)
+    r = np.random.default_rng(13).integers(-2, 3, (64, 2, 2))
+    for size, naive in ((1, True), (16, True), (17, False), (64, False)):
+        calls.clear()
+        got = core.sum_batched(spec, {**fixed, "r": r[:size]}, batch={"r"})[labels.YBE]
+        assert len(calls) == 3 and all(path is None if naive else path[0] == "einsum_path" for path in calls)
+        for m in range(size):
+            assert (got[m] == core.sum_batched(spec, {**fixed, "r": r[m]})[labels.YBE]).all()
+
+
+def test_a_second_dense_conjugate_compiles_no_program():
+    """Programs are keyed by member shapes, not batch lengths: once a dense
+    conjugate of the dim-4 semidirect fixture has been searched with -1, 0,
+    1, another one, whose survivor counts give other chunk lengths, compiles
+    no program."""
+    semi = bundle_to_objects(parse_bundle((FIXTURES / "dim4_semidirect.json").read_text()))
+    search_symmetric_ybe(_conjugate(semi, 1), [-1, 0, 1])
+    misses = core._program.cache_info().misses
+    search_symmetric_ybe(_conjugate(semi, 2), [-1, 0, 1])
+    assert core._program.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("row", [1, 2])
