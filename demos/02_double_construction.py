@@ -14,7 +14,7 @@ from prenovikov import (
     pre_novikov_from_qf,
     sum_table,
 )
-from prenovikov.core import StructureConstants, t2_zero
+from prenovikov.core import StructureConstants
 from prenovikov.io import render_report
 
 F = Fraction
@@ -27,8 +27,9 @@ alg = PreNovikovAlgebra(lhd, StructureConstants.zero(2))
 
 # Co-operations alpha(e1) = e2 (x) e2, beta(e1) = -e2 (x) e2 make this a
 # bialgebra; the double construction glues the algebra to its dual.
-alpha = (((F(0), F(0)), (F(0), F(1))), t2_zero(2))
-beta = (((F(0), F(0)), (F(0), F(-1))), t2_zero(2))
+zero = ((F(0), F(0)), (F(0), F(0)))
+alpha = (((F(0), F(0)), (F(0), F(1))), zero)
+beta = (((F(0), F(0)), (F(0), F(-1))), zero)
 bialg = PreNovikovBialgebra(alg, PreNovikovCoalgebra(2, alpha, beta))
 
 double = double_from_bialgebra(bialg)

@@ -34,11 +34,8 @@ from .core import (
     Scalar,
     StructureConstants,
     apply_op,
-    dual_map,
-    flip,
     frac,
     mult_matrix,
-    permute3,
     placed_product,
 )
 from .matched_double import (

@@ -82,7 +82,7 @@ class FormMatrix:
 
 def sum_table(lhd: StructureConstants, rhd: StructureConstants) -> StructureConstants:
     """The table of a o b = a<b + a>b, with no validity requirement."""
-    return lhd.add(rhd)
+    return StructureConstants(lhd.dim, evaluate({"o": labels.OPERANDS["o"]}, {"<": lhd.table, ">": rhd.table})["o"])
 
 
 def check_novikov(op: StructureConstants, basis=None) -> Report:

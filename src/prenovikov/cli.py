@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import labels
@@ -21,7 +20,7 @@ from .algebras import (
     derived_ops,
 )
 from .bialgebra import check_bialgebra, check_coalgebra
-from .core import InputError, RefusalError, fit_letters, fraction_texts
+from .core import InputError, RefusalError, fit_letters, fraction_texts, rational
 from .io import (
     FLAVORS,
     Bundle,
@@ -236,7 +235,7 @@ def _cmd_search(args, out) -> int:
         raise InputError(f"search expects a pre_novikov bundle, got {alg_bundle.kind!r}")
     alg = bundle_to_objects(alg_bundle)
     try:
-        values = [Fraction(v.strip()) for v in args.values.split(",") if v.strip()]
+        values = [rational(v) for v in args.values.split(",") if v.strip()]
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad value set {args.values!r}: {exc}") from None
     solutions = search_symmetric_ybe(alg, values, max_candidates=args.max_candidates)

@@ -29,10 +29,10 @@ import functools
 import numbers
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm, prod
 from string import ascii_lowercase
-from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +44,6 @@ Matrix = tuple[Vector, ...]
 Tensor2 = tuple[tuple[Scalar, ...], ...]
 Tensor3 = tuple[tuple[tuple[Scalar, ...], ...], ...]
 
-ZERO = Fraction(0)
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -70,9 +69,28 @@ def frac(x) -> Scalar:
     if isinstance(x, bool) or not isinstance(x, (Fraction, numbers.Integral, str)):
         raise InputError(f"not an exact scalar: {x!r}")
     try:
-        return x if isinstance(x, Fraction) else Fraction(x if isinstance(x, str) else int(x))
-    except (ValueError, ZeroDivisionError):  # "x", "1/0"
+        return x if isinstance(x, Fraction) else rational(x) if isinstance(x, str) else Fraction(int(x))
+    except (ValueError, ZeroDivisionError):  # "x", "1/0", "1e9999"
         raise InputError(f"not an exact scalar: {x!r}") from None
+
+
+MAX_DIGITS = sys.int_info.default_max_str_digits  # Python's limit on the digits of an int string
+
+
+def rational(text: str) -> Fraction:
+    """``Fraction(text)``, the one parse of a scalar text.  A number past
+    ``MAX_DIGITS`` digits is refused with ``ValueError``: by ``int`` when it
+    is written out, and here, before it is expanded, when an exponent would
+    take its numerator or denominator past them."""
+    head, e, exponent = text.lower().partition("e")
+    if e:
+        try:
+            shift = abs(int(exponent))
+        except ValueError:  # not an int, or one of more digits than int reads
+            shift = len(exponent)
+        if len(head) + shift > MAX_DIGITS:
+            raise ValueError(f"more than {MAX_DIGITS} digits once its exponent is expanded")
+    return Fraction(text)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +160,8 @@ def rationals(values: list, shape: tuple) -> Exact:
 def _entries(table) -> tuple[list, tuple]:
     """The entries of a nested table in row-major order, and its shape.
     Nested tuples and lists are flattened level by level, which is much
-    cheaper than building an object array from them."""
+    cheaper than building an object array from them.  A bool is no rational,
+    as for ``frac``: it is refused, by a check that an integer array skips."""
     shape, level = (), [table.tolist() if isinstance(table, np.ndarray) else table]
     while level and isinstance(level[0], (tuple, list)):
         size = len(level[0])
@@ -150,6 +169,8 @@ def _entries(table) -> tuple[list, tuple]:
             raise InputError("a table must be a rectangular array of exact rationals")
         shape += (size,)
         level = [x for row in level for x in row]
+    if not (isinstance(table, np.ndarray) and table.dtype.kind in "iu") and bool in set(map(type, level)):
+        raise InputError("a table must be a rectangular array of exact rationals")
     return level, shape
 
 
@@ -250,7 +271,7 @@ def _canonical(inputs: tuple, out: str, names: tuple) -> tuple[tuple, dict]:
     return (names, tuple("".join(map(rename.get, g)) for g in inputs), "".join(sorted(map(rename.get, out)))), rename
 
 
-def _bound(factors: tuple, maxabs: Sequence[int], den: int = 1) -> int:
+def _bound(factors: tuple, maxabs: list, den: int = 1) -> int:
     """A bound on every partial sum an integer evaluation of a sum forms,
     given its ``(factor, shift, operand positions)`` per term and a bound on
     each operand's absolute entries: the sum over terms of factor *
@@ -571,7 +592,10 @@ def fraction_texts(ints, den: int) -> dict:
     text = {}
     for x in set(ints):
         g = gcd(x, den)
-        text[x] = str(x // g) if g == den else f"{x // g}/{den // g}"
+        try:
+            text[x] = str(x // g) if g == den else f"{x // g}/{den // g}"
+        except ValueError:  # past ``MAX_DIGITS`` digits, where ``str`` refuses and ``Decimal`` does not
+            text[x] = str(Decimal(x // g)) if g == den else f"{Decimal(x // g)}/{Decimal(den // g)}"
     return text
 
 
@@ -586,32 +610,13 @@ def _contract1(subs: str, **tables):
 
 
 # ---------------------------------------------------------------------------
-# vectors and matrices
-# ---------------------------------------------------------------------------
-
-def mat_zero(rows: int, cols: int) -> Matrix:
-    return ((ZERO,) * cols,) * rows
-
-
-def mat_transpose(a: Matrix) -> Matrix:
-    return _contract1("ij->ji", a=a)
-
-
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return _contract1("ij,j->i", m=m, v=v)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return _contract1("ik,kj->ij", a=a, b=b)
-
-
-# ---------------------------------------------------------------------------
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
 def eliminate(m) -> tuple[Scalar, Exact | None]:
-    """Determinant and inverse of a square matrix (``Exact`` or nested).  The
-    inverse is an ``Exact`` array, None when the matrix is singular.
+    """Determinant and inverse of a square matrix (``Exact`` or nested; any
+    other is refused).  The inverse is an ``Exact`` array, None when the
+    matrix is singular.
 
     Fraction-free (Bareiss) Gauss-Jordan elimination of [M | I] on the integer
     lift M = s m: after the step on column k every row holds (k+1)-minors of
@@ -620,13 +625,15 @@ def eliminate(m) -> tuple[Scalar, Exact | None]:
     left and d M^{-1} on the right.
     """
     m = exact(m)
+    if m.shape != (0,):  # (``()``, the empty matrix, is square)
+        fit_letters("elimination of a non-square matrix", "aa", m.shape, {})
     n, den = len(m.num), m.den
     a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m.num.tolist())]
     sign, prev = 1, 1
     for k in range(n):
         p = next((i for i in range(k, n) if a[i][k]), None)
         if p is None:
-            return ZERO, None
+            return Fraction(0), None
         if p != k:
             a[k], a[p] = a[p], a[k]
             sign = -sign
@@ -639,31 +646,17 @@ def eliminate(m) -> tuple[Scalar, Exact | None]:
     return Fraction(sign * prev, den**n), Exact(np.array([row[n:] for row in a], dtype=object) * den, prev)
 
 
-def _square(m, message: str) -> Exact:
-    """``m`` as an ``Exact`` array, refused with ``message`` unless square
-    (``()``, the empty matrix, is square)."""
-    m = exact(m)
-    if m.shape != (0,):
-        fit_letters(message, "aa", m.shape, {})
-    return m
-
-
 def exact_det(m: Matrix) -> Scalar:
     """The determinant, by ``eliminate``."""
-    return eliminate(_square(m, "determinant of a non-square matrix"))[0]
+    return eliminate(m)[0]
 
 
 def mat_inverse(a: Matrix) -> Matrix:
     """The inverse, by ``eliminate``; raises InputError if singular."""
-    inverse = eliminate(_square(a, "solve_linear needs a square system"))[1]
+    inverse = eliminate(a)[1]
     if inverse is None:
         raise InputError("singular system")
     return inverse.nested
-
-
-def solve_linear(a: Matrix, b: Vector) -> Vector:
-    """Solve the square system a x = b exactly; raises InputError if singular."""
-    return mat_vec(mat_inverse(a), b)
 
 
 # ---------------------------------------------------------------------------
@@ -695,10 +688,6 @@ class StructureConstants:
     @staticmethod
     def zero(n: int) -> "StructureConstants":
         return StructureConstants(n, Exact(np.zeros((n, n, n), dtype=np.int64)))
-
-    def add(self, other: "StructureConstants") -> "StructureConstants":
-        terms = labels.OPERANDS["o"]
-        return StructureConstants(self.dim, evaluate({"o": terms}, {"<": self.table, ">": other.table})["o"])
 
     def is_zero(self) -> bool:
         return not self.table.num.any()
@@ -765,38 +754,12 @@ def mult_matrix(op: StructureConstants, a: Vector, side: str) -> Matrix:
 # rank-2 and rank-3 tensors
 # ---------------------------------------------------------------------------
 
-def t2_zero(n: int, m: int | None = None) -> Tensor2:
-    return mat_zero(n, m if m is not None else n)
-
-
-def flip(t: Tensor2) -> Tensor2:
-    """The swap a(x)b -> b(x)a; requires a square tensor."""
-    return mat_transpose(_square(t, "flip needs a square rank-2 tensor"))
-
-
 def t3_is_zero(a: Tensor3) -> bool:
     return not exact(a).num.any()  # (ragged input is refused)
 
 
-def permute3(t: Tensor3, perm: Sequence[int]) -> Tensor3:
-    """Push tensor slots around: slot k of the input becomes slot perm[k-1].
-
-    ``perm`` is a permutation of (1, 2, 3).  The group action law holds:
-    ``permute3(permute3(t, s), r) == permute3(t, r s)``, with (r s)(k) =
-    r(s(k)).
-    """
-    if sorted(perm) != [1, 2, 3]:
-        raise InputError(f"not a permutation of (1,2,3): {perm!r}")
-    # out[j1][j2][j3] = t[j_{perm(1)}][j_{perm(2)}][j_{perm(3)}]
-    return _contract1("".join("abc"[k - 1] for k in perm) + "->abc", t=t)
-
-
-def placed_product(
-    r: Tensor2,
-    r2: Tensor2,
-    op: StructureConstants,
-    slots: tuple[tuple[int, int], tuple[int, int]],
-) -> Tensor3:
+def placed_product(r: Tensor2, r2: Tensor2, op: StructureConstants,
+                   slots: tuple[tuple[int, int], tuple[int, int]]) -> Tensor3:
     """Generic placed product r_pq * r'_st in the triple tensor power.
 
     The first factor's components go to slots (p, q), the second factor's to
@@ -812,14 +775,3 @@ def placed_product(
     first = "".join("u" if x == k else "abc"[x - 1] for x in (p, q))
     second = "".join("v" if x == k else "abc"[x - 1] for x in (s, t))
     return _contract1(f"{first},{second},uv{'abc'[k - 1]}->abc", r=r, r2=r2, c=op.table)
-
-
-def dual_map(m: Matrix, mode: str) -> Matrix:
-    """Dual of a linear map on coordinate duals.
-
-    ``pairing`` mode is the plain transpose, <M*(f), v> = <f, M v>;
-    ``rep`` mode is the negated transpose, <M*(f), v> = -<f, M v>.
-    """
-    if mode not in ("pairing", "rep"):
-        raise InputError(f"dual_map mode must be 'pairing' or 'rep', got {mode!r}")
-    return evaluate({"": [(1 if mode == "pairing" else -1, "ij->ji", ("m",))]}, {"m": m})[""].nested

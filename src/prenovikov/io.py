@@ -23,7 +23,7 @@ from typing import Any
 
 from .algebras import FormMatrix, NovikovAlgebra, PreNovikovAlgebra
 from .bialgebra import PreNovikovBialgebra, PreNovikovCoalgebra
-from .core import Exact, InputError, StructureConstants, fraction_texts, rationals
+from .core import MAX_DIGITS, Exact, InputError, StructureConstants, fraction_texts, rational, rationals
 from .labels import IDENTITIES, render_identity
 from .report import Report, Violation
 from .representations import (
@@ -90,7 +90,7 @@ def _locate(value: Any, shape: tuple[int, ...], path: str) -> None:
         raise InputError(f"{path}: scalar entries must be exact rationals, got {value!r}")
     elif isinstance(value, str):
         try:
-            Fraction(value)
+            rational(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{path}: bad rational {value!r} ({exc})") from None
     elif not isinstance(value, int):
@@ -110,7 +110,7 @@ def _array(value: Any, shape: tuple[int, ...], path: str, memo: dict) -> Exact:
             level = [x for row in level for x in row]
         if not all(type(x) is str or type(x) is int for x in level):
             raise ValueError
-        memo.update((x, Fraction(x)) for x in set(level).difference(memo))
+        memo.update((x, rational(x) if type(x) is str else Fraction(x)) for x in set(level).difference(memo))
     except (ValueError, ZeroDivisionError):
         _locate(value, shape, path)
     return rationals([memo[x] for x in level], shape)
@@ -149,12 +149,19 @@ def _parse_fields(raw: dict, specs: dict, prefix: str, sizes: dict, memo: dict) 
     return data
 
 
-def parse_bundle(text: str) -> Bundle:
-    """Strict parse of a bundle document."""
+def _loads(text: str) -> Any:
+    """A JSON document, or an ``InputError``."""
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError:  # from int, which json.loads lets through
+        raise InputError(f"a JSON integer of more than {MAX_DIGITS} digits") from None
+
+
+def parse_bundle(text: str) -> Bundle:
+    """Strict parse of a bundle document."""
+    raw = _loads(text)
     if not isinstance(raw, dict):
         raise InputError("bundle must be a JSON object")
     kind = raw.get("kind")
@@ -317,11 +324,7 @@ def _report_json(report: Report, pad: str) -> str:
 def parse_report(text: str) -> Report:
     """Inverse of the machine rendering.  The ``seconds`` field that older
     renderings carried is ignored."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    return _report_from_doc(raw)
+    return _report_from_doc(_loads(text))
 
 
 # the fields of a report document and of one of its violations -> their JSON

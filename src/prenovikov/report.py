@@ -13,14 +13,14 @@ the rows a verifier adds itself, so reports are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, starmap
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import contract, fraction_texts
-from .labels import SPECS
+from .core import InputError, contract, fraction_texts
+from .labels import SPECS, render_identity
 
 
 def default_labels(n: int, prefix: str = "e") -> tuple[str, ...]:
@@ -124,7 +124,16 @@ def verify(tree: Tree, tables: dict, rows=()) -> Report:
     """The report ``tree`` declares, on ``tables``, from one kernel call.  It
     holds each code's residual array unless it is all zero; ``rows``, the
     root's violations that are no spec's residual, follow the codes'."""
-    return _build(tree, (), contract(_specs(tree, (), {}), tables), rows)
+    specs = _specs(tree, (), {})
+    try:
+        residuals = contract(specs, tables)
+    except InputError as exc:  # named by its report and identity, not by the kernel's spec key
+        for path, code in specs:
+            if (text := str(exc)).startswith(key := f"spec {(path, code)!r}"):
+                name = reduce(lambda t, k: t.sections[k], path, tree).name
+                raise InputError(f"{name} {render_identity(code)}{text[len(key):]}") from None
+        raise
+    return _build(tree, (), residuals, rows)
 
 
 def _build(tree: Tree, path: tuple, residuals: dict, rows=()) -> Report:

@@ -14,7 +14,9 @@ from prenovikov import (
     lift_o_operator,
 )
 from prenovikov import core
-from prenovikov.core import StructureConstants, mat_inverse, mat_vec, t2_zero
+from prenovikov.core import StructureConstants, mat_inverse
+
+from tensor_reference import mat_mul, mat_vec, zeros
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -52,8 +54,8 @@ def alg2() -> PreNovikovAlgebra:
 @pytest.fixture(scope="session")
 def co2(alg2) -> PreNovikovCoalgebra:
     """alpha(e1) = e2 (x) e2, beta(e1) = -e2 (x) e2, zero elsewhere."""
-    alpha = (((F(0), F(0)), (F(0), F(1))), t2_zero(2))
-    beta = (((F(0), F(0)), (F(0), F(-1))), t2_zero(2))
+    alpha = (((F(0), F(0)), (F(0), F(1))), zeros(2))
+    beta = (((F(0), F(0)), (F(0), F(-1))), zeros(2))
     return PreNovikovCoalgebra(2, alpha, beta)
 
 
@@ -105,8 +107,6 @@ def rand_invertible(rng: random.Random, n: int):
            for i in range(n)]
     up = [[F(1) if i == j else (rand_fraction(rng) if i < j else F(0)) for j in range(n)]
           for i in range(n)]
-    from prenovikov.core import mat_mul
-
     return mat_mul(tuple(map(tuple, low)), tuple(map(tuple, up)))
 
 

@@ -9,9 +9,11 @@ Fractions, and ``fraction_det`` multiplies the pivots of Gaussian elimination.
 
 from fractions import Fraction
 
-from prenovikov.core import ZERO, InputError, StructureConstants, mat_transpose
+from prenovikov.core import InputError, StructureConstants
 
 from tensor_reference import basis_vec
+
+ZERO = Fraction(0)
 
 
 def direct_sum_product(mp) -> StructureConstants:
@@ -121,7 +123,7 @@ def solve_linear(a, b):
 def mat_inverse(a):
     n = len(a)
     cols = [solve_linear(a, basis_vec(n, j)) for j in range(n)]
-    return mat_transpose(tuple(cols))
+    return tuple(zip(*cols))
 
 
 def fraction_det(a) -> Fraction:

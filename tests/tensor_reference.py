@@ -1,8 +1,9 @@
-"""Fraction-tuple helpers the tests build expected values with.
+"""Fraction-tuple helpers the tests build expected values and conjugated
+inputs with.
 
 Nothing in the package calls them: its tables are exact arrays that the
-kernel contracts.  Each is written out entry by entry, so that an expected
-value built here does not go through the kernel it checks.
+kernel contracts.  Each is written out entry by entry, so that a value built
+here does not go through the kernel it checks.
 """
 
 from fractions import Fraction
@@ -14,6 +15,11 @@ def basis_vec(n, i):
 
 def mat_identity(n):
     return tuple(basis_vec(n, i) for i in range(n))
+
+
+def zeros(n, m=None):
+    """The n x m matrix of zeros (n x n by default)."""
+    return ((Fraction(0),) * (n if m is None else m),) * n
 
 
 def t2(entries):
@@ -30,6 +36,14 @@ def mat_scale(c, a):
 
 
 t2_add, t2_scale = mat_add, mat_scale
+
+
+def mat_vec(m, v):
+    return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in m)
+
+
+def mat_mul(a, b):
+    return tuple(mat_vec(tuple(zip(*b)), row) for row in a)
 
 
 def t2_sub(a, b):
@@ -50,8 +64,3 @@ def t2_apply_right(m, t):
 
 def t3_add(a, b):
     return tuple(mat_add(x, y) for x, y in zip(a, b))
-
-
-def compose_perm(r, s):
-    """(r s)(k) = r(s(k)) on {1,2,3}."""
-    return tuple(r[s[k] - 1] for k in range(3))

@@ -51,13 +51,13 @@ from prenovikov import (
 from prenovikov.core import (
     StructureConstants,
     mat_inverse,
-    mat_mul,
     t3_is_zero,
 )
 from prenovikov.io import parse_bundle, serialize_bundle
 from prenovikov.cli import run_command
 
 from conftest import FIXTURES, rand_invertible, rand_symmetric
+from tensor_reference import mat_mul
 
 F = Fraction
 

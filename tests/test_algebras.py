@@ -28,7 +28,6 @@ from prenovikov.core import (
     StructureConstants,
     apply_op,
     evaluate,
-    mat_vec,
     sum_batched,
 )
 from prenovikov import algebras, core, labels
@@ -148,13 +147,13 @@ def test_form_iso_defining_relation():
     t = form_iso(w)
     wm = FormMatrix(4, w.w)
     for j in range(4):
-        tf = mat_vec(t, basis_vec(4, j))
+        tf = tuple(row[j] for row in t)
         for a in range(4):
             assert wm.pair(tf, basis_vec(4, a)) == (F(1) if a == j else F(0))
     w2 = FormMatrix(2, ((F(0), F(1)), (F(-1), F(0))))
     t2m = form_iso(w2)
     for j in range(2):
-        tf = mat_vec(t2m, basis_vec(2, j))
+        tf = tuple(row[j] for row in t2m)
         for a in range(2):
             assert w2.pair(tf, basis_vec(2, a)) == (F(1) if a == j else F(0))
     with pytest.raises(InputError):
@@ -209,13 +208,14 @@ def test_split_qf_dual_transport_routes():
 
 
 def test_split_qf_evaluates_two_specs(monkeypatch, bialg2):
-    """The split is one kernel call of the two product specs."""
+    """The split is one kernel call of the two product specs; the check that
+    they sum to o (``sum_table``) is one more, of the spec o."""
     double = double_from_bialgebra(bialg2)
     calls = []
     spy = algebras.evaluate
     monkeypatch.setattr(algebras, "evaluate", lambda specs, tables: calls.append(sorted(specs)) or spy(specs, tables))
     algebras._split_qf(double.algebra.op, double.form)
-    assert calls == [["<", ">"]]
+    assert calls == [["<", ">"], ["o"]]
 
 
 def test_pre_novikov_from_qf_zero_algebra():

@@ -16,7 +16,9 @@ from prenovikov import (
     induced_matched_pair,
 )
 from prenovikov import algebras, bialgebra, core, labels, representations
-from prenovikov.core import Exact, InputError, StructureConstants, contract, t2_zero
+from prenovikov.core import Exact, InputError, StructureConstants, contract
+
+from tensor_reference import zeros
 
 
 F = Fraction
@@ -31,7 +33,7 @@ def test_dual_algebra_values(co2):
     nonzero_l = [(p, q) for p in range(2) for q in range(2) if any(lhd_star.c[p][q])]
     nonzero_r = [(p, q) for p in range(2) for q in range(2) if any(rhd_star.c[p][q])]
     assert nonzero_l == [(1, 1)] and nonzero_r == [(1, 1)]
-    zero_co = PreNovikovCoalgebra(2, (t2_zero(2), t2_zero(2)), (t2_zero(2), t2_zero(2)))
+    zero_co = PreNovikovCoalgebra(2, (zeros(2), zeros(2)), (zeros(2), zeros(2)))
     zl, zr = coalgebra_to_dual_algebra(zero_co)
     assert zl.is_zero() and zr.is_zero()
 
@@ -43,21 +45,21 @@ def test_dual_algebra_of_fixture_is_pre_novikov(co2):
 
 def test_check_coalgebra_examples(co2):
     assert check_coalgebra(co2).passed
-    zero_co = PreNovikovCoalgebra(2, (t2_zero(2), t2_zero(2)), (t2_zero(2), t2_zero(2)))
+    zero_co = PreNovikovCoalgebra(2, (zeros(2), zeros(2)), (zeros(2), zeros(2)))
     assert check_coalgebra(zero_co).passed
 
 
 def test_alpha_e1_tensor_e1_is_actually_valid():
     """Pinned: this candidate satisfies every co-identity (its double
     products collapse), so it is a positive case, not a failing one."""
-    alpha = (((F(1), F(0)), (F(0), F(0))), t2_zero(2))
-    co = PreNovikovCoalgebra(2, alpha, (t2_zero(2), t2_zero(2)))
+    alpha = (((F(1), F(0)), (F(0), F(0))), zeros(2))
+    co = PreNovikovCoalgebra(2, alpha, (zeros(2), zeros(2)))
     assert check_coalgebra(co).passed
 
 
 def test_failing_coalgebra_and_dual_route_consistency():
     ones = tuple(tuple(F(-1) for _ in range(2)) for _ in range(2))
-    co = PreNovikovCoalgebra(2, (ones, t2_zero(2)), (ones, t2_zero(2)))
+    co = PreNovikovCoalgebra(2, (ones, zeros(2)), (ones, zeros(2)))
     report = check_coalgebra(co)
     assert not report.passed
     ids = {v.identity for v in report.violations}
@@ -99,7 +101,7 @@ def test_dual_route_agreement_over_mutations(co2):
 
 def test_check_compatibility_examples(alg2, co2):
     assert check_compatibility(alg2, co2).passed
-    zero_co = PreNovikovCoalgebra(2, (t2_zero(2), t2_zero(2)), (t2_zero(2), t2_zero(2)))
+    zero_co = PreNovikovCoalgebra(2, (zeros(2), zeros(2)), (zeros(2), zeros(2)))
     assert check_compatibility(alg2, zero_co).passed
     negated_beta = tuple(
         tuple(tuple(-v for v in row) for row in t) for t in co2.beta
@@ -109,13 +111,13 @@ def test_check_compatibility_examples(alg2, co2):
     first = report.violations[0]
     assert first.identity == "3.16" and first.witness == ("e1", "e1")
     with pytest.raises(InputError):
-        check_compatibility(alg2, PreNovikovCoalgebra(3, (t2_zero(3),) * 3, (t2_zero(3),) * 3))
+        check_compatibility(alg2, PreNovikovCoalgebra(3, (zeros(3),) * 3, (zeros(3),) * 3))
 
 
 def test_check_bialgebra(alg2, co2, alg4):
     assert check_bialgebra(alg2, co2).passed
     zero_alg = PreNovikovAlgebra(StructureConstants.zero(2), StructureConstants.zero(2))
-    zero_co = PreNovikovCoalgebra(2, (t2_zero(2), t2_zero(2)), (t2_zero(2), t2_zero(2)))
+    zero_co = PreNovikovCoalgebra(2, (zeros(2), zeros(2)), (zeros(2), zeros(2)))
     assert check_bialgebra(zero_alg, zero_co).passed
     # the four-dimensional fixture bialgebra: alpha(e2*) = 2 e1* (x) e1*, beta = 0
     a4 = [[[F(0)] * 4 for _ in range(4)] for _ in range(4)]
@@ -123,7 +125,7 @@ def test_check_bialgebra(alg2, co2, alg4):
     co4 = PreNovikovCoalgebra(
         4,
         tuple(tuple(map(tuple, p)) for p in a4),
-        tuple(t2_zero(4) for _ in range(4)),
+        tuple(zeros(4) for _ in range(4)),
     )
     assert check_bialgebra(alg4, co4).passed
 
@@ -159,7 +161,7 @@ def test_check_coalgebra_is_one_kernel_call(monkeypatch, alg2, co2):
     ``check_bialgebra`` and ``check_matched_pair`` call no section checker."""
     ones = tuple(tuple(F(-1) for _ in range(2)) for _ in range(2))
     coalgebras = (PreNovikovCoalgebra(2, co2.alpha, co2.beta),
-                  PreNovikovCoalgebra(2, (ones, t2_zero(2)), (ones, t2_zero(2))))
+                  PreNovikovCoalgebra(2, (ones, zeros(2)), (ones, zeros(2))))
     pairs = [induced_matched_pair(PreNovikovBialgebra(alg2, co)) for co in coalgebras]
     calls = []
     run = core._Program.run

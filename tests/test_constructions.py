@@ -9,6 +9,7 @@ import pytest
 
 import construction_oracles as oracle
 from conftest import FIXTURES
+from tensor_reference import mat_vec
 from prenovikov import (
     MatchedPair,
     PreNovikovAlgebra,
@@ -30,7 +31,6 @@ from prenovikov.core import (
     direct_sum_table,
     exact_det,
     mat_inverse,
-    solve_linear,
 )
 from prenovikov.io import bundle_to_objects, parse_bundle
 from prenovikov.matched_double import _blocks_match, direct_sum_product, standard_form
@@ -227,7 +227,7 @@ def test_elimination_matches_fraction_gauss_jordan():
             assert inverse == oracle.mat_inverse(exact)
             assert all_fractions(inverse)
             b = rand_array(rng, (n,))
-            assert solve_linear(m, b) == oracle.solve_linear(exact, b)
+            assert mat_vec(inverse, b) == oracle.solve_linear(exact, b)
 
 
 def test_singular_matrices_are_refused():
@@ -237,10 +237,8 @@ def test_singular_matrices_are_refused():
         assert exact_det(m) == 0 == oracle.fraction_det(m)
         with pytest.raises(InputError, match="singular system"):
             mat_inverse(m)
-        with pytest.raises(InputError, match="singular system"):
-            solve_linear(m, (Fraction(1),) * n)
     assert exact_det(()) == 1 and mat_inverse(()) == ()
     with pytest.raises(InputError, match="non-square"):
         exact_det(((Fraction(1), Fraction(2)),))
-    with pytest.raises(InputError, match="square system"):
+    with pytest.raises(InputError, match="non-square"):
         mat_inverse(((Fraction(1), Fraction(2)),))

@@ -620,3 +620,56 @@ def test_cli_oper_lift_labels_the_algebra_basis(tmp_path):
     assert [b.kind for b in bundles] == ["pre_novikov", "tensor2"]
     for b in bundles:
         assert b.data["basis"] == ("x", "y", "u*", "w*")
+
+
+def test_oversized_scalars_are_refused_before_they_are_expanded(tmp_path, capsys):
+    """A scalar whose numerator or denominator passes Python's int-string
+    digit limit (``core.MAX_DIGITS``, 4300) is an input error, whether it is
+    written out, as a JSON integer, or through an exponent, which is refused
+    before it is expanded: ``Fraction("1e4000000")`` alone takes seconds.
+    (A digit string was refused by ``int`` already.)"""
+    assert core.MAX_DIGITS == 4300
+    text = Path(fixture("dim2_pre_novikov.json")).read_text()
+    digits = "1" + "0" * 4999
+    cases = {
+        f'"{digits}"': f"lhd[0][0][0]: bad rational '{digits}' (Exceeds the limit (4300 digits) for integer "
+                       "string conversion: value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit)",
+        digits: "a JSON integer of more than 4300 digits",
+        '"1e999999999"': "lhd[0][0][0]: bad rational '1e999999999' (more than 4300 digits once its exponent is expanded)",
+    }
+    for k, (entry, message) in enumerate(cases.items()):
+        path = tmp_path / f"big{k}.json"
+        path.write_text(text.replace('"1"', entry, 1))
+        assert run(["check", str(path)]) == (2, "")
+        assert capsys.readouterr().err == f"input error: {path}: {message}\n"
+    report = json.loads(render_report(Report("r", ("2.8",)), "machine"))
+    report["violations"] = [{"identity": "2.8", "witness_index": [10**4000], "witness": ["e1"], "residual": ["1"]}]
+    with pytest.raises(InputError, match="^a JSON integer of more than 4300 digits$"):
+        parse_report(json.dumps(report).replace("1" + "0" * 4000, "1" + "0" * 5000))
+    argv = ["search", fixture("dim2_pre_novikov.json")]
+    for values in ("0,1e5000", "0,1e-4300", "1e4000000"):
+        assert run(argv + [f"--values={values}"]) == (2, "")
+        assert capsys.readouterr().err == (
+            f"input error: bad value set {values!r}: more than 4300 digits once its exponent is expanded\n")
+    for bad in ("1e4000000", "1e" + "9" * 5000):
+        with pytest.raises(InputError, match="not an exact scalar"):
+            core.frac(bad)
+    assert core.frac("1e4299") == 10**4299 and core.frac("-25e-2") == Fraction(-1, 4)
+
+
+def test_residuals_past_the_digit_limit_are_written_exactly(tmp_path):
+    """Entries within the limit can give residuals past it, which every
+    writer prints in full: ``fraction_texts`` does not go through ``str``."""
+    doc = json.loads(Path(fixture("dim2_pre_novikov.json")).read_text())
+    doc["lhd"][0][1][1], doc["rhd"][1][0][0], doc["lhd"][1][1][0] = "1e3000", "1e3000", "2e3000"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    # 2.8 at (e1,e2,e1), first coordinate: 10**3000 - 10**6000
+    residual = "-" + "9" * 3000 + "0" * 3000
+    code, text = run(["check", str(path)])
+    assert code == 1 and f"Eq (2.8) violated at (e1,e2,e1): residual ({residual}, 0)\n" in text
+    code, machine = run(["--format", "machine", "check", str(path)])
+    assert code == 1 and parse_report(machine).violations[0].residual == (residual, "0")
+    assert run(["derive", str(path)]) == (1, text)
+    assert core.fraction_texts([10**5000 + 1, -(10**5000)], 10**4500) == {
+        10**5000 + 1: "1" + "0" * 4999 + "1/1" + "0" * 4500, -(10**5000): "-1" + "0" * 500}

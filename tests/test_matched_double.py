@@ -24,9 +24,10 @@ from prenovikov import (
 )
 from prenovikov import algebras, bialgebra, core, labels, matched_double
 from prenovikov.cli import run_command
-from prenovikov.core import StructureConstants, mat_zero
+from prenovikov.core import StructureConstants
 
 from conftest import FIXTURES
+from tensor_reference import zeros
 
 
 
@@ -48,19 +49,19 @@ def test_induced_matched_pair_passes(bialg2):
     mp = induced_matched_pair(bialg2)
     assert check_matched_pair(mp).passed
     # structural fact of this fixture: the dual-side left action vanishes
-    assert all(m == mat_zero(2, 2) for m in mp.l_b)
+    assert all(m == zeros(2, 2) for m in mp.l_b)
 
 
 def test_zero_matched_pair_passes():
     z = StructureConstants.zero(2)
-    zm = (mat_zero(2, 2), mat_zero(2, 2))
+    zm = (zeros(2, 2), zeros(2, 2))
     mp = MatchedPair(z, z, zm, zm, zm, zm)
     assert check_matched_pair(mp).passed
 
 
 def test_zeroed_action_fails(bialg2):
     mp = induced_matched_pair(bialg2)
-    zm = (mat_zero(2, 2), mat_zero(2, 2))
+    zm = (zeros(2, 2), zeros(2, 2))
     broken = MatchedPair(mp.a_op, mp.b_op, zm, mp.r_a, mp.l_b, mp.r_b)
     report = check_matched_pair(broken)
     assert not report.passed
@@ -82,14 +83,14 @@ def test_direct_sum_reproduces_double_table(bialg2):
 
 def test_direct_sum_zero_pair():
     z = StructureConstants.zero(2)
-    zm = (mat_zero(2, 2), mat_zero(2, 2))
+    zm = (zeros(2, 2), zeros(2, 2))
     alg = direct_sum_algebra(MatchedPair(z, z, zm, zm, zm, zm))
     assert alg.op.is_zero()
 
 
 def test_direct_sum_refuses_invalid(bialg2):
     mp = induced_matched_pair(bialg2)
-    zm = (mat_zero(2, 2), mat_zero(2, 2))
+    zm = (zeros(2, 2), zeros(2, 2))
     broken = MatchedPair(mp.a_op, mp.b_op, zm, mp.r_a, mp.l_b, mp.r_b)
     with pytest.raises(RefusalError):
         direct_sum_algebra(broken)
@@ -171,12 +172,11 @@ def test_qf_splitting_round_trips_over_enumerated_doubles():
     its double is quasi-Frobenius and the induced splitting recovers it."""
     from fractions import Fraction
     from prenovikov import enumerate_dim2_pre_novikov, pre_novikov_from_qf, sum_table
-    from prenovikov.core import t2_zero
     import random
 
     rng = random.Random(41)
     algs = enumerate_dim2_pre_novikov()
-    zero_co = PreNovikovCoalgebra(2, (t2_zero(2), t2_zero(2)), (t2_zero(2), t2_zero(2)))
+    zero_co = PreNovikovCoalgebra(2, (zeros(2), zeros(2)), (zeros(2), zeros(2)))
     for alg in rng.sample(algs, 20):
         double = double_from_bialgebra(PreNovikovBialgebra(alg, zero_co))
         assert check_quasi_frobenius(double.algebra.op, double.form).passed

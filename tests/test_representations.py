@@ -27,18 +27,16 @@ from prenovikov.core import (
     InputError,
     StructureConstants,
     mat_inverse,
-    mat_mul,
-    mat_zero,
 )
 
 from conftest import rand_invertible
-from tensor_reference import mat_identity, mat_scale
+from tensor_reference import mat_identity, mat_mul, mat_scale, zeros
 
 F = Fraction
 
 
 def _zero_maps(n, m):
-    return tuple(mat_zero(m, m) for _ in range(n))
+    return tuple(zeros(m, m) for _ in range(n))
 
 
 def test_check_novikov_rep_examples(alg2):
@@ -92,7 +90,7 @@ def test_dual_novikov_rep_values_and_involution(alg2):
     assert again.l == adj.l and again.r == adj.r
     zero = verify_novikov_rep(NovikovRep(nov, _zero_maps(2, 2), _zero_maps(2, 2)))
     dz = dual_novikov_rep(zero)
-    assert all(m == mat_zero(2, 2) for m in dz.l + dz.r)
+    assert all(m == zeros(2, 2) for m in dz.l + dz.r)
     with pytest.raises(RefusalError):
         dual_novikov_rep(replace(adj, verified=False))
 
@@ -126,13 +124,13 @@ def test_dual_pre_novikov_rep_values_and_involution(alg2):
 
 def test_adjoint_reps_values(alg2):
     nov_rep, pre_rep = adjoint_reps(alg2)
-    assert all(m == mat_zero(2, 2) for m in nov_rep.l)  # L> = 0
+    assert all(m == zeros(2, 2) for m in nov_rep.l)  # L> = 0
     assert nov_rep.r[0] == mat_identity(2)  # R<(e1) = id
     assert nov_rep.verified and pre_rep.verified
     zero_alg = PreNovikovAlgebra(StructureConstants.zero(2), StructureConstants.zero(2))
     znov, zpre = adjoint_reps(zero_alg)
-    assert all(m == mat_zero(2, 2) for m in znov.l + znov.r)
-    assert all(m == mat_zero(2, 2) for m in zpre.l_rhd + zpre.r_rhd + zpre.l_lhd + zpre.r_lhd)
+    assert all(m == zeros(2, 2) for m in znov.l + znov.r)
+    assert all(m == zeros(2, 2) for m in zpre.l_rhd + zpre.r_rhd + zpre.l_lhd + zpre.r_lhd)
 
 
 def test_semidirect_reproduces_fixture(alg2, alg4):

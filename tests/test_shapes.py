@@ -2,8 +2,9 @@
 and the terms of one sum must give one shape.  Each case below gives one
 operand a mismatched axis, often a size-1 axis where a larger size is
 expected, which ``np.einsum`` and numpy slice assignment would broadcast,
-or hands the kernel a malformed spec.  Every entry point must refuse it
-with ``InputError``, never with another exception and never with a value."""
+or hands the kernel a malformed spec, a ragged table or bool entries.
+Every entry point must refuse it with ``InputError``, never with another
+exception and never with a value."""
 
 import io
 import json
@@ -33,6 +34,7 @@ from prenovikov import (
     coboundary_maps,
     core,
     labels,
+    sum_table,
     t_r_from_tensor,
     ybe_residual,
 )
@@ -42,18 +44,11 @@ from prenovikov.core import (
     StructureConstants,
     apply_op,
     direct_sum_table,
-    dual_map,
     evaluate,
     exact_det,
-    flip,
     mat_inverse,
-    mat_mul,
-    mat_transpose,
-    mat_vec,
     mult_matrix,
-    permute3,
     placed_product,
-    solve_linear,
     sum_batched,
     zero_mask,
 )
@@ -106,6 +101,7 @@ CASES = {
     "evaluate derived operand": lambda: evaluate(
         {"x": [(1, "ijk->ijk", ("o",))]}, {"<": ones(2, 2, 2), ">": ones(1, 1, 1)}),
     "evaluate unknown operand": lambda: evaluate({"x": [(1, "ij->ji", ("q",))]}, {"m": M2}),
+    "evaluate ragged table": lambda: evaluate({"x": [(1, "ij->ji", ("m",))]}, {"m": ((F(1), F(2)), (F(3),))}),
     "sum_batched size-1 member axis": lambda: sum_batched(
         {"x": [(1, "ij,j->i", ("m", "v"))]}, batched((3, 2, 2), (3, 1)), batch={"m", "v"}),
     "sum_batched batch lengths": lambda: sum_batched(
@@ -120,31 +116,22 @@ CASES = {
     "zero_mask size-1 fixed operand": lambda: zero_mask(
         {"x": [(1, "ij,j->i", ("m", "v"))]}, 3, lambda lo, hi: {"m": np.ones((hi - lo, 2, 2), np.int64)},
         {"v": np.ones(1, np.int64)}),
-    # the tuple helpers
-    "mat_vec size-1 vector": lambda: mat_vec(M2, (F(1),)),
-    "mat_vec empty matrix": lambda: mat_vec((), E),
-    "mat_mul size-1 rows": lambda: mat_mul(M2, ((F(1), F(2)),)),
-    "mat_transpose ragged": lambda: mat_transpose(((F(1), F(2)), (F(3),))),
-    "mat_transpose vector": lambda: mat_transpose(E),
-    "dual_map ragged pairing": lambda: dual_map(((F(1), F(2)), (F(3),)), "pairing"),
-    "dual_map vector rep": lambda: dual_map(E, "rep"),
-    "solve_linear size-1 right side": lambda: solve_linear(M2, (F(1),)),
-    "solve_linear empty rows": lambda: solve_linear(((),), (F(1),)),
+    # the helpers on nested tables
+    "exact bool entries": lambda: core.exact([[True, False]]),
+    "exact bool array": lambda: core.exact(np.array([True, False])),
     "exact_det empty rows": lambda: exact_det(((),)),
     "mat_inverse empty rows": lambda: mat_inverse(((), ())),
     "apply_op size-1 vector": lambda: apply_op(sc(2), (F(1),), E),
     "mult_matrix size-1 vector": lambda: mult_matrix(sc(2), (F(1),), "left"),
-    "permute3 two-axis table": lambda: permute3(M2, (1, 2, 3)),
     "placed_product size-1 factor": lambda: placed_product(((F(1),),), M2, sc(2), ((1, 2), (2, 3))),
     "placed_product short second factor": lambda: placed_product(M2, (E,), sc(2), ((1, 2), (1, 3))),
-    "flip vector": lambda: flip(E),
-    "flip empty rows": lambda: flip(((),)),
     "t_r_from_tensor vector": lambda: t_r_from_tensor(E),
     "FormMatrix.pair size-1 vector": lambda: FormMatrix(2, M2).pair((F(1),), E),
     "FormMatrix.pair long vector": lambda: FormMatrix(2, M2).pair(E, (F(1),) * 3),
     # the constructors
     "StructureConstants size-1 table": lambda: StructureConstants(2, ones(1, 1, 1)),
     "StructureConstants size-1 axis": lambda: StructureConstants(2, ones(2, 1, 2)),
+    "StructureConstants bool table": lambda: StructureConstants(1, [[[True]]]),
     "FormMatrix size-1 axis": lambda: FormMatrix(2, ones(2, 1)),
     "PreNovikovCoalgebra size-1 axis": lambda: PreNovikovCoalgebra(2, ones(2, 2, 2), ones(2, 1, 2)),
     "NovikovRep two module sizes": lambda: NovikovRep(NovikovAlgebra(sc(2)), ones(2, 3, 3), ones(2, 2, 2)),
@@ -155,7 +142,7 @@ CASES = {
     "MatchedPair swapped action": lambda: MatchedPair(
         sc(2), sc(3), ones(3, 2, 2), ones(2, 3, 3), ones(3, 2, 2), ones(3, 2, 2)),
     # the constructions that read tables with no validity requirement
-    "StructureConstants.add size-1 table": lambda: sc(2).add(sc(1)),
+    "sum_table size-1 table": lambda: sum_table(sc(2), sc(1)),
     "dual_adjoint_maps dims 1 and 2": lambda: dual_adjoint_maps(sc(1), sc(2)),
     "direct_sum_table size-1 action": lambda: direct_sum_table(2, 3, {"o": ones(2, 2, 2), "lA": ones(2, 1, 1)}),
     "direct_sum_table size-1 product": lambda: direct_sum_table(2, 3, {"o": ones(1, 1, 1)}),
@@ -197,13 +184,25 @@ def test_the_refusal_names_the_spec_the_operand_and_the_sizes():
         CASES["sum_batched term reading no batched operand"]()
 
 
+def test_a_verifier_refusal_names_the_report_and_the_identity():
+    """A verifier's kernel call keys its specs by section path and code; its
+    refusal names the report and the identity in their place."""
+    with pytest.raises(InputError, match=r"^o_operator_pre_novikov Eq \(4\.29\), operand 'T': shape \(2, 3\) "
+                                         r"does not fit 'kt' at sizes"):
+        check_o_operator_pre_novikov(pre(2), pre_rep(2, 2), ones(2, 3))
+    with pytest.raises(InputError, match=r"^quasi_frobenius Eq \(2\.14\), operand 'w': shape \(3, 3\) does not fit"):
+        CASES["check_quasi_frobenius larger form"]()
+    with pytest.raises(InputError, match=r"^compatibility Eq \(3\.16\), operand 'tau\.al\+be': shape \(1, 1, 1\) "):
+        CASES["check_bialgebra size-1 coalgebra"]()
+
+
 def test_a_refused_call_leaves_the_kernel_usable():
     """A refusal is raised while compiling, so nothing is cached for it, and
     the same spec on fitting operands still runs."""
     for _ in range(2):
         with pytest.raises(InputError):
             CASES["evaluate size-1 vector"]()
-    assert mat_vec(M2, E) == (F(1), F(3))
+    assert evaluate({"x": [(1, "ij,j->i", ("m", "v"))]}, {"m": M2, "v": E})["x"].nested == (F(1), F(3))
     assert core._program.cache_info().currsize <= core.PLAN_CACHE
 
 
