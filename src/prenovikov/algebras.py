@@ -280,15 +280,11 @@ def _row_pairs(lhd_ok: np.ndarray, rows: np.ndarray) -> np.ndarray:
         ok = ~(slices != 0).any(axis=2).reshape(b, n, len(rows))  # (b, n, candidate row)
 
         # extend each partial index row (l, row_0..row_{i-1}) by the rows
-        # kept for row i of table l, in order
+        # kept for row i of table l, in order: np.nonzero runs row-major
         idx = np.arange(b)[:, None]
         for i in range(n):
-            counts = ok[:, i].sum(axis=1)
-            kept = np.nonzero(ok[:, i])[1]  # table by table
-            reps = counts[idx[:, 0]]
-            offsets = np.cumsum(counts) - counts
-            at = np.repeat(offsets[idx[:, 0]] - (np.cumsum(reps) - reps), reps) + np.arange(reps.sum())
-            idx = np.column_stack([np.repeat(idx, reps, axis=0), kept[at]])
+            at, kept = np.nonzero(ok[idx[:, 0], i])
+            idx = np.column_stack([idx[at], kept])
         idx[:, 0] += lstart
         pairs.append(idx)
     return np.concatenate(pairs)

@@ -35,8 +35,11 @@ from .io import (
 )
 from .matched_double import double_from_bialgebra
 from .report import default_labels
-from .representations import adjoint_reps, dual_novikov_rep, dual_pre_novikov_rep
+from .representations import (adjoint_reps, check_novikov_rep, check_pre_novikov_rep, dual_novikov_rep,
+                              dual_pre_novikov_rep)
 from .yang_baxter import (
+    check_o_operator_novikov,
+    check_o_operator_pre_novikov,
     co2_equivalence,
     coboundary_diagnostics,
     coboundary_maps,
@@ -45,77 +48,71 @@ from .yang_baxter import (
     _ybe,
 )
 
-def _load(path: str) -> Bundle:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}") from None
-    try:
-        return parse_bundle(text)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+# per flavor (``io.FLAVORS`` holds its format): the rep check, the dual rep and the operator check
+_REP_CHECK = {"novikov": check_novikov_rep, "pre_novikov": check_pre_novikov_rep}
+_DUAL_REP = {"novikov": dual_novikov_rep, "pre_novikov": dual_pre_novikov_rep}
+_OPERATOR_CHECK = {"novikov": check_o_operator_novikov, "pre_novikov": check_o_operator_pre_novikov}
 
 
-def _load_algebra_and_tensor(args, command: str):
-    """The algebra bundle, the algebra and the tensor r that ``command`` reads,
-    r as its ``Exact`` array."""
-    alg_bundle = _load(args.algebra)
-    r_bundle = _load(args.tensor)
-    if alg_bundle.kind != "pre_novikov" or r_bundle.kind != "tensor2":
-        raise InputError(f"{command} expects a pre_novikov bundle and a tensor2 bundle")
-    alg = bundle_to_objects(alg_bundle)
-    r = r_bundle.data["entries"]
+def _kind_error(path: str, command: str, kinds: tuple, kind: str) -> InputError:
+    return InputError(f"{path}: {command} expects a {' or '.join(kinds)} bundle, got {kind!r}")
+
+
+def _load(path: str, command: str, kinds: tuple) -> Bundle:
+    """The bundle at ``path``, refused unless ``command`` reads its kind there."""
+    try:
+        bundle = parse_bundle(Path(path).read_text())
+    except (OSError, InputError) as exc:
+        raise InputError(f"{path}: {exc}") from None
+    if bundle.kind not in kinds:
+        raise _kind_error(path, command, kinds, bundle.kind)
+    return bundle
+
+
+def _algebra_and_tensor(alg_bundle: Bundle, r_bundle: Bundle) -> tuple:
+    """The algebra and the tensor r, as its ``Exact`` array, of their bundles."""
+    alg, r = bundle_to_objects(alg_bundle), r_bundle.data["entries"]
     if r.shape[0] != alg.dim:
         raise InputError("tensor dimension does not match the algebra")
-    return alg_bundle, alg, r
+    return alg, r
 
 
 def _emit(out, text: str) -> None:
     out.write(text if text.endswith("\n") else text + "\n")
 
 
+# kind -> its verifier, on the bundle's library objects and its data; these are the kinds ``check`` reads
+_VERIFIERS = {
+    "novikov": lambda obj, d: check_novikov(obj.op, basis=d.get("basis")),
+    "pre_novikov": lambda obj, d: check_pre_novikov(obj.lhd, obj.rhd, basis=d.get("basis")),
+    "coalgebra": lambda obj, d: check_coalgebra(obj, basis=d.get("basis")),
+    "bialgebra": lambda obj, d: check_bialgebra(obj.algebra, obj.coalgebra, basis=d.get("basis")),
+    "form": lambda obj, d: check_quasi_frobenius(obj[0].op, obj[1], basis=d.get("basis")),
+    "rep": lambda obj, d: _REP_CHECK[d["flavor"]](*obj, basis=d.get("basis"), module_basis=d.get("module_basis")),
+    "o_operator": lambda obj, d: _OPERATOR_CHECK[d["flavor"]](*obj, d["t"], module_basis=d.get("module_basis")),
+}
+
+
 def _verify(bundle: Bundle) -> tuple:
     """The bundle's library objects and the report of its kind's verifier."""
-    kind, basis = bundle.kind, bundle.data.get("basis")
-    obj = bundle_to_objects(Bundle("rep", bundle.data) if kind == "o_operator" else bundle)  # t stays unboxed
-    if kind == "novikov":
-        report = check_novikov(obj.op, basis=basis)
-    elif kind == "pre_novikov":
-        report = check_pre_novikov(obj.lhd, obj.rhd, basis=basis)
-    elif kind == "coalgebra":
-        report = check_coalgebra(obj, basis=basis)
-    elif kind == "bialgebra":
-        report = check_bialgebra(obj.algebra, obj.coalgebra, basis=basis)
-    elif kind == "form":
-        report = check_quasi_frobenius(obj[0].op, obj[1], basis=basis)
-    elif kind in ("rep", "o_operator"):
-        flavor, module_basis = FLAVORS[bundle.data["flavor"]], bundle.data.get("module_basis")
-        if kind == "rep":
-            report = flavor["check"](*obj, basis=basis, module_basis=module_basis)
-        else:
-            report = flavor["operator"](*obj, bundle.data["t"], module_basis=module_basis)
-    else:
-        raise InputError(f"no verifier for bundle kind {kind!r}")
-    return obj, report
+    obj = bundle_to_objects(Bundle("rep", bundle.data) if bundle.kind == "o_operator" else bundle)  # t stays unboxed
+    return obj, _VERIFIERS[bundle.kind](obj, bundle.data)
 
 
-def _cmd_check(args, out) -> int:
-    _, report = _verify(_load(args.bundle))
+def _cmd_check(args, out, bundle: Bundle) -> int:
+    _, report = _verify(bundle)
     _emit(out, render_report(report, args.format))
     return 0 if report.passed else 1
 
 
-def _cmd_derive(args, out) -> int:
-    bundle = _load(args.bundle)
-    if bundle.kind not in ("pre_novikov", "rep"):
-        raise InputError(f"derive expects a pre_novikov or rep bundle, got {bundle.kind!r}")
+def _cmd_derive(args, out, bundle: Bundle) -> int:
     obj, report = _verify(bundle)
     if not report.passed:
         _emit(out, render_report(report, args.format))
         return 1
     if bundle.kind == "rep":
         flavor, rep = bundle.data["flavor"], obj[1]
-        parts = {"dual_rep": _maps_doc(flavor, FLAVORS[flavor]["dual"](rep.certified()))}
+        parts = {"dual_rep": _maps_doc(flavor, _DUAL_REP[flavor](rep.certified()))}
     else:
         alg, basis = obj, bundle.data.get("basis")
         nov = associated_novikov(alg)
@@ -139,13 +136,9 @@ def _maps_doc(flavor: str, rep) -> dict:
     return {name: rep.tables[vars(type(rep))[name].key] for name in FLAVORS[flavor]["maps"]}
 
 
-def _cmd_double(args, out) -> int:
-    bundle = _load(args.bundle)
-    if bundle.kind != "bialgebra":
-        raise InputError(f"double expects a bialgebra bundle, got {bundle.kind!r}")
-    bialg = bundle_to_objects(bundle)
+def _cmd_double(args, out, bundle: Bundle) -> int:
     try:
-        double = double_from_bialgebra(bialg)
+        double = double_from_bialgebra(bundle_to_objects(bundle))
     except RefusalError as exc:
         if exc.report is not None:
             _emit(out, render_report(exc.report, args.format))
@@ -158,8 +151,8 @@ def _cmd_double(args, out) -> int:
     return 0
 
 
-def _cmd_coboundary(args, out) -> int:
-    alg_bundle, alg, r = _load_algebra_and_tensor(args, "coboundary")
+def _cmd_coboundary(args, out, alg_bundle: Bundle, r_bundle: Bundle) -> int:
+    alg, r = _algebra_and_tensor(alg_bundle, r_bundle)
     co = coboundary_maps(alg, r)
     _emit(out, serialize_bundle(make_bundle("coalgebra", alg_bundle.data.get("basis"), dim=co.dim,
                                             alpha=co.tables["al"], beta=co.tables["be"])))
@@ -172,8 +165,8 @@ def _cmd_coboundary(args, out) -> int:
     return 0 if (symmetric and residual_zero and bi.passed) else 1
 
 
-def _cmd_ybe(args, out) -> int:
-    _, alg, r = _load_algebra_and_tensor(args, "ybe")
+def _cmd_ybe(args, out, *bundles: Bundle) -> int:
+    alg, r = _algebra_and_tensor(*bundles)
     residual = _ybe(alg, r)
     zero = not residual.num.any()
     if args.format == "machine":
@@ -197,24 +190,17 @@ def _cmd_ybe(args, out) -> int:
     return 0 if zero else 1
 
 
-def _cmd_oper(args, out) -> int:
-    alg_bundle = _load(args.algebra)
-    rep_bundle = _load(args.rep)
-    t_bundle = _load(args.linmap)
-    if rep_bundle.kind != "rep":
-        raise InputError(f"oper expects a rep bundle, got {rep_bundle.kind!r}")
-    if t_bundle.kind != "linmap":
-        raise InputError(f"oper expects a linmap bundle, got {t_bundle.kind!r}")
+def _cmd_oper(args, out, alg_bundle: Bundle, rep_bundle: Bundle, t_bundle: Bundle) -> int:
     rep_alg, rep = bundle_to_objects(rep_bundle)
     T = t_bundle.data["entries"]
     flavor = rep_bundle.data["flavor"]
-    if alg_bundle.kind != flavor:
-        raise InputError(f"algebra bundle must be kind {flavor} for a {flavor} rep")
+    if alg_bundle.kind != flavor:  # the one kind that depends on another argument
+        raise _kind_error(args.algebra, "oper", (flavor,), alg_bundle.kind)
     alg = bundle_to_objects(alg_bundle)
     if alg != rep_alg:
         raise InputError("rep bundle algebra differs from the algebra bundle")
     fit_letters("linmap", "nm", T.shape, {"n": alg.dim, "m": rep.module_dim})
-    report = FLAVORS[flavor]["operator"](alg, rep, T, module_basis=rep_bundle.data.get("module_basis"))
+    report = _OPERATOR_CHECK[flavor](alg, rep, T, module_basis=rep_bundle.data.get("module_basis"))
     _emit(out, render_report(report, args.format))
     if args.lift:
         if flavor == "novikov":
@@ -229,28 +215,20 @@ def _cmd_oper(args, out) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_search(args, out) -> int:
-    alg_bundle = _load(args.algebra)
-    if alg_bundle.kind != "pre_novikov":
-        raise InputError(f"search expects a pre_novikov bundle, got {alg_bundle.kind!r}")
+def _cmd_search(args, out, alg_bundle: Bundle) -> int:
     alg = bundle_to_objects(alg_bundle)
     try:
         values = [rational(v) for v in args.values.split(",") if v.strip()]
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad value set {args.values!r}: {exc}") from None
-    solutions = search_symmetric_ybe(alg, values, max_candidates=args.max_candidates)
-    doc = {
-        "kind": "search_results",
-        "dim": alg.dim,
-        "count": len(solutions),
-        "solutions": [bundle_doc(make_bundle("tensor2", dim=len(r), entries=r)) for r in solutions],
-    }
-    _emit(out, dumps(doc))
+    solutions = [bundle_doc(make_bundle("tensor2", dim=len(r), entries=r))
+                 for r in search_symmetric_ybe(alg, values, max_candidates=args.max_candidates)]
+    _emit(out, dumps({"kind": "search_results", "dim": alg.dim, "count": len(solutions), "solutions": solutions}))
     return 0
 
 
-def _cmd_diag(args, out) -> int:
-    _, alg, r = _load_algebra_and_tensor(args, "diag")
+def _cmd_diag(args, out, *bundles: Bundle) -> int:
+    alg, r = _algebra_and_tensor(*bundles)
     diag = coboundary_diagnostics(alg, r)
     if args.format == "machine":
         groups = {"condition_residuals": labels.COBOUNDARY_CONDITIONS, "r_tensors": labels.R_TENSORS,
@@ -273,18 +251,21 @@ def _cmd_diag(args, out) -> int:
     return 0
 
 
-# command -> (help, positional arguments, handler); options are added below
+_ALGEBRA_AND_TENSOR = {"algebra": ("pre_novikov",), "tensor": ("tensor2",)}
+
+# command -> (help, its positional arguments, each with the bundle kinds it
+# accepts, and its handler, which gets their bundles); options are added below
 _COMMANDS = {
-    "check": ("run the verifier matching a bundle's kind", ("bundle",), _cmd_check),
-    "derive": ("associated/derived products, adjoint and dual actions", ("bundle",), _cmd_derive),
-    "double": ("double construction from a bialgebra bundle", ("bundle",), _cmd_double),
-    "coboundary": ("co-operations from a tensor, with the full pipeline report", ("algebra", "tensor"),
-                   _cmd_coboundary),
-    "ybe": ("residual of the quadratic tensor equation, plus operator verdicts", ("algebra", "tensor"),
-            _cmd_ybe),
-    "oper": ("operator identity report, optionally lifted", ("algebra", "rep", "linmap"), _cmd_oper),
-    "search": ("exhaustive symmetric-solution search", ("algebra",), _cmd_search),
-    "diag": ("coboundary diagnostics dump", ("algebra", "tensor"), _cmd_diag),
+    "check": ("run the verifier matching a bundle's kind", {"bundle": tuple(_VERIFIERS)}, _cmd_check),
+    "derive": ("associated/derived products, adjoint and dual actions", {"bundle": ("pre_novikov", "rep")},
+               _cmd_derive),
+    "double": ("double construction from a bialgebra bundle", {"bundle": ("bialgebra",)}, _cmd_double),
+    "coboundary": ("co-operations from a tensor, with the full pipeline report", _ALGEBRA_AND_TENSOR, _cmd_coboundary),
+    "ybe": ("residual of the quadratic tensor equation, plus operator verdicts", _ALGEBRA_AND_TENSOR, _cmd_ybe),
+    "oper": ("operator identity report, optionally lifted",
+             {"algebra": ("novikov", "pre_novikov"), "rep": ("rep",), "linmap": ("linmap",)}, _cmd_oper),
+    "search": ("exhaustive symmetric-solution search", {"algebra": ("pre_novikov",)}, _cmd_search),
+    "diag": ("coboundary diagnostics dump", _ALGEBRA_AND_TENSOR, _cmd_diag),
 }
 
 
@@ -296,11 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "machine"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-    for name, (text, positional, func) in _COMMANDS.items():
+    for name, (text, positional, _) in _COMMANDS.items():
         commands[name] = p = sub.add_parser(name, help=text)
         for arg in positional:
             p.add_argument(arg)
-        p.set_defaults(func=func)
     commands["oper"].add_argument("--lift", action="store_true")
     commands["search"].add_argument("--values", default="-1,0,1")
     commands["search"].add_argument("--max-candidates", type=int, default=2_000_000)
@@ -317,8 +297,10 @@ def run_command(argv, out=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    _, positional, handler = _COMMANDS[args.command]
     try:
-        return args.func(args, out)
+        bundles = [_load(getattr(args, name), args.command, kinds) for name, kinds in positional.items()]
+        return handler(args, out, *bundles)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -333,13 +333,13 @@ class _Program:
         # (a number, as operands are held by name) and its first reader's axes
         last, uses, layout, loops = {}, {}, {}, [0]
 
-        def add(key, terms, derived):
+        def add(key, terms, derived, what):  # what: how a refusal names the sum, by the spec that reads it
             names = tuple(dict.fromkeys(name for _, _, ns in terms for name in ns))
             for name in names:
                 if name not in shape:
                     if name not in labels.OPERANDS:
-                        raise InputError(f"spec {key!r}: operand {name!r} is neither an input nor derived")
-                    add(name, tuple(labels.OPERANDS[name]), True)
+                        raise InputError(f"{what}: operand {name!r} is neither an input nor derived")
+                    add(name, tuple(labels.OPERANDS[name]), True, f"{what}, operand {name!r}")
             s, pos, on = len(order), {name: k for k, name in enumerate(names)}, not batched.isdisjoint(names)
             last.update(dict.fromkeys(names, s))
             own = [sum(degree[name] for name in ns) for _, _, ns in terms]
@@ -348,13 +348,13 @@ class _Program:
                 groups, out = subs.split("->")
                 groups, at, sizes, spots = groups.split(","), tuple(pos[name] for name in ns), {}, out[:len(where)]
                 if not derived and len(where) > len(out):
-                    raise InputError(f"spec {key!r}: where cuts {len(where)} axes of its output {out!r}")
+                    raise InputError(f"{what}: where cuts {len(where)} axes of its output {out!r}")
                 groups = ["N" + g if name in batched else g for g, name in zip(groups, ns)]
                 out = "N" + out if on else out
                 for letters, name in zip(groups, ns):
-                    fit_letters(f"spec {key!r}, operand {name!r}", letters, shape[name], sizes)
+                    fit_letters(f"{what}, operand {name!r}", letters, shape[name], sizes)
                 if not sizes.keys() >= set(out):
-                    raise InputError(f"spec {key!r}: no operand of {','.join(groups)}->{out} reads each output letter")
+                    raise InputError(f"{what}: no operand of {','.join(groups)}->{out} reads each output letter")
                 ends.add(tuple(sizes[c] for c in out))
                 factors.append((abs(coef) * prod(size for c, size in sizes.items() if c not in out), top - d, at))
                 cut = {c: (i, kept) for i, c in enumerate("" if derived else spots)  # letter: (where at, kept)
@@ -377,7 +377,7 @@ class _Program:
                 most = max(most, peak)
                 compiled.append((coef, top - d, reads, axes, slot, steps))
             if len(ends) > 1:
-                raise InputError(f"spec {key!r}: its terms give the shapes {sorted(ends)}")
+                raise InputError(f"{what}: its terms give the shapes {sorted(ends)}")
             if derived:
                 shape[key], degree[key] = tuple(sizes[c] for c in out), top
                 batched.update([key] if on else [])
@@ -386,7 +386,7 @@ class _Program:
                           prod(sizes[c] for c in out) if on else 0, views))
 
         for key, terms in specs:
-            add(key, terms, False)
+            add(key, terms, False, f"spec {key!r}")
         self.slots, self.loop, self.sums, self.peak, live = len(layout), max(loops), [], 0, {}
         for s, (key, top, factors, names, derived, terms, most, member, views) in enumerate(order):
             for *_, slot, _ in terms:

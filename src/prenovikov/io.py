@@ -26,15 +26,7 @@ from .bialgebra import PreNovikovBialgebra, PreNovikovCoalgebra
 from .core import MAX_DIGITS, Exact, InputError, StructureConstants, fraction_texts, rational, rationals
 from .labels import IDENTITIES, render_identity
 from .report import Report, Violation
-from .representations import (
-    NovikovRep,
-    PreNovikovRep,
-    check_novikov_rep,
-    check_pre_novikov_rep,
-    dual_novikov_rep,
-    dual_pre_novikov_rep,
-)
-from .yang_baxter import check_o_operator_novikov, check_o_operator_pre_novikov
+from .representations import NovikovRep, PreNovikovRep
 
 # The bundle format.  Each kind lists its fields in parse order.  A one-letter
 # spec is a size: a positive integer that later shapes use.  A longer spec is
@@ -58,17 +50,11 @@ _LABELS = {"basis": "n", "module_basis": "m"}
 
 # flavor -> its "algebra" tables (those of the algebra kind of the same name)
 # and its "maps" families, which are also the attribute names of its "rep"
-# class (each group lists its fields sorted, which is their parse order), and
-# the flavor's rep "check", "dual" rep and "operator" check
+# class (each group lists its fields sorted, which is their parse order)
 FLAVORS = {
-    "novikov": {"algebra": {"product": "nnn"}, "maps": {"l": "nmm", "r": "nmm"}, "rep": NovikovRep,
-                "check": check_novikov_rep, "dual": dual_novikov_rep, "operator": check_o_operator_novikov},
-    "pre_novikov": {
-        "algebra": {"lhd": "nnn", "rhd": "nnn"},
-        "maps": {"l_lhd": "nmm", "l_rhd": "nmm", "r_lhd": "nmm", "r_rhd": "nmm"},
-        "rep": PreNovikovRep,
-        "check": check_pre_novikov_rep, "dual": dual_pre_novikov_rep, "operator": check_o_operator_pre_novikov,
-    },
+    "novikov": {"algebra": {"product": "nnn"}, "maps": {"l": "nmm", "r": "nmm"}, "rep": NovikovRep},
+    "pre_novikov": {"algebra": {"lhd": "nnn", "rhd": "nnn"},
+                    "maps": {"l_lhd": "nmm", "l_rhd": "nmm", "r_lhd": "nmm", "r_rhd": "nmm"}, "rep": PreNovikovRep},
 }
 
 
@@ -157,6 +143,8 @@ def _loads(text: str) -> Any:
         raise InputError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except ValueError:  # from int, which json.loads lets through
         raise InputError(f"a JSON integer of more than {MAX_DIGITS} digits") from None
+    except RecursionError:
+        raise InputError("nested deeper than the JSON parser allows") from None
 
 
 def parse_bundle(text: str) -> Bundle:
@@ -324,7 +312,11 @@ def _report_json(report: Report, pad: str) -> str:
 def parse_report(text: str) -> Report:
     """Inverse of the machine rendering.  The ``seconds`` field that older
     renderings carried is ignored."""
-    return _report_from_doc(_loads(text))
+    raw = _loads(text)
+    try:
+        return _report_from_doc(raw)
+    except RecursionError:
+        raise InputError("sections nested deeper than the report parser allows") from None
 
 
 # the fields of a report document and of one of its violations -> their JSON

@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 from prenovikov.cli import run_command
-from prenovikov import core, labels
+from prenovikov import cli, core, labels
 from prenovikov.core import InputError
 from prenovikov import PreNovikovCoalgebra, check_bialgebra, co2_equivalence, ybe_residual
 from prenovikov.io import (
+    KINDS,
     Bundle,
     bundle_doc,
     bundle_to_objects,
@@ -254,7 +255,7 @@ def test_cli_check_exit_codes(tmp_path):
     code, _ = run(["check", str(bad)])
     assert code == 2
     code, _ = run(["check", fixture("dim4_ybe_solution.json")])
-    assert code == 2  # no verifier for raw tensors
+    assert code == 2  # check reads no tensor2 bundle
     code, _ = run(["check", str(tmp_path / "missing.json")])
     assert code == 2
 
@@ -454,6 +455,55 @@ def test_cli_derive():
 
 def test_cli_unknown_command():
     assert run(["frobnicate"])[0] == 2
+
+
+# command -> the bundle kinds each of its positional arguments reads, in order
+READS = {
+    "check": [("novikov", "pre_novikov", "coalgebra", "bialgebra", "form", "rep", "o_operator")],
+    "derive": [("pre_novikov", "rep")],
+    "double": [("bialgebra",)],
+    "coboundary": [("pre_novikov",), ("tensor2",)],
+    "ybe": [("pre_novikov",), ("tensor2",)],
+    "oper": [("novikov", "pre_novikov"), ("rep",), ("linmap",)],
+    "search": [("pre_novikov",)],
+    "diag": [("pre_novikov",), ("tensor2",)],
+}
+
+
+def test_every_command_refuses_a_bundle_of_a_kind_it_does_not_read(capsys):
+    """Each positional bundle is loaded and its kind checked, in argument
+    order, before the command runs: a bundle of any other kind than its
+    argument reads is an input error that names its path."""
+    assert {name: list(args.values()) for name, (_, args, _) in cli._COMMANDS.items()} == READS
+    by_kind = {}
+    for path in ALL_FIXTURES:
+        by_kind.setdefault(parse_bundle(path.read_text()).kind, str(path))
+    assert by_kind.keys() == KINDS.keys()
+    for command, reads in READS.items():
+        for k, kinds in enumerate(reads):
+            for kind in by_kind.keys() - set(kinds):
+                argv = [command, *(by_kind[ks[0]] for ks in reads[:k]), *[by_kind[kind]] * (len(reads) - k)]
+                assert run(argv) == (2, ""), argv
+                assert capsys.readouterr().err == (
+                    f"input error: {by_kind[kind]}: {command} expects a {' or '.join(kinds)} bundle, got {kind!r}\n")
+    # the algebra of oper is of the rep's flavor
+    novikov = fixture("dim2_novikov.json")
+    assert run(["oper", novikov, fixture("dim2_pre_rep.json"), fixture("dim2_shift_t.json")]) == (2, "")
+    assert capsys.readouterr().err == f"input error: {novikov}: oper expects a pre_novikov bundle, got 'novikov'\n"
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    """A document nested past the parser's recursion is refused, not a crash,
+    and so is a report whose sections nest past its parser's."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(["check", str(deep)]) == (2, "")
+    assert capsys.readouterr().err == f"input error: {deep}: nested deeper than the JSON parser allows\n"
+    with pytest.raises(InputError, match="^nested deeper than the JSON parser allows$"):
+        parse_report(deep.read_text())
+    section = '{"identities": [], "kind": "report", "name": "r", "verdict": "pass", "violations": [], "sections": ['
+    with pytest.raises(InputError, match="^sections nested deeper than the report parser allows$"):
+        parse_report(section * 400 + "]}" * 400)
 
 
 def test_parse_report_ignores_the_old_timing_field():

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prenovikov import check_compatibility, coboundary_diagnostics, core, labels
+from prenovikov import check_compatibility, cli, coboundary_diagnostics, core, labels
 from prenovikov.cli import run_command
 from prenovikov.core import INT64_MAX, contract, evaluate, sum_batched
+from prenovikov.io import KINDS
 
 from conftest import FIXTURES
 from kernel_reference import derive, overflow_bound, reference, table_of
@@ -281,6 +282,15 @@ def test_every_internal_check_names_its_class():
         sites += text.count("raise InternalCheckError(")
         classified += len(re.findall(r'raise InternalCheckError\(\s*f?"(?:theorem|staging) \([^)]+\): ', text))
     assert sites == classified == 14
+
+
+def test_only_the_cli_chooses_a_verifier():
+    """``io`` declares the bundle format and nothing else: it imports no
+    verifier and no dual rep, and every kind the commands read is one of
+    its kinds."""
+    text = (Path(core.__file__).parent / "io.py").read_text()
+    assert not re.search(r"\b(check|dual)_\w+|yang_baxter", text)
+    assert {kind for _, args, _ in cli._COMMANDS.values() for kinds in args.values() for kind in kinds} <= KINDS.keys()
 
 
 def test_only_the_kernel_lifts_or_boxes():

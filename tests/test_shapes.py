@@ -194,6 +194,12 @@ def test_a_verifier_refusal_names_the_report_and_the_identity():
         CASES["check_quasi_frobenius larger form"]()
     with pytest.raises(InputError, match=r"^compatibility Eq \(3\.16\), operand 'tau\.al\+be': shape \(1, 1, 1\) "):
         CASES["check_bialgebra size-1 coalgebra"]()
+    # a derived operand's refusal names the spec that reads it, and a spec that is the operand names itself
+    with pytest.raises(InputError, match=r"^pre_novikov Eq \(2\.8\), operand 'o': its terms give the shapes "
+                                         r"\[\(1, 1, 1\), \(2, 2, 2\)\]$"):
+        check_pre_novikov(sc(2), StructureConstants.zero(1))
+    with pytest.raises(InputError, match=r"^spec 'o': its terms give the shapes \[\(1, 1, 1\), \(2, 2, 2\)\]$"):
+        sum_table(sc(2), StructureConstants.zero(1))
 
 
 def test_a_refused_call_leaves_the_kernel_usable():
