@@ -61,8 +61,8 @@ def _kind_error(path: str, command: str, kinds: tuple, kind: str) -> InputError:
 def _load(path: str, command: str, kinds: tuple) -> Bundle:
     """The bundle at ``path``, refused unless ``command`` reads its kind there."""
     try:
-        bundle = parse_bundle(Path(path).read_text())
-    except (OSError, InputError) as exc:
+        bundle = parse_bundle(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, InputError) as exc:
         raise InputError(f"{path}: {exc}") from None
     if bundle.kind not in kinds:
         raise _kind_error(path, command, kinds, bundle.kind)
@@ -200,11 +200,11 @@ def _cmd_oper(args, out, alg_bundle: Bundle, rep_bundle: Bundle, t_bundle: Bundl
     if alg != rep_alg:
         raise InputError("rep bundle algebra differs from the algebra bundle")
     fit_letters("linmap", "nm", T.shape, {"n": alg.dim, "m": rep.module_dim})
+    if args.lift and flavor == "novikov":
+        raise InputError("--lift applies to pre_novikov flavor only")
     report = _OPERATOR_CHECK[flavor](alg, rep, T, module_basis=rep_bundle.data.get("module_basis"))
     _emit(out, render_report(report, args.format))
     if args.lift:
-        if flavor == "novikov":
-            raise InputError("--lift applies to pre_novikov flavor only")
         semi, r = lift_o_operator(alg, rep, T)
         lab = tuple(alg_bundle.data.get("basis") or default_labels(alg.dim)) + tuple(
             f"{x}*" for x in (rep_bundle.data.get("module_basis") or default_labels(rep.module_dim, "v"))

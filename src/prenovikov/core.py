@@ -7,7 +7,8 @@ shapes and batch axes into a program (``_program``, a bounded LRU cache) that
 evaluates each distinct contraction once, so that a call on small tables pays
 for little more than its einsums: see ``contract`` and ``sum_batched``.  It
 alone decides whether a call runs in int64 or on Python ints, once, from the
-overflow bounds of its sums (``_bound``); callers certify nothing.
+overflow bounds of its sums (``_bound``); callers certify nothing.  It reads
+whole operands: a caller that tests a box of a residual slices the operands.
 
 Conventions used throughout the package, all exact, with no tolerances:
 
@@ -230,9 +231,9 @@ PATH_LOOP = 512
 PLAN_CACHE = 1024
 
 
-def _steps(inputs: tuple, out: str, sizes: dict, charged: dict) -> tuple[tuple, int]:
+def _steps(inputs: tuple, out: str, sizes: dict) -> tuple[tuple, int]:
     """How one einsum term runs at ``sizes``, and the entries per batch
-    member of the largest array it forms at the sizes ``charged``.
+    member of the largest array it forms.
 
     The steps are ``(picked, subscripts, options)``: each is ``np.einsum``
     with these keyword options of the operands at positions ``picked`` of
@@ -243,7 +244,7 @@ def _steps(inputs: tuple, out: str, sizes: dict, charged: dict) -> tuple[tuple, 
     """
     subs, whole = f"{','.join(inputs)}->{out}", tuple(range(len(inputs)))
     if len(inputs) <= 2 or "N" not in out and prod(sizes.values()) <= PATH_LOOP:  # (two operands: the path is the term)
-        return ((whole, subs, {"optimize": True} if "N" in out else {}),), prod(charged[c] for c in out)
+        return ((whole, subs, {"optimize": True} if "N" in out else {}),), prod(sizes[c] for c in out)
     shaped = [np.broadcast_to(np.int8(0), tuple(sizes[c] for c in letters)) for letters in inputs]
     path = np.einsum_path(subs, *shaped, optimize="greedy")[0]
     inputs, steps = list(inputs), []
@@ -256,7 +257,7 @@ def _steps(inputs: tuple, out: str, sizes: dict, charged: dict) -> tuple[tuple, 
         result = out if not inputs else "".join(dict.fromkeys(c for g in groups for c in g if c in kept))
         steps.append((picked, f"{','.join(groups)}->{result}", {}))
         inputs.append(result)
-    peak = max(prod(charged[c] for c in step.split("->")[1]) for _, step, _ in steps)
+    peak = max(prod(sizes[c] for c in step.split("->")[1]) for _, step, _ in steps)
     return (((whole, subs, {"optimize": path}),) if "N" in out else tuple(steps)), peak
 
 
@@ -296,7 +297,7 @@ def _bound(factors: tuple, maxabs: list, den: int = 1) -> int:
 class _Program:
     """One kernel call compiled: specs (``(key, terms)`` pairs) on inputs
     (``(name, shape)`` pairs, of degree 1), those in ``batch`` batched (on
-    an axis ``N`` of size 1), each spec on the box ``where`` of its output.
+    an axis ``N`` of size 1).
 
     Each derived operand (``labels.OPERANDS``, batched when an input is)
     comes before the first sum that reads it.  Per sum: its top degree, its
@@ -317,16 +318,9 @@ class _Program:
     while it runs.  Each operand is an input or derived and fits its
     letters (``fit_letters``), each output letter of a term is read, and
     the terms of a sum give one shape.
-
-    ``where`` is one ``(start, stop, step)`` per output axis after ``N``: a
-    spec's term reads each operand with a cut letter through a view, one of
-    its sum's ``views``, and its slot is keyed with the indices kept, so only
-    terms cut alike share it; derived operands are computed whole.  Steps
-    keep the uncut plan (numpy's planner falls back to one naive einsum on
-    cut shapes), peaks are charged cut, bounds (over contracted letters) stay.
     """
 
-    def __init__(self, specs, inputs, batch, where=()):
+    def __init__(self, specs, inputs, batch):
         self.specs, self.batch, inputs = specs, [name for name, _ in inputs if name in batch], dict(inputs)
         shape, degree, batched, order = dict(inputs), dict.fromkeys(inputs, 1), set(self.batch), []
         # the last sum reading each operand and slot, the terms reading each slot, and per contraction its slot
@@ -343,12 +337,10 @@ class _Program:
             s, pos, on = len(order), {name: k for k, name in enumerate(names)}, not batched.isdisjoint(names)
             last.update(dict.fromkeys(names, s))
             own = [sum(degree[name] for name in ns) for _, _, ns in terms]
-            top, factors, compiled, most, ends, views = max(own), [], [], 0, set(), {}
+            top, factors, compiled, most, ends = max(own), [], [], 0, set()
             for (coef, subs, ns), d in zip(terms, own):
                 groups, out = subs.split("->")
-                groups, at, sizes, spots = groups.split(","), tuple(pos[name] for name in ns), {}, out[:len(where)]
-                if not derived and len(where) > len(out):
-                    raise InputError(f"{what}: where cuts {len(where)} axes of its output {out!r}")
+                groups, at, sizes = groups.split(","), tuple(pos[name] for name in ns), {}
                 groups = ["N" + g if name in batched else g for g, name in zip(groups, ns)]
                 out = "N" + out if on else out
                 for letters, name in zip(groups, ns):
@@ -357,38 +349,31 @@ class _Program:
                     raise InputError(f"{what}: no operand of {','.join(groups)}->{out} reads each output letter")
                 ends.add(tuple(sizes[c] for c in out))
                 factors.append((abs(coef) * prod(size for c, size in sizes.items() if c not in out), top - d, at))
-                cut = {c: (i, kept) for i, c in enumerate("" if derived else spots)  # letter: (where at, kept)
-                       if (kept := range(sizes[c])[slice(*where[i])]) != range(sizes[c])}
-                charged = {**sizes, **{c: len(kept) for c, (_, kept) in cut.items()}} if cut else sizes
-                reads = at if not cut else tuple(k if not cut.keys() & set(g) else len(names) + views.setdefault(
-                    (k, tuple(cut.get(c, (None,))[0] for c in g)), len(views)) for k, g in zip(at, groups))
                 slot = steps = None
                 if len(at) == 1 and len(set(groups[0])) == len(groups[0]) and sorted(groups[0]) == sorted(out):
                     axes = tuple(groups[0].index(c) for c in out)
-                    peak = prod(charged[c] for c in out)  # the copy it accumulates into
+                    peak = prod(sizes[c] for c in out)  # the copy it accumulates into
                 else:
-                    (c, rename), (steps, peak) = _canonical(tuple(groups), out, ns), _steps(groups, out, sizes, charged)
+                    (c, rename), (steps, peak) = _canonical(tuple(groups), out, ns), _steps(groups, out, sizes)
                     loops.append(prod(sizes.values()) if on else 0)
-                    c = (c, frozenset((rename[x], kept) for x, (_, kept) in cut.items())) if cut else c  # (per cuts)
                     axes, steps = "".join(map(rename.get, out)), steps[0][1:] if len(steps) == 1 else (None, steps)
                     slot, first = layout.setdefault(c, (len(layout), axes))
                     axes = None if first == axes else tuple(first.index(x) for x in axes)
                     last[slot], uses[slot] = s, uses.get(slot, 0) + 1
                 most = max(most, peak)
-                compiled.append((coef, top - d, reads, axes, slot, steps))
+                compiled.append((coef, top - d, at, axes, slot, steps))
             if len(ends) > 1:
                 raise InputError(f"{what}: its terms give the shapes {sorted(ends)}")
             if derived:
                 shape[key], degree[key] = tuple(sizes[c] for c in out), top
                 batched.update([key] if on else [])
-            views = tuple((k, tuple(slice(*where[i]) if i is not None else slice(None) for i in ix)) for k, ix in views)
             order.append((key, top, tuple(factors), names, derived, tuple(compiled), most,
-                          prod(sizes[c] for c in out) if on else 0, views))
+                          prod(sizes[c] for c in out) if on else 0))
 
         for key, terms in specs:
             add(key, terms, False, f"spec {key!r}")
         self.slots, self.loop, self.sums, self.peak, live = len(layout), max(loops), [], 0, {}
-        for s, (key, top, factors, names, derived, terms, most, member, views) in enumerate(order):
+        for s, (key, top, factors, names, derived, terms, most, member) in enumerate(order):
             for *_, slot, _ in terms:
                 if slot is not None and uses[slot] > 1:  # a slot alive past its term
                     live.setdefault(slot, member)
@@ -399,7 +384,7 @@ class _Program:
                 live[key] = member
             _, _, at, _, slot, _ = terms[0]
             copied = len(at) == 1 or uses[slot] > 1
-            self.sums.append((key, top, factors, names, derived, terms, copied, frees, views))
+            self.sums.append((key, top, factors, names, derived, terms, copied, frees))
 
     def run(self, arrays: dict, maxabs: dict, den: int = 1, budget: int = 0):
         """Yields ``(key, integers, scale exponent)`` per spec, from the inputs'
@@ -426,10 +411,8 @@ class _Program:
             if size * member > budget:
                 raise _OverBudget(max(1, budget // member))
         values = {name: a if a.dtype == dtype else a.astype(dtype) for name, a in arrays.items()}
-        for key, top, _, names, derived, terms, copied, frees, views in self.sums:
+        for key, top, _, names, derived, terms, copied, frees in self.sums:
             ops = [values[name] for name in names]
-            for k, index in views:  # (a loop: a comprehension costs more on the empty tuple of most sums)
-                ops.append(ops[k][index])
             acc = None
             for coef, shift, at, axes, slot, steps in terms:
                 if slot is None:
@@ -466,13 +449,13 @@ class _Program:
 _program = functools.lru_cache(maxsize=PLAN_CACHE)(_Program)
 
 
-def _compile(specs: dict, arrays: dict, batch=(), where=()) -> _Program:
-    """``_program`` of ``specs`` on ``arrays`` (those in ``batch`` of one length, by member shape), cut to ``where``."""
+def _compile(specs: dict, arrays: dict, batch=()) -> _Program:
+    """``_program`` of ``specs`` on ``arrays`` (those in ``batch`` of one length, by member shape)."""
     if batch and (len(lengths := {a.shape[:1] for name, a in arrays.items() if name in batch}) > 1 or () in lengths):
         raise InputError(f"batched operands of lengths {sorted(lengths)}: one batch length is needed")
     return _program(tuple([(key, tuple(terms)) for key, terms in specs.items()]),
                     tuple([(name, (1, *a.shape[1:]) if name in batch else a.shape) for name, a in arrays.items()]),
-                    frozenset(batch), tuple([(s.start, s.stop, s.step) for s in where]))
+                    frozenset(batch))
 
 
 def _einsums(operands: list, steps: tuple) -> np.ndarray:
@@ -536,15 +519,14 @@ class _OverBudget(Exception):
     members would stay within it."""
 
 
-def zero_members(specs: dict, size: int, members, fixed=None, where=()):
+def zero_members(specs: dict, size: int, members, fixed=None):
     """Which members of a batch have an all-zero residual under every term
     list in ``specs``, one chunk at a time.
 
     ``members(lo, hi)`` builds the operands of members lo..hi-1 that carry a
     leading batch axis; ``fixed`` holds those that do not.  Yields, in order,
     each chunk's batched operands and the mask of its members whose every
-    residual is zero, computed on the box ``where`` (after the batch axis)
-    alone.  The first chunk's length comes from the peak per member of the
+    residual is zero.  The first chunk's length comes from the peak per member of the
     program, compiled from member ``lo``, at 8 bytes an entry; a chunk whose
     call would pass ``BATCH_BYTES`` at its dtype (see ``_Program.run``) is
     rebuilt shorter before any sum runs, and the chunks after keep its length.
@@ -554,10 +536,10 @@ def zero_members(specs: dict, size: int, members, fixed=None, where=()):
     while lo < size:
         if not length:
             one = members(lo, lo + 1)
-            length = max(1, BATCH_BYTES // (8 * max(1, _compile(specs, {**fixed, **one}, one, where).peak)))
+            length = max(1, BATCH_BYTES // (8 * max(1, _compile(specs, {**fixed, **one}, one).peak)))
         hi = min(size, lo + length)
         arrays = members(lo, hi)
-        sums = _compile(specs, {**fixed, **arrays}, arrays, where).run(
+        sums = _compile(specs, {**fixed, **arrays}, arrays).run(
             {**fixed, **arrays}, {**tops, **{name: _maxabs(a) for name, a in arrays.items()}}, 1, BATCH_BYTES)
         try:  # each residual is reduced, and freed, before the next sum runs
             nonzero = [(num != 0).reshape(hi - lo, -1).any(axis=1) for _, num, _ in sums]
@@ -568,9 +550,9 @@ def zero_members(specs: dict, size: int, members, fixed=None, where=()):
         lo = hi
 
 
-def zero_mask(specs: dict, size: int, members, fixed=None, where=()) -> np.ndarray:
+def zero_mask(specs: dict, size: int, members, fixed=None) -> np.ndarray:
     """The mask of ``zero_members`` over the whole batch."""
-    masks = [ok for _, ok in zero_members(specs, size, members, fixed, where)]
+    masks = [ok for _, ok in zero_members(specs, size, members, fixed)]
     return np.concatenate([np.ones(0, bool), *masks])
 
 

@@ -52,6 +52,14 @@ COMPATIBILITY = ("3.16", "3.17", "3.18", "3.19", "3.20", "3.21", "3.22", "3.23")
 COBOUNDARY_CONDITIONS = ("4.3", "4.4", "4.5", "4.6")
 COBOUNDARY_EQUATIONS = ("4.7", "4.8", "4.9", "4.10")
 YBE = "4.13"
+# 4.13 for a symmetric r, with each r read by the row of a witness letter
+# (r[p][b] = r[b][p], r[s][c] = r[c][s]): residual entry (a, b, c) reads rows
+# a, b and c of r, and each table only at a witness letter on its last axis.
+YBE_ROWS = [
+    (1, "bp,cs,psa->abc", ("r", "r", "o")),
+    (1, "bq,au,quc->abc", ("r", "r", "(.)")),
+    (-1, "aq,cs,qsb->abc", ("r", "r", "<")),
+]
 PRE_NOVIKOV_REP = tuple(f"4.{k}" for k in range(18, 28))
 O_OPERATOR_PRE_NOVIKOV = ("4.29", "4.30")
 

@@ -353,33 +353,39 @@ SURVIVOR_BYTES = 16 * 2**20
 def _search_rows(ints: dict, scaled: np.ndarray) -> np.ndarray:
     """Symmetric integer tensors over ``scaled`` whose 4.13 residual vanishes.
 
-    Entry (a, b, c) of the residual reads only rows a, b and c of a symmetric
-    r.  The upper triangle is filled row by row: placing row k multiplies the
-    batch by ``len(scaled)`` per entry of the row, after which every residual
-    entry with max(a, b, c) <= k is final, so candidates with a nonzero one
-    are dropped.  After the last row all n**3 entries have been checked.
+    In the row form ``labels.YBE_ROWS``, residual entry (a, b, c) reads only
+    rows a, b and c of a symmetric r.  The upper triangle is filled row by
+    row: placing row k multiplies the batch by ``len(scaled)`` per entry of
+    the row, after which every entry with max(a, b, c) <= k is final, so
+    candidates with a nonzero one are dropped.  The batch holds each
+    candidate's placed rows, whose row k mirrors column k of the rows above;
+    after the last row they are the whole r.
 
     Each row's candidates are built and tested chunk by chunk by
-    ``core.zero_members`` on the (k+1)**3 witness cube of row k only, within
-    ``core.BATCH_BYTES``; a row keeping more than ``SURVIVOR_BYTES`` of
-    candidates is refused with ``InputError`` as soon as its survivors pass it.
+    ``core.zero_members`` on the (k+1)**3 witness cube of row k, from their
+    rows and the tables cut to witnesses 0..k, within ``core.BATCH_BYTES``; a
+    row keeping more than ``SURVIVOR_BYTES`` of candidates is refused with
+    ``InputError`` as soon as its survivors pass it.
     """
     n = ints["<"].shape[0]
     base = len(scaled)
-    spec = {labels.YBE: labels.SPECS[labels.YBE][1]}
-    batch = np.zeros((1, n, n), dtype=scaled.dtype)
+    spec = {labels.YBE: labels.YBE_ROWS}
+    batch = np.zeros((1, 0, n), dtype=scaled.dtype)
     for k in range(n):
         fan = base ** (n - k)
 
         def candidates(lo: int, hi: int) -> dict:
             t = np.arange(lo, hi)
-            R = batch[t // fan]
+            R = np.empty((hi - lo, k + 1, n), dtype=batch.dtype)
+            R[:, :k] = batch[t // fan]
+            R[:, k, :k] = R[:, :k, k]
             for j in range(k, n):
-                R[:, k, j] = R[:, j, k] = scaled[t // base ** (n - 1 - j) % base]
+                R[:, k, j] = scaled[t // base ** (n - 1 - j) % base]
             return {"r": R}
 
         kept, nbytes = [], 0
-        for chunk, ok in zero_members(spec, len(batch) * fan, candidates, ints, (slice(k + 1),) * 3):
+        cut = {name: table[..., : k + 1] for name, table in ints.items()}
+        for chunk, ok in zero_members(spec, len(batch) * fan, candidates, cut):
             kept.append(chunk["r"][ok])
             nbytes += kept[-1].nbytes
             if nbytes > SURVIVOR_BYTES:
@@ -389,5 +395,5 @@ def _search_rows(ints: dict, scaled: np.ndarray) -> np.ndarray:
                 )
         batch = np.concatenate(kept)
         if not len(batch):
-            break
+            return np.zeros((0, n, n), dtype=batch.dtype)
     return batch

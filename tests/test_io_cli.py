@@ -506,6 +506,25 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
         parse_report(section * 400 + "]}" * 400)
 
 
+def test_a_bundle_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    """Bytes that do not decode as UTF-8 are refused with the path, exit 2,
+    not a traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(bytes.fromhex("fffe00626164"))
+    assert run(["check", str(bad)]) == (2, "")
+    assert re.fullmatch(rf"input error: {re.escape(str(bad))}: 'utf-8' codec can't decode byte 0xff .*\n",
+                        capsys.readouterr().err)
+
+
+def test_oper_lift_refuses_a_novikov_flavor_before_any_report(capsys):
+    """``--lift`` of a novikov-flavor rep is refused before the operator
+    check runs, so nothing is written to stdout."""
+    argv = ["oper", fixture("dim2_novikov.json"), fixture("dim2_rep.json"), fixture("dim2_shift_t.json")]
+    assert run([*argv, "--lift"]) == (2, "")
+    assert capsys.readouterr().err == "input error: --lift applies to pre_novikov flavor only\n"
+    assert run(argv)[0] == 0  # the same operator, not lifted, passes
+
+
 def test_parse_report_ignores_the_old_timing_field():
     doc = json.loads(render_report(Report(name="novikov", identities=("2.1",)), "machine"))
     assert parse_report(json.dumps({**doc, "seconds": 0.004})) == Report(name="novikov", identities=("2.1",))

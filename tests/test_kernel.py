@@ -324,6 +324,14 @@ def test_the_retired_tuple_helpers_stay_retired():
     assert not hasattr(core.StructureConstants, "add")
 
 
+def test_the_kernel_takes_whole_operands():
+    """A box of a residual is tested on operand slices its caller cuts (the
+    row search's placed rows): the kernel's compiler, its programs and its
+    zero tests take no ``where``."""
+    for f in (core._compile, core._Program, core.zero_members, core.zero_mask):
+        assert "where" not in inspect.signature(f).parameters, f.__name__
+
+
 def test_only_the_report_module_builds_reports():
     """Every verifier makes its report through ``report.verify``: no module
     but ``report`` constructs a ``ReportBuilder``."""
@@ -375,11 +383,10 @@ def test_no_table_is_flattened_after_parse(monkeypatch):
     assert calls == [1]
 
 
-def _plain_zero(specs, arrays, fixed, where):
+def _plain_zero(specs, arrays, fixed):
     """The plain route: one ``sum_batched`` over the whole batch, reduced."""
     res = sum_batched(specs, {**fixed, **arrays}, batch=arrays)
-    return ~np.any([(r[(slice(None),) + where] != 0).reshape(len(r), -1).any(axis=1)
-                    for r in res.values()], axis=0)
+    return ~np.any([(r != 0).reshape(len(r), -1).any(axis=1) for r in res.values()], axis=0)
 
 
 @pytest.mark.parametrize("scale", [1, 2**40, 2**70], ids=["1", "2**40", "2**70"])
@@ -387,15 +394,10 @@ def test_zero_members_matches_the_full_batch(monkeypatch, scale):
     """``core.zero_members`` against one plain ``sum_batched`` over the whole
     batch, on sparse random tables whose later half is multiplied by
     ``scale``: int64 calls throughout, then Python-int calls on int64
-    operands, then Python-int operands.  With and without ``where``, at the
-    default budget, at 2 KiB and at 1 byte, the masks agree, and a 1-byte
-    budget gives chunks of one member.  The ``where`` cases include boxes that are
-    not cubes: on 4.13, on 2.10/2.11 (whose derived ``o`` is computed whole
-    and then cut) and on a spec whose two terms read one contraction through
-    different output positions, so that they cut it differently and must
-    not share it.  A ``where`` longer than a spec's output is refused.
-    Every sum that runs on a chunk of more than one member forms no array
-    past ``BATCH_BYTES``, charged 8 bytes per int64 entry and a pointer
+    operands, then Python-int operands.  At the default budget, at 2 KiB
+    and at 1 byte, the masks agree, and a 1-byte budget gives chunks of one
+    member.  Every sum that runs on a chunk of more than one member forms no
+    array past ``BATCH_BYTES``, charged 8 bytes per int64 entry and a pointer
     plus its int object otherwise (each array the kernel's einsums return
     or its sums yield is measured): at 2 KiB the chunks that reach the
     scaled half must be rebuilt shorter."""
@@ -409,19 +411,11 @@ def test_zero_members_matches_the_full_batch(monkeypatch, scale):
 
     r = sparse((size, 3, 3))
     tables = {name: rng.integers(-1, 2, size=(3, 3, 3)) for name in ("o", "(.)", "<")}
-    cases = [  # (specs, batched operands, fixed operands, where)
+    cases = [  # (specs, batched operands, fixed operands)
         ({code: labels.SPECS[code][1] for code in ("2.10", "2.11")},
-         {"<": sparse((size, 2, 2, 2)), ">": sparse((size, 2, 2, 2))}, {}, ()),
-        ({labels.YBE: labels.SPECS[labels.YBE][1]}, {"r": r + r.transpose(0, 2, 1)}, tables, ()),
+         {"<": sparse((size, 2, 2, 2)), ">": sparse((size, 2, 2, 2))}, {}),
+        ({labels.YBE: labels.SPECS[labels.YBE][1]}, {"r": r + r.transpose(0, 2, 1)}, tables),
     ]
-    cases += [(specs, arrays, fixed, (slice(1),) * 2) for specs, arrays, fixed, _ in cases]
-    box = (slice(1), slice(None), slice(2))
-    shared = {"C": [(1, "ij,jkl->ikl", ("r", "<")), (-1, "kj,jil->ikl", ("r", "<"))]}
-    cases += [(cases[1][0], cases[1][1], tables, box), (cases[0][0], cases[0][1], {}, (slice(1, 2),)),
-              (shared, {"r": r}, tables, box)]
-    assert [core._compile(shared, {**tables, "r": r}, {"r"}, where).slots for where in ((), box)] == [1, 2]
-    with pytest.raises(core.InputError, match="where cuts 4 axes of its output"):
-        core.zero_mask(cases[1][0], size, lambda lo, hi: {"r": r[lo:hi]}, tables, (slice(1),) * 4)
     wants = [_plain_zero(*case).tolist() for case in cases]
 
     over, lengths, running = [], [], []
@@ -444,7 +438,7 @@ def test_zero_members_matches_the_full_batch(monkeypatch, scale):
     monkeypatch.setattr(core._Program, "run", budgeted)
     monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: measured(einsum(*args, **kwargs)))
     default = core.BATCH_BYTES
-    for (specs, arrays, fixed, where), want in zip(cases, wants):
+    for (specs, arrays, fixed), want in zip(cases, wants):
 
         def members(lo, hi):
             return {name: a[lo:hi] for name, a in arrays.items()}
@@ -453,11 +447,11 @@ def test_zero_members_matches_the_full_batch(monkeypatch, scale):
             monkeypatch.setattr(core, "BATCH_BYTES", budget)
             lengths.clear()
             got = []
-            for chunk, ok in core.zero_members(specs, size, members, fixed, where):
+            for chunk, ok in core.zero_members(specs, size, members, fixed):
                 assert all(len(a) == len(ok) for a in chunk.values())
                 lengths.append(len(ok))
                 got += ok.tolist()
-            assert got == want == core.zero_mask(specs, size, members, fixed, where).tolist()
+            assert got == want == core.zero_mask(specs, size, members, fixed).tolist()
             assert sum(lengths) == size and (budget > 1 or set(lengths) == {1})
     assert over == []
     assert all(0 < sum(want) < size for want in wants)

@@ -335,8 +335,8 @@ def test_search_chunks_bounded_in_bytes(monkeypatch, alg2):
     lengths = {"r": [], "T": []}
     sweep = core.zero_members
 
-    def recorded(specs, size, members, fixed=None, where=()):
-        for arrays, ok in sweep(specs, size, members, fixed, where):
+    def recorded(specs, size, members, fixed=None):
+        for arrays, ok in sweep(specs, size, members, fixed):
             (name,) = arrays
             lengths[name].append(len(ok))
             yield arrays, ok
@@ -382,18 +382,17 @@ def test_search_first_chunks_fit_the_program_peak(monkeypatch):
 
 
 def test_search_rows_follow_pairwise_paths_within_the_whole_peak(monkeypatch, alg4):
-    """In a dim-4 search every batched three-operand 4.13 einsum is given its
-    pairwise path: each row's cut terms follow the path planned at the whole
-    sizes, where numpy's own planner, on the cut shapes, would fall back to
-    one naive einsum.  A program cut by ``where`` peaks no higher than the
-    same program without it."""
+    """In a dim-4 search every batched three-operand 4.13 einsum of the row
+    form ``labels.YBE_ROWS`` is given its pairwise path, on each row's placed
+    rows and cut tables.  The program of each row peaks no higher than the
+    4.13 program on whole operands."""
     calls, einsum = [], np.einsum
 
     def recorded(subs, *operands, **options):
         calls.append((subs, options.get("optimize")))
         return einsum(subs, *operands, **options)
 
-    terms = labels.SPECS[labels.YBE][1]
+    terms = labels.YBE_ROWS
     batched = {",".join("N" + g if name == "r" else g for g, name in zip(subs.split("->")[0].split(","), ns))
                + "->N" + subs.split("->")[1] for _, subs, ns in terms}
     monkeypatch.setattr(np, "einsum", recorded)
@@ -402,11 +401,12 @@ def test_search_rows_follow_pairwise_paths_within_the_whole_peak(monkeypatch, al
     assert len(paths) >= 4 * len(terms)  # (a chunk or more per row)
     assert all(path[0] == "einsum_path" and [len(step) for step in path[1:]] == [2, 2] for path in paths)
     ints = yang_baxter._integer_tables(alg4)
-    arrays = {**{name: ints[name] for name in ("o", "(.)", "<")}, "r": np.zeros((5, 4, 4), dtype=np.int64)}
-    spec = {labels.YBE: terms}
-    whole = core._compile(spec, arrays, {"r"}).peak
-    for where in [(slice(k + 1),) * 3 for k in range(4)] + [(slice(1), slice(None), slice(2))]:
-        assert core._compile(spec, arrays, {"r"}, where).peak <= whole
+    tables = {name: ints[name] for name in ("o", "(.)", "<")}
+    r = np.zeros((5, 4, 4), dtype=np.int64)
+    whole = core._compile({labels.YBE: labels.SPECS[labels.YBE][1]}, {**tables, "r": r}, {"r"}).peak
+    for k in range(4):
+        rows = {**{name: t[..., : k + 1] for name, t in tables.items()}, "r": r[:, : k + 1]}
+        assert core._compile({labels.YBE: terms}, rows, {"r"}).peak <= whole
 
 
 def test_batched_ybe_takes_its_path_past_path_loop(monkeypatch, alg2):
@@ -448,13 +448,14 @@ def test_a_second_dense_conjugate_compiles_no_program():
 @pytest.mark.parametrize("row", [1, 2])
 def test_search_refuses_rows_beyond_the_survivor_bound(monkeypatch, row):
     """On the zero algebra every candidate survives: at dim 3 with -1,0,1
-    row 1 keeps 3**3 = 27 int64 tensors (1,944 bytes) and row 2 keeps
-    3**5 = 243 (17,496 bytes).  A bound one byte short of a row's survivors
-    refuses that row, by number, and no row before it."""
+    row 1 keeps 3**3 = 27 candidates of one placed row, 3 int64 entries each
+    (648 bytes), and row 2 keeps 3**5 = 243 of two rows (11,664 bytes).  A
+    bound one byte short of a row's survivors refuses that row, by number,
+    and no row before it."""
     zero = PreNovikovAlgebra(StructureConstants.zero(3), StructureConstants.zero(3))
     assert len(search_symmetric_ybe(zero, [-1, 0, 1])) == 3**6
     kept = {1: 3**3, 2: 3**5}[row]
-    monkeypatch.setattr(yang_baxter, "SURVIVOR_BYTES", kept * 9 * 8 - 1)
+    monkeypatch.setattr(yang_baxter, "SURVIVOR_BYTES", kept * row * 3 * 8 - 1)
     with pytest.raises(InputError, match=rf"search row {row} keeps {kept} candidates so far, beyond"):
         search_symmetric_ybe(zero, [-1, 0, 1])
 
@@ -478,8 +479,7 @@ def test_search_object_values_keep_every_solution(monkeypatch, kernel_sums):
         with monkeypatch.context() as budget:
             budget.setattr(core, "BATCH_BYTES", 1)
             assert search_symmetric_ybe(zero, values) == want
-    assert np.dtype(object) in {dtype for terms, _, dtype in kernel_sums
-                                if terms == tuple(labels.SPECS[labels.YBE][1])}
+    assert np.dtype(object) in {dtype for terms, _, dtype in kernel_sums if terms == tuple(labels.YBE_ROWS)}
 
 
 def _block_diagonal_dim3(alg2) -> PreNovikovAlgebra:
@@ -554,8 +554,8 @@ def test_search_reverification_catches_a_planted_hit(monkeypatch, alg2):
     which tests through ``core.zero_members`` itself."""
     sweep = yang_baxter.zero_members
 
-    def planted(specs, size, members, fixed=None, where=()):
-        for arrays, ok in sweep(specs, size, members, fixed, where):
+    def planted(specs, size, members, fixed=None):
+        for arrays, ok in sweep(specs, size, members, fixed):
             yield arrays, np.ones_like(ok)
 
     assert not t3_is_zero(ybe_residual(alg2, ((F(1), F(1)), (F(1), F(1)))))
@@ -607,3 +607,26 @@ def test_operator_form_4_30_is_4_13_permuted():
             quadruple = evaluate(yang_baxter._DUAL_QUADRUPLE, tables)
             got = evaluate({"": labels.SPECS["4.30"][1]}, {**tables, **quadruple, "T": r})[""]
             assert got == Exact(-np.einsum("abc->acb", ybe.num), ybe.den)
+
+
+def test_the_row_form_of_4_13_is_4_13_on_symmetric_r(kernel_sums):
+    """The search's row form ``labels.YBE_ROWS`` equals 4.13 exactly on
+    symmetric r: at dims 1-4, on fractional tables and r, and on integer
+    entries near 2**40, whose sums run on Python ints.  On r that are not
+    symmetric the two forms differ."""
+    rng = np.random.default_rng(1313)
+    specs = {"4.13": labels.SPECS[labels.YBE][1], "rows": labels.YBE_ROWS}
+    differ = []
+    for n in (1, 2, 3, 4):
+        for near in (0, 2**40):
+            for _ in range(6):
+                den = 1 if near else int(rng.integers(1, 5))
+                tables = {name: Exact(rng.integers(-2, 3, size=(n, n, n)) * (near or 1)
+                                      + rng.integers(-2, 3, size=(n, n, n)), den) for name in "<>"}
+                m = rng.integers(-2, 3, size=(n, n)) * (near or 1) + rng.integers(-2, 3, size=(n, n))
+                got = evaluate(specs, {**tables, "r": Exact(m + m.T, den)})
+                assert got["rows"] == got["4.13"]
+                got = evaluate(specs, {**tables, "r": Exact(m, den)})
+                differ.append(got["rows"] != got["4.13"])
+    assert any(differ)
+    assert np.dtype(object) in {dtype for terms, _, dtype in kernel_sums if terms == tuple(labels.YBE_ROWS)}
