@@ -33,10 +33,7 @@ from .core import (
     RefusalError,
     Scalar,
     StructureConstants,
-    apply_op,
     frac,
-    mult_matrix,
-    placed_product,
 )
 from .matched_double import (
     DoubleConstruction,

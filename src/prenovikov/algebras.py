@@ -224,9 +224,7 @@ def enumerate_dim2_pre_novikov(values=(-1, 0, 1)) -> list[PreNovikovAlgebra]:
     product are refused.  Results come in lexicographic order of (<, >), are
     memoized per value set, and each call returns a fresh list.
     """
-    vals = sorted(set(map(core.frac, values)))
-    if not vals:
-        raise InputError("enumeration values must be nonempty")
+    vals = core.scalar_set(values, "enumeration values")
     if any(v.denominator != 1 for v in vals):
         raise InputError("enumeration values must be integers")
     vals = tuple(map(int, vals))

@@ -40,11 +40,11 @@ from .representations import (adjoint_reps, check_novikov_rep, check_pre_novikov
 from .yang_baxter import (
     check_o_operator_novikov,
     check_o_operator_pre_novikov,
-    co2_equivalence,
     coboundary_diagnostics,
     coboundary_maps,
     lift_o_operator,
     search_symmetric_ybe,
+    _operator_verdicts,
     _ybe,
 )
 
@@ -169,10 +169,12 @@ def _cmd_ybe(args, out, *bundles: Bundle) -> int:
     alg, r = _algebra_and_tensor(*bundles)
     residual = _ybe(alg, r)
     zero = not residual.num.any()
+    # for a symmetric r, ``co2_equivalence`` with its verdict (a) read from this one 4.13 evaluation
+    verdicts = (zero, *_operator_verdicts(alg, r)) if r.T == r else None
     if args.format == "machine":
         doc = {"kind": "ybe", "residual_zero": zero, "residual": residual}
-        if r.T == r:
-            doc["equivalent_verdicts"] = list(co2_equivalence(alg, r))
+        if verdicts:
+            doc["equivalent_verdicts"] = list(verdicts)
         _emit(out, dumps(doc))
     else:
         _emit(out, f"residual zero: {'yes' if zero else 'no'}")
@@ -182,11 +184,8 @@ def _cmd_ybe(args, out, *bundles: Bundle) -> int:
             text = fraction_texts(values, residual.den)
             _emit(out, "\n".join(f"  [{i},{j},{k}] = {text[v]}"
                                  for i, j, k, v in zip(*(a.tolist() for a in at), values)))
-        if r.T == r:
-            a, b, c = co2_equivalence(alg, r)
-            _emit(out, f"equivalent verdicts: residual={a} novikov_operator={b} pre_novikov_operator={c}")
-        else:
-            _emit(out, "r is not symmetric; operator-form verdicts skipped")
+        _emit(out, "equivalent verdicts: residual={} novikov_operator={} pre_novikov_operator={}".format(*verdicts)
+              if verdicts else "r is not symmetric; operator-form verdicts skipped")
     return 0 if zero else 1
 
 

@@ -94,6 +94,21 @@ def rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def scalar_set(values, what: str) -> list[Scalar]:
+    """A nonempty collection of exact scalars (``frac``), deduplicated and
+    sorted; ``what`` names it in a refusal.  A text is no collection: a str
+    or bytes is refused rather than read one character at a time."""
+    if isinstance(values, (str, bytes, bytearray)):
+        raise InputError(f"{what} must be a collection of exact scalars, not a {type(values).__name__}")
+    try:
+        values = sorted(set(map(frac, values)))
+    except TypeError:  # (from ``map``, of a non-iterable)
+        raise InputError(f"{what} must be a collection of exact scalars, not {values!r}") from None
+    if not values:
+        raise InputError(f"{what} must be nonempty")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # exact arrays
 # ---------------------------------------------------------------------------
@@ -186,6 +201,10 @@ def exact(table) -> Exact:
         raise InputError("a table must be a rectangular array of exact rationals") from None
 
 
+def t3_is_zero(a: Tensor3) -> bool:
+    return not exact(a).num.any()  # (ragged input is refused)
+
+
 class held:
     """A data-class field kept as an ``Exact`` array, in the instance's
     ``tables`` under the kernel operand name ``key``, and read as its nested
@@ -216,12 +235,12 @@ def fit_letters(what: str, letters: str, shape: tuple, sizes: dict) -> None:
 # the exact contraction kernel
 # ---------------------------------------------------------------------------
 
-# A term whose full index loop (the product of the sizes of its letters; in a
-# batched call, the batch length times the largest such loop per member) is at
-# most this runs as one einsum; a larger one runs along a path planned once.
-# From timings on small integer tables: one naive einsum is the cheapest below
-# it, pairwise einsums above it, and np.einsum along the path (its pairwise
-# steps are batched matrix products) on a batch axis.
+# An unbatched term whose full index loop (the product of the sizes of its
+# letters) is at most this runs as one einsum; a larger one runs as pairwise
+# einsums along a path planned once.  A batched term always runs as one
+# np.einsum given its path, whose pairwise steps are batched matrix products.
+# From timings on small integer tables: one einsum is the cheapest below it,
+# pairwise einsums above it.
 PATH_LOOP = 512
 
 # The programs ``_program`` keeps, least recently used first out: the one
@@ -240,7 +259,8 @@ def _steps(inputs: tuple, out: str, sizes: dict) -> tuple[tuple, int]:
     the current list, its result appended to the list.  Above ``PATH_LOOP``
     the term follows the greedy path ``np.einsum(optimize=True)`` picks for
     these shapes, as pairwise einsums; with a batch axis ``N`` (of size 1)
-    always, as one ``np.einsum`` given that path, which ``run`` may drop.
+    always, as one ``np.einsum`` given that path (``optimize=True`` for two
+    operands).
     """
     subs, whole = f"{','.join(inputs)}->{out}", tuple(range(len(inputs)))
     if len(inputs) <= 2 or "N" not in out and prod(sizes.values()) <= PATH_LOOP:  # (two operands: the path is the term)
@@ -325,7 +345,7 @@ class _Program:
         shape, degree, batched, order = dict(inputs), dict.fromkeys(inputs, 1), set(self.batch), []
         # the last sum reading each operand and slot, the terms reading each slot, and per contraction its slot
         # (a number, as operands are held by name) and its first reader's axes
-        last, uses, layout, loops = {}, {}, {}, [0]
+        last, uses, layout = {}, {}, {}
 
         def add(key, terms, derived, what):  # what: how a refusal names the sum, by the spec that reads it
             names = tuple(dict.fromkeys(name for _, _, ns in terms for name in ns))
@@ -355,7 +375,6 @@ class _Program:
                     peak = prod(sizes[c] for c in out)  # the copy it accumulates into
                 else:
                     (c, rename), (steps, peak) = _canonical(tuple(groups), out, ns), _steps(groups, out, sizes)
-                    loops.append(prod(sizes.values()) if on else 0)
                     axes, steps = "".join(map(rename.get, out)), steps[0][1:] if len(steps) == 1 else (None, steps)
                     slot, first = layout.setdefault(c, (len(layout), axes))
                     axes = None if first == axes else tuple(first.index(x) for x in axes)
@@ -372,7 +391,7 @@ class _Program:
 
         for key, terms in specs:
             add(key, terms, False, f"spec {key!r}")
-        self.slots, self.loop, self.sums, self.peak, live = len(layout), max(loops), [], 0, {}
+        self.slots, self.sums, self.peak, live = len(layout), [], 0, {}
         for s, (key, top, factors, names, derived, terms, most, member) in enumerate(order):
             for *_, slot, _ in terms:
                 if slot is not None and uses[slot] > 1:  # a slot alive past its term
@@ -392,10 +411,9 @@ class _Program:
 
         The one place that decides, once per call, before any sum runs: int64
         when every input and every sum's ``_bound`` fits (a derived operand
-        counts at its own sum's bound), objects otherwise; batched terms naive
-        when the batch length times ``loop``, their largest index loop per
-        member, is at most ``PATH_LOOP``; and, with a ``budget`` in bytes,
-        ``_OverBudget`` when the batch's ``peak`` would pass it.
+        counts at its own sum's bound), objects otherwise; and, with a
+        ``budget`` in bytes, ``_OverBudget`` when the batch's ``peak`` would
+        pass it.  Each term runs as compiled.
         """
         maxabs, most = dict(maxabs), max(maxabs.values(), default=0)
         for key, _, factors, names, derived, *_ in self.sums:
@@ -404,7 +422,6 @@ class _Program:
             if derived:
                 maxabs[key] = bound
         dtype = np.int64 if most <= INT64_MAX else object
-        naive = not self.loop or len(arrays[self.batch[0]]) * self.loop <= PATH_LOOP
         if budget and self.peak and (size := len(arrays[self.batch[0]])) > 1:
             # an entry is 8 bytes in int64, a pointer plus an int object otherwise
             member = self.peak * (8 if dtype is np.int64 else 8 + sys.getsizeof(most))
@@ -421,7 +438,7 @@ class _Program:
                     value = values.get(slot)
                     if value is None:
                         subs, options = steps
-                        value = values[slot] = (np.einsum(subs, *[ops[k] for k in at], **({} if naive else options))
+                        value = values[slot] = (np.einsum(subs, *[ops[k] for k in at], **options)
                                                 if subs else _einsums([ops[k] for k in at], options))
                     if axes is not None:
                         value = value.transpose(axes)
@@ -586,11 +603,6 @@ def evaluate(specs: dict, tables: dict) -> dict:
     return {key: Exact(num, den) for key, (num, den) in contract(specs, tables).items()}
 
 
-def _contract1(subs: str, **tables):
-    """One-term contraction of keyword tables, as nested Fractions."""
-    return evaluate({subs: [(1, subs, tuple(tables))]}, tables)[subs].nested
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra
 # ---------------------------------------------------------------------------
@@ -718,42 +730,3 @@ def direct_sum_table(n: int, m: int, tables: dict) -> StructureConstants:
         letters, axes = _BLOCKS[name]
         c[tuple(span[letters[k]] for k in axes)] = array.transpose(axes)
     return StructureConstants(n + m, Exact(c, den))
-
-
-def apply_op(op: StructureConstants, a: Vector, b: Vector) -> Vector:
-    """Evaluate the bilinear product on coordinate vectors."""
-    return _contract1("i,j,ijk->k", a=a, b=b, c=op.table)
-
-
-def mult_matrix(op: StructureConstants, a: Vector, side: str) -> Matrix:
-    """Matrix of left (b -> a*b) or right (b -> b*a) multiplication by a."""
-    if side not in ("left", "right"):
-        raise InputError(f"side must be 'left' or 'right', got {side!r}")
-    return _contract1("i,ijk->kj" if side == "left" else "i,jik->kj", a=a, c=op.table)
-
-
-# ---------------------------------------------------------------------------
-# rank-2 and rank-3 tensors
-# ---------------------------------------------------------------------------
-
-def t3_is_zero(a: Tensor3) -> bool:
-    return not exact(a).num.any()  # (ragged input is refused)
-
-
-def placed_product(r: Tensor2, r2: Tensor2, op: StructureConstants,
-                   slots: tuple[tuple[int, int], tuple[int, int]]) -> Tensor3:
-    """Generic placed product r_pq * r'_st in the triple tensor power.
-
-    The first factor's components go to slots (p, q), the second factor's to
-    slots (s, t); the one shared slot receives the product of the two
-    components mapped there, first argument taken from ``r``.  The slot
-    patterns must jointly cover {1, 2, 3} with exactly one overlap.
-    """
-    (p, q), (s, t) = slots
-    shared = {p, q} & {s, t}
-    if len(shared) != 1 or {p, q} | {s, t} != {1, 2, 3}:
-        raise InputError(f"slot pattern must cover 1..3 with one shared slot: {slots!r}")
-    (k,) = shared
-    first = "".join("u" if x == k else "abc"[x - 1] for x in (p, q))
-    second = "".join("v" if x == k else "abc"[x - 1] for x in (s, t))
-    return _contract1(f"{first},{second},uv{'abc'[k - 1]}->abc", r=r, r2=r2, c=op.table)

@@ -35,8 +35,8 @@ from .core import (
     evaluate,
     exact,
     fit_letters,
-    frac,
     held,
+    scalar_set,
     zero_mask,
     zero_members,
 )
@@ -69,12 +69,6 @@ def ybe_residual(alg: PreNovikovAlgebra, r: Tensor2) -> Tensor3:
     return _ybe(alg, r).nested
 
 
-def _symmetric(alg: PreNovikovAlgebra, r) -> tuple[Exact, bool]:
-    """r as an ``Exact`` array, and whether it is symmetric."""
-    r = _matrix(r, alg.dim, alg.dim, "r")
-    return r, r.T == r
-
-
 def coboundary_maps(alg: PreNovikovAlgebra, r: Tensor2) -> PreNovikovCoalgebra:
     """The candidate co-operations built from r:
 
@@ -92,8 +86,8 @@ def coboundary_maps(alg: PreNovikovAlgebra, r: Tensor2) -> PreNovikovCoalgebra:
 
 def bialgebra_from_r(alg: PreNovikovAlgebra, r: Tensor2) -> PreNovikovBialgebra:
     """Coboundary bialgebra of a symmetric solution; refuses anything else."""
-    r, symmetric = _symmetric(alg, r)
-    if not symmetric:
+    r = _matrix(r, alg.dim, alg.dim, "r")
+    if r.T != r:
         raise RefusalError("r is not symmetric")
     if _ybe(alg, r).num.any():
         raise RefusalError("r has a nonzero Yang-Baxter residual")
@@ -242,15 +236,18 @@ def co2_equivalence(alg: PreNovikovAlgebra, r: Tensor2) -> tuple[bool, bool, boo
     that of (a) (4.30 is -4.13 with axes (a, c, b)), so (b) and (c) check the
     specs' transcription rather than new arithmetic.
     """
-    r, symmetric = _symmetric(alg, r)
-    if not symmetric:
+    r = _matrix(r, alg.dim, alg.dim, "r")
+    if r.T != r:
         raise InputError("r must be symmetric")
-    verdict_a = not _ybe(alg, r).num.any()
+    return (not _ybe(alg, r).num.any(), *_operator_verdicts(alg, r))
+
+
+def _operator_verdicts(alg: PreNovikovAlgebra, r: Exact) -> tuple[bool, bool]:
+    """Verdicts (b) and (c) of ``co2_equivalence`` for a symmetric ``Exact`` r."""
     nov = NovikovAlgebra(sum_table(alg.lhd, alg.rhd))  # T_r is r itself
     verdict_b = check_o_operator_novikov(nov, NovikovRep(nov, *dual_adjoint_maps(alg.lhd, alg.rhd)), r).passed
     pre_rep = PreNovikovRep(alg, *evaluate(_DUAL_QUADRUPLE, alg.tables).values())
-    verdict_c = check_o_operator_pre_novikov(alg, pre_rep, r).passed
-    return (verdict_a, verdict_b, verdict_c)
+    return verdict_b, check_o_operator_pre_novikov(alg, pre_rep, r).passed
 
 
 def lift_o_operator(alg: PreNovikovAlgebra, rep: PreNovikovRep, T: Matrix) -> tuple[PreNovikovAlgebra, Tensor2]:
@@ -291,17 +288,15 @@ def _upper_positions(n: int) -> list[tuple[int, int]]:
 def search_symmetric_ybe(alg: PreNovikovAlgebra, value_set, max_candidates: int = 2_000_000) -> list[Tensor2]:
     """All symmetric tensors with entries in ``value_set`` and zero residual.
 
-    The search space has ``len(value_set) ** (n(n+1)/2)`` members and is
-    refused beyond ``max_candidates``.  It is searched row by row (see
-    ``_search_rows``) in integers, after clearing denominators, on one
-    thread, chunk by chunk through ``core.zero_members``.  The hits are
-    re-verified through the operator form (4.29 and 4.30, see
+    The search space has ``k ** (n(n+1)/2)`` members, for the ``k`` distinct
+    scalars of ``value_set``, and is refused beyond ``max_candidates``.  It
+    is searched row by row (see ``_search_rows``) in integers, after clearing
+    denominators, on one thread, chunk by chunk through ``core.zero_members``.
+    The hits are re-verified through the operator form (4.29 and 4.30, see
     ``_o_operator_ok``), a guard on the row staging, not the spec.  They are
     returned sorted lexicographically by upper-triangle coordinates.
     """
-    values = sorted(set(map(frac, value_set)))
-    if not values:
-        raise InputError("value_set must be nonempty")
+    values = scalar_set(value_set, "value_set")
     n = alg.dim
     positions = _upper_positions(n)
     space = len(values) ** len(positions)

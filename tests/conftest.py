@@ -16,7 +16,7 @@ from prenovikov import (
 from prenovikov import core
 from prenovikov.core import StructureConstants, mat_inverse
 
-from tensor_reference import mat_mul, mat_vec, zeros
+from tensor_reference import mat_mul, mat_vec, product, zeros
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -112,8 +112,6 @@ def rand_invertible(rng: random.Random, n: int):
 
 def conjugate_table(op: StructureConstants, p) -> StructureConstants:
     """Structure constants in the new basis f_j = sum_i p[i][j] e_i."""
-    from prenovikov.core import apply_op
-
     n = op.dim
     pinv = mat_inverse(p)
     cols = [tuple(p[i][j] for i in range(n)) for j in range(n)]
@@ -121,6 +119,6 @@ def conjugate_table(op: StructureConstants, p) -> StructureConstants:
     for a in range(n):
         plane = []
         for b in range(n):
-            plane.append(mat_vec(pinv, apply_op(op, cols[a], cols[b])))
+            plane.append(mat_vec(pinv, product(op.c, cols[a], cols[b])))
         rows.append(tuple(plane))
     return StructureConstants(n, tuple(rows))

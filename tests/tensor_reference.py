@@ -64,3 +64,24 @@ def t2_apply_right(m, t):
 
 def t3_add(a, b):
     return tuple(mat_add(x, y) for x, y in zip(a, b))
+
+
+def product(c, a, b):
+    """a * b on coordinate vectors, for the structure constants c."""
+    n = len(c)
+    return tuple(sum((a[i] * b[j] * c[i][j][k] for i in range(n) for j in range(n)), Fraction(0))
+                 for k in range(n))
+
+
+def left_matrix(c, a):
+    """The matrix of b -> a * b."""
+    n = len(c)
+    return tuple(tuple(sum((a[i] * c[i][j][k] for i in range(n)), Fraction(0)) for j in range(n))
+                 for k in range(n))
+
+
+def right_matrix(c, a):
+    """The matrix of b -> b * a."""
+    n = len(c)
+    return tuple(tuple(sum((a[i] * c[j][i][k] for i in range(n)), Fraction(0)) for j in range(n))
+                 for k in range(n))

@@ -26,7 +26,6 @@ from prenovikov.core import (
     InputError,
     InternalCheckError,
     StructureConstants,
-    apply_op,
     evaluate,
     sum_batched,
 )
@@ -34,7 +33,7 @@ from prenovikov import algebras, core, labels
 
 from conftest import conjugate_table, rand_invertible, table
 from enumeration_oracle import enumerate_pairs
-from tensor_reference import basis_vec, mat_identity
+from tensor_reference import basis_vec, mat_identity, product
 
 F = Fraction
 
@@ -48,22 +47,22 @@ def test_check_novikov_fixture_and_zero(alg2):
 def _brute_novikov_violations(op):
     """Independent brute-force evaluation of both identities."""
     n = op.dim
-    e = [basis_vec(n, i) for i in range(n)]
+    e, c = [basis_vec(n, i) for i in range(n)], op.c
     bad = set()
     for i, j, k in itertools.product(range(n), repeat=3):
-        ab = apply_op(op, e[i], e[j])
+        ab = product(c, e[i], e[j])
         lhs1 = tuple(
             x - y
-            for x, y in zip(apply_op(op, ab, e[k]), apply_op(op, e[i], apply_op(op, e[j], e[k])))
+            for x, y in zip(product(c, ab, e[k]), product(c, e[i], product(c, e[j], e[k])))
         )
-        ba = apply_op(op, e[j], e[i])
+        ba = product(c, e[j], e[i])
         rhs1 = tuple(
             x - y
-            for x, y in zip(apply_op(op, ba, e[k]), apply_op(op, e[j], apply_op(op, e[i], e[k])))
+            for x, y in zip(product(c, ba, e[k]), product(c, e[j], product(c, e[i], e[k])))
         )
         if lhs1 != rhs1:
             bad.add(("2.1", (i, j, k)))
-        if apply_op(op, ab, e[k]) != apply_op(op, apply_op(op, e[i], e[k]), e[j]):
+        if product(c, ab, e[k]) != product(c, product(c, e[i], e[k]), e[j]):
             bad.add(("2.2", (i, j, k)))
     return bad
 
@@ -273,6 +272,16 @@ def test_enumeration_values_are_exact_scalars():
     assert enumerate_dim2_pre_novikov(("0", "1")) == enumerate_dim2_pre_novikov((0, 1))
     assert enumerate_dim2_pre_novikov(np.array([0, 1])) == enumerate_dim2_pre_novikov((0, 1))
     assert len(enumerate_dim2_pre_novikov(np.array([0, 1]))) == 42
+
+
+def test_enumeration_refuses_a_text_or_a_non_collection_of_values():
+    """A str or bytes is not read one character at a time ("101" would be
+    the (0, 1) enumeration), and a bare number is an input error, not a
+    ``TypeError``; a list of strings is still read value by value."""
+    for values in ("101", b"01", "-1", 5, F(1), None):
+        with pytest.raises(InputError, match="enumeration values must be a collection of exact scalars"):
+            enumerate_dim2_pre_novikov(values)
+    assert enumerate_dim2_pre_novikov(["1", "0", 1]) == enumerate_dim2_pre_novikov((0, 1))
 
 
 def test_enumeration_is_memoized_per_value_set():

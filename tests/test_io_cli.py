@@ -414,6 +414,20 @@ def test_cli_oper_lift_evaluates_4_13_once(kernel_sums):
             if terms == tuple(labels.SPECS[labels.YBE][1])] == [(4, 4)]
 
 
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_cli_ybe_evaluates_4_13_once(kernel_sums, fmt):
+    """``ybe`` on a symmetric r prints verdict (a) of ``co2_equivalence``
+    from the one 4.13 evaluation the command makes for its residual."""
+    code, text = run(["--format", fmt, "ybe", fixture("dim4_semidirect.json"), fixture("dim4_ybe_solution.json")])
+    assert code == 0
+    if fmt == "text":
+        assert "residual=True novikov_operator=True pre_novikov_operator=True" in text
+    else:
+        assert json.loads(text)["equivalent_verdicts"] == [True, True, True]
+    assert [shapes["r"] for terms, shapes, _ in kernel_sums
+            if terms == tuple(labels.SPECS[labels.YBE][1])] == [(4, 4)]
+
+
 def test_cli_search():
     code, text = run(["search", fixture("dim2_pre_novikov.json"), "--values=-1,0,1"])
     assert code == 0

@@ -318,7 +318,8 @@ def test_only_the_kernel_sizes_batches():
 def test_the_retired_tuple_helpers_stay_retired():
     """The kernel's einsum subscripts replaced the tuple helpers that nothing
     called and ``sum_table``'s second name: no module names them."""
-    retired = r"\b(mat_zero|mat_transpose|mat_vec|mat_mul|solve_linear|t2_zero|flip|permute3|dual_map)\b"
+    retired = (r"\b(mat_zero|mat_transpose|mat_vec|mat_mul|solve_linear|t2_zero|flip|permute3|dual_map"
+               r"|apply_op|mult_matrix|placed_product|_contract1)\b")
     for path in sorted(Path(core.__file__).parent.glob("*.py")):
         assert not re.search(retired, path.read_text()), path.name
     assert not hasattr(core.StructureConstants, "add")

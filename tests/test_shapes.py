@@ -42,13 +42,10 @@ from prenovikov.core import (
     Exact,
     InputError,
     StructureConstants,
-    apply_op,
     direct_sum_table,
     evaluate,
     exact_det,
     mat_inverse,
-    mult_matrix,
-    placed_product,
     sum_batched,
     zero_mask,
 )
@@ -121,10 +118,6 @@ CASES = {
     "exact bool array": lambda: core.exact(np.array([True, False])),
     "exact_det empty rows": lambda: exact_det(((),)),
     "mat_inverse empty rows": lambda: mat_inverse(((), ())),
-    "apply_op size-1 vector": lambda: apply_op(sc(2), (F(1),), E),
-    "mult_matrix size-1 vector": lambda: mult_matrix(sc(2), (F(1),), "left"),
-    "placed_product size-1 factor": lambda: placed_product(((F(1),),), M2, sc(2), ((1, 2), (2, 3))),
-    "placed_product short second factor": lambda: placed_product(M2, (E,), sc(2), ((1, 2), (1, 3))),
     "t_r_from_tensor vector": lambda: t_r_from_tensor(E),
     "FormMatrix.pair size-1 vector": lambda: FormMatrix(2, M2).pair((F(1),), E),
     "FormMatrix.pair long vector": lambda: FormMatrix(2, M2).pair(E, (F(1),) * 3),

@@ -37,7 +37,6 @@ from prenovikov.core import (
     InternalCheckError,
     StructureConstants,
     evaluate,
-    mult_matrix,
     t3_is_zero,
 )
 from prenovikov import core, labels, yang_baxter
@@ -47,7 +46,8 @@ from conftest import FIXTURES, conjugate_table, rand_invertible, rand_symmetric
 from kernel_reference import overflow_bound
 from search_oracles import search_exact, search_int64, upper_positions
 from tensor_reference import (
-    basis_vec, mat_add, mat_identity, t2, t2_apply_left, t2_apply_right, t2_scale, t2_sub, zeros,
+    basis_vec, left_matrix, mat_add, mat_identity, right_matrix, t2, t2_apply_left, t2_apply_right, t2_scale,
+    t2_sub, zeros,
 )
 
 F = Fraction
@@ -93,13 +93,8 @@ def test_coboundary_maps_zero_and_transcription(alg4):
     circ = associated_novikov(alg4).op
     for i in range(4):
         a = basis_vec(4, i)
-        expect = t2_scale(F(-1), t2_apply_left(mult_matrix(alg4.rhd, a, "left"), r))
-        expect = t2_sub(
-            expect,
-            t2_apply_right(
-                mat_add(mult_matrix(circ, a, "left"), mult_matrix(circ, a, "right")), r
-            ),
-        )
+        expect = t2_scale(F(-1), t2_apply_left(left_matrix(alg4.rhd.c, a), r))
+        expect = t2_sub(expect, t2_apply_right(mat_add(left_matrix(circ.c, a), right_matrix(circ.c, a)), r))
         assert co.beta[i] == expect
 
 
@@ -320,6 +315,19 @@ def test_search_values_are_exact_scalars(alg2):
     assert search_symmetric_ybe(alg2, [np.int64(2**62), "1/4"]) == search_symmetric_ybe(alg2, [2**62, "1/4"])
 
 
+def test_search_refuses_a_text_or_a_non_collection_of_values(alg2):
+    """A str or bytes is not read one character at a time ("10" would search
+    {0, 1}), and a bare number is an input error, not a ``TypeError``; a
+    list of strings is still read value by value, and the space is counted
+    over the distinct values."""
+    zero = PreNovikovAlgebra(StructureConstants.zero(2), StructureConstants.zero(2))
+    for values in ("10", b"10", "-1/2", 5, F(1, 2), None):
+        with pytest.raises(InputError, match="value_set must be a collection of exact scalars"):
+            search_symmetric_ybe(zero, values)
+    assert search_symmetric_ybe(alg2, ["-1/2", 0]) == search_symmetric_ybe(alg2, [F(-1, 2), 0])
+    assert len(search_symmetric_ybe(zero, [0, 1, "1", F(0)], max_candidates=8)) == 8
+
+
 def test_search_with_fractional_values(alg2):
     sols = search_symmetric_ybe(alg2, [F(-1, 2), F(0), F(1, 2)])
     exact = search_exact(alg2, [F(-1, 2), F(0), F(1, 2)])
@@ -410,11 +418,10 @@ def test_search_rows_follow_pairwise_paths_within_the_whole_peak(monkeypatch, al
 
 
 def test_batched_ybe_takes_its_path_past_path_loop(monkeypatch, alg2):
-    """A batched call runs its batched terms as one naive einsum while the
-    batch length times their largest index loop per member is at most
-    ``PATH_LOOP``, and along their paths past it, from one program.  A
-    dim-2 4.13 term loops over 2**5 index values per member, so 16 members
-    run naive and 17 follow the path.  (At dim 4 one member is past it.)"""
+    """A batched call runs each batched term along its planned path, from
+    one program, whatever the batch length: a dim-2 4.13 term loops over
+    2**5 index values per member, so 16 members stay within ``PATH_LOOP``
+    and 17 pass it, and every member equals its unbatched value."""
     ints = yang_baxter._integer_tables(alg2)
     fixed, spec = {name: ints[name] for name in ("o", "(.)", "<")}, {labels.YBE: labels.SPECS[labels.YBE][1]}
     calls, einsum = [], np.einsum
@@ -425,10 +432,10 @@ def test_batched_ybe_takes_its_path_past_path_loop(monkeypatch, alg2):
 
     monkeypatch.setattr(np, "einsum", recorded)
     r = np.random.default_rng(13).integers(-2, 3, (64, 2, 2))
-    for size, naive in ((1, True), (16, True), (17, False), (64, False)):
+    for size in (1, 16, 17, 64):
         calls.clear()
         got = core.sum_batched(spec, {**fixed, "r": r[:size]}, batch={"r"})[labels.YBE]
-        assert len(calls) == 3 and all(path is None if naive else path[0] == "einsum_path" for path in calls)
+        assert len(calls) == 3 and all(path[0] == "einsum_path" for path in calls)
         for m in range(size):
             assert (got[m] == core.sum_batched(spec, {**fixed, "r": r[m]})[labels.YBE]).all()
 
