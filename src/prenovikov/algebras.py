@@ -249,8 +249,10 @@ def _row_pairs(lhd_ok: np.ndarray, rows: np.ndarray) -> np.ndarray:
     candidate rows are one kernel term, [1 | V] @ [C ; D].  The index rows
     are built from the masks one row of > at a time, for a block of < tables
     at once.  The blocks are as few as keep each block's candidate-row
-    slices (8 * n**4 * len(rows) bytes per < table) within
-    ``core.BATCH_BYTES``, and of one length up to rounding.
+    slices (n**4 * len(rows) entries per < table) within
+    ``core.BATCH_BYTES`` at 8 bytes an entry, and of one length up to
+    rounding; as in ``core.zero_members``, a block whose slices the kernel
+    charges past it (on Python ints) is rebuilt shorter, as are the next.
     """
     n = ENUM_DIM
     probes = np.eye(n * n + 1, n * n, k=-1, dtype=np.int64).reshape(-1, n, n)
@@ -258,8 +260,8 @@ def _row_pairs(lhd_ok: np.ndarray, rows: np.ndarray) -> np.ndarray:
     V = np.concatenate([np.ones_like(V[:, :1]), V], axis=1)  # [1 | V]
     fit = max(1, core.BATCH_BYTES // (8 * n**4 * len(rows)))  # < tables per block at most
     per_block = max(1, -(-len(lhd_ok) // max(1, -(-len(lhd_ok) // fit))))  # as few blocks, of one length
-    pairs = [np.empty((0, n + 1), dtype=np.intp)]
-    for lstart in range(0, len(lhd_ok), per_block):
+    pairs, lstart = [np.empty((0, n + 1), dtype=np.intp)], 0
+    while lstart < len(lhd_ok):
         lblock = lhd_ok[lstart : lstart + per_block]
         b = len(lblock)
         # member (l, i, p) holds < table l and probe row p as row i of >
@@ -273,9 +275,12 @@ def _row_pairs(lhd_ok: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # D in place: an entry of D sums the parts of the 2.9 terms that read
         # row i, at a unit row, so it stays under the bound that certified res
         S[:, :, 1:] -= S[:, :, :1]
-        CD = S.reshape(b * n, len(probes), -1)
-        slices = sum_batched({"": [(1, "cp,ps->cs", ("V", "CD"))]}, {"V": V, "CD": CD}, batch={"CD"})[""]
-        ok = ~(slices != 0).any(axis=2).reshape(b, n, len(rows))  # (b, n, candidate row)
+        try:
+            slices = sum_batched({"": [(1, "cp,ips->ics", ("V", "S"))]}, {"V": V, "S": S}, {"S"}, core.BATCH_BYTES)[""]
+        except core._OverBudget as over:
+            (per_block,) = over.args
+            continue
+        ok = ~(slices != 0).any(axis=3)  # (b, n, candidate row)
 
         # extend each partial index row (l, row_0..row_{i-1}) by the rows
         # kept for row i of table l, in order: np.nonzero runs row-major
@@ -285,6 +290,7 @@ def _row_pairs(lhd_ok: np.ndarray, rows: np.ndarray) -> np.ndarray:
             idx = np.column_stack([idx[at], kept])
         idx[:, 0] += lstart
         pairs.append(idx)
+        lstart += b
     return np.concatenate(pairs)
 
 

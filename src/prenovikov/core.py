@@ -292,11 +292,11 @@ def _canonical(inputs: tuple, out: str, names: tuple) -> tuple[tuple, dict]:
     return (names, tuple("".join(map(rename.get, g)) for g in inputs), "".join(sorted(map(rename.get, out)))), rename
 
 
-def _bound(factors: tuple, maxabs: list, den: int = 1) -> int:
+def _bound(factors: tuple, maxabs: list) -> int:
     """A bound on every partial sum an integer evaluation of a sum forms,
-    given its ``(factor, shift, operand positions)`` per term and a bound on
-    each operand's absolute entries: the sum over terms of factor *
-    den**shift * prod(max(maxabs, 1)) over its operands.
+    given its ``(factor, operand positions)`` per term and a bound on each
+    operand's absolute entries: the sum over terms of factor *
+    prod(max(maxabs, 1)) over its operands.
 
     The padding to at least 1 keeps partial products under it too.  It
     also covers a term contracted pairwise along its path: the operands
@@ -307,10 +307,10 @@ def _bound(factors: tuple, maxabs: list, den: int = 1) -> int:
     """
     pads = [m if m > 1 else 1 for m in maxabs]
     total = 0
-    for term, shift, at in factors:
+    for term, at in factors:
         for k in at:
             term *= pads[k]
-        total += term * den**shift if shift else term
+        total += term
     return total
 
 
@@ -320,24 +320,24 @@ class _Program:
     an axis ``N`` of size 1).
 
     Each derived operand (``labels.OPERANDS``, batched when an input is)
-    comes before the first sum that reads it.  Per sum: its top degree, its
+    comes before the first sum that reads it.  Per sum: its degree, its
     bound factors for ``_bound`` (|coef| times the index values a term sums
-    over, the shift to the top degree, the operand positions), its operand
-    names and its terms.  Per term: the coefficient, the shift, the operand
-    positions, and either the transpose ``axes`` of a one-operand
-    permutation or the slot of the term's contraction (``_canonical``), the
-    axes it is read through (None when it is laid out as read) and how it
-    runs: one einsum ``(subscripts, options)`` or ``(None, steps)`` of
-    ``_steps``.  Each distinct contraction has one slot, laid out as the
-    output of the first term that reads it, which computes it; slots and
-    derived operands are freed after their last reader.  A sum's first term
-    is copied before the sum adds into it unless it is a new array read
-    once.  ``peak`` is the most entries per member a batched sum holds: the
+    over, the operand positions), its operand names and its terms.  Per
+    term: the coefficient, the operand positions, and either the transpose
+    ``axes`` of a one-operand permutation or the slot of the term's
+    contraction (``_canonical``), the axes it is read through (None when it
+    is laid out as read) and how it runs: one einsum ``(subscripts,
+    options)`` or ``(None, steps)`` of ``_steps``.  Each distinct
+    contraction has one slot, laid out as the output of the first term that
+    reads it, which computes it; slots and derived operands are freed after
+    their last reader.  A sum's first term is copied before the sum adds
+    into it unless it is a new array read once.  ``peak`` is the most entries per member a batched sum holds: the
     largest array a term forms (an einsum step or the copy it is summed
     into) plus the batched slots read twice and derived operands alive
     while it runs.  Each operand is an input or derived and fits its
     letters (``fit_letters``), each output letter of a term is read, and
-    the terms of a sum give one shape.
+    the terms of a sum give one shape and have one degree (the sum of their
+    operands' degrees), so that no term is scaled to another's denominator.
     """
 
     def __init__(self, specs, inputs, batch):
@@ -356,9 +356,11 @@ class _Program:
                     add(name, tuple(labels.OPERANDS[name]), True, f"{what}, operand {name!r}")
             s, pos, on = len(order), {name: k for k, name in enumerate(names)}, not batched.isdisjoint(names)
             last.update(dict.fromkeys(names, s))
-            own = [sum(degree[name] for name in ns) for _, _, ns in terms]
-            top, factors, compiled, most, ends = max(own), [], [], 0, set()
-            for (coef, subs, ns), d in zip(terms, own):
+            own = {sum(degree[name] for name in ns) for _, _, ns in terms}
+            if len(own) > 1:
+                raise InputError(f"{what}: its terms have the degrees {sorted(own)}")
+            (deg,), factors, compiled, most, ends = own, [], [], 0, set()
+            for coef, subs, ns in terms:
                 groups, out = subs.split("->")
                 groups, at, sizes = groups.split(","), tuple(pos[name] for name in ns), {}
                 groups = ["N" + g if name in batched else g for g, name in zip(groups, ns)]
@@ -368,7 +370,7 @@ class _Program:
                 if not sizes.keys() >= set(out):
                     raise InputError(f"{what}: no operand of {','.join(groups)}->{out} reads each output letter")
                 ends.add(tuple(sizes[c] for c in out))
-                factors.append((abs(coef) * prod(size for c, size in sizes.items() if c not in out), top - d, at))
+                factors.append((abs(coef) * prod(size for c, size in sizes.items() if c not in out), at))
                 slot = steps = None
                 if len(at) == 1 and len(set(groups[0])) == len(groups[0]) and sorted(groups[0]) == sorted(out):
                     axes = tuple(groups[0].index(c) for c in out)
@@ -380,19 +382,19 @@ class _Program:
                     axes = None if first == axes else tuple(first.index(x) for x in axes)
                     last[slot], uses[slot] = s, uses.get(slot, 0) + 1
                 most = max(most, peak)
-                compiled.append((coef, top - d, at, axes, slot, steps))
+                compiled.append((coef, at, axes, slot, steps))
             if len(ends) > 1:
                 raise InputError(f"{what}: its terms give the shapes {sorted(ends)}")
             if derived:
-                shape[key], degree[key] = tuple(sizes[c] for c in out), top
+                shape[key], degree[key] = tuple(sizes[c] for c in out), deg
                 batched.update([key] if on else [])
-            order.append((key, top, tuple(factors), names, derived, tuple(compiled), most,
+            order.append((key, deg, tuple(factors), names, derived, tuple(compiled), most,
                           prod(sizes[c] for c in out) if on else 0))
 
         for key, terms in specs:
             add(key, terms, False, f"spec {key!r}")
         self.slots, self.sums, self.peak, live = len(layout), [], 0, {}
-        for s, (key, top, factors, names, derived, terms, most, member) in enumerate(order):
+        for s, (key, deg, factors, names, derived, terms, most, member) in enumerate(order):
             for *_, slot, _ in terms:
                 if slot is not None and uses[slot] > 1:  # a slot alive past its term
                     live.setdefault(slot, member)
@@ -401,13 +403,13 @@ class _Program:
             live = {k: entries for k, entries in live.items() if last[k] > s}
             if derived:
                 live[key] = member
-            _, _, at, _, slot, _ = terms[0]
+            _, at, _, slot, _ = terms[0]
             copied = len(at) == 1 or uses[slot] > 1
-            self.sums.append((key, top, factors, names, derived, terms, copied, frees))
+            self.sums.append((key, deg, factors, names, derived, terms, copied, frees))
 
-    def run(self, arrays: dict, maxabs: dict, den: int = 1, budget: int = 0):
-        """Yields ``(key, integers, scale exponent)`` per spec, from the inputs'
-        integers over ``den`` and their largest absolute entries.
+    def run(self, arrays: dict, maxabs: dict, budget: int = 0):
+        """Yields ``(key, integers, degree)`` per spec, from the inputs'
+        integers and their largest absolute entries.
 
         The one place that decides, once per call, before any sum runs: int64
         when every input and every sum's ``_bound`` fits (a derived operand
@@ -417,7 +419,7 @@ class _Program:
         """
         maxabs, most = dict(maxabs), max(maxabs.values(), default=0)
         for key, _, factors, names, derived, *_ in self.sums:
-            bound = _bound(factors, [maxabs[name] for name in names], den)
+            bound = _bound(factors, [maxabs[name] for name in names])
             most = max(most, bound)
             if derived:
                 maxabs[key] = bound
@@ -428,10 +430,10 @@ class _Program:
             if size * member > budget:
                 raise _OverBudget(max(1, budget // member))
         values = {name: a if a.dtype == dtype else a.astype(dtype) for name, a in arrays.items()}
-        for key, top, _, names, derived, terms, copied, frees in self.sums:
+        for key, deg, _, names, derived, terms, copied, frees in self.sums:
             ops = [values[name] for name in names]
             acc = None
-            for coef, shift, at, axes, slot, steps in terms:
+            for coef, at, axes, slot, steps in terms:
                 if slot is None:
                     value = ops[at[0]].transpose(axes)
                 else:
@@ -442,8 +444,6 @@ class _Program:
                                                 if subs else _einsums([ops[k] for k in at], options))
                     if axes is not None:
                         value = value.transpose(axes)
-                if shift:
-                    coef *= den**shift
                 # accumulate in place, into a copy of the first term unless it is a new array read once
                 if acc is None:
                     acc = value * coef if coef != 1 or copied else value
@@ -459,7 +459,7 @@ class _Program:
             if derived:
                 values[key] = acc
             else:
-                yield key, acc, top
+                yield key, acc, deg
 
 
 # The compiled program of a kernel call, keyed by its specs, member shapes and batch.
@@ -516,15 +516,15 @@ def contract(specs: dict, tables: dict) -> dict:
     denominator)``: the value is ``numerators / denominator``, entry by entry.
     """
     arrays, maxabs, den = _lift(tables)
-    return {key: (num, den**top) for key, num, top in _compile(specs, arrays).run(arrays, maxabs, den)}
+    return {key: (num, den**deg) for key, num, deg in _compile(specs, arrays).run(arrays, maxabs)}
 
 
-def sum_batched(specs: dict, arrays: dict, batch=()) -> dict:
+def sum_batched(specs: dict, arrays: dict, batch=(), budget: int = 0) -> dict:
     """Each term list in ``specs`` summed on integer arrays (of any dtype),
-    key by key, in one ``_Program`` run.  The operands named in ``batch``
-    carry a leading batch axis ``N``, which the results carry too."""
+    key by key, in one ``_Program`` run (``run``'s ``budget``).  The operands
+    named in ``batch`` carry a leading batch axis ``N``, as the results do."""
     maxabs = {name: _maxabs(a) for name, a in arrays.items()}
-    return {key: num for key, num, _ in _compile(specs, arrays, batch).run(arrays, maxabs)}
+    return {key: num for key, num, _ in _compile(specs, arrays, batch).run(arrays, maxabs, budget)}
 
 
 # Bytes of the largest array one chunk of ``zero_members`` may form.
@@ -557,7 +557,7 @@ def zero_members(specs: dict, size: int, members, fixed=None):
         hi = min(size, lo + length)
         arrays = members(lo, hi)
         sums = _compile(specs, {**fixed, **arrays}, arrays).run(
-            {**fixed, **arrays}, {**tops, **{name: _maxabs(a) for name, a in arrays.items()}}, 1, BATCH_BYTES)
+            {**fixed, **arrays}, {**tops, **{name: _maxabs(a) for name, a in arrays.items()}}, BATCH_BYTES)
         try:  # each residual is reduced, and freed, before the next sum runs
             nonzero = [(num != 0).reshape(hi - lo, -1).any(axis=1) for _, num, _ in sums]
         except _OverBudget as over:

@@ -25,11 +25,13 @@ Operand layouts (entries are the coefficients of basis vectors):
 * a rank-2 tensor ``r[i][j]``, a form ``w[i][j]``, a linear map ``T[i][p]``.
 
 Operands not passed in by the caller are looked up in ``OPERANDS``, where the
-named sums (``o``, ``(.)``, ``L>+2R<``, ``tau.al+be``, ...) and the seven
-R-tensors of the coboundary analysis are defined by term lists of their own.
+operators and co-operations (``L>+2R<``, ``tau.al+be``, ...) are defined by
+their names (``formula``), and the rest by term lists of their own.
 """
 
 from __future__ import annotations
+
+import re
 
 NOVIKOV = ("2.1", "2.2")
 NOVIKOV_REP = ("2.3", "2.4", "2.5", "2.6")
@@ -64,52 +66,45 @@ PRE_NOVIKOV_REP = tuple(f"4.{k}" for k in range(18, 28))
 O_OPERATOR_PRE_NOVIKOV = ("4.29", "4.30")
 
 
-def _transpose(layout: str, *parts):
-    """Term list of sum(coef * name) with the axes of each name permuted."""
-    return [(coef, f"{src}->{layout}", (name,)) for coef, src, name in parts]
+# one term of ``formula``: sign, factor, tau., side and product or family, dual
+_TERM = re.compile(r"([+-]?)(\d*)(tau\.)?(?:([LR])(o|<|>|\(\.\)|\(\*\))|([a-z]+[<>AB]?))(\*?)")
+_SWAP = str.maketrans("jk", "kj")
 
 
-# An operator family M[a][k][j] is the table read as "ijk->ikj" (left
-# multiplication, M(a)b = a*b) or "jik->ikj" (right multiplication, b*a).
-_L, _R = "ijk", "jik"
+def formula(name: str) -> list:
+    """The term list that ``name``, a sum of terms ``[±][k][tau.]X[*]`` of
+    rank-3 tables M[i][j][k], defines.  ``LP`` and ``RP``, M(a)b = a P b and
+    b P a for a product P (``o``, ``<``, ``>``, ``(.)``, ``(*)``), read P's
+    table as ``ikj`` and ``kij``; any other X, a family or co-operation, as
+    itself.  ``tau.`` swaps the last two axes; ``*``, the dual M(a)* =
+    -M(a)^T, swaps them and negates.  Anything else is a ``ValueError``."""
+    terms, at = [], 0
+    while at < len(name) or not terms:
+        m = _TERM.match(name, at)
+        if not m or m[1] not in (("+", "-") if terms else ("", "-")):
+            raise ValueError(f"not an operand formula: {name!r}")
+        sign, k, tau, side, product, family, star = m.groups()
+        src = {"L": "ikj", "R": "kij", None: "ijk"}[side]
+        if bool(tau) != bool(star):
+            src = src.translate(_SWAP)
+        coef = int(k or 1) * (-1 if (sign == "-") != bool(star) else 1)
+        terms.append((coef, f"{src}->ijk", (product or family,)))
+        at = m.end()
+    return terms
 
 
 OPERANDS = {
     # products
-    "o": _transpose("ijk", (1, "ijk", "<"), (1, "ijk", ">")),
-    "(.)": _transpose("ijk", (1, "ijk", ">"), (1, "jik", "<")),
-    "(*)": _transpose("ijk", (1, "ijk", "o"), (1, "jik", "o")),
-    # left / right multiplication operators
-    "Lo": _transpose("ikj", (1, _L, "o")),
-    "Ro": _transpose("ikj", (1, _R, "o")),
-    "L>": _transpose("ikj", (1, _L, ">")),
-    "R>": _transpose("ikj", (1, _R, ">")),
-    "L<": _transpose("ikj", (1, _L, "<")),
-    "R<": _transpose("ikj", (1, _R, "<")),
-    "L(.)": _transpose("ikj", (1, _L, "(.)")),
-    "L(*)": _transpose("ikj", (1, _L, "(*)")),
-    "L>+R<": _transpose("ikj", (1, _L, ">"), (1, _R, "<")),
-    "L>+2R<": _transpose("ikj", (1, _L, ">"), (2, _R, "<")),
-    "2L>+R<": _transpose("ikj", (2, _L, ">"), (1, _R, "<")),
-    "R>+L<": _transpose("ikj", (1, _R, ">"), (1, _L, "<")),
-    "Lo+Ro": _transpose("ikj", (1, _L, "o"), (1, _R, "o")),
-    "2Lo+Ro": _transpose("ikj", (2, _L, "o"), (1, _R, "o")),
-    # sums of representation maps
-    "l>+l<": _transpose("auv", (1, "auv", "l>"), (1, "auv", "l<")),
-    "r>+r<": _transpose("auv", (1, "auv", "r>"), (1, "auv", "r<")),
-    "lA-rA": _transpose("auv", (1, "auv", "lA"), (-1, "auv", "rA")),
-    "lB-rB": _transpose("auv", (1, "auv", "lB"), (-1, "auv", "rB")),
-    # co-operations and their flips (tau.al = tau composed with al)
-    "tau.al": _transpose("iab", (1, "iba", "al")),
-    "al+be": _transpose("iab", (1, "iab", "al"), (1, "iab", "be")),
-    "tau.al+be": _transpose("iab", (1, "iba", "al"), (1, "iab", "be")),
-    "2tau.al+be": _transpose("iab", (2, "iba", "al"), (1, "iab", "be")),
-    "al+tau.be": _transpose("iab", (1, "iab", "al"), (1, "iba", "be")),
-    "tau.al+tau.be": _transpose("iab", (1, "iba", "al"), (1, "iba", "be")),
-    "al+be-tau.al-tau.be": _transpose(
-        "iab", (1, "iab", "al"), (1, "iab", "be"), (-1, "iba", "al"), (-1, "iba", "be")),
+    "o": [(1, "ijk->ijk", ("<",)), (1, "ijk->ijk", (">",))],
+    "(.)": [(1, "ijk->ijk", (">",)), (1, "jik->ijk", ("<",))],
+    "(*)": [(1, "ijk->ijk", ("o",)), (1, "jik->ijk", ("o",))],
+    # multiplication operators, sums of representation maps, co-operations
+    **{name: formula(name) for name in (
+        "Lo", "Ro", "L>", "R>", "L<", "R<", "L(.)", "L(*)", "L>+R<", "L>+2R<", "2L>+R<", "R>+L<", "Lo+Ro",
+        "2Lo+Ro", "l>+l<", "r>+r<", "lA-rA", "lB-rB", "tau.al", "al+be", "tau.al+be", "2tau.al+be",
+        "al+tau.be", "tau.al+tau.be", "al+be-tau.al-tau.be")},
     # s = tau(r) - r
-    "s": _transpose("ab", (1, "ba", "r"), (-1, "ab", "r")),
+    "s": [(1, "ba->ab", ("r",)), (-1, "ab->ab", ("r",))],
     # the seven R-tensors: signed placed products r_pq * r_st in three slots
     "R11": [
         (1, "bp,cq,pqa->abc", ("r", "r", "o")),

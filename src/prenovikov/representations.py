@@ -105,27 +105,12 @@ def verify_pre_novikov_rep(rep: PreNovikovRep) -> PreNovikovRep:
     return _certified(rep, check_pre_novikov_rep, "pre-Novikov")
 
 
-def _duals(**maps) -> dict:
-    """Kernel spec of sums of dual maps: key -> sum of coef * M* over the
-    ``(coef, name)`` pairs, where M(a)* is the negated transpose of M(a)."""
-    return {key: [(-coef, "akj->ajk", (name,)) for coef, name in parts]
-            for key, parts in maps.items()}
-
-
-def dual_novikov_spec(l: str, r: str) -> dict:
-    """Kernel spec of the dual (l* + r*, -r*) of the maps named ``l`` and ``r``."""
-    return _duals(l=[(1, l), (1, r)], r=[(-1, r)])
-
-
-def dual_pre_novikov_spec(l_rhd: str, r_rhd: str, l_lhd: str, r_lhd: str) -> dict:
-    """Kernel spec of the dual quadruple (l>*+l<*+r>*+r<*, r>*, -(r>*+l<*),
-    -(r>*+r<*)) of the maps with these names, keyed l>, r>, l<, r<."""
-    return _duals(**{
-        "l>": [(1, l_rhd), (1, l_lhd), (1, r_rhd), (1, r_lhd)],
-        "r>": [(1, r_rhd)],
-        "l<": [(-1, r_rhd), (-1, l_lhd)],
-        "r<": [(-1, r_rhd), (-1, r_lhd)],
-    })
+# The dual maps of ``dual_novikov_rep``, ``dual_pre_novikov_rep`` and
+# ``dual_adjoint_maps`` by their formulas (``labels.formula``).
+_DUAL_NOVIKOV_MAPS = {"l": labels.formula("l*+r*"), "r": labels.formula("-r*")}
+_DUAL_PRE_NOVIKOV_MAPS = {"l>": labels.formula("l>*+l<*+r>*+r<*"), "r>": labels.formula("r>*"),
+                           "l<": labels.formula("-r>*-l<*"), "r<": labels.formula("-r>*-r<*")}
+_DUAL_ADJOINT_MAPS = {"l": labels.formula("L>*+R<*"), "r": labels.formula("-R<*")}
 
 
 def _dual(rep, spec: dict, check, what: str):
@@ -140,12 +125,12 @@ def _dual(rep, spec: dict, check, what: str):
 
 def dual_novikov_rep(rep: NovikovRep) -> NovikovRep:
     """The dual representation (l* + r*, -r*) on the dual module."""
-    return _dual(rep, dual_novikov_spec("l", "r"), check_novikov_rep, "Novikov")
+    return _dual(rep, _DUAL_NOVIKOV_MAPS, check_novikov_rep, "Novikov")
 
 
 def dual_pre_novikov_rep(rep: PreNovikovRep) -> PreNovikovRep:
     """The dual quadruple (l>*+l<*+r>*+r<*, r>*, -(r>*+l<*), -(r>*+r<*))."""
-    return _dual(rep, dual_pre_novikov_spec("l>", "r>", "l<", "r<"), check_pre_novikov_rep, "pre-Novikov")
+    return _dual(rep, _DUAL_PRE_NOVIKOV_MAPS, check_pre_novikov_rep, "pre-Novikov")
 
 
 def novikov_adjoint_rep(alg: NovikovAlgebra) -> NovikovRep:
@@ -169,7 +154,7 @@ def adjoint_reps(alg: PreNovikovAlgebra) -> tuple[NovikovRep, PreNovikovRep]:
 def dual_adjoint_maps(lhd: StructureConstants, rhd: StructureConstants) -> tuple[RepMaps, RepMaps]:
     """The maps (L>* + R<*, -R<*) dual to the (L>, R<) action, built from the
     tables with no validity requirement."""
-    maps = evaluate(dual_novikov_spec("L>", "R<"), {"<": lhd.table, ">": rhd.table})
+    maps = evaluate(_DUAL_ADJOINT_MAPS, {"<": lhd.table, ">": rhd.table})
     return maps["l"], maps["r"]
 
 

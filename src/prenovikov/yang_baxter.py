@@ -46,7 +46,6 @@ from .representations import (
     PreNovikovRep,
     dual_adjoint_maps,
     dual_pre_novikov_rep,
-    dual_pre_novikov_spec,
     semidirect_pre_novikov,
     verify_pre_novikov_rep,
 )
@@ -313,7 +312,8 @@ def search_symmetric_ybe(alg: PreNovikovAlgebra, value_set, max_candidates: int 
     return list(Exact(hits, scaled.den).nested)
 
 
-_DUAL_QUADRUPLE = dual_pre_novikov_spec("L>", "R>", "L<", "R<")
+_DUAL_QUADRUPLE = {"l>": labels.formula("L>*+L<*+R>*+R<*"), "r>": labels.formula("R>*"),
+                   "l<": labels.formula("-R>*-L<*"), "r<": labels.formula("-R>*-R<*")}
 
 
 def _integer_tables(alg: PreNovikovAlgebra) -> dict:

@@ -4,8 +4,8 @@
 every index assignment looped, and ``derive`` adds the derived operands of
 ``labels.OPERANDS`` to a set of tables the same way.  ``overflow_bound`` is
 the kernel's overflow certificate written out term by term from its
-definition; each sum of a compiled ``core`` program must give the same
-integer on the degree-scaled terms, and the tests use it to say where int64 must end.
+definition; each sum of a compiled ``core`` program, whose terms have one
+degree, must give the same integer, and the tests use it to say where int64 must end.
 """
 
 import itertools

@@ -85,3 +85,25 @@ def right_matrix(c, a):
     n = len(c)
     return tuple(tuple(sum((a[i] * c[j][i][k] for i in range(n)), Fraction(0)) for j in range(n))
                  for k in range(n))
+
+
+def left_family(c):
+    """The matrices of b -> e_a * b, one per basis element e_a."""
+    return tuple(left_matrix(c, basis_vec(len(c), a)) for a in range(len(c)))
+
+
+def right_family(c):
+    """The matrices of b -> b * e_a, one per basis element e_a."""
+    return tuple(right_matrix(c, basis_vec(len(c), a)) for a in range(len(c)))
+
+
+def swap_last(t):
+    """A rank-3 table with its last two axes swapped: tau composed with a
+    co-operation, or each matrix of a family transposed."""
+    n, p, q = len(t), len(t[0]), len(t[0][0])
+    return tuple(tuple(tuple(t[i][k][j] for k in range(p)) for j in range(q)) for i in range(n))
+
+
+def dual_family(t):
+    """The dual of a family of matrices, M(a)* = -M(a)^T for each a."""
+    return tuple(mat_scale(-1, m) for m in swap_last(t))

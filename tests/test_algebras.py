@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -307,6 +308,44 @@ def test_enumeration_beyond_int64_runs_on_python_ints():
     assert len(small) == 42
     want = [PreNovikovAlgebra(scaled(a.lhd), scaled(a.rhd)) for a in small]
     assert enumerate_dim2_pre_novikov((0, big)) == want
+
+
+def test_enumeration_stage_2_stays_within_the_byte_budget(monkeypatch):
+    """Stage 2 on Python ints: with -2**40, 0, 2**40 no array that
+    ``_row_pairs`` makes through the kernel (each its einsums return or its
+    kernel calls yield, int objects counted) passes ``core.BATCH_BYTES``,
+    though its first block is sized at 8 bytes an entry; and the 257
+    algebras of -1, 0, 1 come back scaled, in the same order."""
+    big, sizes, inside = 2**40, [], []
+    einsum, run, row_pairs = np.einsum, core._Program.run, algebras._row_pairs
+
+    def measured(array):
+        if inside and isinstance(array, np.ndarray):
+            sizes.append(array.nbytes + (sum(map(sys.getsizeof, array.ravel().tolist()))
+                                         if array.dtype == object else 0))
+        return array
+
+    def recorded(self, *args):
+        for key, num, deg in run(self, *args):
+            yield key, measured(num), deg
+
+    def stage_2(*args):
+        inside.append(1)
+        try:
+            return row_pairs(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(core._Program, "run", recorded)
+    monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: measured(einsum(*args, **kwargs)))
+    monkeypatch.setattr(algebras, "_row_pairs", stage_2)
+    algebras._enumerate.cache_clear()
+    got = enumerate_dim2_pre_novikov((-big, 0, big))
+    assert core.BATCH_BYTES / 2 < max(sizes) <= core.BATCH_BYTES
+    want = enumerate_dim2_pre_novikov((-1, 0, 1))
+    assert len(want) == 257
+    assert got == [PreNovikovAlgebra(*(StructureConstants(2, Exact(op.table.num * big)) for op in (a.lhd, a.rhd)))
+                   for a in want]
 
 
 def test_enumeration_includes_fixture_and_agrees_with_checker(alg2):

@@ -539,6 +539,62 @@ def test_oper_lift_refuses_a_novikov_flavor_before_any_report(capsys):
     assert run(argv)[0] == 0  # the same operator, not lifted, passes
 
 
+def _edited(tmp_path, name: str, *path) -> str:
+    """A copy of the fixture ``name`` with the entry at ``path`` made the
+    last item of ``path``."""
+    doc = json.loads(Path(fixture(name)).read_text())
+    *keys, last, value = path
+    entry = doc
+    for key in keys:
+        entry = entry[key]
+    entry[last] = value
+    out = tmp_path / name
+    out.write_text(json.dumps(doc))
+    return str(out)
+
+
+def test_a_refused_lift_prints_both_reports(tmp_path, capsys):
+    """``oper --lift`` with a rep that fails 4.19, 4.21 and 4.27 prints the
+    operator report, which passes, then the rep report of the refusal,
+    says why on stderr and exits 1."""
+    rep = _edited(tmp_path, "dim2_pre_rep.json", "maps", "l_lhd", 0, 0, 0, "7")
+    code, text = run(["oper", fixture("dim2_pre_novikov.json"), rep, fixture("dim2_shift_t.json"), "--lift"])
+    assert (code, capsys.readouterr().err) == (1, "refused: not a pre-Novikov representation\n")
+    assert text == (
+        "PASS o_operator_pre_novikov\n"
+        "  checked: Eq (4.29), Eq (4.30)\n"
+        "FAIL pre_novikov_rep\n"
+        "  checked: Eq (4.18), Eq (4.19), Eq (4.20), Eq (4.21), Eq (4.22), Eq (4.23), Eq (4.24), Eq (4.25), "
+        "Eq (4.26), Eq (4.27)\n"
+        "  Eq (4.19) violated at (e1,e1,v1): residual (-42, 0)\n"
+        "  Eq (4.19) violated at (e1,e2,v1): residual (0, -6)\n"
+        "  Eq (4.21) violated at (e1,e2,v1): residual (0, 6)\n"
+        "  Eq (4.27) violated at (e1,e2,v1): residual (0, -6)\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_a_refused_double_prints_the_bialgebra_report(tmp_path, capsys, fmt):
+    """``double`` of a bundle whose alpha breaks the coalgebra and the
+    compatibility prints the failing bialgebra report, says why on stderr
+    and exits 1."""
+    bundle = _edited(tmp_path, "dim2_bialgebra.json", "alpha", 0, 0, 0, "5")
+    code, text = run(["--format", fmt, "double", bundle])
+    assert (code, capsys.readouterr().err) == (1, "double construction refused: not a pre-Novikov bialgebra\n")
+    if fmt == "text":
+        assert text.startswith("FAIL bialgebra\n  PASS pre_novikov\n") and text.count(" violated at ") == 27
+    else:
+        report = parse_report(text)
+        assert (report.name, report.passed) == ("bialgebra", False)
+        assert [(s.name, s.passed) for s in report.sections] == [
+            ("pre_novikov", True), ("coalgebra", False), ("compatibility", False)]
+
+
+def test_ybe_refuses_a_tensor_of_another_dimension(capsys):
+    code, text = run(["ybe", fixture("dim2_pre_novikov.json"), fixture("dim4_ybe_solution.json")])
+    assert (code, text, capsys.readouterr().err) == (2, "", "input error: tensor dimension does not match the algebra\n")
+
+
 def test_parse_report_ignores_the_old_timing_field():
     doc = json.loads(render_report(Report(name="novikov", identities=("2.1",)), "machine"))
     assert parse_report(json.dumps({**doc, "seconds": 0.004})) == Report(name="novikov", identities=("2.1",))

@@ -36,17 +36,19 @@ def kernel_as_dicts(specs, tables):
 
 @st.composite
 def problems(draw, huge=False):
-    """Several random signed einsum term lists over shared random rational tables."""
+    """Several random signed einsum term lists over shared random rational
+    tables.  The terms of a list read one number of operands, so that they
+    have one degree, as the kernel requires."""
     sizes = {c: draw(st.integers(1, 3)) for c in LETTERS}
     numerators = st.integers(-(2**70), 2**70) if huge else st.integers(-40, 40)
     scalars = st.builds(F, numerators, st.sampled_from((1, 1, 2, 3, 6)))
     specs, tables = {}, {}
     for key in range(draw(st.integers(1, 3))):
         out = "".join(draw(st.permutations(LETTERS))[: draw(st.integers(0, 3))])
-        terms = []
+        terms, width = [], draw(st.integers(1, 3))
         for t in range(draw(st.integers(1, 3))):
             operands = []
-            for k in range(draw(st.integers(1, 3))):
+            for k in range(width):
                 sub = "".join(draw(st.lists(st.sampled_from(LETTERS), min_size=1, max_size=3)))
                 operands.append(sub)
             # every output letter must appear in some operand of the term
@@ -176,9 +178,9 @@ def test_an_object_batch_over_budget_runs_no_einsum(monkeypatch):
     calls, einsum = [], np.einsum
     monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: calls.append(1) or einsum(*args, **kwargs))
     with pytest.raises(core._OverBudget) as over:
-        next(program.run(arrays, maxabs, 1, 5 * member - 1))
+        next(program.run(arrays, maxabs, 5 * member - 1))
     assert over.value.args == (4,) and calls == []
-    ((_, num, _),) = program.run(arrays, maxabs, 1, 5 * member)
+    ((_, num, _),) = program.run(arrays, maxabs, 5 * member)
     assert calls and num.dtype == object and (num == 2**81).all()
 
 
@@ -428,10 +430,10 @@ def test_zero_members_matches_the_full_batch(monkeypatch, scale):
             over.append((running[-1], array.shape, array.dtype))
         return array
 
-    def budgeted(self, arrays, maxabs, den=1, budget=0):
+    def budgeted(self, arrays, maxabs, budget=0):
         running.append(len(arrays[self.batch[0]]) if budget else 0)
         try:
-            for key, num, top in run(self, arrays, maxabs, den, budget):
+            for key, num, top in run(self, arrays, maxabs, budget):
                 yield key, measured(num), top
         finally:
             running.pop()

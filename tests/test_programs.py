@@ -27,16 +27,20 @@ CODES = labels.PRE_NOVIKOV + labels.COBOUNDARY_CONDITIONS + labels.COBOUNDARY_EQ
 def _pool(needed):
     """Every term of several operands in the specs ``CODES`` and the derived
     operands that reads a name in ``needed`` (directly or through a derived
-    operand), by output rank."""
+    operand), by output rank and degree (an input has degree 1, a derived
+    operand that of its terms), since the terms of a sum have one degree."""
     def reads(name):
         return name in needed or (name in labels.OPERANDS and any(
             reads(m) for _, _, names in labels.OPERANDS[name] for m in names))
+
+    def degree(name):
+        return sum(map(degree, labels.OPERANDS[name][0][2])) if name in labels.OPERANDS else 1
 
     pool = {}
     for terms in [labels.SPECS[code][1] for code in CODES] + list(labels.OPERANDS.values()):
         for _, subs, names in terms:
             if len(names) > 1 and any(map(reads, names)):
-                pool.setdefault(len(subs.split("->")[1]), []).append((subs, names))
+                pool.setdefault((len(subs.split("->")[1]), sum(map(degree, names))), []).append((subs, names))
     return pool
 
 
@@ -58,21 +62,21 @@ def _specs(rng, pool):
     the call runs on Python ints (which of the two comes first is random);
     maybe an R-tensor read whole next to one of its own terms, permuted; and
     random fillers."""
-    rank = rng.choice((3, 4))
-    shared = rng.choice(pool[rank])
+    rank, degree = rng.choice(sorted(key for key in pool if key[0] in (3, 4)))
+    shared = rng.choice(pool[rank, degree])
     big = rng.randrange(2)
 
-    def fill():
+    def fill(key):
         return [(rng.choice((-2, -1, 1, 3)), _permuted(rng, subs), names)
-                for subs, names in rng.sample(pool[rank], rng.randint(0, 2))]
+                for subs, names in rng.sample(pool[key], min(len(pool[key]), rng.randint(0, 2)))]
 
     specs = {f"s{k}": [(HUGE if k == big else rng.choice((-1, 1, 2)), _permuted(rng, shared[0]), shared[1])]
-             + fill() for k in range(2)}
+             + fill((rank, degree)) for k in range(2)}
     if rank == 3 and rng.random() < 0.7:
         name = rng.choice(labels.R_TENSORS)
         _, subs, names = rng.choice(labels.OPERANDS[name])
         specs["whole"] = [(1, "ABC->ABC", (name,))]
-        specs["term"] = [(rng.choice((-1, 1)), _permuted(rng, subs), names)] + fill()
+        specs["term"] = [(rng.choice((-1, 1)), _permuted(rng, subs), names)] + fill((3, 3))
     return specs
 
 

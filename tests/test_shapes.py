@@ -93,6 +93,8 @@ CASES = {
     "evaluate repeated letter": lambda: evaluate({"x": [(1, "ii->i", ("m",))]}, {"m": ones(2, 3)}),
     "evaluate terms of two shapes": lambda: evaluate(
         {"x": [(1, "ij->ij", ("a",)), (1, "ij->ij", ("b",))]}, {"a": ones(2, 2), "b": ones(1, 1)}),
+    "evaluate terms of two degrees": lambda: evaluate(
+        {"x": [(1, "ij->ij", ("m",)), (1, "ik,kj->ij", ("m", "m"))]}, {"m": M2}),
     "evaluate transposed terms": lambda: evaluate(
         {"x": [(1, "ij->ij", ("w",)), (1, "ji->ij", ("w",))]}, {"w": ones(2, 3)}),
     "evaluate derived operand": lambda: evaluate(
@@ -171,6 +173,8 @@ def test_the_refusal_names_the_spec_the_operand_and_the_sizes():
         evaluate({"x": [(1, "ij,j->i", ("m", "v"))]}, {"m": M2, "v": (F(5),)})
     with pytest.raises(InputError, match=r"^spec 'x': its terms give the shapes \[\(1, 1\), \(2, 2\)\]$"):
         CASES["evaluate terms of two shapes"]()
+    with pytest.raises(InputError, match=r"^spec 'x': its terms have the degrees \[1, 2\]$"):
+        CASES["evaluate terms of two degrees"]()
     with pytest.raises(InputError, match=r"^spec 'x': operand 'q' is neither an input nor derived$"):
         CASES["evaluate unknown operand"]()
     with pytest.raises(InputError, match=r"^spec 'x': no operand of ijk->Nijk reads each output letter$"):

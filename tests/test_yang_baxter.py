@@ -25,6 +25,7 @@ from prenovikov import (
     lift_o_operator,
     novikov_adjoint_rep,
     o_operator_novikov,
+    o_operator_pre_novikov,
     pre_novikov_from_o,
     search_symmetric_ybe,
     t_r_from_tensor,
@@ -43,7 +44,7 @@ from prenovikov import core, labels, yang_baxter
 from prenovikov.io import bundle_to_objects, parse_bundle
 
 from conftest import FIXTURES, conjugate_table, rand_invertible, rand_symmetric
-from kernel_reference import overflow_bound
+from kernel_reference import derive, overflow_bound, reference
 from search_oracles import search_exact, search_int64, upper_positions
 from tensor_reference import (
     basis_vec, left_matrix, mat_add, mat_identity, right_matrix, t2, t2_apply_left, t2_apply_right, t2_scale,
@@ -134,6 +135,30 @@ def test_diagnostics_symmetric_collapse_and_solutions(alg2, alg4, sol4):
     assert dz.conditions_zero() and dz.equations_zero() and dz.r_tensors_zero()
 
 
+def test_diagnostics_report_views_are_the_reference_values():
+    """``condition_residuals``, ``r_tensors`` and ``equation_residuals`` map
+    4.3-4.6, the seven R-tensors and 4.7-4.10 to nested Fractions, each the
+    Fraction reference's value (not all zero), on random tables and r."""
+    rng = random.Random(7)
+    alg = PreNovikovAlgebra(*(StructureConstants.from_rows(
+        [[[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)] for _ in range(2)]) for _ in "<>"))
+    r = ((F(1), F(2)), (F(-1), F(1, 2)))
+    d = coboundary_diagnostics(alg, r)
+    codes = labels.COBOUNDARY_CONDITIONS + labels.COBOUNDARY_EQUATIONS
+    read = {m for code in codes for _, _, ns in labels.SPECS[code][1] for m in ns}
+    tables = derive(sorted(read - {"r"}), {"<": alg.lhd.c, ">": alg.rhd.c, "r": r})
+    sections = [(d.condition_residuals, labels.COBOUNDARY_CONDITIONS, labels.SPECS),
+                (d.r_tensors, labels.R_TENSORS, labels.OPERANDS),
+                (d.equation_residuals, labels.COBOUNDARY_EQUATIONS, labels.SPECS)]
+    for got, keys, source in sections:
+        assert tuple(got) == keys
+        for key in keys:
+            terms = source[key][1] if source is labels.SPECS else source[key]
+            want = reference(terms, tables)
+            assert {idx: np.array(got[key], dtype=object)[idx] for idx in want} == want
+            assert any(want.values()), key
+
+
 def test_diagnostics_asymmetric_not_collapsed(alg2):
     d = coboundary_diagnostics(alg2, _single(2, 0, 1))
     assert not d.conditions_zero()
@@ -208,6 +233,22 @@ def test_pre_novikov_from_o(alg2, shift_t):
     zero_op = o_operator_novikov(nov, nov_rep, zeros(2))
     z = pre_novikov_from_o(nov, nov_rep, zero_op)
     assert z.lhd.is_zero() and z.rhd.is_zero()
+
+
+def test_o_operator_pre_novikov_certifies_or_refuses(alg2, shift_t):
+    """The shift T is an operator of the adjoint quadruple and is certified,
+    with its flavor and representation; the identity fails 4.30 and is
+    refused with its report, and a pre-Novikov operator transports
+    nothing."""
+    nov_rep, pre_rep = adjoint_reps(alg2)
+    oop = o_operator_pre_novikov(alg2, pre_rep, shift_t)
+    assert (oop.t, oop.flavor, oop.rep, oop.verified) == (shift_t, "pre_novikov", pre_rep, True)
+    with pytest.raises(RefusalError, match="^not an O-operator for this representation$") as refused:
+        o_operator_pre_novikov(alg2, pre_rep, mat_identity(2))
+    assert refused.value.report.name == "o_operator_pre_novikov"
+    assert "4.30" in {v.identity for v in refused.value.report.violations}
+    with pytest.raises(RefusalError, match="Novikov-flavor"):
+        pre_novikov_from_o(nov_rep.algebra, nov_rep, oop)
 
 
 def test_pre_novikov_from_o_refusals(alg2, shift_t):
@@ -366,10 +407,10 @@ def test_search_first_chunks_fit_the_program_peak(monkeypatch):
     runs = []
     run = core._Program.run
 
-    def recorded(self, arrays, maxabs, den=1, budget=0):
+    def recorded(self, arrays, maxabs, budget=0):
         if budget:
             runs.append([self.peak, len(arrays[self.batch[0]]), "rebuilt"])
-        yield from run(self, arrays, maxabs, den, budget)
+        yield from run(self, arrays, maxabs, budget)
         if budget:
             runs[-1][-1] = "ran"
 
