@@ -27,10 +27,19 @@ Operand layouts (entries are the coefficients of basis vectors):
 Operands not passed in by the caller are looked up in ``OPERANDS``, where the
 operators and co-operations (``L>+2R<``, ``tau.al+be``, ...) are defined by
 their names (``formula``), and the rest by term lists of their own.
+
+The identities in element notation run from their texts (``identity``), on
+their witness letters then ``t`` (none when both sides are scalars): basis
+elements ``abcuvxy``; infix products, a nested one in parentheses; ``X(p)q``,
+the map X(p) of a family X (``l``, ``r>``, ``lB``, ...) or of a sum of
+families that ``OPERANDS`` names (``(r>+r<)``) applied to q; the linear map
+``T(p)``; the form ``w(p, q)``; sums, distributed to one term per product of
+basis elements.  Those in tensor notation keep written-out term lists.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 
 NOVIKOV = ("2.1", "2.2")
@@ -91,6 +100,79 @@ def formula(name: str) -> list:
         terms.append((coef, f"{src}->ijk", (product or family,)))
         at = m.end()
     return terms
+
+
+# one token of ``identity``: a map with the parenthesis opening its argument,
+# a product, a basis element, a mark, or any other character
+_TOKEN = re.compile(r"(?P<map>(?:\((?:[lr][<>AB]?[+-])+[lr][<>AB]?\)|[lr][<>AB]?|[Tw])\()"
+                    r"|(?P<product>[o<>.]|\([.*]\))|(?P<basis>[abcuvxy])|(?P<mark>[(),=+0-])|(?P<other>\S)")
+_FREE = "mnpqrsdefghijklowz"  # a term's contracted letters: no basis letter, nor t, nor the batch axis N
+
+
+def identity(text: str, witness: str) -> list:
+    """The term list of ``text``, an identity in element notation (see the
+    module docstring).  Each term reads each ``witness`` letter once and
+    lists its operands in the order their values are formed: the argument,
+    the map, the element it acts on.  Anything else is a ``ValueError``."""
+    bad, fresh = f"not an identity: {text!r}", itertools.count()
+    tokens = [(None, None)] + [(m.lastgroup, m[0]) for m in _TOKEN.finditer(text)][::-1]  # bottom: the end
+
+    # a part is a list of (coef, factors, output letter) terms, each factor a
+    # (name, letters) pair, with the basis letters and fresh ints for the rest
+    def part():  # [+|-]product {+|- product}
+        terms, sign = [], 1
+        while True:
+            if tokens[-1][1] in ("+", "-"):
+                sign = 1 if tokens.pop()[1] == "+" else -1
+            terms += [(sign * c, f, o) for c, f, o in product()]
+            if tokens[-1][1] not in ("+", "-"):
+                return terms
+
+    def upto(end):  # a part and the token that ends it
+        terms = part()
+        if tokens.pop()[1] != end:
+            raise ValueError(bad)
+        return terms
+
+    def product():
+        left = unit()
+        if tokens[-1][0] != "product":
+            return left
+        op, right, k = tokens.pop()[1], unit(), next(fresh)
+        if tokens[-1][0] == "product":
+            raise ValueError(f"{bad}: a nested product is parenthesized")
+        return [(c * d, f + g + ((op, (p, q, k)),), k) for c, f, p in left for d, g, q in right]
+
+    def unit():
+        kind, token = tokens.pop()
+        if kind == "basis":
+            return [(1, (), token)]
+        if token in ("0", "("):
+            return upto(")") if token == "(" else []
+        if kind != "map":
+            raise ValueError(bad)
+        token = token.strip("()")
+        if token == "w":
+            arg, other = upto(","), upto(")")
+            return [(c * d, f + g + (("w", (p, q)),), None) for c, f, p in arg for d, g, q in other]
+        arg, k = upto(")"), next(fresh)
+        if token == "T":
+            return [(c, f + (("T", (k, p)),), k) for c, f, p in arg]
+        element = unit()
+        return [(c * d, f + ((token, (p, k, q)),) + g, k) for c, f, p in arg for d, g, q in element]
+
+    terms = upto("=") + [(-c, f, o) for c, f, o in part()]
+    if len(tokens) > 1 or len({o is None for *_, o in terms}) != 1:
+        raise ValueError(bad)
+    out, spec = witness + ("" if terms[0][2] is None else "t"), []
+    for coef, factors, o in terms:
+        letters = [x for _, group in factors for x in group]
+        if None in letters or sorted(x for x in letters if isinstance(x, str)) != sorted(witness):
+            raise ValueError(f"{bad}: a term reads no scalar, and each letter of {witness!r} once")
+        rename = {**dict(zip(dict.fromkeys(x for x in letters if isinstance(x, int) and x != o), _FREE)), o: "t"}
+        subs = ",".join("".join(rename.get(x, x) for x in group) for _, group in factors)
+        spec.append((coef, f"{subs}->{out}", tuple(name for name, _ in factors)))
+    return spec
 
 
 OPERANDS = {
@@ -158,124 +240,32 @@ OPERANDS = {
 }
 R_TENSORS = ("R11", "R12", "R13", "R21", "R22", "R31", "R41")
 
-# code -> (formula, witness letters, terms); the two non-residual flags carry
-# only their formula.
+# code -> (formula, witness letters), with the terms written out after them in
+# tensor notation; the two non-residual flags carry only their formula.
 IDENTITIES = {
-    "2.1": ("(a o b) o c - a o (b o c) = (b o a) o c - b o (a o c)", "ijk", [
-        (1, "ijm,mkt->ijkt", ("o", "o")),
-        (-1, "jkm,imt->ijkt", ("o", "o")),
-        (-1, "jim,mkt->ijkt", ("o", "o")),
-        (1, "ikm,jmt->ijkt", ("o", "o")),
-    ]),
-    "2.2": ("(a o b) o c = (a o c) o b", "ijk", [
-        (1, "ijm,mkt->ijkt", ("o", "o")),
-        (-1, "ikm,mjt->ijkt", ("o", "o")),
-    ]),
-    "2.3": ("l(a o b - b o a) v = l(a) l(b) v - l(b) l(a) v", "ijv", [
-        (1, "ijm,mtv->ijvt", ("o", "l")),
-        (-1, "jim,mtv->ijvt", ("o", "l")),
-        (-1, "itu,juv->ijvt", ("l", "l")),
-        (1, "jtu,iuv->ijvt", ("l", "l")),
-    ]),
-    "2.4": ("l(a) r(b) v - r(b) l(a) v = r(a o b) v - r(b) r(a) v", "ijv", [
-        (1, "itu,juv->ijvt", ("l", "r")),
-        (-1, "jtu,iuv->ijvt", ("r", "l")),
-        (-1, "ijm,mtv->ijvt", ("o", "r")),
-        (1, "jtu,iuv->ijvt", ("r", "r")),
-    ]),
-    "2.5": ("l(a o b) v = r(b) l(a) v", "ijv", [
-        (1, "ijm,mtv->ijvt", ("o", "l")),
-        (-1, "jtu,iuv->ijvt", ("r", "l")),
-    ]),
-    "2.6": ("r(a) r(b) v = r(b) r(a) v", "ijv", [
-        (1, "itu,juv->ijvt", ("r", "r")),
-        (-1, "jtu,iuv->ijvt", ("r", "r")),
-    ]),
-    "2.8": ("a>(b>c) = (a o b)>c + b>(a>c) - (b o a)>c", "ijk", [
-        (1, "jkm,imt->ijkt", (">", ">")),
-        (-1, "ijm,mkt->ijkt", ("o", ">")),
-        (-1, "ikm,jmt->ijkt", (">", ">")),
-        (1, "jim,mkt->ijkt", ("o", ">")),
-    ]),
-    "2.9": ("a>(b<c) = (a>b)<c + b<(a o c) - (b<a)<c", "ijk", [
-        (1, "jkm,imt->ijkt", ("<", ">")),
-        (-1, "ijm,mkt->ijkt", (">", "<")),
-        (-1, "ikm,jmt->ijkt", ("o", "<")),
-        (1, "jim,mkt->ijkt", ("<", "<")),
-    ]),
-    "2.10": ("(a o b)>c = (a>c)<b", "ijk", [
-        (1, "ijm,mkt->ijkt", ("o", ">")),
-        (-1, "ikm,mjt->ijkt", (">", "<")),
-    ]),
-    "2.11": ("(a<b)<c = (a<c)<b", "ijk", [
-        (1, "ijm,mkt->ijkt", ("<", "<")),
-        (-1, "ikm,mjt->ijkt", ("<", "<")),
-    ]),
-    "2.13": ("T(u) o T(v) = T(l(T(u)) v) + T(r(T(v)) u)", "pq", [
-        (1, "ap,bq,abk->pqk", ("T", "T", "o")),
-        (-1, "ap,atq,kt->pqk", ("T", "l", "T")),
-        (-1, "aq,atp,kt->pqk", ("T", "r", "T")),
-    ]),
+    "2.1": ("(a o b) o c - a o (b o c) = (b o a) o c - b o (a o c)", "abc"),
+    "2.2": ("(a o b) o c = (a o c) o b", "abc"),
+    "2.3": ("l(a o b - b o a) v = l(a) l(b) v - l(b) l(a) v", "abv"),
+    "2.4": ("l(a) r(b) v - r(b) l(a) v = r(a o b) v - r(b) r(a) v", "abv"),
+    "2.5": ("l(a o b) v = r(b) l(a) v", "abv"),
+    "2.6": ("r(a) r(b) v = r(b) r(a) v", "abv"),
+    "2.8": ("a>(b>c) = (a o b)>c + b>(a>c) - (b o a)>c", "abc"),
+    "2.9": ("a>(b<c) = (a>b)<c + b<(a o c) - (b<a)<c", "abc"),
+    "2.10": ("(a o b)>c = (a>c)<b", "abc"),
+    "2.11": ("(a<b)<c = (a<c)<b", "abc"),
+    "2.13": ("T(u) o T(v) = T(l(T(u)) v) + T(r(T(v)) u)", "uv"),
     "skew": ("w(a, b) = -w(b, a)",),
     "nondegenerate": ("det w != 0",),
-    "2.14": ("w(a o b, c) - w(a o c + c o a, b) + w(c o b, a) = 0", "ijk", [
-        (1, "ijm,mk->ijk", ("o", "w")),
-        (-1, "ikm,mj->ijk", ("(*)", "w")),
-        (1, "kjm,mi->ijk", ("o", "w")),
-    ]),
-    # matched pair: a, b = e_i, e_j in A (product o); x, y in B (product .)
-    "3.1": ("lB(x)(a o b) = -lB(lA(a)x - rA(a)x)b + (lB(x)a - rB(x)a) o b + rB(rA(b)x)a + a o (lB(x)b)", "xij", [
-        (1, "ijm,xkm->xijk", ("o", "lB")),
-        (1, "iyx,ykj->xijk", ("lA-rA", "lB")),
-        (-1, "xmi,mjk->xijk", ("lB-rB", "o")),
-        (-1, "jyx,yki->xijk", ("rA", "rB")),
-        (-1, "xmj,imk->xijk", ("lB", "o")),
-    ]),
-    "3.2": ("rB(x)(a o b - b o a) = rB(lA(b)x)a - rB(lA(a)x)b + a o (rB(x)b) - b o (rB(x)a)", "xij", [
-        (1, "ijm,xkm->xijk", ("o", "rB")),
-        (-1, "jim,xkm->xijk", ("o", "rB")),
-        (-1, "jyx,yki->xijk", ("lA", "rB")),
-        (1, "iyx,ykj->xijk", ("lA", "rB")),
-        (-1, "xmj,imk->xijk", ("rB", "o")),
-        (1, "xmi,jmk->xijk", ("rB", "o")),
-    ]),
-    "3.3": ("lA(a)(x . y) = -lA(lB(x)a - rB(x)a)y + (lA(a)x - rA(a)x) . y + rA(rB(y)a)x + x . (lA(a)y)", "ixy", [
-        (1, "xyw,izw->ixyz", (".", "lA")),
-        (1, "xmi,mzy->ixyz", ("lB-rB", "lA")),
-        (-1, "iwx,wyz->ixyz", ("lA-rA", ".")),
-        (-1, "ymi,mzx->ixyz", ("rB", "rA")),
-        (-1, "iwy,xwz->ixyz", ("lA", ".")),
-    ]),
-    "3.4": ("rA(a)(x . y - y . x) = rA(lB(y)a)x - rA(lB(x)a)y + x . (rA(a)y) - y . (rA(a)x)", "ixy", [
-        (1, "xyw,izw->ixyz", (".", "rA")),
-        (-1, "yxw,izw->ixyz", (".", "rA")),
-        (-1, "ymi,mzx->ixyz", ("lB", "rA")),
-        (1, "xmi,mzy->ixyz", ("lB", "rA")),
-        (-1, "iwy,xwz->ixyz", ("rA", ".")),
-        (1, "iwx,ywz->ixyz", ("rA", ".")),
-    ]),
-    "3.5": ("(lB(x)a) o b + lB(rA(a)x)b = (lB(x)b) o a + lB(rA(b)x)a", "xij", [
-        (1, "xmi,mjk->xijk", ("lB", "o")),
-        (1, "iyx,ykj->xijk", ("rA", "lB")),
-        (-1, "xmj,mik->xijk", ("lB", "o")),
-        (-1, "jyx,yki->xijk", ("rA", "lB")),
-    ]),
-    "3.6": ("(rB(x)a) o b + lB(lA(a)x)b = rB(x)(a o b)", "xij", [
-        (1, "xmi,mjk->xijk", ("rB", "o")),
-        (1, "iyx,ykj->xijk", ("lA", "lB")),
-        (-1, "ijm,xkm->xijk", ("o", "rB")),
-    ]),
-    "3.7": ("lA(rB(x)a)y + (lA(a)x) . y = lA(rB(y)a)x + (lA(a)y) . x", "ixy", [
-        (1, "xmi,mzy->ixyz", ("rB", "lA")),
-        (1, "iwx,wyz->ixyz", ("lA", ".")),
-        (-1, "ymi,mzx->ixyz", ("rB", "lA")),
-        (-1, "iwy,wxz->ixyz", ("lA", ".")),
-    ]),
-    "3.8": ("lA(lB(x)a)y + (rA(a)x) . y = rA(a)(x . y)", "ixy", [
-        (1, "xmi,mzy->ixyz", ("lB", "lA")),
-        (1, "iwx,wyz->ixyz", ("rA", ".")),
-        (-1, "xyw,izw->ixyz", (".", "rA")),
-    ]),
+    "2.14": ("w(a o b, c) - w(a (*) c, b) + w(c o b, a) = 0", "abc"),
+    # matched pair: a, b in A (product o); x, y in B (product .)
+    "3.1": ("lB(x)(a o b) = -lB((lA-rA)(a)x)b + ((lB-rB)(x)a) o b + rB(rA(b)x)a + a o (lB(x)b)", "xab"),
+    "3.2": ("rB(x)(a o b - b o a) = rB(lA(b)x)a - rB(lA(a)x)b + a o (rB(x)b) - b o (rB(x)a)", "xab"),
+    "3.3": ("lA(a)(x . y) = -lA((lB-rB)(x)a)y + ((lA-rA)(a)x) . y + rA(rB(y)a)x + x . (lA(a)y)", "axy"),
+    "3.4": ("rA(a)(x . y - y . x) = rA(lB(y)a)x - rA(lB(x)a)y + x . (rA(a)y) - y . (rA(a)x)", "axy"),
+    "3.5": ("(lB(x)a) o b + lB(rA(a)x)b = (lB(x)b) o a + lB(rA(b)x)a", "xab"),
+    "3.6": ("(rB(x)a) o b + lB(lA(a)x)b = rB(x)(a o b)", "xab"),
+    "3.7": ("lA(rB(x)a)y + (lA(a)x) . y = lA(rB(y)a)x + (lA(a)y) . x", "axy"),
+    "3.8": ("lA(lB(x)a)y + (rA(a)x) . y = rA(a)(x . y)", "axy"),
     # coalgebra: the witness is the basis element e_i the co-operations act on
     "3.11": ("(al(x)id)al + (tau(x)id)(id(x)al)be - (id(x)(al+be))al - (tau(x)id)(be(x)id)al = 0", "i", [
         (1, "iuc,uab->iabc", ("al", "al")),
@@ -415,71 +405,21 @@ IDENTITIES = {
         (1, "bq,au,quc->abc", ("r", "r", "(.)")),
         (-1, "aq,sc,qsb->abc", ("r", "r", "<")),
     ]),
-    # pre-Novikov representations: matrix products X(a)Y(b) are "itu,juv"
-    "4.18": ("l>(a)l>(b)v - l>(b)l>(a)v = l>(a o b - b o a)v", "ijv", [
-        (1, "itu,juv->ijvt", ("l>", "l>")),
-        (-1, "jtu,iuv->ijvt", ("l>", "l>")),
-        (-1, "ijm,mtv->ijvt", ("o", "l>")),
-        (1, "jim,mtv->ijvt", ("o", "l>")),
-    ]),
-    "4.19": ("l>(a)l<(b)v - l<(b)l>(a)v = l<(a>b - b<a)v + l<(b)l<(a)v", "ijv", [
-        (1, "itu,juv->ijvt", ("l>", "l<")),
-        (-1, "jtu,iuv->ijvt", ("l<", "l>")),
-        (-1, "ijm,mtv->ijvt", (">", "l<")),
-        (1, "jim,mtv->ijvt", ("<", "l<")),
-        (-1, "jtu,iuv->ijvt", ("l<", "l<")),
-    ]),
-    "4.20": ("r>(a>b)v = r>(b)(r> + r<)(a)v + l>(a)r>(b)v - r>(b)(l< + l>)(a)v", "ijv", [
-        (1, "ijm,mtv->ijvt", (">", "r>")),
-        (-1, "jtu,iuv->ijvt", ("r>", "r>+r<")),
-        (-1, "itu,juv->ijvt", ("l>", "r>")),
-        (1, "jtu,iuv->ijvt", ("r>", "l>+l<")),
-    ]),
-    "4.21": ("r>(a<b)v = r<(b)r>(a)v + l<(a)(r> + r<)(b)v - r<(b)l<(a)v", "ijv", [
-        (1, "ijm,mtv->ijvt", ("<", "r>")),
-        (-1, "jtu,iuv->ijvt", ("r<", "r>")),
-        (-1, "itu,juv->ijvt", ("l<", "r>+r<")),
-        (1, "jtu,iuv->ijvt", ("r<", "l<")),
-    ]),
-    "4.22": ("l>(a)r<(b)v - r<(b)l>(a)v = r<(a o b)v - r<(b)r<(a)v", "ijv", [
-        (1, "itu,juv->ijvt", ("l>", "r<")),
-        (-1, "jtu,iuv->ijvt", ("r<", "l>")),
-        (-1, "ijm,mtv->ijvt", ("o", "r<")),
-        (1, "jtu,iuv->ijvt", ("r<", "r<")),
-    ]),
-    "4.23": ("r>(a)(r> + r<)(b)v = r<(b)r>(a)v", "ijv", [
-        (1, "itu,juv->ijvt", ("r>", "r>+r<")),
-        (-1, "jtu,iuv->ijvt", ("r<", "r>")),
-    ]),
-    "4.24": ("l<(a>b)v = r>(b)(l> + l<)(a)v", "ijv", [
-        (1, "ijm,mtv->ijvt", (">", "l<")),
-        (-1, "jtu,iuv->ijvt", ("r>", "l>+l<")),
-    ]),
-    "4.25": ("l>(a o b)v = r<(b)l>(a)v", "ijv", [
-        (1, "ijm,mtv->ijvt", ("o", "l>")),
-        (-1, "jtu,iuv->ijvt", ("r<", "l>")),
-    ]),
-    "4.26": ("r<(a)r<(b)v = r<(b)r<(a)v", "ijv", [
-        (1, "itu,juv->ijvt", ("r<", "r<")),
-        (-1, "jtu,iuv->ijvt", ("r<", "r<")),
-    ]),
-    "4.27": ("l<(a<b)v = r<(b)l<(a)v", "ijv", [
-        (1, "ijm,mtv->ijvt", ("<", "l<")),
-        (-1, "jtu,iuv->ijvt", ("r<", "l<")),
-    ]),
-    "4.29": ("T(u)>T(v) = T(l>(T(u))v) + T(r>(T(v))u)", "pq", [
-        (1, "ap,bq,abk->pqk", ("T", "T", ">")),
-        (-1, "ap,atq,kt->pqk", ("T", "l>", "T")),
-        (-1, "aq,atp,kt->pqk", ("T", "r>", "T")),
-    ]),
-    "4.30": ("T(u)<T(v) = T(l<(T(u))v) + T(r<(T(v))u)", "pq", [
-        (1, "ap,bq,abk->pqk", ("T", "T", "<")),
-        (-1, "ap,atq,kt->pqk", ("T", "l<", "T")),
-        (-1, "aq,atp,kt->pqk", ("T", "r<", "T")),
-    ]),
+    "4.18": ("l>(a)l>(b)v - l>(b)l>(a)v = l>(a o b - b o a)v", "abv"),
+    "4.19": ("l>(a)l<(b)v - l<(b)l>(a)v = l<(a>b - b<a)v + l<(b)l<(a)v", "abv"),
+    "4.20": ("r>(a>b)v = r>(b)(r>+r<)(a)v + l>(a)r>(b)v - r>(b)(l>+l<)(a)v", "abv"),
+    "4.21": ("r>(a<b)v = r<(b)r>(a)v + l<(a)(r>+r<)(b)v - r<(b)l<(a)v", "abv"),
+    "4.22": ("l>(a)r<(b)v - r<(b)l>(a)v = r<(a o b)v - r<(b)r<(a)v", "abv"),
+    "4.23": ("r>(a)(r>+r<)(b)v = r<(b)r>(a)v", "abv"),
+    "4.24": ("l<(a>b)v = r>(b)(l>+l<)(a)v", "abv"),
+    "4.25": ("l>(a o b)v = r<(b)l>(a)v", "abv"),
+    "4.26": ("r<(a)r<(b)v = r<(b)r<(a)v", "abv"),
+    "4.27": ("l<(a<b)v = r<(b)l<(a)v", "abv"),
+    "4.29": ("T(u)>T(v) = T(l>(T(u))v) + T(r>(T(v))u)", "uv"),
+    "4.30": ("T(u)<T(v) = T(l<(T(u))v) + T(r<(T(v))u)", "uv"),
 }
 
-SPECS = {code: row[1:] for code, row in IDENTITIES.items() if len(row) > 1}
+SPECS = {code: (row[1], row[2] if len(row) > 2 else identity(*row)) for code, row in IDENTITIES.items() if len(row) > 1}
 
 
 def render_identity(identity: str) -> str:

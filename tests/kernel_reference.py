@@ -17,17 +17,18 @@ from prenovikov import labels
 
 
 def reference(terms, tables):
-    """sum(coef * einsum) by brute force, as a dict from output index to Fraction."""
-    sizes = {}
-    for _, subs, names in terms:
-        for letters, name in zip(subs.split("->")[0].split(","), names):
-            shape = np.array(tables[name], dtype=object).shape
-            sizes.update(zip(letters, shape))
-    out = terms[0][1].split("->")[1]
-    result = {idx: Fraction(0) for idx in itertools.product(*(range(sizes[c]) for c in out))}
+    """sum(coef * einsum) by brute force, as a dict from output index to
+    Fraction; each term is looped over its own letters and read at its own
+    output letters, so terms may name their letters independently."""
+    result = {}
     for coef, subs, names in terms:
-        inputs = subs.split("->")[0].split(",")
-        letters = sorted(set("".join(inputs)) | set(out))
+        inputs, out = subs.split("->")
+        inputs, sizes = inputs.split(","), {}
+        for letters, name in zip(inputs, names):
+            sizes.update(zip(letters, np.array(tables[name], dtype=object).shape))
+        for idx in itertools.product(*(range(sizes[c]) for c in out)):
+            result.setdefault(idx, Fraction(0))
+        letters = sorted(sizes)
         for values in itertools.product(*(range(sizes[c]) for c in letters)):
             at = dict(zip(letters, values))
             prod = Fraction(coef)

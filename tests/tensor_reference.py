@@ -107,3 +107,10 @@ def swap_last(t):
 def dual_family(t):
     """The dual of a family of matrices, M(a)* = -M(a)^T for each a."""
     return tuple(mat_scale(-1, m) for m in swap_last(t))
+
+
+def family_at(m, p):
+    """The matrix M(p) = sum_a p[a] M(e_a) of a family of matrices at the
+    coordinate vector p."""
+    return tuple(tuple(sum((p[a] * m[a][k][j] for a in range(len(m))), Fraction(0)) for j in range(len(m[0][0])))
+                 for k in range(len(m[0])))

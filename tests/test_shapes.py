@@ -185,7 +185,7 @@ def test_a_verifier_refusal_names_the_report_and_the_identity():
     """A verifier's kernel call keys its specs by section path and code; its
     refusal names the report and the identity in their place."""
     with pytest.raises(InputError, match=r"^o_operator_pre_novikov Eq \(4\.29\), operand 'T': shape \(2, 3\) "
-                                         r"does not fit 'kt' at sizes"):
+                                         r"does not fit 'tn' at sizes"):
         check_o_operator_pre_novikov(pre(2), pre_rep(2, 2), ones(2, 3))
     with pytest.raises(InputError, match=r"^quasi_frobenius Eq \(2\.14\), operand 'w': shape \(3, 3\) does not fit"):
         CASES["check_quasi_frobenius larger form"]()
