@@ -218,7 +218,7 @@ def _cmd_search(args, out, alg_bundle: Bundle) -> int:
     alg = bundle_to_objects(alg_bundle)
     try:
         values = [rational(v) for v in args.values.split(",") if v.strip()]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad value set {args.values!r}: {exc}") from None
     solutions = [bundle_doc(make_bundle("tensor2", dim=len(r), entries=r))
                  for r in search_symmetric_ybe(alg, values, max_candidates=args.max_candidates)]

@@ -71,7 +71,7 @@ def frac(x) -> Scalar:
         raise InputError(f"not an exact scalar: {x!r}")
     try:
         return x if isinstance(x, Fraction) else rational(x) if isinstance(x, str) else Fraction(int(x))
-    except (ValueError, ZeroDivisionError):  # "x", "1/0", "1e9999"
+    except ValueError:  # "x", "1/0", "1e9999"
         raise InputError(f"not an exact scalar: {x!r}") from None
 
 
@@ -82,7 +82,7 @@ def rational(text: str) -> Fraction:
     """``Fraction(text)``, the one parse of a scalar text.  A number past
     ``MAX_DIGITS`` digits is refused with ``ValueError``: by ``int`` when it
     is written out, and here, before it is expanded, when an exponent would
-    take its numerator or denominator past them."""
+    take its numerator or denominator past them.  So is a zero denominator."""
     head, e, exponent = text.lower().partition("e")
     if e:
         try:
@@ -91,7 +91,10 @@ def rational(text: str) -> Fraction:
             shift = len(exponent)
         if len(head) + shift > MAX_DIGITS:
             raise ValueError(f"more than {MAX_DIGITS} digits once its exponent is expanded")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
 
 
 def scalar_set(values, what: str) -> list[Scalar]:

@@ -77,7 +77,7 @@ def _locate(value: Any, shape: tuple[int, ...], path: str) -> None:
     elif isinstance(value, str):
         try:
             rational(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise InputError(f"{path}: bad rational {value!r} ({exc})") from None
     elif not isinstance(value, int):
         raise InputError(f"{path}: scalar entries must be strings or integers, got {value!r}")
@@ -97,7 +97,7 @@ def _array(value: Any, shape: tuple[int, ...], path: str, memo: dict) -> Exact:
         if not all(type(x) is str or type(x) is int for x in level):
             raise ValueError
         memo.update((x, rational(x) if type(x) is str else Fraction(x)) for x in set(level).difference(memo))
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         _locate(value, shape, path)
     return rationals([memo[x] for x in level], shape)
 

@@ -26,15 +26,11 @@ Operand layouts (entries are the coefficients of basis vectors):
 
 Operands not passed in by the caller are looked up in ``OPERANDS``, where the
 operators and co-operations (``L>+2R<``, ``tau.al+be``, ...) are defined by
-their names (``formula``), and the rest by term lists of their own.
-
-The identities in element notation run from their texts (``identity``), on
-their witness letters then ``t`` (none when both sides are scalars): basis
-elements ``abcuvxy``; infix products, a nested one in parentheses; ``X(p)q``,
-the map X(p) of a family X (``l``, ``r>``, ``lB``, ...) or of a sum of
-families that ``OPERANDS`` names (``(r>+r<)``) applied to q; the linear map
-``T(p)``; the form ``w(p, q)``; sums, distributed to one term per product of
-basis elements.  Those in tensor notation keep written-out term lists.
+their names (``formula``), and the products ``o``, ``(.)``, ``(*)``, the
+tensor ``s`` and the R-tensors by the texts of their values (``VALUES``).
+Every identity runs from its text (``identity``) but 4.7-4.9: their
+corrections sum over the components x_p (x) y_p of r, which the grammar does
+not name, so they keep written-out term lists.
 """
 
 from __future__ import annotations
@@ -63,14 +59,6 @@ COMPATIBILITY = ("3.16", "3.17", "3.18", "3.19", "3.20", "3.21", "3.22", "3.23")
 COBOUNDARY_CONDITIONS = ("4.3", "4.4", "4.5", "4.6")
 COBOUNDARY_EQUATIONS = ("4.7", "4.8", "4.9", "4.10")
 YBE = "4.13"
-# 4.13 for a symmetric r, with each r read by the row of a witness letter
-# (r[p][b] = r[b][p], r[s][c] = r[c][s]): residual entry (a, b, c) reads rows
-# a, b and c of r, and each table only at a witness letter on its last axis.
-YBE_ROWS = [
-    (1, "bp,cs,psa->abc", ("r", "r", "o")),
-    (1, "bq,au,quc->abc", ("r", "r", "(.)")),
-    (-1, "aq,cs,qsb->abc", ("r", "r", "<")),
-]
 PRE_NOVIKOV_REP = tuple(f"4.{k}" for k in range(18, 28))
 O_OPERATOR_PRE_NOVIKOV = ("4.29", "4.30")
 
@@ -102,146 +90,185 @@ def formula(name: str) -> list:
     return terms
 
 
-# one token of ``identity``: a map with the parenthesis opening its argument,
-# a product, a basis element, a mark, or any other character
-_TOKEN = re.compile(r"(?P<map>(?:\((?:[lr][<>AB]?[+-])+[lr][<>AB]?\)|[lr][<>AB]?|[Tw])\()"
+# one token of ``identity``, of the kind its group names: a map comes with its
+# argument's parenthesis (``lB(x)`` is lB at x, not lB and ``(x)``, the tensor
+# product), a map of slots (co-operation, id, tau) with any but ``(x)``
+_SUM = r"(?:{0})|\((?:\d*(?:{0})[+-])+\d*(?:{0})\)"  # X or a parenthesized sum of terms [k]X
+_FAMILY, _CO = _SUM.format(r"[lr][<>AB]?|[LR](?:o|<|>|\(\.\)|\(\*\))"), _SUM.format(r"(?:tau\.)?(?:al|be)")
+_TOKEN = re.compile(rf"(?P<cross>\(x\))|(?P<map>(?:{_FAMILY}|[Tw])\()|(?P<slot>(?:{_CO}|id|tau)(?:\((?!x\)))?)"
+                    r"|(?P<placed>r\d\d)|(?P<tensor>R\d\d|[rs])"
                     r"|(?P<product>[o<>.]|\([.*]\))|(?P<basis>[abcuvxy])|(?P<mark>[(),=+0-])|(?P<other>\S)")
-_FREE = "mnpqrsdefghijklowz"  # a term's contracted letters: no basis letter, nor t, nor the batch axis N
+_FREE = "mnpqrsdefghijklo"  # a term's contracted letters: no basis letter, slot letter, nor the batch axis N
+_SLOTS = "twz"  # the letters of a value's slots, on the output axes after the witness letters
 
 
 def identity(text: str, witness: str) -> list:
-    """The term list of ``text``, an identity in element notation (see the
-    module docstring).  Each term reads each ``witness`` letter once and
-    lists its operands in the order their values are formed: the argument,
-    the map, the element it acts on.  Anything else is a ``ValueError``."""
+    """The term list of ``text``, an identity: left side minus right side on
+    the axes of the ``witness`` letters, then one per slot of its value
+    (``t``, ``tw``, ``twz``; none for a scalar).  It reads basis elements
+    ``abcuvxy``; infix products, a nested one parenthesized; ``X(p)q``, a
+    family X (``l``, ``Lo``, a parenthesized sum ``OPERANDS`` names) at p
+    applied to q; ``T(p)``; ``w(p, q)``; ``X(p)``, a co-operation X (``al``,
+    ``(tau.al+be)``, ...) at p; the tensors ``r``, ``s``, ``R11``-``R41``;
+    ``tau(V)``; slot maps ``(A(x)B)V``, ``(A(x)B(x)C)V``, whose factors
+    (``id``, ``tau``, a family map ``M(p)``, a co-operation) take V's slots
+    in turn, their sums and compositions; placed products ``rXY P rZW``, r
+    in the slots X, Y and Z, W, multiplied by P in the one they share; sums,
+    distributed.  Operands are listed as their values are formed (argument,
+    map, element acted on), but a family map on a tensor's first slot comes
+    first, as M in the matrix product M t N^T.  Else a ``ValueError``."""
     bad, fresh = f"not an identity: {text!r}", itertools.count()
     tokens = [(None, None)] + [(m.lastgroup, m[0]) for m in _TOKEN.finditer(text)][::-1]  # bottom: the end
 
-    # a part is a list of (coef, factors, output letter) terms, each factor a
-    # (name, letters) pair, with the basis letters and fresh ints for the rest
-    def part():  # [+|-]product {+|- product}
+    # each parse gives a list of terms (coef, factors, slots), each factor a
+    # (name, letters) pair, with the basis letters and fresh ints for the
+    # rest; a value's slots are a tuple of its letters, a slot map's the list
+    # of its factors' (name, argument letter or None), its factors its
+    # arguments'
+    def upto(end):  # [+|-]product {+|- product}, then the token ``end``
         terms, sign = [], 1
         while True:
             if tokens[-1][1] in ("+", "-"):
                 sign = 1 if tokens.pop()[1] == "+" else -1
-            terms += [(sign * c, f, o) for c, f, o in product()]
+            terms += [(sign * c, f, s) for c, f, s in product()]
             if tokens[-1][1] not in ("+", "-"):
+                if tokens.pop()[1] != end:
+                    raise ValueError(bad)
                 return terms
 
-    def upto(end):  # a part and the token that ends it
-        terms = part()
-        if tokens.pop()[1] != end:
-            raise ValueError(bad)
-        return terms
+    def vectors(terms):  # each term with its one slot letter
+        if any(type(s) is not tuple or len(s) != 1 for *_, s in terms):
+            raise ValueError(f"{bad}: a product, map or form takes vectors")
+        return [(c, f, s[0]) for c, f, s in terms]
 
     def product():
+        if tokens[-1][0] == "placed":
+            return placed()
         left = unit()
         if tokens[-1][0] != "product":
             return left
-        op, right, k = tokens.pop()[1], unit(), next(fresh)
+        op, right, k = tokens.pop()[1], vectors(unit()), next(fresh)
         if tokens[-1][0] == "product":
             raise ValueError(f"{bad}: a nested product is parenthesized")
-        return [(c * d, f + g + ((op, (p, q, k)),), k) for c, f, p in left for d, g, q in right]
+        return [(c * d, f + g + ((op, (p, q, k)),), (k,)) for c, f, p in vectors(left) for d, g, q in right]
+
+    def placed():  # rXY P rZW: r in slots X, Y and in slots Z, W, multiplied in the one slot they share
+        first, (kind, op) = tokens.pop()[1], tokens.pop()
+        second = tokens.pop()[1] if kind == "product" and tokens[-1][0] == "placed" else "r"  # (none: refused)
+        x, y = ([int(d) - 1 for d in name[1:]] for name in (first, second))
+        if len(set(x) & set(y)) != 1 or set(x) | set(y) != {0, 1, 2}:
+            raise ValueError(f"{bad}: rXY P rZW share one of the slots 1, 2, 3 and fill the others")
+        (at,), slots, p, q = set(x) & set(y), tuple(next(fresh) for _ in range(3)), next(fresh), next(fresh)
+        rx, ry = (tuple(c if i == at else slots[i] for i in ij) for ij, c in ((x, p), (y, q)))
+        return [(1, (("r", rx), ("r", ry), (op, (p, q, slots[at]))), slots)]
 
     def unit():
         kind, token = tokens.pop()
         if kind == "basis":
-            return [(1, (), token)]
-        if token in ("0", "("):
-            return upto(")") if token == "(" else []
-        if kind != "map":
+            return [(1, (), (token,))]
+        if kind == "tensor":
+            slots = tuple(next(fresh) for _ in range(3 if token[0] == "R" else 2))  # R11-R41; r and s
+            return [(1, ((token, slots),), slots)]
+        if token == "0":
+            return []
+        if token == "(":
+            terms = upto(")")
+            return applied(terms, unit()) if any(type(s) is list for *_, s in terms) else terms
+        if kind not in ("map", "slot"):
             raise ValueError(bad)
-        token = token.strip("()")
-        if token == "w":
-            arg, other = upto(","), upto(")")
-            return [(c * d, f + g + (("w", (p, q)),), None) for c, f, p in arg for d, g, q in other]
-        arg, k = upto(")"), next(fresh)
-        if token == "T":
-            return [(c, f + (("T", (k, p)),), k) for c, f, p in arg]
-        element = unit()
-        return [(c * d, f + ((token, (p, k, q)),) + g, k) for c, f, p in arg for d, g, q in element]
+        name = token.removesuffix("(")
+        name = name[1:-1] if name[0] == "(" else name  # (without a sum's parentheses)
+        if kind == "slot" and token[-1] == "(":  # X(V) = (X)V: tau or a co-operation applied to V
+            return applied([(1, (), [(name, None)])], upto(")"))
+        if name == "w":
+            arg, other = vectors(upto(",")), vectors(upto(")"))
+            return [(c * d, f + g + (("w", (p, q)),), ()) for c, f, p in arg for d, g, q in other]
+        if name == "T":
+            k = next(fresh)
+            return [(c, f + (("T", (k, p)),), (k,)) for c, f, p in vectors(upto(")"))]
+        maps = [(c, f, [(name, p)]) for c, f, p in vectors(upto(")"))] if kind == "map" else [(1, (), [(name, None)])]
+        if kind == "map" and (tokens[-1][0] not in ("mark", "cross") or tokens[-1][1] == "("):
+            return applied(maps, unit())  # X(p)q: the slot map X(p) applied to q
+        if tokens[-1][0] != "cross":
+            return maps
+        tokens.pop()  # A(x)B: a slot map's factors in slot order
+        rest = unit()
+        if any(type(s) is not list for *_, s in rest):
+            raise ValueError(f"{bad}: a slot map's factors are maps")
+        return [(c * d, f + g, s + t) for c, f, s in maps for d, g, t in rest]
 
-    terms = upto("=") + [(-c, f, o) for c, f, o in part()]
-    if len(tokens) > 1 or len({o is None for *_, o in terms}) != 1:
-        raise ValueError(bad)
-    out, spec = witness + ("" if terms[0][2] is None else "t"), []
-    for coef, factors, o in terms:
+    def applied(maps, value):  # slot maps applied to a value
+        if any(type(s) is not list for *_, s in maps) or any(type(s) is list for *_, s in value):
+            raise ValueError(f"{bad}: a slot map applies to a value")
+        return [(c * d, f + left + g + right, slots)
+                for c, f, ops in maps for d, g, s in value for left, right, slots in [slotted(ops, s)]]
+
+    def slotted(ops, slots):  # a slot map's factors applied to the slots in turn: (left, right, slots)
+        if sum(1 + (name == "tau") for name, _ in ops) != len(slots):
+            raise ValueError(f"{bad}: a slot map takes as many slots as its value has")
+        factors, out, slots = (), (), list(slots)
+        for name, p in ops:
+            x = slots.pop(0)
+            if name in ("id", "tau"):
+                out += (slots.pop(0), x) if name == "tau" else (x,)
+            elif p is None:  # a co-operation: one slot to two
+                out += (next(fresh), next(fresh))
+                factors += ((name, (x, *out[-2:])),)
+            else:  # a family map M(p)
+                out += (next(fresh),)
+                factors += ((name, (p, out[-1], x)),)
+        first = int(ops[0][1] is not None)  # M(p) on the first slot comes before the value, as M in M t N^T
+        return factors[:first], factors[first:], out
+
+    terms = upto("=") + [(-c, f, s) for c, f, s in upto(None)]  # (None: the end)
+    ranks = {None if type(s) is list else len(s) for *_, s in terms}
+    if len(ranks) != 1 or not ranks <= set(range(len(_SLOTS) + 1)):
+        raise ValueError(f"{bad}: its terms are values of one rank, at most {len(_SLOTS)}")
+    out, spec = witness + _SLOTS[: ranks.pop()], []
+    for coef, factors, slots in terms:
         letters = [x for _, group in factors for x in group]
-        if None in letters or sorted(x for x in letters if isinstance(x, str)) != sorted(witness):
-            raise ValueError(f"{bad}: a term reads no scalar, and each letter of {witness!r} once")
-        rename = {**dict(zip(dict.fromkeys(x for x in letters if isinstance(x, int) and x != o), _FREE)), o: "t"}
+        if not set(slots) <= set(letters) or sorted(x for x in letters if isinstance(x, str)) != sorted(witness):
+            raise ValueError(f"{bad}: a term reads each slot, and each letter of {witness!r} once")
+        rename = {**dict(zip(dict.fromkeys(x for x in letters if isinstance(x, int) and x not in slots), _FREE)),
+                  **dict(zip(slots, _SLOTS))}
         subs = ",".join("".join(rename.get(x, x) for x in group) for _, group in factors)
         spec.append((coef, f"{subs}->{out}", tuple(name for name, _ in factors)))
     return spec
 
 
+# the derived operands that are values, each the term list of its text:
+# name -> (text, witness letters), read by ``identity`` as ``text = 0``
+VALUES = {
+    "o": ("a<b + a>b", "ab"),
+    "(.)": ("a>b + b<a", "ab"),
+    "(*)": ("a o b + b o a", "ab"),
+    "s": ("tau(r) - r", ""),
+    # the seven R-tensors: signed placed products of r in three slots
+    "R11": ("r21 o r31 - r21 o r32 - r31 (.) r32 + r21 > r23 + r31 (*) r23", ""),
+    "R12": ("-r21 o r31 - r23 (.) r31 + r21 < r32", ""),
+    "R13": ("r31 o r21 + r32 (.) r21 + r23 > r31 - r31 < r23 + r32 > r21 + r31 (*) r21", ""),
+    "R21": ("r21 > r13 + r12 > r23 + r13 (*) r23", ""),
+    "R22": ("r13 o r21 + r23 (.) r21 - r13 > r12 - r23 (*) r12 - r23 o r12 - r13 (.) r12 + r23 > r21"
+            " + r13 (*) r21 + r23 o r13 - r13 o r23", ""),
+    "R31": ("-r13 o r23 + r13 o r21 + r23 (.) r21 - r13 > r12 - r23 (*) r12", ""),
+    "R41": ("-r31 o r21 - r32 (.) r21 + r31 < r23", ""),
+}
 OPERANDS = {
-    # products
-    "o": [(1, "ijk->ijk", ("<",)), (1, "ijk->ijk", (">",))],
-    "(.)": [(1, "ijk->ijk", (">",)), (1, "jik->ijk", ("<",))],
-    "(*)": [(1, "ijk->ijk", ("o",)), (1, "jik->ijk", ("o",))],
     # multiplication operators, sums of representation maps, co-operations
     **{name: formula(name) for name in (
         "Lo", "Ro", "L>", "R>", "L<", "R<", "L(.)", "L(*)", "L>+R<", "L>+2R<", "2L>+R<", "R>+L<", "Lo+Ro",
         "2Lo+Ro", "l>+l<", "r>+r<", "lA-rA", "lB-rB", "tau.al", "al+be", "tau.al+be", "2tau.al+be",
         "al+tau.be", "tau.al+tau.be", "al+be-tau.al-tau.be")},
-    # s = tau(r) - r
-    "s": [(1, "ba->ab", ("r",)), (-1, "ab->ab", ("r",))],
-    # the seven R-tensors: signed placed products r_pq * r_st in three slots
-    "R11": [
-        (1, "bp,cq,pqa->abc", ("r", "r", "o")),
-        (-1, "pa,cq,pqb->abc", ("r", "r", "o")),
-        (-1, "pa,qb,pqc->abc", ("r", "r", "(.)")),
-        (1, "pa,qc,pqb->abc", ("r", "r", ">")),
-        (1, "pa,bq,pqc->abc", ("r", "r", "(*)")),
-    ],
-    "R12": [
-        (-1, "bp,cq,pqa->abc", ("r", "r", "o")),
-        (-1, "bp,qa,pqc->abc", ("r", "r", "(.)")),
-        (1, "pa,cq,pqb->abc", ("r", "r", "<")),
-    ],
-    "R13": [
-        (1, "cp,bq,pqa->abc", ("r", "r", "o")),
-        (1, "cp,qa,pqb->abc", ("r", "r", "(.)")),
-        (1, "bp,qa,pqc->abc", ("r", "r", ">")),
-        (-1, "pa,bq,pqc->abc", ("r", "r", "<")),
-        (1, "cp,qa,pqb->abc", ("r", "r", ">")),
-        (1, "cp,bq,pqa->abc", ("r", "r", "(*)")),
-    ],
-    "R21": [
-        (1, "bp,qc,pqa->abc", ("r", "r", ">")),
-        (1, "ap,qc,pqb->abc", ("r", "r", ">")),
-        (1, "ap,bq,pqc->abc", ("r", "r", "(*)")),
-    ],
-    "R22": [
-        (1, "pc,bq,pqa->abc", ("r", "r", "o")),
-        (1, "pc,qa,pqb->abc", ("r", "r", "(.)")),
-        (-1, "pc,qb,pqa->abc", ("r", "r", ">")),
-        (-1, "pc,aq,pqb->abc", ("r", "r", "(*)")),
-        (-1, "pc,aq,pqb->abc", ("r", "r", "o")),
-        (-1, "pc,qb,pqa->abc", ("r", "r", "(.)")),
-        (1, "pc,qa,pqb->abc", ("r", "r", ">")),
-        (1, "pc,bq,pqa->abc", ("r", "r", "(*)")),
-        (1, "bp,aq,pqc->abc", ("r", "r", "o")),
-        (-1, "ap,bq,pqc->abc", ("r", "r", "o")),
-    ],
-    "R31": [
-        (-1, "ap,bq,pqc->abc", ("r", "r", "o")),
-        (1, "pc,bq,pqa->abc", ("r", "r", "o")),
-        (1, "pc,qa,pqb->abc", ("r", "r", "(.)")),
-        (-1, "pc,qb,pqa->abc", ("r", "r", ">")),
-        (-1, "pc,aq,pqb->abc", ("r", "r", "(*)")),
-    ],
-    "R41": [
-        (-1, "cp,bq,pqa->abc", ("r", "r", "o")),
-        (-1, "cp,qa,pqb->abc", ("r", "r", "(.)")),
-        (1, "pa,bq,pqc->abc", ("r", "r", "<")),
-    ],
+    **{name: identity(f"{text} = 0", witness) for name, (text, witness) in VALUES.items()},
 }
 R_TENSORS = ("R11", "R12", "R13", "R21", "R22", "R31", "R41")
+# 4.13 for a symmetric r, with each r read by the row of a witness letter
+# (r21 for r12, r32 for r23): residual entry (a, b, c) reads rows a, b and c
+# of r, and each table only at a witness letter on its last axis.
+YBE_ROWS = identity("r21 o r31 + r23 (.) r13 - r12 < r32 = 0", "")
 
-# code -> (formula, witness letters), with the terms written out after them in
-# tensor notation; the two non-residual flags carry only their formula.
+# code -> (formula, witness letters); 4.7-4.9 with their terms written out
+# after them, and the two non-residual flags with their formula alone.
 IDENTITIES = {
     "2.1": ("(a o b) o c - a o (b o c) = (b o a) o c - b o (a o c)", "abc"),
     "2.2": ("(a o b) o c = (a o c) o b", "abc"),
@@ -266,145 +293,60 @@ IDENTITIES = {
     "3.6": ("(rB(x)a) o b + lB(lA(a)x)b = rB(x)(a o b)", "xab"),
     "3.7": ("lA(rB(x)a)y + (lA(a)x) . y = lA(rB(y)a)x + (lA(a)y) . x", "axy"),
     "3.8": ("lA(lB(x)a)y + (rA(a)x) . y = rA(a)(x . y)", "axy"),
-    # coalgebra: the witness is the basis element e_i the co-operations act on
-    "3.11": ("(al(x)id)al + (tau(x)id)(id(x)al)be - (id(x)(al+be))al - (tau(x)id)(be(x)id)al = 0", "i", [
-        (1, "iuc,uab->iabc", ("al", "al")),
-        (1, "ibv,vac->iabc", ("be", "al")),
-        (-1, "iav,vbc->iabc", ("al", "al+be")),
-        (-1, "iuc,uba->iabc", ("al", "be")),
-    ]),
-    "3.12": ("(id(x)be)be + (tau(x)id)((al+be)(x)id)be - ((al+be)(x)id)be - (tau(x)id)(id(x)be)be = 0", "i", [
-        (1, "iav,vbc->iabc", ("be", "be")),
-        (1, "iuc,uba->iabc", ("be", "al+be")),
-        (-1, "iuc,uab->iabc", ("be", "al+be")),
-        (-1, "ibv,vac->iabc", ("be", "be")),
-    ]),
-    "3.13": ("(id(x)tau)(be(x)id)al - ((al+be)(x)id)be = 0", "i", [
-        (1, "iub,uac->iabc", ("al", "be")),
-        (-1, "iuc,uab->iabc", ("be", "al+be")),
-    ]),
-    "3.14": ("(id(x)tau)(al(x)id)al - (al(x)id)al = 0", "i", [
-        (1, "iub,uac->iabc", ("al", "al")),
-        (-1, "iuc,uab->iabc", ("al", "al")),
-    ]),
-    # compatibility: (M(a)(x)id)t is "iap,jpb", (id(x)M(b))t is "iaq,jbq"
-    "3.16": ("(tau.al+be)(a o b) = ((L> + 2R<)(a)(x)id + id(x)Lo(a))(tau.al+be)(b) + (id(x)Ro(b))(2tau.al+be)(a) - (R<(b)(x)id)tau.al(a)", "ij", [
-        (1, "ijm,mab->ijab", ("o", "tau.al+be")),
-        (-1, "iap,jpb->ijab", ("L>+2R<", "tau.al+be")),
-        (-1, "jaq,ibq->ijab", ("tau.al+be", "Lo")),
-        (-1, "iaq,jbq->ijab", ("2tau.al+be", "Ro")),
-        (1, "jap,ipb->ijab", ("R<", "tau.al")),
-    ]),
-    "3.17": ("tau.al(a o b - b o a) = ((L>+R<)(a)(x)id + id(x)Lo(a))tau.al(b) - ((L>+R<)(b)(x)id + id(x)Lo(b))tau.al(a)", "ij", [
-        (1, "ijm,mab->ijab", ("o", "tau.al")),
-        (-1, "jim,mab->ijab", ("o", "tau.al")),
-        (-1, "iap,jpb->ijab", ("L>+R<", "tau.al")),
-        (-1, "jaq,ibq->ijab", ("tau.al", "Lo")),
-        (1, "jap,ipb->ijab", ("L>+R<", "tau.al")),
-        (1, "iaq,jbq->ijab", ("tau.al", "Lo")),
-    ]),
-    "3.18": ("(al+be)(a(.)b) = (id(x)(R>+L<)(b))(2tau.al+be)(a) - (L<(b)(x)id)al(a) + ((L>+2R<)(a)(x)id + id(x)(L>+R<)(a))(al+be)(b)", "ij", [
-        (1, "ijm,mab->ijab", ("(.)", "al+be")),
-        (-1, "iaq,jbq->ijab", ("2tau.al+be", "R>+L<")),
-        (1, "jap,ipb->ijab", ("L<", "al")),
-        (-1, "iap,jpb->ijab", ("L>+2R<", "al+be")),
-        (-1, "jaq,ibq->ijab", ("al+be", "L>+R<")),
-    ]),
-    "3.19": ("(al+be-tau.al-tau.be)(b<a) = (id(x)L<(b))(tau.al+be)(a) - (L<(b)(x)id)(al+tau.be)(a) + (id(x)R<(a))(al+be)(b) - (R<(a)(x)id)(tau.al+tau.be)(b)", "ij", [
-        (1, "jim,mab->ijab", ("<", "al+be-tau.al-tau.be")),
-        (-1, "iaq,jbq->ijab", ("tau.al+be", "L<")),
-        (1, "jap,ipb->ijab", ("L<", "al+tau.be")),
-        (-1, "jaq,ibq->ijab", ("al+be", "R<")),
-        (1, "iap,jpb->ijab", ("R<", "tau.al+tau.be")),
-    ]),
-    "3.20": ("(id(x)Ro(b) - R<(b)(x)id)(tau.al+be)(a) = (id(x)Ro(a) - R<(a)(x)id)(tau.al+be)(b)", "ij", [
-        (1, "iaq,jbq->ijab", ("tau.al+be", "Ro")),
-        (-1, "jap,ipb->ijab", ("R<", "tau.al+be")),
-        (-1, "jaq,ibq->ijab", ("tau.al+be", "Ro")),
-        (1, "iap,jpb->ijab", ("R<", "tau.al+be")),
-    ]),
-    "3.21": ("tau.al(a o b) = (id(x)Ro(b))tau.al(a) + ((L>+R<)(a)(x)id)(tau.al+be)(b)", "ij", [
-        (1, "ijm,mab->ijab", ("o", "tau.al")),
-        (-1, "iaq,jbq->ijab", ("tau.al", "Ro")),
-        (-1, "iap,jpb->ijab", ("L>+R<", "tau.al+be")),
-    ]),
-    "3.22": ("(id(x)(R>+L<)(b))tau.al(a) = ((R>+L<)(b)(x)id)al(a) + (id(x)(L>+R<)(a))(tau.al+tau.be)(b) - ((L>+R<)(a)(x)id)(al+be)(b)", "ij", [
-        (1, "iaq,jbq->ijab", ("tau.al", "R>+L<")),
-        (-1, "jap,ipb->ijab", ("R>+L<", "al")),
-        (-1, "jaq,ibq->ijab", ("tau.al+tau.be", "L>+R<")),
-        (1, "iap,jpb->ijab", ("L>+R<", "al+be")),
-    ]),
-    "3.23": ("(al+be)(b<a) = (id(x)(R>+L<)(b))(tau.al+be)(a) + (R<(a)(x)id)(al+be)(b)", "ij", [
-        (1, "jim,mab->ijab", ("<", "al+be")),
-        (-1, "iaq,jbq->ijab", ("tau.al+be", "R>+L<")),
-        (-1, "iap,jpb->ijab", ("R<", "al+be")),
-    ]),
-    # coboundary conditions on s = tau(r) - r, per basis pair (a, b) = (e_i, e_j);
-    # P(c)s abbreviates (Lo(c)(x)id + id(x)(L>+R<)(c))s
-    "4.3": ("((L>+2R<)(a)(x)id + id(x)(L>+R<)(a))P(b)s - (L<(b)(x)id)P(a)s - P(a(.)b)s = 0", "ij", [
-        (1, "iap,jpq,qb->ijab", ("L>+2R<", "Lo", "s")),
-        (1, "iap,pq,jbq->ijab", ("L>+2R<", "s", "L>+R<")),
-        (1, "jap,pq,ibq->ijab", ("Lo", "s", "L>+R<")),
-        (1, "ap,jqp,ibq->ijab", ("s", "L>+R<", "L>+R<")),
-        (-1, "jap,ipq,qb->ijab", ("L<", "Lo", "s")),
-        (-1, "jap,pq,ibq->ijab", ("L<", "s", "L>+R<")),
-        (-1, "ijm,map,pb->ijab", ("(.)", "Lo", "s")),
-        (-1, "ijm,aq,mbq->ijab", ("(.)", "s", "L>+R<")),
-    ]),
-    "4.4": ("(id(x)R<(a))P(b)s + (R<(a)(x)id)((Lo+Ro)(b)(x)id + id(x)L>(b))s - (L<(b)(x)id)(id(x)R<(a) - Ro(a)(x)id)s - ((2Lo+Ro)(b<a)(x)id + id(x)(2L>+R<)(b<a))s = 0", "ij", [
-        (1, "jap,pq,ibq->ijab", ("Lo", "s", "R<")),
-        (1, "ap,jqp,ibq->ijab", ("s", "L>+R<", "R<")),
-        (1, "iap,jpq,qb->ijab", ("R<", "Lo+Ro", "s")),
-        (1, "iap,pq,jbq->ijab", ("R<", "s", "L>")),
-        (-1, "jap,pq,ibq->ijab", ("L<", "s", "R<")),
-        (1, "jap,ipq,qb->ijab", ("L<", "Ro", "s")),
-        (-1, "jim,aq,mbq->ijab", ("<", "s", "2L>+R<")),
-        (-1, "jim,map,pb->ijab", ("<", "2Lo+Ro", "s")),
-    ]),
-    "4.5": ("((R>+L<)(b)(x)id)P(a)s - (id(x)(L>+R<)(a))(id(x)L>(b) + (Lo+Ro)(b)(x)id)s - ((L>+R<)(a)(x)id)P(b)s = 0", "ij", [
-        (1, "jap,ipq,qb->ijab", ("R>+L<", "Lo", "s")),
-        (1, "jap,pq,ibq->ijab", ("R>+L<", "s", "L>+R<")),
-        (-1, "ap,jqp,ibq->ijab", ("s", "L>", "L>+R<")),
-        (-1, "jap,pq,ibq->ijab", ("Lo+Ro", "s", "L>+R<")),
-        (-1, "iap,jpq,qb->ijab", ("L>+R<", "Lo", "s")),
-        (-1, "iap,pq,jbq->ijab", ("L>+R<", "s", "L>+R<")),
-    ]),
-    "4.6": ("(R<(a)(x)id)P(b)s - P(b<a)s = 0", "ij", [
-        (1, "iap,jpq,qb->ijab", ("R<", "Lo", "s")),
-        (1, "iap,pq,jbq->ijab", ("R<", "s", "L>+R<")),
-        (-1, "jim,map,pb->ijab", ("<", "Lo", "s")),
-        (-1, "jim,aq,mbq->ijab", ("<", "s", "L>+R<")),
-    ]),
-    # equations the R-tensors satisfy, per basis element a = e_i
-    "4.7": ("(Lo(a)(x)id(x)id)R11 + (id(x)L>(a)(x)id)R12 + (id(x)id(x)L(.)(a))R13 - corrections = 0", "i", [
+    # coalgebra, on the basis element a the co-operations act on
+    "3.11": ("(al(x)id)al(a) + (tau(x)id)(id(x)al)be(a) - (id(x)(al+be))al(a) - (tau(x)id)(be(x)id)al(a) = 0", "a"),
+    "3.12": ("(id(x)be)be(a) + (tau(x)id)((al+be)(x)id)be(a) - ((al+be)(x)id)be(a) - (tau(x)id)(id(x)be)be(a) = 0",
+             "a"),
+    "3.13": ("(id(x)tau)(be(x)id)al(a) - ((al+be)(x)id)be(a) = 0", "a"),
+    "3.14": ("(id(x)tau)(al(x)id)al(a) - (al(x)id)al(a) = 0", "a"),
+    # compatibility, per basis pair (a, b)
+    "3.16": ("(tau.al+be)(a o b) = ((L>+2R<)(a)(x)id + id(x)Lo(a))(tau.al+be)(b) + (id(x)Ro(b))(2tau.al+be)(a)"
+             " - (R<(b)(x)id)tau.al(a)", "ab"),
+    "3.17": ("tau.al(a o b - b o a) = ((L>+R<)(a)(x)id + id(x)Lo(a))tau.al(b)"
+             " - ((L>+R<)(b)(x)id + id(x)Lo(b))tau.al(a)", "ab"),
+    "3.18": ("(al+be)(a(.)b) = (id(x)(R>+L<)(b))(2tau.al+be)(a) - (L<(b)(x)id)al(a)"
+             " + ((L>+2R<)(a)(x)id + id(x)(L>+R<)(a))(al+be)(b)", "ab"),
+    "3.19": ("(al+be-tau.al-tau.be)(b<a) = (id(x)L<(b))(tau.al+be)(a) - (L<(b)(x)id)(al+tau.be)(a)"
+             " + (id(x)R<(a))(al+be)(b) - (R<(a)(x)id)(tau.al+tau.be)(b)", "ab"),
+    "3.20": ("(id(x)Ro(b) - R<(b)(x)id)(tau.al+be)(a) = (id(x)Ro(a) - R<(a)(x)id)(tau.al+be)(b)", "ab"),
+    "3.21": ("tau.al(a o b) = (id(x)Ro(b))tau.al(a) + ((L>+R<)(a)(x)id)(tau.al+be)(b)", "ab"),
+    "3.22": ("(id(x)(R>+L<)(b))tau.al(a) = ((R>+L<)(b)(x)id)al(a) + (id(x)(L>+R<)(a))(tau.al+tau.be)(b)"
+             " - ((L>+R<)(a)(x)id)(al+be)(b)", "ab"),
+    "3.23": ("(al+be)(b<a) = (id(x)(R>+L<)(b))(tau.al+be)(a) + (R<(a)(x)id)(al+be)(b)", "ab"),
+    # coboundary conditions on s = tau(r) - r, per basis pair (a, b)
+    "4.3": ("((L>+2R<)(a)(x)id + id(x)(L>+R<)(a))(Lo(b)(x)id + id(x)(L>+R<)(b))s"
+            " - (L<(b)(x)id)(Lo(a)(x)id + id(x)(L>+R<)(a))s - (Lo(a(.)b)(x)id + id(x)(L>+R<)(a(.)b))s = 0", "ab"),
+    "4.4": ("(id(x)R<(a))(Lo(b)(x)id + id(x)(L>+R<)(b))s + (R<(a)(x)id)((Lo+Ro)(b)(x)id + id(x)L>(b))s"
+            " - (L<(b)(x)id)(id(x)R<(a) - Ro(a)(x)id)s - ((2Lo+Ro)(b<a)(x)id + id(x)(2L>+R<)(b<a))s = 0", "ab"),
+    "4.5": ("((R>+L<)(b)(x)id)(Lo(a)(x)id + id(x)(L>+R<)(a))s - (id(x)(L>+R<)(a))(id(x)L>(b) + (Lo+Ro)(b)(x)id)s"
+            " - ((L>+R<)(a)(x)id)(Lo(b)(x)id + id(x)(L>+R<)(b))s = 0", "ab"),
+    "4.6": ("(R<(a)(x)id)(Lo(b)(x)id + id(x)(L>+R<)(b))s - (Lo(b<a)(x)id + id(x)(L>+R<)(b<a))s = 0", "ab"),
+    # equations the R-tensors satisfy, per basis element a = e_i, with r = sum_p x_p (x) y_p
+    "4.7": ("(Lo(a)(x)id(x)id)R11 + (id(x)L>(a)(x)id)R12 + (id(x)id(x)L(.)(a))R13"
+            " - sum_p y_p (x) (L>(a (.) x_p)(x)id)s - sum_p y_p (x) (id(x)L(.)(a (.) x_p))s = 0", "i", [
         (1, "iap,pbc->iabc", ("Lo", "R11")),
         (1, "ibp,apc->iabc", ("L>", "R12")),
         (1, "icp,abp->iabc", ("L(.)", "R13")),
         (-1, "pa,ipm,mbx,xc->iabc", ("r", "(.)", "L>", "s")),
         (-1, "pa,ipm,by,mcy->iabc", ("r", "(.)", "s", "L(.)")),
     ]),
-    "4.8": ("(L>(a)(x)id(x)id - id(x)L>(a)(x)id)R21 + (id(x)id(x)L(*)(a))R22 + corrections = 0", "i", [
+    "4.8": ("(L>(a)(x)id(x)id - id(x)L>(a)(x)id)R21 + (id(x)id(x)L(*)(a))R22"
+            " + sum_p ((2L>+R<)(a>x_p)(x)id)s (x) y_p + sum_p (id(x)(2L>+R<)(a>x_p))s (x) y_p = 0", "i", [
         (1, "iap,pbc->iabc", ("L>", "R21")),
         (-1, "ibp,apc->iabc", ("L>", "R21")),
         (1, "icp,abp->iabc", ("L(*)", "R22")),
         (1, "pc,ipm,max,xb->iabc", ("r", ">", "2L>+R<", "s")),
         (1, "pc,ipm,ay,mby->iabc", ("r", ">", "s", "2L>+R<")),
     ]),
-    "4.9": ("-(id(x)L(.)(a)(x)id)R21 + (id(x)id(x)L(*)(a))R31 + corrections = 0", "i", [
+    "4.9": ("-(id(x)L(.)(a)(x)id)R21 + (id(x)id(x)L(*)(a))R31"
+            " + sum_p (L>(a>x_p)(x)id)s (x) y_p + sum_p (id(x)L(.)(a>x_p))s (x) y_p = 0", "i", [
         (-1, "ibp,apc->iabc", ("L(.)", "R21")),
         (1, "icp,abp->iabc", ("L(*)", "R31")),
         (1, "pc,ipm,max,xb->iabc", ("r", ">", "L>", "s")),
         (1, "pc,ipm,ay,mby->iabc", ("r", ">", "s", "L(.)")),
     ]),
-    "4.10": ("-(id(x)L(.)(a)(x)id)R12 + (id(x)id(x)L(.)(a))R41 = 0", "i", [
-        (1, "icp,abp->iabc", ("L(.)", "R41")),
-        (-1, "ibp,apc->iabc", ("L(.)", "R12")),
-    ]),
-    "4.13": ("r12 o r13 + r23 (.) r13 - r12 < r23 = 0", "", [
-        (1, "pb,sc,psa->abc", ("r", "r", "o")),
-        (1, "bq,au,quc->abc", ("r", "r", "(.)")),
-        (-1, "aq,sc,qsb->abc", ("r", "r", "<")),
-    ]),
+    "4.10": ("-(id(x)L(.)(a)(x)id)R12 + (id(x)id(x)L(.)(a))R41 = 0", "a"),
+    "4.13": ("r12 o r13 + r23 (.) r13 - r12 < r23 = 0", ""),
     "4.18": ("l>(a)l>(b)v - l>(b)l>(a)v = l>(a o b - b o a)v", "abv"),
     "4.19": ("l>(a)l<(b)v - l<(b)l>(a)v = l<(a>b - b<a)v + l<(b)l<(a)v", "abv"),
     "4.20": ("r>(a>b)v = r>(b)(r>+r<)(a)v + l>(a)r>(b)v - r>(b)(l>+l<)(a)v", "abv"),

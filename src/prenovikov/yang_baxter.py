@@ -68,18 +68,19 @@ def ybe_residual(alg: PreNovikovAlgebra, r: Tensor2) -> Tensor3:
     return _ybe(alg, r).nested
 
 
-def coboundary_maps(alg: PreNovikovAlgebra, r: Tensor2) -> PreNovikovCoalgebra:
-    """The candidate co-operations built from r:
+_COBOUNDARY = {name: labels.identity(f"{text} = 0", "a") for name, text in (
+    ("alpha", "(Lo(a)(x)id + id(x)(L>+R<)(a))tau(r)"), ("beta", "-(L>(a)(x)id + id(x)(Lo+Ro)(a))r"))}
 
-    alpha(a) = (Lo(a) (x) id + id (x) (L> + R<)(a)) tau(r)
-    beta(a)  = -(L>(a) (x) id + id (x) (Lo + Ro)(a)) r
+
+def coboundary_maps(alg: PreNovikovAlgebra, r: Tensor2) -> PreNovikovCoalgebra:
+    """The candidate co-operations built from r by their formulas (``_COBOUNDARY``):
+
+    alpha(a) = (Lo(a)(x)id + id(x)(L>+R<)(a))tau(r)
+    beta(a)  = -(L>(a)(x)id + id(x)(Lo+Ro)(a))r
 
     No validity claim is attached; run check_coalgebra / check_bialgebra.
     """
-    co = evaluate({
-        "alpha": [(1, "iap,bp->iab", ("Lo", "r")), (1, "qa,ibq->iab", ("r", "L>+R<"))],
-        "beta": [(-1, "iap,pb->iab", ("L>", "r")), (-1, "aq,ibq->iab", ("r", "Lo+Ro"))],
-    }, {**alg.tables, "r": r})
+    co = evaluate(_COBOUNDARY, {**alg.tables, "r": r})
     return PreNovikovCoalgebra(alg.dim, co["alpha"], co["beta"])
 
 
@@ -211,10 +212,8 @@ def pre_novikov_from_o(alg: NovikovAlgebra, rep: NovikovRep, oper: OOperator) ->
         raise RefusalError("need a verified Novikov-flavor O-operator")
     if oper.rep != rep:
         raise InputError("O-operator was verified against a different representation")
-    prods = evaluate({
-        "<": [(1, "aq,atp->pqt", ("T", "r"))],
-        ">": [(1, "ap,atq->pqt", ("T", "l"))],
-    }, {"T": oper.tables["T"], **rep.tables})
+    prods = evaluate({">": labels.identity("l(T(u))v = 0", "uv"), "<": labels.identity("r(T(v))u = 0", "uv")},
+                     {"T": oper.tables["T"], **rep.tables})
     lhd, rhd = (StructureConstants(rep.module_dim, prods[name]) for name in "<>")
     out = PreNovikovAlgebra(lhd, rhd)
     if not check_pre_novikov(out.lhd, out.rhd).passed:

@@ -6,6 +6,7 @@ kernel contracts.  Each is written out entry by entry, so that a value built
 here does not go through the kernel it checks.
 """
 
+import itertools
 from fractions import Fraction
 
 
@@ -114,3 +115,78 @@ def family_at(m, p):
     coordinate vector p."""
     return tuple(tuple(sum((p[a] * m[a][k][j] for a in range(len(m))), Fraction(0)) for j in range(len(m[0][0])))
                  for k in range(len(m[0])))
+
+
+def co_at(co, p):
+    """The rank-2 tensor co(p) = sum_i p[i] co(e_i) of a co-operation at the
+    coordinate vector p."""
+    return tuple(tuple(sum((p[i] * co[i][j][k] for i in range(len(co))), Fraction(0)) for k in range(len(co[0][0])))
+                 for j in range(len(co[0])))
+
+
+def co_left(co, t):
+    """(co (x) id) t for a rank-2 tensor t: its first slot split into two."""
+    n = len(co[0])
+    return tuple(tuple(tuple(sum((t[u][c] * co[u][a][b] for u in range(len(t))), Fraction(0)) for c in range(len(t[0])))
+                       for b in range(n)) for a in range(n))
+
+
+def co_right(co, t):
+    """(id (x) co) t for a rank-2 tensor t: its second slot split into two."""
+    n = len(co[0])
+    return tuple(tuple(tuple(sum((t[a][v] * co[v][b][c] for v in range(len(t[0]))), Fraction(0)) for c in range(n))
+                       for b in range(n)) for a in range(len(t)))
+
+
+def transpose(t):
+    """tau(t) for a rank-2 tensor t."""
+    return tuple(zip(*t))
+
+
+def swap_first(t):
+    """(tau (x) id) t for a rank-3 tensor t."""
+    return tuple(tuple(tuple(t[b][a][c] for c in range(len(t[0][0]))) for b in range(len(t))) for a in range(len(t[0])))
+
+
+def placed(r, c, first, second):
+    """The placed product r_XY * r_ZW in three slots for the slot pairs
+    ``first`` = (X, Y) and ``second`` = (Z, W), 1-based, sharing one slot:
+    with r = sum_ij r[i][j] e_i (x) e_j, r_XY has e_i in slot X and e_j in
+    slot Y; in the shared slot the two basis vectors are multiplied by the
+    product c (left factor from r_XY), e_u * e_v = sum_t c[u][v][t] e_t."""
+    n = len(r)
+    (shared,) = set(first) & set(second)
+    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, m in itertools.product(range(n), repeat=4):
+        at = {}
+        for (x, y), (u, v) in ((first, (i, j)), (second, (k, m))):
+            at.setdefault(x, []).append(u)
+            at.setdefault(y, []).append(v)
+        u, v = at[shared]
+        for t in range(n):
+            a, b, d = (t if slot == shared else at[slot][0] for slot in (1, 2, 3))
+            out[a][b][d] += r[i][j] * r[k][m] * c[u][v][t]
+    return tuple(tuple(map(tuple, plane)) for plane in out)
+
+
+def t3_apply(m, t, slot):
+    """The matrix m applied to slot ``slot`` (0, 1 or 2) of a rank-3 tensor
+    t, id on the others."""
+    n = len(t)
+
+    def entry(idx):
+        at = list(idx)
+        total = Fraction(0)
+        for p in range(n):
+            at[slot] = p
+            total += m[idx[slot]][p] * t[at[0]][at[1]][at[2]]
+        return total
+
+    return tuple(tuple(tuple(entry((a, b, c)) for c in range(n)) for b in range(n)) for a in range(n))
+
+
+def outer(u, v):
+    """The tensor product u (x) v of two nested tuples of Fractions."""
+    if isinstance(u, tuple):
+        return tuple(outer(x, v) for x in u)
+    return tuple(outer(u, x) for x in v) if isinstance(v, tuple) else u * v

@@ -2,9 +2,10 @@
 their texts: ``labels.formula`` against loop definitions of left and right
 multiplication, ``tau.`` and the dual, for every operand of
 ``labels.OPERANDS`` it defines and every dual-map spec; ``labels.identity``
-against loop definitions of products, maps and forms on basis vectors, one
-text per construct; and the term lists those define, and the Fraction
-reference that reads them."""
+against loop definitions of products, maps and forms on basis vectors, and
+of co-operation values, slot maps and placed products on tensors, one text
+per construct; and the term lists those define, and the Fraction reference
+that reads them."""
 
 import itertools
 import random
@@ -16,7 +17,9 @@ from prenovikov import labels, representations, yang_baxter
 from prenovikov.core import evaluate
 
 from kernel_reference import derive, reference, table_of
-from tensor_reference import basis_vec, family_at, mat_vec, product
+from tensor_reference import (basis_vec, co_at, co_left, co_right, family_at, left_matrix, mat_add, mat_scale, mat_vec,
+                              placed, product, right_matrix, swap_first, t2_add, t2_apply_left, t2_apply_right,
+                              t2_sub, t3_add, t3_apply, outer, transpose)
 from tensor_reference import dual_family as star
 from tensor_reference import left_family as L
 from tensor_reference import right_family as R
@@ -197,20 +200,174 @@ def test_identities_match_loop_definitions(n):
             assert reference(labels.SPECS[code][1], tables) == want, code
 
 
+def _tensor_loops(t):
+    """Per spec, (witness count, residual function): one tensor-notation
+    text by loops on the tables ``t``, left side minus right side, as
+    (coef, tensor) pairs.  The texts cover co-operations in slots with
+    ``tau(x)id`` (3.11), a sum of slot maps and a co-operation of a product
+    (3.16), composed slot-map sums on ``s`` (4.3-4.6), a family map on a
+    slot of an R-tensor (4.10), placed products with each product (the seven
+    R-tensors, 4.13 and the row form) and ``tau(r)`` (alpha and beta of
+    ``coboundary_maps``); and the written lists of 4.7-4.9 by their texts,
+    whose corrections sum over the components x_p (x) y_p of r."""
+    lt, gt, al, be, r, n = t["<"], t[">"], t["al"], t["be"], t["r"], len(t["<"])
+    o = t3_add(lt, gt)
+    dot = tuple(tuple(tuple(gt[i][j][k] + lt[j][i][k] for k in range(n)) for j in range(n)) for i in range(n))
+    star = tuple(tuple(tuple(o[i][j][k] + o[j][i][k] for k in range(n)) for j in range(n)) for i in range(n))
+    s = t2_sub(transpose(r), r)
+
+    def lo(p):
+        return left_matrix(o, p)
+
+    def lgt_rlt(p, k=1):  # (L> + kR<)(p)
+        return mat_add(left_matrix(gt, p), mat_scale(k, right_matrix(lt, p)))
+
+    def lo_ro(p):  # (Lo+Ro)(p)
+        return mat_add(lo(p), right_matrix(o, p))
+
+    def p_of(p):  # (Lo(p)(x)id + id(x)(L>+R<)(p))s
+        return t2_add(t2_apply_left(lo(p), s), t2_apply_right(lgt_rlt(p), s))
+
+    def r3(*terms):  # signed placed products (sign, product, first slots, second slots)
+        return [(sign, placed(r, c, x, y)) for sign, c, x, y in terms]
+
+    def placed_sum(pairs):
+        return tuple(tuple(tuple(sum(c * x[i][j][k] for c, x in pairs) for k in range(n)) for j in range(n))
+                     for i in range(n))
+
+    rt = {  # the seven R-tensors, as signed placed products
+        "R11": ((1, o, (2, 1), (3, 1)), (-1, o, (2, 1), (3, 2)), (-1, dot, (3, 1), (3, 2)), (1, gt, (2, 1), (2, 3)),
+                (1, star, (3, 1), (2, 3))),
+        "R12": ((-1, o, (2, 1), (3, 1)), (-1, dot, (2, 3), (3, 1)), (1, lt, (2, 1), (3, 2))),
+        "R13": ((1, o, (3, 1), (2, 1)), (1, dot, (3, 2), (2, 1)), (1, gt, (2, 3), (3, 1)), (-1, lt, (3, 1), (2, 3)),
+                (1, gt, (3, 2), (2, 1)), (1, star, (3, 1), (2, 1))),
+        "R21": ((1, gt, (2, 1), (1, 3)), (1, gt, (1, 2), (2, 3)), (1, star, (1, 3), (2, 3))),
+        "R22": ((1, o, (1, 3), (2, 1)), (1, dot, (2, 3), (2, 1)), (-1, gt, (1, 3), (1, 2)), (-1, star, (2, 3), (1, 2)),
+                (-1, o, (2, 3), (1, 2)), (-1, dot, (1, 3), (1, 2)), (1, gt, (2, 3), (2, 1)), (1, star, (1, 3), (2, 1)),
+                (1, o, (2, 3), (1, 3)), (-1, o, (1, 3), (2, 3))),
+        "R31": ((-1, o, (1, 3), (2, 3)), (1, o, (1, 3), (2, 1)), (1, dot, (2, 3), (2, 1)), (-1, gt, (1, 3), (1, 2)),
+                (-1, star, (2, 3), (1, 2))),
+        "R41": ((-1, o, (3, 1), (2, 1)), (-1, dot, (3, 2), (2, 1)), (1, lt, (3, 1), (2, 3))),
+    }
+    big = {name: placed_sum(r3(*terms)) for name, terms in rt.items()}  # (the R-tensors as tensors)
+    xy = [(r[p][q], basis_vec(n, p), basis_vec(n, q)) for p in range(n) for q in range(n)]  # r = sum w x (x) y
+
+    def lg(p):
+        return left_matrix(gt, p)
+
+    def ld(p):
+        return left_matrix(dot, p)
+
+    def l2r(p):  # (2L>+R<)(p)
+        return mat_add(lg(p), lgt_rlt(p))
+
+    def corrections(a, prod, m, k, sign, first):  # sign sum_p of y_p and (m(a prod x_p)(x)id)s, (id(x)k(..))s
+        return [(sign * w, outer(y, t) if first else outer(t, y)) for w, x, y in xy
+                for t in (t2_apply_left(m(product(prod, a, x)), s), t2_apply_right(k(product(prod, a, x)), s))]
+
+    tau_al_be = t3_add(tau(al), be)
+    return {
+        "3.11": (1, lambda a: [
+            (1, co_left(al, co_at(al, a))), (1, swap_first(co_right(al, co_at(be, a)))),
+            (-1, co_right(t3_add(al, be), co_at(al, a))), (-1, swap_first(co_left(be, co_at(al, a))))]),
+        "3.16": (2, lambda a, b: [
+            (1, co_at(tau_al_be, product(o, a, b))),
+            (-1, t2_apply_left(lgt_rlt(a, 2), co_at(tau_al_be, b))), (-1, t2_apply_right(lo(a), co_at(tau_al_be, b))),
+            (-1, t2_apply_right(right_matrix(o, b), co_at(t3_add(tau(al), tau_al_be), a))),
+            (1, t2_apply_left(right_matrix(lt, b), co_at(tau(al), a)))]),
+        "4.3": (2, lambda a, b: [
+            (1, t2_apply_left(lgt_rlt(a, 2), p_of(b))), (1, t2_apply_right(lgt_rlt(a), p_of(b))),
+            (-1, t2_apply_left(left_matrix(lt, b), p_of(a))), (-1, p_of(product(dot, a, b)))]),
+        "4.4": (2, lambda a, b: [
+            (1, t2_apply_right(right_matrix(lt, a), p_of(b))),
+            (1, t2_apply_left(right_matrix(lt, a), t2_add(t2_apply_left(lo_ro(b), s),
+                                                          t2_apply_right(left_matrix(gt, b), s)))),
+            (-1, t2_apply_left(left_matrix(lt, b), t2_sub(t2_apply_right(right_matrix(lt, a), s),
+                                                          t2_apply_left(right_matrix(o, a), s)))),
+            (-1, t2_apply_left(mat_add(lo(product(lt, b, a)), lo_ro(product(lt, b, a))), s)),
+            (-1, t2_apply_right(mat_add(left_matrix(gt, product(lt, b, a)), lgt_rlt(product(lt, b, a))), s))]),
+        "4.5": (2, lambda a, b: [
+            (1, t2_apply_left(mat_add(right_matrix(gt, b), left_matrix(lt, b)), p_of(a))),
+            (-1, t2_apply_right(lgt_rlt(a), t2_add(t2_apply_right(left_matrix(gt, b), s), t2_apply_left(lo_ro(b), s)))),
+            (-1, t2_apply_left(lgt_rlt(a), p_of(b)))]),
+        "4.6": (2, lambda a, b: [(1, t2_apply_left(right_matrix(lt, a), p_of(b))), (-1, p_of(product(lt, b, a)))]),
+        "4.7": (1, lambda a: [(1, t3_apply(lo(a), big["R11"], 0)), (1, t3_apply(lg(a), big["R12"], 1)),
+                              (1, t3_apply(ld(a), big["R13"], 2)), *corrections(a, dot, lg, ld, -1, True)]),
+        "4.8": (1, lambda a: [(1, t3_apply(lg(a), big["R21"], 0)), (-1, t3_apply(lg(a), big["R21"], 1)),
+                              (1, t3_apply(left_matrix(star, a), big["R22"], 2)),
+                              *corrections(a, gt, l2r, l2r, 1, False)]),
+        "4.9": (1, lambda a: [(-1, t3_apply(ld(a), big["R21"], 1)), (1, t3_apply(left_matrix(star, a), big["R31"], 2)),
+                              *corrections(a, gt, lg, ld, 1, False)]),
+        "4.10": (1, lambda a: [(-1, t3_apply(ld(a), big["R12"], 1)), (1, t3_apply(ld(a), big["R41"], 2))]),
+        "4.13": (0, lambda: r3((1, o, (1, 2), (1, 3)), (1, dot, (2, 3), (1, 3)), (-1, lt, (1, 2), (2, 3)))),
+        "rows": (0, lambda: r3((1, o, (2, 1), (3, 1)), (1, dot, (2, 3), (1, 3)), (-1, lt, (1, 2), (3, 2)))),
+        **{name: (0, lambda terms=terms: r3(*terms)) for name, terms in rt.items()},
+        "alpha": (1, lambda a: [(1, t2_apply_left(lo(a), transpose(r))),
+                                (1, t2_apply_right(lgt_rlt(a), transpose(r)))]),
+        "beta": (1, lambda a: [(-1, t2_apply_left(left_matrix(gt, a), r)), (-1, t2_apply_right(lo_ro(a), r))]),
+    }
+
+
+def _flat(value, prefix=()):
+    """A nested tuple as index -> entry."""
+    if isinstance(value, tuple):
+        return {k: x for i, v in enumerate(value) for k, x in _flat(v, prefix + (i,)).items()}
+    return {prefix: value}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tensor_identities_match_loop_definitions(n):
+    """On random rational tables and a random r that is not symmetric (so
+    r12 and r21 differ), the term list of each text of ``_tensor_loops``
+    equals its loop residual at every basis witness.  The loops form every
+    product, map sum, co-operation value, slot map and placed product from
+    ``<``, ``>``, ``al``, ``be`` and ``r``; only the specs read derived
+    operands."""
+    rng = random.Random(n)
+    specs = {**{code: labels.SPECS[code][1] for code in (*labels.COALGEBRA[:1], "3.16", *labels.COBOUNDARY_CONDITIONS,
+                                                         *labels.COBOUNDARY_EQUATIONS, labels.YBE)},
+             **{name: labels.OPERANDS[name] for name in labels.R_TENSORS}, "rows": labels.YBE_ROWS,
+             **yang_baxter._COBOUNDARY}
+    for _ in range(2):
+        tables = {name: table_of((n,) * 3, (Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+                                            for _ in range(n**3))) for name in ("<", ">", "al", "be")}
+        tables["r"] = table_of((n, n), (Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n * n)))
+        assert n == 1 or tables["r"] != transpose(tables["r"])
+        derived = derive(sorted({m for terms in specs.values() for *_, ns in terms for m in ns} - set(tables)), tables)
+        for key, (witnesses, residual) in _tensor_loops(tables).items():
+            want = {}
+            for idx in itertools.product(range(n), repeat=witnesses):
+                for coef, value in residual(*(basis_vec(n, i) for i in idx)):
+                    for k, x in _flat(value).items():
+                        want[idx + k] = want.get(idx + k, 0) + coef * x
+            assert reference(specs[key], derived) == want, key
+
+
+# the rank of each spec's value where it is no vector
+RANKS = {"2.14": 0, **dict.fromkeys(labels.COALGEBRA + labels.COBOUNDARY_EQUATIONS + (labels.YBE,), 3),
+         **dict.fromkeys(labels.COMPATIBILITY + labels.COBOUNDARY_CONDITIONS, 2)}
+
+
 def test_the_element_notation_specs_run_from_their_texts():
-    """The codes whose row still carries a written-out term list are the 21
-    in tensor notation, which ``identity`` cannot read yet; every other spec
-    row is ``(formula, witness)``, and its spec is what ``identity`` makes of
-    them, with the output axes its witness letters, then ``t`` (none for the
-    scalar 2.14)."""
+    """Only 4.7-4.9 keep written-out term lists: their corrections sum over
+    the components of r, which no construct of ``identity`` names.  Every
+    other spec row is ``(formula, witness)``, its spec what ``identity``
+    makes of them, on the output axes of its witness letters, then one
+    letter per slot of its value (none for the scalar 2.14).  Every operand
+    of ``OPERANDS`` is what ``formula`` makes of its name or ``identity`` of
+    its text in ``VALUES``, and ``YBE_ROWS`` is the row form's text."""
     written = {code for code, row in labels.IDENTITIES.items() if len(row) == 3}
-    assert written == {"3.11", "3.12", "3.13", "3.14", *(f"3.{k}" for k in range(16, 24)),
-                       *(f"4.{k}" for k in range(3, 11)), "4.13"}
+    assert written == {"4.7", "4.8", "4.9"}
     for code, (witness, terms) in labels.SPECS.items():
         if code not in written:
             assert len(labels.IDENTITIES[code]) == 2 and labels.IDENTITIES[code][1] == witness
             assert terms == labels.identity(*labels.IDENTITIES[code])
-            assert {subs.split("->")[1] for _, subs, _ in terms} == {witness + ("t" if code != "2.14" else "")}
+            assert {subs.split("->")[1] for _, subs, _ in terms} == {witness + "twz"[: RANKS.get(code, 1)]}
+    assert set(labels.VALUES) == {"o", "(.)", "(*)", "s", *labels.R_TENSORS}
+    for name, terms in labels.OPERANDS.items():
+        text, witness = labels.VALUES.get(name, (None, None))
+        assert terms == (labels.formula(name) if text is None else labels.identity(f"{text} = 0", witness)), name
+    assert labels.YBE_ROWS == labels.identity("r21 o r31 + r23 (.) r13 - r12 < r32 = 0", "")
 
 
 # the tables a caller passes in, by name
@@ -231,6 +388,16 @@ def test_every_named_operand_is_an_input_or_derived():
 def test_a_malformed_identity_is_refused(text):
     with pytest.raises(ValueError, match="not an identity"):
         labels.identity(text, "abc")
+
+
+@pytest.mark.parametrize("text,witness", [
+    ("(id(x)tau)al(a) = 0", "a"),  # a slot map of three slots on a rank-2 value
+    ("r14 o r12 = 0", ""), ("r11 o r23 = 0", ""), ("r12 o r34 = 0", ""),
+    ("al(a) = (al(x)id)al(a)", "a"),  # a rank-2 side equated to a rank-3 side
+    ("(id(x)id)(id(x)id) = 0", ""), ("al(a) o b = 0", "ab"), ("tau(R11) = 0", ""), ("(id(x)T(a))r = 0", "a")])
+def test_a_malformed_tensor_text_is_refused(text, witness):
+    with pytest.raises(ValueError, match="^not an identity"):
+        labels.identity(text, witness)
 
 
 def test_the_reference_reads_each_term_at_its_own_output_letters():

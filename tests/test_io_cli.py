@@ -611,7 +611,7 @@ PARSE_ERRORS = [
     ("dim2_novikov.json", ("product", 0, 0, 0), 0.5,
      "product[0][0][0]: scalar entries must be exact rationals, got 0.5"),
     ("dim2_novikov.json", ("product", 0, 0, 0), "1/0",
-     "product[0][0][0]: bad rational '1/0' (Fraction(1, 0))"),
+     "product[0][0][0]: bad rational '1/0' (zero denominator)"),
     ("dim2_novikov.json", ("basis",), ["e1"], "basis: expected 2 basis label strings"),
     ("dim2_novikov.json", ("product",), {}, "product: expected a list of length 2"),
     ("dim2_pre_novikov.json", ("rhd",), DROP, "missing fields for kind 'pre_novikov': ['rhd']"),
@@ -674,7 +674,7 @@ PARSE_ERRORS = [
     ("dim2_pre_rep.json", ("maps", "l_lhd", 1, 1), ["0"],
      "maps.l_lhd[1][1]: expected a list of length 2"),
     ("dim2_pre_rep.json", ("maps", "r_rhd", 0, 0, 0), "1/0",
-     "maps.r_rhd[0][0][0]: bad rational '1/0' (Fraction(1, 0))"),
+     "maps.r_rhd[0][0][0]: bad rational '1/0' (zero denominator)"),
     ("dim2_pre_rep.json", ("flavor",), "novikov", "algebra: unknown fields ['lhd', 'rhd']"),
     ("dim2_pre_rep.json", ("module_basis",), ["v1", "v2", "v3"],
      "module_basis: expected 2 basis label strings"),
@@ -725,6 +725,17 @@ def test_scalar_rule_is_exact_decimal_or_p_q_strings():
     assert parse_bundle(json.dumps(doc)) == parse_bundle(json.dumps({**doc, "entries": [["1/2"]]}))
     with pytest.raises(InputError, match="must be exact rationals, got 0.5"):
         parse_bundle(json.dumps({**doc, "entries": [[0.5]]}))
+
+
+def test_a_zero_denominator_is_refused_by_name(capsys):
+    """A value set or scalar with a zero denominator is refused as such,
+    not with the repr of the Fraction that could not be made."""
+    assert run(["search", fixture("dim2_pre_novikov.json"), "--values=0,1/0"]) == (2, "")
+    assert capsys.readouterr().err == "input error: bad value set '0,1/0': zero denominator\n"
+    with pytest.raises(ValueError, match="^zero denominator$"):
+        core.rational("0/0")
+    with pytest.raises(InputError, match="^not an exact scalar: '1/0'$"):
+        core.frac("1/0")
 
 
 def _relabeled(tmp_path, name, doc=None, **labels):

@@ -177,7 +177,7 @@ def test_the_refusal_names_the_spec_the_operand_and_the_sizes():
         CASES["evaluate terms of two degrees"]()
     with pytest.raises(InputError, match=r"^spec 'x': operand 'q' is neither an input nor derived$"):
         CASES["evaluate unknown operand"]()
-    with pytest.raises(InputError, match=r"^spec 'x': no operand of ijk->Nijk reads each output letter$"):
+    with pytest.raises(InputError, match=r"^spec 'x': no operand of abt->Nabt reads each output letter$"):
         CASES["sum_batched term reading no batched operand"]()
 
 
