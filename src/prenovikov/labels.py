@@ -28,9 +28,7 @@ Operands not passed in by the caller are looked up in ``OPERANDS``, where the
 operators and co-operations (``L>+2R<``, ``tau.al+be``, ...) are defined by
 their names (``formula``), and the products ``o``, ``(.)``, ``(*)``, the
 tensor ``s`` and the R-tensors by the texts of their values (``VALUES``).
-Every identity runs from its text (``identity``) but 4.7-4.9: their
-corrections sum over the components x_p (x) y_p of r, which the grammar does
-not name, so they keep written-out term lists.
+Every identity runs from its text (``identity``).
 """
 
 from __future__ import annotations
@@ -96,8 +94,8 @@ def formula(name: str) -> list:
 _SUM = r"(?:{0})|\((?:\d*(?:{0})[+-])+\d*(?:{0})\)"  # X or a parenthesized sum of terms [k]X
 _FAMILY, _CO = _SUM.format(r"[lr][<>AB]?|[LR](?:o|<|>|\(\.\)|\(\*\))"), _SUM.format(r"(?:tau\.)?(?:al|be)")
 _TOKEN = re.compile(rf"(?P<cross>\(x\))|(?P<map>(?:{_FAMILY}|[Tw])\()|(?P<slot>(?:{_CO}|id|tau)(?:\((?!x\)))?)"
-                    r"|(?P<placed>r\d\d)|(?P<tensor>R\d\d|[rs])"
-                    r"|(?P<product>[o<>.]|\([.*]\))|(?P<basis>[abcuvxy])|(?P<mark>[(),=+0-])|(?P<other>\S)")
+                    r"|(?P<placed>r\d\d)|(?P<sum>sum_p)|(?P<tensor>R\d\d|[rs])"
+                    r"|(?P<product>[o<>.]|\([.*]\))|(?P<basis>[xy]_p|[abcuvxy])|(?P<mark>[(),=+0-])|(?P<other>\S)")
 _FREE = "mnpqrsdefghijklo"  # a term's contracted letters: no basis letter, slot letter, nor the batch axis N
 _SLOTS = "twz"  # the letters of a value's slots, on the output axes after the witness letters
 
@@ -113,11 +111,13 @@ def identity(text: str, witness: str) -> list:
     ``tau(V)``; slot maps ``(A(x)B)V``, ``(A(x)B(x)C)V``, whose factors
     (``id``, ``tau``, a family map ``M(p)``, a co-operation) take V's slots
     in turn, their sums and compositions; placed products ``rXY P rZW``, r
-    in the slots X, Y and Z, W, multiplied by P in the one they share; sums,
+    in the slots X, Y and Z, W, multiplied by P in the one they share;
+    tensor products ``V (x) W``; ``sum_p V``, r = sum_p x_p (x) y_p as a
+    first operand, V reading ``x_p`` and ``y_p`` once each; sums,
     distributed.  Operands are listed as their values are formed (argument,
     map, element acted on), but a family map on a tensor's first slot comes
     first, as M in the matrix product M t N^T.  Else a ``ValueError``."""
-    bad, fresh = f"not an identity: {text!r}", itertools.count()
+    bad, fresh, bound = f"not an identity: {text!r}", itertools.count(), {}
     tokens = [(None, None)] + [(m.lastgroup, m[0]) for m in _TOKEN.finditer(text)][::-1]  # bottom: the end
 
     # each parse gives a list of terms (coef, factors, slots), each factor a
@@ -142,15 +142,24 @@ def identity(text: str, witness: str) -> list:
         return [(c, f, s[0]) for c, f, s in terms]
 
     def product():
-        if tokens[-1][0] == "placed":
-            return placed()
-        left = unit()
+        if tokens[-1][0] in ("placed", "sum"):
+            return placed() if tokens[-1][0] == "placed" else summed()
+        left = crossed(unit())
         if tokens[-1][0] != "product":
             return left
         op, right, k = tokens.pop()[1], vectors(unit()), next(fresh)
         if tokens[-1][0] == "product":
             raise ValueError(f"{bad}: a nested product is parenthesized")
         return [(c * d, f + g + ((op, (p, q, k)),), (k,)) for c, f, p in vectors(left) for d, g, q in right]
+
+    def crossed(left):  # A(x)B(x)..: a slot map's factors in slot order, or the tensor product of values
+        while tokens[-1][0] == "cross":
+            tokens.pop()
+            right = unit()
+            if {type(s) for *_, s in left + right} not in ({list}, {tuple}):
+                raise ValueError(f"{bad}: (x) joins two values or two slot maps")
+            left = [(c * d, f + g, s + t) for c, f, s in left for d, g, t in right]
+        return left
 
     def placed():  # rXY P rZW: r in slots X, Y and in slots Z, W, multiplied in the one slot they share
         first, (kind, op) = tokens.pop()[1], tokens.pop()
@@ -162,10 +171,22 @@ def identity(text: str, witness: str) -> list:
         rx, ry = (tuple(c if i == at else slots[i] for i in ij) for ij, c in ((x, p), (y, q)))
         return [(1, (("r", rx), ("r", ry), (op, (p, q, slots[at]))), slots)]
 
+    def summed():  # sum_p V: r = sum_p x_p (x) y_p, the first operand, its slots x_p and y_p in V
+        tokens.pop()
+        if bound:
+            raise ValueError(f"{bad}: a sum_p is not nested")
+        bound.update(x_p=next(fresh), y_p=next(fresh))
+        body, xy = product(), (bound.pop("x_p"), bound.pop("y_p"))
+        if any([x for _, g in f for x in g].count(p) + s.count(p) != 1 for _, f, s in body for p in xy):
+            raise ValueError(f"{bad}: a sum_p term reads each of x_p and y_p once")
+        return [(c, (("r", xy),) + f, s) for c, f, s in body]
+
     def unit():
         kind, token = tokens.pop()
         if kind == "basis":
-            return [(1, (), (token,))]
+            if token[1:] == "_p" and token not in bound:
+                raise ValueError(f"{bad}: x_p and y_p are read in a sum_p")
+            return [(1, (), (bound.get(token, token),))]
         if kind == "tensor":
             slots = tuple(next(fresh) for _ in range(3 if token[0] == "R" else 2))  # R11-R41; r and s
             return [(1, ((token, slots),), slots)]
@@ -189,13 +210,7 @@ def identity(text: str, witness: str) -> list:
         maps = [(c, f, [(name, p)]) for c, f, p in vectors(upto(")"))] if kind == "map" else [(1, (), [(name, None)])]
         if kind == "map" and (tokens[-1][0] not in ("mark", "cross") or tokens[-1][1] == "("):
             return applied(maps, unit())  # X(p)q: the slot map X(p) applied to q
-        if tokens[-1][0] != "cross":
-            return maps
-        tokens.pop()  # A(x)B: a slot map's factors in slot order
-        rest = unit()
-        if any(type(s) is not list for *_, s in rest):
-            raise ValueError(f"{bad}: a slot map's factors are maps")
-        return [(c * d, f + g, s + t) for c, f, s in maps for d, g, t in rest]
+        return maps
 
     def applied(maps, value):  # slot maps applied to a value
         if any(type(s) is not list for *_, s in maps) or any(type(s) is list for *_, s in value):
@@ -267,8 +282,7 @@ R_TENSORS = ("R11", "R12", "R13", "R21", "R22", "R31", "R41")
 # of r, and each table only at a witness letter on its last axis.
 YBE_ROWS = identity("r21 o r31 + r23 (.) r13 - r12 < r32 = 0", "")
 
-# code -> (formula, witness letters); 4.7-4.9 with their terms written out
-# after them, and the two non-residual flags with their formula alone.
+# code -> (formula, witness letters); the two non-residual flags, formula alone
 IDENTITIES = {
     "2.1": ("(a o b) o c - a o (b o c) = (b o a) o c - b o (a o c)", "abc"),
     "2.2": ("(a o b) o c = (a o c) o b", "abc"),
@@ -321,30 +335,13 @@ IDENTITIES = {
     "4.5": ("((R>+L<)(b)(x)id)(Lo(a)(x)id + id(x)(L>+R<)(a))s - (id(x)(L>+R<)(a))(id(x)L>(b) + (Lo+Ro)(b)(x)id)s"
             " - ((L>+R<)(a)(x)id)(Lo(b)(x)id + id(x)(L>+R<)(b))s = 0", "ab"),
     "4.6": ("(R<(a)(x)id)(Lo(b)(x)id + id(x)(L>+R<)(b))s - (Lo(b<a)(x)id + id(x)(L>+R<)(b<a))s = 0", "ab"),
-    # equations the R-tensors satisfy, per basis element a = e_i, with r = sum_p x_p (x) y_p
+    # equations the R-tensors satisfy, per basis element a, with r = sum_p x_p (x) y_p
     "4.7": ("(Lo(a)(x)id(x)id)R11 + (id(x)L>(a)(x)id)R12 + (id(x)id(x)L(.)(a))R13"
-            " - sum_p y_p (x) (L>(a (.) x_p)(x)id)s - sum_p y_p (x) (id(x)L(.)(a (.) x_p))s = 0", "i", [
-        (1, "iap,pbc->iabc", ("Lo", "R11")),
-        (1, "ibp,apc->iabc", ("L>", "R12")),
-        (1, "icp,abp->iabc", ("L(.)", "R13")),
-        (-1, "pa,ipm,mbx,xc->iabc", ("r", "(.)", "L>", "s")),
-        (-1, "pa,ipm,by,mcy->iabc", ("r", "(.)", "s", "L(.)")),
-    ]),
+            " - sum_p y_p (x) (L>(a (.) x_p)(x)id)s - sum_p y_p (x) (id(x)L(.)(a (.) x_p))s = 0", "a"),
     "4.8": ("(L>(a)(x)id(x)id - id(x)L>(a)(x)id)R21 + (id(x)id(x)L(*)(a))R22"
-            " + sum_p ((2L>+R<)(a>x_p)(x)id)s (x) y_p + sum_p (id(x)(2L>+R<)(a>x_p))s (x) y_p = 0", "i", [
-        (1, "iap,pbc->iabc", ("L>", "R21")),
-        (-1, "ibp,apc->iabc", ("L>", "R21")),
-        (1, "icp,abp->iabc", ("L(*)", "R22")),
-        (1, "pc,ipm,max,xb->iabc", ("r", ">", "2L>+R<", "s")),
-        (1, "pc,ipm,ay,mby->iabc", ("r", ">", "s", "2L>+R<")),
-    ]),
+            " + sum_p ((2L>+R<)(a>x_p)(x)id)s (x) y_p + sum_p (id(x)(2L>+R<)(a>x_p))s (x) y_p = 0", "a"),
     "4.9": ("-(id(x)L(.)(a)(x)id)R21 + (id(x)id(x)L(*)(a))R31"
-            " + sum_p (L>(a>x_p)(x)id)s (x) y_p + sum_p (id(x)L(.)(a>x_p))s (x) y_p = 0", "i", [
-        (-1, "ibp,apc->iabc", ("L(.)", "R21")),
-        (1, "icp,abp->iabc", ("L(*)", "R31")),
-        (1, "pc,ipm,max,xb->iabc", ("r", ">", "L>", "s")),
-        (1, "pc,ipm,ay,mby->iabc", ("r", ">", "s", "L(.)")),
-    ]),
+            " + sum_p (L>(a>x_p)(x)id)s (x) y_p + sum_p (id(x)L(.)(a>x_p))s (x) y_p = 0", "a"),
     "4.10": ("-(id(x)L(.)(a)(x)id)R12 + (id(x)id(x)L(.)(a))R41 = 0", "a"),
     "4.13": ("r12 o r13 + r23 (.) r13 - r12 < r23 = 0", ""),
     "4.18": ("l>(a)l>(b)v - l>(b)l>(a)v = l>(a o b - b o a)v", "abv"),
@@ -361,7 +358,7 @@ IDENTITIES = {
     "4.30": ("T(u)<T(v) = T(l<(T(u))v) + T(r<(T(v))u)", "uv"),
 }
 
-SPECS = {code: (row[1], row[2] if len(row) > 2 else identity(*row)) for code, row in IDENTITIES.items() if len(row) > 1}
+SPECS = {code: (row[1], identity(*row)) for code, row in IDENTITIES.items() if len(row) > 1}
 
 
 def render_identity(identity: str) -> str:

@@ -208,8 +208,8 @@ def _tensor_loops(t):
     (3.16), composed slot-map sums on ``s`` (4.3-4.6), a family map on a
     slot of an R-tensor (4.10), placed products with each product (the seven
     R-tensors, 4.13 and the row form) and ``tau(r)`` (alpha and beta of
-    ``coboundary_maps``); and the written lists of 4.7-4.9 by their texts,
-    whose corrections sum over the components x_p (x) y_p of r."""
+    ``coboundary_maps``); and 4.7-4.9, whose corrections sum over the
+    components x_p (x) y_p of r (``sum_p``)."""
     lt, gt, al, be, r, n = t["<"], t[">"], t["al"], t["be"], t["r"], len(t["<"])
     o = t3_add(lt, gt)
     dot = tuple(tuple(tuple(gt[i][j][k] + lt[j][i][k] for k in range(n)) for j in range(n)) for i in range(n))
@@ -349,20 +349,17 @@ RANKS = {"2.14": 0, **dict.fromkeys(labels.COALGEBRA + labels.COBOUNDARY_EQUATIO
 
 
 def test_the_element_notation_specs_run_from_their_texts():
-    """Only 4.7-4.9 keep written-out term lists: their corrections sum over
-    the components of r, which no construct of ``identity`` names.  Every
-    other spec row is ``(formula, witness)``, its spec what ``identity``
-    makes of them, on the output axes of its witness letters, then one
-    letter per slot of its value (none for the scalar 2.14).  Every operand
-    of ``OPERANDS`` is what ``formula`` makes of its name or ``identity`` of
-    its text in ``VALUES``, and ``YBE_ROWS`` is the row form's text."""
-    written = {code for code, row in labels.IDENTITIES.items() if len(row) == 3}
-    assert written == {"4.7", "4.8", "4.9"}
+    """No ``IDENTITIES`` row carries a written term list: every spec row is
+    ``(formula, witness)``, its spec what ``identity`` makes of them, on the
+    output axes of its witness letters, then one letter per slot of its
+    value (none for the scalar 2.14).  Every operand of ``OPERANDS`` is what
+    ``formula`` makes of its name or ``identity`` of its text in ``VALUES``,
+    and ``YBE_ROWS`` is the row form's text."""
+    assert all(len(row) <= 2 for row in labels.IDENTITIES.values())
     for code, (witness, terms) in labels.SPECS.items():
-        if code not in written:
-            assert len(labels.IDENTITIES[code]) == 2 and labels.IDENTITIES[code][1] == witness
-            assert terms == labels.identity(*labels.IDENTITIES[code])
-            assert {subs.split("->")[1] for _, subs, _ in terms} == {witness + "twz"[: RANKS.get(code, 1)]}
+        assert len(labels.IDENTITIES[code]) == 2 and labels.IDENTITIES[code][1] == witness
+        assert terms == labels.identity(*labels.IDENTITIES[code])
+        assert {subs.split("->")[1] for _, subs, _ in terms} == {witness + "twz"[: RANKS.get(code, 1)]}
     assert set(labels.VALUES) == {"o", "(.)", "(*)", "s", *labels.R_TENSORS}
     for name, terms in labels.OPERANDS.items():
         text, witness = labels.VALUES.get(name, (None, None))
@@ -394,10 +391,19 @@ def test_a_malformed_identity_is_refused(text):
     ("(id(x)tau)al(a) = 0", "a"),  # a slot map of three slots on a rank-2 value
     ("r14 o r12 = 0", ""), ("r11 o r23 = 0", ""), ("r12 o r34 = 0", ""),
     ("al(a) = (al(x)id)al(a)", "a"),  # a rank-2 side equated to a rank-3 side
-    ("(id(x)id)(id(x)id) = 0", ""), ("al(a) o b = 0", "ab"), ("tau(R11) = 0", ""), ("(id(x)T(a))r = 0", "a")])
+    ("(id(x)id)(id(x)id) = 0", ""), ("al(a) o b = 0", "ab"), ("tau(R11) = 0", ""), ("(id(x)T(a))r = 0", "a"),
+    ("a o x_p = 0", "a"), ("y_p (x) r = 0", ""),  # x_p, y_p outside a sum_p
+    ("sum_p x_p (x) (sum_p x_p (x) y_p) = 0", ""),  # a nested sum_p
+    ("sum_p a o x_p = 0", "a"), ("sum_p x_p (x) x_p (x) y_p = 0", ""),  # x_p and y_p not each read once
+    ("sum_p y_p (x) L>(a)(x)id = 0", "a")])  # (x) between a value and a slot map
 def test_a_malformed_tensor_text_is_refused(text, witness):
     with pytest.raises(ValueError, match="^not an identity"):
         labels.identity(text, witness)
+
+
+def test_sum_p_reads_r_by_its_components():
+    """sum_p x_p (x) y_p is r itself: the difference cancels."""
+    assert set(reference(labels.identity("sum_p x_p (x) y_p - r = 0", ""), {"r": ((1, 2), (3, 4))}).values()) == {0}
 
 
 def test_the_reference_reads_each_term_at_its_own_output_letters():
