@@ -24,17 +24,20 @@ Operand layouts (entries are the coefficients of basis vectors):
 * a co-operation ``al[i][j][k]``: the coefficient of e_j (x) e_k in al(e_i);
 * a rank-2 tensor ``r[i][j]``, a form ``w[i][j]``, a linear map ``T[i][p]``.
 
-Operands not passed in by the caller are looked up in ``OPERANDS``, where the
-operators and co-operations (``L>+2R<``, ``tau.al+be``, ...) are defined by
-their names (``formula``), and the products ``o``, ``(.)``, ``(*)``, the
-tensor ``s`` and the R-tensors by the texts of their values (``VALUES``).
-Every identity runs from its text (``identity``).
+Operands not passed in by the caller are looked up in ``OPERANDS``: each
+product (``o``, ``(.)``, ``(*)``), operator (``L>+2R<``), dual map
+(``L>*+R<*``), co-operation (``tau.al+be``) and tensor (``s``, the
+R-tensors) is the text of its value (``VALUES``).  Identities and operands
+run from their texts through one parser, ``identity``, and ``SPECS`` and
+``OPERANDS`` parse a text when it is first looked up, so importing parses
+nothing.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Mapping
 
 NOVIKOV = ("2.1", "2.2")
 NOVIKOV_REP = ("2.3", "2.4", "2.5", "2.6")
@@ -61,33 +64,6 @@ PRE_NOVIKOV_REP = tuple(f"4.{k}" for k in range(18, 28))
 O_OPERATOR_PRE_NOVIKOV = ("4.29", "4.30")
 
 
-# one term of ``formula``: sign, factor, tau., side and product or family, dual
-_TERM = re.compile(r"([+-]?)(\d*)(tau\.)?(?:([LR])(o|<|>|\(\.\)|\(\*\))|([a-z]+[<>AB]?))(\*?)")
-_SWAP = str.maketrans("jk", "kj")
-
-
-def formula(name: str) -> list:
-    """The term list that ``name``, a sum of terms ``[±][k][tau.]X[*]`` of
-    rank-3 tables M[i][j][k], defines.  ``LP`` and ``RP``, M(a)b = a P b and
-    b P a for a product P (``o``, ``<``, ``>``, ``(.)``, ``(*)``), read P's
-    table as ``ikj`` and ``kij``; any other X, a family or co-operation, as
-    itself.  ``tau.`` swaps the last two axes; ``*``, the dual M(a)* =
-    -M(a)^T, swaps them and negates.  Anything else is a ``ValueError``."""
-    terms, at = [], 0
-    while at < len(name) or not terms:
-        m = _TERM.match(name, at)
-        if not m or m[1] not in (("+", "-") if terms else ("", "-")):
-            raise ValueError(f"not an operand formula: {name!r}")
-        sign, k, tau, side, product, family, star = m.groups()
-        src = {"L": "ikj", "R": "kij", None: "ijk"}[side]
-        if bool(tau) != bool(star):
-            src = src.translate(_SWAP)
-        coef = int(k or 1) * (-1 if (sign == "-") != bool(star) else 1)
-        terms.append((coef, f"{src}->ijk", (product or family,)))
-        at = m.end()
-    return terms
-
-
 # one token of ``identity``, of the kind its group names: a map comes with its
 # argument's parenthesis (``lB(x)`` is lB at x, not lB and ``(x)``, the tensor
 # product), a map of slots (co-operation, id, tau) with any but ``(x)``
@@ -95,7 +71,8 @@ _SUM = r"(?:{0})|\((?:\d*(?:{0})[+-])+\d*(?:{0})\)"  # X or a parenthesized sum 
 _FAMILY, _CO = _SUM.format(r"[lr][<>AB]?|[LR](?:o|<|>|\(\.\)|\(\*\))"), _SUM.format(r"(?:tau\.)?(?:al|be)")
 _TOKEN = re.compile(rf"(?P<cross>\(x\))|(?P<map>(?:{_FAMILY}|[Tw])\()|(?P<slot>(?:{_CO}|id|tau)(?:\((?!x\)))?)"
                     r"|(?P<placed>r\d\d)|(?P<sum>sum_p)|(?P<tensor>R\d\d|[rs])"
-                    r"|(?P<product>[o<>.]|\([.*]\))|(?P<basis>[xy]_p|[abcuvxy])|(?P<mark>[(),=+0-])|(?P<other>\S)")
+                    r"|(?P<product>[o<>.]|\([.*]\))|(?P<basis>[xy]_p|[abcuvxy])|(?P<coef>[1-9]\d*)|(?P<mark>[(),=+0-])"
+                    r"|(?P<other>\S)")
 _FREE = "mnpqrsdefghijklo"  # a term's contracted letters: no basis letter, slot letter, nor the batch axis N
 _SLOTS = "twz"  # the letters of a value's slots, on the output axes after the witness letters
 
@@ -103,7 +80,8 @@ _SLOTS = "twz"  # the letters of a value's slots, on the output axes after the w
 def identity(text: str, witness: str) -> list:
     """The term list of ``text``, an identity: left side minus right side on
     the axes of the ``witness`` letters, then one per slot of its value
-    (``t``, ``tw``, ``twz``; none for a scalar).  It reads basis elements
+    (``t``, ``tw``, ``twz``; none for a scalar) unless the witness places it
+    (``atb``: the slot between a and b).  It reads basis elements
     ``abcuvxy``; infix products, a nested one parenthesized; ``X(p)q``, a
     family X (``l``, ``Lo``, a parenthesized sum ``OPERANDS`` names) at p
     applied to q; ``T(p)``; ``w(p, q)``; ``X(p)``, a co-operation X (``al``,
@@ -113,10 +91,11 @@ def identity(text: str, witness: str) -> list:
     in turn, their sums and compositions; placed products ``rXY P rZW``, r
     in the slots X, Y and Z, W, multiplied by P in the one they share;
     tensor products ``V (x) W``; ``sum_p V``, r = sum_p x_p (x) y_p as a
-    first operand, V reading ``x_p`` and ``y_p`` once each; sums,
-    distributed.  Operands are listed as their values are formed (argument,
-    map, element acted on), but a family map on a tensor's first slot comes
-    first, as M in the matrix product M t N^T.  Else a ``ValueError``."""
+    first operand, V reading ``x_p`` and ``y_p`` once each; sums of terms
+    ``[k]V``, k a positive integer, distributed.  Operands are listed as
+    their values are formed (argument, map, element acted on), but a family
+    map on a tensor's first slot comes first, as M in the matrix product
+    M t N^T.  Else a ``ValueError``."""
     bad, fresh, bound = f"not an identity: {text!r}", itertools.count(), {}
     tokens = [(None, None)] + [(m.lastgroup, m[0]) for m in _TOKEN.finditer(text)][::-1]  # bottom: the end
 
@@ -125,12 +104,13 @@ def identity(text: str, witness: str) -> list:
     # rest; a value's slots are a tuple of its letters, a slot map's the list
     # of its factors' (name, argument letter or None), its factors its
     # arguments'
-    def upto(end):  # [+|-]product {+|- product}, then the token ``end``
+    def upto(end):  # [+|-][k]product {+|- [k]product}, then the token ``end``
         terms, sign = [], 1
         while True:
             if tokens[-1][1] in ("+", "-"):
                 sign = 1 if tokens.pop()[1] == "+" else -1
-            terms += [(sign * c, f, s) for c, f, s in product()]
+            k = int(tokens.pop()[1]) if tokens[-1][0] == "coef" else 1
+            terms += [(sign * k * c, f, s) for c, f, s in product()]
             if tokens[-1][1] not in ("+", "-"):
                 if tokens.pop()[1] != end:
                     raise ValueError(bad)
@@ -239,10 +219,14 @@ def identity(text: str, witness: str) -> list:
     ranks = {None if type(s) is list else len(s) for *_, s in terms}
     if len(ranks) != 1 or not ranks <= set(range(len(_SLOTS) + 1)):
         raise ValueError(f"{bad}: its terms are values of one rank, at most {len(_SLOTS)}")
-    out, spec = witness + _SLOTS[: ranks.pop()], []
+    rank = ranks.pop()
+    out = witness + "".join(x for x in _SLOTS[:rank] if x not in witness)
+    if sorted(x for x in out if x in _SLOTS) != list(_SLOTS[:rank]):
+        raise ValueError(f"{bad}: its witness places a slot letter of its value at most once")
+    basis, spec = sorted(x for x in witness if x not in _SLOTS), []
     for coef, factors, slots in terms:
         letters = [x for _, group in factors for x in group]
-        if not set(slots) <= set(letters) or sorted(x for x in letters if isinstance(x, str)) != sorted(witness):
+        if not set(slots) <= set(letters) or sorted(x for x in letters if isinstance(x, str)) != basis:
             raise ValueError(f"{bad}: a term reads each slot, and each letter of {witness!r} once")
         rename = {**dict(zip(dict.fromkeys(x for x in letters if isinstance(x, int) and x not in slots), _FREE)),
                   **dict(zip(slots, _SLOTS))}
@@ -251,12 +235,29 @@ def identity(text: str, witness: str) -> list:
     return spec
 
 
-# the derived operands that are values, each the term list of its text:
-# name -> (text, witness letters), read by ``identity`` as ``text = 0``
+# the derived operands, each the term list of its text: name -> (text,
+# witness letters), read by ``identity`` as ``text = 0``
 VALUES = {
-    "o": ("a<b + a>b", "ab"),
-    "(.)": ("a>b + b<a", "ab"),
-    "(*)": ("a o b + b o a", "ab"),
+    "o": ("a<b + a>b", "ab"), "(.)": ("a>b + b<a", "ab"), "(*)": ("a o b + b o a", "ab"),
+    # multiplication operators and sums of representation maps: M(a)b at the witness atb, image before argument
+    "Lo": ("a o b", "atb"), "Ro": ("b o a", "atb"), "L>": ("a>b", "atb"), "R>": ("b>a", "atb"),
+    "L<": ("a<b", "atb"), "R<": ("b<a", "atb"), "L(.)": ("a (.) b", "atb"), "L(*)": ("a (*) b", "atb"),
+    "L>+R<": ("a>b + b<a", "atb"), "L>+2R<": ("a>b + 2 b<a", "atb"), "2L>+R<": ("2 a>b + b<a", "atb"),
+    "R>+L<": ("b>a + a<b", "atb"), "Lo+Ro": ("a o b + b o a", "atb"), "2Lo+Ro": ("2 a o b + b o a", "atb"),
+    "l>+l<": ("l>(a)b + l<(a)b", "atb"), "r>+r<": ("r>(a)b + r<(a)b", "atb"),
+    "lA-rA": ("lA(a)b - rA(a)b", "atb"), "lB-rB": ("lB(a)b - rB(a)b", "atb"),
+    # the duals M*(a) = -M(a)^T: -M(a)b at the witness ab
+    "l*+r*": ("-l(a)b - r(a)b", "ab"), "-r*": ("r(a)b", "ab"), "r>*": ("-r>(a)b", "ab"),
+    "l>*+l<*+r>*+r<*": ("-l>(a)b - l<(a)b - r>(a)b - r<(a)b", "ab"),
+    "-r>*-l<*": ("r>(a)b + l<(a)b", "ab"), "-r>*-r<*": ("r>(a)b + r<(a)b", "ab"),
+    "L>*+R<*": ("-a>b - b<a", "ab"), "-R<*": ("b<a", "ab"), "R>*": ("-b>a", "ab"),
+    "L>*+L<*+R>*+R<*": ("-a>b - a<b - b>a - b<a", "ab"),
+    "-R>*-L<*": ("b>a + a<b", "ab"), "-R>*-R<*": ("b>a + b<a", "ab"),
+    # co-operations, tau. swapping their two slots
+    "tau.al": ("tau(al(a))", "a"), "al+be": ("al(a) + be(a)", "a"), "tau.al+be": ("tau(al(a)) + be(a)", "a"),
+    "2tau.al+be": ("2 tau(al(a)) + be(a)", "a"), "al+tau.be": ("al(a) + tau(be(a))", "a"),
+    "tau.al+tau.be": ("tau(al(a)) + tau(be(a))", "a"),
+    "al+be-tau.al-tau.be": ("al(a) + be(a) - tau(al(a)) - tau(be(a))", "a"),
     "s": ("tau(r) - r", ""),
     # the seven R-tensors: signed placed products of r in three slots
     "R11": ("r21 o r31 - r21 o r32 - r31 (.) r32 + r21 > r23 + r31 (*) r23", ""),
@@ -268,19 +269,45 @@ VALUES = {
     "R31": ("-r13 o r23 + r13 o r21 + r23 (.) r21 - r13 > r12 - r23 (*) r12", ""),
     "R41": ("-r31 o r21 - r32 (.) r21 + r31 < r23", ""),
 }
-OPERANDS = {
-    # multiplication operators, sums of representation maps, co-operations
-    **{name: formula(name) for name in (
-        "Lo", "Ro", "L>", "R>", "L<", "R<", "L(.)", "L(*)", "L>+R<", "L>+2R<", "2L>+R<", "R>+L<", "Lo+Ro",
-        "2Lo+Ro", "l>+l<", "r>+r<", "lA-rA", "lB-rB", "tau.al", "al+be", "tau.al+be", "2tau.al+be",
-        "al+tau.be", "tau.al+tau.be", "al+be-tau.al-tau.be")},
-    **{name: identity(f"{text} = 0", witness) for name, (text, witness) in VALUES.items()},
-}
 R_TENSORS = ("R11", "R12", "R13", "R21", "R22", "R31", "R41")
-# 4.13 for a symmetric r, with each r read by the row of a witness letter
-# (r21 for r12, r32 for r23): residual entry (a, b, c) reads rows a, b and c
-# of r, and each table only at a witness letter on its last axis.
-YBE_ROWS = identity("r21 o r31 + r23 (.) r13 - r12 < r32 = 0", "")
+
+
+class OnRead(Mapping):
+    """A read-only table of term lists, each made by ``parse`` from its entry
+    ``(text, witness)`` in ``texts`` (by default a value: ``text = 0``) when
+    it is first looked up, then kept; a key not in ``texts`` is a KeyError."""
+
+    def __init__(self, texts: dict, parse=lambda text, witness: identity(f"{text} = 0", witness)):
+        self.texts, self._parse, self._read = texts, parse, {}
+
+    def __getitem__(self, name):
+        if name not in self._read:
+            self._read[name] = self._parse(*self.texts[name])
+        return self._read[name]
+
+    def __contains__(self, name):
+        return name in self.texts
+
+    def __iter__(self):
+        return iter(self.texts)
+
+    def __len__(self):
+        return len(self.texts)
+
+
+OPERANDS = OnRead(VALUES)
+
+
+# YBE_ROWS, parsed on first read: 4.13 for a symmetric r with each r read by
+# the row of a witness letter (r21 for r12, r32 for r23), so that residual
+# entry (a, b, c) reads rows a, b and c of r, and each table only at a witness
+# letter on its last axis
+def __getattr__(name: str):
+    if name != "YBE_ROWS":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    rows = globals()[name] = identity("r21 o r31 + r23 (.) r13 - r12 < r32 = 0", "")
+    return rows
+
 
 # code -> (formula, witness letters); the two non-residual flags, formula alone
 IDENTITIES = {
@@ -358,7 +385,8 @@ IDENTITIES = {
     "4.30": ("T(u)<T(v) = T(l<(T(u))v) + T(r<(T(v))u)", "uv"),
 }
 
-SPECS = {code: (row[1], identity(*row)) for code, row in IDENTITIES.items() if len(row) > 1}
+SPECS = OnRead({code: row for code, row in IDENTITIES.items() if len(row) > 1},
+               lambda text, witness: (witness, identity(text, witness)))
 
 
 def render_identity(identity: str) -> str:

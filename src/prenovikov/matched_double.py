@@ -15,16 +15,8 @@ from typing import Optional
 import numpy as np
 
 from . import labels
-from .algebras import (
-    FormMatrix,
-    NovikovAlgebra,
-    PreNovikovAlgebra,
-    _split_qf,
-    check_novikov,
-    check_quasi_frobenius,
-    pre_novikov_from_qf,
-    sum_table,
-)
+from .algebras import (FormMatrix, NovikovAlgebra, PreNovikovAlgebra, _split_qf, check_novikov, check_quasi_frobenius,
+                       pre_novikov_from_qf)
 from .bialgebra import PreNovikovBialgebra, check_bialgebra
 from .core import (
     Exact,
@@ -128,8 +120,8 @@ def induced_matched_pair(bialg: PreNovikovBialgebra) -> MatchedPair:
     find out whether it actually is one.
     """
     alg, (lhd_star, rhd_star) = bialg.algebra, bialg.coalgebra.dual
-    return MatchedPair(sum_table(alg.lhd, alg.rhd), sum_table(lhd_star, rhd_star),
-                       *dual_adjoint_maps(alg.lhd, alg.rhd), *dual_adjoint_maps(lhd_star, rhd_star))
+    (a_op, l_a, r_a), (b_op, l_b, r_b) = dual_adjoint_maps(alg.lhd, alg.rhd), dual_adjoint_maps(lhd_star, rhd_star)
+    return MatchedPair(a_op, b_op, l_a, r_a, l_b, r_b)
 
 
 def _blocks_match(bialg: PreNovikovBialgebra, induced: PreNovikovAlgebra) -> bool:

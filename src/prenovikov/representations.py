@@ -106,18 +106,18 @@ def verify_pre_novikov_rep(rep: PreNovikovRep) -> PreNovikovRep:
 
 
 # The dual maps of ``dual_novikov_rep``, ``dual_pre_novikov_rep`` and
-# ``dual_adjoint_maps`` by their formulas (``labels.formula``).
-_DUAL_NOVIKOV_MAPS = {"l": labels.formula("l*+r*"), "r": labels.formula("-r*")}
-_DUAL_PRE_NOVIKOV_MAPS = {"l>": labels.formula("l>*+l<*+r>*+r<*"), "r>": labels.formula("r>*"),
-                           "l<": labels.formula("-r>*-l<*"), "r<": labels.formula("-r>*-r<*")}
-_DUAL_ADJOINT_MAPS = {"l": labels.formula("L>*+R<*"), "r": labels.formula("-R<*")}
+# ``dual_adjoint_maps`` by their names in ``labels.OPERANDS``.
+_DUAL_NOVIKOV_MAPS = {"l": "l*+r*", "r": "-r*"}
+_DUAL_PRE_NOVIKOV_MAPS = {"l>": "l>*+l<*+r>*+r<*", "r>": "r>*", "l<": "-r>*-l<*", "r<": "-r>*-r<*"}
+_DUAL_ADJOINT_MAPS = {"l": "L>*+R<*", "r": "-R<*"}
 
 
-def _dual(rep, spec: dict, check, what: str):
-    """The dual of a verified representation by its kernel spec, re-verified."""
+def _dual(rep, maps: dict, check, what: str):
+    """The dual of a verified representation by its maps' operand names, re-verified."""
     if not rep.verified:
         raise RefusalError("refusing to dualize an unverified representation")
-    out = type(rep)(rep.algebra, *evaluate(spec, rep.tables).values())
+    out = type(rep)(rep.algebra, *evaluate({key: labels.OPERANDS[name] for key, name in maps.items()},
+                                           rep.tables).values())
     if not check(rep.algebra, out).passed:
         raise InternalCheckError(f"theorem (dual maps): a verified {what} representation's dual fails")
     return out.certified()
@@ -151,11 +151,12 @@ def adjoint_reps(alg: PreNovikovAlgebra) -> tuple[NovikovRep, PreNovikovRep]:
             pre_rep.certified(check_pre_novikov_rep(alg, pre_rep).passed))
 
 
-def dual_adjoint_maps(lhd: StructureConstants, rhd: StructureConstants) -> tuple[RepMaps, RepMaps]:
-    """The maps (L>* + R<*, -R<*) dual to the (L>, R<) action, built from the
-    tables with no validity requirement."""
-    maps = evaluate(_DUAL_ADJOINT_MAPS, {"<": lhd.table, ">": rhd.table})
-    return maps["l"], maps["r"]
+def dual_adjoint_maps(lhd: StructureConstants, rhd: StructureConstants) -> tuple[StructureConstants, RepMaps, RepMaps]:
+    """The sum o = < + > of two tables and the maps (L>* + R<*, -R<*) dual to
+    its (L>, R<) action, from one kernel call with no validity requirement."""
+    specs = {"o": labels.OPERANDS["o"], **{key: labels.OPERANDS[name] for key, name in _DUAL_ADJOINT_MAPS.items()}}
+    maps = evaluate(specs, {"<": lhd.table, ">": rhd.table})
+    return StructureConstants(lhd.dim, maps["o"]), maps["l"], maps["r"]
 
 
 def semidirect_pre_novikov(alg: PreNovikovAlgebra, rep: PreNovikovRep) -> PreNovikovAlgebra:

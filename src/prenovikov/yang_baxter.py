@@ -15,40 +15,13 @@ from typing import Union
 import numpy as np
 
 from . import labels
-from .algebras import (
-    NovikovAlgebra,
-    PreNovikovAlgebra,
-    check_pre_novikov,
-    sum_table,
-)
+from .algebras import NovikovAlgebra, PreNovikovAlgebra, check_pre_novikov
 from .bialgebra import PreNovikovBialgebra, PreNovikovCoalgebra, check_bialgebra
-from .core import (
-    Exact,
-    InputError,
-    InternalCheckError,
-    Matrix,
-    RefusalError,
-    StructureConstants,
-    Tensor2,
-    Tensor3,
-    contract,
-    evaluate,
-    exact,
-    fit_letters,
-    held,
-    scalar_set,
-    zero_mask,
-    zero_members,
-)
+from .core import (Exact, InputError, InternalCheckError, Matrix, RefusalError, StructureConstants, Tensor2, Tensor3,
+                   contract, evaluate, exact, fit_letters, held, scalar_set, zero_mask, zero_members)
 from .report import Report, Tree, default_labels, verify
-from .representations import (
-    NovikovRep,
-    PreNovikovRep,
-    dual_adjoint_maps,
-    dual_pre_novikov_rep,
-    semidirect_pre_novikov,
-    verify_pre_novikov_rep,
-)
+from .representations import (_DUAL_ADJOINT_MAPS, NovikovRep, PreNovikovRep, dual_pre_novikov_rep,
+                              semidirect_pre_novikov, verify_pre_novikov_rep)
 
 
 def _matrix(t, rows: int, cols: int, what: str) -> Exact:
@@ -68,8 +41,8 @@ def ybe_residual(alg: PreNovikovAlgebra, r: Tensor2) -> Tensor3:
     return _ybe(alg, r).nested
 
 
-_COBOUNDARY = {name: labels.identity(f"{text} = 0", "a") for name, text in (
-    ("alpha", "(Lo(a)(x)id + id(x)(L>+R<)(a))tau(r)"), ("beta", "-(L>(a)(x)id + id(x)(Lo+Ro)(a))r"))}
+_COBOUNDARY = labels.OnRead({"alpha": ("(Lo(a)(x)id + id(x)(L>+R<)(a))tau(r)", "a"),
+                             "beta": ("-(L>(a)(x)id + id(x)(Lo+Ro)(a))r", "a")})
 
 
 def coboundary_maps(alg: PreNovikovAlgebra, r: Tensor2) -> PreNovikovCoalgebra:
@@ -206,14 +179,16 @@ def o_operator_pre_novikov(alg: PreNovikovAlgebra, rep: PreNovikovRep, T: Matrix
     return _o_operator(check_o_operator_pre_novikov, "pre_novikov", alg, rep, T)
 
 
+_FROM_O = labels.OnRead({">": ("l(T(u))v", "uv"), "<": ("r(T(v))u", "uv")})
+
+
 def pre_novikov_from_o(alg: NovikovAlgebra, rep: NovikovRep, oper: OOperator) -> PreNovikovAlgebra:
     """The module-side pre-Novikov structure u>v = l(T(u))v, u<v = r(T(v))u."""
     if not isinstance(oper, OOperator) or oper.flavor != "novikov" or not oper.verified:
         raise RefusalError("need a verified Novikov-flavor O-operator")
     if oper.rep != rep:
         raise InputError("O-operator was verified against a different representation")
-    prods = evaluate({">": labels.identity("l(T(u))v = 0", "uv"), "<": labels.identity("r(T(v))u = 0", "uv")},
-                     {"T": oper.tables["T"], **rep.tables})
+    prods = evaluate(_FROM_O, {"T": oper.tables["T"], **rep.tables})
     lhd, rhd = (StructureConstants(rep.module_dim, prods[name]) for name in "<>")
     out = PreNovikovAlgebra(lhd, rhd)
     if not check_pre_novikov(out.lhd, out.rhd).passed:
@@ -241,11 +216,14 @@ def co2_equivalence(alg: PreNovikovAlgebra, r: Tensor2) -> tuple[bool, bool, boo
 
 
 def _operator_verdicts(alg: PreNovikovAlgebra, r: Exact) -> tuple[bool, bool]:
-    """Verdicts (b) and (c) of ``co2_equivalence`` for a symmetric ``Exact`` r."""
-    nov = NovikovAlgebra(sum_table(alg.lhd, alg.rhd))  # T_r is r itself
-    verdict_b = check_o_operator_novikov(nov, NovikovRep(nov, *dual_adjoint_maps(alg.lhd, alg.rhd)), r).passed
-    pre_rep = PreNovikovRep(alg, *evaluate(_DUAL_QUADRUPLE, alg.tables).values())
-    return verdict_b, check_o_operator_pre_novikov(alg, pre_rep, r).passed
+    """Verdicts (b) and (c) of ``co2_equivalence`` for a symmetric ``Exact`` r,
+    from one kernel call: T_r is r itself, and the specs read the dual
+    actions as the derived operands they are renamed to."""
+    lab, read = default_labels(alg.dim, "v"), {"T": "r"}
+    sections = (Tree("o_operator_novikov", (labels.O_OPERATOR_NOVIKOV,), lab, rename=read | _DUAL_ADJOINT_MAPS),
+                Tree("o_operator_pre_novikov", labels.O_OPERATOR_PRE_NOVIKOV, lab, rename=read | _DUAL_QUADRUPLE))
+    report = verify(Tree("co2", (), lab, sections=sections), {**alg.tables, "r": r})
+    return tuple(section.passed for section in report.sections)
 
 
 def lift_o_operator(alg: PreNovikovAlgebra, rep: PreNovikovRep, T: Matrix) -> tuple[PreNovikovAlgebra, Tensor2]:
@@ -311,8 +289,7 @@ def search_symmetric_ybe(alg: PreNovikovAlgebra, value_set, max_candidates: int 
     return list(Exact(hits, scaled.den).nested)
 
 
-_DUAL_QUADRUPLE = {"l>": labels.formula("L>*+L<*+R>*+R<*"), "r>": labels.formula("R>*"),
-                   "l<": labels.formula("-R>*-L<*"), "r<": labels.formula("-R>*-R<*")}
+_DUAL_QUADRUPLE = {"l>": "L>*+L<*+R>*+R<*", "r>": "R>*", "l<": "-R>*-L<*", "r<": "-R>*-R<*"}
 
 
 def _integer_tables(alg: PreNovikovAlgebra) -> dict:
@@ -320,7 +297,7 @@ def _integer_tables(alg: PreNovikovAlgebra) -> dict:
     of ``alg`` as integer arrays over one common denominator, from one
     kernel call."""
     lifted = contract({**{name: [(1, "ijk->ijk", (name,))] for name in ("o", "(.)", "<", ">")},
-                       **_DUAL_QUADRUPLE}, alg.tables)
+                       **{key: labels.OPERANDS[name] for key, name in _DUAL_QUADRUPLE.items()}}, alg.tables)
     return {name: num for name, (num, _) in lifted.items()}
 
 

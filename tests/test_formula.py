@@ -1,20 +1,25 @@
-"""The operands named by their formula and the identities that run from
-their texts: ``labels.formula`` against loop definitions of left and right
-multiplication, ``tau.`` and the dual, for every operand of
-``labels.OPERANDS`` it defines and every dual-map spec; ``labels.identity``
-against loop definitions of products, maps and forms on basis vectors, and
-of co-operation values, slot maps and placed products on tensors, one text
-per construct; and the term lists those define, and the Fraction reference
-that reads them."""
+"""The operands and identities that run from their texts: the operator,
+co-operation and dual-map texts of ``labels.VALUES`` against loop
+definitions of left and right multiplication, ``tau.`` and the dual, for
+every operand of ``labels.OPERANDS`` they define and every name of the four
+dual-map dicts; ``labels.identity`` against loop definitions of products,
+maps and forms on basis vectors, and of co-operation values, slot maps and
+placed products on tensors, one text per construct; every text parsed
+whether or not a command reads it; and the term lists those define, and the
+Fraction reference that reads them."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from prenovikov import labels, representations, yang_baxter
-from prenovikov.core import evaluate
+from prenovikov.core import InputError, evaluate
 
 from kernel_reference import derive, reference, table_of
 from tensor_reference import (basis_vec, co_at, co_left, co_right, family_at, left_matrix, mat_add, mat_scale, mat_vec,
@@ -25,13 +30,15 @@ from tensor_reference import left_family as L
 from tensor_reference import right_family as R
 from tensor_reference import swap_last as tau
 
+ROOT = Path(__file__).resolve().parent.parent
+
 # the tables an operand name reads: the products, the representation maps
 # and the co-operations
 NAMES = ("o", "<", ">", "(.)", "(*)", "l", "r", "l>", "r>", "l<", "r<", "lA", "rA", "lB", "rB", "al", "be")
 
 
 def _operands(t):
-    """Each operand ``formula`` defines in ``labels.OPERANDS``, as (coef,
+    """Each operator and co-operation of ``labels.OPERANDS``, as (coef,
     table) pairs of the loop definitions on the tables ``t``."""
     return {
         "Lo": [(1, L(t["o"]))],
@@ -63,8 +70,8 @@ def _operands(t):
 
 
 def _dual_specs(t):
-    """The four dual-map specs, each map as (coef, table) pairs of the loop
-    definitions on the tables ``t``."""
+    """The four dual-map dicts of operand names, each map as (coef, table)
+    pairs of the loop definitions on the tables ``t``."""
     dual_adjoint = {"l": [(1, star(L(t[">"]))), (1, star(R(t["<"])))], "r": [(-1, star(R(t["<"])))]}
     dual_quadruple = {
         "l>": [(1, star(L(t[">"]))), (1, star(L(t["<"]))), (1, star(R(t[">"]))), (1, star(R(t["<"])))],
@@ -94,28 +101,35 @@ def _entries(parts):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_formula_operands_and_dual_specs_match_loop_definitions(n):
-    """On random rational tables of dimension n, every operand that
-    ``labels.formula`` defines and every map of the four dual specs equals
-    its loop definition; the operands it does not define are the products
-    ``o``, ``(.)``, ``(*)``, ``s`` and the R-tensors."""
+    """On random rational tables of dimension n, every operator and
+    co-operation of ``labels.OPERANDS`` and every operand that the four
+    dual-map dicts name equals its loop definition; the other operands are
+    the products ``o``, ``(.)``, ``(*)``, ``s`` and the R-tensors."""
     rng = random.Random(n)
     for _ in range(3):
         tables = {name: table_of((n,) * 3, (Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
                                             for _ in range(n**3))) for name in NAMES}
         want = _operands(tables)
-        assert set(labels.OPERANDS) - set(want) == {"o", "(.)", "(*)", "s", *labels.R_TENSORS}
+        duals = {name for spec, _ in _dual_specs(tables) for name in spec.values()}
+        assert set(labels.OPERANDS) - set(want) - duals == {"o", "(.)", "(*)", "s", *labels.R_TENSORS}
         for name, parts in want.items():
             assert reference(labels.OPERANDS[name], tables) == _entries(parts), name
         for spec, maps in _dual_specs(tables):
             assert spec.keys() == maps.keys()
             for key, parts in maps.items():
-                assert reference(spec[key], tables) == _entries(parts), key
+                assert reference(labels.OPERANDS[spec[key]], tables) == _entries(parts), key
 
 
 @pytest.mark.parametrize("name", ["", "+L>", "L>+", "L>R<", "2", "L>++R<", "Lx", "tau.", "L>**"])
 def test_a_malformed_formula_is_refused(name):
-    with pytest.raises(ValueError, match="not an operand formula"):
-        labels.formula(name)
+    """An operand name that no ``VALUES`` text defines is no ``OPERANDS``
+    key, however it is looked up, and the kernel refuses a spec that reads
+    it."""
+    assert name not in labels.OPERANDS and name not in list(labels.OPERANDS)
+    with pytest.raises(KeyError):
+        labels.OPERANDS[name]
+    with pytest.raises(InputError, match="is neither an input nor derived$"):
+        evaluate({"x": [(1, "ijk->ijk", (name,))]}, {"<": [[[1]]]})
 
 
 def _vector_sum(vectors):
@@ -353,18 +367,58 @@ def test_the_element_notation_specs_run_from_their_texts():
     ``(formula, witness)``, its spec what ``identity`` makes of them, on the
     output axes of its witness letters, then one letter per slot of its
     value (none for the scalar 2.14).  Every operand of ``OPERANDS`` is what
-    ``formula`` makes of its name or ``identity`` of its text in ``VALUES``,
-    and ``YBE_ROWS`` is the row form's text."""
+    ``identity`` makes of its text in ``VALUES``, and ``YBE_ROWS`` is the
+    row form's text."""
     assert all(len(row) <= 2 for row in labels.IDENTITIES.values())
     for code, (witness, terms) in labels.SPECS.items():
         assert len(labels.IDENTITIES[code]) == 2 and labels.IDENTITIES[code][1] == witness
         assert terms == labels.identity(*labels.IDENTITIES[code])
         assert {subs.split("->")[1] for _, subs, _ in terms} == {witness + "twz"[: RANKS.get(code, 1)]}
-    assert set(labels.VALUES) == {"o", "(.)", "(*)", "s", *labels.R_TENSORS}
+    assert set(labels.VALUES) == set(labels.OPERANDS)
     for name, terms in labels.OPERANDS.items():
-        text, witness = labels.VALUES.get(name, (None, None))
-        assert terms == (labels.formula(name) if text is None else labels.identity(f"{text} = 0", witness)), name
+        text, witness = labels.VALUES[name]
+        assert terms == labels.identity(f"{text} = 0", witness), name
     assert labels.YBE_ROWS == labels.identity("r21 o r31 + r23 (.) r13 - r12 < r32 = 0", "")
+
+
+def test_every_text_parses():
+    """The tables parse a text when it is first read, so a broken one would
+    otherwise wait for the first command that reads it: every
+    ``IDENTITIES`` row, every ``VALUES`` entry, the row form and the texts
+    ``yang_baxter`` evaluates parse here, and every name of the four
+    dual-map dicts is a ``VALUES`` key."""
+    rows = [row for row in labels.IDENTITIES.values() if len(row) > 1]
+    values = [*labels.VALUES.values(), *yang_baxter._COBOUNDARY.texts.values(), *yang_baxter._FROM_O.texts.values()]
+    for text, witness in rows + [(f"{text} = 0", witness) for text, witness in values]:
+        assert labels.identity(text, witness), text
+    assert labels.YBE_ROWS
+    for spec in (representations._DUAL_NOVIKOV_MAPS, representations._DUAL_PRE_NOVIKOV_MAPS,
+                 representations._DUAL_ADJOINT_MAPS, yang_baxter._DUAL_QUADRUPLE):
+        assert set(spec.values()) <= set(labels.VALUES)
+
+
+# counts the calls of ``labels.identity`` while the package is imported, then
+# while ``check`` reads a bundle, in a fresh interpreter
+_COUNT_PARSES = """
+import io, sys
+calls = []
+sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code.co_name == "identity"
+               and frame.f_globals["__name__"] == "prenovikov.labels" and calls.append(1))
+import prenovikov, prenovikov.cli
+imported = len(calls)
+code = prenovikov.cli.run_command(["check", sys.argv[1]], out=io.StringIO())
+print(imported, len(calls) - imported, code)
+"""
+
+
+def test_import_parses_nothing_and_check_parses_what_it_reads():
+    """Importing the package and its CLI parses no text; a fresh ``check``
+    of the dim-4 bialgebra parses each text it reads once: its 16 codes
+    (2.8-2.11, 3.11-3.14, 3.16-3.23) and the 16 operands they read."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", _COUNT_PARSES, str(ROOT / "fixtures" / "dim4_bialgebra.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.stdout.split() == ["0", "32", "0"], done.stderr
 
 
 # the tables a caller passes in, by name
@@ -395,7 +449,8 @@ def test_a_malformed_identity_is_refused(text):
     ("a o x_p = 0", "a"), ("y_p (x) r = 0", ""),  # x_p, y_p outside a sum_p
     ("sum_p x_p (x) (sum_p x_p (x) y_p) = 0", ""),  # a nested sum_p
     ("sum_p a o x_p = 0", "a"), ("sum_p x_p (x) x_p (x) y_p = 0", ""),  # x_p and y_p not each read once
-    ("sum_p y_p (x) L>(a)(x)id = 0", "a")])  # (x) between a value and a slot map
+    ("sum_p y_p (x) L>(a)(x)id = 0", "a"),  # (x) between a value and a slot map
+    ("2 3 a o b = 0", "ab"), ("w(a, b) = 0", "abt"), ("a o b = 0", "atbt")])  # a repeated coefficient; slot letters
 def test_a_malformed_tensor_text_is_refused(text, witness):
     with pytest.raises(ValueError, match="^not an identity"):
         labels.identity(text, witness)

@@ -652,7 +652,8 @@ def test_operator_form_4_30_is_4_13_permuted():
             r = rng.integers(-2, 3, size=(n, n))
             r = Exact(r + r.T, int(rng.integers(1, 4)))
             ybe = evaluate({"": labels.SPECS[labels.YBE][1]}, {**tables, "r": r})[""]
-            quadruple = evaluate(yang_baxter._DUAL_QUADRUPLE, tables)
+            maps = yang_baxter._DUAL_QUADRUPLE
+            quadruple = evaluate({key: labels.OPERANDS[name] for key, name in maps.items()}, tables)
             got = evaluate({"": labels.SPECS["4.30"][1]}, {**tables, **quadruple, "T": r})[""]
             assert got == Exact(-np.einsum("abc->acb", ybe.num), ybe.den)
 
