@@ -20,7 +20,7 @@ from .algebras import (
     derived_ops,
 )
 from .bialgebra import check_bialgebra, check_coalgebra
-from .core import InputError, RefusalError, fit_letters, fraction_texts, rational
+from .core import Exact, InputError, RefusalError, fit_letters, fraction_texts, rational
 from .io import (
     FLAVORS,
     Bundle,
@@ -43,8 +43,8 @@ from .yang_baxter import (
     coboundary_diagnostics,
     coboundary_maps,
     lift_o_operator,
-    search_symmetric_ybe,
     _operator_verdicts,
+    _search_hits,
     _ybe,
 )
 
@@ -220,8 +220,8 @@ def _cmd_search(args, out, alg_bundle: Bundle) -> int:
         values = [rational(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise InputError(f"bad value set {args.values!r}: {exc}") from None
-    solutions = [bundle_doc(make_bundle("tensor2", dim=len(r), entries=r))
-                 for r in search_symmetric_ybe(alg, values, max_candidates=args.max_candidates)]
+    hits = _search_hits(alg, values, args.max_candidates)
+    solutions = [bundle_doc(make_bundle("tensor2", dim=alg.dim, entries=Exact(r, hits.den))) for r in hits.num]
     _emit(out, dumps({"kind": "search_results", "dim": alg.dim, "count": len(solutions), "solutions": solutions}))
     return 0
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import InputError, contract, fraction_texts
-from .labels import SPECS, render_identity
+from .labels import IDENTITIES, SPECS, render_identity
 
 
 def default_labels(n: int, prefix: str = "e") -> tuple[str, ...]:
@@ -147,7 +147,7 @@ def _build(tree: Tree, path: tuple, residuals: dict, rows=()) -> Report:
             num, den = residuals[path, code]
         else:
             continue
-        witness = SPECS[code][0]
+        witness = IDENTITIES[code][1]
         flat = num.reshape(num.shape[: len(witness)] + (-1,))
         if flat.any():
             blocks.append((code, flat, den, [tree.shift.get(letter, 0) for letter in witness]))

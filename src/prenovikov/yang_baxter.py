@@ -272,6 +272,11 @@ def search_symmetric_ybe(alg: PreNovikovAlgebra, value_set, max_candidates: int 
     ``_o_operator_ok``), a guard on the row staging, not the spec.  They are
     returned sorted lexicographically by upper-triangle coordinates.
     """
+    return list(_search_hits(alg, value_set, max_candidates).nested)
+
+
+def _search_hits(alg: PreNovikovAlgebra, value_set, max_candidates: int) -> Exact:
+    """The solutions of ``search_symmetric_ybe`` as one sorted ``Exact`` array."""
     values = scalar_set(value_set, "value_set")
     n = alg.dim
     positions = _upper_positions(n)
@@ -285,8 +290,7 @@ def search_symmetric_ybe(alg: PreNovikovAlgebra, value_set, max_candidates: int 
     hits = _search_rows({name: ints[name] for name in ("o", "(.)", "<")}, scaled.num)
     if not _o_operator_ok(ints, hits).all():
         raise InternalCheckError("staging (_search_rows): the fast search produced a non-solution")
-    hits = hits[np.lexsort([hits[:, i, j] for i, j in reversed(positions)])]
-    return list(Exact(hits, scaled.den).nested)
+    return Exact(hits[np.lexsort([hits[:, i, j] for i, j in reversed(positions)])], scaled.den)
 
 
 _DUAL_QUADRUPLE = {"l>": "L>*+L<*+R>*+R<*", "r>": "R>*", "l<": "-R>*-L<*", "r<": "-R>*-R<*"}
@@ -327,23 +331,31 @@ def _search_rows(ints: dict, scaled: np.ndarray) -> np.ndarray:
     In the row form ``labels.YBE_ROWS``, residual entry (a, b, c) reads only
     rows a, b and c of a symmetric r.  The upper triangle is filled row by
     row: placing row k multiplies the batch by ``len(scaled)`` per entry of
-    the row, after which every entry with max(a, b, c) <= k is final, so
+    the row, after which the entries with max(a, b, c) = k are final too, so
     candidates with a nonzero one are dropped.  The batch holds each
     candidate's placed rows, whose row k mirrors column k of the rows above;
     after the last row they are the whole r.
 
-    Each row's candidates are built and tested chunk by chunk by
-    ``core.zero_members`` on the (k+1)**3 witness cube of row k, from their
-    rows and the tables cut to witnesses 0..k, within ``core.BATCH_BYTES``; a
-    row keeping more than ``SURVIVOR_BYTES`` of candidates is refused with
-    ``InputError`` as soon as its survivors pass it.
+    Row k tests its (k+1)**3 witness cube or, when ``<`` is commutative, the
+    boxes {c = k; a, b <= k} and {b = k; a, c < k} (``_box``), (k+1)**2 + k**2
+    entries: the shell's rest {a = k; b, c < k} mirrors the first box, since
+    x o y - x (.) y = x<y - y<x gives, for symmetric r, R[a,b,c] - R[c,b,a] =
+    sum_mn (r_bm r_cn D^a_mn - r_bm r_an D^c_mn - r_am r_cn D^b_mn), D^x_mn
+    the e_x-coefficient of e_m<e_n - e_n<e_m.  The pre-Novikov axioms do not
+    give the mirror (e1<e3 = -e2 alone at dim 3).  Each row's candidates are
+    built and tested chunk by chunk by ``core.zero_members``, within
+    ``core.BATCH_BYTES``; a row keeping more than ``SURVIVOR_BYTES`` of
+    candidates is refused with ``InputError`` as soon as its survivors pass it.
     """
-    n = ints["<"].shape[0]
-    base = len(scaled)
-    spec = {labels.YBE: labels.YBE_ROWS}
+    n, base = ints["<"].shape[0], len(scaled)
+    mirror = np.array_equal(ints["<"], ints["<"].transpose(1, 0, 2))
     batch = np.zeros((1, 0, n), dtype=scaled.dtype)
     for k in range(n):
         fan = base ** (n - k)
+        cuts = {"": slice(k + 1), "[k]": slice(k, k + 1), "[:k]": slice(k)}
+        boxes = [("", "", "[k]"), ("[:k]", "[k]", "[:k]")][: 1 + (k > 0)] if mirror else [("", "", "")]
+        specs = {(labels.YBE, box): _box(box) for box in boxes}
+        read = {name for terms in specs.values() for _, _, names in terms for name in names}
 
         def candidates(lo: int, hi: int) -> dict:
             t = np.arange(lo, hi)
@@ -352,11 +364,11 @@ def _search_rows(ints: dict, scaled: np.ndarray) -> np.ndarray:
             R[:, k, :k] = R[:, :k, k]
             for j in range(k, n):
                 R[:, k, j] = scaled[t // base ** (n - 1 - j) % base]
-            return {"r": R}
+            return {"r" + cut: R[:, at] for cut, at in cuts.items() if "r" + cut in read}
 
         kept, nbytes = [], 0
-        cut = {name: table[..., : k + 1] for name, table in ints.items()}
-        for chunk, ok in zero_members(spec, len(batch) * fan, candidates, cut):
+        tables = {name + cut: t[..., at] for name, t in ints.items() for cut, at in cuts.items() if name + cut in read}
+        for chunk, ok in zero_members(specs, len(batch) * fan, candidates, tables):
             kept.append(chunk["r"][ok])
             nbytes += kept[-1].nbytes
             if nbytes > SURVIVOR_BYTES:
@@ -368,3 +380,11 @@ def _search_rows(ints: dict, scaled: np.ndarray) -> np.ndarray:
         if not len(batch):
             return np.zeros((0, n, n), dtype=batch.dtype)
     return batch
+
+
+def _box(box: tuple) -> list:
+    """``labels.YBE_ROWS`` on the witnesses a, b, c in the cuts ``box``: each
+    r renamed to the cut of its row's letter, each table to its last axis'."""
+    return [(coef, subs, tuple(name + dict(zip(subs[-3:], box))[g[0] if name == "r" else g[-1]]
+                               for g, name in zip(subs.split("->")[0].split(","), names)))
+            for coef, subs, names in labels.YBE_ROWS]

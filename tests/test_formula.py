@@ -413,12 +413,16 @@ print(imported, len(calls) - imported, code)
 
 def test_import_parses_nothing_and_check_parses_what_it_reads():
     """Importing the package and its CLI parses no text; a fresh ``check``
-    of the dim-4 bialgebra parses each text it reads once: its 16 codes
-    (2.8-2.11, 3.11-3.14, 3.16-3.23) and the 16 operands they read."""
+    parses each text it evaluates once: of the dim-4 bialgebra, its 16
+    codes (2.8-2.11, 3.11-3.14, 3.16-3.23) and the 16 operands they read; of
+    the dim-4 coalgebra, 3.11-3.14 and the operand al+be they read, and not
+    2.8-2.11, which its dual section reads off 3.11-3.14 (their witness
+    letters come from ``labels.IDENTITIES``)."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, "-c", _COUNT_PARSES, str(ROOT / "fixtures" / "dim4_bialgebra.json")],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert done.stdout.split() == ["0", "32", "0"], done.stderr
+    for fixture, parsed in (("dim4_bialgebra.json", "32"), ("dim4_coalgebra.json", "5")):
+        done = subprocess.run([sys.executable, "-c", _COUNT_PARSES, str(ROOT / "fixtures" / fixture)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.stdout.split() == ["0", parsed, "0"], done.stderr
 
 
 # the tables a caller passes in, by name

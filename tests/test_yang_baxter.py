@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -378,7 +380,8 @@ def test_search_with_fractional_values(alg2):
 
 def test_search_chunks_bounded_in_bytes(monkeypatch, alg2):
     """Chunks of one candidate each, in the row search and in the
-    re-verification, give the same solutions as the default byte budget."""
+    re-verification, give the same solutions as the default byte budget.
+    (A row chunk's batched operands are the cuts of r its boxes read.)"""
     alg3 = _block_diagonal_dim3(alg2)
     sols = search_symmetric_ybe(alg3, [-1, 0, 1])
     lengths = {"r": [], "T": []}
@@ -386,7 +389,7 @@ def test_search_chunks_bounded_in_bytes(monkeypatch, alg2):
 
     def recorded(specs, size, members, fixed=None):
         for arrays, ok in sweep(specs, size, members, fixed):
-            (name,) = arrays
+            (name,) = {key[0] for key in arrays}
             lengths[name].append(len(ok))
             yield arrays, ok
 
@@ -398,12 +401,33 @@ def test_search_chunks_bounded_in_bytes(monkeypatch, alg2):
     assert lengths["T"] == [1] * len(sols)
 
 
+def _record_rows(monkeypatch) -> list:
+    """Each search row from here on, as its 4.13 specs and the operands of
+    its first candidate with the cut tables, recorded by wrapping the row
+    search's ``zero_members`` (the re-verification's is ``core``'s)."""
+    rows, sweep = [], yang_baxter.zero_members
+
+    def recorded(specs, size, members, fixed=None):
+        rows.append((specs, {**fixed, **members(0, 1)}))
+        yield from sweep(specs, size, members, fixed)
+
+    monkeypatch.setattr(yang_baxter, "zero_members", recorded)
+    return rows
+
+
+def _entries(rows) -> list:
+    """The residual entries each recorded row tests per candidate."""
+    return [sum(res.size for res in core.sum_batched(specs, arrays, {n for n in arrays if n[0] == "r"}).values())
+            for specs, arrays in rows]
+
+
 def test_search_first_chunks_fit_the_program_peak(monkeypatch):
     """On the dim-4 zero algebra with -1, 0, 1 every candidate survives, and
     each row's first chunk is sized from the peak per member of its 4.13
     program: no chunk is rebuilt shorter, and the chunks past a row's first
-    keep its length.  Rows 0-2 evaluate their witness cube only, so their
-    peak is below the 4**3 of row 3, which evaluates every entry."""
+    keep its length.  Row k evaluates only the two boxes of its shell, and
+    its largest array, a pairwise step over one new witness, holds 4(k+1)
+    entries per member: no row reaches the 4**3 of the whole residual."""
     runs = []
     run = core._Program.run
 
@@ -427,14 +451,14 @@ def test_search_first_chunks_fit_the_program_peak(monkeypatch):
         while size:
             assert next(chunks)[:2] == [peak, min(size, length)]
             size -= min(size, length)
-    assert max(peaks[:3]) < peaks[3] == 4**3
+    assert peaks == [4 * (k + 1) for k in range(4)] and max(peaks) < 4**3
 
 
 def test_search_rows_follow_pairwise_paths_within_the_whole_peak(monkeypatch, alg4):
     """In a dim-4 search every batched three-operand 4.13 einsum of the row
-    form ``labels.YBE_ROWS`` is given its pairwise path, on each row's placed
-    rows and cut tables.  The program of each row peaks no higher than the
-    4.13 program on whole operands."""
+    form ``labels.YBE_ROWS`` is given its pairwise path, on the cuts of each
+    row's placed rows and tables that its boxes read.  The program of each
+    row peaks no higher than the 4.13 program on whole operands."""
     calls, einsum = [], np.einsum
 
     def recorded(subs, *operands, **options):
@@ -444,6 +468,7 @@ def test_search_rows_follow_pairwise_paths_within_the_whole_peak(monkeypatch, al
     terms = labels.YBE_ROWS
     batched = {",".join("N" + g if name == "r" else g for g, name in zip(subs.split("->")[0].split(","), ns))
                + "->N" + subs.split("->")[1] for _, subs, ns in terms}
+    rows = _record_rows(monkeypatch)
     monkeypatch.setattr(np, "einsum", recorded)
     assert search_symmetric_ybe(alg4, [-1, 0, 1])
     paths = [path for subs, path in calls if subs in batched]
@@ -453,9 +478,10 @@ def test_search_rows_follow_pairwise_paths_within_the_whole_peak(monkeypatch, al
     tables = {name: ints[name] for name in ("o", "(.)", "<")}
     r = np.zeros((5, 4, 4), dtype=np.int64)
     whole = core._compile({labels.YBE: labels.SPECS[labels.YBE][1]}, {**tables, "r": r}, {"r"}).peak
-    for k in range(4):
-        rows = {**{name: t[..., : k + 1] for name, t in tables.items()}, "r": r[:, : k + 1]}
-        assert core._compile({labels.YBE: terms}, rows, {"r"}).peak <= whole
+    assert len(rows) == 4
+    for specs, arrays in rows:
+        assert all(map(_row_form, specs.values()))
+        assert core._compile(specs, arrays, {name for name in arrays if name[0] == "r"}).peak <= whole
 
 
 def test_batched_ybe_takes_its_path_past_path_loop(monkeypatch, alg2):
@@ -527,7 +553,94 @@ def test_search_object_values_keep_every_solution(monkeypatch, kernel_sums):
         with monkeypatch.context() as budget:
             budget.setattr(core, "BATCH_BYTES", 1)
             assert search_symmetric_ybe(zero, values) == want
-    assert np.dtype(object) in {dtype for terms, _, dtype in kernel_sums if terms == tuple(labels.YBE_ROWS)}
+    assert np.dtype(object) in {dtype for terms, _, dtype in kernel_sums if _row_form(terms)}
+
+
+def _row_form(terms) -> bool:
+    """Whether ``terms`` are ``labels.YBE_ROWS`` with their operands renamed
+    to the cuts a search row reads (``yang_baxter._box``)."""
+    return [(coef, subs) for coef, subs, _ in terms] == [(coef, subs) for coef, subs, _ in labels.YBE_ROWS]
+
+
+def _counterexample(n: int) -> PreNovikovAlgebra:
+    """At dim n >= 3: e1<e3 = -e2 and no other product, so > = 0."""
+    lhd = np.zeros((n, n, n), dtype=np.int64)
+    lhd[0, 2, 1] = -1
+    return PreNovikovAlgebra(StructureConstants(n, Exact(lhd)), StructureConstants.zero(n))
+
+
+def test_a_pre_novikov_algebra_whose_4_13_residual_is_not_mirrored():
+    """The mirror R[a,b,c] = R[c,b,a] that lets a search row skip entries
+    needs a commutative <, not the pre-Novikov axioms: ``_counterexample(3)``
+    passes them, yet r = e1(x)e3 + e3(x)e1 has R[1,2,0] = -1 and R[0,2,1] =
+    0.  So the two boxes are gated on < alone."""
+    alg = _counterexample(3)
+    assert check_pre_novikov(alg.lhd, alg.rhd).passed
+    r = np.zeros((3, 3), dtype=np.int64)
+    r[0, 2] = r[2, 0] = 1
+    res = yang_baxter._ybe(alg, Exact(r))
+    assert (res.num[1, 2, 0], res.num[0, 2, 1], res.den) == (-1, 0, 1)
+
+
+def test_the_4_13_mirror_defect_is_the_commutator_of_lt():
+    """Why a commutative < mirrors the residual: since x o y - x (.) y = x<y
+    - y<x, for symmetric r R[a,b,c] - R[c,b,a] = sum_mn (r_bm r_cn D^a_mn -
+    r_bm r_an D^c_mn - r_am r_cn D^b_mn), D^x_mn the e_x-coefficient of
+    e_m<e_n - e_n<e_m.  Exactly, on random integer tables that are not
+    pre-Novikov at dims 2-4 with random symmetric r; and the same tables
+    with < made commutative give R[a,b,c] = R[c,b,a]."""
+    rng = np.random.default_rng(4130)
+    for n in (2, 3, 4):
+        for _ in range(8):
+            lt, gt = rng.integers(-2, 3, size=(2, n, n, n))
+            m = rng.integers(-2, 3, size=(n, n))
+            r = Exact(m + m.T)
+            alg = PreNovikovAlgebra(*(StructureConstants(n, Exact(t)) for t in (lt, gt)))
+            assert not check_pre_novikov(alg.lhd, alg.rhd).passed
+            res, d = yang_baxter._ybe(alg, r), lt - lt.transpose(1, 0, 2)
+            defect = (np.einsum("bm,cn,mna->abc", r.num, r.num, d) - np.einsum("bm,an,mnc->abc", r.num, r.num, d)
+                      - np.einsum("am,cn,mnb->abc", r.num, r.num, d))
+            assert res.den == 1 and (res.num - res.num.transpose(2, 1, 0) == defect).all()
+            mirrored = PreNovikovAlgebra(StructureConstants(n, Exact(lt + lt.transpose(1, 0, 2))), alg.rhd)
+            res = yang_baxter._ybe(mirrored, r)
+            assert (res.num == res.num.transpose(2, 1, 0)).all()
+
+
+def test_search_rows_test_two_boxes_only_when_lt_is_commutative(monkeypatch, alg4):
+    """Row k tests the residual entries it makes final.  On the shipped
+    dim-4 fixture, whose < is commutative, those are the boxes {c = k; a, b
+    <= k} and {b = k; a, c < k}: 1, 5, 13 and 25 entries per candidate.  On
+    ``_counterexample(4)``, whose < is not, each row tests its whole cube:
+    1, 8, 27 and 64."""
+    rows = _record_rows(monkeypatch)
+    search_symmetric_ybe(alg4, [-1, 0, 1])
+    assert _entries(rows) == [1, 5, 13, 25]
+    rows.clear()
+    search_symmetric_ybe(_counterexample(4), [-1, 0, 1])
+    assert _entries(rows) == [1, 8, 27, 64]
+
+
+def test_both_search_paths_match_the_oracles(monkeypatch):
+    """The two-box path on two dense conjugates of the benchmark's search
+    pool (the shipped fixture is ``test_search_matches_int64_oracle_dim4``'s),
+    and the cube path on the 96 enumerated dim-2 algebras (of 257) whose <
+    is not commutative and on ``_counterexample(3)``, each give the
+    solutions of the brute-force references."""
+    monkeypatch.syspath_prepend(str(FIXTURES.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    rows = _record_rows(monkeypatch)
+    for k in (0, 1):
+        alg = bundle_to_objects(parse_bundle(json.dumps(workloads.search_case_bundle(k))))
+        rows.clear()
+        assert search_symmetric_ybe(alg, [-1, 0, 1]) == search_int64(alg, [-1, 0, 1])
+        assert _entries(rows) == [1, 5, 13, 25]
+    cube = [alg for alg in enumerate_dim2_pre_novikov()
+            if not np.array_equal(lt := alg.lhd.table.num, lt.transpose(1, 0, 2))]
+    assert len(cube) == 96
+    for alg in [*cube, _counterexample(3)]:
+        rows.clear()
+        assert search_symmetric_ybe(alg, [-1, 0, 1]) == sorted(search_exact(alg, [-1, 0, 1]))
+        assert _entries(rows) == [(k + 1) ** 3 for k in range(alg.dim)]
 
 
 def _block_diagonal_dim3(alg2) -> PreNovikovAlgebra:
