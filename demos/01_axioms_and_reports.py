@@ -8,9 +8,9 @@ from prenovikov import (
     associated_novikov,
     check_novikov,
     check_pre_novikov,
-    derived_ops,
+    labels,
 )
-from prenovikov.core import StructureConstants
+from prenovikov.core import StructureConstants, evaluate
 from prenovikov.io import render_report
 
 # A two-dimensional pair of products given by structure constants:
@@ -26,10 +26,12 @@ alg = PreNovikovAlgebra(lhd, StructureConstants.zero(2))
 print(render_report(check_pre_novikov(alg.lhd, alg.rhd)))
 
 # The sum product o = < + > is then a Novikov product, and the derived
-# products a(.)b = a>b + b<a and a(*)b = a o b + b o a come along for free.
+# products a(.)b = a>b + b<a and a(*)b = a o b + b o a come along for free:
+# each is an operand the kernel derives from the two tables by its formula.
 nov = associated_novikov(alg)
 print(render_report(check_novikov(nov.op)))
-odot, star = derived_ops(alg)
+derived = evaluate({name: labels.OPERANDS[name] for name in ("(.)", "(*)")}, alg.tables)
+odot, star = (StructureConstants(2, derived[name]) for name in ("(.)", "(*)"))
 print("e1 (.) e1 =", odot.c[0][0])
 print("(*) table is symmetric:", all(
     star.c[i][j] == star.c[j][i] for i in range(2) for j in range(2)))

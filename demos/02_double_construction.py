@@ -12,9 +12,9 @@ from prenovikov import (
     check_quasi_frobenius,
     double_from_bialgebra,
     pre_novikov_from_qf,
-    sum_table,
 )
-from prenovikov.core import StructureConstants
+from prenovikov import labels as operands
+from prenovikov.core import StructureConstants, evaluate
 from prenovikov.io import render_report
 
 F = Fraction
@@ -58,6 +58,7 @@ print(render_report(check_quasi_frobenius(double.algebra.op, double.form, basis=
 # product into two compatible halves; on the double, the split restricts
 # block-exactly to the input products.
 split = pre_novikov_from_qf(double.algebra.op, double.form)
-print("split sums back to the double:", sum_table(split.lhd, split.rhd) == double.algebra.op)
+print("split sums back to the double:",
+      evaluate({"o": operands.OPERANDS["o"]}, split.tables)["o"] == double.algebra.op.table)
 print("first block of < equals the input <:",
       all(split.lhd.c[i][j][:2] == alg.lhd.c[i][j] for i in range(2) for j in range(2)))

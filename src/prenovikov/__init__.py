@@ -9,15 +9,12 @@ from .algebras import (
     FormMatrix,
     NovikovAlgebra,
     PreNovikovAlgebra,
-    associated_novikov,
     check_novikov,
     check_pre_novikov,
     check_quasi_frobenius,
-    derived_ops,
     enumerate_dim2_pre_novikov,
     form_iso,
     pre_novikov_from_qf,
-    sum_table,
 )
 from .bialgebra import (
     PreNovikovBialgebra,
@@ -51,6 +48,7 @@ from .representations import (
     NovikovRep,
     PreNovikovRep,
     adjoint_reps,
+    associated_novikov,
     check_novikov_rep,
     check_pre_novikov_rep,
     dual_novikov_rep,

@@ -34,7 +34,7 @@ from .core import (
     zero_mask,
     zero_members,
 )
-from .report import Report, Tree, default_labels, verify
+from .report import Report, Tree, default_labels, verify, whole
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,11 @@ class NovikovAlgebra:
     @property
     def dim(self) -> int:
         return self.op.dim
+
+    @property
+    def tables(self) -> dict:
+        """The product as the kernel operand o."""
+        return {"o": self.op.table}
 
 
 @dataclass(frozen=True)
@@ -80,11 +85,6 @@ class FormMatrix:
         return Fraction(int(value.num), value.den)
 
 
-def sum_table(lhd: StructureConstants, rhd: StructureConstants) -> StructureConstants:
-    """The table of a o b = a<b + a>b, with no validity requirement."""
-    return StructureConstants(lhd.dim, evaluate({"o": labels.OPERANDS["o"]}, {"<": lhd.table, ">": rhd.table})["o"])
-
-
 def check_novikov(op: StructureConstants, basis=None) -> Report:
     """Evaluate both Novikov identities on every basis triple."""
     return verify(Tree("novikov", labels.NOVIKOV, basis or default_labels(op.dim)), {"o": op.table})
@@ -96,36 +96,25 @@ def check_pre_novikov(lhd: StructureConstants, rhd: StructureConstants, basis=No
                   {"<": lhd.table, ">": rhd.table})
 
 
-def associated_novikov(alg: PreNovikovAlgebra) -> NovikovAlgebra:
-    """The Novikov algebra with product a o b = a<b + a>b; refuses invalid input."""
-    report = check_pre_novikov(alg.lhd, alg.rhd)
-    if not report.passed:
-        raise RefusalError("input is not a pre-Novikov algebra", report)
-    out = NovikovAlgebra(sum_table(alg.lhd, alg.rhd))
-    if not check_novikov(out.op).passed:
-        raise InternalCheckError("theorem (sum_table): a pre-Novikov pair's sum is not Novikov")
-    return out
-
-
-def derived_ops(alg: PreNovikovAlgebra) -> tuple[StructureConstants, StructureConstants]:
-    """The derived products a(.)b = a>b + b<a and a(*)b = a o b + b o a, as
-    ``labels.OPERANDS`` defines them."""
-    ops = evaluate({name: labels.OPERANDS[name] for name in ("(.)", "(*)")}, alg.tables)
-    return StructureConstants(alg.dim, ops["(.)"]), StructureConstants(alg.dim, ops["(*)"])
-
-
 def check_quasi_frobenius(op: StructureConstants, w: FormMatrix, basis=None) -> Report:
     """Skewsymmetry, exact nondegeneracy, and the 2-cocycle-type identity."""
-    skew = evaluate({"": [(1, "ij->ij", ("w",)), (1, "ji->ij", ("w",))]}, w.tables)[""]
-    lab = basis or default_labels(w.dim)  # (the skew rows index w; verify refuses any other op size)
-    rows = [(labels.QF_NONDEGENERATE, (), (), ("determinant is zero",))] if exact_det(w.tables["w"]) == 0 else []
-    at = np.nonzero(np.triu(skew.num))
-    values = skew.num[at].tolist()
-    text = fraction_texts(values, skew.den)
-    rows += [(labels.QF_SKEW, (i, j), (lab[i], lab[j]), (text[v],))
-             for i, j, v in zip(*(a.tolist() for a in at), values)]
-    tree = Tree("quasi_frobenius", (labels.QF_SKEW, labels.QF_NONDEGENERATE, labels.QF_COCYCLE), lab)
-    return verify(tree, {"o": op.table, **w.tables}, rows)
+    return verify(_qf_tree(basis or default_labels(w.dim), exact_det(w.tables["w"])), {"o": op.table, **w.tables})
+
+
+def _qf_tree(lab, det) -> Tree:
+    """The quasi-Frobenius report of a form of determinant ``det``: 2.14, the
+    nondegenerate row, and a skew row per i <= j off its value w + w^T."""
+    def rows(values: dict) -> list:
+        skew = values["skew"]  # (it indexes w; the kernel refuses any other op size)
+        at = np.nonzero(np.triu(skew.num))
+        entries = skew.num[at].tolist()
+        text = fraction_texts(entries, skew.den)
+        return [(labels.QF_NONDEGENERATE, (), (), ("determinant is zero",))] * (det == 0) + [
+            (labels.QF_SKEW, (i, j), (lab[i], lab[j]), (text[v],))
+            for i, j, v in zip(*(a.tolist() for a in at), entries)]
+
+    return Tree("quasi_frobenius", (labels.QF_SKEW, labels.QF_NONDEGENERATE, labels.QF_COCYCLE), lab,
+                values={"skew": [(1, "ij->ij", ("w",)), (1, "ji->ij", ("w",))]}, rows=rows)
 
 
 def form_iso(w: FormMatrix) -> Matrix:
@@ -134,15 +123,25 @@ def form_iso(w: FormMatrix) -> Matrix:
     In coordinates (T f)^T W a = f^T a for all a, so T = (W^T)^{-1}, found by
     one ``eliminate``.
     """
-    return _form_iso(w).nested
-
-
-def _form_iso(w: FormMatrix) -> Exact:
-    """``form_iso`` as an ``Exact`` array."""
     inverse = eliminate(w.tables["w"].T)[1]
     if inverse is None:
         raise InputError("form is degenerate")
-    return inverse
+    return inverse.nested
+
+
+# The products solving w(a>b, c) = w(a (*) c, b) and w(a<b, c) = w(a, c o b): w(z, e_k) = d_k is solved by z = T d
+_SPLIT = {">": [(1, "tk,ikm,mj->ijt", ("T", "(*)", "w"))], "<": [(1, "tk,im,kjm->ijt", ("T", "w", "o"))]}
+
+
+def _qf_stage(op: StructureConstants, w: FormMatrix, lab) -> Report:
+    """The Novikov and quasi-Frobenius checks of (op, w) with the split
+    products as values, from one kernel call; T = (W^T)^{-1} is zero for a
+    degenerate w, which fails the check."""
+    det, inverse = eliminate(w.tables["w"].T)
+    T = inverse if inverse is not None else Exact(np.zeros((w.dim, w.dim), dtype=np.int64))
+    sections = (Tree("novikov", labels.NOVIKOV, lab), _qf_tree(lab, det))
+    return verify(Tree("quasi_frobenius_novikov", (), lab, sections=sections, values=_SPLIT),
+                  {"o": op.table, **w.tables, "T": T})
 
 
 def pre_novikov_from_qf(op: StructureConstants, w: FormMatrix) -> PreNovikovAlgebra:
@@ -153,23 +152,20 @@ def pre_novikov_from_qf(op: StructureConstants, w: FormMatrix) -> PreNovikovAlge
     The dual-transport construction a>b = T((Lo* + Ro*)(a) T^{-1} b),
     a<b = T((-Ro*)(b) T^{-1} a) gives the same sums for skew w, as a test checks.
     """
-    report = check_quasi_frobenius(op, w)
-    if not report.passed:
-        raise RefusalError("form is not quasi-Frobenius for this product", report)
-    return _split_qf(op, w)
+    stage = _qf_stage(op, w, default_labels(w.dim))
+    if not stage.sections[1].passed:
+        raise RefusalError("form is not quasi-Frobenius for this product", stage.sections[1])
+    return _split_qf(op, stage)
 
 
-def _split_qf(op: StructureConstants, w: FormMatrix) -> PreNovikovAlgebra:
-    """``pre_novikov_from_qf`` on a pair whose quasi-Frobenius check passed."""
-    # w(z, e_k) = d_k is solved by z = T d
-    prods = evaluate({
-        ">": [(1, "tk,ikm,mj->ijt", ("T", "(*)", "w"))],
-        "<": [(1, "tk,im,kjm->ijt", ("T", "w", "o"))],
-    }, {"o": op.table, **w.tables, "T": _form_iso(w)})
-    lhd, rhd = (StructureConstants(op.dim, prods[name]) for name in "<>")
-    if sum_table(lhd, rhd).table != op.table:
+def _split_qf(op: StructureConstants, stage: Report) -> PreNovikovAlgebra:
+    """The split products of a passing ``_qf_stage``, checked in one call."""
+    lhd, rhd = (StructureConstants(op.dim, stage.values[name]) for name in "<>")
+    check = verify(Tree("pre_novikov", labels.PRE_NOVIKOV, stage.labels, values=whole("o")),
+                   {"<": lhd.table, ">": rhd.table})
+    if check.values["o"] != op.table:
         raise InternalCheckError("theorem (_split_qf): the recovered products do not sum to o")
-    if not check_pre_novikov(lhd, rhd).passed:
+    if not check.passed:
         raise InternalCheckError("theorem (_split_qf): the recovered products are not pre-Novikov")
     return PreNovikovAlgebra(lhd, rhd)
 

@@ -14,7 +14,6 @@ residuals by the signed axis permutations of ``labels.DUAL_PRE_NOVIKOV``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 from . import labels
@@ -38,12 +37,6 @@ class PreNovikovCoalgebra:
         for name, key in (("alpha", "al"), ("beta", "be")):
             fit_letters(name, "nnn", self.tables[key].shape, {"n": self.dim})
 
-    @cached_property
-    def dual(self) -> tuple[StructureConstants, StructureConstants]:
-        """The dual-space products, computed once per coalgebra by
-        ``coalgebra_to_dual_algebra``."""
-        return coalgebra_to_dual_algebra(self)
-
 
 @dataclass(frozen=True)
 class PreNovikovBialgebra:
@@ -58,9 +51,9 @@ class PreNovikovBialgebra:
 
 def coalgebra_to_dual_algebra(co: PreNovikovCoalgebra) -> tuple[StructureConstants, StructureConstants]:
     """The dual-space products: < from alpha, > from beta, each one index
-    permutation (``ipq->pqi``) through the kernel."""
-    ops = evaluate({"<": [(1, "ipq->pqi", ("al",))], ">": [(1, "ipq->pqi", ("be",))]}, co.tables)
-    return StructureConstants(co.dim, ops["<"]), StructureConstants(co.dim, ops[">"])
+    permutation (the operands ``<*`` and ``>*``) through the kernel."""
+    ops = evaluate({name: labels.OPERANDS[name] for name in ("<*", ">*")}, co.tables)
+    return StructureConstants(co.dim, ops["<*"]), StructureConstants(co.dim, ops[">*"])
 
 
 def _coalgebra_tree(lab) -> Tree:
@@ -91,7 +84,12 @@ def check_compatibility(alg: PreNovikovAlgebra, co: PreNovikovCoalgebra, basis=N
 def check_bialgebra(alg: PreNovikovAlgebra, co: PreNovikovCoalgebra, basis=None) -> Report:
     """Algebra axioms + coalgebra axioms + the eight compatibility identities,
     from one kernel call."""
-    lab = basis or default_labels(alg.dim)
+    return verify(_bialgebra_tree(basis or default_labels(alg.dim)), {**alg.tables, **co.tables})
+
+
+def _bialgebra_tree(lab, **fields) -> Tree:
+    """The report of ``check_bialgebra`` on the basis ``lab``, with the
+    further ``Tree`` fields a stage gives it."""
     sections = (Tree("pre_novikov", labels.PRE_NOVIKOV, lab), _coalgebra_tree(lab),
                 Tree("compatibility", labels.COMPATIBILITY, lab))
-    return verify(Tree("bialgebra", (), lab, sections=sections), {**alg.tables, **co.tables})
+    return Tree("bialgebra", (), lab, sections=sections, **fields)

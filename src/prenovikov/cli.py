@@ -12,13 +12,7 @@ import sys
 from pathlib import Path
 
 from . import labels
-from .algebras import (
-    associated_novikov,
-    check_novikov,
-    check_pre_novikov,
-    check_quasi_frobenius,
-    derived_ops,
-)
+from .algebras import check_novikov, check_pre_novikov, check_quasi_frobenius
 from .bialgebra import check_bialgebra, check_coalgebra
 from .core import Exact, InputError, RefusalError, fit_letters, fraction_texts, rational
 from .io import (
@@ -35,22 +29,19 @@ from .io import (
 )
 from .matched_double import double_from_bialgebra
 from .report import default_labels
-from .representations import (adjoint_reps, check_novikov_rep, check_pre_novikov_rep, dual_novikov_rep,
-                              dual_pre_novikov_rep)
+from .representations import NovikovRep, _derive, _dual_of, _dual_stage, check_novikov_rep, check_pre_novikov_rep
 from .yang_baxter import (
+    _coboundary,
+    _search_hits,
+    _ybe_stage,
     check_o_operator_novikov,
     check_o_operator_pre_novikov,
     coboundary_diagnostics,
-    coboundary_maps,
     lift_o_operator,
-    _operator_verdicts,
-    _search_hits,
-    _ybe,
 )
 
-# per flavor (``io.FLAVORS`` holds its format): the rep check, the dual rep and the operator check
+# per flavor (``io.FLAVORS`` holds its format): the rep check and the operator check
 _REP_CHECK = {"novikov": check_novikov_rep, "pre_novikov": check_pre_novikov_rep}
-_DUAL_REP = {"novikov": dual_novikov_rep, "pre_novikov": dual_pre_novikov_rep}
 _OPERATOR_CHECK = {"novikov": check_o_operator_novikov, "pre_novikov": check_o_operator_pre_novikov}
 
 
@@ -93,52 +84,40 @@ _VERIFIERS = {
 }
 
 
-def _verify(bundle: Bundle) -> tuple:
-    """The bundle's library objects and the report of its kind's verifier."""
-    obj = bundle_to_objects(Bundle("rep", bundle.data) if bundle.kind == "o_operator" else bundle)  # t stays unboxed
-    return obj, _VERIFIERS[bundle.kind](obj, bundle.data)
-
-
 def _cmd_check(args, out, bundle: Bundle) -> int:
-    _, report = _verify(bundle)
+    obj = bundle_to_objects(Bundle("rep", bundle.data) if bundle.kind == "o_operator" else bundle)  # t stays unboxed
+    report = _VERIFIERS[bundle.kind](obj, bundle.data)
     _emit(out, render_report(report, args.format))
     return 0 if report.passed else 1
 
 
 def _cmd_derive(args, out, bundle: Bundle) -> int:
-    obj, report = _verify(bundle)
+    obj, basis = bundle_to_objects(bundle), bundle.data.get("basis")
+    if bundle.kind == "rep":
+        report, dual = _dual_stage(*obj, basis, bundle.data.get("module_basis"))
+        parts = report.passed and {"dual_rep": _maps_doc(_dual_of(obj[1].certified(), dual))}
+    else:
+        report, parts = _derive(obj, basis)
+        nov = parts["associated"]
+        parts = {"associated": bundle_doc(make_bundle("novikov", basis, dim=nov.dim, product=nov.op.table)),
+                 **{name: value if isinstance(value, Exact) else _maps_doc(value)
+                    for name, value in parts.items() if name != "associated"}}
     if not report.passed:
         _emit(out, render_report(report, args.format))
         return 1
-    if bundle.kind == "rep":
-        flavor, rep = bundle.data["flavor"], obj[1]
-        parts = {"dual_rep": _maps_doc(flavor, _DUAL_REP[flavor](rep.certified()))}
-    else:
-        alg, basis = obj, bundle.data.get("basis")
-        nov = associated_novikov(alg)
-        odot, star = derived_ops(alg)
-        nov_rep, pre_rep = adjoint_reps(alg)
-        parts = {
-            "associated": bundle_doc(make_bundle("novikov", basis, dim=nov.dim, product=nov.op.table)),
-            "odot": odot.table,
-            "star": star.table,
-            "adjoint_novikov_rep": _maps_doc("novikov", nov_rep),
-            "adjoint_pre_novikov_rep": _maps_doc("pre_novikov", pre_rep),
-            "dual_novikov_rep": _maps_doc("novikov", dual_novikov_rep(nov_rep)),
-            "dual_pre_novikov_rep": _maps_doc("pre_novikov", dual_pre_novikov_rep(pre_rep)),
-        }
     _emit(out, dumps({"kind": "derived", "parts": parts}))
     return 0
 
 
-def _maps_doc(flavor: str, rep) -> dict:
+def _maps_doc(rep) -> dict:
     """The rep's map families by field name, as the ``Exact`` arrays it holds."""
+    flavor = "novikov" if isinstance(rep, NovikovRep) else "pre_novikov"
     return {name: rep.tables[vars(type(rep))[name].key] for name in FLAVORS[flavor]["maps"]}
 
 
 def _cmd_double(args, out, bundle: Bundle) -> int:
     try:
-        double = double_from_bialgebra(bundle_to_objects(bundle))
+        double = double_from_bialgebra(bundle_to_objects(bundle), basis=bundle.data.get("basis"))
     except RefusalError as exc:
         if exc.report is not None:
             _emit(out, render_report(exc.report, args.format))
@@ -153,12 +132,11 @@ def _cmd_double(args, out, bundle: Bundle) -> int:
 
 def _cmd_coboundary(args, out, alg_bundle: Bundle, r_bundle: Bundle) -> int:
     alg, r = _algebra_and_tensor(alg_bundle, r_bundle)
-    co = coboundary_maps(alg, r)
-    _emit(out, serialize_bundle(make_bundle("coalgebra", alg_bundle.data.get("basis"), dim=co.dim,
-                                            alpha=co.tables["al"], beta=co.tables["be"])))
+    bi = _coboundary(alg, r, basis=alg_bundle.data.get("basis"))
+    _emit(out, serialize_bundle(make_bundle("coalgebra", alg_bundle.data.get("basis"), dim=alg.dim,
+                                            alpha=bi.values["al"], beta=bi.values["be"])))
     symmetric = r.T == r
-    residual_zero = not _ybe(alg, r).num.any()
-    bi = check_bialgebra(alg, co, basis=alg_bundle.data.get("basis"))
+    residual_zero = not bi.values[labels.YBE].num.any()
     _emit(out, render_report(bi, args.format))
     _emit(out, f"symmetric: {'yes' if symmetric else 'no'}")
     _emit(out, f"residual zero: {'yes' if residual_zero else 'no'}")
@@ -167,10 +145,11 @@ def _cmd_coboundary(args, out, alg_bundle: Bundle, r_bundle: Bundle) -> int:
 
 def _cmd_ybe(args, out, *bundles: Bundle) -> int:
     alg, r = _algebra_and_tensor(*bundles)
-    residual = _ybe(alg, r)
+    stage = _ybe_stage(alg, r)
+    residual = stage.values[labels.YBE]
     zero = not residual.num.any()
-    # for a symmetric r, ``co2_equivalence`` with its verdict (a) read from this one 4.13 evaluation
-    verdicts = (zero, *_operator_verdicts(alg, r)) if r.T == r else None
+    # for a symmetric r, the verdicts of ``co2_equivalence``, from the same call
+    verdicts = (zero, *(section.passed for section in stage.sections)) if r.T == r else None
     if args.format == "machine":
         doc = {"kind": "ybe", "residual_zero": zero, "residual": residual}
         if verdicts:

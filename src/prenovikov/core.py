@@ -284,15 +284,36 @@ def _steps(inputs: tuple, out: str, sizes: dict) -> tuple[tuple, int]:
     return (((whole, subs, {"optimize": path}),) if "N" in out else tuple(steps)), peak
 
 
-def _canonical(inputs: tuple, out: str, names: tuple) -> tuple[tuple, dict]:
-    """The contraction a term of several operands computes: (operand names,
-    letter groups, sorted output letters) in its written operand order,
-    letters renamed by first use (``N`` kept), which terms differing only
-    in their letters or output axis order share; with its renaming."""
+def _canonical(inputs: tuple, out: str) -> tuple[tuple, dict]:
+    """The letters of the contraction a term of several operands computes,
+    which with its operand names keys it: (letter groups, sorted output
+    letters) in its written operand order, letters renamed by first use
+    (``N`` kept), which terms differing only in their letters or output axis
+    order share; with its renaming."""
     rename = {"N": "N"}
     for c in "".join(inputs):
         rename.setdefault(c, ascii_lowercase[len(rename) - 1])
-    return (names, tuple("".join(map(rename.get, g)) for g in inputs), "".join(sorted(map(rename.get, out)))), rename
+    return (tuple("".join(map(rename.get, g)) for g in inputs), "".join(sorted(map(rename.get, out)))), rename
+
+
+def _letters(subs: str, names: tuple, read: tuple, on: bool, what: str) -> tuple:
+    """A term's compiled letters, from its subscripts and operands' shapes and
+    batch flags: its contraction's letters (``_canonical``; None for a
+    one-operand permutation), output shape, index values summed over, read
+    axes (the permutation's transpose, or the contraction's letters), steps
+    and the most entries per member it forms."""
+    groups, out = subs.split("->")
+    groups, sizes = [("N" if batch else "") + g for g, (_, batch) in zip(groups.split(","), read)], {}
+    out = "N" + out if on else out
+    for letters, name, (shape, _) in zip(groups, names, read):
+        fit_letters(f"{what}, operand {name!r}", letters, shape, sizes)
+    if not sizes.keys() >= set(out):
+        raise InputError(f"{what}: no operand of {','.join(groups)}->{out} reads each output letter")
+    size, factor = tuple(sizes[c] for c in out), prod(k for c, k in sizes.items() if c not in out)
+    if len(groups) == 1 and len(set(groups[0])) == len(groups[0]) and sorted(groups[0]) == sorted(out):
+        return None, size, factor, tuple(groups[0].index(c) for c in out), None, prod(size)  # (the copy it sums into)
+    (canon, rename), (steps, peak) = _canonical(tuple(groups), out), _steps(groups, out, sizes)
+    return canon, size, factor, "".join(map(rename.get, out)), steps[0][1:] if len(steps) == 1 else (None, steps), peak
 
 
 def _bound(factors: tuple, maxabs: list) -> int:
@@ -322,8 +343,9 @@ class _Program:
     (``(name, shape)`` pairs, of degree 1), those in ``batch`` batched (on
     an axis ``N`` of size 1).
 
-    Each derived operand (``labels.OPERANDS``, batched when an input is)
-    comes before the first sum that reads it.  Per sum: its degree, its
+    Each derived operand (by its terms in ``derived``, else in
+    ``labels.OPERANDS``; batched when an input is) comes before the first
+    sum that reads it.  Per sum: its degree, its
     bound factors for ``_bound`` (|coef| times the index values a term sums
     over, the operand positions), its operand names and its terms.  Per
     term: the coefficient, the operand positions, and either the transpose
@@ -343,20 +365,21 @@ class _Program:
     operands' degrees), so that no term is scaled to another's denominator.
     """
 
-    def __init__(self, specs, inputs, batch):
+    def __init__(self, specs, inputs, batch, derived=()):
         self.specs, self.batch, inputs = specs, [name for name, _ in inputs if name in batch], dict(inputs)
+        defined = dict(derived)
         shape, degree, batched, order = dict(inputs), dict.fromkeys(inputs, 1), set(self.batch), []
         # the last sum reading each operand and slot, the terms reading each slot, and per contraction its slot
         # (a number, as operands are held by name) and its first reader's axes
-        last, uses, layout = {}, {}, {}
+        last, uses, layout, letters = {}, {}, {}, {}
 
         def add(key, terms, derived, what):  # what: how a refusal names the sum, by the spec that reads it
             names = tuple(dict.fromkeys(name for _, _, ns in terms for name in ns))
             for name in names:
                 if name not in shape:
-                    if name not in labels.OPERANDS:
+                    if name not in defined and name not in labels.OPERANDS:
                         raise InputError(f"{what}: operand {name!r} is neither an input nor derived")
-                    add(name, tuple(labels.OPERANDS[name]), True, f"{what}, operand {name!r}")
+                    add(name, tuple(defined.get(name) or labels.OPERANDS[name]), True, f"{what}, operand {name!r}")
             s, pos, on = len(order), {name: k for k, name in enumerate(names)}, not batched.isdisjoint(names)
             last.update(dict.fromkeys(names, s))
             own = {sum(degree[name] for name in ns) for _, _, ns in terms}
@@ -364,24 +387,15 @@ class _Program:
                 raise InputError(f"{what}: its terms have the degrees {sorted(own)}")
             (deg,), factors, compiled, most, ends = own, [], [], 0, set()
             for coef, subs, ns in terms:
-                groups, out = subs.split("->")
-                groups, at, sizes = groups.split(","), tuple(pos[name] for name in ns), {}
-                groups = ["N" + g if name in batched else g for g, name in zip(groups, ns)]
-                out = "N" + out if on else out
-                for letters, name in zip(groups, ns):
-                    fit_letters(f"{what}, operand {name!r}", letters, shape[name], sizes)
-                if not sizes.keys() >= set(out):
-                    raise InputError(f"{what}: no operand of {','.join(groups)}->{out} reads each output letter")
-                ends.add(tuple(sizes[c] for c in out))
-                factors.append((abs(coef) * prod(size for c, size in sizes.items() if c not in out), at))
-                slot = steps = None
-                if len(at) == 1 and len(set(groups[0])) == len(groups[0]) and sorted(groups[0]) == sorted(out):
-                    axes = tuple(groups[0].index(c) for c in out)
-                    peak = prod(sizes[c] for c in out)  # the copy it accumulates into
-                else:
-                    (c, rename), (steps, peak) = _canonical(tuple(groups), out, ns), _steps(groups, out, sizes)
-                    axes, steps = "".join(map(rename.get, out)), steps[0][1:] if len(steps) == 1 else (None, steps)
-                    slot, first = layout.setdefault(c, (len(layout), axes))
+                at, read = tuple(pos[name] for name in ns), tuple((shape[name], name in batched) for name in ns)
+                if (subs, read, on) not in letters:  # (terms of one subscript and operand shapes share them)
+                    letters[subs, read, on] = _letters(subs, ns, read, on, what)
+                canon, size, factor, axes, steps, peak = letters[subs, read, on]
+                ends.add(size)
+                factors.append((abs(coef) * factor, at))
+                slot = None
+                if canon:
+                    slot, first = layout.setdefault((ns, *canon), (len(layout), axes))
                     axes = None if first == axes else tuple(first.index(x) for x in axes)
                     last[slot], uses[slot] = s, uses.get(slot, 0) + 1
                 most = max(most, peak)
@@ -389,26 +403,27 @@ class _Program:
             if len(ends) > 1:
                 raise InputError(f"{what}: its terms give the shapes {sorted(ends)}")
             if derived:
-                shape[key], degree[key] = tuple(sizes[c] for c in out), deg
+                shape[key], degree[key] = size, deg
                 batched.update([key] if on else [])
-            order.append((key, deg, tuple(factors), names, derived, tuple(compiled), most,
-                          prod(sizes[c] for c in out) if on else 0))
+            order.append((key, deg, tuple(factors), names, derived, tuple(compiled), most, prod(size) if on else 0))
 
         for key, terms in specs:
             add(key, terms, False, f"spec {key!r}")
-        self.slots, self.sums, self.peak, live = len(layout), [], 0, {}
+        self.slots, self.sums, self.peak, live, frees = len(layout), [], 0, {}, {}
+        for k, at in last.items():
+            if k not in inputs:
+                frees.setdefault(at, []).append(k)
         for s, (key, deg, factors, names, derived, terms, most, member) in enumerate(order):
             for *_, slot, _ in terms:
                 if slot is not None and uses[slot] > 1:  # a slot alive past its term
                     live.setdefault(slot, member)
             self.peak = max(self.peak, member and most + sum(live.values()))
-            frees = tuple(k for k, at in last.items() if at == s and k not in inputs)
             live = {k: entries for k, entries in live.items() if last[k] > s}
             if derived:
                 live[key] = member
             _, at, _, slot, _ = terms[0]
             copied = len(at) == 1 or uses[slot] > 1
-            self.sums.append((key, deg, factors, names, derived, terms, copied, frees))
+            self.sums.append((key, deg, factors, names, derived, terms, copied, tuple(frees.get(s, ()))))
 
     def run(self, arrays: dict, maxabs: dict, budget: int = 0):
         """Yields ``(key, integers, degree)`` per spec, from the inputs'
@@ -469,13 +484,14 @@ class _Program:
 _program = functools.lru_cache(maxsize=PLAN_CACHE)(_Program)
 
 
-def _compile(specs: dict, arrays: dict, batch=()) -> _Program:
-    """``_program`` of ``specs`` on ``arrays`` (those in ``batch`` of one length, by member shape)."""
+def _compile(specs: dict, arrays: dict, batch=(), derived=None) -> _Program:
+    """``_program`` of ``specs`` on ``arrays`` (those in ``batch`` of one
+    length, by member shape), with the operands ``derived`` defines."""
     if batch and (len(lengths := {a.shape[:1] for name, a in arrays.items() if name in batch}) > 1 or () in lengths):
         raise InputError(f"batched operands of lengths {sorted(lengths)}: one batch length is needed")
     return _program(tuple([(key, tuple(terms)) for key, terms in specs.items()]),
                     tuple([(name, (1, *a.shape[1:]) if name in batch else a.shape) for name, a in arrays.items()]),
-                    frozenset(batch))
+                    frozenset(batch), tuple(derived.items()) if derived else ())
 
 
 def _einsums(operands: list, steps: tuple) -> np.ndarray:
@@ -507,19 +523,20 @@ def _lift(tables: dict) -> tuple[dict, dict, int]:
     return lifted, maxabs, den
 
 
-def contract(specs: dict, tables: dict) -> dict:
+def contract(specs: dict, tables: dict, derived=None) -> dict:
     """Exact values of signed sums of einsum terms over rational tables.
 
     ``specs`` maps each key to a term list of ``(integer coefficient, einsum
     subscripts, operand names)``; ``tables`` maps names to ``Exact`` arrays
     (or nested sequences of rationals, which ``exact`` flattens).  Names
-    missing from ``tables`` are derived through ``labels.OPERANDS``.  The
-    tables are brought to one common denominator (``_lift``) and the call
-    runs as its cached ``_Program``.  Returns key -> ``(numerators,
-    denominator)``: the value is ``numerators / denominator``, entry by entry.
+    missing from ``tables`` are derived by their term lists in ``derived``,
+    else in ``labels.OPERANDS``.  The tables are brought to one common
+    denominator (``_lift``) and the call runs as its cached ``_Program``.
+    Returns key -> ``(numerators, denominator)``: the value is ``numerators
+    / denominator``, entry by entry.
     """
     arrays, maxabs, den = _lift(tables)
-    return {key: (num, den**deg) for key, num, deg in _compile(specs, arrays).run(arrays, maxabs)}
+    return {key: (num, den**deg) for key, num, deg in _compile(specs, arrays, (), derived).run(arrays, maxabs)}
 
 
 def sum_batched(specs: dict, arrays: dict, batch=(), budget: int = 0) -> dict:

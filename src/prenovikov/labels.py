@@ -25,9 +25,11 @@ Operand layouts (entries are the coefficients of basis vectors):
 * a rank-2 tensor ``r[i][j]``, a form ``w[i][j]``, a linear map ``T[i][p]``.
 
 Operands not passed in by the caller are looked up in ``OPERANDS``: each
-product (``o``, ``(.)``, ``(*)``), operator (``L>+2R<``), dual map
-(``L>*+R<*``), co-operation (``tau.al+be``) and tensor (``s``, the
-R-tensors) is the text of its value (``VALUES``).  Identities and operands
+product (``o``, ``(.)``, ``(*)``, the dual products ``<*`` and ``>*``),
+operator (``L>+2R<``), dual map (``L>*+R<*``), co-operation
+(``tau.al+be``, the coboundary ``alpha`` and ``beta`` of r), product an
+operator carries (``<T``, ``>T``) and tensor (``s``, the R-tensors) is the
+text of its value (``VALUES``).  Identities and operands
 run from their texts through one parser, ``identity``, and ``SPECS`` and
 ``OPERANDS`` parse a text when it is first looked up, so importing parses
 nothing.
@@ -258,6 +260,11 @@ VALUES = {
     "2tau.al+be": ("2 tau(al(a)) + be(a)", "a"), "al+tau.be": ("al(a) + tau(be(a))", "a"),
     "tau.al+tau.be": ("tau(al(a)) + tau(be(a))", "a"),
     "al+be-tau.al-tau.be": ("al(a) + be(a) - tau(al(a)) - tau(be(a))", "a"),
+    # the products they induce on the dual space: <e_i* (x) e_j*, al(e_k)> is the e_k*-coefficient of e_i* <* e_j*
+    "<*": ("al(a)", "twa"), ">*": ("be(a)", "twa"),
+    # the coboundary co-operations of a tensor r, and the products an operator T carries to its module
+    "alpha": ("(Lo(a)(x)id + id(x)(L>+R<)(a))tau(r)", "a"), "beta": ("-(L>(a)(x)id + id(x)(Lo+Ro)(a))r", "a"),
+    ">T": ("l(T(u))v", "uv"), "<T": ("r(T(v))u", "uv"),
     "s": ("tau(r) - r", ""),
     # the seven R-tensors: signed placed products of r in three slots
     "R11": ("r21 o r31 - r21 o r32 - r31 (.) r32 + r21 > r23 + r31 (*) r23", ""),

@@ -15,9 +15,8 @@ from typing import Optional
 import numpy as np
 
 from . import labels
-from .algebras import (FormMatrix, NovikovAlgebra, PreNovikovAlgebra, _split_qf, check_novikov, check_quasi_frobenius,
-                       pre_novikov_from_qf)
-from .bialgebra import PreNovikovBialgebra, check_bialgebra
+from .algebras import FormMatrix, NovikovAlgebra, PreNovikovAlgebra, _qf_stage, _split_qf, check_novikov
+from .bialgebra import PreNovikovBialgebra, _bialgebra_tree
 from .core import (
     Exact,
     InputError,
@@ -28,8 +27,8 @@ from .core import (
     fit_blocks,
     held,
 )
-from .report import Report, Tree, default_labels, verify
-from .representations import RepMaps, dual_adjoint_maps
+from .report import Report, Tree, default_labels, verify, whole
+from .representations import RepMaps
 
 
 @dataclass(frozen=True)
@@ -60,11 +59,15 @@ class DoubleConstruction:
 
 def check_matched_pair(mp: MatchedPair, basis_a=None, basis_b=None) -> Report:
     """Both algebras Novikov, both actions representations, eight mixed
-    identities, from one kernel call.  The B-side sections read the specs of
-    A with ``o``, ``l`` and ``r`` renamed to ``.``, ``lB`` and ``rB``."""
-    n, m = mp.a_op.dim, mp.b_op.dim
-    lab_a = tuple(basis_a or default_labels(n))
-    lab_b = tuple(basis_b or default_labels(m, "f"))
+    identities, from one kernel call."""
+    return verify(_matched_pair_tree(mp.a_op.dim, mp.b_op.dim, basis_a, basis_b), _tables(mp))
+
+
+def _matched_pair_tree(n: int, m: int, lab_a=None, lab_b=None, **fields) -> Tree:
+    """The report of ``check_matched_pair``, with more fields for a stage.  The
+    B-side sections read the specs of A with ``o``, ``l`` and ``r`` renamed
+    to ``.``, ``lB`` and ``rB``."""
+    lab_a, lab_b = tuple(lab_a or default_labels(n)), tuple(lab_b or default_labels(m, "f"))
     sections = (
         Tree("novikov", labels.NOVIKOV, lab_a),
         Tree("novikov", labels.NOVIKOV, lab_b, rename={"o": "."}),
@@ -72,8 +75,7 @@ def check_matched_pair(mp: MatchedPair, basis_a=None, basis_b=None) -> Report:
         Tree("novikov_rep", labels.NOVIKOV_REP, lab_b + lab_a, shift={"v": m},
              rename={"o": ".", "l": "lB", "r": "rB"}),
     )
-    tree = Tree("matched_pair", labels.MATCHED_PAIR, lab_a + lab_b, shift={"x": n, "y": n}, sections=sections)
-    return verify(tree, _tables(mp))
+    return Tree("matched_pair", labels.MATCHED_PAIR, lab_a + lab_b, shift={"x": n, "y": n}, sections=sections, **fields)
 
 
 def _tables(mp: MatchedPair) -> dict:
@@ -113,18 +115,41 @@ def standard_form(n: int) -> FormMatrix:
     return FormMatrix(2 * n, Exact(w))
 
 
+# The induced matched pair as operands of a bialgebra's tables: A with o and the action (L>* + R<*, -R<*)
+# on A*, and A* with the sum of its products <* and >* (of alpha and beta) and their action of that form.
+_DUAL = {"<": "<*", ">": ">*"}
+_INDUCED = {"lA": "L>*+R<*", "rA": "-R<*", ".": ("o", _DUAL), "lB": ("L>*+R<*", _DUAL), "rB": ("-R<*", _DUAL)}
+_PAIR = ("o", ".", "lA", "rA", "lB", "rB")
+
+
+def _induced(bialg: PreNovikovBialgebra, basis=None) -> Report:
+    """The double's first kernel call: the bialgebra check on ``basis`` and
+    the induced pair's check on (e1..en, e1*..en*), with the pair's tables
+    as values, and <* and >* as the root's."""
+    n = bialg.algebra.dim
+    lab = default_labels(n) + tuple(f"{x}*" for x in default_labels(n))
+    sections = (_bialgebra_tree(basis or default_labels(n)),
+                _matched_pair_tree(n, n, lab[:n], lab[n:], rename=_INDUCED, values=whole(*_PAIR)))
+    return verify(Tree("induced", (), lab, sections=sections, values=whole("<*", ">*")),
+                  {**bialg.algebra.tables, **bialg.coalgebra.tables})
+
+
+def _pair(stage: Report) -> MatchedPair:
+    """The induced matched pair of an ``_induced`` stage, unverified."""
+    v = stage.sections[1].values
+    return MatchedPair(*(StructureConstants(len(v[k].num), v[k]) for k in "o."), *map(v.get, _PAIR[2:]))
+
+
 def induced_matched_pair(bialg: PreNovikovBialgebra) -> MatchedPair:
     """The candidate matched pair (A, A*, L>* + R<*, -R<*, L>_** + R<_**, -R<_**).
 
     Built unconditionally from the bialgebra data; run check_matched_pair to
     find out whether it actually is one.
     """
-    alg, (lhd_star, rhd_star) = bialg.algebra, bialg.coalgebra.dual
-    (a_op, l_a, r_a), (b_op, l_b, r_b) = dual_adjoint_maps(alg.lhd, alg.rhd), dual_adjoint_maps(lhd_star, rhd_star)
-    return MatchedPair(a_op, b_op, l_a, r_a, l_b, r_b)
+    return _pair(_induced(bialg))
 
 
-def _blocks_match(bialg: PreNovikovBialgebra, induced: PreNovikovAlgebra) -> bool:
+def _blocks_match(bialg: PreNovikovBialgebra, stage: Report, induced: PreNovikovAlgebra) -> bool:
     """Do both blocks of the induced pre-Novikov structure close and match?
 
     The product of two elements of A must be the input table's, with no A*
@@ -132,27 +157,25 @@ def _blocks_match(bialg: PreNovikovBialgebra, induced: PreNovikovAlgebra) -> boo
     part; the mixed products are not constrained.
     """
     n = bialg.algebra.dim
-    lhd_star, rhd_star = bialg.coalgebra.dual
     a, star = slice(0, n), slice(n, 2 * n)
 
     def same_blocks(got, table, table_star):
-        want = direct_sum_table(n, n, {"o": table.table, ".": table_star.table}).table
+        want = direct_sum_table(n, n, {"o": table.table, ".": table_star}).table
         return all(Exact(got.table.num[rows], got.table.den) == Exact(want.num[rows], want.den)
                    for rows in ((a, a), (star, star)))
 
-    return (same_blocks(induced.lhd, bialg.algebra.lhd, lhd_star)
-            and same_blocks(induced.rhd, bialg.algebra.rhd, rhd_star))
+    return (same_blocks(induced.lhd, bialg.algebra.lhd, stage.values["<*"])
+            and same_blocks(induced.rhd, bialg.algebra.rhd, stage.values[">*"]))
 
 
-def _has_double(bialg: PreNovikovBialgebra, mp: MatchedPair) -> bool:
-    dsum = direct_sum_product(mp)
-    if not check_novikov(dsum).passed:
-        return False
-    try:
-        induced = pre_novikov_from_qf(dsum, standard_form(bialg.algebra.dim))
-    except RefusalError:  # the form is not quasi-Frobenius for dsum
-        return False
-    return _blocks_match(bialg, induced)
+def _double(bialg: PreNovikovBialgebra, stage: Report) -> tuple:
+    """The double's other two kernel calls, on an ``_induced`` stage: the
+    direct sum, the standard form, their Novikov and quasi-Frobenius reports,
+    and whether the split's blocks match (None unless both reports pass)."""
+    dsum, w = direct_sum_product(_pair(stage)), standard_form(bialg.algebra.dim)
+    qf = _qf_stage(dsum, w, stage.labels)
+    match = _blocks_match(bialg, stage, _split_qf(dsum, qf)) if all(s.passed for s in qf.sections) else None
+    return dsum, w, qf.sections, match
 
 
 def has_double_construction(bialg: PreNovikovBialgebra) -> bool:
@@ -162,45 +185,31 @@ def has_double_construction(bialg: PreNovikovBialgebra) -> bool:
     quasi-Frobenius, and that both blocks of the induced pre-Novikov structure
     close onto the two input table pairs.
     """
-    return _has_double(bialg, induced_matched_pair(bialg))
+    return bool(_double(bialg, _induced(bialg))[3])
 
 
 def double_matched_bialgebra_verdicts(bialg: PreNovikovBialgebra) -> tuple[bool, bool, bool]:
     """The three equivalent verdicts (double, matched pair, bialgebra), computed
     by separate routes from one induced matched pair, so their agreement is a
     real test."""
-    mp = induced_matched_pair(bialg)
-    v_double = _has_double(bialg, mp)
-    v_matched = check_matched_pair(mp).passed
-    v_bialg = check_bialgebra(bialg.algebra, bialg.coalgebra).passed
-    return (v_double, v_matched, v_bialg)
+    stage = _induced(bialg)
+    bi_report, mp_report = stage.sections
+    return (bool(_double(bialg, stage)[3]), mp_report.passed, bi_report.passed)
 
 
-def double_from_bialgebra(bialg: PreNovikovBialgebra) -> DoubleConstruction:
-    """Build and fully re-verify the double construction of a bialgebra."""
-    alg = bialg.algebra
-    n = alg.dim
-    bi_report = check_bialgebra(alg, bialg.coalgebra)
+def double_from_bialgebra(bialg: PreNovikovBialgebra, basis=None) -> DoubleConstruction:
+    """Build and fully re-verify the double construction of a bialgebra, in
+    three kernel calls; a refusal's bialgebra report is on ``basis``."""
+    stage = _induced(bialg, basis)
+    bi_report, mp_report = stage.sections
     if not bi_report.passed:
         raise RefusalError("not a pre-Novikov bialgebra", bi_report)
-    mp = induced_matched_pair(bialg)
-    lab = default_labels(n) + tuple(f"{x}*" for x in default_labels(n))  # e1..en, e1*..en*
-    mp_report = check_matched_pair(mp, basis_a=lab[:n], basis_b=lab[n:])
     if not mp_report.passed:
         raise InternalCheckError("theorem (induced_matched_pair): a bialgebra's induced pair is not matched")
-    dsum = direct_sum_product(mp)
-    nov_report = check_novikov(dsum, basis=lab)
-    w = standard_form(n)
-    qf_report = check_quasi_frobenius(dsum, w, basis=lab)
-    if not (nov_report.passed and qf_report.passed):
+    dsum, w, reports, match = _double(bialg, stage)
+    if match is None:
         raise InternalCheckError("theorem (direct_sum_table): the double is not quasi-Frobenius Novikov")
-    if not _blocks_match(bialg, _split_qf(dsum, w)):
+    if not match:
         raise InternalCheckError("theorem (_split_qf): the double's blocks miss the input tables")
-    report = Report("double_construction", sections=(bi_report, mp_report, nov_report, qf_report))
-    return DoubleConstruction(
-        algebra=NovikovAlgebra(dsum),
-        form=w,
-        split_dim=n,
-        labels=lab,
-        report=report,
-    )
+    report = Report("double_construction", sections=(bi_report, mp_report, *reports))
+    return DoubleConstruction(NovikovAlgebra(dsum), w, bialg.algebra.dim, stage.labels, report)

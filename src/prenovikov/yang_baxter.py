@@ -15,13 +15,13 @@ from typing import Union
 import numpy as np
 
 from . import labels
-from .algebras import NovikovAlgebra, PreNovikovAlgebra, check_pre_novikov
-from .bialgebra import PreNovikovBialgebra, PreNovikovCoalgebra, check_bialgebra
+from .algebras import NovikovAlgebra, PreNovikovAlgebra
+from .bialgebra import PreNovikovBialgebra, PreNovikovCoalgebra, _bialgebra_tree
 from .core import (Exact, InputError, InternalCheckError, Matrix, RefusalError, StructureConstants, Tensor2, Tensor3,
                    contract, evaluate, exact, fit_letters, held, scalar_set, zero_mask, zero_members)
-from .report import Report, Tree, default_labels, verify
-from .representations import (_DUAL_ADJOINT_MAPS, NovikovRep, PreNovikovRep, dual_pre_novikov_rep,
-                              semidirect_pre_novikov, verify_pre_novikov_rep)
+from .report import Report, Tree, default_labels, verify, whole
+from .representations import (_DUAL_ADJOINT_MAPS, NovikovRep, PreNovikovRep, _dual_of, _dual_stage,
+                              semidirect_pre_novikov)
 
 
 def _matrix(t, rows: int, cols: int, what: str) -> Exact:
@@ -41,20 +41,26 @@ def ybe_residual(alg: PreNovikovAlgebra, r: Tensor2) -> Tensor3:
     return _ybe(alg, r).nested
 
 
-_COBOUNDARY = labels.OnRead({"alpha": ("(Lo(a)(x)id + id(x)(L>+R<)(a))tau(r)", "a"),
-                             "beta": ("-(L>(a)(x)id + id(x)(Lo+Ro)(a))r", "a")})
-
-
 def coboundary_maps(alg: PreNovikovAlgebra, r: Tensor2) -> PreNovikovCoalgebra:
-    """The candidate co-operations built from r by their formulas (``_COBOUNDARY``):
+    """The candidate co-operations built from r by their formulas (the
+    operands ``alpha`` and ``beta``):
 
     alpha(a) = (Lo(a)(x)id + id(x)(L>+R<)(a))tau(r)
     beta(a)  = -(L>(a)(x)id + id(x)(Lo+Ro)(a))r
 
     No validity claim is attached; run check_coalgebra / check_bialgebra.
     """
-    co = evaluate(_COBOUNDARY, {**alg.tables, "r": r})
+    co = evaluate({name: labels.OPERANDS[name] for name in ("alpha", "beta")}, {**alg.tables, "r": r})
     return PreNovikovCoalgebra(alg.dim, co["alpha"], co["beta"])
+
+
+def _coboundary(alg: PreNovikovAlgebra, r, basis=None) -> Report:
+    """The one kernel call of ``coboundary``: ``check_bialgebra``'s report
+    on ``alg`` and alpha, beta of r, read as the co-operations, with the
+    values al and be (alpha and beta) and the 4.13 residual of r."""
+    tree = _bialgebra_tree(basis or default_labels(alg.dim), rename={"al": "alpha", "be": "beta"},
+                           values={labels.YBE: labels.SPECS[labels.YBE][1], **whole("al", "be")})
+    return verify(tree, {**alg.tables, "r": r})
 
 
 def bialgebra_from_r(alg: PreNovikovAlgebra, r: Tensor2) -> PreNovikovBialgebra:
@@ -62,13 +68,12 @@ def bialgebra_from_r(alg: PreNovikovAlgebra, r: Tensor2) -> PreNovikovBialgebra:
     r = _matrix(r, alg.dim, alg.dim, "r")
     if r.T != r:
         raise RefusalError("r is not symmetric")
-    if _ybe(alg, r).num.any():
+    report = _coboundary(alg, r)
+    if report.values[labels.YBE].num.any():
         raise RefusalError("r has a nonzero Yang-Baxter residual")
-    co = coboundary_maps(alg, r)
-    report = check_bialgebra(alg, co)
     if not report.passed:
         raise InternalCheckError("theorem (coboundary_maps): a solution's coboundary is not a bialgebra")
-    return PreNovikovBialgebra(alg, co, report=report)
+    return PreNovikovBialgebra(alg, PreNovikovCoalgebra(alg.dim, report.values["al"], report.values["be"]), report)
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +123,8 @@ def coboundary_diagnostics(alg: PreNovikovAlgebra, r: Tensor2) -> DiagnosticsRep
     """All labeled diagnostics: operator-condition residuals per basis pair,
     the seven named rank-3 tensors, and the four equation residuals, from one
     kernel call, so that the R-tensors 4.7-4.10 read are derived once."""
-    specs = {code: labels.SPECS[code][1]
-             for code in labels.COBOUNDARY_CONDITIONS + labels.COBOUNDARY_EQUATIONS}
-    specs.update({name: [(1, "abc->abc", (name,))] for name in labels.R_TENSORS})
-    return DiagnosticsReport(dim=alg.dim, arrays=evaluate(specs, {**alg.tables, "r": r}))
+    specs = {code: labels.SPECS[code][1] for code in labels.COBOUNDARY_CONDITIONS + labels.COBOUNDARY_EQUATIONS}
+    return DiagnosticsReport(alg.dim, evaluate({**specs, **whole(*labels.R_TENSORS)}, {**alg.tables, "r": r}))
 
 
 # ---------------------------------------------------------------------------
@@ -179,25 +182,23 @@ def o_operator_pre_novikov(alg: PreNovikovAlgebra, rep: PreNovikovRep, T: Matrix
     return _o_operator(check_o_operator_pre_novikov, "pre_novikov", alg, rep, T)
 
 
-_FROM_O = labels.OnRead({">": ("l(T(u))v", "uv"), "<": ("r(T(v))u", "uv")})
-
-
 def pre_novikov_from_o(alg: NovikovAlgebra, rep: NovikovRep, oper: OOperator) -> PreNovikovAlgebra:
-    """The module-side pre-Novikov structure u>v = l(T(u))v, u<v = r(T(v))u."""
+    """The module-side pre-Novikov structure u>v = l(T(u))v, u<v = r(T(v))u
+    (the operands ``>T`` and ``<T``), checked in the same kernel call."""
     if not isinstance(oper, OOperator) or oper.flavor != "novikov" or not oper.verified:
         raise RefusalError("need a verified Novikov-flavor O-operator")
     if oper.rep != rep:
         raise InputError("O-operator was verified against a different representation")
-    prods = evaluate(_FROM_O, {"T": oper.tables["T"], **rep.tables})
-    lhd, rhd = (StructureConstants(rep.module_dim, prods[name]) for name in "<>")
-    out = PreNovikovAlgebra(lhd, rhd)
-    if not check_pre_novikov(out.lhd, out.rhd).passed:
+    tree = Tree("pre_novikov", labels.PRE_NOVIKOV, (), rename={"<": "<T", ">": ">T"}, values=whole("<", ">"))
+    check = verify(tree, {"T": oper.tables["T"], **rep.tables})
+    if not check.passed:
         raise InternalCheckError("theorem (pre_novikov_from_o): the transported pair is not pre-Novikov")
-    return out
+    return PreNovikovAlgebra(*(StructureConstants(rep.module_dim, check.values[name]) for name in "<>"))
 
 
 def co2_equivalence(alg: PreNovikovAlgebra, r: Tensor2) -> tuple[bool, bool, bool]:
-    """Three separately evaluated verdicts for a symmetric r:
+    """Three separately evaluated verdicts for a symmetric r, from one
+    kernel call (``_ybe_stage``):
 
     (a) the Yang-Baxter residual vanishes;
     (b) T_r is an O-operator for the associated Novikov algebra on the dual
@@ -212,18 +213,20 @@ def co2_equivalence(alg: PreNovikovAlgebra, r: Tensor2) -> tuple[bool, bool, boo
     r = _matrix(r, alg.dim, alg.dim, "r")
     if r.T != r:
         raise InputError("r must be symmetric")
-    return (not _ybe(alg, r).num.any(), *_operator_verdicts(alg, r))
+    stage = _ybe_stage(alg, r)
+    return (not stage.values[labels.YBE].num.any(), *(section.passed for section in stage.sections))
 
 
-def _operator_verdicts(alg: PreNovikovAlgebra, r: Exact) -> tuple[bool, bool]:
-    """Verdicts (b) and (c) of ``co2_equivalence`` for a symmetric ``Exact`` r,
-    from one kernel call: T_r is r itself, and the specs read the dual
-    actions as the derived operands they are renamed to."""
+def _ybe_stage(alg: PreNovikovAlgebra, r: Exact) -> Report:
+    """The 4.13 residual of r as the value ``labels.YBE``, and verdicts (b)
+    and (c) of ``co2_equivalence`` as the sections' verdicts, which mean
+    something for a symmetric r only: T_r is r itself, and the specs read
+    the dual actions as the derived operands they are renamed to."""
     lab, read = default_labels(alg.dim, "v"), {"T": "r"}
     sections = (Tree("o_operator_novikov", (labels.O_OPERATOR_NOVIKOV,), lab, rename=read | _DUAL_ADJOINT_MAPS),
                 Tree("o_operator_pre_novikov", labels.O_OPERATOR_PRE_NOVIKOV, lab, rename=read | _DUAL_QUADRUPLE))
-    report = verify(Tree("co2", (), lab, sections=sections), {**alg.tables, "r": r})
-    return tuple(section.passed for section in report.sections)
+    return verify(Tree("co2", (), lab, sections=sections, values={labels.YBE: labels.SPECS[labels.YBE][1]}),
+                  {**alg.tables, "r": r})
 
 
 def lift_o_operator(alg: PreNovikovAlgebra, rep: PreNovikovRep, T: Matrix) -> tuple[PreNovikovAlgebra, Tensor2]:
@@ -239,9 +242,11 @@ def lift_o_operator(alg: PreNovikovAlgebra, rep: PreNovikovRep, T: Matrix) -> tu
         raise InputError("representation was built over a different algebra")
     n, mdim = alg.dim, rep.module_dim
     T = _matrix(T, n, mdim, "operator matrix")
-    rep_v = rep if rep.verified else verify_pre_novikov_rep(rep)
-    dual = dual_pre_novikov_rep(rep_v)
-    semi = semidirect_pre_novikov(alg, dual)
+    *check, dual = _dual_stage(alg, rep)  # (the check of a rep with no certificate, in the dual's call)
+    if check and not check[0].passed:
+        raise RefusalError("not a pre-Novikov representation", check[0])
+    rep_v = rep.certified()
+    semi = semidirect_pre_novikov(alg, _dual_of(rep_v, dual))
     r_t = np.zeros((n + mdim, n + mdim), dtype=T.num.dtype)
     r_t[:n, n:] = T.num
     r = Exact(r_t + r_t.T, T.den)
@@ -300,8 +305,8 @@ def _integer_tables(alg: PreNovikovAlgebra) -> dict:
     """The products o, (.), <, > and the dual adjoint quadruple l>, r>, l<, r<
     of ``alg`` as integer arrays over one common denominator, from one
     kernel call."""
-    lifted = contract({**{name: [(1, "ijk->ijk", (name,))] for name in ("o", "(.)", "<", ">")},
-                       **{key: labels.OPERANDS[name] for key, name in _DUAL_QUADRUPLE.items()}}, alg.tables)
+    quadruple = {key: labels.OPERANDS[name] for key, name in _DUAL_QUADRUPLE.items()}
+    lifted = contract({**whole("o", "(.)", "<", ">"), **quadruple}, alg.tables)
     return {name: num for name, (num, _) in lifted.items()}
 
 

@@ -13,8 +13,8 @@ from prenovikov import (
     adjoint_reps,
     lift_o_operator,
 )
-from prenovikov import core
-from prenovikov.core import StructureConstants, mat_inverse
+from prenovikov import core, labels
+from prenovikov.core import StructureConstants, evaluate, mat_inverse
 
 from tensor_reference import mat_mul, mat_vec, product, zeros
 
@@ -24,6 +24,12 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def table(rows) -> StructureConstants:
     return StructureConstants.from_rows(rows)
+
+
+def derived_table(name: str, alg) -> StructureConstants:
+    """The derived product ``name`` (``o``, ``(.)``, ``(*)``) of a
+    pre-Novikov pair's tables, read through ``labels.OPERANDS``."""
+    return StructureConstants(alg.dim, evaluate({name: labels.OPERANDS[name]}, alg.tables)[name])
 
 
 @pytest.fixture

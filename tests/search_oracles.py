@@ -12,7 +12,7 @@ from math import lcm
 
 import numpy as np
 
-from prenovikov.algebras import derived_ops, sum_table
+from conftest import derived_table
 
 
 def upper_positions(n: int) -> list[tuple[int, int]]:
@@ -31,8 +31,7 @@ def search_exact(alg, values):
     """Plain enumeration with entry-by-entry early exit, all in rationals."""
     n = alg.dim
     positions = upper_positions(n)
-    circ = sum_table(alg.lhd, alg.rhd)
-    odot, _ = derived_ops(alg)
+    circ, odot = derived_table("o", alg), derived_table("(.)", alg)
     lhd = alg.lhd
     out = []
     for assignment in itertools.product(map(Fraction, values), repeat=len(positions)):

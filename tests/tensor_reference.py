@@ -110,6 +110,13 @@ def dual_family(t):
     return tuple(mat_scale(-1, m) for m in swap_last(t))
 
 
+def dual_product(co):
+    """The product a co-operation induces on the dual space: the
+    e_k*-coefficient of e_i* * e_j* is co[k][i][j]."""
+    n = len(co)
+    return tuple(tuple(tuple(co[k][i][j] for k in range(n)) for j in range(n)) for i in range(n))
+
+
 def family_at(m, p):
     """The matrix M(p) = sum_a p[a] M(e_a) of a family of matrices at the
     coordinate vector p."""

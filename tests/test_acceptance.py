@@ -43,7 +43,6 @@ from prenovikov import (
     novikov_adjoint_rep,
     pre_novikov_from_qf,
     search_symmetric_ybe,
-    sum_table,
     verify_novikov_rep,
     verify_pre_novikov_rep,
     ybe_residual,
@@ -56,7 +55,7 @@ from prenovikov.core import (
 from prenovikov.io import parse_bundle, serialize_bundle
 from prenovikov.cli import run_command
 
-from conftest import FIXTURES, rand_invertible, rand_symmetric
+from conftest import FIXTURES, derived_table, rand_invertible, rand_symmetric
 from tensor_reference import mat_mul
 
 F = Fraction
@@ -215,7 +214,7 @@ def test_criterion_06_closure_and_verdict_equivalence(bialg2, alg2, co2):
     double = double_from_bialgebra(bialg2)
     induced = pre_novikov_from_qf(double.algebra.op, double.form)
     assert check_pre_novikov(induced.lhd, induced.rhd).passed
-    assert sum_table(induced.lhd, induced.rhd) == double.algebra.op
+    assert derived_table("o", induced) == double.algebra.op
     from prenovikov import coalgebra_to_dual_algebra
 
     lhd_star, rhd_star = coalgebra_to_dual_algebra(co2)

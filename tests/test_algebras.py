@@ -14,13 +14,11 @@ from prenovikov import (
     check_novikov,
     check_pre_novikov,
     check_quasi_frobenius,
-    derived_ops,
     double_from_bialgebra,
     enumerate_dim2_pre_novikov,
     form_iso,
     pre_novikov_from_qf,
     standard_form,
-    sum_table,
 )
 from prenovikov.core import (
     Exact,
@@ -30,9 +28,9 @@ from prenovikov.core import (
     evaluate,
     sum_batched,
 )
-from prenovikov import algebras, core, labels
+from prenovikov import algebras, core, labels, representations
 
-from conftest import conjugate_table, rand_invertible, table
+from conftest import conjugate_table, derived_table, rand_invertible, table
 from enumeration_oracle import enumerate_pairs
 from tensor_reference import basis_vec, mat_identity, product
 
@@ -40,7 +38,7 @@ F = Fraction
 
 
 def test_check_novikov_fixture_and_zero(alg2):
-    circ = sum_table(alg2.lhd, alg2.rhd)
+    circ = derived_table("o", alg2)
     assert check_novikov(circ).passed
     assert check_novikov(StructureConstants.zero(3)).passed
 
@@ -105,8 +103,14 @@ def test_associated_novikov_dim4(alg4):
     assert nov.op.c[0][2] == (F(0), F(0), F(-1), F(0))
 
 
+def _derived_ops(alg):
+    """The products (.) and (*) that ``derive`` writes, from its one call."""
+    _, parts = representations._derive(alg)
+    return tuple(StructureConstants(alg.dim, parts[name]) for name in ("odot", "star"))
+
+
 def test_derived_ops(alg2):
-    odot, star = derived_ops(alg2)
+    odot, star = _derived_ops(alg2)
     # e1 (.) e1 = e1>e1 + e1<e1 = e1
     assert odot.c[0][0] == (F(1), F(0))
     n = alg2.dim
@@ -114,12 +118,12 @@ def test_derived_ops(alg2):
         for j in range(n):
             assert star.c[i][j] == star.c[j][i]
     zero = PreNovikovAlgebra(StructureConstants.zero(2), StructureConstants.zero(2))
-    odot0, star0 = derived_ops(zero)
+    odot0, star0 = _derived_ops(zero)
     assert odot0.is_zero() and star0.is_zero()
 
 
 def test_derived_odot_is_rhd_plus_flipped_lhd(alg4):
-    odot, _ = derived_ops(alg4)
+    odot, _ = _derived_ops(alg4)
     n = alg4.dim
     for i in range(n):
         for j in range(n):
@@ -164,7 +168,7 @@ def test_pre_novikov_from_qf_on_double(bialg2, alg2, co2):
     double = double_from_bialgebra(bialg2)
     induced = pre_novikov_from_qf(double.algebra.op, double.form)
     assert check_pre_novikov(induced.lhd, induced.rhd).passed
-    assert sum_table(induced.lhd, induced.rhd) == double.algebra.op
+    assert derived_table("o", induced) == double.algebra.op
     # restriction to the first block reproduces the input products
     n = 2
     for i in range(n):
@@ -178,14 +182,12 @@ def test_pre_novikov_from_qf_on_double(bialg2, alg2, co2):
 
 def test_split_qf_dual_transport_routes():
     """The dual-transport products a>b = T((Lo* + Ro*)(a) T^{-1} b) and
-    a<b = T((-Ro*)(b) T^{-1} a) against ``_split_qf``'s specs, on random o, w
-    and T with no relation between them: the < routes are one sum after
-    renaming letters, and the > routes agree exactly when w is skew."""
+    a<b = T((-Ro*)(b) T^{-1} a) against the split's specs (``_SPLIT``, the
+    values of ``_qf_stage``), on random o, w and T with no relation between
+    them: the < routes are one sum after renaming letters, and the > routes
+    agree exactly when w is skew."""
     rng = np.random.default_rng(14)
-    direct = {
-        ">": [(1, "tk,ikm,mj->ijt", ("T", "(*)", "w"))],
-        "<": [(1, "tk,im,kjm->ijt", ("T", "w", "o"))],
-    }
+    direct = algebras._SPLIT
     transport = {
         ">": [(-1, "ty,ixy,jx->ijt", ("T", "Lo+Ro", "w"))],
         "<": [(1, "ty,jxy,ix->ijt", ("T", "Ro", "w"))],
@@ -208,13 +210,15 @@ def test_split_qf_dual_transport_routes():
 
 
 def test_split_qf_evaluates_two_specs(monkeypatch, bialg2):
-    """The split is one kernel call of the two product specs; the check that
-    they sum to o (``sum_table``) is one more, of the spec o."""
+    """The split products are the two values of the ``_qf_stage`` call; the
+    checks that they sum to o and are pre-Novikov are one more call,
+    ``_split_qf``'s, whose one value is o."""
     double = double_from_bialgebra(bialg2)
     calls = []
-    spy = algebras.evaluate
-    monkeypatch.setattr(algebras, "evaluate", lambda specs, tables: calls.append(sorted(specs)) or spy(specs, tables))
-    algebras._split_qf(double.algebra.op, double.form)
+    spy = algebras.verify
+    monkeypatch.setattr(algebras, "verify", lambda tree, tables: calls.append(sorted(tree.values)) or spy(tree, tables))
+    stage = algebras._qf_stage(double.algebra.op, double.form, double.labels)
+    algebras._split_qf(double.algebra.op, stage)
     assert calls == [["<", ">"], ["o"]]
 
 
@@ -225,7 +229,7 @@ def test_pre_novikov_from_qf_zero_algebra():
 
 
 def test_pre_novikov_from_qf_refuses_non_qf(alg2):
-    circ = sum_table(alg2.lhd, alg2.rhd)
+    circ = derived_table("o", alg2)
     w = FormMatrix(2, ((F(0), F(1)), (F(-1), F(0))))
     rep = check_quasi_frobenius(circ, w)
     if rep.passed:  # pragma: no cover - fixture sanity
@@ -236,7 +240,7 @@ def test_pre_novikov_from_qf_refuses_non_qf(alg2):
 
 def test_verdicts_invariant_under_basis_change(alg2):
     rng = random.Random(11)
-    circ = sum_table(alg2.lhd, alg2.rhd)
+    circ = derived_table("o", alg2)
     bad = table([[[0, 1], [0, 0]], [[1, 0], [0, 0]]])
     for _ in range(6):
         p = rand_invertible(rng, 2)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import construction_oracles as oracle
-from conftest import FIXTURES
+from conftest import FIXTURES, derived_table
 from tensor_reference import mat_vec
 from prenovikov import (
     MatchedPair,
@@ -17,7 +17,6 @@ from prenovikov import (
     PreNovikovCoalgebra,
     adjoint_reps,
     coalgebra_to_dual_algebra,
-    derived_ops,
     dual_pre_novikov_rep,
     induced_matched_pair,
     lift_o_operator,
@@ -33,7 +32,7 @@ from prenovikov.core import (
     mat_inverse,
 )
 from prenovikov.io import bundle_to_objects, parse_bundle
-from prenovikov.matched_double import _blocks_match, direct_sum_product, standard_form
+from prenovikov.matched_double import _blocks_match, _induced, direct_sum_product, standard_form
 
 
 def load(name):
@@ -157,7 +156,7 @@ def test_dual_products_and_derived_ops_match_loops():
             assert got == oracle.coalgebra_to_dual_algebra(co)
             assert all_fractions(got[0].c, got[1].c)
             lhd, rhd = got
-            odot, star = derived_ops(PreNovikovAlgebra(lhd, rhd))
+            odot, star = (derived_table(name, PreNovikovAlgebra(lhd, rhd)) for name in ("(.)", "(*)"))
             idx = range(n)
             assert odot.c == tuple(tuple(tuple(
                 rhd.c[i][j][k] + lhd.c[j][i][k] for k in idx) for j in idx) for i in idx)
@@ -176,8 +175,9 @@ def bump(table: StructureConstants, i, j, k) -> StructureConstants:
 def test_blocks_match_agrees_with_loop(name):
     bialg = load(name)
     n = bialg.algebra.dim
+    stage = _induced(bialg)
     induced = pre_novikov_from_qf(direct_sum_product(induced_matched_pair(bialg)), standard_form(n))
-    assert _blocks_match(bialg, induced) and oracle.blocks_match(bialg, induced)
+    assert _blocks_match(bialg, stage, induced) and oracle.blocks_match(bialg, induced)
     # one entry in each kind of row: products within A, within A*, and mixed
     rows = [(0, n - 1), (n, 2 * n - 1), (0, n), (2 * n - 1, 0)]
     for i, j in rows:
@@ -186,13 +186,13 @@ def test_blocks_match_agrees_with_loop(name):
                 tables = {"lhd": induced.lhd, "rhd": induced.rhd}
                 tables[which] = bump(tables[which], i, j, k)
                 bent = PreNovikovAlgebra(tables["lhd"], tables["rhd"])
-                verdict = _blocks_match(bialg, bent)
+                verdict = _blocks_match(bialg, stage, bent)
                 assert verdict == oracle.blocks_match(bialg, bent)
                 assert verdict == ((i < n) != (j < n))  # mixed rows are unconstrained
     # a different coalgebra no longer matches the A* block
     co = bialg.coalgebra
     other = PreNovikovBialgebra(bialg.algebra, PreNovikovCoalgebra(n, co.beta, co.alpha))
-    assert _blocks_match(other, induced) == oracle.blocks_match(other, induced)
+    assert _blocks_match(other, _induced(other), induced) == oracle.blocks_match(other, induced)
 
 
 def rand_matrix(rng, n, ints=False):

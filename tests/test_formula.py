@@ -22,9 +22,9 @@ from prenovikov import labels, representations, yang_baxter
 from prenovikov.core import InputError, evaluate
 
 from kernel_reference import derive, reference, table_of
-from tensor_reference import (basis_vec, co_at, co_left, co_right, family_at, left_matrix, mat_add, mat_scale, mat_vec,
-                              placed, product, right_matrix, swap_first, t2_add, t2_apply_left, t2_apply_right,
-                              t2_sub, t3_add, t3_apply, outer, transpose)
+from tensor_reference import (basis_vec, co_at, co_left, co_right, dual_product, family_at, left_matrix, mat_add,
+                              mat_scale, mat_vec, placed, product, right_matrix, swap_first, t2_add, t2_apply_left,
+                              t2_apply_right, t2_sub, t3_add, t3_apply, outer, transpose)
 from tensor_reference import dual_family as star
 from tensor_reference import left_family as L
 from tensor_reference import right_family as R
@@ -66,6 +66,8 @@ def _operands(t):
         "al+tau.be": [(1, t["al"]), (1, tau(t["be"]))],
         "tau.al+tau.be": [(1, tau(t["al"])), (1, tau(t["be"]))],
         "al+be-tau.al-tau.be": [(1, t["al"]), (1, t["be"]), (-1, tau(t["al"])), (-1, tau(t["be"]))],
+        "<*": [(1, dual_product(t["al"]))],
+        ">*": [(1, dual_product(t["be"]))],
     }
 
 
@@ -102,16 +104,19 @@ def _entries(parts):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_formula_operands_and_dual_specs_match_loop_definitions(n):
     """On random rational tables of dimension n, every operator and
-    co-operation of ``labels.OPERANDS`` and every operand that the four
-    dual-map dicts name equals its loop definition; the other operands are
-    the products ``o``, ``(.)``, ``(*)``, ``s`` and the R-tensors."""
+    co-operation of ``labels.OPERANDS``, the dual products ``<*`` and ``>*``
+    and every operand that the four dual-map dicts name equals its loop
+    definition; the other operands are the products ``o``, ``(.)``, ``(*)``,
+    ``s``, the R-tensors and those reading r or T (``alpha``, ``beta``,
+    ``<T``, ``>T``)."""
     rng = random.Random(n)
     for _ in range(3):
         tables = {name: table_of((n,) * 3, (Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
                                             for _ in range(n**3))) for name in NAMES}
         want = _operands(tables)
         duals = {name for spec, _ in _dual_specs(tables) for name in spec.values()}
-        assert set(labels.OPERANDS) - set(want) - duals == {"o", "(.)", "(*)", "s", *labels.R_TENSORS}
+        others = {"o", "(.)", "(*)", "s", "alpha", "beta", "<T", ">T", *labels.R_TENSORS}
+        assert set(labels.OPERANDS) - set(want) - duals == others
         for name, parts in want.items():
             assert reference(labels.OPERANDS[name], tables) == _entries(parts), name
         for spec, maps in _dual_specs(tables):
@@ -341,7 +346,7 @@ def test_tensor_identities_match_loop_definitions(n):
     specs = {**{code: labels.SPECS[code][1] for code in (*labels.COALGEBRA[:1], "3.16", *labels.COBOUNDARY_CONDITIONS,
                                                          *labels.COBOUNDARY_EQUATIONS, labels.YBE)},
              **{name: labels.OPERANDS[name] for name in labels.R_TENSORS}, "rows": labels.YBE_ROWS,
-             **yang_baxter._COBOUNDARY}
+             **{name: labels.OPERANDS[name] for name in ("alpha", "beta")}}
     for _ in range(2):
         tables = {name: table_of((n,) * 3, (Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
                                             for _ in range(n**3))) for name in ("<", ">", "al", "be")}
@@ -384,11 +389,10 @@ def test_the_element_notation_specs_run_from_their_texts():
 def test_every_text_parses():
     """The tables parse a text when it is first read, so a broken one would
     otherwise wait for the first command that reads it: every
-    ``IDENTITIES`` row, every ``VALUES`` entry, the row form and the texts
-    ``yang_baxter`` evaluates parse here, and every name of the four
-    dual-map dicts is a ``VALUES`` key."""
+    ``IDENTITIES`` row, every ``VALUES`` entry and the row form parse here,
+    and every name of the four dual-map dicts is a ``VALUES`` key."""
     rows = [row for row in labels.IDENTITIES.values() if len(row) > 1]
-    values = [*labels.VALUES.values(), *yang_baxter._COBOUNDARY.texts.values(), *yang_baxter._FROM_O.texts.values()]
+    values = list(labels.VALUES.values())
     for text, witness in rows + [(f"{text} = 0", witness) for text, witness in values]:
         assert labels.identity(text, witness), text
     assert labels.YBE_ROWS

@@ -319,9 +319,11 @@ def test_only_the_kernel_sizes_batches():
 
 def test_the_retired_tuple_helpers_stay_retired():
     """The kernel's einsum subscripts replaced the tuple helpers that nothing
-    called and ``sum_table``'s second name: no module names them."""
+    called, and the stages' derived operands the one-table helpers
+    ``sum_table``, ``derived_ops`` and ``dual_adjoint_maps``: no module
+    names them."""
     retired = (r"\b(mat_zero|mat_transpose|mat_vec|mat_mul|solve_linear|t2_zero|flip|permute3|dual_map"
-               r"|apply_op|mult_matrix|placed_product|_contract1)\b")
+               r"|apply_op|mult_matrix|placed_product|_contract1|sum_table|derived_ops|dual_adjoint_maps)\b")
     for path in sorted(Path(core.__file__).parent.glob("*.py")):
         assert not re.search(retired, path.read_text()), path.name
     assert not hasattr(core.StructureConstants, "add")

@@ -171,7 +171,8 @@ def test_qf_splitting_round_trips_over_enumerated_doubles():
     """Every enumerated algebra paired with the zero coalgebra is a bialgebra;
     its double is quasi-Frobenius and the induced splitting recovers it."""
     from fractions import Fraction
-    from prenovikov import enumerate_dim2_pre_novikov, pre_novikov_from_qf, sum_table
+    from prenovikov import enumerate_dim2_pre_novikov, pre_novikov_from_qf
+    from conftest import derived_table
     import random
 
     rng = random.Random(41)
@@ -181,7 +182,7 @@ def test_qf_splitting_round_trips_over_enumerated_doubles():
         double = double_from_bialgebra(PreNovikovBialgebra(alg, zero_co))
         assert check_quasi_frobenius(double.algebra.op, double.form).passed
         induced = pre_novikov_from_qf(double.algebra.op, double.form)
-        assert sum_table(induced.lhd, induced.rhd) == double.algebra.op
+        assert derived_table("o", induced) == double.algebra.op
 
 
 def test_surviving_mutations_are_genuinely_valid(alg2, co2):
@@ -198,31 +199,31 @@ def test_surviving_mutations_are_genuinely_valid(alg2, co2):
 
 @pytest.mark.parametrize("name", ["dim2_bialgebra.json", "dim4_bialgebra.json"])
 def test_one_quasi_frobenius_check_per_double(monkeypatch, name):
-    """`prenovikov double` checks the double's form once: the splitting that
-    restricts it to the input tables reuses that verdict instead of
-    re-checking it inside `pre_novikov_from_qf`."""
+    """`prenovikov double` checks the double's form once: its second stage
+    holds the one quasi-Frobenius tree, and the splitting that restricts it
+    to the input tables reuses that verdict instead of re-checking it inside
+    `pre_novikov_from_qf`."""
     calls = []
-    check = algebras.check_quasi_frobenius
+    tree = algebras._qf_tree
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return check(*args, **kwargs)
+        return tree(*args, **kwargs)
 
-    monkeypatch.setattr(algebras, "check_quasi_frobenius", counted)
-    monkeypatch.setattr(matched_double, "check_quasi_frobenius", counted)
+    monkeypatch.setattr(algebras, "_qf_tree", counted)
     assert run_command(["double", str(FIXTURES / name)], out=io.StringIO()) == 0
     assert len(calls) == 1
 
 
 def test_verdicts_build_the_induced_pair_once(monkeypatch, bialg2):
     calls = []
-    build = matched_double.induced_matched_pair
+    build = matched_double._induced
 
     def counted(bialg):
         calls.append(1)
         return build(bialg)
 
-    monkeypatch.setattr(matched_double, "induced_matched_pair", counted)
+    monkeypatch.setattr(matched_double, "_induced", counted)
     assert double_matched_bialgebra_verdicts(bialg2) == (True, True, True)
     assert len(calls) == 1
 
@@ -230,17 +231,19 @@ def test_verdicts_build_the_induced_pair_once(monkeypatch, bialg2):
 @pytest.mark.parametrize("name", ["dim2_bialgebra.json", "dim4_bialgebra.json"])
 def test_one_dual_algebra_per_double(monkeypatch, name):
     """`prenovikov double` dualizes the coalgebra once: the coalgebra check,
-    the induced matched pair and the block comparison share the tables."""
-    calls = []
-    evaluate = bialgebra.evaluate
+    the induced matched pair and the block comparison share the tables, the
+    derived operands <* and >* of the one kernel call that reads al and be."""
+    runs = []
+    run = core._Program.run
 
-    def counted(specs, tables):
-        calls.append(set(tables) == {"al", "be"} and set(specs) == {"<", ">"})
-        return evaluate(specs, tables)
+    def recorded(self, arrays, *args, **kwargs):
+        runs.append((set(arrays), [key for key, _, _, _, derived, *_ in self.sums if derived]))
+        return run(self, arrays, *args, **kwargs)
 
-    monkeypatch.setattr(bialgebra, "evaluate", counted)
+    monkeypatch.setattr(core._Program, "run", recorded)
     assert run_command(["double", str(FIXTURES / name)], out=io.StringIO()) == 0
-    assert sum(calls) == 1
+    (derived,) = [derived for inputs, derived in runs if {"al", "be"} <= inputs]
+    assert derived.count("<*") == derived.count(">*") == 1
 
 
 def test_renamed_codes_read_no_derived_operand(monkeypatch, bialg2):

@@ -27,11 +27,13 @@ CODES = labels.PRE_NOVIKOV + labels.COBOUNDARY_CONDITIONS + labels.COBOUNDARY_EQ
 def _pool(needed):
     """Every term of several operands in the specs ``CODES`` and the derived
     operands that reads a name in ``needed`` (directly or through a derived
-    operand), by output rank and degree (an input has degree 1, a derived
-    operand that of its terms), since the terms of a sum have one degree."""
-    def reads(name):
-        return name in needed or (name in labels.OPERANDS and any(
-            reads(m) for _, _, names in labels.OPERANDS[name] for m in names))
+    operand), and only what the tables of ``_tables`` give, by output rank
+    and degree (an input has degree 1, a derived operand that of its terms),
+    since the terms of a sum have one degree.  (A representation's map ``r``
+    is no tensor: ``<T`` reads it next to ``T``, which no table gives.)"""
+    def reads(name, among=needed, every=any):
+        return name in among or (name in labels.OPERANDS and every(
+            reads(m, among, every) for _, _, names in labels.OPERANDS[name] for m in names))
 
     def degree(name):
         return sum(map(degree, labels.OPERANDS[name][0][2])) if name in labels.OPERANDS else 1
@@ -39,7 +41,7 @@ def _pool(needed):
     pool = {}
     for terms in [labels.SPECS[code][1] for code in CODES] + list(labels.OPERANDS.values()):
         for _, subs, names in terms:
-            if len(names) > 1 and any(map(reads, names)):
+            if len(names) > 1 and any(map(reads, names)) and all(reads(m, ("<", ">", "r"), all) for m in names):
                 pool.setdefault((len(subs.split("->")[1]), sum(map(degree, names))), []).append((subs, names))
     return pool
 

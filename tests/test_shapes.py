@@ -34,7 +34,6 @@ from prenovikov import (
     coboundary_maps,
     core,
     labels,
-    sum_table,
     t_r_from_tensor,
     ybe_residual,
 )
@@ -50,7 +49,7 @@ from prenovikov.core import (
     zero_mask,
 )
 from prenovikov.cli import run_command
-from prenovikov.representations import dual_adjoint_maps
+from prenovikov.representations import _DUAL_ADJOINT_MAPS
 
 F = Fraction
 M2 = ((F(1), F(2)), (F(3), F(4)))
@@ -137,8 +136,9 @@ CASES = {
     "MatchedPair swapped action": lambda: MatchedPair(
         sc(2), sc(3), ones(3, 2, 2), ones(2, 3, 3), ones(3, 2, 2), ones(3, 2, 2)),
     # the constructions that read tables with no validity requirement
-    "sum_table size-1 table": lambda: sum_table(sc(2), sc(1)),
-    "dual_adjoint_maps dims 1 and 2": lambda: dual_adjoint_maps(sc(1), sc(2)),
+    "derived o size-1 table": lambda: evaluate({"o": labels.OPERANDS["o"]}, {"<": sc(2).table, ">": sc(1).table}),
+    "derived dual adjoint maps dims 1 and 2": lambda: evaluate(
+        {key: labels.OPERANDS[name] for key, name in _DUAL_ADJOINT_MAPS.items()}, {"<": sc(1).table, ">": sc(2).table}),
     "direct_sum_table size-1 action": lambda: direct_sum_table(2, 3, {"o": ones(2, 2, 2), "lA": ones(2, 1, 1)}),
     "direct_sum_table size-1 product": lambda: direct_sum_table(2, 3, {"o": ones(1, 1, 1)}),
     "direct_sum_table swapped action": lambda: direct_sum_table(2, 3, {"rB": ones(2, 3, 3)}),
@@ -196,7 +196,7 @@ def test_a_verifier_refusal_names_the_report_and_the_identity():
                                          r"\[\(1, 1, 1\), \(2, 2, 2\)\]$"):
         check_pre_novikov(sc(2), StructureConstants.zero(1))
     with pytest.raises(InputError, match=r"^spec 'o': its terms give the shapes \[\(1, 1, 1\), \(2, 2, 2\)\]$"):
-        sum_table(sc(2), StructureConstants.zero(1))
+        evaluate({"o": labels.OPERANDS["o"]}, {"<": sc(2).table, ">": StructureConstants.zero(1).table})
 
 
 def test_a_refused_call_leaves_the_kernel_usable():
