@@ -32,12 +32,12 @@ from .report import default_labels
 from .representations import NovikovRep, _derive, _dual_of, _dual_stage, check_novikov_rep, check_pre_novikov_rep
 from .yang_baxter import (
     _coboundary,
+    _operator_lift,
     _search_hits,
     _ybe_stage,
     check_o_operator_novikov,
     check_o_operator_pre_novikov,
     coboundary_diagnostics,
-    lift_o_operator,
 )
 
 # per flavor (``io.FLAVORS`` holds its format): the rep check and the operator check
@@ -183,7 +183,7 @@ def _cmd_oper(args, out, alg_bundle: Bundle, rep_bundle: Bundle, t_bundle: Bundl
     report = _OPERATOR_CHECK[flavor](alg, rep, T, module_basis=rep_bundle.data.get("module_basis"))
     _emit(out, render_report(report, args.format))
     if args.lift:
-        semi, r = lift_o_operator(alg, rep, T)
+        semi, r = _operator_lift(alg, rep, T, report)
         lab = tuple(alg_bundle.data.get("basis") or default_labels(alg.dim)) + tuple(
             f"{x}*" for x in (rep_bundle.data.get("module_basis") or default_labels(rep.module_dim, "v"))
         )

@@ -3,12 +3,12 @@ identity is evaluated with, the one builder of direct-sum tables, and the one
 exact elimination.
 
 The kernel compiles each call once per spec content, input names, member
-shapes and batch axes into a program (``_program``, a bounded LRU cache) that
-evaluates each distinct contraction once, so that a call on small tables pays
-for little more than its einsums: see ``contract`` and ``sum_batched``.  It
-alone decides whether a call runs in int64 or on Python ints, once, from the
-overflow bounds of its sums (``_bound``); callers certify nothing.  It reads
-whole operands: a caller that tests a box of a residual slices the operands.
+shapes and batch axes into a program of flat register steps (``_program``, a
+bounded LRU cache) that computes each distinct contraction once, so a call on
+small tables pays little more than its einsums (``contract``, ``sum_batched``).
+It alone decides, once per call, between int64 and Python ints, by its
+program's certificate, else its sums' bounds (``_bound``); callers certify
+nothing.  It reads whole operands: a caller testing a box slices them.
 
 Conventions used throughout the package, all exact, with no tolerances:
 
@@ -27,6 +27,7 @@ Conventions used throughout the package, all exact, with no tolerances:
 from __future__ import annotations
 
 import functools
+import itertools
 import numbers
 import sys
 from dataclasses import dataclass
@@ -313,7 +314,7 @@ def _letters(subs: str, names: tuple, read: tuple, on: bool, what: str) -> tuple
     if len(groups) == 1 and len(set(groups[0])) == len(groups[0]) and sorted(groups[0]) == sorted(out):
         return None, size, factor, tuple(groups[0].index(c) for c in out), None, prod(size)  # (the copy it sums into)
     (canon, rename), (steps, peak) = _canonical(tuple(groups), out), _steps(groups, out, sizes)
-    return canon, size, factor, "".join(map(rename.get, out)), steps[0][1:] if len(steps) == 1 else (None, steps), peak
+    return canon, size, factor, "".join(map(rename.get, out)), steps, peak
 
 
 def _bound(factors: tuple, maxabs: list) -> int:
@@ -329,40 +330,43 @@ def _bound(factors: tuple, maxabs: list) -> int:
     values than the whole term.  With a batch axis it bounds each
     member, whose sums are independent.
     """
-    pads = [m if m > 1 else 1 for m in maxabs]
-    total = 0
-    for term, at in factors:
-        for k in at:
-            term *= pads[k]
-        total += term
-    return total
+    return sum(term * prod(max(maxabs[k], 1) for k in at) for term, at in factors)
+
+
+# What a step does to its register: set it to its value or to coef * value (a copy), add, subtract, or add coef * value.
+_SET, _COPY, _ADD, _SUB, _MADD = range(5)
 
 
 class _Program:
     """One kernel call compiled: specs (``(key, terms)`` pairs) on inputs
     (``(name, shape)`` pairs, of degree 1), those in ``batch`` batched (on
-    an axis ``N`` of size 1).
+    an axis ``N`` of size 1), lowered to steps on numbered registers.
 
     Each derived operand (by its terms in ``derived``, else in
     ``labels.OPERANDS``; batched when an input is) comes before the first
-    sum that reads it.  Per sum: its degree, its
-    bound factors for ``_bound`` (|coef| times the index values a term sums
-    over, the operand positions), its operand names and its terms.  Per
-    term: the coefficient, the operand positions, and either the transpose
-    ``axes`` of a one-operand permutation or the slot of the term's
-    contraction (``_canonical``), the axes it is read through (None when it
-    is laid out as read) and how it runs: one einsum ``(subscripts,
-    options)`` or ``(None, steps)`` of ``_steps``.  Each distinct
-    contraction has one slot, laid out as the output of the first term that
-    reads it, which computes it; slots and derived operands are freed after
-    their last reader.  A sum's first term is copied before the sum adds
-    into it unless it is a new array read once.  ``peak`` is the most entries per member a batched sum holds: the
-    largest array a term forms (an einsum step or the copy it is summed
-    into) plus the batched slots read twice and derived operands alive
-    while it runs.  Each operand is an input or derived and fits its
-    letters (``fit_letters``), each output letter of a term is read, and
-    the terms of a sum give one shape and have one degree (the sum of their
-    operands' degrees), so that no term is scaled to another's denominator.
+    sum that reads it.  ``code`` holds per sum ``(steps, register, key,
+    degree, derived, frees)``, a step being ``(action, register,
+    coefficient, subscripts, options, operand registers, axes)``: the
+    ``np.einsum`` of its operands (its one operand when subscripts is None),
+    transposed by ``axes`` unless None, put into its register by its
+    action.  A term permutes an operand or reads its contraction
+    (``_canonical``, one of ``slots``), which its first reader computes
+    into a register, laid out as its own output, by one einsum or the
+    pairwise steps of ``_steps``.  ``frees`` (a spec's own register, the
+    pairwise steps' own, slots and derived operands after their last
+    reader) are dropped when the sum ends.  ``peak`` is the most entries per
+    member a batched sum holds: the largest array a term forms (an einsum
+    step or the copy it is summed into) plus the batched slots read twice
+    and derived operands alive while it runs.  ``bounds`` holds per sum its
+    key, bound factors for ``_bound`` (|coef| times the index values a term
+    sums over, the operand positions), operand names and whether it is
+    derived.  In ``certificate``, the largest F of the sums of degree d
+    bounds their ``_bound`` by F * M**d (M = max(1, the inputs' largest
+    maxabs); a derived operand counts at max(F, 1) * M**d of its sum).
+    Each operand is an input or derived and fits its letters
+    (``fit_letters``), each output letter of a term is read, and the terms
+    of a sum give one shape and one degree (the sum of their operands'
+    degrees), so that no term is scaled to another's denominator.
     """
 
     def __init__(self, specs, inputs, batch, derived=()):
@@ -409,21 +413,40 @@ class _Program:
 
         for key, terms in specs:
             add(key, terms, False, f"spec {key!r}")
-        self.slots, self.sums, self.peak, live, frees = len(layout), [], 0, {}, {}
-        for k, at in last.items():
-            if k not in inputs:
-                frees.setdefault(at, []).append(k)
+        self.names, self.slots, self.peak, self.code = tuple(inputs), len(layout), 0, []
+        self.bounds = [(key, factors, names, derived) for key, _, factors, names, derived, *_ in order]
+        reg, registers = dict(zip(inputs, itertools.count())), itertools.count(len(inputs))
+        scale, certificate, live, frees = {}, {}, {}, {}
+        for k, end in last.items():
+            frees.setdefault(end, []).append(k)
         for s, (key, deg, factors, names, derived, terms, most, member) in enumerate(order):
             for *_, slot, _ in terms:
                 if slot is not None and uses[slot] > 1:  # a slot alive past its term
                     live.setdefault(slot, member)
             self.peak = max(self.peak, member and most + sum(live.values()))
             live = {k: entries for k, entries in live.items() if last[k] > s}
+            f = sum(factor * prod(scale.get(names[k], 1) for k in at) for factor, at in factors)
+            certificate[deg] = max(certificate.get(deg, 0), f)
+            ops, steps, out = [reg[name] for name in names], [], next(registers)
+            dropped = [] if derived else [out]
             if derived:
-                live[key] = member
-            _, at, _, slot, _ = terms[0]
-            copied = len(at) == 1 or uses[slot] > 1
-            self.sums.append((key, deg, factors, names, derived, terms, copied, tuple(frees.get(s, ()))))
+                live[key], scale[key], reg[key] = member, max(f, 1), out
+            for t, (coef, at, axes, slot, run) in enumerate(terms):
+                # accumulate in place, into a copy of the first term unless it is a new array read once
+                act = ((_COPY if coef != 1 or len(at) == 1 or uses[slot] > 1 else _SET) if t == 0
+                       else _ADD if coef == 1 else _SUB if coef == -1 else _MADD)
+                if slot is not None and slot not in reg:  # its first reader computes it, each step into a new register
+                    ins = [ops[k] for k in at]
+                    for picked, subs, options in run:
+                        args = tuple(ins.pop(k) for k in reversed(picked))[::-1]
+                        ins.append(next(registers))
+                        dropped.append(ins[-1])
+                        steps.append((_SET, ins[-1], 1, subs, options, args, None))
+                    reg[slot] = dropped.pop()  # (the last step's, dropped after the last reader of the contraction)
+                steps.append((act, out, coef, None, None, (ops[at[0]] if slot is None else reg[slot],), axes))
+            dropped += [reg[k] for k in frees.get(s, ()) if k in reg and k not in inputs]
+            self.code.append((tuple(steps), out, key, deg, derived, tuple(dropped)))
+        self.registers, self.certificate = next(registers), tuple(certificate.items())
 
     def run(self, arrays: dict, maxabs: dict, budget: int = 0):
         """Yields ``(key, integers, degree)`` per spec, from the inputs'
@@ -431,53 +454,46 @@ class _Program:
 
         The one place that decides, once per call, before any sum runs: int64
         when every input and every sum's ``_bound`` fits (a derived operand
-        counts at its own sum's bound), objects otherwise; and, with a
+        counts at its own sum's bound; the bounds are taken only when the
+        ``certificate`` does not fit), objects otherwise; and, with a
         ``budget`` in bytes, ``_OverBudget`` when the batch's ``peak`` would
-        pass it.  Each term runs as compiled.
+        pass it.  The steps then run in order.
         """
-        maxabs, most = dict(maxabs), max(maxabs.values(), default=0)
-        for key, _, factors, names, derived, *_ in self.sums:
-            bound = _bound(factors, [maxabs[name] for name in names])
-            most = max(most, bound)
-            if derived:
-                maxabs[key] = bound
+        most = max(maxabs.values(), default=0)
+        if any(f * max(most, 1)**d > INT64_MAX for d, f in self.certificate):
+            maxabs = dict(maxabs)
+            for key, factors, names, derived in self.bounds:
+                most = max(most, bound := _bound(factors, [maxabs[name] for name in names]))
+                if derived:
+                    maxabs[key] = bound
         dtype = np.int64 if most <= INT64_MAX else object
         if budget and self.peak and (size := len(arrays[self.batch[0]])) > 1:
             # an entry is 8 bytes in int64, a pointer plus an int object otherwise
             member = self.peak * (8 if dtype is np.int64 else 8 + sys.getsizeof(most))
             if size * member > budget:
                 raise _OverBudget(max(1, budget // member))
-        values = {name: a if a.dtype == dtype else a.astype(dtype) for name, a in arrays.items()}
-        for key, deg, _, names, derived, terms, copied, frees in self.sums:
-            ops = [values[name] for name in names]
-            acc = None
-            for coef, at, axes, slot, steps in terms:
-                if slot is None:
-                    value = ops[at[0]].transpose(axes)
+        regs = [a if a.dtype == dtype else a.astype(dtype) for a in map(arrays.__getitem__, self.names)]
+        regs += [None] * (self.registers - len(regs))
+        for steps, out, key, deg, derived, frees in self.code:
+            for act, to, coef, subs, options, ins, axes in steps:
+                value = regs[ins[0]] if subs is None else np.einsum(subs, *map(regs.__getitem__, ins), **options)
+                if axes is not None:
+                    value = value.transpose(axes)
+                if act == _ADD:
+                    regs[to] += value
+                elif act == _SET:
+                    regs[to] = value
+                elif act == _COPY:
+                    regs[to] = value.copy() if coef == 1 and type(value) is np.ndarray else value * coef
+                elif act == _SUB:
+                    regs[to] -= value
                 else:
-                    value = values.get(slot)
-                    if value is None:
-                        subs, options = steps
-                        value = values[slot] = (np.einsum(subs, *[ops[k] for k in at], **options)
-                                                if subs else _einsums([ops[k] for k in at], options))
-                    if axes is not None:
-                        value = value.transpose(axes)
-                # accumulate in place, into a copy of the first term unless it is a new array read once
-                if acc is None:
-                    acc = value * coef if coef != 1 or copied else value
-                elif coef == 1:
-                    acc += value
-                elif coef == -1:
-                    acc -= value
-                else:
-                    acc += coef * value
+                    regs[to] += coef * value
+            regs[out] = value = np.asarray(regs[out], dtype=dtype)  # (a 0-d einsum gives a scalar)
             for k in frees:
-                del values[k]
-            acc = np.asarray(acc, dtype=dtype)  # (a 0-d einsum gives a scalar)
-            if derived:
-                values[key] = acc
-            else:
-                yield key, acc, deg
+                regs[k] = None
+            if not derived:
+                yield key, value, deg
 
 
 # The compiled program of a kernel call, keyed by its specs, member shapes and batch.
@@ -492,14 +508,6 @@ def _compile(specs: dict, arrays: dict, batch=(), derived=None) -> _Program:
     return _program(tuple([(key, tuple(terms)) for key, terms in specs.items()]),
                     tuple([(name, (1, *a.shape[1:]) if name in batch else a.shape) for name, a in arrays.items()]),
                     frozenset(batch), tuple(derived.items()) if derived else ())
-
-
-def _einsums(operands: list, steps: tuple) -> np.ndarray:
-    """The pairwise einsum ``steps`` of ``_steps`` run on ``operands``."""
-    for picked, subs, options in steps:
-        args = [operands.pop(k) for k in reversed(picked)][::-1]
-        operands.append(np.einsum(subs, *args, **options))
-    return operands[0]
 
 
 def _maxabs(array: np.ndarray) -> int:

@@ -238,6 +238,11 @@ def lift_o_operator(alg: PreNovikovAlgebra, rep: PreNovikovRep, T: Matrix) -> tu
     biconditional: r solves the Yang-Baxter equation in B exactly when T
     passes the O-operator check.  T itself need not be verified.
     """
+    return _operator_lift(alg, rep, T, None)
+
+
+def _operator_lift(alg: PreNovikovAlgebra, rep: PreNovikovRep, T: Matrix, operator: Report | None):
+    """``lift_o_operator``, whose check is ``operator`` when its caller made it (``oper --lift`` prints it)."""
     if rep.algebra != alg:
         raise InputError("representation was built over a different algebra")
     n, mdim = alg.dim, rep.module_dim
@@ -251,7 +256,7 @@ def lift_o_operator(alg: PreNovikovAlgebra, rep: PreNovikovRep, T: Matrix) -> tu
     r_t[:n, n:] = T.num
     r = Exact(r_t + r_t.T, T.den)
     residual_zero = not _ybe(semi, r).num.any()
-    operator_ok = check_o_operator_pre_novikov(alg, rep_v, T).passed
+    operator_ok = (operator or check_o_operator_pre_novikov(alg, rep_v, T)).passed
     if residual_zero != operator_ok:
         raise InternalCheckError(
             f"theorem (lift_o_operator): lifted residual zero {residual_zero}, operator check {operator_ok}")

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prenovikov import check_compatibility, cli, coboundary_diagnostics, core, labels
+from prenovikov import check_bialgebra, check_compatibility, cli, coboundary_diagnostics, core, labels
 from prenovikov.cli import run_command
 from prenovikov.core import INT64_MAX, contract, evaluate, sum_batched
-from prenovikov.io import KINDS
+from prenovikov.io import KINDS, bundle_to_objects, parse_bundle
 
 from conftest import FIXTURES
 from kernel_reference import derive, overflow_bound, reference, table_of
@@ -182,6 +182,30 @@ def test_an_object_batch_over_budget_runs_no_einsum(monkeypatch):
     assert over.value.args == (4,) and calls == []
     ((_, num, _),) = program.run(arrays, maxabs, 5 * member)
     assert calls and num.dtype == object and (num == 2**81).all()
+
+
+def test_the_certificate_spares_the_exact_bounds(monkeypatch):
+    """A warm dim-4 ``check_bialgebra`` runs in int64 on its program's
+    certificate alone, with no ``_bound`` call.  A batch of +-2**40 entries
+    passes the certificate, so the exact bounds decide, and it runs on
+    Python ints, charged as before: one byte short of the charge of
+    ``test_an_object_batch_over_budget_runs_no_einsum`` it raises
+    ``_OverBudget``, and at that charge it runs."""
+    bialg = bundle_to_objects(parse_bundle((FIXTURES / "dim4_bialgebra.json").read_text()))
+    assert check_bialgebra(bialg.algebra, bialg.coalgebra).passed
+    calls, bound = [], core._bound
+    monkeypatch.setattr(core, "_bound", lambda *args: calls.append(1) or bound(*args))
+    assert check_bialgebra(bialg.algebra, bialg.coalgebra).passed and calls == []
+    terms = [(1, "ij,jk->ik", ("A", "B"))]
+    arrays = {"A": np.full((5, 2, 2), -(2**40), np.int64), "B": np.full((2, 2), 2**40, np.int64)}
+    maxabs = {"A": 2**40, "B": 2**40}
+    program = core._compile({"": terms}, arrays, {"A"})
+    member = program.peak * (8 + sys.getsizeof(2 * 2**40 * 2**40))
+    with pytest.raises(core._OverBudget) as over:
+        next(program.run(arrays, maxabs, 5 * member - 1))
+    assert over.value.args == (4,) and calls == [1]
+    ((_, num, _),) = program.run(arrays, maxabs, 5 * member)
+    assert num.dtype == object and (num == -(2**81)).all()
 
 
 def test_every_fixture_command_runs_in_int64(kernel_sums):

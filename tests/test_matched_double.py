@@ -237,7 +237,7 @@ def test_one_dual_algebra_per_double(monkeypatch, name):
     run = core._Program.run
 
     def recorded(self, arrays, *args, **kwargs):
-        runs.append((set(arrays), [key for key, _, _, _, derived, *_ in self.sums if derived]))
+        runs.append((set(arrays), [key for _, _, key, _, derived, _ in self.code if derived]))
         return run(self, arrays, *args, **kwargs)
 
     monkeypatch.setattr(core._Program, "run", recorded)

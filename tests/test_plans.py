@@ -53,7 +53,7 @@ def test_plan_bound_is_overflow_bound_of_degree_scaled_terms():
         except core.InputError:
             assert not leaves and len({len(ns) for _, _, ns in terms}) > 1
             continue
-        for key, top, factors, names, derived, *_ in program.sums:
+        for (key, factors, names, derived), (*_, top, _, _) in zip(program.bounds, program.code):
             own_terms = labels.OPERANDS[key] if derived else terms
             assert {sum(degrees[m] for m in ns) for _, _, ns in own_terms} == {top}
             if derived:

@@ -4,6 +4,7 @@ checked against the Fraction reference of ``kernel_reference``; the program
 cache; and the einsum calls of whole verifier runs."""
 
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -98,8 +99,12 @@ def _want(terms, tables):
 
 def _contractions(program):
     """The terms of a program's sums, derived operands' included, that read
-    a contraction."""
-    return sum(slot is not None for _, _, _, _, _, terms, *_ in program.sums for *_, slot, _ in terms)
+    a contraction: each term has one step into its sum's register, which
+    reads a register an einsum step set, unless the term permutes an
+    operand."""
+    steps = [(out, step) for steps, out, *_ in program.code for step in steps]
+    computed = {to for out, (_, to, _, subs, *_) in steps if subs is not None}
+    return sum(to == out and ins[0] in computed for out, (_, to, _, _, _, ins, _) in steps)
 
 
 def test_shared_slots_match_reference():
@@ -120,6 +125,71 @@ def test_shared_slots_match_reference():
         program = core._compile(specs, arrays)
         assert program.slots < _contractions(program)
         assert {num.dtype for num, _ in contract(specs, tables).values()} == {np.dtype(object)}
+
+
+# derived operands whose value is zero: the terms of C cancel, a term of Z has the coefficient 0
+NULL = {"C": ((2, "ijk->ijk", ("<",)), (-2, "ijk->ijk", ("<",))),
+        "Z": ((0, "ijk->ijk", (">",)), (1, "ijk->kji", (">",)))}
+
+
+def _exact_bounds(program, maxabs) -> list:
+    """Each sum's ``_bound``, taken in order, a derived operand counting at
+    its own sum's bound: the exact rule the certificate stands for."""
+    maxabs, bounds = dict(maxabs), []
+    for key, factors, names, derived in program.bounds:
+        bounds.append(core._bound(factors, [maxabs[name] for name in names]))
+        if derived:
+            maxabs[key] = bounds[-1]
+    return bounds
+
+
+def test_the_certificate_decides_as_the_exact_bounds():
+    """On random specs of the pool, with random coefficients (0 and 2**62
+    among them), half of them beside a spec that reads the derived operands
+    of ``NULL``: each sum's exact ``_bound`` is at most the program's
+    certificate for its degree, F * M**d, and the dtype the program runs in
+    is the one the exact bounds decide, with every input at maxabs 0 (all
+    zero), at random maxabs around 2**63 and 2**31, and just below, at, and
+    just past the largest maxabs m at which the exact bounds fit int64, when
+    every input is at m, and when each is at m shifted right by 0, 5 or 30
+    bits (so that the certificate, which counts every input at m, fails
+    where the exact bounds fit)."""
+    rng = random.Random(35)
+    near = [0, 1, 3, 2**31 - 1, 2**31, 2**31 + 1, 2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1]
+    for trial in range(24):
+        specs = {key: [(rng.choice((0, -3, HUGE) if rng.random() < 0.2 else (1, -1, 2)), subs, names)
+                       for _, subs, names in terms] for key, terms in _specs(rng, POOL).items()}
+        if trial % 2:
+            specs["null"] = [(1, "ijk,kl->ijl", ("C", "r")), (-1, "ijk,kl->ijl", ("Z", "r"))]
+        arrays = {name: core.exact(t).num for name, t in _tables(rng, 2).items()}
+        program = core._compile(specs, arrays, (), NULL if trial % 2 else None)
+        certificate = dict(program.certificate)
+
+        def decides(maxabs):
+            """Whether the exact bounds fit int64; checks the certificate and the dtype the program runs in."""
+            bounds, m = _exact_bounds(program, maxabs), max(1, *maxabs.values())
+            for bound, (*_, deg, _, _) in zip(bounds, program.code):
+                assert bound <= certificate[deg] * m**deg
+            fits = max(0, *maxabs.values(), *bounds) <= core.INT64_MAX
+            assert {num.dtype for _, num, _ in program.run(arrays, maxabs)} == {np.dtype(np.int64 if fits else object)}
+            return fits
+
+        decides(dict.fromkeys(arrays, 0))
+        for _ in range(3):
+            decides({name: rng.choice(near) for name in arrays})
+        for shift in (dict.fromkeys(arrays, 0), {name: rng.choice((0, 5, 30)) for name in arrays}):
+            def at(m):  # each input's maxabs: m shifted right by its shift
+                return {name: m >> shift[name] for name in arrays}
+
+            lo, hi = -1, 2**64  # the exact bounds fit at(lo) (-1: at none), not at(hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if max(_exact_bounds(program, at(mid)) + [*at(mid).values()]) <= core.INT64_MAX:
+                    lo = mid
+                else:
+                    hi = mid
+            fits = [decides(at(m)) for m in (lo - 1, lo, hi) if m >= 0]
+            assert fits == [True] * (len(fits) - 1) + [False]
 
 
 @pytest.mark.parametrize("budget", [None, 1])
@@ -208,6 +278,33 @@ def test_dim4_runs_evaluate_each_contraction_once(monkeypatch):
     assert calls <= 45 and slots == [41]
     calls, slots = _einsum_calls(monkeypatch, lambda: coboundary_diagnostics(alg, r))
     assert calls <= 98 and slots == [51]
+
+
+def test_each_register_is_dropped_after_its_last_reader(monkeypatch):
+    """In the programs of the dim-4 ``check_bialgebra`` and
+    ``coboundary_diagnostics``, every register a step writes (no input's) is
+    dropped once, when a sum at or after the last one that reads it ends
+    (the last sum that names it or its contraction), and a
+    run holds no spec's value once it has yielded the next."""
+    programs, run = [], core._Program.run
+    monkeypatch.setattr(core._Program, "run", lambda self, *args: programs.append((self, args)) or run(self, *args))
+    bialg = _load("dim4_bialgebra.json")
+    check_bialgebra(bialg.algebra, bialg.coalgebra)
+    coboundary_diagnostics(_load("dim4_semidirect.json"), _load("dim4_ybe_solution.json"))
+    for program, args in programs:
+        written, read, dropped = {}, {}, []
+        for s, (steps, *_, frees) in enumerate(program.code):
+            for _, to, _, _, _, ins, _ in steps:
+                written.setdefault(to, s)
+                read.update(dict.fromkeys(ins, s))
+            dropped += [(k, s) for k in frees]
+        assert min(written) >= len(program.names) and sorted(k for k, _ in dropped) == sorted(written)
+        assert all(s >= max(written[k], read.get(k, 0)) for k, s in dropped)
+        refs = []
+        for _, num, _ in run(program, *args):
+            assert all(ref() is None for ref in refs)
+            refs.append(weakref.ref(num))
+            del num
 
 
 def test_one_program_per_member_shape(monkeypatch):

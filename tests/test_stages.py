@@ -1,7 +1,10 @@
 """Each CLI command makes one kernel call per stage of its construction:
-``check``, ``derive``, ``ybe`` and ``coboundary`` one, ``double`` three (the
-bialgebra and its induced matched pair; the double's Novikov and
-quasi-Frobenius checks with the split products; the split's checks).  The
+``check``, ``derive``, ``ybe``, ``coboundary`` and ``oper`` one, ``double``
+three (the bialgebra and its induced matched pair; the double's Novikov and
+quasi-Frobenius checks with the split products; the split's checks), and
+``oper --lift`` four (the operator check it prints, which the lift's
+biconditional reads; the rep's check with its dual; the semidirect
+product's check; the lifted 4.13 residual).  The
 library constructions run on the same stages.  A refusal still prints the
 failing report alone, on the bundle's basis, and merged stages keep the exit
 contract on malformed bundles."""
@@ -43,18 +46,21 @@ CHECKED = ["dim2_bialgebra.json", "dim2_coalgebra.json", "dim2_double_qf.json", 
            "dim2_o_operator.json", "dim2_pre_novikov.json", "dim2_pre_novikov_broken.json", "dim2_pre_rep.json",
            "dim2_rep.json", "dim4_bialgebra.json", "dim4_coalgebra.json", "dim4_semidirect.json"]
 PAIR = ["dim4_semidirect.json", "dim4_ybe_solution.json"]
+OPERATOR = ["dim2_pre_novikov.json", "dim2_pre_rep.json", "dim2_shift_t.json"]
 CALLS = [(["check", name], 1) for name in CHECKED] + [
     (["derive", name], 1) for name in ("dim2_pre_novikov.json", "dim4_semidirect.json", "dim2_pre_rep.json",
                                        "dim2_rep.json")] + [
     (["ybe", *PAIR], 1), (["coboundary", *PAIR], 1),
-    (["double", "dim2_bialgebra.json"], 3), (["double", "dim4_bialgebra.json"], 3)]
+    (["double", "dim2_bialgebra.json"], 3), (["double", "dim4_bialgebra.json"], 3),
+    (["oper", *OPERATOR], 1), (["oper", *OPERATOR, "--lift"], 4)]
 
 
 @pytest.mark.parametrize("argv, calls", CALLS, ids=[" ".join(argv) for argv, _ in CALLS])
 def test_each_command_makes_one_kernel_call_per_stage(kernel_calls, argv, calls):
     command, *names = argv
     with contextlib.redirect_stderr(io.StringIO()):
-        assert run_command([command, *map(_fixture, names)], io.StringIO()) in (0, 1)
+        assert run_command([command, *[name if name[0] == "-" else _fixture(name) for name in names]],
+                           io.StringIO()) in (0, 1)
     assert len(kernel_calls) == calls
 
 
