@@ -247,8 +247,9 @@ def _row_pairs(lhd_ok: np.ndarray, rows: np.ndarray) -> np.ndarray:
     at once.  The blocks are as few as keep each block's candidate-row
     slices (n**4 * len(rows) entries per < table) within
     ``core.BATCH_BYTES`` at 8 bytes an entry, and of one length up to
-    rounding; as in ``core.zero_members``, a block whose slices the kernel
-    charges past it (on Python ints) is rebuilt shorter, as are the next.
+    rounding.  A block's slices are tested by ``core.zero_members``, in
+    shorter chunks when the kernel charges them past it (on Python ints),
+    so 2.9 runs once per < table.
     """
     n = ENUM_DIM
     probes = np.eye(n * n + 1, n * n, k=-1, dtype=np.int64).reshape(-1, n, n)
@@ -271,12 +272,8 @@ def _row_pairs(lhd_ok: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # D in place: an entry of D sums the parts of the 2.9 terms that read
         # row i, at a unit row, so it stays under the bound that certified res
         S[:, :, 1:] -= S[:, :, :1]
-        try:
-            slices = sum_batched({"": [(1, "cp,ips->ics", ("V", "S"))]}, {"V": V, "S": S}, {"S"}, core.BATCH_BYTES)[""]
-        except core._OverBudget as over:
-            (per_block,) = over.args
-            continue
-        ok = ~(slices != 0).any(axis=3)  # (b, n, candidate row)
+        spec = {"": [(1, "cp,ips->ics", ("V", "S"))]}  # [1 | V] @ [C ; D]: (b, n, candidate row, slice)
+        ok = np.concatenate([ok for _, ok in zero_members(spec, b, lambda lo, hi: {"S": S[lo:hi]}, {"V": V}, 3)])
 
         # extend each partial index row (l, row_0..row_{i-1}) by the rows
         # kept for row i of table l, in order: np.nonzero runs row-major

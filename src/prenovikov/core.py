@@ -5,7 +5,7 @@ exact elimination.
 The kernel compiles each call once per spec content, input names, member
 shapes and batch axes into a program of flat register steps (``_program``, a
 bounded LRU cache) that computes each distinct contraction once, so a call on
-small tables pays little more than its einsums (``contract``, ``sum_batched``).
+small tables pays little more than its numpy calls (``contract``, ``sum_batched``).
 It alone decides, once per call, between int64 and Python ints, by its
 program's certificate, else its sums' bounds (``_bound``); callers certify
 nothing.  It reads whole operands: a caller testing a box slices them.
@@ -241,10 +241,10 @@ def fit_letters(what: str, letters: str, shape: tuple, sizes: dict) -> None:
 
 # An unbatched term whose full index loop (the product of the sizes of its
 # letters) is at most this runs as one einsum; a larger one runs as pairwise
-# einsums along a path planned once.  A batched term always runs as one
-# np.einsum given its path, whose pairwise steps are batched matrix products.
-# From timings on small integer tables: one einsum is the cheapest below it,
-# pairwise einsums above it.
+# einsums along a path planned once.  A batched term always runs pairwise,
+# each step of two operands lowered once to a batched matrix product
+# (``_lowered``), so numpy plans nothing at run time.  From timings on small
+# integer tables: one einsum is the cheapest below it, pairwise einsums above.
 PATH_LOOP = 512
 
 # The programs ``_program`` keeps, least recently used first out: the one
@@ -258,31 +258,50 @@ def _steps(inputs: tuple, out: str, sizes: dict) -> tuple[tuple, int]:
     """How one einsum term runs at ``sizes``, and the entries per batch
     member of the largest array it forms.
 
-    The steps are ``(picked, subscripts, options)``: each is ``np.einsum``
-    with these keyword options of the operands at positions ``picked`` of
-    the current list, its result appended to the list.  Above ``PATH_LOOP``
-    the term follows the greedy path ``np.einsum(optimize=True)`` picks for
-    these shapes, as pairwise einsums; with a batch axis ``N`` (of size 1)
-    always, as one ``np.einsum`` given that path (``optimize=True`` for two
-    operands).
+    The steps are ``(picked, op)``: ``op`` of the operands at positions
+    ``picked`` of the current list, its result appended to the list, ``op``
+    being ``np.einsum`` subscripts or a ``_lowered`` plan.  Above
+    ``PATH_LOOP``, and with a batch axis ``N`` (of size 1) always, the term
+    runs pairwise along the greedy path ``np.einsum(optimize=True)`` picks
+    for these shapes (for two operands the term itself), a step of two
+    operands and ``N`` lowered.
     """
-    subs, whole = f"{','.join(inputs)}->{out}", tuple(range(len(inputs)))
-    if len(inputs) <= 2 or "N" not in out and prod(sizes.values()) <= PATH_LOOP:  # (two operands: the path is the term)
-        return ((whole, subs, {"optimize": True} if "N" in out else {}),), prod(sizes[c] for c in out)
+    subs, on = f"{','.join(inputs)}->{out}", "N" in out
+    if len(inputs) == 1 or not on and (len(inputs) == 2 or prod(sizes.values()) <= PATH_LOOP):
+        return ((tuple(range(len(inputs))), subs),), prod(sizes[c] for c in out)
     shaped = [np.broadcast_to(np.int8(0), tuple(sizes[c] for c in letters)) for letters in inputs]
-    path = np.einsum_path(subs, *shaped, optimize="greedy")[0]
-    inputs, steps = list(inputs), []
-    for picked in path[1:]:
+    path = np.einsum_path(subs, *shaped, optimize="greedy")[0][1:] if len(inputs) > 2 else [(0, 1)]
+    inputs, steps, peak = list(inputs), [], 0
+    for picked in path:
         picked = tuple(sorted(picked))
         groups = [inputs[k] for k in picked]
         for k in reversed(picked):
             del inputs[k]
         kept = set(out).union(*inputs)
         result = out if not inputs else "".join(dict.fromkeys(c for g in groups for c in g if c in kept))
-        steps.append((picked, f"{','.join(groups)}->{result}", {}))
+        peak = max(peak, prod(sizes[c] for c in result))
+        steps.append((picked, on and len(groups) == 2 and _lowered(*groups, result, sizes)
+                      or f"{','.join(groups)}->{result}"))
         inputs.append(result)
-    peak = max(prod(sizes[c] for c in step.split("->")[1]) for _, step, _ in steps)
-    return (((whole, subs, {"optimize": path}),) if "N" in out else tuple(steps)), peak
+    return tuple(steps), peak
+
+
+def _lowered(a: str, b: str, out: str, sizes: dict) -> tuple | None:
+    """The pairwise step ``a,b->out`` as numpy's ``bmm_einsum`` runs it, for
+    ``_Program.run``: ``a`` laid out as (letters shared and kept, its own,
+    contracted) and ``b`` as (shared and kept, contracted, its own), each
+    group fused, ``N`` at its run-time size (-1, never dropped as a size-1
+    letter).  None (an einsum runs it) if a letter repeats in an operand or
+    is summed in one operand only."""
+    kept, summed = [c for c in a if c in b and c in out], [c for c in a if c in b and c not in out]
+    own_a, own_b = [c for c in a if c not in b], [c for c in b if c not in a]
+    if len(set(a)) < len(a) or len(set(b)) < len(b) or not set(own_a + own_b) <= set(out):
+        return None
+    made = kept + own_a + own_b
+    fused = [tuple(-1 if "N" in g else prod(sizes[c] for c in g) for g in groups)
+             for groups in ((kept, own_a, summed), (kept, summed, own_b), made)]
+    return (tuple(map(a.index, kept + own_a + summed)), fused[0], tuple(map(b.index, kept + summed + own_b)),
+            fused[1], bool(summed), fused[2], tuple(map(made.index, out)))
 
 
 def _canonical(inputs: tuple, out: str) -> tuple[tuple, dict]:
@@ -346,17 +365,18 @@ class _Program:
     ``labels.OPERANDS``; batched when an input is) comes before the first
     sum that reads it.  ``code`` holds per sum ``(steps, register, key,
     degree, derived, frees)``, a step being ``(action, register,
-    coefficient, subscripts, options, operand registers, axes)``: the
-    ``np.einsum`` of its operands (its one operand when subscripts is None),
-    transposed by ``axes`` unless None, put into its register by its
-    action.  A term permutes an operand or reads its contraction
-    (``_canonical``, one of ``slots``), which its first reader computes
-    into a register, laid out as its own output, by one einsum or the
-    pairwise steps of ``_steps``.  ``frees`` (a spec's own register, the
-    pairwise steps' own, slots and derived operands after their last
-    reader) are dropped when the sum ends.  ``peak`` is the most entries per
-    member a batched sum holds: the largest array a term forms (an einsum
-    step or the copy it is summed into) plus the batched slots read twice
+    coefficient, op, operand registers, axes)``: ``op`` of its operands
+    (``np.einsum`` of subscripts, the matrix product of a ``_lowered`` plan,
+    or its one operand when None), transposed by ``axes`` unless None, put
+    into its register by its action.  A term permutes an operand or reads its
+    contraction (``_canonical``, one of ``slots``), which its first reader
+    computes into a register, laid out as its own output, by the steps of
+    ``_steps``, a pairwise step into the last intermediate it reads (so
+    dropping it) if any.  ``frees`` (a spec's own register, other
+    intermediates, slots and derived operands after their last reader) are
+    dropped when the sum ends.  ``peak`` is the most entries per member a
+    batched sum holds: the largest array a term forms (a step or the copy it
+    is summed into) plus the batched slots read twice
     and derived operands alive while it runs.  ``bounds`` holds per sum its
     key, bound factors for ``_bound`` (|coef| times the index values a term
     sums over, the operand positions), operand names and whether it is
@@ -435,15 +455,16 @@ class _Program:
                 # accumulate in place, into a copy of the first term unless it is a new array read once
                 act = ((_COPY if coef != 1 or len(at) == 1 or uses[slot] > 1 else _SET) if t == 0
                        else _ADD if coef == 1 else _SUB if coef == -1 else _MADD)
-                if slot is not None and slot not in reg:  # its first reader computes it, each step into a new register
-                    ins = [ops[k] for k in at]
-                    for picked, subs, options in run:
+                if slot is not None and slot not in reg:  # its first reader computes it; a step writes into the
+                    ins = [ops[k] for k in at]  # last intermediate it reads (dropping it), else into a new register
+                    for picked, op in run:
                         args = tuple(ins.pop(k) for k in reversed(picked))[::-1]
-                        ins.append(next(registers))
-                        dropped.append(ins[-1])
-                        steps.append((_SET, ins[-1], 1, subs, options, args, None))
-                    reg[slot] = dropped.pop()  # (the last step's, dropped after the last reader of the contraction)
-                steps.append((act, out, coef, None, None, (ops[at[0]] if slot is None else reg[slot],), axes))
+                        ins.append(args[-1] if args[-1] in dropped else next(registers))
+                        dropped += [] if ins[-1] in dropped else ins[-1:]
+                        steps.append((_SET, ins[-1], 1, op, args, None))
+                    reg[slot] = ins[-1]  # (the last step's, dropped after the last reader of the contraction)
+                    dropped.remove(ins[-1])
+                steps.append((act, out, coef, None, (ops[at[0]] if slot is None else reg[slot],), axes))
             dropped += [reg[k] for k in frees.get(s, ()) if k in reg and k not in inputs]
             self.code.append((tuple(steps), out, key, deg, derived, tuple(dropped)))
         self.registers, self.certificate = next(registers), tuple(certificate.items())
@@ -475,8 +496,13 @@ class _Program:
         regs = [a if a.dtype == dtype else a.astype(dtype) for a in map(arrays.__getitem__, self.names)]
         regs += [None] * (self.registers - len(regs))
         for steps, out, key, deg, derived, frees in self.code:
-            for act, to, coef, subs, options, ins, axes in steps:
-                value = regs[ins[0]] if subs is None else np.einsum(subs, *map(regs.__getitem__, ins), **options)
+            for act, to, coef, op, ins, axes in steps:
+                if type(op) is tuple:  # a ``_lowered`` plan: a matrix product (broadcast when nothing is summed)
+                    (pa, sa, pb, sb, summed, made, back), (x, y) = op, map(regs.__getitem__, ins)
+                    x, y = x.transpose(pa).reshape(sa), y.transpose(pb).reshape(sb)
+                    value = (np.matmul(x, y) if summed else x * y).reshape(made).transpose(back)
+                else:
+                    value = regs[ins[0]] if op is None else np.einsum(op, *map(regs.__getitem__, ins))
                 if axes is not None:
                     value = value.transpose(axes)
                 if act == _ADD:
@@ -564,16 +590,17 @@ class _OverBudget(Exception):
     members would stay within it."""
 
 
-def zero_members(specs: dict, size: int, members, fixed=None):
+def zero_members(specs: dict, size: int, members, fixed=None, keep: int = 1):
     """Which members of a batch have an all-zero residual under every term
     list in ``specs``, one chunk at a time.
 
     ``members(lo, hi)`` builds the operands of members lo..hi-1 that carry a
     leading batch axis; ``fixed`` holds those that do not.  Yields, in order,
-    each chunk's batched operands and the mask of its members whose every
-    residual is zero.  The first chunk's length comes from the peak per member of the
-    program, compiled from member ``lo``, at 8 bytes an entry; a chunk whose
-    call would pass ``BATCH_BYTES`` at its dtype (see ``_Program.run``) is
+    each chunk's batched operands and the mask of its members (over the
+    first ``keep`` axes of the residuals) whose every residual is zero.  The
+    first chunk's length comes from the peak per member of the program,
+    compiled from member ``lo``, at 8 bytes an entry; a chunk whose call
+    would pass ``BATCH_BYTES`` at its dtype (see ``_Program.run``) is
     rebuilt shorter before any sum runs, and the chunks after keep its length.
     """
     fixed = fixed or {}
@@ -587,7 +614,7 @@ def zero_members(specs: dict, size: int, members, fixed=None):
         sums = _compile(specs, {**fixed, **arrays}, arrays).run(
             {**fixed, **arrays}, {**tops, **{name: _maxabs(a) for name, a in arrays.items()}}, BATCH_BYTES)
         try:  # each residual is reduced, and freed, before the next sum runs
-            nonzero = [(num != 0).reshape(hi - lo, -1).any(axis=1) for _, num, _ in sums]
+            nonzero = [(num != 0).reshape(num.shape[:keep] + (-1,)).any(axis=-1) for _, num, _ in sums]
         except _OverBudget as over:
             (length,) = over.args
             continue

@@ -355,7 +355,7 @@ def _search_rows(ints: dict, scaled: np.ndarray) -> np.ndarray:
     give the mirror (e1<e3 = -e2 alone at dim 3).  Each row's candidates are
     built and tested chunk by chunk by ``core.zero_members``, within
     ``core.BATCH_BYTES``; a row keeping more than ``SURVIVOR_BYTES`` of
-    candidates is refused with ``InputError`` as soon as its survivors pass it.
+    candidates is refused with ``InputError`` at the first survivor past it.
     """
     n, base = ints["<"].shape[0], len(scaled)
     mirror = np.array_equal(ints["<"], ints["<"].transpose(1, 0, 2))
@@ -376,16 +376,16 @@ def _search_rows(ints: dict, scaled: np.ndarray) -> np.ndarray:
                 R[:, k, j] = scaled[t // base ** (n - 1 - j) % base]
             return {"r" + cut: R[:, at] for cut, at in cuts.items() if "r" + cut in read}
 
-        kept, nbytes = [], 0
+        kept, count, each = [], 0, (k + 1) * n * batch.itemsize
         tables = {name + cut: t[..., at] for name, t in ints.items() for cut, at in cuts.items() if name + cut in read}
         for chunk, ok in zero_members(specs, len(batch) * fan, candidates, tables):
-            kept.append(chunk["r"][ok])
-            nbytes += kept[-1].nbytes
-            if nbytes > SURVIVOR_BYTES:
+            count += int(np.count_nonzero(ok))  # (counted before they are copied)
+            if count * each > SURVIVOR_BYTES:
                 raise InputError(
-                    f"search row {k + 1} keeps {sum(map(len, kept))} candidates so far, "
+                    f"search row {k + 1} keeps {SURVIVOR_BYTES // each + 1} candidates so far, "
                     f"beyond the bound of {SURVIVOR_BYTES} bytes"
                 )
+            kept.append(chunk["r"][ok])
         batch = np.concatenate(kept)
         if not len(batch):
             return np.zeros((0, n, n), dtype=batch.dtype)

@@ -316,12 +316,15 @@ def test_enumeration_beyond_int64_runs_on_python_ints():
 
 def test_enumeration_stage_2_stays_within_the_byte_budget(monkeypatch):
     """Stage 2 on Python ints: with -2**40, 0, 2**40 no array that
-    ``_row_pairs`` makes through the kernel (each its einsums return or its
-    kernel calls yield, int objects counted) passes ``core.BATCH_BYTES``,
-    though its first block is sized at 8 bytes an entry; and the 257
-    algebras of -1, 0, 1 come back scaled, in the same order."""
-    big, sizes, inside = 2**40, [], []
-    einsum, run, row_pairs = np.einsum, core._Program.run, algebras._row_pairs
+    ``_row_pairs`` makes through the kernel (each its einsums and matrix
+    products return or its kernel calls yield, int objects counted) passes
+    ``core.BATCH_BYTES``, though its first block is sized at 8 bytes an
+    entry; its slices run in shorter chunks, and 2.9 runs once per block,
+    on each < table of stage 1 once: three blocks.  The 257 algebras of -1,
+    0, 1 come back scaled, in the same order."""
+    big, sizes, inside, members = 2**40, [], [], []
+    einsum, matmul, run, row_pairs = np.einsum, np.matmul, core._Program.run, algebras._row_pairs
+    batched = algebras.sum_batched
 
     def measured(array):
         if inside and isinstance(array, np.ndarray):
@@ -341,11 +344,20 @@ def test_enumeration_stage_2_stays_within_the_byte_budget(monkeypatch):
             inside.pop()
 
     monkeypatch.setattr(core._Program, "run", recorded)
+    def counted(specs, arrays, *args, **kwargs):
+        if "2.9" in specs:
+            members.append(len(arrays["<"]))
+        return batched(specs, arrays, *args, **kwargs)
+
     monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: measured(einsum(*args, **kwargs)))
+    monkeypatch.setattr(np, "matmul", lambda *args: measured(matmul(*args)))
     monkeypatch.setattr(algebras, "_row_pairs", stage_2)
+    monkeypatch.setattr(algebras, "sum_batched", counted)
     algebras._enumerate.cache_clear()
     got = enumerate_dim2_pre_novikov((-big, 0, big))
     assert core.BATCH_BYTES / 2 < max(sizes) <= core.BATCH_BYTES
+    lhd_ok = 817  # < tables passing 2.11, 2 * 5 probe members each
+    assert len(members) == 3 and sum(members) == 10 * lhd_ok
     want = enumerate_dim2_pre_novikov((-1, 0, 1))
     assert len(want) == 257
     assert got == [PreNovikovAlgebra(*(StructureConstants(2, Exact(op.table.num * big)) for op in (a.lhd, a.rhd)))
@@ -445,8 +457,8 @@ def test_enumeration_reverification_catches_a_planted_pair(monkeypatch):
     through.)"""
     sweep = core.zero_members
 
-    def planted(specs, size, members, fixed=None):
-        for arrays, ok in sweep(specs, size, members, fixed):
+    def planted(specs, size, members, fixed=None, keep=1):
+        for arrays, ok in sweep(specs, size, members, fixed, keep):
             yield arrays, np.ones_like(ok) if {"2.10", "2.8"} & set(specs) else ok
 
     monkeypatch.setattr(core, "zero_members", planted)  # through core.zero_mask

@@ -133,6 +133,47 @@ def test_batched_three_operand_term_at_the_certified_bound(excess):
     assert [int(v) for v in got[:, 0]] == [bound, -bound, x * 7 * 73 * 127]
 
 
+@pytest.mark.parametrize("scale", [1, 2**70], ids=["int64", "object"])
+def test_batched_pairwise_steps_match_reference(scale):
+    """Random batched terms of two and three operands on letters of sizes
+    1-3, some operands batched, through ``sum_batched`` at batch lengths 1,
+    2 and 17: every member is the reference value of the term on that
+    member, in int64 and on Python ints (the first entry of each operand
+    -3 * 2**70).  Their pairwise steps are lowered (``core._lowered``) to
+    matrix products, or to broadcast products when they contract no
+    letter, with size-1 letters among them; a step with a letter repeated
+    in an operand or summed in one operand only runs as an einsum."""
+    rng, seen = np.random.default_rng(36), set()
+    for trial in range(80):
+        sizes = dict(zip("abcd", rng.choice([1, 2, 3], 4).tolist()))
+        groups = ["".join(rng.choice(list("abcd"), rng.integers(1, 4), replace=trial % 3 == 0))
+                  for _ in range(2 + trial % 2)]
+        letters = sorted(set("".join(groups)))
+        out = "".join(rng.permutation(letters)[: rng.integers(0, len(letters) + 1)])
+        names = tuple(f"t{k}" for k in range(len(groups)))
+        batch = {name for name in names if rng.random() < 0.5} or {names[-1]}
+        terms = [(int(rng.choice([-2, 1, 3])), f"{','.join(groups)}->{out}", names)]
+        for length in (1, 2, 17):
+            arrays = {}
+            for name, g in zip(names, groups):
+                shape = ((length,) if name in batch else ()) + tuple(sizes[c] for c in g)
+                t = rng.integers(-3, 4, shape).astype(object)
+                t.flat[0] = -3 * scale
+                arrays[name] = core._fit(t.ravel().tolist()).reshape(t.shape)
+            got = sum_batched({"": terms}, arrays, batch)[""]
+            assert got.dtype == (np.int64 if scale == 1 else object) and got.shape[0] == length
+            for m, row in enumerate(got.reshape(length, -1).tolist()):
+                member = {name: (a[m] if name in batch else a).tolist() for name, a in arrays.items()}
+                assert list(map(F, row)) == list(reference(terms, member).values())
+        for steps, *_ in core._compile({"": terms}, arrays, batch).code:
+            for _, _, _, op, _, _ in steps:
+                if type(op) is tuple:
+                    seen.update(["matmul" if op[4] else "multiply"] + ["size 1"] * (1 in sizes.values()))
+                elif op is not None:
+                    seen.add("einsum")
+    assert seen == {"matmul", "multiply", "size 1", "einsum"}
+
+
 @pytest.mark.parametrize("big", [2**61 - 1, 2**61])
 def test_kernel_cancelling_terms_near_the_bound(big):
     """Partial sums count toward the bound even when the terms cancel."""
@@ -168,20 +209,22 @@ def test_an_object_batch_over_budget_runs_no_einsum(monkeypatch):
     """A batched call on Python ints is charged, once and before its first
     sum, a pointer plus the int object of its largest bound per entry of
     its ``peak``: one byte short of the whole batch it raises
-    ``_OverBudget`` with the members that fit, and no einsum has run; at
-    the whole batch's charge it runs."""
+    ``_OverBudget`` with the members that fit, and no einsum or matrix
+    product has run; at the whole batch's charge its one matrix product
+    runs."""
     terms = [(1, "ij,jk->ik", ("A", "B"))]
     arrays = {"A": np.full((5, 2, 2), 2**40, np.int64), "B": np.full((2, 2), 2**40, np.int64)}
     maxabs = {"A": 2**40, "B": 2**40}
     program = core._compile({"": terms}, arrays, {"A"})
     member = program.peak * (8 + sys.getsizeof(2 * 2**40 * 2**40))
-    calls, einsum = [], np.einsum
-    monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: calls.append(1) or einsum(*args, **kwargs))
+    calls, einsum, matmul = [], np.einsum, np.matmul
+    monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: calls.append("einsum") or einsum(*args, **kwargs))
+    monkeypatch.setattr(np, "matmul", lambda *args: calls.append("matmul") or matmul(*args))
     with pytest.raises(core._OverBudget) as over:
         next(program.run(arrays, maxabs, 5 * member - 1))
     assert over.value.args == (4,) and calls == []
     ((_, num, _),) = program.run(arrays, maxabs, 5 * member)
-    assert calls and num.dtype == object and (num == 2**81).all()
+    assert calls == ["matmul"] and num.dtype == object and (num == 2**81).all()
 
 
 def test_the_certificate_spares_the_exact_bounds(monkeypatch):
@@ -427,8 +470,8 @@ def test_zero_members_matches_the_full_batch(monkeypatch, scale):
     and at 1 byte, the masks agree, and a 1-byte budget gives chunks of one
     member.  Every sum that runs on a chunk of more than one member forms no
     array past ``BATCH_BYTES``, charged 8 bytes per int64 entry and a pointer
-    plus its int object otherwise (each array the kernel's einsums return
-    or its sums yield is measured): at 2 KiB the chunks that reach the
+    plus its int object otherwise (each array the kernel's einsums and
+    matrix products return or its sums yield is measured): at 2 KiB the chunks that reach the
     scaled half must be rebuilt shorter."""
     rng = np.random.default_rng(11)
     size = 300
@@ -448,7 +491,7 @@ def test_zero_members_matches_the_full_batch(monkeypatch, scale):
     wants = [_plain_zero(*case).tolist() for case in cases]
 
     over, lengths, running = [], [], []
-    run, einsum = core._Program.run, np.einsum
+    run, einsum, matmul = core._Program.run, np.einsum, np.matmul
 
     def measured(array):
         size = array.nbytes + (sum(map(sys.getsizeof, array.ravel().tolist())) if array.dtype == object else 0)
@@ -466,6 +509,7 @@ def test_zero_members_matches_the_full_batch(monkeypatch, scale):
 
     monkeypatch.setattr(core._Program, "run", budgeted)
     monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: measured(einsum(*args, **kwargs)))
+    monkeypatch.setattr(np, "matmul", lambda *args: measured(matmul(*args)))
     default = core.BATCH_BYTES
     for (specs, arrays, fixed), want in zip(cases, wants):
 

@@ -100,11 +100,11 @@ def _want(terms, tables):
 def _contractions(program):
     """The terms of a program's sums, derived operands' included, that read
     a contraction: each term has one step into its sum's register, which
-    reads a register an einsum step set, unless the term permutes an
+    reads a register a contraction step set, unless the term permutes an
     operand."""
     steps = [(out, step) for steps, out, *_ in program.code for step in steps]
-    computed = {to for out, (_, to, _, subs, *_) in steps if subs is not None}
-    return sum(to == out and ins[0] in computed for out, (_, to, _, _, _, ins, _) in steps)
+    computed = {to for out, (_, to, _, op, *_) in steps if op is not None}
+    return sum(to == out and ins[0] in computed for out, (_, to, _, _, ins, _) in steps)
 
 
 def test_shared_slots_match_reference():
@@ -294,7 +294,7 @@ def test_each_register_is_dropped_after_its_last_reader(monkeypatch):
     for program, args in programs:
         written, read, dropped = {}, {}, []
         for s, (steps, *_, frees) in enumerate(program.code):
-            for _, to, _, _, _, ins, _ in steps:
+            for _, to, _, _, ins, _ in steps:
                 written.setdefault(to, s)
                 read.update(dict.fromkeys(ins, s))
             dropped += [(k, s) for k in frees]

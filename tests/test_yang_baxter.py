@@ -454,57 +454,86 @@ def test_search_first_chunks_fit_the_program_peak(monkeypatch):
     assert peaks == [4 * (k + 1) for k in range(4)] and max(peaks) < 4**3
 
 
+def _term_steps(program) -> list:
+    """Per term of each sum of ``program``, the contraction steps that run
+    before the step reading it into its sum (none when an earlier term
+    computed its contraction)."""
+    runs = []
+    for steps, *_ in program.code:
+        ops = []
+        for _, _, _, op, _, _ in steps:
+            if op is None:
+                runs.append(ops)
+                ops = []
+            else:
+                ops.append(op)
+    return runs
+
+
 def test_search_rows_follow_pairwise_paths_within_the_whole_peak(monkeypatch, alg4):
-    """In a dim-4 search every batched three-operand 4.13 einsum of the row
-    form ``labels.YBE_ROWS`` is given its pairwise path, on the cuts of each
-    row's placed rows and tables that its boxes read.  The program of each
-    row peaks no higher than the 4.13 program on whole operands."""
-    calls, einsum = [], np.einsum
-
-    def recorded(subs, *operands, **options):
-        calls.append((subs, options.get("optimize")))
-        return einsum(subs, *operands, **options)
-
-    terms = labels.YBE_ROWS
-    batched = {",".join("N" + g if name == "r" else g for g, name in zip(subs.split("->")[0].split(","), ns))
-               + "->N" + subs.split("->")[1] for _, subs, ns in terms}
+    """In a dim-4 search every batched three-operand 4.13 term of the row
+    form ``labels.YBE_ROWS`` runs as the two pairwise steps of its path,
+    each lowered to a matrix product (a ``core._lowered`` plan), on the cuts
+    of each row's placed rows and tables that its boxes read; those steps
+    run as ``np.matmul`` calls.  The program of each row peaks no higher
+    than the 4.13 program on whole operands."""
+    calls, matmul = [], np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *args: calls.append(1) or matmul(*args))
     rows = _record_rows(monkeypatch)
-    monkeypatch.setattr(np, "einsum", recorded)
     assert search_symmetric_ybe(alg4, [-1, 0, 1])
-    paths = [path for subs, path in calls if subs in batched]
-    assert len(paths) >= 4 * len(terms)  # (a chunk or more per row)
-    assert all(path[0] == "einsum_path" and [len(step) for step in path[1:]] == [2, 2] for path in paths)
     ints = yang_baxter._integer_tables(alg4)
     tables = {name: ints[name] for name in ("o", "(.)", "<")}
     r = np.zeros((5, 4, 4), dtype=np.int64)
     whole = core._compile({labels.YBE: labels.SPECS[labels.YBE][1]}, {**tables, "r": r}, {"r"}).peak
     assert len(rows) == 4
+    lowered = 0
     for specs, arrays in rows:
         assert all(map(_row_form, specs.values()))
-        assert core._compile(specs, arrays, {name for name in arrays if name[0] == "r"}).peak <= whole
+        program = core._compile(specs, arrays, {name for name in arrays if name[0] == "r"})
+        runs = _term_steps(program)
+        assert len(runs) == len(specs) * len(labels.YBE_ROWS) and {len(run) for run in runs} <= {0, 2}
+        assert all(type(op) is tuple for run in runs for op in run) and any(runs)
+        lowered += sum(map(len, runs))
+        assert program.peak <= whole
+    assert len(calls) >= lowered  # (a chunk or more per row)
 
 
 def test_batched_ybe_takes_its_path_past_path_loop(monkeypatch, alg2):
     """A batched call runs each batched term along its planned path, from
     one program, whatever the batch length: a dim-2 4.13 term loops over
     2**5 index values per member, so 16 members stay within ``PATH_LOOP``
-    and 17 pass it, and every member equals its unbatched value."""
+    and 17 pass it, and each of its three terms runs as two matrix
+    products, with no einsum; every member equals its unbatched value."""
     ints = yang_baxter._integer_tables(alg2)
     fixed, spec = {name: ints[name] for name in ("o", "(.)", "<")}, {labels.YBE: labels.SPECS[labels.YBE][1]}
-    calls, einsum = [], np.einsum
-
-    def recorded(subs, *operands, **options):
-        calls.append(options.get("optimize"))
-        return einsum(subs, *operands, **options)
-
-    monkeypatch.setattr(np, "einsum", recorded)
+    calls, einsum, matmul = [], np.einsum, np.matmul
+    monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: calls.append("einsum") or einsum(*args, **kwargs))
+    monkeypatch.setattr(np, "matmul", lambda *args: calls.append("matmul") or matmul(*args))
     r = np.random.default_rng(13).integers(-2, 3, (64, 2, 2))
     for size in (1, 16, 17, 64):
         calls.clear()
         got = core.sum_batched(spec, {**fixed, "r": r[:size]}, batch={"r"})[labels.YBE]
-        assert len(calls) == 3 and all(path[0] == "einsum_path" for path in calls)
+        assert calls == ["matmul"] * 6
         for m in range(size):
             assert (got[m] == core.sum_batched(spec, {**fixed, "r": r[m]})[labels.YBE]).all()
+
+
+def test_a_warm_batched_run_plans_nothing(monkeypatch, alg4):
+    """A search on a warm cache of programs plans no contraction: it calls
+    neither ``np.einsum_path`` nor ``np.einsum`` with ``optimize``, and its
+    batched contractions run as ``np.matmul``."""
+    search_symmetric_ybe(alg4, [-1, 0, 1])
+    calls, einsum, einsum_path, matmul = [], np.einsum, np.einsum_path, np.matmul
+
+    def spied(*args, **kwargs):
+        calls.append("optimize" if "optimize" in kwargs else "einsum")
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spied)
+    monkeypatch.setattr(np, "einsum_path", lambda *args, **kw: calls.append("einsum_path") or einsum_path(*args, **kw))
+    monkeypatch.setattr(np, "matmul", lambda *args: calls.append("matmul") or matmul(*args))
+    assert search_symmetric_ybe(alg4, [-1, 0, 1])
+    assert "matmul" in calls and "optimize" not in calls and "einsum_path" not in calls
 
 
 def test_a_second_dense_conjugate_compiles_no_program():
@@ -532,6 +561,24 @@ def test_search_refuses_rows_beyond_the_survivor_bound(monkeypatch, row):
     monkeypatch.setattr(yang_baxter, "SURVIVOR_BYTES", kept * row * 3 * 8 - 1)
     with pytest.raises(InputError, match=rf"search row {row} keeps {kept} candidates so far, beyond"):
         search_symmetric_ybe(zero, [-1, 0, 1])
+
+
+def test_search_refuses_at_the_survivor_that_passes_the_bound(monkeypatch):
+    """A row is refused at its first survivor past ``SURVIVOR_BYTES``,
+    counted before its chunk's survivors are copied, whatever the chunk
+    lengths: on the dim-4 zero algebra with -1, 0, 1, 2, row 3 (three placed
+    rows, 96 bytes a candidate) at candidate 16 MiB // 96 + 1 = 174,763; at
+    dim 3 with -1, 0, 1 and a bound of 100 candidates of row 2 and 5 bytes,
+    at candidate 101, in one chunk and in chunks of one candidate."""
+    zero = PreNovikovAlgebra(StructureConstants.zero(4), StructureConstants.zero(4))
+    with pytest.raises(InputError, match=r"search row 3 keeps 174763 candidates so far, beyond"):
+        search_symmetric_ybe(zero, [-1, 0, 1, 2])
+    zero = PreNovikovAlgebra(StructureConstants.zero(3), StructureConstants.zero(3))
+    monkeypatch.setattr(yang_baxter, "SURVIVOR_BYTES", 100 * 2 * 3 * 8 + 5)
+    for budget in (core.BATCH_BYTES, 1):
+        monkeypatch.setattr(core, "BATCH_BYTES", budget)
+        with pytest.raises(InputError, match=r"search row 2 keeps 101 candidates so far, beyond"):
+            search_symmetric_ybe(zero, [-1, 0, 1])
 
 
 def test_search_object_values_keep_every_solution(monkeypatch, kernel_sums):
