@@ -359,7 +359,8 @@ _SET, _COPY, _ADD, _SUB, _MADD = range(5)
 class _Program:
     """One kernel call compiled: specs (``(key, terms)`` pairs) on inputs
     (``(name, shape)`` pairs, of degree 1), those in ``batch`` batched (on
-    an axis ``N`` of size 1), lowered to steps on numbered registers.
+    an axis ``N`` of size 1), lowered in one pass to steps on numbered
+    registers.
 
     Each derived operand (by its terms in ``derived``, else in
     ``labels.OPERANDS``; batched when an input is) comes before the first
@@ -372,18 +373,22 @@ class _Program:
     contraction (``_canonical``, one of ``slots``), which its first reader
     computes into a register, laid out as its own output, by the steps of
     ``_steps``, a pairwise step into the last intermediate it reads (so
-    dropping it) if any.  ``frees`` (a spec's own register, other
-    intermediates, slots and derived operands after their last reader) are
-    dropped when the sum ends.  ``peak`` is the most entries per member a
-    batched sum holds: the largest array a term forms (a step or the copy it
-    is summed into) plus the batched slots read twice
-    and derived operands alive while it runs.  ``bounds`` holds per sum its
-    key, bound factors for ``_bound`` (|coef| times the index values a term
-    sums over, the operand positions), operand names and whether it is
-    derived.  In ``certificate``, the largest F of the sums of degree d
-    bounds their ``_bound`` by F * M**d (M = max(1, the inputs' largest
-    maxabs); a derived operand counts at max(F, 1) * M**d of its sum).
-    Each operand is an input or derived and fits its letters
+    dropping it) if any.  One walk back over ``code`` reads the rest off the
+    steps.  ``frees`` are the registers (no input's) whose last reading step,
+    else their writing step, is in the sum; they are dropped when it ends.  A
+    sum's first term of several operands takes its contraction's array in
+    place (``_SET``) unless a later step reads that register, and sums into
+    a copy otherwise.  ``peak`` is the most entries a sum holds, per member
+    in a batched program (whose sums on no batched operand count none): the
+    largest array a term forms (a step or the copy it is summed into) plus
+    the slots two terms read, from their first reader's sum, and the derived
+    operands, from the next sum, each held to the last sum that reads it.
+    ``bounds`` holds per sum its key, bound factors for ``_bound`` (|coef|
+    times the index values a term sums over, the operand positions), operand
+    names and whether it is derived.  In ``certificate``, the largest F of
+    the sums of degree d bounds their ``_bound`` by F * M**d (M = max(1, the
+    inputs' largest maxabs); a derived operand counts at max(F, 1) * M**d of
+    its sum).  Each operand is an input or derived and fits its letters
     (``fit_letters``), each output letter of a term is read, and the terms
     of a sum give one shape and one degree (the sum of their operands'
     degrees), so that no term is scaled to another's denominator.
@@ -391,11 +396,10 @@ class _Program:
 
     def __init__(self, specs, inputs, batch, derived=()):
         self.specs, self.batch, inputs = specs, [name for name, _ in inputs if name in batch], dict(inputs)
-        defined = dict(derived)
-        shape, degree, batched, order = dict(inputs), dict.fromkeys(inputs, 1), set(self.batch), []
-        # the last sum reading each operand and slot, the terms reading each slot, and per contraction its slot
-        # (a number, as operands are held by name) and its first reader's axes
-        last, uses, layout, letters = {}, {}, {}, {}
+        self.names, self.bounds, self.code, defined, batched = tuple(inputs), [], [], dict(derived), set(self.batch)
+        shape, degree, reg = dict(inputs), dict.fromkeys(inputs, 1), dict(zip(inputs, itertools.count()))
+        # per contraction its register and its first reader's axes; per sum its largest array and its entries
+        registers, scale, certificate, layout, letters, forms = itertools.count(len(inputs)), {}, {}, {}, {}, []
 
         def add(key, terms, derived, what):  # what: how a refusal names the sum, by the spec that reads it
             names = tuple(dict.fromkeys(name for _, _, ns in terms for name in ns))
@@ -404,70 +408,65 @@ class _Program:
                     if name not in defined and name not in labels.OPERANDS:
                         raise InputError(f"{what}: operand {name!r} is neither an input nor derived")
                     add(name, tuple(defined.get(name) or labels.OPERANDS[name]), True, f"{what}, operand {name!r}")
-            s, pos, on = len(order), {name: k for k, name in enumerate(names)}, not batched.isdisjoint(names)
-            last.update(dict.fromkeys(names, s))
+            pos, on = {name: k for k, name in enumerate(names)}, not batched.isdisjoint(names)
             own = {sum(degree[name] for name in ns) for _, _, ns in terms}
             if len(own) > 1:
                 raise InputError(f"{what}: its terms have the degrees {sorted(own)}")
-            (deg,), factors, compiled, most, ends = own, [], [], 0, set()
-            for coef, subs, ns in terms:
+            (deg,), factors, steps, most, ends, out = own, [], [], 0, set(), next(registers)
+            for t, (coef, subs, ns) in enumerate(terms):
                 at, read = tuple(pos[name] for name in ns), tuple((shape[name], name in batched) for name in ns)
                 if (subs, read, on) not in letters:  # (terms of one subscript and operand shapes share them)
                     letters[subs, read, on] = _letters(subs, ns, read, on, what)
-                canon, size, factor, axes, steps, peak = letters[subs, read, on]
+                canon, size, factor, axes, run, peak = letters[subs, read, on]
                 ends.add(size)
                 factors.append((abs(coef) * factor, at))
-                slot = None
+                most, source, contraction = max(most, peak), reg[ns[0]], (ns, canon)
                 if canon:
-                    slot, first = layout.setdefault((ns, *canon), (len(layout), axes))
+                    if contraction not in layout:  # its first reader computes it; a step writes into the last
+                        ins, made = [reg[name] for name in ns], set()  # intermediate it reads, else a new register
+                        for picked, op in run:
+                            args = tuple(ins.pop(k) for k in reversed(picked))[::-1]
+                            ins.append(args[-1] if args[-1] in made else next(registers))
+                            made.add(ins[-1])
+                            steps.append([_SET, ins[-1], 1, op, args, None])
+                        layout[contraction] = ins[-1], axes
+                    source, first = layout[contraction]
                     axes = None if first == axes else tuple(first.index(x) for x in axes)
-                    last[slot], uses[slot] = s, uses.get(slot, 0) + 1
-                most = max(most, peak)
-                compiled.append((coef, at, axes, slot, steps))
+                # accumulate in place: into the first term's new array, or its copy if a later step reads it
+                act = ((_SET if coef == 1 and len(at) > 1 else _COPY) if t == 0
+                       else _ADD if coef == 1 else _SUB if coef == -1 else _MADD)
+                steps.append([act, out, coef, None, (source,), axes])
             if len(ends) > 1:
                 raise InputError(f"{what}: its terms give the shapes {sorted(ends)}")
+            f = sum(factor * prod(scale.get(names[k], 1) for k in at) for factor, at in factors)
+            certificate[deg] = max(certificate.get(deg, 0), f)
             if derived:
-                shape[key], degree[key] = size, deg
+                shape[key], degree[key], scale[key], reg[key] = size, deg, max(f, 1), out
                 batched.update([key] if on else [])
-            order.append((key, deg, tuple(factors), names, derived, tuple(compiled), most, prod(size) if on else 0))
+            self.bounds.append((key, tuple(factors), names, derived))
+            self.code.append((steps, out, key, deg, derived))
+            forms.append((most, prod(size)) if on or not self.batch else (0, 0))
 
         for key, terms in specs:
             add(key, terms, False, f"spec {key!r}")
-        self.names, self.slots, self.peak, self.code = tuple(inputs), len(layout), 0, []
-        self.bounds = [(key, factors, names, derived) for key, _, factors, names, derived, *_ in order]
-        reg, registers = dict(zip(inputs, itertools.count())), itertools.count(len(inputs))
-        scale, certificate, live, frees = {}, {}, {}, {}
-        for k, end in last.items():
-            frees.setdefault(end, []).append(k)
-        for s, (key, deg, factors, names, derived, terms, most, member) in enumerate(order):
-            for *_, slot, _ in terms:
-                if slot is not None and uses[slot] > 1:  # a slot alive past its term
-                    live.setdefault(slot, member)
-            self.peak = max(self.peak, member and most + sum(live.values()))
-            live = {k: entries for k, entries in live.items() if last[k] > s}
-            f = sum(factor * prod(scale.get(names[k], 1) for k in at) for factor, at in factors)
-            certificate[deg] = max(certificate.get(deg, 0), f)
-            ops, steps, out = [reg[name] for name in names], [], next(registers)
-            dropped = [] if derived else [out]
-            if derived:
-                live[key], scale[key], reg[key] = member, max(f, 1), out
-            for t, (coef, at, axes, slot, run) in enumerate(terms):
-                # accumulate in place, into a copy of the first term unless it is a new array read once
-                act = ((_COPY if coef != 1 or len(at) == 1 or uses[slot] > 1 else _SET) if t == 0
-                       else _ADD if coef == 1 else _SUB if coef == -1 else _MADD)
-                if slot is not None and slot not in reg:  # its first reader computes it; a step writes into the
-                    ins = [ops[k] for k in at]  # last intermediate it reads (dropping it), else into a new register
-                    for picked, op in run:
-                        args = tuple(ins.pop(k) for k in reversed(picked))[::-1]
-                        ins.append(args[-1] if args[-1] in dropped else next(registers))
-                        dropped += [] if ins[-1] in dropped else ins[-1:]
-                        steps.append((_SET, ins[-1], 1, op, args, None))
-                    reg[slot] = ins[-1]  # (the last step's, dropped after the last reader of the contraction)
-                    dropped.remove(ins[-1])
-                steps.append((act, out, coef, None, (ops[at[0]] if slot is None else reg[slot],), axes))
-            dropped += [reg[k] for k in frees.get(s, ()) if k in reg and k not in inputs]
-            self.code.append((tuple(steps), out, key, deg, derived, tuple(dropped)))
-        self.registers, self.certificate = next(registers), tuple(certificate.items())
+        # the walk back: each register's last reader (else writer), a first term read again, what a sum holds across
+        held, drop, later, again = [0] * len(self.code), {}, set(), set()
+        for s in reversed(range(len(self.code))):
+            steps, out, *rest = self.code[s]
+            for step in reversed(steps):
+                if step[3] is None and step[4][0] in later:  # a term whose array a later step reads too
+                    again.add(step[4][0])
+                    step[0] = _COPY if step[0] == _SET else step[0]
+                later.update(step[4])
+            frees = tuple(dict.fromkeys(k for _, to, _, _, ins, _ in steps for k in (to, *ins)
+                                        if k >= len(inputs) and drop.setdefault(k, s) == s))
+            for k in {to for _, to, *_ in steps}:
+                if k == out or k in again:  # a derived operand from the next sum, a slot read twice from this one
+                    for t in range(s + (k == out), drop[k] + 1):
+                        held[t] += forms[s][1]
+            self.code[s] = (tuple(map(tuple, steps)), out, *rest, frees)
+        self.peak = max([most and most + entries for (most, _), entries in zip(forms, held)], default=0)
+        self.slots, self.registers, self.certificate = len(layout), next(registers), tuple(certificate.items())
 
     def run(self, arrays: dict, maxabs: dict, budget: int = 0):
         """Yields ``(key, integers, degree)`` per spec, from the inputs'
@@ -573,12 +572,12 @@ def contract(specs: dict, tables: dict, derived=None) -> dict:
     return {key: (num, den**deg) for key, num, deg in _compile(specs, arrays, (), derived).run(arrays, maxabs)}
 
 
-def sum_batched(specs: dict, arrays: dict, batch=(), budget: int = 0) -> dict:
+def sum_batched(specs: dict, arrays: dict, batch=()) -> dict:
     """Each term list in ``specs`` summed on integer arrays (of any dtype),
-    key by key, in one ``_Program`` run (``run``'s ``budget``).  The operands
-    named in ``batch`` carry a leading batch axis ``N``, as the results do."""
+    key by key, in one ``_Program`` run.  The operands named in ``batch``
+    carry a leading batch axis ``N``, as the results do."""
     maxabs = {name: _maxabs(a) for name, a in arrays.items()}
-    return {key: num for key, num, _ in _compile(specs, arrays, batch).run(arrays, maxabs, budget)}
+    return {key: num for key, num, _ in _compile(specs, arrays, batch).run(arrays, maxabs)}
 
 
 # Bytes of the largest array one chunk of ``zero_members`` may form.

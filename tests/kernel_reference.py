@@ -48,15 +48,16 @@ def table_of(shape, entries):
     return tuple(table_of(shape[1:], entries) for _ in range(shape[0]))
 
 
-def derive(names, tables):
+def derive(names, tables, defined=None):
     """``tables`` with the named derived operands added, each evaluated by
-    ``reference``, recursively."""
-    tables = dict(tables)
+    ``reference`` (on its terms in ``defined``, else in ``labels.OPERANDS``),
+    recursively."""
+    tables, defined = dict(tables), defined or {}
 
     def need(name):
         if name in tables:
             return
-        terms = labels.OPERANDS[name]
+        terms = defined.get(name) or labels.OPERANDS[name]
         for _, _, ns in terms:
             for m in ns:
                 need(m)

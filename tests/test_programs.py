@@ -3,6 +3,7 @@ kernel call, read through its own transpose by every term that shares it,
 checked against the Fraction reference of ``kernel_reference``; the program
 cache; and the einsum calls of whole verifier runs."""
 
+import io
 import random
 import weakref
 from fractions import Fraction
@@ -10,7 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from prenovikov import check_bialgebra, coboundary_diagnostics, core, labels
+from prenovikov import algebras, check_bialgebra, coboundary_diagnostics, core, labels, search_symmetric_ybe
+from prenovikov.cli import run_command
 from prenovikov.core import contract, evaluate, sum_batched
 from prenovikov.io import bundle_to_objects, parse_bundle
 
@@ -92,9 +94,9 @@ def _tables(rng, n):
             "r": table_of((n, n), (entry() for _ in range(n**2)))}
 
 
-def _want(terms, tables):
+def _want(terms, tables, defined=None):
     names = sorted({m for _, _, ns in terms for m in ns})
-    return reference(terms, derive(names, tables))
+    return reference(terms, derive(names, tables, defined))
 
 
 def _contractions(program):
@@ -110,9 +112,10 @@ def _contractions(program):
 def test_shared_slots_match_reference():
     """On random spec dicts built to share contractions, every spec's value
     is the reference value, though the program computes fewer contractions
-    than the specs name; one sum of each call is scaled past int64, so the
-    whole call, the sums reading its slot in int64 range included, runs on
-    Python ints."""
+    than the specs name, and each first term summed in place reads a
+    register no later step reads; one sum of each call is scaled past int64,
+    so the whole call, the sums reading its slot in int64 range included,
+    runs on Python ints."""
     rng = random.Random(14)
     for trial in range(30):
         n = 2 if trial % 5 else 3
@@ -124,6 +127,7 @@ def test_shared_slots_match_reference():
         arrays = {name: core.exact(t).num for name, t in tables.items()}
         program = core._compile(specs, arrays)
         assert program.slots < _contractions(program)
+        _in_place_terms(program)
         assert {num.dtype for num, _ in contract(specs, tables).values()} == {np.dtype(object)}
 
 
@@ -196,7 +200,8 @@ def test_the_certificate_decides_as_the_exact_bounds():
 def test_batched_shared_slots_match_reference(monkeypatch, budget):
     """The same on a batch of r (two of them zero) with fixed integer < and
     >, every term reading r: each member of ``sum_batched`` is the reference
-    value on that member, and ``zero_mask`` (at the default budget and at 1
+    value on that member, each first term summed in place reads a register
+    no later step reads, and ``zero_mask`` (at the default budget and at 1
     byte, one member per chunk) keeps the members whose every residual is
     zero."""
     if budget:
@@ -210,6 +215,7 @@ def test_batched_shared_slots_match_reference(monkeypatch, budget):
         r = np.array([[[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)] for _ in range(size)])
         r[1] = r[3] = 0
         got = sum_batched(specs, {**fixed, "r": r}, batch={"r"})
+        _in_place_terms(core._compile(specs, {**fixed, "r": r}, {"r"}))
         zero = []
         for m in range(size):
             tables = {name: a.tolist() for name, a in {**fixed, "r": r[m]}.items()}
@@ -280,31 +286,111 @@ def test_dim4_runs_evaluate_each_contraction_once(monkeypatch):
     assert calls <= 98 and slots == [51]
 
 
+def test_every_program_has_a_peak_and_these_may_only_fall(monkeypatch):
+    """``peak`` is counted on every program, batched or not: the unbatched
+    dim-4 ``check_bialgebra`` program has one.  The enumeration's ``2.11``
+    (stage 1) and ``2.8`` (stage 3) programs hold, per member, 32 and 56
+    entries while their second term runs: the array it forms, the copy it
+    is summed into and the contraction both terms read.  Their peaks are
+    those totals, so a slot read twice in one sum cannot go uncounted.  The
+    peaks of the dim-4 search's row programs are pinned as values that may
+    only fall (4, 8, 12 and 16), so that a slot or derived operand counted
+    past its last reader fails."""
+    bialg = _load("dim4_bialgebra.json")
+    (checked, *_), = _recorded(monkeypatch, lambda: check_bialgebra(bialg.algebra, bialg.coalgebra))
+    assert not checked.batch and checked.peak > 0
+    member = np.zeros((1, 2, 2, 2), np.int64)
+    stage_1 = core._compile(algebras._specs("2.11"), {"<": member}, {"<"})
+    stage_3 = core._compile(algebras._specs("2.8"), {"<": member, ">": member}, {"<", ">"})
+    assert (stage_1.peak, stage_3.peak) == (32, 56)
+    searched = _recorded(monkeypatch, lambda: search_symmetric_ybe(_load("dim4_semidirect.json"), [-1, 0, 1]))
+    rows = [program.peak for program, specs, *_ in searched if all(type(key) is tuple for key in specs)]
+    assert len(rows) == 4 and all(0 < peak <= pin for peak, pin in zip(rows, (4, 8, 12, 16)))
+
+
 def test_each_register_is_dropped_after_its_last_reader(monkeypatch):
     """In the programs of the dim-4 ``check_bialgebra`` and
     ``coboundary_diagnostics``, every register a step writes (no input's) is
-    dropped once, when a sum at or after the last one that reads it ends
-    (the last sum that names it or its contraction), and a
-    run holds no spec's value once it has yielded the next."""
+    dropped once, when the last sum whose steps read it ends (the sum that
+    writes it, if no step reads it), and a run holds no spec's value once it
+    has yielded the next."""
     programs, run = [], core._Program.run
     monkeypatch.setattr(core._Program, "run", lambda self, *args: programs.append((self, args)) or run(self, *args))
     bialg = _load("dim4_bialgebra.json")
     check_bialgebra(bialg.algebra, bialg.coalgebra)
     coboundary_diagnostics(_load("dim4_semidirect.json"), _load("dim4_ybe_solution.json"))
     for program, args in programs:
-        written, read, dropped = {}, {}, []
+        last, dropped = {}, []
         for s, (steps, *_, frees) in enumerate(program.code):
             for _, to, _, _, ins, _ in steps:
-                written.setdefault(to, s)
-                read.update(dict.fromkeys(ins, s))
+                last.update(dict.fromkeys((to, *ins), s))
             dropped += [(k, s) for k in frees]
-        assert min(written) >= len(program.names) and sorted(k for k, _ in dropped) == sorted(written)
-        assert all(s >= max(written[k], read.get(k, 0)) for k, s in dropped)
+        written = {to for steps, *_ in program.code for _, to, *_ in steps}
+        assert min(written) >= len(program.names)
+        assert sorted(dropped) == sorted((k, last[k]) for k in written)
         refs = []
         for _, num, _ in run(program, *args):
             assert all(ref() is None for ref in refs)
             refs.append(weakref.ref(num))
             del num
+
+
+def _recorded(monkeypatch, run) -> list:
+    """Each distinct program ``run`` compiles, with the specs, arrays, batch
+    and derived operands of its first compile."""
+    programs, compile_ = {}, core._compile
+
+    def compiled(specs, arrays, batch=(), derived=None):
+        program = compile_(specs, arrays, batch, derived)
+        programs.setdefault(id(program), (program, dict(specs), dict(arrays), set(batch), derived or {}))
+        return program
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_compile", compiled)
+        run()
+    return list(programs.values())
+
+
+def _in_place_terms(program) -> int:
+    """How many first terms of the program's sums take their array in place
+    (``_SET`` of no op), each asserted to read a register that no later
+    step reads."""
+    later, count = set(), 0
+    for act, _, _, op, ins, _ in reversed([step for steps, *_ in program.code for step in steps]):
+        if act == core._SET and op is None:
+            assert ins[0] not in later
+            count += 1
+        later.update(ins)
+    return count
+
+
+def test_in_place_first_terms_read_registers_no_later_step_reads(monkeypatch):
+    """In every program the dim-4 CLI commands compile, a first term summed
+    in place reads a register that no later step reads, so that no later
+    term or sum reads the array it adds into (random pool specs get the same
+    check in the two ``shared_slots`` tests).  The values of the programs of
+    ``check`` (the dim-4 bialgebra and coalgebra), ``search``, ``ybe`` and
+    ``coboundary`` (on the semidirect pair) are ``reference``'s, whole or on
+    the first and last member of a batch; ``derive``, ``double`` and
+    ``diag``, whose reference loops take seconds, are checked for the first
+    part only (their outputs are pinned by ``test_cli_golden``)."""
+    pair = [str(FIXTURES / "dim4_semidirect.json"), str(FIXTURES / "dim4_ybe_solution.json")]
+    runs = [["check", str(FIXTURES / name)] for name in ("dim4_bialgebra.json", "dim4_coalgebra.json")]
+    runs += [["search", pair[0]], ["ybe", *pair], ["coboundary", *pair]]
+    programs = _recorded(monkeypatch, lambda: [run_command(argv, out=io.StringIO()) for argv in runs])
+    in_place = 0
+    for program, specs, arrays, batch, derived in programs:
+        in_place += _in_place_terms(program)
+        got = {key: num for key, num, _ in program.run(arrays, {name: core._maxabs(a) for name, a in arrays.items()})}
+        for m in {0, len(arrays[min(batch)]) - 1} if batch else {None}:
+            tables = {name: (a if m is None or name not in batch else a[m]).tolist() for name, a in arrays.items()}
+            for key, terms in specs.items():
+                want, num = _want(terms, tables, derived), got[key] if m is None else got[key][m]
+                assert {idx: F(int(num[idx])) for idx in want} == want
+    runs = [["derive", pair[0]], ["double", str(FIXTURES / "dim4_bialgebra.json")], ["diag", *pair]]
+    shaped = _recorded(monkeypatch, lambda: [run_command(argv, out=io.StringIO()) for argv in runs])
+    in_place += sum(_in_place_terms(program) for program, *_ in shaped)
+    assert in_place > len(programs) + len(shaped)
 
 
 def test_one_program_per_member_shape(monkeypatch):
