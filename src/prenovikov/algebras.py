@@ -244,18 +244,18 @@ def _row_pairs(lhd_ok: np.ndarray, rows: np.ndarray) -> np.ndarray:
     those 1 + n**2 probe rows per (< table, i), and the slices of all
     candidate rows are one kernel term, [1 | V] @ [C ; D].  The index rows
     are built from the masks one row of > at a time, for a block of < tables
-    at once.  The blocks are as few as keep each block's candidate-row
-    slices (n**4 * len(rows) entries per < table) within
-    ``core.BATCH_BYTES`` at 8 bytes an entry, and of one length up to
-    rounding.  A block's slices are tested by ``core.zero_members``, in
-    shorter chunks when the kernel charges them past it (on Python ints),
-    so 2.9 runs once per < table.
+    at once.  The blocks are as few as keep each block within one chunk of
+    the slices' program in int64 (``core.chunk_length``), and of one length
+    up to rounding.  A block's slices are tested by ``core.zero_members``,
+    in shorter chunks when it charges them past ``core.BATCH_BYTES`` (on
+    Python ints), so 2.9 runs once per < table.
     """
     n = ENUM_DIM
     probes = np.eye(n * n + 1, n * n, k=-1, dtype=np.int64).reshape(-1, n, n)
     V = rows.reshape(len(rows), n * n)
     V = np.concatenate([np.ones_like(V[:, :1]), V], axis=1)  # [1 | V]
-    fit = max(1, core.BATCH_BYTES // (8 * n**4 * len(rows)))  # < tables per block at most
+    spec = {"": [(1, "cp,ips->ics", ("V", "S"))]}  # [1 | V] @ [C ; D]: (b, n, candidate row, slice)
+    fit = core.chunk_length(core._compile(spec, {"V": V, "S": np.zeros((1, n, len(probes), n**3), np.int64)}, {"S"}))
     per_block = max(1, -(-len(lhd_ok) // max(1, -(-len(lhd_ok) // fit))))  # as few blocks, of one length
     pairs, lstart = [np.empty((0, n + 1), dtype=np.intp)], 0
     while lstart < len(lhd_ok):
@@ -272,7 +272,6 @@ def _row_pairs(lhd_ok: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # D in place: an entry of D sums the parts of the 2.9 terms that read
         # row i, at a unit row, so it stays under the bound that certified res
         S[:, :, 1:] -= S[:, :, :1]
-        spec = {"": [(1, "cp,ips->ics", ("V", "S"))]}  # [1 | V] @ [C ; D]: (b, n, candidate row, slice)
         ok = np.concatenate([ok for _, ok in zero_members(spec, b, lambda lo, hi: {"S": S[lo:hi]}, {"V": V}, 3)])
 
         # extend each partial index row (l, row_0..row_{i-1}) by the rows

@@ -254,24 +254,22 @@ PATH_LOOP = 512
 PLAN_CACHE = 1024
 
 
-def _steps(inputs: tuple, out: str, sizes: dict) -> tuple[tuple, int]:
-    """How one einsum term runs at ``sizes``, and the entries per batch
-    member of the largest array it forms.
-
-    The steps are ``(picked, op)``: ``op`` of the operands at positions
-    ``picked`` of the current list, its result appended to the list, ``op``
-    being ``np.einsum`` subscripts or a ``_lowered`` plan.  Above
-    ``PATH_LOOP``, and with a batch axis ``N`` (of size 1) always, the term
-    runs pairwise along the greedy path ``np.einsum(optimize=True)`` picks
-    for these shapes (for two operands the term itself), a step of two
-    operands and ``N`` lowered.
+def _steps(inputs: tuple, out: str, sizes: dict) -> tuple:
+    """How one einsum term runs at ``sizes``: steps ``(picked, op, entries)``,
+    ``op`` of the operands at positions ``picked`` of the current list, its
+    result (of ``entries`` per batch member, none without the batch axis of
+    a batched term) appended to the list, ``op`` being ``np.einsum``
+    subscripts or a ``_lowered`` plan.  Above ``PATH_LOOP``, and with a
+    batch axis ``N`` (of size 1) always, the term runs pairwise along the
+    greedy path ``np.einsum(optimize=True)`` picks for these shapes (for two
+    operands the term itself), a step of two operands and ``N`` lowered.
     """
     subs, on = f"{','.join(inputs)}->{out}", "N" in out
     if len(inputs) == 1 or not on and (len(inputs) == 2 or prod(sizes.values()) <= PATH_LOOP):
-        return ((tuple(range(len(inputs))), subs),), prod(sizes[c] for c in out)
+        return ((tuple(range(len(inputs))), subs, prod(sizes[c] for c in out)),)
     shaped = [np.broadcast_to(np.int8(0), tuple(sizes[c] for c in letters)) for letters in inputs]
     path = np.einsum_path(subs, *shaped, optimize="greedy")[0][1:] if len(inputs) > 2 else [(0, 1)]
-    inputs, steps, peak = list(inputs), [], 0
+    inputs, steps = list(inputs), []
     for picked in path:
         picked = tuple(sorted(picked))
         groups = [inputs[k] for k in picked]
@@ -279,11 +277,10 @@ def _steps(inputs: tuple, out: str, sizes: dict) -> tuple[tuple, int]:
             del inputs[k]
         kept = set(out).union(*inputs)
         result = out if not inputs else "".join(dict.fromkeys(c for g in groups for c in g if c in kept))
-        peak = max(peak, prod(sizes[c] for c in result))
         steps.append((picked, on and len(groups) == 2 and _lowered(*groups, result, sizes)
-                      or f"{','.join(groups)}->{result}"))
+                      or f"{','.join(groups)}->{result}", prod(sizes[c] for c in result) * (not on or "N" in result)))
         inputs.append(result)
-    return tuple(steps), peak
+    return tuple(steps)
 
 
 def _lowered(a: str, b: str, out: str, sizes: dict) -> tuple | None:
@@ -320,8 +317,7 @@ def _letters(subs: str, names: tuple, read: tuple, on: bool, what: str) -> tuple
     """A term's compiled letters, from its subscripts and operands' shapes and
     batch flags: its contraction's letters (``_canonical``; None for a
     one-operand permutation), output shape, index values summed over, read
-    axes (the permutation's transpose, or the contraction's letters), steps
-    and the most entries per member it forms."""
+    axes (the permutation's transpose, or the contraction's letters), steps."""
     groups, out = subs.split("->")
     groups, sizes = [("N" if batch else "") + g for g, (_, batch) in zip(groups.split(","), read)], {}
     out = "N" + out if on else out
@@ -331,9 +327,9 @@ def _letters(subs: str, names: tuple, read: tuple, on: bool, what: str) -> tuple
         raise InputError(f"{what}: no operand of {','.join(groups)}->{out} reads each output letter")
     size, factor = tuple(sizes[c] for c in out), prod(k for c, k in sizes.items() if c not in out)
     if len(groups) == 1 and len(set(groups[0])) == len(groups[0]) and sorted(groups[0]) == sorted(out):
-        return None, size, factor, tuple(groups[0].index(c) for c in out), None, prod(size)  # (the copy it sums into)
-    (canon, rename), (steps, peak) = _canonical(tuple(groups), out), _steps(groups, out, sizes)
-    return canon, size, factor, "".join(map(rename.get, out)), steps, peak
+        return None, size, factor, tuple(groups[0].index(c) for c in out), None
+    canon, rename = _canonical(tuple(groups), out)
+    return canon, size, factor, "".join(map(rename.get, out)), _steps(groups, out, sizes)
 
 
 def _bound(factors: tuple, maxabs: list) -> int:
@@ -378,11 +374,12 @@ class _Program:
     else their writing step, is in the sum; they are dropped when it ends.  A
     sum's first term of several operands takes its contraction's array in
     place (``_SET``) unless a later step reads that register, and sums into
-    a copy otherwise.  ``peak`` is the most entries a sum holds, per member
-    in a batched program (whose sums on no batched operand count none): the
-    largest array a term forms (a step or the copy it is summed into) plus
-    the slots two terms read, from their first reader's sum, and the derived
-    operands, from the next sum, each held to the last sum that reads it.
+    a copy otherwise.  One walk forward gives ``peak``, the most entries
+    alive at once, per member in a batched program (where an array without
+    the batch axis counts none): each array a step makes (a contraction, a
+    copy, a scaled term) counts beside the array it replaces, a first term
+    taken in place moves its array, and each sum's ``frees`` drop when it
+    ends; no input counts, nor numpy's temporaries inside a step.
     ``bounds`` holds per sum its key, bound factors for ``_bound`` (|coef|
     times the index values a term sums over, the operand positions), operand
     names and whether it is derived.  In ``certificate``, the largest F of
@@ -398,8 +395,8 @@ class _Program:
         self.specs, self.batch, inputs = specs, [name for name, _ in inputs if name in batch], dict(inputs)
         self.names, self.bounds, self.code, defined, batched = tuple(inputs), [], [], dict(derived), set(self.batch)
         shape, degree, reg = dict(inputs), dict.fromkeys(inputs, 1), dict(zip(inputs, itertools.count()))
-        # per contraction its register and its first reader's axes; per sum its largest array and its entries
-        registers, scale, certificate, layout, letters, forms = itertools.count(len(inputs)), {}, {}, {}, {}, []
+        # per contraction its register and its first reader's axes; per sum the entries of each step's array
+        registers, scale, certificate, layout, letters, made = itertools.count(len(inputs)), {}, {}, {}, {}, []
 
         def add(key, terms, derived, what):  # what: how a refusal names the sum, by the spec that reads it
             names = tuple(dict.fromkeys(name for _, _, ns in terms for name in ns))
@@ -412,23 +409,24 @@ class _Program:
             own = {sum(degree[name] for name in ns) for _, _, ns in terms}
             if len(own) > 1:
                 raise InputError(f"{what}: its terms have the degrees {sorted(own)}")
-            (deg,), factors, steps, most, ends, out = own, [], [], 0, set(), next(registers)
+            (deg,), factors, steps, entries, ends, out = own, [], [], [], set(), next(registers)
             for t, (coef, subs, ns) in enumerate(terms):
                 at, read = tuple(pos[name] for name in ns), tuple((shape[name], name in batched) for name in ns)
                 if (subs, read, on) not in letters:  # (terms of one subscript and operand shapes share them)
                     letters[subs, read, on] = _letters(subs, ns, read, on, what)
-                canon, size, factor, axes, run, peak = letters[subs, read, on]
+                canon, size, factor, axes, run = letters[subs, read, on]
                 ends.add(size)
                 factors.append((abs(coef) * factor, at))
-                most, source, contraction = max(most, peak), reg[ns[0]], (ns, canon)
+                source, contraction = reg[ns[0]], (ns, canon)
                 if canon:
                     if contraction not in layout:  # its first reader computes it; a step writes into the last
-                        ins, made = [reg[name] for name in ns], set()  # intermediate it reads, else a new register
-                        for picked, op in run:
+                        ins, fresh = [reg[name] for name in ns], set()  # intermediate it reads, else a new register
+                        for picked, op, n in run:
                             args = tuple(ins.pop(k) for k in reversed(picked))[::-1]
-                            ins.append(args[-1] if args[-1] in made else next(registers))
-                            made.add(ins[-1])
+                            ins.append(args[-1] if args[-1] in fresh else next(registers))
+                            fresh.add(ins[-1])
                             steps.append([_SET, ins[-1], 1, op, args, None])
+                            entries.append(n)
                         layout[contraction] = ins[-1], axes
                     source, first = layout[contraction]
                     axes = None if first == axes else tuple(first.index(x) for x in axes)
@@ -436,6 +434,7 @@ class _Program:
                 act = ((_SET if coef == 1 and len(at) > 1 else _COPY) if t == 0
                        else _ADD if coef == 1 else _SUB if coef == -1 else _MADD)
                 steps.append([act, out, coef, None, (source,), axes])
+                entries.append(prod(size))
             if len(ends) > 1:
                 raise InputError(f"{what}: its terms give the shapes {sorted(ends)}")
             f = sum(factor * prod(scale.get(names[k], 1) for k in at) for factor, at in factors)
@@ -445,40 +444,38 @@ class _Program:
                 batched.update([key] if on else [])
             self.bounds.append((key, tuple(factors), names, derived))
             self.code.append((steps, out, key, deg, derived))
-            forms.append((most, prod(size)) if on or not self.batch else (0, 0))
+            made.append(entries if on or not self.batch else [0] * len(entries))
 
         for key, terms in specs:
             add(key, terms, False, f"spec {key!r}")
-        # the walk back: each register's last reader (else writer), a first term read again, what a sum holds across
-        held, drop, later, again = [0] * len(self.code), {}, set(), set()
+        # the walk back: each register's last reader (else writer), and the first terms read again
+        drop, later = {}, set()
         for s in reversed(range(len(self.code))):
-            steps, out, *rest = self.code[s]
+            steps, *rest = self.code[s]
             for step in reversed(steps):
                 if step[3] is None and step[4][0] in later:  # a term whose array a later step reads too
-                    again.add(step[4][0])
                     step[0] = _COPY if step[0] == _SET else step[0]
                 later.update(step[4])
             frees = tuple(dict.fromkeys(k for _, to, _, _, ins, _ in steps for k in (to, *ins)
                                         if k >= len(inputs) and drop.setdefault(k, s) == s))
-            for k in {to for _, to, *_ in steps}:
-                if k == out or k in again:  # a derived operand from the next sum, a slot read twice from this one
-                    for t in range(s + (k == out), drop[k] + 1):
-                        held[t] += forms[s][1]
-            self.code[s] = (tuple(map(tuple, steps)), out, *rest, frees)
-        self.peak = max([most and most + entries for (most, _), entries in zip(forms, held)], default=0)
+            self.code[s] = (tuple(map(tuple, steps)), *rest, frees)
+        # the walk forward: the entries alive at each step, each new array beside the array it replaces
+        live, self.peak = {}, 0
+        for (steps, *_, frees), entries in zip(self.code, made):
+            for (act, to, _, op, ins, _), n in zip(steps, entries):
+                if act == _SET and op is None:  # a move: the sum takes its first term's array
+                    live[to] = live.pop(ins[0])
+                elif op is not None or act in (_COPY, _MADD):  # a new array (a scaled term's is added in and dropped)
+                    self.peak = max(self.peak, sum(live.values()) + n)
+                    live[to] = live[to] if act == _MADD else n
+            live = {k: n for k, n in live.items() if k not in frees}
         self.slots, self.registers, self.certificate = len(layout), next(registers), tuple(certificate.items())
 
-    def run(self, arrays: dict, maxabs: dict, budget: int = 0):
-        """Yields ``(key, integers, degree)`` per spec, from the inputs'
-        integers and their largest absolute entries.
-
-        The one place that decides, once per call, before any sum runs: int64
-        when every input and every sum's ``_bound`` fits (a derived operand
-        counts at its own sum's bound; the bounds are taken only when the
-        ``certificate`` does not fit), objects otherwise; and, with a
-        ``budget`` in bytes, ``_OverBudget`` when the batch's ``peak`` would
-        pass it.  The steps then run in order.
-        """
+    def dtype(self, maxabs: dict) -> tuple:
+        """A run's dtype on inputs of these largest absolute entries, and the
+        largest of them and of the bounds taken: int64 when every input and sum
+        ``_bound`` fits (a derived operand counts at its sum's bound; the bounds
+        are taken only when the ``certificate`` does not fit), else objects."""
         most = max(maxabs.values(), default=0)
         if any(f * max(most, 1)**d > INT64_MAX for d, f in self.certificate):
             maxabs = dict(maxabs)
@@ -486,12 +483,12 @@ class _Program:
                 most = max(most, bound := _bound(factors, [maxabs[name] for name in names]))
                 if derived:
                     maxabs[key] = bound
-        dtype = np.int64 if most <= INT64_MAX else object
-        if budget and self.peak and (size := len(arrays[self.batch[0]])) > 1:
-            # an entry is 8 bytes in int64, a pointer plus an int object otherwise
-            member = self.peak * (8 if dtype is np.int64 else 8 + sys.getsizeof(most))
-            if size * member > budget:
-                raise _OverBudget(max(1, budget // member))
+        return np.int64 if most <= INT64_MAX else object, most
+
+    def run(self, arrays: dict, maxabs: dict):
+        """Yields ``(key, integers, degree)`` per spec, from the inputs' integers
+        and largest absolute entries: the steps in order, at their ``dtype``."""
+        dtype, _ = self.dtype(maxabs)
         regs = [a if a.dtype == dtype else a.astype(dtype) for a in map(arrays.__getitem__, self.names)]
         regs += [None] * (self.registers - len(regs))
         for steps, out, key, deg, derived, frees in self.code:
@@ -580,13 +577,17 @@ def sum_batched(specs: dict, arrays: dict, batch=()) -> dict:
     return {key: num for key, num, _ in _compile(specs, arrays, batch).run(arrays, maxabs)}
 
 
-# Bytes of the largest array one chunk of ``zero_members`` may form.
+# Bytes of the register entries (``_Program.peak``) one chunk of ``zero_members`` may hold alive at once.
 BATCH_BYTES = 4 * 2**20
 
 
-class _OverBudget(Exception):
-    """A batched sum would pass its budget; its argument is how many
-    members would stay within it."""
+def chunk_length(program: _Program, maxabs: dict | None = None) -> int:
+    """The one length rule: how many members of a batch (at least one) a run of
+    ``program`` holds within ``BATCH_BYTES``, each charged ``peak`` entries of
+    8 bytes in int64, else a pointer plus the int object of the largest bound
+    (``_Program.dtype`` of ``maxabs``; int64 without)."""
+    dtype, most = program.dtype(maxabs) if maxabs else (np.int64, 0)
+    return max(1, BATCH_BYTES // ((8 if dtype is np.int64 else 8 + sys.getsizeof(most)) * max(1, program.peak)))
 
 
 def zero_members(specs: dict, size: int, members, fixed=None, keep: int = 1):
@@ -597,26 +598,25 @@ def zero_members(specs: dict, size: int, members, fixed=None, keep: int = 1):
     leading batch axis; ``fixed`` holds those that do not.  Yields, in order,
     each chunk's batched operands and the mask of its members (over the
     first ``keep`` axes of the residuals) whose every residual is zero.  The
-    first chunk's length comes from the peak per member of the program,
-    compiled from member ``lo``, at 8 bytes an entry; a chunk whose call
-    would pass ``BATCH_BYTES`` at its dtype (see ``_Program.run``) is
-    rebuilt shorter before any sum runs, and the chunks after keep its length.
+    program, compiled once from member ``lo``, gives the first chunk's
+    length in int64 (``chunk_length``).  Each chunk is charged at the dtype
+    its run takes before any sum runs, and one past ``BATCH_BYTES`` is
+    rebuilt at its ``chunk_length``, which the chunks after keep.
     """
     fixed = fixed or {}
     lo, length, tops = 0, 0, {name: _maxabs(a) for name, a in fixed.items()}
     while lo < size:
         if not length:
             one = members(lo, lo + 1)
-            length = max(1, BATCH_BYTES // (8 * max(1, _compile(specs, {**fixed, **one}, one).peak)))
-        hi = min(size, lo + length)
-        arrays = members(lo, hi)
-        sums = _compile(specs, {**fixed, **arrays}, arrays).run(
-            {**fixed, **arrays}, {**tops, **{name: _maxabs(a) for name, a in arrays.items()}}, BATCH_BYTES)
-        try:  # each residual is reduced, and freed, before the next sum runs
-            nonzero = [(num != 0).reshape(num.shape[:keep] + (-1,)).any(axis=-1) for _, num, _ in sums]
-        except _OverBudget as over:
-            (length,) = over.args
+            length = chunk_length(program := _compile(specs, {**fixed, **one}, one))
+        arrays = members(lo, hi := min(size, lo + length))
+        maxabs = {**tops, **{name: _maxabs(a) for name, a in arrays.items()}}
+        if hi - lo > 1 and (fit := chunk_length(program, maxabs)) < hi - lo:
+            length = fit
             continue
+        # each residual is reduced, and freed, before the next sum runs
+        nonzero = [(num != 0).reshape(num.shape[:keep] + (-1,)).any(axis=-1)
+                   for _, num, _ in program.run({**fixed, **arrays}, maxabs)]
         yield arrays, ~np.any(nonzero, axis=0)
         lo = hi
 

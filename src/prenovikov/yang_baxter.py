@@ -348,7 +348,7 @@ def _search_rows(ints: dict, scaled: np.ndarray) -> np.ndarray:
 
     Row k tests its (k+1)**3 witness cube or, when ``<`` is commutative, the
     boxes {c = k; a, b <= k} and {b = k; a, c < k} (``_box``), (k+1)**2 + k**2
-    entries: the shell's rest {a = k; b, c < k} mirrors the first box, since
+    entries: the shell's rest {a = k; b <= k, c < k} mirrors the first box, since
     x o y - x (.) y = x<y - y<x gives, for symmetric r, R[a,b,c] - R[c,b,a] =
     sum_mn (r_bm r_cn D^a_mn - r_bm r_an D^c_mn - r_am r_cn D^b_mn), D^x_mn
     the e_x-coefficient of e_m<e_n - e_n<e_m.  The pre-Novikov axioms do not

@@ -1,6 +1,7 @@
 """Differential tests of the exact contraction kernel against a pure-Python
 reference evaluator (Fraction arithmetic, every index assignment looped)."""
 
+import ast
 import importlib
 import inspect
 import io
@@ -205,50 +206,64 @@ def test_a_derived_operand_counts_at_its_propagated_bound(rhd, dtype):
     assert (got["o"] == 2**62 + rhd).all() and (got["lhd"] == -(2**62)).all()
 
 
+def _charged_sweep(monkeypatch, A, budget) -> list:
+    """What a ``zero_members`` sweep of ``ij,jk->ik`` on the batch ``A`` and
+    a fixed ``B`` of 2**40 entries does within ``budget`` bytes, in order:
+    the length of each chunk it builds, and each einsum or matrix product
+    (by the dtype of its result)."""
+    events, B = [], np.full((2, 2), 2**40, np.int64)
+
+    def recorded(name, product):
+        return lambda *args, **kwargs: events.append((name, (out := product(*args, **kwargs)).dtype)) or out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "BATCH_BYTES", budget)
+        patch.setattr(np, "einsum", recorded("einsum", np.einsum))
+        patch.setattr(np, "matmul", recorded("matmul", np.matmul))
+        masks = [ok for _, ok in core.zero_members(
+            {"": [(1, "ij,jk->ik", ("A", "B"))]}, len(A), lambda lo, hi: events.append(hi - lo) or {"A": A[lo:hi]},
+            {"B": B})]
+    assert not np.concatenate(masks).any()
+    return events
+
+
 def test_an_object_batch_over_budget_runs_no_einsum(monkeypatch):
-    """A batched call on Python ints is charged, once and before its first
-    sum, a pointer plus the int object of its largest bound per entry of
-    its ``peak``: one byte short of the whole batch it raises
-    ``_OverBudget`` with the members that fit, and no einsum or matrix
-    product has run; at the whole batch's charge its one matrix product
-    runs."""
-    terms = [(1, "ij,jk->ik", ("A", "B"))]
-    arrays = {"A": np.full((5, 2, 2), 2**40, np.int64), "B": np.full((2, 2), 2**40, np.int64)}
-    maxabs = {"A": 2**40, "B": 2**40}
-    program = core._compile({"": terms}, arrays, {"A"})
-    member = program.peak * (8 + sys.getsizeof(2 * 2**40 * 2**40))
-    calls, einsum, matmul = [], np.einsum, np.matmul
-    monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: calls.append("einsum") or einsum(*args, **kwargs))
-    monkeypatch.setattr(np, "matmul", lambda *args: calls.append("matmul") or matmul(*args))
-    with pytest.raises(core._OverBudget) as over:
-        next(program.run(arrays, maxabs, 5 * member - 1))
-    assert over.value.args == (4,) and calls == []
-    ((_, num, _),) = program.run(arrays, maxabs, 5 * member)
-    assert calls == ["matmul"] and num.dtype == object and (num == 2**81).all()
+    """``zero_members`` charges a chunk on Python ints, once and before its
+    first sum, a pointer plus the int object of its largest bound
+    (``_Program.dtype``) per entry of its ``peak``: one byte short of the
+    whole batch's charge, the chunk of 5 is rebuilt at the 4 members that
+    fit before any einsum or matrix product has run; at the whole batch's
+    charge its one matrix product runs on all 5, on Python ints."""
+    A = np.full((5, 2, 2), 2**40, np.int64)
+    program = core._compile({"": [(1, "ij,jk->ik", ("A", "B"))]}, {"A": A[:1], "B": A[0]}, {"A"})
+    dtype, most = program.dtype({"A": 2**40, "B": 2**40})
+    assert dtype is object and most == 2**81
+    member = program.peak * (8 + sys.getsizeof(most))
+    matmul = ("matmul", np.dtype(object))
+    assert _charged_sweep(monkeypatch, A, 5 * member - 1) == [1, 5, 4, matmul, 1, matmul]
+    assert _charged_sweep(monkeypatch, A, 5 * member) == [1, 5, matmul]
 
 
 def test_the_certificate_spares_the_exact_bounds(monkeypatch):
     """A warm dim-4 ``check_bialgebra`` runs in int64 on its program's
     certificate alone, with no ``_bound`` call.  A batch of +-2**40 entries
-    passes the certificate, so the exact bounds decide, and it runs on
-    Python ints, charged as before: one byte short of the charge of
-    ``test_an_object_batch_over_budget_runs_no_einsum`` it raises
-    ``_OverBudget``, and at that charge it runs."""
+    passes the certificate, so the exact bounds decide (``_Program.dtype``
+    calls ``_bound``), and it runs on Python ints, charged as in
+    ``test_an_object_batch_over_budget_runs_no_einsum``: one byte short of
+    that charge its chunk of 5 is rebuilt at 4 before any product runs, and
+    at that charge it runs whole."""
     bialg = bundle_to_objects(parse_bundle((FIXTURES / "dim4_bialgebra.json").read_text()))
     assert check_bialgebra(bialg.algebra, bialg.coalgebra).passed
     calls, bound = [], core._bound
     monkeypatch.setattr(core, "_bound", lambda *args: calls.append(1) or bound(*args))
     assert check_bialgebra(bialg.algebra, bialg.coalgebra).passed and calls == []
-    terms = [(1, "ij,jk->ik", ("A", "B"))]
-    arrays = {"A": np.full((5, 2, 2), -(2**40), np.int64), "B": np.full((2, 2), 2**40, np.int64)}
-    maxabs = {"A": 2**40, "B": 2**40}
-    program = core._compile({"": terms}, arrays, {"A"})
-    member = program.peak * (8 + sys.getsizeof(2 * 2**40 * 2**40))
-    with pytest.raises(core._OverBudget) as over:
-        next(program.run(arrays, maxabs, 5 * member - 1))
-    assert over.value.args == (4,) and calls == [1]
-    ((_, num, _),) = program.run(arrays, maxabs, 5 * member)
-    assert num.dtype == object and (num == -(2**81)).all()
+    A = np.full((5, 2, 2), -(2**40), np.int64)
+    program = core._compile({"": [(1, "ij,jk->ik", ("A", "B"))]}, {"A": A[:1], "B": A[0]}, {"A"})
+    assert program.dtype({"A": 2**40, "B": 2**40}) == (object, 2**81) and calls == [1]
+    member = program.peak * (8 + sys.getsizeof(2**81))
+    matmul = ("matmul", np.dtype(object))
+    assert _charged_sweep(monkeypatch, A, 5 * member - 1) == [1, 5, 4, matmul, 1, matmul]
+    assert _charged_sweep(monkeypatch, A, 5 * member) == [1, 5, matmul]
 
 
 def test_every_fixture_command_runs_in_int64(kernel_sums):
@@ -375,13 +390,17 @@ def test_only_the_kernel_sizes_batches():
     """Every sweep chunks by one byte budget, ``core.BATCH_BYTES``, on one
     thread: no module names the retired thread pool, its knob or the
     per-caller chunk rules, and no module but ``core`` assigns a batch or
-    chunk size."""
+    chunk size or reads ``BATCH_BYTES`` in its code (its docstrings may name
+    it), so every chunk or block length comes from ``core.chunk_length``."""
     retired = r"\b(ThreadPoolExecutor|PRENOVIKOV_WORKERS|ENUM_CHUNK|CHUNK_BYTES|sum_footprint)\b"
     for path in sorted(Path(core.__file__).parent.glob("*.py")):
         text = path.read_text()
         assert not re.search(retired, text), path.name
         sizes = re.findall(r"^\s*([A-Z_]*(?:BATCH_|CHUNK)[A-Z_]*)\s*=", text, re.M)
         assert sizes == (["BATCH_BYTES"] if path.name == "core.py" else []), path.name
+        read = [node for node in ast.walk(ast.parse(text))
+                if "BATCH_BYTES" in (getattr(node, "id", None), getattr(node, "attr", None))]
+        assert bool(read) == (path.name == "core.py"), path.name
 
 
 def test_the_retired_tuple_helpers_stay_retired():
@@ -499,10 +518,10 @@ def test_zero_members_matches_the_full_batch(monkeypatch, scale):
             over.append((running[-1], array.shape, array.dtype))
         return array
 
-    def budgeted(self, arrays, maxabs, budget=0):
-        running.append(len(arrays[self.batch[0]]) if budget else 0)
+    def budgeted(self, arrays, maxabs):
+        running.append(len(arrays[self.batch[0]]))
         try:
-            for key, num, top in run(self, arrays, maxabs, budget):
+            for key, num, top in run(self, arrays, maxabs):
                 yield key, measured(num), top
         finally:
             running.pop()

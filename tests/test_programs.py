@@ -17,7 +17,7 @@ from prenovikov.core import contract, evaluate, sum_batched
 from prenovikov.io import bundle_to_objects, parse_bundle
 
 from conftest import FIXTURES
-from kernel_reference import derive, reference, table_of
+from kernel_reference import derive, live_peak, reference, table_of
 
 F = Fraction
 HUGE = 2**62  # a coefficient that puts its sum past int64
@@ -293,8 +293,9 @@ def test_every_program_has_a_peak_and_these_may_only_fall(monkeypatch):
     entries while their second term runs: the array it forms, the copy it
     is summed into and the contraction both terms read.  Their peaks are
     those totals, so a slot read twice in one sum cannot go uncounted.  The
-    peaks of the dim-4 search's row programs are pinned as values that may
-    only fall (4, 8, 12 and 16), so that a slot or derived operand counted
+    peaks of the dim-4 search's row programs, the live totals their steps
+    replay to (``test_peak_is_the_replayed_live_total``), are pinned as
+    values that may only fall (7, 20, 39 and 64), so that a register counted
     past its last reader fails."""
     bialg = _load("dim4_bialgebra.json")
     (checked, *_), = _recorded(monkeypatch, lambda: check_bialgebra(bialg.algebra, bialg.coalgebra))
@@ -305,7 +306,48 @@ def test_every_program_has_a_peak_and_these_may_only_fall(monkeypatch):
     assert (stage_1.peak, stage_3.peak) == (32, 56)
     searched = _recorded(monkeypatch, lambda: search_symmetric_ybe(_load("dim4_semidirect.json"), [-1, 0, 1]))
     rows = [program.peak for program, specs, *_ in searched if all(type(key) is tuple for key in specs)]
-    assert len(rows) == 4 and all(0 < peak <= pin for peak, pin in zip(rows, (4, 8, 12, 16)))
+    assert len(rows) == 4 and all(0 < peak <= pin for peak, pin in zip(rows, (7, 20, 39, 64)))
+
+
+def _first_runs(monkeypatch, run) -> list:
+    """Each distinct program ``run`` runs, with the operands of its first run."""
+    programs, run_ = {}, core._Program.run
+
+    def recorded(self, arrays, maxabs):
+        programs.setdefault(id(self), (self, dict(arrays)))
+        return run_(self, arrays, maxabs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core._Program, "run", recorded)
+        run()
+    return list(programs.values())
+
+
+def test_peak_is_the_replayed_live_total(monkeypatch):
+    """``peak`` is the most entries alive at once, per batch member on a
+    batched program: replaying each program step by step on the operands
+    of its first run (``kernel_reference.live_peak``) reaches it exactly on
+    the batched programs of the dim-4 search (its four rows and the
+    4.29/4.30 check) and of the enumeration (its stages and the regular
+    quadruple), and never passes it on the programs of the dim-4 CLI
+    commands."""
+    def sweeps():
+        search_symmetric_ybe(_load("dim4_semidirect.json"), [-1, 0, 1])
+        algebras._enumerate.cache_clear()
+        algebras.enumerate_dim2_pre_novikov((-1, 0, 1))
+
+    batched = [(program, arrays) for program, arrays in _first_runs(monkeypatch, sweeps) if program.batch]
+    assert len(batched) == 12
+    for program, arrays in batched:
+        assert live_peak(program, arrays) == program.peak > 0
+    pair = [str(FIXTURES / "dim4_semidirect.json"), str(FIXTURES / "dim4_ybe_solution.json")]
+    runs = [["check", str(FIXTURES / name)] for name in ("dim4_bialgebra.json", "dim4_coalgebra.json")]
+    runs += [["search", pair[0]], ["ybe", *pair], ["coboundary", *pair], ["derive", pair[0]],
+             ["double", str(FIXTURES / "dim4_bialgebra.json")], ["diag", *pair]]
+    programs = _first_runs(monkeypatch, lambda: [run_command(argv, out=io.StringIO()) for argv in runs])
+    assert len(programs) >= len(runs)
+    for program, arrays in programs:
+        assert 0 < live_peak(program, arrays) <= program.peak
 
 
 def test_each_register_is_dropped_after_its_last_reader(monkeypatch):
