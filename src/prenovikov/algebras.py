@@ -203,16 +203,16 @@ def enumerate_dim2_pre_novikov(values=(-1, 0, 1)) -> list[PreNovikovAlgebra]:
     2. identity 2.9, a>(b<c) = (a>b)<c + b<(a o c) - (b<a)<c, runs row by row
        of >: its residual at witness (i, j, k) reads > only as a>b, a>(.) and
        a o c with a = e_i, that is only row i of > (and of o = < + >), and
-       it is affine in that row.  So for each surviving < table and each row
-       index i the witness-i slice is evaluated on the zero row and the unit
-       rows only, every candidate row's slice follows by one kernel matmul
-       (see ``_row_pairs``), and the > tables satisfying 2.9 are the products
-       of the rows whose slice is zero, row 0 outermost (lexicographic order);
+       it is affine in that row, with a linear part the same for every i.
+       So 2.9 runs on n + 1 = 3 probe members per surviving < table, every
+       candidate row's slice follows by one kernel matmul (see
+       ``_row_pairs``), and the > tables satisfying 2.9 are the products of
+       the rows whose slice is zero, row 0 outermost (lexicographic order);
     3. identities 2.10 and then 2.8 run over those (<, >) pairs only.
 
-    With values -1, 0, 1 that is 817 < tables after stage 1, 2 x 817 x 5
-    probe-row evaluations in stage 2 and 8,041 pairs in stage 3 (against
-    817 x 6,561 = 5.36M for the full pair space), leaving 257 algebras.  All
+    With values -1, 0, 1 that is 817 < tables after stage 1, 3 x 817 probe
+    members in stage 2 and 8,041 pairs in stage 3 (against 817 x 6,561 =
+    5.36M for the full pair space), leaving 257 algebras.  All
     survivors are re-verified in one batched call through 4.18-4.27 on the
     regular quadruple (``_regular_quadruple_ok``), a guard on the staging, not
     the specs; a disagreement with the fast path raises.  Values are exact
@@ -239,39 +239,39 @@ def _row_pairs(lhd_ok: np.ndarray, rows: np.ndarray) -> np.ndarray:
     lexicographic order.
 
     The witness-i slice of the 2.9 residual is affine in row i of >: with the
-    row flattened to v it is C + v D, where C is the slice at the zero row and
-    row p of D the slice at the p-th unit row minus C.  So the spec runs on
-    those 1 + n**2 probe rows per (< table, i), and the slices of all
-    candidate rows are one kernel term, [1 | V] @ [C ; D].  The index rows
-    are built from the masks one row of > at a time, for a block of < tables
-    at once.  The blocks are as few as keep each block within one chunk of
-    the slices' program in int64 (``core.chunk_length``), and of one length
-    up to rounding.  A block's slices are tested by ``core.zero_members``,
-    in shorter chunks when it charges them past ``core.BATCH_BYTES`` (on
-    Python ints), so 2.9 runs once per < table.
+    row flattened to v it is C_i + v D, where C_i is the slice at the zero
+    row and D is the same for every i, as the terms linear in > read it only
+    as e_i > x.  So 2.9 runs on n + 1 members per < table: the zero >, for
+    every C_i, and for each j the > whose row i is unit row j n + i for each
+    i, for rows j n + i of D.  The slices of all candidate rows are then one
+    kernel term, [1 | V] @ [C_i ; D], and the index rows are built from the
+    masks one row of > at a time, for a block of < tables at once.  Blocks
+    are as few as keep each in one chunk of the slices' program in int64
+    (``core.chunk_length``), of one length up to rounding; ``zero_members``
+    tests their slices, in shorter chunks past ``core.BATCH_BYTES``.
     """
     n = ENUM_DIM
-    probes = np.eye(n * n + 1, n * n, k=-1, dtype=np.int64).reshape(-1, n, n)
+    probes, (i, j) = np.zeros((n + 1, n, n, n), dtype=np.int64), np.indices((n, n))
+    probes[1 + j, i, j, i] = 1  # member 1 + j: e_i > e_j = e_i, unit row j n + i as row i
     V = rows.reshape(len(rows), n * n)
     V = np.concatenate([np.ones_like(V[:, :1]), V], axis=1)  # [1 | V]
     spec = {"": [(1, "cp,ips->ics", ("V", "S"))]}  # [1 | V] @ [C ; D]: (b, n, candidate row, slice)
-    fit = core.chunk_length(core._compile(spec, {"V": V, "S": np.zeros((1, n, len(probes), n**3), np.int64)}, {"S"}))
+    fit = core.chunk_length(core._compile(spec, {"V": V, "S": np.zeros((1, n, 1 + n * n, n**3), np.int64)}, {"S"}))
     per_block = max(1, -(-len(lhd_ok) // max(1, -(-len(lhd_ok) // fit))))  # as few blocks, of one length
     pairs, lstart = [np.empty((0, n + 1), dtype=np.intp)], 0
     while lstart < len(lhd_ok):
         lblock = lhd_ok[lstart : lstart + per_block]
         b = len(lblock)
-        # member (l, i, p) holds < table l and probe row p as row i of >
-        L = np.repeat(lblock, n * len(probes), axis=0)
+        L = np.repeat(lblock, len(probes), axis=0)  # member (l, m): < table l, probe member m
         R = np.zeros_like(L)
-        for i in range(n):
-            R.reshape(b, n, len(probes), n, n, n)[:, i, :, i] = probes
+        R.reshape(b, len(probes), n, n, n)[:] = probes
         res = sum_batched({"2.9": labels.SPECS["2.9"][1]}, {"<": L, ">": R}, batch={"<", ">"})["2.9"]
-        res = res.reshape(b, n, len(probes), n, -1)
-        S = np.stack([res[:, i, :, i] for i in range(n)], axis=1)  # (b, n, probe, slice)
+        res = res.reshape(b, len(probes), n, -1)  # (b, member, witness i, slice)
         # D in place: an entry of D sums the parts of the 2.9 terms that read
         # row i, at a unit row, so it stays under the bound that certified res
-        S[:, :, 1:] -= S[:, :, :1]
+        res[:, 1:] -= res[:, :1]
+        S = np.empty((b, n, 1 + n * n, n**3), dtype=res.dtype)  # [C_i ; D] for each (l, i)
+        S[:, :, 0], S[:, :, 1:] = res[:, 0], res[:, 1:].reshape(b, 1, n * n, -1)  # C_i; D, one for every i
         ok = np.concatenate([ok for _, ok in zero_members(spec, b, lambda lo, hi: {"S": S[lo:hi]}, {"V": V}, 3)])
 
         # extend each partial index row (l, row_0..row_{i-1}) by the rows

@@ -356,8 +356,8 @@ def test_enumeration_stage_2_stays_within_the_byte_budget(monkeypatch):
     algebras._enumerate.cache_clear()
     got = enumerate_dim2_pre_novikov((-big, 0, big))
     assert core.BATCH_BYTES / 2 < max(sizes) <= core.BATCH_BYTES
-    lhd_ok = 817  # < tables passing 2.11, 2 * 5 probe members each
-    assert len(members) == 3 and sum(members) == 10 * lhd_ok
+    lhd_ok = 817  # < tables passing 2.11, 3 probe members each
+    assert len(members) == 3 and sum(members) == 3 * lhd_ok
     want = enumerate_dim2_pre_novikov((-1, 0, 1))
     assert len(want) == 257
     assert got == [PreNovikovAlgebra(*(StructureConstants(2, Exact(op.table.num * big)) for op in (a.lhd, a.rhd)))
@@ -430,6 +430,33 @@ def test_identity_2_9_witness_i_reads_only_row_i_of_rhd(n):
     assert moved_elsewhere  # the other slices do read the other rows
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_identity_2_9_linear_part_is_the_same_for_every_row(n):
+    """The premise of stage 2's n + 1 probe members: the witness-i slice of
+    the 2.9 residual with row i of > set to v, minus the slice at the zero
+    >, is the same array for every i, while the zero-> slices differ
+    between rows."""
+    rng = np.random.default_rng(40 + n)
+    terms, zero = labels.SPECS["2.9"][1], np.zeros((n, n, n), dtype=np.int64)
+
+    def residual(lhd, rhd):
+        return sum_batched({"": terms}, {"<": lhd, ">": rhd})[""]
+
+    constant_moved = linear_nonzero = 0
+    for _ in range(20):
+        lhd, v = rng.integers(-3, 4, (n, n, n)), rng.integers(-3, 4, (n, n))
+        base = residual(lhd, zero)
+        linear = []
+        for i in range(n):
+            rhd = zero.copy()
+            rhd[i] = v
+            linear.append(residual(lhd, rhd)[i] - base[i])
+        assert all(np.array_equal(part, linear[0]) for part in linear)
+        linear_nonzero += bool(linear[0].any())
+        constant_moved += any(not np.array_equal(base[i], base[0]) for i in range(n))
+    assert linear_nonzero and constant_moved  # neither side of the premise is vacuous
+
+
 def test_enumeration_checks_2_10_and_2_8_on_the_2_9_pairs_only(kernel_sums):
     assert len(algebras._enumerate.__wrapped__((-1, 0, 1))) == 257
     sizes = {code: 0 for code in labels.PRE_NOVIKOV}
@@ -437,7 +464,7 @@ def test_enumeration_checks_2_10_and_2_8_on_the_2_9_pairs_only(kernel_sums):
         for code in labels.PRE_NOVIKOV:
             sizes[code] += shapes["<"][0] if terms == tuple(labels.SPECS[code][1]) else 0
     assert sizes["2.11"] == 3**8
-    assert sizes["2.9"] <= 2 * 817 * 3**4
+    assert sizes["2.9"] <= 3 * 817
     assert sizes["2.8"] <= sizes["2.10"] <= 8_041
 
 
